@@ -4,18 +4,19 @@
     operation-log entry (paper §3.3), which lets recovery distinguish valid
     entries from torn ones with a single fence per logged operation. *)
 
+(* Built at module initialisation, before any campaign domain spawns:
+   campaign domains share it, and a [lazy] forced by two domains at once
+   raises [CamlinternalLazy.Undefined] in one of them. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
-           else c := !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
+        else c := !c lsr 1
+      done;
+      !c)
 
 let update crc buf ~off ~len =
-  let table = Lazy.force table in
   let c = ref (crc lxor 0xFFFFFFFF) in
   for i = off to off + len - 1 do
     c := table.((!c lxor Char.code (Bytes.get buf i)) land 0xFF) lxor (!c lsr 8)

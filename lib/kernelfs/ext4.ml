@@ -54,7 +54,9 @@ type t = {
           power-of-two table instead of a lock per inode, sized so that
           10k-actor namespaces don't allocate 10k lock records while
           distinct inodes in the N<=stripes experiments never share a
-          stripe. Inert outside multi-actor runs *)
+          stripe. A stripe's lock is created the first time it is taken
+          ({!ilock}); until then the cell holds [unused_stripe]. Inert
+          outside multi-actor runs *)
   running_meta : int array;
       (** metadata blocks dirtied by data-path operations and not yet
           committed, one cell per journal stream; jbd2 batches these into
@@ -84,6 +86,10 @@ let timing t = t.env.Env.timing
 (* ------------------------------------------------------------------ *)
 (* mkfs                                                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* Fills every stripe cell until the stripe is first taken; never itself
+   acquired, so sharing it across stacks and domains is safe. *)
+let unused_stripe = Pmem.Lock.create "inode-stripe:unused"
 
 let mkfs ?(journal_len = 8 * 1024 * 1024) ?(alloc_shards = 1)
     ?(journal_streams = 1) ?(lock_stripes = 4096) (env : Env.t) =
@@ -121,9 +127,7 @@ let mkfs ?(journal_len = 8 * 1024 * 1024) ?(alloc_shards = 1)
       next_ino = 3;
       root;
       zero_block = Bytes.make block_size '\000';
-      ilocks =
-        Array.init lock_stripes (fun i ->
-            Pmem.Lock.create (Printf.sprintf "inode-stripe:%d" i));
+      ilocks = Array.make lock_stripes unused_stripe;
       running_meta = Array.make (Journal.nstreams journal) 0;
       live_maps = [];
       shared = Hashtbl.create 64;
@@ -134,8 +138,18 @@ let mkfs ?(journal_len = 8 * 1024 * 1024) ?(alloc_shards = 1)
 
 (** The inode's lock stripe. Distinct inodes share a stripe only when
     their inos collide mod the table size — never in the small-N
-    experiments, by construction. *)
-let ilock t inode = t.ilocks.(inode.ino land (Array.length t.ilocks - 1))
+    experiments, by construction. The stripe's lock is created on first
+    use: a fresh lock is identical to one created at mkfs and never taken,
+    so contention charges are the same either way. *)
+let ilock t inode =
+  let i = inode.ino land (Array.length t.ilocks - 1) in
+  let l = t.ilocks.(i) in
+  if l != unused_stripe then l
+  else begin
+    let l = Pmem.Lock.create (Printf.sprintf "inode-stripe:%d" i) in
+    t.ilocks.(i) <- l;
+    l
+  end
 
 let with_ilock t inode f = Env.with_lock t.env (ilock t inode) f
 
@@ -219,11 +233,15 @@ let free_inode_blocks t inode =
     inode.extents;
   ignore (Extent_tree.remove_range inode.extents ~logical:0 ~len:max_int)
 
+(** Free an unlinked, closed regular file. Its mappings leave
+    [live_maps] with it: inode numbers are never reused, so no later
+    copy-on-write or scrub could match them again. *)
 let maybe_reap t inode =
   if inode.nlink = 0 && inode.refcount = 0 && inode.kind = Fsapi.Fs.Regular
   then begin
     free_inode_blocks t inode;
-    Hashtbl.remove t.inodes inode.ino
+    Hashtbl.remove t.inodes inode.ino;
+    t.live_maps <- List.filter (fun m -> m.m_ino <> inode.ino) t.live_maps
   end
 
 let incref inode = inode.refcount <- inode.refcount + 1
@@ -875,6 +893,9 @@ let mmap_retained (t : t) inode ~off ~len =
   let m = { m_ino = inode.ino; m_off = off; m_len = len; pages; m_huge = false } in
   t.live_maps <- m :: t.live_maps;
   m
+
+(** Mappings the kernel still tracks (test hook). *)
+let live_map_count t = List.length t.live_maps
 
 (** Re-derive the page array of an existing mapping after [swap_extents]
     re-pointed the file's extents; charges nothing (the paper's modified

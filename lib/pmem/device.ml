@@ -5,14 +5,16 @@
     controller, temporal stores live in the (volatile) CPU cache until the
     line is flushed. A crash discards every dirty cache line.
 
-    [persistent] holds the durable image. Dirty cache lines live in a single
-    [shadow] buffer (at the same offsets as the durable image) indexed by a
+    [persistent] holds the durable image. Dirty cache lines live in a
+    [shadow] image (at the same offsets as the durable image) indexed by a
     dense bitmap: bit [l mod 32] of word [l / 32] in [dirty] is set iff line
     [l] holds unflushed cached data, and [dirty_count] counts the set bits.
-    When [dirty_count] is zero — the common state right after any
-    fsync/relink — [load] and [store_nt] degenerate to a single [Bytes.blit]
-    plus cost accounting, with zero per-line work. The slow paths coalesce
-    contiguous clean/dirty line spans into batched blits.
+    Both images are sparse ({!Image}): 64 KiB chunks allocated on first
+    write, so building a device costs what the run touches, not its
+    capacity. When [dirty_count] is zero — the common state right after
+    any fsync/relink — [load] and [store_nt] degenerate to a single image
+    copy plus cost accounting, with zero per-line work. The slow paths
+    coalesce contiguous clean/dirty line spans into batched copies.
 
     Host-side data-structure choices must never change simulated-time
     results: every code path charges exactly the per-line costs the
@@ -27,6 +29,95 @@ let block_size = 4096
    keep all mask arithmetic unboxed. *)
 let lines_per_word = 32
 let word_mask = 0xFFFFFFFF
+
+(* ------------------------------------------------------------------ *)
+(* Sparse image                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(** A capacity-sized byte image held as fixed 64 KiB chunks, each
+    allocated on its first write. A chunk is a whole number of blocks, so
+    a line or block never straddles two chunks; ranges that do (long
+    loads and stores) are split per chunk. A durable image zero-fills its
+    chunks, and an absent chunk reads as zero. A shadow image leaves them
+    uninitialised: a shadow line is read only while its dirty bit is set,
+    and setting it always writes the line first. Every access to either
+    image goes through [read], [write], [copy] and [sub]. *)
+module Image = struct
+  let chunk_bits = 16
+  let chunk_size = 1 lsl chunk_bits
+  let chunk_mask = chunk_size - 1
+  let () = assert (chunk_size mod block_size = 0)
+
+  type t = {
+    chunks : Bytes.t array;  (** [Bytes.empty] until first written *)
+    zeroed : bool;  (** chunks are zero-filled: absent reads as zero *)
+  }
+
+  let create ~capacity ~zeroed =
+    {
+      chunks = Array.make ((capacity + chunk_mask) lsr chunk_bits) Bytes.empty;
+      zeroed;
+    }
+
+  let chunk_for_write img c =
+    let ch = img.chunks.(c) in
+    if Bytes.length ch > 0 then ch
+    else begin
+      let ch =
+        if img.zeroed then Bytes.make chunk_size '\000'
+        else Bytes.create chunk_size
+      in
+      img.chunks.(c) <- ch;
+      ch
+    end
+
+  (** Copy [len] image bytes at [addr] into [dst] at [off]. *)
+  let read img ~addr dst ~off ~len =
+    let addr = ref addr and off = ref off and len = ref len in
+    while !len > 0 do
+      let within = !addr land chunk_mask in
+      let n = min !len (chunk_size - within) in
+      let ch = img.chunks.(!addr lsr chunk_bits) in
+      if Bytes.length ch = 0 then Bytes.fill dst !off n '\000'
+      else Bytes.blit ch within dst !off n;
+      addr := !addr + n;
+      off := !off + n;
+      len := !len - n
+    done
+
+  (** Copy [len] bytes of [src] at [off] into the image at [addr]. *)
+  let write img ~addr src ~off ~len =
+    let addr = ref addr and off = ref off and len = ref len in
+    while !len > 0 do
+      let within = !addr land chunk_mask in
+      let n = min !len (chunk_size - within) in
+      Bytes.blit src !off (chunk_for_write img (!addr lsr chunk_bits)) within n;
+      addr := !addr + n;
+      off := !off + n;
+      len := !len - n
+    done
+
+  (** Copy [addr, addr+len) of [src] to the same offsets of [dst]. *)
+  let copy ~src ~dst ~addr ~len =
+    let addr = ref addr and len = ref len in
+    while !len > 0 do
+      let c = !addr lsr chunk_bits and within = !addr land chunk_mask in
+      let n = min !len (chunk_size - within) in
+      let s = src.chunks.(c) in
+      if Bytes.length s > 0 then
+        Bytes.blit s within (chunk_for_write dst c) within n
+      else if Bytes.length dst.chunks.(c) > 0 || not dst.zeroed then
+        Bytes.fill (chunk_for_write dst c) within n '\000';
+      addr := !addr + n;
+      len := !len - n
+    done
+
+  (** A fresh copy of [len] image bytes at [addr]. *)
+  let sub img ~addr ~len =
+    let b = Bytes.create len in
+    read img ~addr b ~off:0 ~len;
+    b
+end
 
 (* ------------------------------------------------------------------ *)
 (* Persist-order journal (crash-state exploration support)              *)
@@ -63,7 +154,8 @@ type journal = {
   mutable j_fences : int;  (** fences observed since [journal_begin] *)
   j_fence_pending : (int, pending_line array) Hashtbl.t;
       (** per fence index, the pending summary captured just before that
-          fence committed (or would have committed) *)
+          fence committed (or would have committed); recorded only while
+          no crash is armed *)
   mutable j_trip_fence : int;  (** fence index to crash at; -1 = disarmed *)
   mutable j_trip_survivors : survivor list;
   j_dedup : bool;
@@ -110,10 +202,8 @@ let fence_site_name i = !fence_site_names.(i)
 
 type t = {
   capacity : int;
-  persistent : Bytes.t;
-  mutable shadow : Bytes.t;
-      (** dirty-line contents at their device offsets; allocated lazily on
-          the first temporal store *)
+  persistent : Image.t;  (** the durable image *)
+  shadow : Image.t;  (** dirty-line contents at their device offsets *)
   dirty : int array;  (** dense dirty-line bitmap, one word per 32 lines *)
   mutable dirty_count : int;  (** number of set bits in [dirty] *)
   wear : int array;  (** write count per 4 KB block *)
@@ -163,8 +253,8 @@ let create ?(capacity = 64 * 1024 * 1024) ?faults ~clock ~timing ~stats () =
   assert (capacity mod block_size = 0);
   {
     capacity;
-    persistent = Bytes.make capacity '\000';
-    shadow = Bytes.empty;
+    persistent = Image.create ~capacity ~zeroed:true;
+    shadow = Image.create ~capacity ~zeroed:false;
     dirty = Array.make (capacity / line_size / lines_per_word) 0;
     dirty_count = 0;
     wear = Array.make (capacity / block_size) 0;
@@ -237,9 +327,6 @@ let add_wear t addr len =
 (* Dirty-line bitmap index                                              *)
 (* ------------------------------------------------------------------ *)
 
-let ensure_shadow t =
-  if Bytes.length t.shadow = 0 then t.shadow <- Bytes.create t.capacity
-
 let popcount32 n =
   let n = n - ((n lsr 1) land 0x55555555) in
   let n = (n land 0x33333333) + ((n lsr 2) land 0x33333333) in
@@ -262,8 +349,8 @@ let bump_dirty t added =
 let init_line_if_clean t line =
   let w = line lsr 5 and bit = 1 lsl (line land 31) in
   if t.dirty.(w) land bit = 0 then begin
-    Bytes.blit t.persistent (line * line_size) t.shadow (line * line_size)
-      line_size;
+    Image.copy ~src:t.persistent ~dst:t.shadow ~addr:(line * line_size)
+      ~len:line_size;
     t.dirty.(w) <- t.dirty.(w) lor bit;
     bump_dirty t 1
   end
@@ -304,7 +391,8 @@ let writeback_dirty_range t first last =
           let s = !b in
           while !b <= hi && bits land (1 lsl !b) <> 0 do incr b done;
           let off = ((w lsl 5) + s) * line_size in
-          Bytes.blit t.shadow off t.persistent off ((!b - s) * line_size)
+          Image.copy ~src:t.shadow ~dst:t.persistent ~addr:off
+            ~len:((!b - s) * line_size)
         end
       done;
       t.dirty.(w) <- t.dirty.(w) land lnot mask;
@@ -353,7 +441,8 @@ let j_touch j t line =
   | None ->
       let jl =
         {
-          jbase = Bytes.sub t.persistent (line * line_size) line_size;
+          jbase =
+            Image.sub t.persistent ~addr:(line * line_size) ~len:line_size;
           jversions = [];
         }
       in
@@ -371,7 +460,7 @@ let j_reached t jl line =
       jl.jversions <-
         [
           {
-            vdata = Bytes.sub t.shadow (line * line_size) line_size;
+            vdata = Image.sub t.shadow ~addr:(line * line_size) ~len:line_size;
             nt = false;
             reached = true;
           };
@@ -391,7 +480,9 @@ let j_store t ~addr ~len =
       let first = addr / line_size and last = (addr + len - 1) / line_size in
       for line = first to last do
         let jl = j_touch j t line in
-        let vdata = Bytes.sub t.shadow (line * line_size) line_size in
+        let vdata =
+          Image.sub t.shadow ~addr:(line * line_size) ~len:line_size
+        in
         (* identical content, identical crash outcomes: surviving the
            duplicate is indistinguishable from surviving its predecessor *)
         if not (j.j_dedup && Bytes.equal vdata (j_frontier jl)) then
@@ -421,7 +512,9 @@ let j_store_nt_post t ~addr ~len =
       let first = addr / line_size and last = (addr + len - 1) / line_size in
       for line = first to last do
         let jl = j_touch j t line in
-        let vdata = Bytes.sub t.persistent (line * line_size) line_size in
+        let vdata =
+          Image.sub t.persistent ~addr:(line * line_size) ~len:line_size
+        in
         if j.j_dedup && Bytes.equal vdata (j_frontier jl) then
           (* content already at the frontier; the NT store still reaches
              the persistence domain, so promote the frontier (a tear
@@ -524,7 +617,8 @@ let apply_survivor t j s =
             Bytes.blit prev (c * 8) content (c * 8) 8
         done
       end;
-      Bytes.blit content 0 t.persistent (s.s_line * line_size) line_size
+      Image.write t.persistent ~addr:(s.s_line * line_size) content ~off:0
+        ~len:line_size
 
 (** Crash leaving a chosen subset of pending stores durable. Lines not
     named in [survivors] default to their newest pending content (every
@@ -540,7 +634,8 @@ let crash_partial t ~survivors =
           match jl.jversions with
           | [] -> ()
           | v :: _ ->
-              Bytes.blit v.vdata 0 t.persistent (line * line_size) line_size)
+              Image.write t.persistent ~addr:(line * line_size) v.vdata ~off:0
+                ~len:line_size)
         j.jlines;
       List.iter (apply_survivor t j) survivors;
       crash_common t;
@@ -558,7 +653,6 @@ let store t ~addr src ~off ~len =
   if len > 0 && not t.halted then begin
     Simclock.advance t.clock
       (float_of_int len *. t.timing.Timing.cache_store_per_byte);
-    ensure_shadow t;
     let first = addr / line_size and last = (addr + len - 1) / line_size in
     (* boundary lines may be partially covered: their bytes outside
        [addr, addr+len) must come from the durable image when clean;
@@ -566,7 +660,7 @@ let store t ~addr src ~off ~len =
     init_line_if_clean t first;
     if last <> first then init_line_if_clean t last;
     if last > first + 1 then mark_range_dirty t (first + 1) (last - 1);
-    Bytes.blit src off t.shadow addr len;
+    Image.write t.shadow ~addr src ~off ~len;
     j_store t ~addr ~len
   end
 
@@ -588,7 +682,7 @@ let store_nt t ~addr src ~off ~len =
       t.stats.Stats.slow_path_hits <- t.stats.Stats.slow_path_hits + 1;
       writeback_dirty_range t (addr / line_size) ((addr + len - 1) / line_size)
     end;
-    Bytes.blit src off t.persistent addr len;
+    Image.write t.persistent ~addr src ~off ~len;
     (* a fully-overwritten poisoned line is healed: the write replaces the
        bad ECC word wholesale (partially-covered boundary lines keep their
        poison — the device would have to read-modify-write them) *)
@@ -655,7 +749,8 @@ let flush ?(site = -1) t ~addr ~len =
             if bits land (1 lsl b) <> 0 then begin
               let line = (w lsl 5) + b in
               let off = line * line_size in
-              Bytes.blit t.shadow off t.persistent off line_size;
+              Image.copy ~src:t.shadow ~dst:t.persistent ~addr:off
+                ~len:line_size;
               (* full-line writeback heals a poisoned line, as in store_nt *)
               if Hashtbl.length t.poison > 0 then Hashtbl.remove t.poison line;
               Simclock.advance t.clock t.timing.Timing.clwb;
@@ -683,8 +778,10 @@ let fence ?(site = -1) t =
     | None -> ()
     | Some j ->
         (* record the choice space a crash at this fence would face, then
-           either trip the armed crash or commit reached versions *)
-        Hashtbl.replace j.j_fence_pending j.j_fences (pending_summary j);
+           either trip the armed crash or commit reached versions; only
+           an unarmed (profiling) run reads the summaries *)
+        if j.j_trip_fence < 0 then
+          Hashtbl.replace j.j_fence_pending j.j_fences (pending_summary j);
         let here = j.j_fences in
         j.j_fences <- here + 1;
         if j.j_trip_fence = here then begin
@@ -737,7 +834,7 @@ let load t ~addr dst ~off ~len =
     if t.dirty_count = 0 then begin
       (* clean device: one blit, all bytes at PM media cost *)
       t.stats.Stats.fast_path_hits <- t.stats.Stats.fast_path_hits + 1;
-      Bytes.blit t.persistent addr dst off len;
+      Image.read t.persistent ~addr dst ~off ~len;
       charge_media t (Timing.pm_read_cost t.timing ~random len);
       t.stats.Stats.pm_read_bytes <- t.stats.Stats.pm_read_bytes + len
     end
@@ -752,11 +849,11 @@ let load t ~addr dst ~off ~len =
         let stop = span_end t ~d ~line ~last in
         let n = min !remaining (((stop + 1) * line_size) - !pos) in
         if d then begin
-          Bytes.blit t.shadow !pos dst !doff n;
+          Image.read t.shadow ~addr:!pos dst ~off:!doff ~len:n;
           cached := !cached + n
         end
         else begin
-          Bytes.blit t.persistent !pos dst !doff n;
+          Image.read t.persistent ~addr:!pos dst ~off:!doff ~len:n;
           uncached := !uncached + n
         end;
         pos := !pos + n;
@@ -816,14 +913,16 @@ let max_wear t = Array.fold_left max 0 t.wear
 let total_wear t = Array.fold_left ( + ) 0 t.wear
 
 (** Peek at the durable image without charging time (test/debug only). *)
-let peek_persistent t ~addr ~len = Bytes.sub t.persistent addr len
+let peek_persistent t ~addr ~len =
+  assert (check_range t addr len);
+  Image.sub t.persistent ~addr ~len
 
 (** Overwrite the durable image directly, bypassing the cache model and
     all cost accounting — the bit-rot hook tests use to flip single bits
     in durable structures (test/debug only). *)
 let poke_persistent t ~addr b ~off ~len =
   assert (check_range t addr len);
-  Bytes.blit b off t.persistent addr len
+  Image.write t.persistent ~addr b ~off ~len
 
 (* ------------------------------------------------------------------ *)
 (* Media faults: poisoned lines, worn blocks, quarantine (PR 5)         *)

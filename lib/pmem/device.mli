@@ -18,7 +18,9 @@ val create :
   ?capacity:int -> ?faults:Faults.t -> clock:Simclock.t -> timing:Timing.t ->
   stats:Stats.t -> unit -> t
 (** [faults] supplies the outcome counters the media-fault paths report
-    into; the poison/wear/quarantine state itself lives in the device. *)
+    into; the poison/wear/quarantine state itself lives in the device.
+    The device's images grow in 64 KiB chunks as they are first written,
+    so its memory follows the bytes written, not [capacity]. *)
 
 val capacity : t -> int
 
@@ -209,7 +211,9 @@ val fence_count : t -> int
 val fence_pending : t -> int -> pending_line array
 (** [fence_pending t i] is the pending summary captured just before fence
     index [i] (0-based) committed — the choice space of a crash at that
-    fence. Empty if [i] has not been reached. *)
+    fence. Empty if [i] has not been reached, or was reached while a crash
+    was armed (an armed replay only needs its trip point, so it skips the
+    summaries). *)
 
 val pending_now : t -> pending_line array
 (** The pending summary right now (the choice space of a crash at the

@@ -147,6 +147,9 @@ module Naive = struct
       end
     end
 
+  let peek t ~addr ~len = Bytes.sub t.persistent addr len
+  let poke t ~addr src ~off ~len = Bytes.blit src off t.persistent addr len
+
   let crash t =
     Hashtbl.reset t.dirty;
     t.last_read_start <- -1;
@@ -184,12 +187,25 @@ let check_agreement ~op_no naive env dev =
   Util.check_int (tag "nt_stores") naive.Naive.stats.Stats.nt_stores
     env.Env.stats.Stats.nt_stores
 
-let check_durable_images ~op_no naive dev =
+let check_durable_images ?(capacity = capacity) ~op_no naive dev =
   let img = Device.peek_persistent dev ~addr:0 ~len:capacity in
   if not (Bytes.equal naive.Naive.persistent img) then
     Alcotest.failf "op %d: durable images differ" op_no
 
-let run_ops ~seed ~ops () =
+(* The device holds its images in 64 KiB chunks allocated on first
+   write; the naive model keeps one flat buffer. *)
+let chunk = 65536
+
+(* Where [run_ops] puts an access of [len] bytes: anywhere on the device,
+   or across one of the three interior chunk boundaries of the four-chunk
+   device (a one-byte access ends at one). *)
+let anywhere rng ~len = Workloads.Rng.int rng (capacity - len)
+
+let straddling rng ~len =
+  let boundary = chunk * (1 + Workloads.Rng.int rng 3) in
+  boundary - 1 - Workloads.Rng.int rng (max 1 (len - 1))
+
+let run_ops ~seed ~ops ?(place = anywhere) () =
   let rng = Workloads.Rng.create seed in
   let env = Pmem.Env.create ~capacity () in
   let dev = env.Env.dev in
@@ -203,7 +219,7 @@ let run_ops ~seed ~ops () =
     (* addresses biased to a small window so lines collide across ops;
        lengths span sub-line writes up to multi-block transfers *)
     let len = 1 + Workloads.Rng.int rng 8192 in
-    let addr = Workloads.Rng.int rng (capacity - len) in
+    let addr = place rng ~len in
     let off = Workloads.Rng.int rng (Bytes.length payload - len) in
     (match Workloads.Rng.int rng 100 with
     | r when r < 30 ->
@@ -212,17 +228,27 @@ let run_ops ~seed ~ops () =
     | r when r < 50 ->
         Naive.store_nt naive ~addr payload ~off ~len;
         Device.store_nt dev ~addr payload ~off ~len
-    | r when r < 70 ->
+    | r when r < 65 ->
         Naive.flush naive ~addr ~len;
         Device.flush dev ~addr ~len
-    | r when r < 75 ->
+    | r when r < 70 ->
         Naive.fence naive;
         Device.fence dev
-    | r when r < 95 ->
+    | r when r < 88 ->
         Naive.load naive ~addr buf_n ~off:0 ~len;
         Device.load dev ~addr buf_d ~off:0 ~len;
         if not (Bytes.equal (Bytes.sub buf_n 0 len) (Bytes.sub buf_d 0 len))
         then Alcotest.failf "op %d: loaded bytes differ" op_no
+    | r when r < 92 ->
+        if
+          not
+            (Bytes.equal
+               (Naive.peek naive ~addr ~len)
+               (Device.peek_persistent dev ~addr ~len))
+        then Alcotest.failf "op %d: peeked bytes differ" op_no
+    | r when r < 96 ->
+        Naive.poke naive ~addr payload ~off ~len;
+        Device.poke_persistent dev ~addr payload ~off ~len
     | _ ->
         Naive.crash naive;
         Device.crash dev;
@@ -240,6 +266,9 @@ let run_ops ~seed ~ops () =
 
 let test_differential_seed1 () = run_ops ~seed:1 ~ops:2500 ()
 let test_differential_seed2 () = run_ops ~seed:42 ~ops:2500 ()
+
+let test_chunk_straddles () =
+  run_ops ~seed:11 ~ops:3000 ~place:straddling ()
 
 (* Narrow window: nearly every op hits the same few blocks, maximising
    dirty/clean span alternation inside single bitmap words. *)
@@ -274,9 +303,84 @@ let test_differential_hot_window () =
   Device.crash dev;
   check_durable_images ~op_no:3001 naive dev
 
+(* ------------------------------------------------------------------ *)
+(* Sparse image: never-written chunks, set-up cost                      *)
+(* ------------------------------------------------------------------ *)
+
+let check_bytes ~op_no what a b =
+  if not (Bytes.equal a b) then Alcotest.failf "op %d: %s differ" op_no what
+
+(* A sixteen-chunk device written in one chunk: every other chunk reads
+   as zero through loads and peeks, at the naive model's charges, and a
+   temporal store into a never-written chunk merges with zeros. *)
+let test_unwritten_chunks () =
+  let capacity = 16 * chunk in
+  let env = Pmem.Env.create ~capacity () in
+  let dev = env.Env.dev in
+  let naive = Naive.create ~capacity ~timing:env.Env.timing () in
+  let payload = Bytes.init 5000 (fun i -> Char.chr (1 + (i mod 255))) in
+  Naive.store_nt naive ~addr:((3 * chunk) + 100) payload ~off:0 ~len:5000;
+  Device.store_nt dev ~addr:((3 * chunk) + 100) payload ~off:0 ~len:5000;
+  let op_no = ref 0 in
+  let load_both ~addr ~len =
+    incr op_no;
+    let b_n = Bytes.create len and b_d = Bytes.create len in
+    Naive.load naive ~addr b_n ~off:0 ~len;
+    Device.load dev ~addr b_d ~off:0 ~len;
+    check_bytes ~op_no:!op_no "loaded bytes" b_n b_d;
+    check_agreement ~op_no:!op_no naive env dev;
+    b_d
+  in
+  let zeros len = Bytes.make len '\000' in
+  let expect_zeros ~addr ~len =
+    check_bytes ~op_no:!op_no "never-written bytes" (zeros len)
+      (load_both ~addr ~len);
+    check_bytes ~op_no:!op_no "never-written durable bytes" (zeros len)
+      (Device.peek_persistent dev ~addr ~len)
+  in
+  expect_zeros ~addr:0 ~len:4096;
+  expect_zeros ~addr:((9 * chunk) + 777) ~len:3000;
+  expect_zeros ~addr:(capacity - 64) ~len:64;
+  expect_zeros ~addr:((5 * chunk) - 10) ~len:((2 * chunk) + 20);
+  (* the written range's tail runs on into never-written chunk 4 *)
+  ignore (load_both ~addr:((4 * chunk) - 4000) ~len:8000);
+  let tail = Device.peek_persistent dev ~addr:(4 * chunk) ~len:4000 in
+  check_bytes ~op_no:!op_no "chunk 4" (zeros 4000) tail;
+  (* unaligned temporal store into never-written chunk 12: its boundary
+     lines merge with the zeros around it *)
+  let addr = (12 * chunk) + 33 in
+  Naive.store naive ~addr payload ~off:0 ~len:200;
+  Device.store dev ~addr payload ~off:0 ~len:200;
+  ignore (load_both ~addr:(addr - 33) ~len:320);
+  Naive.flush naive ~addr ~len:200;
+  Device.flush dev ~addr ~len:200;
+  Naive.crash naive;
+  Device.crash dev;
+  check_agreement ~op_no:(!op_no + 1) naive env dev;
+  check_durable_images ~capacity ~op_no:(!op_no + 1) naive dev
+
+(* Building a device costs what it touches: a 1 GiB device allocates
+   less than 1% of its capacity (the dirty bitmap, wear counters and
+   chunk tables), not a capacity-sized image. *)
+let test_create_cost () =
+  let capacity = 1 lsl 30 in
+  let before = Gc.allocated_bytes () in
+  let env = Sys.opaque_identity (Pmem.Env.create ~capacity ()) in
+  let used = Gc.allocated_bytes () -. before in
+  if used >= 0.01 *. float_of_int capacity then
+    Alcotest.failf "Env.create of %d bytes allocated %.0f bytes" capacity used;
+  (* still a working device at its far end *)
+  let dev = env.Env.dev in
+  Device.store_nt dev ~addr:(capacity - 64) (Bytes.make 64 'z') ~off:0 ~len:64;
+  Util.check_str "far end" (String.make 64 'z')
+    (Bytes.to_string (Device.load_bytes dev ~addr:(capacity - 64) ~len:64))
+
 let suite =
   [
     tc "differential vs naive model (seed 1)" `Quick test_differential_seed1;
     tc "differential vs naive model (seed 42)" `Quick test_differential_seed2;
     tc "differential, hot 4K window" `Quick test_differential_hot_window;
+    tc "differential, chunk-straddling accesses" `Quick test_chunk_straddles;
+    tc "never-written chunks read as zero" `Quick test_unwritten_chunks;
+    tc "device set-up allocates under 1% of capacity" `Quick test_create_cost;
   ]

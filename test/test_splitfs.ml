@@ -223,6 +223,28 @@ let test_unlink_while_open_keeps_data =
       fs.close fd;
       Alcotest.(check bool) (name ^ ": gone") false (Fsapi.Fs.exists fs "/ho"))
 
+(* Each relink hands the kernel a mapping; a reaped file's mappings must
+   leave with it, or the kernel's list grows with run length. *)
+let test_reaped_mappings_dropped () =
+  List.iter
+    (fun mode ->
+      let live_after rounds =
+        let _env, kfs, _sys, _u, fs = Util.make_splitfs ~mode () in
+        for i = 1 to rounds do
+          let path = Printf.sprintf "/m%d" i in
+          let fd = fs.open_ path Fsapi.Flags.create_rw in
+          Fsapi.Fs.write_string fs fd (Util.pattern ~seed:i 10000);
+          fs.fsync fd;
+          fs.close fd;
+          fs.unlink path
+        done;
+        Kernelfs.Ext4.live_map_count kfs
+      in
+      Util.check_int
+        (Splitfs.Config.mode_to_string mode ^ ": live mappings")
+        (live_after 4) (live_after 32))
+    modes
+
 let test_rename_updates_cache =
   for_each_mode (fun mode _u fs ->
       let name = Splitfs.Config.mode_to_string mode in
@@ -359,6 +381,8 @@ let suite =
       test_staging_exhaustion_midstream;
     tc "unlink cleans up" `Quick test_unlink_cleans_up;
     tc "unlink while open keeps data" `Quick test_unlink_while_open_keeps_data;
+    tc "reaped files leave no kernel mappings" `Quick
+      test_reaped_mappings_dropped;
     tc "rename updates attribute cache" `Quick test_rename_updates_cache;
     tc "O_TRUNC resets state" `Quick test_open_trunc_resets;
     tc "dup shares offset" `Quick test_dup_shares_offset;
