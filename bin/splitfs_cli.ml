@@ -58,22 +58,11 @@ let run_litmus no_minimize jobs =
       honest ENOSPC, never a mangled file);
     - the FAMS-vs-WAL experiment table. *)
 let run_fams jobs =
-  let pats =
-    List.filter
-      (fun (p : Crashcheck.Litmus.pattern) ->
-        List.mem p.Crashcheck.Litmus.p_name [ "msync-publish"; "snapshot-cow" ])
-      Crashcheck.Litmus.corpus
-  in
-  let combos =
-    List.concat_map
-      (fun p ->
-        List.map (fun s -> (p, s)) Crashcheck.Litmus.all_stacks)
-      pats
+  let fams_pattern (c : Crashcheck.Litmus.combo) =
+    List.mem c.c_pattern.p_name [ "msync-publish"; "snapshot-cow" ]
   in
   let runs =
-    Par.map ?jobs
-      (fun _ (p, s) -> Crashcheck.Litmus.run_pattern p s)
-      combos
+    Crashcheck.Litmus.(run_corpus ?jobs (List.filter fams_pattern combos))
   in
   List.iter (fun r -> Fmt.pr "%a@." Crashcheck.Litmus.pp_run r) runs;
   let failed = ref false in
@@ -95,7 +84,7 @@ let run_fams jobs =
     failed := true
   end;
   let report =
-    Faultcheck.check_stack ?jobs (Faultcheck.Splitfs Splitfs.Config.Fams)
+    Faultcheck.check_stack ?jobs Harness.Fs_config.Splitfs_fams
   in
   Fmt.pr "%a@." Faultcheck.pp_stack_report report;
   if report.Faultcheck.s_violations <> [] then begin

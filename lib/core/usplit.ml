@@ -402,11 +402,14 @@ let rec stage_write t st ~at buf ~boff ~len =
     | Some s -> Some s
     | None -> Staging.reserve h ~align_rem:(at mod block_size) len
   in
+  let file_size = t.staging_pool.Staging.file_size in
   match staged_off with
-  | None when len >= t.staging_pool.Staging.file_size ->
-      (* larger than any staging file could ever hold (degraded
-         configurations with a shrunken pool): route straight through
-         the kernel instead of relinking forever *)
+  | None when len >= file_size || (at mod block_size) + len > file_size ->
+      (* larger than any staging file could ever hold, counting the
+         in-block offset a reservation must keep (degraded configurations
+         with a shrunken pool): route straight through the kernel instead
+         of relinking forever — a relink frees nothing here, and the pool
+         hands the same empty file straight back *)
       degraded_write t st ~at buf ~boff ~len
   | None when t.cfg.Config.mode = Config.Fams ->
       (* relinking here would publish staged data mid-window; surface the

@@ -1,5 +1,37 @@
 (** Per-mode differential check of a recovered file against the oracle's
-    pre-/post-op views (DESIGN.md §5d). *)
+    pre-/post-op views (DESIGN.md §5d), and the contracts the campaigns
+    hold each stack to. *)
+
+(** What a recovered file may legally look like.
+
+    [Sync_dax] is the kernel-file-system contract: sizes are pre- or
+    post-op (metadata ops are journalled and the simulator's DRAM
+    metadata survives the crash), bytes the pre-op state already covered
+    must be explained by the pre- or post-op content, and bytes beyond
+    the pre-op size are unconstrained — a freshly allocated block whose
+    data stores were lost reads back as zeros (or stale freed content),
+    which is exactly the non-atomic ext4-DAX behaviour the paper's
+    strict mode exists to fix. *)
+type contract = Atomic | Syncd | Posixd | Sync_dax | Fams
+
+(** The strongest contract a stack claims (paper Table 3): SplitFS
+    strict is atomic, sync is synchronous, POSIX promises only fsync'd
+    data, fams exactly the pre- or post-msync image; every other file
+    system is held to the kernel contract. *)
+let contract_of spec =
+  match Stacks.Fs_config.mode spec with
+  | Some Splitfs.Config.Strict -> Atomic
+  | Some Splitfs.Config.Sync -> Syncd
+  | Some Splitfs.Config.Posix -> Posixd
+  | Some Splitfs.Config.Fams -> Fams
+  | None -> Sync_dax
+
+let contract_name = function
+  | Atomic -> "atomic"
+  | Syncd -> "sync"
+  | Posixd -> "posix"
+  | Sync_dax -> "sync-dax"
+  | Fams -> "fams"
 
 let check_size recovered allowed =
   if List.mem (Bytes.length recovered) allowed then None
@@ -96,3 +128,40 @@ let check mode ~(pre : View.t) ~(post : View.t) recovered =
             List.fold_left (fun a v -> min a (Bytes.length v)) max_int views
           in
           check_bytes ~upto recovered views)
+
+(** [check_contract contract ~pre ~post recovered] is {!check} for the
+    SplitFS contracts, plus the kernel contract. *)
+let check_contract contract ~pre ~post recovered =
+  match contract with
+  | Atomic -> check Splitfs.Config.Strict ~pre ~post recovered
+  | Fams -> check Splitfs.Config.Fams ~pre ~post recovered
+  | Syncd -> check Splitfs.Config.Sync ~pre ~post recovered
+  | Posixd -> check Splitfs.Config.Posix ~pre ~post recovered
+  | Sync_dax -> (
+      match
+        check_size recovered
+          [ Bytes.length pre.View.cur; Bytes.length post.View.cur ]
+      with
+      | Some e -> Some e
+      | None ->
+          (* bytes the pre state covered must be explained; bytes the
+             in-flight op newly exposed are unconstrained (fresh-block
+             zeros or stale freed content — non-atomic kernel FS) *)
+          check_bytes ~upto:(Bytes.length pre.View.cur) recovered
+            [ pre.View.cur; post.View.cur ])
+
+(** Existence plus content: a path may only appear or disappear if the
+    operation in flight could have done it. *)
+let check_file contract ~pre ~post recovered =
+  match recovered with
+  | None ->
+      if Option.is_none pre || Option.is_none post then None
+      else Some "file lost: present in both the pre- and post-op state"
+  | Some b ->
+      if Option.is_none pre && Option.is_none post then
+        Some "file resurrected: absent in both oracle states"
+      else
+        check_contract contract
+          ~pre:(Option.value pre ~default:View.empty)
+          ~post:(Option.value post ~default:View.empty)
+          b

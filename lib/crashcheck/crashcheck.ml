@@ -32,139 +32,29 @@
     unit test asserts the exact state count on a hand-built trace);
     real workloads overflow that space after a handful of fences, which
     is why the sampler exists. A shrinking reporter minimises the
-    surviving-line deviation of any violating state before reporting. *)
+    surviving-line deviation of any violating state before reporting.
 
-(* ------------------------------------------------------------------ *)
-(* Workloads                                                            *)
-(* ------------------------------------------------------------------ *)
+    The stacks come from the {!Stacks.Fs_config} registry; the lockstep
+    trial ({!Trial}), the crash-point profile ({!Explore.points}), the
+    contracts ({!Check}) and the shrinker ({!Shrink}) are the ones the
+    litmus corpus, the fence minimizer and faultcheck use too. *)
 
-module Workload = struct
-  type op =
-    | Write of { file : int; at : int; len : int; seed : int }
-    | Fsync of { file : int }
-    | Checkpoint  (** relink_all on SplitFS, fsync-everything on the oracle *)
-
-  type t = {
-    mode : Splitfs.Config.mode;
-    nfiles : int;
-    initial : int array;  (** per-file setup content length, fsync'd *)
-    ops : op list;
-  }
-
-  (** Deterministic content; must be identical for the system under test
-      and the oracle, distinctive across seeds. *)
-  let payload ~seed len =
-    Bytes.init len (fun i ->
-        Char.chr ((seed * 131 + i * 7 + (i * i mod 251)) land 0xFF))
-
-  (** Allocation-free twin of {!payload}: fill [buf]'s first [len] bytes
-      with the same content stream. Safe to reuse across ops because
-      every [pwrite] in the simulation (U-Split staging, kernel, oracle)
-      copies out of the caller's buffer. *)
-  let payload_into ~seed buf ~len =
-    for i = 0 to len - 1 do
-      Bytes.unsafe_set buf i
-        (Char.unsafe_chr ((seed * 131 + (i * 7) + (i * i mod 251)) land 0xFF))
-    done
-
-  let pp_op ppf = function
-    | Write { file; at; len; seed = _ } ->
-        Fmt.pf ppf "write f%d [%d,+%d)" file at len
-    | Fsync { file } -> Fmt.pf ppf "fsync f%d" file
-    | Checkpoint -> Fmt.string ppf "checkpoint"
-
-  (** Random interleaving of appends, overwrites (possibly crossing EOF),
-      fsyncs and checkpoints. Sizes stay small so each trial stays cheap
-      and the staging files never run out (a mid-op checkpoint would not
-      be wrong, merely noisy). [scale] multiplies every length drawn —
-      the default 1 keeps crash-state spaces small, while faultcheck
-      passes a larger factor so writes cross block boundaries and the
-      full-block relink path is exercised under injected faults. *)
-  let generate ~mode ~seed ?(scale = 1) ~nops () =
-    let rng = Workloads.Rng.create seed in
-    let nfiles = 3 in
-    let initial = Array.init nfiles (fun i -> scale * (256 + (128 * i))) in
-    let sizes = Array.copy initial in
-    let ops =
-      List.init nops (fun k ->
-          let file = Workloads.Rng.int rng nfiles in
-          match Workloads.Rng.int rng 10 with
-          | 0 | 1 -> Fsync { file }
-          | 2 when mode <> Splitfs.Config.Posix -> Checkpoint
-          | 2 -> Fsync { file }
-          | 3 | 4 | 5 ->
-              (* overwrite starting inside the file, may cross EOF *)
-              let at = Workloads.Rng.int rng (max 1 sizes.(file)) in
-              let len = scale * (1 + Workloads.Rng.int rng 200) in
-              if at + len > sizes.(file) then sizes.(file) <- at + len;
-              Write { file; at; len; seed = (seed * 7919) + k }
-          | _ ->
-              (* append *)
-              let len = scale * (1 + Workloads.Rng.int rng 700) in
-              let at = sizes.(file) in
-              sizes.(file) <- at + len;
-              Write { file; at; len; seed = (seed * 7919) + k })
-    in
-    { mode; nfiles; initial; ops }
-end
-
-(* ------------------------------------------------------------------ *)
-(* Crash-state space                                                    *)
-(* ------------------------------------------------------------------ *)
-
+module Workload = Workload
 module Explore = Explore
-
-(* ------------------------------------------------------------------ *)
-(* Oracle views                                                         *)
-(* ------------------------------------------------------------------ *)
-
 module View = View
-
-(* ------------------------------------------------------------------ *)
-(* Per-mode differential check                                          *)
-(* ------------------------------------------------------------------ *)
-
 module Check = Check
-
-(* ------------------------------------------------------------------ *)
-(* Litmus corpus and fence minimization (DESIGN.md §5i)                 *)
-(* ------------------------------------------------------------------ *)
-
+module Trial = Trial
+module Shrink = Shrink
 module Litmus = Litmus
 module Minimize = Minimize
+module Fs_config = Stacks.Fs_config
 
 (* ------------------------------------------------------------------ *)
 (* Trial runner                                                         *)
 (* ------------------------------------------------------------------ *)
 
 module Runner = struct
-  type stack = {
-    env : Pmem.Env.t;
-    sys : Kernelfs.Syscall.t;
-    u : Splitfs.Usplit.t;
-    fs : Fsapi.Fs.t;
-  }
-
   let file_path i = Printf.sprintf "/f%d" i
-
-  (** A small, fast stack: every crash state re-runs the workload on a
-      fresh one of these, so size is latency. [checks] configures the
-      environment's oracle/recovery toggles (used by the injected-bug
-      regression tests); the default is all checks on. *)
-  let build ?checks mode =
-    let env = Pmem.Env.create ~capacity:(8 * 1024 * 1024) ?checks () in
-    let kfs = Kernelfs.Ext4.mkfs ~journal_len:(1024 * 1024) env in
-    let sys = Kernelfs.Syscall.make kfs in
-    let cfg =
-      {
-        (Splitfs.Config.with_mode mode) with
-        Splitfs.Config.staging_files = 2;
-        staging_size = 256 * 1024;
-        oplog_size = 16 * 1024;
-      }
-    in
-    let u = Splitfs.Usplit.mount ~cfg ~sys ~env ~instance:0 () in
-    { env; sys; u; fs = Splitfs.Usplit.as_fsapi u }
 
   (** Grow-on-demand payload scratch: one buffer per trial replaces a
       [Bytes] allocation per applied op (and each crash state replays the
@@ -202,53 +92,23 @@ module Runner = struct
     | Workload.Fsync { file } -> fs.Fsapi.Fs.fsync fds.(file)
     | Workload.Checkpoint -> checkpoint ()
 
-  (** Run the workload once to completion with the persist-order journal
-      on and collect every crash point: one per fence plus one for the
-      end of the trace. *)
+  (** Run the workload once to completion on the registry's crash-trial
+      stack of its mode and collect every crash point. *)
   let profile (w : Workload.t) =
-    let st = build w.Workload.mode in
+    let st = Fs_config.make_small (Fs_config.of_mode w.Workload.mode) in
     let fds = setup w st.fs in
-    let dev = st.env.Pmem.Env.dev in
-    Pmem.Device.journal_begin dev;
-    List.iter
-      (apply ~checkpoint:(fun () -> Splitfs.Usplit.relink_all st.u) st.fs fds)
-      w.Workload.ops;
-    let nf = Pmem.Device.fence_count dev in
-    let points =
-      List.init nf (fun i ->
-          { Explore.fence = i; pending = Pmem.Device.fence_pending dev i })
-      @ [ { Explore.fence = nf; pending = Pmem.Device.pending_now dev } ]
-    in
-    Pmem.Device.journal_stop dev;
-    points
+    Explore.points st.env.Pmem.Env.dev (fun () ->
+        List.iter
+          (apply ~checkpoint:(fun () -> Fs_config.checkpoint st) st.fs fds)
+          w.Workload.ops)
 
-  let snapshot (w : Workload.t) (oracle : Fsapi.Ref_fs.oracle) =
+  let snapshot (w : Workload.t) oracle =
     Array.init w.Workload.nfiles (fun i ->
-        let p = file_path i in
-        match
-          (oracle.Fsapi.Ref_fs.dump p, oracle.Fsapi.Ref_fs.dump_stable p)
-        with
-        | Some cur, Some (stable, stable_ow) ->
-            { View.cur; stable; stable_ow }
-        | _ -> View.empty)
+        Option.value (View.of_oracle oracle (file_path i)) ~default:View.empty)
 
   (** Post-crash file content as the kernel serves it. *)
-  let read_back_path sys path =
-    match Kernelfs.Syscall.stat sys path with
-    | exception Fsapi.Errno.Error (Fsapi.Errno.ENOENT, _) -> None
-    | st ->
-        let size = st.Fsapi.Fs.st_size in
-        let fd = Kernelfs.Syscall.open_ sys path Fsapi.Flags.rdonly in
-        Fun.protect
-          ~finally:(fun () -> Kernelfs.Syscall.close sys fd)
-          (fun () ->
-            let buf = Bytes.create size in
-            let got =
-              Kernelfs.Syscall.pread sys fd ~buf ~boff:0 ~len:size ~at:0
-            in
-            Some (Bytes.sub buf 0 got))
-
-  let read_back sys i = read_back_path sys (file_path i)
+  let read_back sys i =
+    Trial.read_back (Kernelfs.Syscall.as_fsapi sys) (file_path i)
 
   type trial = {
     crashed_at_op : int option;
@@ -258,112 +118,48 @@ module Runner = struct
     recovery : Splitfs.Recovery.report;
   }
 
-  (** One crash state, end to end: rebuild the stack, arm the crash,
-      replay the workload against SplitFS and the oracle in lockstep,
-      inject the crash, recover, read back, check. *)
+  (** One crash state, end to end: a fresh crash-trial stack, the
+      lockstep {!Trial.replay} against the oracle, recovery, read-back,
+      check. [checks] configures the environment's oracle/recovery
+      toggles (the injected-bug canary); the default is all checks on. *)
   let run_trial ?checks (w : Workload.t) ~(point : Explore.point) ~survivors =
     let scratch = ref Bytes.empty in
-    let st = build ?checks w.Workload.mode in
+    let st =
+      Fs_config.make_small ?checks (Fs_config.of_mode w.Workload.mode)
+    in
     let fds = setup ~scratch w st.fs in
     let ofs, oracle = Fsapi.Ref_fs.make_oracle () in
     let ofds = setup ~scratch w ofs in
-    let dev = st.env.Pmem.Env.dev in
-    Pmem.Device.journal_begin dev;
-    Pmem.Device.arm_crash dev ~fence:point.Explore.fence ~survivors;
-    let real_cp () = Splitfs.Usplit.relink_all st.u in
-    let oracle_cp () = Array.iter (fun fd -> ofs.Fsapi.Fs.fsync fd) ofds in
-    let pre = ref [||] and post = ref [||] and crashed_at = ref None in
-    let rec go k = function
-      | [] ->
-          (* the armed fence is past the last one: crash at end of trace *)
-          pre := snapshot w oracle;
-          post := !pre;
-          Pmem.Device.crash_partial dev ~survivors
-      | op :: rest -> (
-          match apply ~scratch ~checkpoint:real_cp st.fs fds op with
-          | () ->
-              apply ~scratch ~checkpoint:oracle_cp ofs ofds op;
-              go (k + 1) rest
-          | exception Pmem.Device.Crashed ->
-              crashed_at := Some k;
-              pre := snapshot w oracle;
-              apply ~scratch ~checkpoint:oracle_cp ofs ofds op;
-              post := snapshot w oracle)
+    let crashed_at_op, pre, post =
+      Trial.replay st.env.Pmem.Env.dev ~point ~survivors
+        ~real:
+          (apply ~scratch
+             ~checkpoint:(fun () -> Fs_config.checkpoint st)
+             st.fs fds)
+        ~oracle:
+          (apply ~scratch
+             ~checkpoint:(fun () ->
+               Array.iter (fun fd -> ofs.Fsapi.Fs.fsync fd) ofds)
+             ofs ofds)
+        ~snap:(fun () -> snapshot w oracle)
+        w.Workload.ops
     in
-    go 0 w.Workload.ops;
-    Pmem.Device.resume dev;
-    Pmem.Device.journal_stop dev;
-    let recovery =
-      Splitfs.Recovery.recover ~sys:st.sys ~env:st.env ~instance:0
-    in
+    let sys = Option.get st.sys in
+    let recovery = Splitfs.Recovery.recover ~sys ~env:st.env ~instance:0 in
     let recovered =
       Array.init w.Workload.nfiles (fun i ->
-          match read_back st.sys i with Some b -> b | None -> Bytes.empty)
+          Option.value (read_back sys i) ~default:Bytes.empty)
     in
     let violations = ref [] in
     for i = w.Workload.nfiles - 1 downto 0 do
       match
-        Check.check w.Workload.mode ~pre:(!pre).(i) ~post:(!post).(i)
-          recovered.(i)
+        Check.check w.Workload.mode ~pre:pre.(i) ~post:post.(i) recovered.(i)
       with
       | None -> ()
       | Some reason -> violations := (i, reason) :: !violations
     done;
-    { crashed_at_op = !crashed_at; violations = !violations; recovered; recovery }
+    { crashed_at_op; violations = !violations; recovered; recovery }
 end
-
-(* ------------------------------------------------------------------ *)
-(* Shrinking reporter                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(** Minimise a violating survivor vector: greedily restore deviating
-    lines (those not keeping every pending version, or torn) to the
-    fully-persisted default and keep each restoration that still
-    violates. What remains is a minimal set of lost/torn lines that
-    still breaks recovery — the actual culprit, not the noise the
-    sampler drew alongside it. Bounded by [budget] re-runs. *)
-let shrink ?(budget = 100) ?checks (w : Workload.t) ~(point : Explore.point)
-    ~survivors =
-  let budget = ref budget in
-  let full_keep line =
-    match
-      Array.to_list point.Explore.pending
-      |> List.find_opt (fun (p : Pmem.Device.pending_line) -> p.p_line = line)
-    with
-    | Some p -> p.Pmem.Device.p_versions
-    | None -> 0
-  in
-  let violates svs =
-    decr budget;
-    (Runner.run_trial ?checks w ~point ~survivors:svs).Runner.violations <> []
-  in
-  let current = ref survivors in
-  let progress = ref true in
-  while !progress && !budget > 0 do
-    progress := false;
-    List.iter
-      (fun (s : Pmem.Device.survivor) ->
-        let n = full_keep s.s_line in
-        if (s.s_keep <> n || s.s_tear <> 0) && !budget > 0 then begin
-          let cand =
-            List.map
-              (fun (s' : Pmem.Device.survivor) ->
-                if s'.s_line = s.s_line then
-                  { s' with Pmem.Device.s_keep = n; s_tear = 0 }
-                else s')
-              !current
-          in
-          if violates cand then begin
-            current := cand;
-            progress := true
-          end
-        end)
-      !current
-  done;
-  List.filter
-    (fun (s : Pmem.Device.survivor) ->
-      s.s_keep <> full_keep s.s_line || s.s_tear <> 0)
-    !current
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
@@ -415,7 +211,8 @@ let pp_mode_report ppf r =
     maps its crash-state space, explores it (exhaustively if it fits in
     [samples] trials, by seeded sampling otherwise) and differentially
     checks recovery for every explored state. The first violation is
-    shrunk; all are reported.
+    shrunk ({!Shrink.survivors}, 100 re-runs at most); all are
+    reported.
 
     Parallel structure (DESIGN.md §5j): the trial list is materialised by
     a cheap sequential prepass — identical RNG draws regardless of job
@@ -461,7 +258,11 @@ let check_mode ?(samples = 200) ?(seed = 0x51ED) ?(nops = 24) ?jobs ?checks
       List.iter
         (fun (file, reason) ->
           let shrunk =
-            if !violations = [] then shrink ?checks w ~point:p ~survivors:svs
+            if !violations = [] then
+              Shrink.survivors ~budget:100 p svs ~violates:(fun svs ->
+                  (Runner.run_trial ?checks w ~point:p ~survivors:svs)
+                    .Runner.violations
+                  <> [])
             else svs
           in
           violations :=
@@ -498,7 +299,7 @@ let run ?samples ?seed ?nops ?jobs () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Concurrent crashcheck: two interleaved clients (PR 3)                *)
+(* Concurrent crashcheck: two interleaved clients                       *)
 (* ------------------------------------------------------------------ *)
 
 (** Differential crash checking under concurrency: two clients — each a
@@ -515,36 +316,39 @@ module Concurrent = struct
   let nclients = 2
   let file_path c i = Printf.sprintf "/c%df%d" c i
 
-  type stack = {
-    env : Pmem.Env.t;
-    sys : Kernelfs.Syscall.t array;  (** per-client process fd table *)
-    u : Splitfs.Usplit.t array;
-    fs : Fsapi.Fs.t array;
-    actors : Pmem.Simclock.actor array;
-  }
-
-  let build mode =
-    let env = Pmem.Env.create ~capacity:(16 * 1024 * 1024) () in
-    let kfs = Kernelfs.Ext4.mkfs ~journal_len:(1024 * 1024) env in
-    let cfg =
-      {
-        (Splitfs.Config.with_mode mode) with
-        Splitfs.Config.staging_files = 2;
-        staging_size = 256 * 1024;
-        oplog_size = 16 * 1024;
-      }
+  (** Client 0 is the registry's crash-trial stack; every further client
+      is another U-Split instance, with its own kernel fd table, over the
+      same kernel and device. Returns the env, each client's fd table and
+      file system, and a stepper running client [c]'s op on its own
+      actor. *)
+  let mount mode =
+    let st = Fs_config.make_small (Fs_config.of_mode mode) in
+    let env = st.env and sys0 = Option.get st.sys in
+    let u0 = Option.get st.usplit in
+    let sys =
+      Array.init nclients (fun c ->
+          if c = 0 then sys0
+          else Kernelfs.Syscall.make (Kernelfs.Syscall.kernel sys0))
     in
-    let sys = Array.init nclients (fun _ -> Kernelfs.Syscall.make kfs) in
     let u =
       Array.init nclients (fun c ->
-          Splitfs.Usplit.mount ~cfg ~sys:sys.(c) ~env ~instance:c ())
+          if c = 0 then u0
+          else
+            Splitfs.Usplit.mount ~cfg:(Splitfs.Usplit.config u0) ~sys:sys.(c)
+              ~env ~instance:c ())
     in
     let fs = Array.map Splitfs.Usplit.as_fsapi u in
     let actors =
       Array.init nclients (fun c ->
           Pmem.Env.new_actor env ~name:(Printf.sprintf "client%d" c))
     in
-    { env; sys; u; fs; actors }
+    let step fds (c, op) =
+      Pmem.Env.run_as env actors.(c) (fun () ->
+          Runner.apply
+            ~checkpoint:(fun () -> Splitfs.Usplit.relink_all u.(c))
+            fs.(c) fds.(c) op)
+    in
+    (env, sys, fs, step)
 
   let setup c (w : Workload.t) (fs : Fsapi.Fs.t) =
     Array.init w.Workload.nfiles (fun i ->
@@ -563,100 +367,51 @@ module Concurrent = struct
     | a :: ra, b :: rb -> (0, a) :: (1, b) :: weave ra rb
 
   (** Profile the merged trace: one run to completion with the
-      persist-order journal on, each client's ops dispatched on its own
-      actor. Returns the crash points of the merged stream. *)
+      persist-order journal on. Returns the crash points of the merged
+      stream. *)
   let profile (ws : Workload.t array) =
-    let st = build ws.(0).Workload.mode in
-    let fds = Array.init nclients (fun c -> setup c ws.(c) st.fs.(c)) in
-    let dev = st.env.Pmem.Env.dev in
-    Pmem.Device.journal_begin dev;
-    List.iter
-      (fun (c, op) ->
-        Pmem.Env.run_as st.env st.actors.(c) (fun () ->
-            Runner.apply
-              ~checkpoint:(fun () -> Splitfs.Usplit.relink_all st.u.(c))
-              st.fs.(c) fds.(c) op))
-      (weave ws.(0).Workload.ops ws.(1).Workload.ops);
-    let nf = Pmem.Device.fence_count dev in
-    let points =
-      List.init nf (fun i ->
-          { Explore.fence = i; pending = Pmem.Device.fence_pending dev i })
-      @ [ { Explore.fence = nf; pending = Pmem.Device.pending_now dev } ]
-    in
-    Pmem.Device.journal_stop dev;
-    points
+    let env, _, fs, step = mount ws.(0).Workload.mode in
+    let fds = Array.init nclients (fun c -> setup c ws.(c) fs.(c)) in
+    Explore.points env.Pmem.Env.dev (fun () ->
+        List.iter (step fds) (weave ws.(0).Workload.ops ws.(1).Workload.ops))
 
   (** One crash state end to end, as {!Runner.run_trial} but with two
       lockstep clients sharing one oracle namespace. The client whose op
       was in flight gets pre/post views around that op; the other client
-      crashed between ops, so its pre and post coincide. *)
+      crashed between ops, so its pre and post coincide. Returns the
+      violations as (client, file, reason). *)
   let run_trial (ws : Workload.t array) ~(point : Explore.point) ~survivors =
-    let st = build ws.(0).Workload.mode in
-    let fds = Array.init nclients (fun c -> setup c ws.(c) st.fs.(c)) in
+    let env, sys, fs, step = mount ws.(0).Workload.mode in
+    let fds = Array.init nclients (fun c -> setup c ws.(c) fs.(c)) in
     let ofs, oracle = Fsapi.Ref_fs.make_oracle () in
     let ofds = Array.init nclients (fun c -> setup c ws.(c) ofs) in
-    let dev = st.env.Pmem.Env.dev in
-    Pmem.Device.journal_begin dev;
-    Pmem.Device.arm_crash dev ~fence:point.Explore.fence ~survivors;
-    let snapshot_c c =
-      Array.init ws.(c).Workload.nfiles (fun i ->
-          let p = file_path c i in
-          match
-            (oracle.Fsapi.Ref_fs.dump p, oracle.Fsapi.Ref_fs.dump_stable p)
-          with
-          | Some cur, Some (stable, stable_ow) ->
-              { View.cur; stable; stable_ow }
-          | _ -> View.empty)
-    in
-    let apply_real c op =
-      Pmem.Env.run_as st.env st.actors.(c) (fun () ->
-          Runner.apply
-            ~checkpoint:(fun () -> Splitfs.Usplit.relink_all st.u.(c))
-            st.fs.(c) fds.(c) op)
-    in
-    let apply_oracle c op =
+    let oracle_step (c, op) =
       Runner.apply
-        ~checkpoint:(fun () -> Array.iter (fun fd -> ofs.Fsapi.Fs.fsync fd) ofds.(c))
+        ~checkpoint:(fun () ->
+          Array.iter (fun fd -> ofs.Fsapi.Fs.fsync fd) ofds.(c))
         ofs ofds.(c) op
     in
-    let pre = Array.make nclients [||] in
-    let post = Array.make nclients [||] in
-    let crashed_at = ref None in
-    let rec go k = function
-      | [] ->
-          for c = 0 to nclients - 1 do
-            pre.(c) <- snapshot_c c;
-            post.(c) <- pre.(c)
-          done;
-          Pmem.Device.crash_partial dev ~survivors
-      | (c, op) :: rest -> (
-          match apply_real c op with
-          | () ->
-              apply_oracle c op;
-              go (k + 1) rest
-          | exception Pmem.Device.Crashed ->
-              crashed_at := Some (c, k);
-              for c' = 0 to nclients - 1 do
-                pre.(c') <- snapshot_c c'
-              done;
-              apply_oracle c op;
-              for c' = 0 to nclients - 1 do
-                post.(c') <- snapshot_c c'
-              done)
+    let snap () =
+      Array.init nclients (fun c ->
+          Array.init ws.(c).Workload.nfiles (fun i ->
+              Option.value
+                (View.of_oracle oracle (file_path c i))
+                ~default:View.empty))
     in
-    go 0 (weave ws.(0).Workload.ops ws.(1).Workload.ops);
-    Pmem.Device.resume dev;
-    Pmem.Device.journal_stop dev;
+    let _, pre, post =
+      Trial.replay env.Pmem.Env.dev ~point ~survivors ~real:(step fds)
+        ~oracle:oracle_step ~snap
+        (weave ws.(0).Workload.ops ws.(1).Workload.ops)
+    in
     for c = 0 to nclients - 1 do
-      ignore (Splitfs.Recovery.recover ~sys:st.sys.(c) ~env:st.env ~instance:c)
+      ignore (Splitfs.Recovery.recover ~sys:sys.(c) ~env ~instance:c)
     done;
     let violations = ref [] in
     for c = nclients - 1 downto 0 do
       for i = ws.(c).Workload.nfiles - 1 downto 0 do
         let recovered =
-          match Runner.read_back_path st.sys.(c) (file_path c i) with
-          | Some b -> b
-          | None -> Bytes.empty
+          Trial.read_back (Kernelfs.Syscall.as_fsapi sys.(c)) (file_path c i)
+          |> Option.value ~default:Bytes.empty
         in
         match
           Check.check ws.(c).Workload.mode ~pre:pre.(c).(i) ~post:post.(c).(i)
@@ -666,7 +421,7 @@ module Concurrent = struct
         | Some reason -> violations := (c, i, reason) :: !violations
       done
     done;
-    (!crashed_at, !violations)
+    !violations
 
   type report = {
     c_mode : Splitfs.Config.mode;
@@ -686,8 +441,7 @@ module Concurrent = struct
         Workload.generate ~mode ~seed:(seed lxor 0x2C11E27) ~nops ();
       |]
     in
-    let points = profile ws in
-    let parr = Array.of_list points in
+    let parr = Array.of_list (profile ws) in
     let trials =
       List.init samples (fun i ->
           Explore.sample_point_indexed ~seed:(seed lxor 0x5EED5EED) ~index:i
@@ -696,7 +450,7 @@ module Concurrent = struct
     let results =
       Par.map ?jobs
         (fun _ ((p : Explore.point), svs) ->
-          snd (run_trial ws ~point:p ~survivors:svs))
+          run_trial ws ~point:p ~survivors:svs)
         trials
     in
     let violations = List.fold_left (fun acc vs -> vs @ acc) [] results in

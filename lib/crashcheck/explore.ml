@@ -9,6 +9,21 @@
     versions at that point. *)
 type point = { fence : int; pending : Pmem.Device.pending_line array }
 
+(** [points ?dedup dev run] runs [run] with [dev]'s persist-order
+    journal on and returns every crash point it recorded: one per fence
+    plus one for the end of the trace. *)
+let points ?dedup dev run =
+  Pmem.Device.journal_begin ?dedup dev;
+  run ();
+  let nf = Pmem.Device.fence_count dev in
+  let points =
+    List.init nf (fun i ->
+        { fence = i; pending = Pmem.Device.fence_pending dev i })
+    @ [ { fence = nf; pending = Pmem.Device.pending_now dev } ]
+  in
+  Pmem.Device.journal_stop dev;
+  points
+
 (** Number of distinct legal crash states at one point: each pending
     line independently keeps its base or any of its pending versions
     (tear refinements not counted — they are a sampling-only

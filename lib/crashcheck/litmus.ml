@@ -30,65 +30,6 @@
     recovered crash state. *)
 
 (* ------------------------------------------------------------------ *)
-(* Stacks and contracts                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type stack_id =
-  | Ext4_dax
-  | Pmfs
-  | Nova_relaxed
-  | Splitfs_posix
-  | Splitfs_sync
-  | Splitfs_strict
-  | Splitfs_fams
-
-let all_stacks =
-  [
-    Ext4_dax;
-    Pmfs;
-    Nova_relaxed;
-    Splitfs_posix;
-    Splitfs_sync;
-    Splitfs_strict;
-    Splitfs_fams;
-  ]
-
-let stack_name = function
-  | Ext4_dax -> "ext4-dax"
-  | Pmfs -> "pmfs"
-  | Nova_relaxed -> "nova-relaxed"
-  | Splitfs_posix -> "splitfs-posix"
-  | Splitfs_sync -> "splitfs-sync"
-  | Splitfs_strict -> "splitfs-strict"
-  | Splitfs_fams -> "splitfs-fams"
-
-(** What a recovered file may legally look like.
-
-    [Sync_dax] is the kernel-file-system contract: sizes are pre- or
-    post-op (metadata ops are journalled and the simulator's DRAM
-    metadata survives the crash), bytes the pre-op state already covered
-    must be explained by the pre- or post-op content, and bytes beyond
-    the pre-op size are unconstrained — a freshly allocated block whose
-    data stores were lost reads back as zeros (or stale freed content),
-    which is exactly the non-atomic ext4-DAX behaviour the paper's
-    strict mode exists to fix. *)
-type contract = Atomic | Syncd | Posixd | Sync_dax | Fams
-
-let contract_of = function
-  | Splitfs_strict -> Atomic
-  | Splitfs_sync -> Syncd
-  | Splitfs_posix -> Posixd
-  | Splitfs_fams -> Fams
-  | Ext4_dax | Pmfs | Nova_relaxed -> Sync_dax
-
-let contract_name = function
-  | Atomic -> "atomic"
-  | Syncd -> "sync"
-  | Posixd -> "posix"
-  | Sync_dax -> "sync-dax"
-  | Fams -> "fams"
-
-(* ------------------------------------------------------------------ *)
 (* Patterns                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -105,13 +46,6 @@ type op =
           journal transaction); fsync-src + read + write + fsync-dst
           copy fallback on the kernel stacks and the oracle *)
 
-(** Same deterministic content formula as {!Crashcheck.Workload} (the
-    modules are siblings inside the wrapped library, so the definition
-    is repeated rather than imported). *)
-let payload ~seed len =
-  Bytes.init len (fun i ->
-      Char.chr ((seed * 131 + (i * 7) + (i * i mod 251)) land 0xFF))
-
 type pattern = {
   p_name : string;
   p_doc : string;
@@ -120,11 +54,9 @@ type pattern = {
           crash window opens, bound to slots 0..n-1 *)
   p_paths : string list;  (** every path checked after recovery *)
   p_ops : op list;
-  p_claim : contract -> (string -> Bytes.t option) -> string option;
+  p_claim : Check.contract -> (string -> Bytes.t option) -> string option;
       (** safety property over the recovered state, [None] = holds *)
 }
-
-let no_claim _ _ = None
 
 let must_exist path what lookup =
   match lookup path with
@@ -151,10 +83,10 @@ let create_rename =
       (fun contract lookup ->
         match lookup "/f" with
         | None -> Some "/f lost: no crash state may drop the rename target"
-        | Some b when contract = Atomic ->
+        | Some b when contract = Check.Atomic ->
             if
-              Bytes.equal b (payload ~seed:1 96)
-              || Bytes.equal b (payload ~seed:2 96)
+              Bytes.equal b (Workload.payload ~seed:1 96)
+              || Bytes.equal b (Workload.payload ~seed:2 96)
             then None
             else Some "/f is neither the old nor the new content"
         | Some _ -> None);
@@ -178,10 +110,10 @@ let two_appends =
       (fun contract lookup ->
         match (contract, lookup "/log") with
         | _, None -> Some "/log lost"
-        | Atomic, Some b ->
-            let init = payload ~seed:3 64 in
-            let a = Bytes.cat init (payload ~seed:4 64) in
-            let ab = Bytes.cat a (payload ~seed:5 64) in
+        | Check.Atomic, Some b ->
+            let init = Workload.payload ~seed:3 64 in
+            let a = Bytes.cat init (Workload.payload ~seed:4 64) in
+            let ab = Bytes.cat a (Workload.payload ~seed:5 64) in
             if List.exists (Bytes.equal b) [ init; a; ab ] then None
             else Some "/log holds append B without append A (or a tear)"
         | _ -> None);
@@ -227,11 +159,11 @@ let replace_truncate =
       (fun contract lookup ->
         match (contract, lookup "/cfg") with
         | _, None -> Some "/cfg lost"
-        | Atomic, Some b ->
+        | Check.Atomic, Some b ->
             if
               Bytes.length b = 0
-              || Bytes.equal b (payload ~seed:8 128)
-              || Bytes.equal b (payload ~seed:9 128)
+              || Bytes.equal b (Workload.payload ~seed:8 128)
+              || Bytes.equal b (Workload.payload ~seed:9 128)
             then None
             else Some "/cfg is neither old, empty, nor the new content"
         | _ -> None);
@@ -283,7 +215,7 @@ let overlay base ~at ~len ~seed =
   let size = max (Bytes.length base) (at + len) in
   let b = Bytes.make size '\000' in
   Bytes.blit base 0 b 0 (Bytes.length base);
-  Bytes.blit (payload ~seed len) 0 b at len;
+  Bytes.blit (Workload.payload ~seed len) 0 b at len;
   b
 
 (** The failure-atomic msync idiom: unfenced stores (overwrite crossing
@@ -293,7 +225,7 @@ let overlay base ~at ~len ~seed =
     must recover to exactly one of the three msync images — the trailing
     store must never be visible, a half-published msync never survives. *)
 let msync_publish =
-  let img0 = payload ~seed:20 96 in
+  let img0 = Workload.payload ~seed:20 96 in
   let img1 =
     overlay (overlay img0 ~at:64 ~len:96 ~seed:21) ~at:160 ~len:64 ~seed:22
   in
@@ -316,7 +248,7 @@ let msync_publish =
       (fun contract lookup ->
         match (contract, lookup "/db") with
         | _, None -> Some "/db lost"
-        | Fams, Some b ->
+        | Check.Fams, Some b ->
             if List.exists (Bytes.equal b) [ img0; img1; img2 ] then None
             else Some "/db is not one of the three msync images"
         | _ -> None);
@@ -328,7 +260,9 @@ let msync_publish =
     image it captured — an in-place store through the source that fails
     to break the share corrupts it. *)
 let snapshot_cow =
-  let img_pub = overlay (payload ~seed:30 160) ~at:64 ~len:64 ~seed:31 in
+  let img_pub =
+    overlay (Workload.payload ~seed:30 160) ~at:64 ~len:64 ~seed:31
+  in
   {
     p_name = "snapshot-cow";
     p_doc = "write, snapshot (publish + clone), overwrite source, fsync";
@@ -344,7 +278,7 @@ let snapshot_cow =
     p_claim =
       (fun contract lookup ->
         match contract with
-        | Fams | Atomic -> (
+        | Check.Fams | Check.Atomic -> (
             match lookup "/snap" with
             | None -> None (* crash before the clone committed *)
             | Some b ->
@@ -362,186 +296,92 @@ let corpus =
 let find_pattern name = List.find_opt (fun p -> p.p_name = name) corpus
 
 (* ------------------------------------------------------------------ *)
-(* Stack builders                                                       *)
+(* Combinations                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** One mounted stack under test. [b_read] is consulted only after
-    [b_recover]; on SplitFS it bypasses U-Split (whose DRAM caches died
-    with the process) and reads through the kernel. *)
-type built = {
-  b_env : Pmem.Env.t;
-  b_fs : Fsapi.Fs.t;
-  b_checkpoint : unit -> unit;
-  b_snapshot : string -> string -> unit;
-  b_recover : unit -> unit;
-  b_read : unit -> Fsapi.Fs.t;
+module Fs_config = Stacks.Fs_config
+
+(** One pattern on one configuration, held to one contract. [c_build]
+    mounts a fresh crash-trial-sized stack from the {!Fs_config}
+    registry: every enumerated crash state rebuilds one. *)
+type combo = {
+  c_config : string;  (** stack name, or an auxiliary configuration name *)
+  c_contract : Check.contract;
+  c_pattern : pattern;
+  c_build : unit -> Fs_config.stack;
 }
 
-type builder = unit -> built
+let combo_name c = c.c_pattern.p_name ^ "/" ^ c.c_config
 
-(** Small and fast: every enumerated crash state rebuilds one of these. *)
-let env_capacity = 4 * 1024 * 1024
+(** The seven stacks the corpus runs on. *)
+let stacks =
+  Fs_config.
+    [
+      Ext4_dax;
+      Pmfs;
+      Nova_relaxed;
+      Splitfs_posix;
+      Splitfs_sync;
+      Splitfs_strict;
+      Splitfs_fams;
+    ]
 
-(** Fallback snapshot for stacks without the native extent-map clone
-    (and for the oracle): fsync the source first — the native snapshot
-    publishes staged data before cloning — then copy its content into
-    [dst] and fsync that. *)
-let copy_snapshot (fs : Fsapi.Fs.t) src dst =
-  let sfd = fs.Fsapi.Fs.open_ src Fsapi.Flags.rdonly in
-  let dfd = fs.Fsapi.Fs.open_ dst Fsapi.Flags.create_rw in
-  Fun.protect
-    ~finally:(fun () ->
-      fs.Fsapi.Fs.close dfd;
-      fs.Fsapi.Fs.close sfd)
-    (fun () ->
-      fs.Fsapi.Fs.fsync sfd;
-      let size = (fs.Fsapi.Fs.stat src).Fsapi.Fs.st_size in
-      let buf = Bytes.create size in
-      let got =
-        if size = 0 then 0 else fs.Fsapi.Fs.pread sfd ~buf ~boff:0 ~len:size ~at:0
-      in
-      fs.Fsapi.Fs.ftruncate dfd 0;
-      if got > 0 then ignore (fs.Fsapi.Fs.pwrite dfd ~buf ~boff:0 ~len:got ~at:0);
-      fs.Fsapi.Fs.fsync dfd)
-
-let build_splitfs ?(tweak = fun c -> c) ?checks mode () =
-  let env = Pmem.Env.create ~capacity:env_capacity ?checks () in
-  let kfs = Kernelfs.Ext4.mkfs ~journal_len:(256 * 1024) env in
-  let sys = Kernelfs.Syscall.make kfs in
-  let cfg =
-    tweak
-      {
-        (Splitfs.Config.with_mode mode) with
-        Splitfs.Config.staging_files = 2;
-        staging_size = 64 * 1024;
-        oplog_size = 8 * 1024;
-      }
-  in
-  let u = Splitfs.Usplit.mount ~cfg ~sys ~env ~instance:0 () in
+let on_stack p spec =
   {
-    b_env = env;
-    b_fs = Splitfs.Usplit.as_fsapi u;
-    b_checkpoint = (fun () -> Splitfs.Usplit.relink_all u);
-    b_snapshot = (fun src dst -> Splitfs.Usplit.snapshot u src dst);
-    b_recover =
-      (fun () -> ignore (Splitfs.Recovery.recover ~sys ~env ~instance:0));
-    b_read = (fun () -> Kernelfs.Syscall.as_fsapi sys);
+    c_config = Fs_config.name spec;
+    c_contract = Check.contract_of spec;
+    c_pattern = p;
+    c_build = (fun () -> Fs_config.make_small spec);
   }
-
-let build_ext4 () =
-  let env = Pmem.Env.create ~capacity:env_capacity () in
-  let kfs = Kernelfs.Ext4.mkfs ~journal_len:(256 * 1024) env in
-  let sys = Kernelfs.Syscall.make kfs in
-  let fs = Kernelfs.Syscall.as_fsapi sys in
-  {
-    b_env = env;
-    b_fs = fs;
-    b_checkpoint = ignore;
-    b_snapshot = copy_snapshot fs;
-    b_recover = ignore;
-    b_read = (fun () -> fs);
-  }
-
-let build_pmfs () =
-  let env = Pmem.Env.create ~capacity:env_capacity () in
-  let p = Baselines.Pmfs.mkfs env in
-  let fs = Baselines.Pmfs.as_fsapi p in
-  {
-    b_env = env;
-    b_fs = fs;
-    b_checkpoint = ignore;
-    b_snapshot = copy_snapshot fs;
-    b_recover = ignore;
-    b_read = (fun () -> fs);
-  }
-
-let build_nova () =
-  (* NOVA reserves 4 MiB of per-inode log space up front *)
-  let env = Pmem.Env.create ~capacity:(2 * env_capacity) () in
-  let n = Baselines.Nova.mkfs env ~mode:Baselines.Nova.Relaxed in
-  let fs = Baselines.Nova.as_fsapi n in
-  {
-    b_env = env;
-    b_fs = fs;
-    b_checkpoint = ignore;
-    b_snapshot = copy_snapshot fs;
-    b_recover = ignore;
-    b_read = (fun () -> fs);
-  }
-
-let builder_of : stack_id -> builder = function
-  | Ext4_dax -> build_ext4
-  | Pmfs -> build_pmfs
-  | Nova_relaxed -> build_nova
-  | Splitfs_posix -> build_splitfs Splitfs.Config.Posix
-  | Splitfs_sync -> build_splitfs Splitfs.Config.Sync
-  | Splitfs_strict -> build_splitfs Splitfs.Config.Strict
-  | Splitfs_fams -> build_splitfs Splitfs.Config.Fams
-
-(* ------------------------------------------------------------------ *)
-(* Auxiliary configurations (fence-site coverage)                       *)
-(* ------------------------------------------------------------------ *)
 
 (** A degraded SplitFS: a sticky staging-preallocation fault forces
     every staged write down the honest kernel-passthrough path, hitting
-    the [usplit:degraded-write] fence. The fault is cleared before
-    recovery — it models a full device at run time, not a broken one at
-    recovery time. *)
-let build_degraded mode () =
+    the [usplit:degraded-write] fence. *)
+let degraded () =
   (* an empty pool forces every acquire through foreground
      pre-allocation, where the sticky fault fires *)
-  let b =
-    build_splitfs ~tweak:(fun c -> { c with Splitfs.Config.staging_files = 0 })
-      mode ()
+  let st =
+    Fs_config.make_small
+      ~tweak:(fun c -> { c with Splitfs.Config.staging_files = 0 })
+      Fs_config.Splitfs_sync
   in
-  Faults.inject b.b_env.Pmem.Env.faults
+  Faults.inject st.env.Pmem.Env.faults
     (Faults.rfault ~origin:Faults.Staging_prealloc Faults.Alloc ~from:0
        Faults.Sticky);
-  let recover = b.b_recover in
-  {
-    b with
-    b_recover =
-      (fun () ->
-        Faults.reset b.b_env.Pmem.Env.faults;
-        recover ());
-  }
-
-type aux = {
-  x_name : string;
-  x_stack : stack_id;
-  x_contract : contract;
-      (** both aux configurations route appends through the kernel, so
-          they are held to the kernel contract, not SplitFS sync *)
-  x_builder : builder;
-  x_pattern : pattern;
-}
+  st
 
 (** Configurations exercising fence sites the seven main stacks never
     reach: the degraded kernel-passthrough write and the Figure-3
-    split-without-staging ablation. *)
+    split-without-staging ablation. Both route appends through the
+    kernel, so they are held to the kernel contract, not SplitFS sync. *)
 let aux_combos =
   [
     {
-      x_name = "splitfs-sync-degraded";
-      x_stack = Splitfs_sync;
-      x_contract = Sync_dax;
-      x_builder = build_degraded Splitfs.Config.Sync;
-      x_pattern = two_appends;
+      c_config = "splitfs-sync-degraded";
+      c_contract = Check.Sync_dax;
+      c_pattern = two_appends;
+      c_build = degraded;
     };
     {
-      x_name = "splitfs-sync-nostaging";
-      x_stack = Splitfs_sync;
-      x_contract = Sync_dax;
-      x_builder =
-        build_splitfs
-          ~tweak:(fun c -> { c with Splitfs.Config.use_staging = false })
-          Splitfs.Config.Sync;
-      x_pattern = two_appends;
+      c_config = "splitfs-sync-nostaging";
+      c_contract = Check.Sync_dax;
+      c_pattern = two_appends;
+      c_build =
+        (fun () ->
+          Fs_config.make_small
+            ~tweak:(fun c -> { c with Splitfs.Config.use_staging = false })
+            Fs_config.Splitfs_sync);
     };
   ]
 
+(** Every pattern on every stack in corpus order, then the auxiliary
+    configurations: everything litmus checks and the fence minimizer
+    re-explores. *)
+let combos =
+  List.concat_map (fun p -> List.map (on_stack p) stacks) corpus @ aux_combos
+
 (* ------------------------------------------------------------------ *)
-(* Lockstep trial runner                                                *)
+(* Applying a pattern                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let slot_count p =
@@ -568,7 +408,9 @@ let setup p (fs : Fsapi.Fs.t) =
     (fun i (path, len, seed) ->
       let fd = fs.Fsapi.Fs.open_ path Fsapi.Flags.create_rw in
       if len > 0 then
-        ignore (fs.Fsapi.Fs.pwrite fd ~buf:(payload ~seed len) ~boff:0 ~len ~at:0);
+        ignore
+          (fs.Fsapi.Fs.pwrite fd ~buf:(Workload.payload ~seed len) ~boff:0
+             ~len ~at:0);
       fs.Fsapi.Fs.fsync fd;
       slots.(i) <- Some fd)
     p.p_initial;
@@ -585,8 +427,8 @@ let apply (fs : Fsapi.Fs.t) ~checkpoint ~snapshot slots op =
       slots.(slot) <- Some (fs.Fsapi.Fs.open_ path Fsapi.Flags.create_rw)
   | Write { slot; at; len; seed } ->
       ignore
-        (fs.Fsapi.Fs.pwrite (fdx slots slot) ~buf:(payload ~seed len) ~boff:0
-           ~len ~at)
+        (fs.Fsapi.Fs.pwrite (fdx slots slot)
+           ~buf:(Workload.payload ~seed len) ~boff:0 ~len ~at)
   | Fsync { slot } -> fs.Fsapi.Fs.fsync (fdx slots slot)
   | Truncate { slot; size } -> fs.Fsapi.Fs.ftruncate (fdx slots slot) size
   | Rename { src; dst } -> fs.Fsapi.Fs.rename src dst
@@ -594,219 +436,159 @@ let apply (fs : Fsapi.Fs.t) ~checkpoint ~snapshot slots op =
   | Checkpoint -> checkpoint ()
   | Snapshot { src; dst } -> snapshot src dst
 
-(** The oracle has no relink: checkpoint makes everything durable. *)
-let oracle_checkpoint (ofs : Fsapi.Fs.t) oslots () =
-  Array.iter
-    (function Some fd -> ofs.Fsapi.Fs.fsync fd | None -> ())
-    oslots
+(** Fallback snapshot for stacks without the native extent-map clone
+    (and for the oracle): fsync the source first — the native snapshot
+    publishes staged data before cloning — then copy its content into
+    [dst] and fsync that. *)
+let copy_snapshot (fs : Fsapi.Fs.t) src dst =
+  let sfd = fs.Fsapi.Fs.open_ src Fsapi.Flags.rdonly in
+  let dfd = fs.Fsapi.Fs.open_ dst Fsapi.Flags.create_rw in
+  Fun.protect
+    ~finally:(fun () ->
+      fs.Fsapi.Fs.close dfd;
+      fs.Fsapi.Fs.close sfd)
+    (fun () ->
+      fs.Fsapi.Fs.fsync sfd;
+      let size = (fs.Fsapi.Fs.stat src).Fsapi.Fs.st_size in
+      let buf = Bytes.create size in
+      let got =
+        if size = 0 then 0 else fs.Fsapi.Fs.pread sfd ~buf ~boff:0 ~len:size ~at:0
+      in
+      fs.Fsapi.Fs.ftruncate dfd 0;
+      if got > 0 then ignore (fs.Fsapi.Fs.pwrite dfd ~buf ~boff:0 ~len:got ~at:0);
+      fs.Fsapi.Fs.fsync dfd)
+
+(** [op] on the stack under test: checkpoint is a relink on SplitFS and
+    a no-op elsewhere; snapshot is SplitFS's native clone (publish +
+    reflink, one journal transaction) or the copy fallback. *)
+let apply_stack (st : Fs_config.stack) slots =
+  let snapshot =
+    match st.usplit with
+    | Some u -> Splitfs.Usplit.snapshot u
+    | None -> copy_snapshot st.fs
+  in
+  apply st.fs ~checkpoint:(fun () -> Fs_config.checkpoint st) ~snapshot slots
+
+(** [op] on the oracle, which has no relink: checkpoint makes everything
+    durable. *)
+let apply_oracle (ofs : Fsapi.Fs.t) oslots =
+  let checkpoint () =
+    Array.iter (function Some fd -> ofs.Fsapi.Fs.fsync fd | None -> ()) oslots
+  in
+  apply ofs ~checkpoint ~snapshot:(copy_snapshot ofs) oslots
+
+(** Crash recovery on [st], returning the view recovered files are read
+    through. SplitFS replays its op log and is read through the kernel
+    below it, bypassing U-Split, whose DRAM caches died with the
+    process. Injected faults are cleared first: they model a full device
+    at run time, not a broken one at recovery time. *)
+let recover (st : Fs_config.stack) =
+  Faults.reset st.env.Pmem.Env.faults;
+  match (st.usplit, st.sys) with
+  | Some _, Some sys ->
+      ignore (Splitfs.Recovery.recover ~sys ~env:st.env ~instance:0);
+      Kernelfs.Syscall.as_fsapi sys
+  | _ -> st.fs
+
+(* ------------------------------------------------------------------ *)
+(* Profiling and the lockstep trial                                     *)
+(* ------------------------------------------------------------------ *)
 
 (** Run the pattern once to completion with the persist-order journal
-    on (store dedup enabled). Returns every crash point — one per fence
-    plus the end of the trace — and the per-site fence hits inside the
-    window (the evidence the coverage test and the minimizer work from). *)
-let profile (builder : builder) p =
-  let b = builder () in
-  let slots = setup p b.b_fs in
-  let dev = b.b_env.Pmem.Env.dev in
-  (* hit counters are per-device (PR 8), so the mount/setup traffic this
-     builder already generated is the baseline to diff against *)
-  let before =
+    on (store dedup enabled). Returns every crash point and each
+    registered site's hit count before and after the crash window. Hit
+    counters are per-device, so the mount and setup traffic of this
+    stack is the baseline. *)
+let record c =
+  let st = c.c_build () in
+  let slots = setup c.c_pattern st.fs in
+  let dev = st.env.Pmem.Env.dev in
+  let hits () =
     List.map
-      (fun (i, _) -> (i, Pmem.Device.site_hits dev i))
+      (fun (i, _) -> Pmem.Device.site_hits dev i)
       (Pmem.Device.fence_sites ())
   in
-  Pmem.Device.journal_begin ~dedup:true dev;
-  List.iter
-    (apply b.b_fs ~checkpoint:b.b_checkpoint ~snapshot:b.b_snapshot slots)
-    p.p_ops;
-  let nf = Pmem.Device.fence_count dev in
+  let before = hits () in
   let points =
-    List.init nf (fun i ->
-        { Explore.fence = i; pending = Pmem.Device.fence_pending dev i })
-    @ [ { Explore.fence = nf; pending = Pmem.Device.pending_now dev } ]
+    Explore.points ~dedup:true dev (fun () ->
+        List.iter (apply_stack st slots) c.c_pattern.p_ops)
   in
-  Pmem.Device.journal_stop dev;
-  let hits =
-    List.filter_map
-      (fun (i, h0) ->
-        let d = Pmem.Device.site_hits dev i - h0 in
-        if d > 0 then Some (i, d) else None)
-      before
-  in
-  (points, hits)
+  (points, before, hits ())
 
-(** Per-site execution totals over one profiling pass of the whole corpus
-    plus the aux configurations, *including* mount/setup-time traffic
-    (the in-window [profile] hits miss mount-only sites like
-    [oplog:init]). Feeds the coverage test: a site with zero total is one
-    no workload reaches and the minimizer cannot vouch for. *)
-let site_coverage ?jobs () =
-  let combos =
-    List.concat_map
-      (fun p -> List.map (fun s -> (builder_of s, p)) all_stacks)
-      corpus
-    @ List.map (fun (x : aux) -> (x.x_builder, x.x_pattern)) aux_combos
+(** Every crash point of the combo, and the fence sites that fire inside
+    its crash window (the evidence the minimizer works from). *)
+let profile c =
+  let points, before, after = record c in
+  let fired =
+    List.filter_map
+      (fun ((site, _), (h0, h1)) -> if h1 > h0 then Some site else None)
+      (List.combine (Pmem.Device.fence_sites ()) (List.combine before after))
   in
+  (points, fired)
+
+(** Per-site execution totals over one profiling pass of every combo,
+    *including* mount/setup-time traffic (the in-window [profile] hits
+    miss mount-only sites like [oplog:init]). Feeds the coverage test: a
+    site with zero total is one no workload reaches and the minimizer
+    cannot vouch for. *)
+let site_coverage ?jobs () =
   let per_combo =
     Par.map ?jobs
-      (fun _ (builder, p) ->
-        let b = builder () in
-        let slots = setup p b.b_fs in
-        let dev = b.b_env.Pmem.Env.dev in
-        Pmem.Device.journal_begin ~dedup:true dev;
-        List.iter
-          (apply b.b_fs ~checkpoint:b.b_checkpoint ~snapshot:b.b_snapshot slots)
-          p.p_ops;
-        Pmem.Device.journal_stop dev;
-        List.map (fun (i, _) -> Pmem.Device.site_hits dev i)
-          (Pmem.Device.fence_sites ()))
+      (fun _ c ->
+        let _, _, after = record c in
+        after)
       combos
   in
-  let sites = Pmem.Device.fence_sites () in
   List.mapi
     (fun k (site, name) ->
       ( site,
         name,
         List.fold_left (fun acc hits -> acc + List.nth hits k) 0 per_combo ))
-    sites
-
-let snap (oracle : Fsapi.Ref_fs.oracle) paths =
-  List.map
-    (fun path ->
-      ( path,
-        match
-          (oracle.Fsapi.Ref_fs.dump path, oracle.Fsapi.Ref_fs.dump_stable path)
-        with
-        | Some cur, Some (stable, stable_ow) -> Some { View.cur; stable; stable_ow }
-        | _ -> None ))
-    paths
-
-(** Post-recovery file content as the surviving stack serves it;
-    [None] = the path no longer exists. *)
-let read_back (fs : Fsapi.Fs.t) path =
-  match fs.Fsapi.Fs.stat path with
-  | exception Fsapi.Errno.Error (Fsapi.Errno.ENOENT, _) -> None
-  | st ->
-      let size = st.Fsapi.Fs.st_size in
-      let fd = fs.Fsapi.Fs.open_ path Fsapi.Flags.rdonly in
-      Fun.protect
-        ~finally:(fun () -> fs.Fsapi.Fs.close fd)
-        (fun () ->
-          let buf = Bytes.create size in
-          let got =
-            if size = 0 then 0
-            else fs.Fsapi.Fs.pread fd ~buf ~boff:0 ~len:size ~at:0
-          in
-          Some (Bytes.sub buf 0 got))
-
-let check_content contract ~pre ~post recovered =
-  match contract with
-  | Atomic -> Check.check Splitfs.Config.Strict ~pre ~post recovered
-  | Fams -> Check.check Splitfs.Config.Fams ~pre ~post recovered
-  | Syncd -> Check.check Splitfs.Config.Sync ~pre ~post recovered
-  | Posixd -> Check.check Splitfs.Config.Posix ~pre ~post recovered
-  | Sync_dax -> (
-      match
-        Check.check_size recovered
-          [ Bytes.length pre.View.cur; Bytes.length post.View.cur ]
-      with
-      | Some e -> Some e
-      | None ->
-          (* bytes the pre state covered must be explained; bytes the
-             in-flight op newly exposed are unconstrained (fresh-block
-             zeros or stale freed content — non-atomic kernel FS) *)
-          Check.check_bytes
-            ~upto:(Bytes.length pre.View.cur)
-            recovered
-            [ pre.View.cur; post.View.cur ])
-
-(** Existence plus content: a path may only appear or disappear if the
-    operation in flight could have done it. *)
-let check_file contract ~pre ~post recovered =
-  match recovered with
-  | None ->
-      if Option.is_none pre || Option.is_none post then None
-      else Some "file lost: present in both the pre- and post-op state"
-  | Some b ->
-      if Option.is_none pre && Option.is_none post then
-        Some "file resurrected: absent in both oracle states"
-      else
-        check_content contract
-          ~pre:(Option.value pre ~default:View.empty)
-          ~post:(Option.value post ~default:View.empty)
-          b
+    (Pmem.Device.fence_sites ())
 
 type trial = {
   t_crashed_at : int option;
       (** index of the op in flight, [None] = end of trace *)
-  t_recovered : (string * Bytes.t option) list;
   t_violations : (string option * string) list;
       (** (path, reason); path [None] = the pattern claim failed *)
 }
 
-(** One crash state end to end: fresh stack, lockstep replay against
-    the {!Fsapi.Ref_fs} oracle, crash injection, recovery, read-back,
-    per-file contract check plus the pattern claim. *)
-let run_trial (builder : builder) p contract ~(point : Explore.point)
-    ~survivors =
-  let b = builder () in
-  let slots = setup p b.b_fs in
+(** One crash state end to end: fresh stack, {!Trial.replay} against
+    the {!Fsapi.Ref_fs} oracle, recovery, read-back, per-file contract
+    check plus the pattern claim. *)
+let run_trial c ~(point : Explore.point) ~survivors =
+  let p = c.c_pattern in
+  let st = c.c_build () in
+  let slots = setup p st.fs in
   let ofs, oracle = Fsapi.Ref_fs.make_oracle () in
   let oslots = setup p ofs in
-  let dev = b.b_env.Pmem.Env.dev in
-  Pmem.Device.journal_begin ~dedup:true dev;
-  Pmem.Device.arm_crash dev ~fence:point.Explore.fence ~survivors;
-  let ocp = oracle_checkpoint ofs oslots in
-  let osnap = copy_snapshot ofs in
-  let pre = ref [] and post = ref [] and crashed_at = ref None in
-  let rec go k = function
-    | [] ->
-        (* armed fence past the last one: crash at the end of the trace *)
-        pre := snap oracle p.p_paths;
-        post := !pre;
-        Pmem.Device.crash_partial dev ~survivors
-    | op :: rest -> (
-        match
-          apply b.b_fs ~checkpoint:b.b_checkpoint ~snapshot:b.b_snapshot slots
-            op
-        with
-        | () ->
-            apply ofs ~checkpoint:ocp ~snapshot:osnap oslots op;
-            go (k + 1) rest
-        | exception Pmem.Device.Crashed ->
-            crashed_at := Some k;
-            pre := snap oracle p.p_paths;
-            apply ofs ~checkpoint:ocp ~snapshot:osnap oslots op;
-            post := snap oracle p.p_paths)
+  let crashed_at, pre, post =
+    Trial.replay ~dedup:true st.env.Pmem.Env.dev ~point ~survivors
+      ~real:(apply_stack st slots) ~oracle:(apply_oracle ofs oslots)
+      ~snap:(fun () -> List.map (View.of_oracle oracle) p.p_paths)
+      p.p_ops
   in
-  go 0 p.p_ops;
-  Pmem.Device.resume dev;
-  Pmem.Device.journal_stop dev;
-  b.b_recover ();
-  let rfs = b.b_read () in
-  let recovered = List.map (fun path -> (path, read_back rfs path)) p.p_paths in
-  let violations = ref [] in
-  List.iter
-    (fun path ->
-      match
-        check_file contract
-          ~pre:(List.assoc path !pre)
-          ~post:(List.assoc path !post)
-          (List.assoc path recovered)
-      with
-      | None -> ()
-      | Some reason -> violations := (Some path, reason) :: !violations)
-    p.p_paths;
-  (match
-     p.p_claim contract (fun path ->
-         Option.join (List.assoc_opt path recovered))
-   with
-  | None -> ()
-  | Some reason -> violations := (None, reason) :: !violations);
+  let rfs = recover st in
+  let recovered =
+    List.map (fun path -> (path, Trial.read_back rfs path)) p.p_paths
+  in
+  let files =
+    List.map2
+      (fun (path, got) (pre, post) ->
+        Option.map
+          (fun reason -> (Some path, reason))
+          (Check.check_file c.c_contract ~pre ~post got))
+      recovered (List.combine pre post)
+  in
+  let claim =
+    p.p_claim c.c_contract (fun path ->
+        Option.join (List.assoc_opt path recovered))
+  in
   {
-    t_crashed_at = !crashed_at;
-    t_recovered = recovered;
-    t_violations = List.rev !violations;
+    t_crashed_at = crashed_at;
+    t_violations =
+      List.filter_map Fun.id
+        (files @ [ Option.map (fun reason -> (None, reason)) claim ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -823,9 +605,8 @@ type violation = {
 
 type run = {
   r_pattern : string;
-  r_stack : stack_id;
   r_config : string;  (** stack name, or an aux configuration name *)
-  r_contract : contract;
+  r_contract : Check.contract;
   r_points : int;  (** crash points: fences + end of trace *)
   r_states : int;  (** crash states enumerated — all of them *)
   r_violations : violation list;
@@ -836,13 +617,8 @@ type run = {
     opportunity. *)
 let max_point_states = 4096
 
-let run_pattern ?builder ?config ?contract p stack =
-  let builder =
-    match builder with Some b -> b | None -> builder_of stack
-  in
-  let config = Option.value config ~default:(stack_name stack) in
-  let contract = Option.value contract ~default:(contract_of stack) in
-  let points, _ = profile builder p in
+let run_combo c =
+  let points, _ = profile c in
   let states = ref 0 and violations = ref [] in
   List.iter
     (fun (pt : Explore.point) ->
@@ -852,11 +628,11 @@ let run_pattern ?builder ?config ?contract p stack =
           (Printf.sprintf
              "litmus %s on %s: %d crash states at fence %d exceed the \
               exhaustive cap %d"
-             p.p_name config n pt.Explore.fence max_point_states);
+             c.c_pattern.p_name c.c_config n pt.Explore.fence max_point_states);
       states := !states + n;
       List.iter
         (fun svs ->
-          let t = run_trial builder p contract ~point:pt ~survivors:svs in
+          let t = run_trial c ~point:pt ~survivors:svs in
           List.iter
             (fun (path, reason) ->
               violations :=
@@ -872,35 +648,21 @@ let run_pattern ?builder ?config ?contract p stack =
         (Explore.enumerate pt.Explore.pending))
     points;
   {
-    r_pattern = p.p_name;
-    r_stack = stack;
-    r_config = config;
-    r_contract = contract;
+    r_pattern = c.c_pattern.p_name;
+    r_config = c.c_config;
+    r_contract = c.c_contract;
     r_points = List.length points;
     r_states = !states;
     r_violations = List.rev !violations;
   }
 
-(** The whole corpus across all seven stacks, exhaustively. The 56
-    (pattern × stack) combos are independent — each [run_pattern] builds
-    its own stacks — so they fan over the {!Par} domain pool; results
-    come back in combo order, identical at any job count. Exploration
-    inside one combo stays sequential, preserving the pinned per-combo
-    state counts exactly. *)
-let run_corpus ?jobs () =
-  let combos =
-    List.concat_map (fun p -> List.map (fun s -> (p, s)) all_stacks) corpus
-  in
-  Par.map ?jobs (fun _ (p, s) -> run_pattern p s) combos
-
-(** The auxiliary coverage configurations (exhaustive as well — their
-    patterns are sized to stay enumerable). *)
-let run_aux ?jobs () =
-  Par.map ?jobs
-    (fun _ x ->
-      run_pattern ~builder:x.x_builder ~config:x.x_name ~contract:x.x_contract
-        x.x_pattern x.x_stack)
-    aux_combos
+(** [combos], each exhaustively. Combos are
+    independent — each builds its own stacks — so they fan over the
+    {!Par} domain pool; results come back in combo order, identical at
+    any job count. Exploration inside one combo stays sequential,
+    preserving the pinned per-combo state counts exactly. *)
+let run_corpus ?jobs combos =
+  Par.map ?jobs (fun _ c -> run_combo c) combos
 
 (** Harness self-test: break the fams publish protocol (no commit record
     before the relink — [Env.checks.fams_commit_record]) and re-explore
@@ -915,12 +677,14 @@ let catches_torn_msync () =
       Pmem.Env.fams_commit_record = false;
     }
   in
-  let builder = build_splitfs ~checks Splitfs.Config.Fams in
-  let r =
-    run_pattern ~builder ~config:"splitfs-fams-nocommit" msync_publish
-      Splitfs_fams
+  let c =
+    {
+      (on_stack msync_publish Fs_config.Splitfs_fams) with
+      c_config = "splitfs-fams-nocommit";
+      c_build = (fun () -> Fs_config.make_small ~checks Fs_config.Splitfs_fams);
+    }
   in
-  r.r_violations <> []
+  (run_combo c).r_violations <> []
 
 let pp_violation ppf v =
   Fmt.pf ppf "@[<v2>fence %d%a%a: %s@,survivors: @[%a@]@]" v.vl_fence
@@ -942,7 +706,7 @@ let pp_run ppf r =
     "@[<v2>%-16s %-22s %-8s %3d points %5d states (exhaustive)  %d \
      violation(s)%a@]"
     r.r_pattern r.r_config
-    (contract_name r.r_contract)
+    (Check.contract_name r.r_contract)
     r.r_points r.r_states
     (List.length r.r_violations)
     Fmt.(list ~sep:nop (fun ppf v -> Fmt.pf ppf "@,%a" pp_violation v))

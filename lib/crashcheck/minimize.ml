@@ -28,48 +28,6 @@
     corresponding source deletions and their simulated-time effect are
     recorded in EXPERIMENTS.md. *)
 
-(* ------------------------------------------------------------------ *)
-(* Combinations                                                         *)
-(* ------------------------------------------------------------------ *)
-
-type combo = {
-  c_name : string;  (** "pattern/config" *)
-  c_config : string;
-  c_builder : Litmus.builder;
-  c_pattern : Litmus.pattern;
-  c_stack : Litmus.stack_id;
-  c_contract : Litmus.contract;
-}
-
-(** The full corpus × stack matrix plus the auxiliary coverage
-    configurations — everything litmus itself checks. *)
-let all_combos () =
-  List.concat_map
-    (fun (p : Litmus.pattern) ->
-      List.map
-        (fun s ->
-          {
-            c_name = p.Litmus.p_name ^ "/" ^ Litmus.stack_name s;
-            c_config = Litmus.stack_name s;
-            c_builder = Litmus.builder_of s;
-            c_pattern = p;
-            c_stack = s;
-            c_contract = Litmus.contract_of s;
-          })
-        Litmus.all_stacks)
-    Litmus.corpus
-  @ List.map
-      (fun (x : Litmus.aux) ->
-        {
-          c_name = x.Litmus.x_pattern.Litmus.p_name ^ "/" ^ x.Litmus.x_name;
-          c_config = x.Litmus.x_name;
-          c_builder = x.Litmus.x_builder;
-          c_pattern = x.Litmus.x_pattern;
-          c_stack = x.Litmus.x_stack;
-          c_contract = x.Litmus.x_contract;
-        })
-      Litmus.aux_combos
-
 (** One un-elided profiling pass per combo, returning the set of sites
     that fire inside its crash window. Profiling is deterministic, so a
     single pass serves every site's classification — the alternative
@@ -77,38 +35,13 @@ let all_combos () =
     the costliest loop of the suite by the site count for no information
     gain. *)
 let profile_combos ?jobs combos =
-  Par.map ?jobs
-    (fun _ c ->
-      let _, hits = Litmus.profile c.c_builder c.c_pattern in
-      (c, List.map fst hits))
-    combos
+  Par.map ?jobs (fun _ c -> (c, snd (Litmus.profile c))) combos
 
-(** Combos in whose crash window [site] fires. [profiled] (from
-    {!profile_combos}) shares one profiling pass across all sites; when
-    absent each call profiles the combos itself. *)
-let firing_combos ?profiled combos site =
-  match profiled with
-  | Some pcs ->
-      List.filter_map
-        (fun (c, sites) -> if List.mem site sites then Some c else None)
-        pcs
-  | None ->
-      List.filter
-        (fun c ->
-          let _, hits = Litmus.profile c.c_builder c.c_pattern in
-          List.mem_assoc site hits)
-        combos
-
-(* ------------------------------------------------------------------ *)
-(* Shrinking a counterexample                                           *)
-(* ------------------------------------------------------------------ *)
-
-(** Greedily restore lost lines to fully-persisted while the violation
-    survives: what remains is the minimal deviation that breaks
-    recovery without the elided fence. Runs with the elision still
-    active. *)
-let shrink ?(budget = 48) c (v : Litmus.violation) =
-  let points, _ = Litmus.profile c.c_builder c.c_pattern in
+(** Shrink a counterexample with the elision still active: what remains
+    is the minimal deviation that breaks recovery without the elided
+    fence. *)
+let shrink c (v : Litmus.violation) =
+  let points, _ = Litmus.profile c in
   match
     List.find_opt
       (fun (p : Explore.point) -> p.Explore.fence = v.Litmus.vl_fence)
@@ -116,56 +49,13 @@ let shrink ?(budget = 48) c (v : Litmus.violation) =
   with
   | None -> v
   | Some point ->
-      let budget = ref budget in
-      let full_keep line =
-        match
-          Array.to_list point.Explore.pending
-          |> List.find_opt (fun (p : Pmem.Device.pending_line) ->
-                 p.Pmem.Device.p_line = line)
-        with
-        | Some p -> p.Pmem.Device.p_versions
-        | None -> 0
-      in
       let violates svs =
-        decr budget;
-        (Litmus.run_trial c.c_builder c.c_pattern c.c_contract ~point
-           ~survivors:svs)
-          .Litmus.t_violations
-        <> []
+        (Litmus.run_trial c ~point ~survivors:svs).Litmus.t_violations <> []
       in
-      let current = ref v.Litmus.vl_survivors in
-      let progress = ref true in
-      while !progress && !budget > 0 do
-        progress := false;
-        List.iter
-          (fun (s : Pmem.Device.survivor) ->
-            let n = full_keep s.Pmem.Device.s_line in
-            if (s.Pmem.Device.s_keep <> n || s.Pmem.Device.s_tear <> 0)
-               && !budget > 0
-            then begin
-              let cand =
-                List.map
-                  (fun (s' : Pmem.Device.survivor) ->
-                    if s'.Pmem.Device.s_line = s.Pmem.Device.s_line then
-                      { s' with Pmem.Device.s_keep = n; s_tear = 0 }
-                    else s')
-                  !current
-              in
-              if violates cand then begin
-                current := cand;
-                progress := true
-              end
-            end)
-          !current
-      done;
       {
         v with
         Litmus.vl_survivors =
-          List.filter
-            (fun (s : Pmem.Device.survivor) ->
-              s.Pmem.Device.s_keep <> full_keep s.Pmem.Device.s_line
-              || s.Pmem.Device.s_tear <> 0)
-            !current;
+          Shrink.survivors ~budget:48 ~violates point v.Litmus.vl_survivors;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -185,55 +75,50 @@ type verdict =
 
 type site_report = { s_site : int; s_name : string; s_verdict : verdict }
 
-(** [elided_combo c site] is [c] with every stack its builder mounts
-    carrying the elision of [site] on its own device. Elision is
-    per-device state (PR 8), so concurrent classifications of different
-    sites never observe each other; setting it after the mount is
-    faithful because the persist-order journal only opens afterwards —
-    mount-time fences are outside every crash window. *)
-let elided_combo c site =
-  let builder () =
-    let b = c.c_builder () in
-    Pmem.Device.elide_fence_site b.Litmus.b_env.Pmem.Env.dev site;
-    b
+(** [elided c site] is [c] with every stack it mounts carrying the
+    elision of [site] on its own device. Elision is per-device state,
+    so concurrent classifications of different sites never observe each
+    other; setting it after the mount is faithful because
+    the persist-order journal only opens afterwards — mount-time fences
+    are outside every crash window. *)
+let elided (c : Litmus.combo) site =
+  let build () =
+    let st = c.Litmus.c_build () in
+    Pmem.Device.elide_fence_site st.Stacks.Fs_config.env.Pmem.Env.dev site;
+    st
   in
-  { c with c_builder = builder }
+  { c with Litmus.c_build = build }
 
-(** Classify one site against [combos] (default: everything). *)
-let classify ?combos ?profiled site =
-  let combos = match combos with Some c -> c | None -> all_combos () in
-  match firing_combos ?profiled combos site with
+(** Classify one site against [profiled] (from {!profile_combos}). *)
+let classify profiled site =
+  match List.filter (fun (_, sites) -> List.mem site sites) profiled with
   | [] -> Unexercised
   | firing ->
       let states = ref 0 in
       let rec go = function
         | [] ->
             Redundant { q_combos = List.length firing; q_states = !states }
-        | c :: rest -> (
-            let ec = elided_combo c site in
-            let r =
-              Litmus.run_pattern ~builder:ec.c_builder ~config:ec.c_config
-                ~contract:ec.c_contract ec.c_pattern ec.c_stack
-            in
+        | (c, _) :: rest -> (
+            let ec = elided c site in
+            let r = Litmus.run_combo ec in
             states := !states + r.Litmus.r_states;
             match r.Litmus.r_violations with
             | [] -> go rest
             | v :: _ ->
-                (* shrink with the elision still active *)
-                Required { q_combo = c.c_name; q_violation = shrink ec v })
+                Required
+                  { q_combo = Litmus.combo_name c; q_violation = shrink ec v })
       in
       go firing
 
 (** Classify every registered site. Sites are independent — each holds
-    its elision on the devices its own builders mount — so the costliest
+    its elision on the devices its own combos mount — so the costliest
     loop of the whole verification suite fans over the {!Par} domain
     pool, one task per site, reports merged in registration order. *)
-let run ?combos ?jobs () =
-  let combos = match combos with Some c -> c | None -> all_combos () in
-  let profiled = profile_combos ?jobs combos in
+let run ?jobs () =
+  let profiled = profile_combos ?jobs Litmus.combos in
   Par.map ?jobs
     (fun _ (site, name) ->
-      { s_site = site; s_name = name; s_verdict = classify ~combos ~profiled site })
+      { s_site = site; s_name = name; s_verdict = classify profiled site })
     (Pmem.Device.fence_sites ())
 
 let verdict_name = function

@@ -26,21 +26,11 @@
     subset before reporting. *)
 
 module W = Crashcheck.Workload
-
-type stack_kind = Ext4_dax | Splitfs of Splitfs.Config.mode
-
-let stack_name = function
-  | Ext4_dax -> "ext4-dax"
-  | Splitfs m -> "splitfs-" ^ Splitfs.Config.mode_to_string m
+module Fs_config = Stacks.Fs_config
 
 let all_stacks =
-  [
-    Ext4_dax;
-    Splitfs Splitfs.Config.Posix;
-    Splitfs Splitfs.Config.Sync;
-    Splitfs Splitfs.Config.Strict;
-    Splitfs Splitfs.Config.Fams;
-  ]
+  Fs_config.
+    [ Ext4_dax; Splitfs_posix; Splitfs_sync; Splitfs_strict; Splitfs_fams ]
 
 (* ------------------------------------------------------------------ *)
 (* Fault points                                                         *)
@@ -114,38 +104,16 @@ end
 (* Trial runner                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(** Shrinks the staging pool to one nearly-useless file so staging
+    pre-allocation runs during the workload — the only way an
+    origin-scoped [Staging_prealloc] fault can fire. *)
+let tiny_staging c =
+  { c with Splitfs.Config.staging_files = 1; staging_size = 4096 }
+
 module Runner = struct
-  type stack = {
-    env : Pmem.Env.t;
-    sys : Kernelfs.Syscall.t;
-    u : Splitfs.Usplit.t option;
-    fs : Fsapi.Fs.t;
-  }
+  let file_path = Crashcheck.Runner.file_path
 
-  let file_path i = Printf.sprintf "/f%d" i
-
-  (** [tiny_staging] shrinks the staging pool to one nearly-useless file
-      so staging pre-allocation runs during the workload — the only way
-      an origin-scoped [Staging_prealloc] fault can fire. *)
-  let build ?(tiny_staging = false) ?checks kind =
-    let env = Pmem.Env.create ~capacity:(8 * 1024 * 1024) ?checks () in
-    let kfs = Kernelfs.Ext4.mkfs ~journal_len:(1024 * 1024) env in
-    let sys = Kernelfs.Syscall.make kfs in
-    match kind with
-    | Ext4_dax -> { env; sys; u = None; fs = Kernelfs.Syscall.as_fsapi sys }
-    | Splitfs mode ->
-        let cfg =
-          {
-            (Splitfs.Config.with_mode mode) with
-            Splitfs.Config.staging_files = (if tiny_staging then 1 else 2);
-            staging_size = (if tiny_staging then 4096 else 256 * 1024);
-            oplog_size = 16 * 1024;
-          }
-        in
-        let u = Splitfs.Usplit.mount ~cfg ~sys ~env ~instance:0 () in
-        { env; sys; u = Some u; fs = Splitfs.Usplit.as_fsapi u }
-
-  let setup (w : W.t) st =
+  let setup (w : W.t) (st : Fs_config.stack) =
     Array.init w.W.nfiles (fun i ->
         let fd = st.fs.Fsapi.Fs.open_ (file_path i) Fsapi.Flags.create_rw in
         let len = w.W.initial.(i) in
@@ -168,29 +136,11 @@ module Runner = struct
         st.fs.Fsapi.Fs.fsync fd;
         fd)
 
-  let checkpoint st =
-    match st.u with Some u -> Splitfs.Usplit.relink_all u | None -> ()
-
-  (** Fault-free application of one op — used by the profiling pass. *)
-  let apply st fds (op : W.op) =
-    match op with
-    | W.Write { file; at; len; seed } ->
-        let buf = W.payload ~seed len in
-        ignore (st.fs.Fsapi.Fs.pwrite fds.(file) ~buf ~boff:0 ~len ~at)
-    | W.Fsync { file } -> st.fs.Fsapi.Fs.fsync fds.(file)
-    | W.Checkpoint -> checkpoint st
-
   let allowed_errno = function
     | Fsapi.Errno.EIO | Fsapi.Errno.ENOSPC -> true
     | _ -> false
 
   type outcome = Untriggered | Masked | Retried | Errno_surfaced
-
-  let outcome_name = function
-    | Untriggered -> "untriggered"
-    | Masked -> "masked"
-    | Retried -> "retried"
-    | Errno_surfaced -> "errno"
 
   type trial = {
     outcome : outcome;
@@ -201,12 +151,15 @@ module Runner = struct
 
   let snapshot_counts (c : Faults.counts) = { c with Faults.injected = c.injected }
 
-  let run_trial ?tiny_staging ?checks kind (w : W.t)
+  (** One trial on a fresh crash-trial stack from the registry, with
+      the staging pool shrunk when [tiny] is set. *)
+  let run_trial ?(tiny = false) ?checks spec (w : W.t)
       ~(points : fault_point list) =
-    let st = build ?tiny_staging ?checks kind in
+    let tweak = if tiny then tiny_staging else Fun.id in
+    let st = Fs_config.make_small ?checks ~tweak spec in
     let dev = st.env.Pmem.Env.dev in
     let plane = st.env.Pmem.Env.faults in
-    let kfs = Kernelfs.Syscall.kernel st.sys in
+    let kfs = Kernelfs.Syscall.kernel (Option.get st.sys) in
     let fds = setup w st in
     let model =
       Array.init w.W.nfiles (fun i ->
@@ -234,7 +187,7 @@ module Runner = struct
           :: !unexpected
     in
     let run_scrub () =
-      match (!scrub_limit, st.u) with
+      match (!scrub_limit, st.usplit) with
       | None, _ -> ()
       | Some l, Some u -> ignore (Splitfs.Usplit.scrub u ~wear_limit:l)
       | Some l, None -> ignore (Kernelfs.Ext4.scrub kfs ~wear_limit:l)
@@ -268,7 +221,7 @@ module Runner = struct
                   Fmt.str "op %d: escaped exception %s" k (Printexc.to_string e)
                   :: !unexpected)
         | W.Checkpoint -> (
-            match checkpoint st with
+            match Fs_config.checkpoint st with
             | () -> ()
             | exception Fsapi.Errno.Error (e, ctx) -> record_fail k e ctx
             | exception e ->
@@ -382,30 +335,16 @@ end
 (* ------------------------------------------------------------------ *)
 
 (** Greedily drop fault points from a violating set while the violation
-    persists; what remains is a minimal culprit set. Bounded by [budget]
-    trial re-runs. *)
-let shrink ?(budget = 32) ?tiny_staging kind w ~points =
-  let budget = ref budget in
-  let violates ps =
-    decr budget;
-    (Runner.run_trial ?tiny_staging kind w ~points:ps).Runner.violations <> []
-  in
-  let current = ref points in
-  let progress = ref true in
-  while !progress && !budget > 0 && List.length !current > 1 do
-    progress := false;
-    List.iter
-      (fun p ->
-        if List.length !current > 1 && !budget > 0 then begin
-          let cand = List.filter (fun q -> q != p) !current in
-          if violates cand then begin
-            current := cand;
-            progress := true
-          end
-        end)
-      !current
-  done;
-  !current
+    persists ({!Crashcheck.Shrink.greedy}, 32 re-runs at most); what
+    remains is a minimal culprit set. *)
+let shrink ~tiny spec w ~points =
+  Crashcheck.Shrink.greedy ~budget:32 points
+    ~simpler:(fun p current ->
+      if List.length current > 1 then
+        Some (List.filter (fun q -> q != p) current)
+      else None)
+    ~violates:(fun ps ->
+      (Runner.run_trial ~tiny spec w ~points:ps).Runner.violations <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Campaign driver                                                      *)
@@ -469,24 +408,22 @@ let pp_stack_report ppf r =
 
 let durations = [ Faults.Transient 1; Faults.Transient 3; Faults.Sticky ]
 
-(** [check_stack kind] — enumerate fault points for one stack and run one
+(** [check_stack spec] — enumerate fault points for one stack and run one
     trial per point (plus one multi-fault trial for the shrinker). The
     fault points come from a profiling pass: an armed-but-empty plane
     counts the calls each injection site sees, and call indices are
     sampled across that range; poison candidates are the device lines
     backing the initial durable file content. *)
-let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs kind =
-  let mode =
-    match kind with Ext4_dax -> Splitfs.Config.Posix | Splitfs m -> m
-  in
+let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs spec =
+  let mode = Option.value (Fs_config.mode spec) ~default:Splitfs.Config.Posix in
   (* scale 16 pushes writes across block boundaries so full-block relink
      (and therefore the swap_extents fault site) is part of the campaign *)
   let w = W.generate ~mode ~seed ~scale:16 ~nops () in
   (* profiling pass: no faults, count site calls + collect poison lines *)
   let calls, poison_candidates =
-    let st = Runner.build kind in
+    let st = Fs_config.make_small spec in
     let plane = st.env.Pmem.Env.faults in
-    let kfs = Kernelfs.Syscall.kernel st.sys in
+    let kfs = Kernelfs.Syscall.kernel (Option.get st.sys) in
     let fds = Runner.setup w st in
     let poison =
       List.concat
@@ -504,7 +441,11 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs kind =
       |> List.sort_uniq compare
     in
     Faults.arm plane;
-    List.iter (Runner.apply st fds) w.W.ops;
+    List.iter
+      (Crashcheck.Runner.apply
+         ~checkpoint:(fun () -> Fs_config.checkpoint st)
+         st.fs fds)
+      w.W.ops;
     ((fun site -> Faults.calls plane site), poison)
   in
   let site_points =
@@ -547,8 +488,8 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs kind =
     match rs @ ps with [] -> [] | l -> [ l ]
   in
   let degraded_points =
-    match kind with
-    | Splitfs _ ->
+    match Fs_config.mode spec with
+    | Some _ ->
         [
           [
             Resource
@@ -556,7 +497,7 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs kind =
                  ~from:0 Faults.Sticky);
           ];
         ]
-    | Ext4_dax -> []
+    | None -> []
   in
   let trials =
     List.map (fun p -> (p, false)) (site_points @ poison_points @ scrub_points @ combo)
@@ -569,15 +510,14 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs kind =
      job count *)
   let results =
     Par.map ?jobs
-      (fun _ (points, tiny_staging) ->
-        Runner.run_trial ~tiny_staging kind w ~points)
+      (fun _ (points, tiny) -> Runner.run_trial ~tiny spec w ~points)
       trials
   in
   let totals = Faults.counts (Faults.create ()) in
   let tallies = [| 0; 0; 0; 0 |] in
   let violations = ref [] in
   List.iter2
-    (fun (points, tiny_staging) (t : Runner.trial) ->
+    (fun (points, tiny) (t : Runner.trial) ->
       add_counts totals t.Runner.tcounts;
       (match t.Runner.outcome with
       | Runner.Untriggered -> tallies.(0) <- tallies.(0) + 1
@@ -587,12 +527,12 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs kind =
       List.iter
         (fun (file, reason) ->
           let shrunk =
-            if !violations = [] then shrink ~tiny_staging kind w ~points
+            if !violations = [] then shrink ~tiny spec w ~points
             else points
           in
           violations :=
             {
-              v_stack = stack_name kind;
+              v_stack = Fs_config.name spec;
               v_points = points;
               v_file = file;
               v_reason = reason;
@@ -603,7 +543,7 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs kind =
         t.Runner.violations)
     trials results;
   {
-    s_stack = stack_name kind;
+    s_stack = Fs_config.name spec;
     s_trials = List.length trials;
     s_untriggered = tallies.(0);
     s_masked = tallies.(1);
@@ -618,7 +558,7 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs kind =
     here — their reports print incrementally and the pool stays fed. *)
 let run ?seed ?nops ?max_per_site ?jobs () =
   List.map
-    (fun kind -> check_stack ?seed ?nops ?max_per_site ?jobs kind)
+    (fun spec -> check_stack ?seed ?nops ?max_per_site ?jobs spec)
     all_stacks
 
 let clean reports = List.for_all (fun r -> r.s_violations = []) reports
@@ -639,7 +579,7 @@ let oracle_catches_dropped_writes ?(seed = 0xFA17) ?(nops = 24) () =
   in
   let w = W.generate ~mode:Splitfs.Config.Sync ~seed ~scale:16 ~nops () in
   let t =
-    Runner.run_trial ~tiny_staging:true ~checks (Splitfs Splitfs.Config.Sync) w
+    Runner.run_trial ~tiny:true ~checks Fs_config.Splitfs_sync w
       ~points:
         [
           Resource

@@ -986,7 +986,7 @@ let faultcheck ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs
     exhaustive proof relative to the corpus). *)
 let litmus ?(minimize = true) ?jobs ?(print = true) () =
   let runs =
-    Crashcheck.Litmus.run_corpus ?jobs () @ Crashcheck.Litmus.run_aux ?jobs ()
+    Crashcheck.Litmus.(run_corpus ?jobs combos)
   in
   if print then begin
     Runner.print_table
@@ -997,7 +997,7 @@ let litmus ?(minimize = true) ?jobs ?(print = true) () =
            [
              r.Crashcheck.Litmus.r_pattern;
              r.Crashcheck.Litmus.r_config;
-             Crashcheck.Litmus.contract_name r.Crashcheck.Litmus.r_contract;
+             Crashcheck.Check.contract_name r.Crashcheck.Litmus.r_contract;
              string_of_int r.Crashcheck.Litmus.r_points;
              string_of_int r.Crashcheck.Litmus.r_states;
              string_of_int (List.length r.Crashcheck.Litmus.r_violations);
@@ -1726,10 +1726,7 @@ let par_campaigns =
       fun ~jobs -> ignore (Crashcheck.run ~samples:120 ~nops:24 ~jobs ()) );
     ( "faultcheck",
       fun ~jobs -> ignore (Faultcheck.run ~max_per_site:2 ~jobs ()) );
-    ( "litmus",
-      fun ~jobs ->
-        ignore (Crashcheck.Litmus.run_corpus ~jobs ());
-        ignore (Crashcheck.Litmus.run_aux ~jobs ()) );
+    ("litmus", fun ~jobs -> ignore Crashcheck.Litmus.(run_corpus ~jobs combos));
     ("minimize", fun ~jobs -> ignore (Crashcheck.Minimize.run ~jobs ()));
   ]
 

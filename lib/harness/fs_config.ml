@@ -1,129 +1,1 @@
-(** Named file-system configurations: everything the evaluation compares.
-
-    Each [make] builds a fresh PM device and the full stack on top of it,
-    so experiments are isolated and deterministic. *)
-
-type spec =
-  | Ext4_dax
-  | Splitfs_posix
-  | Splitfs_sync
-  | Splitfs_strict
-  | Splitfs_fams  (** failure-atomic msync: staged stores, atomic publish *)
-  | Splitfs_split_only  (** Fig. 3 ablation: no staging, no relink *)
-  | Splitfs_staging_only  (** Fig. 3 ablation: staging but copy on fsync *)
-  | Pmfs
-  | Nova_relaxed
-  | Nova_strict
-  | Strata
-
-let all =
-  [
-    Ext4_dax;
-    Splitfs_posix;
-    Splitfs_sync;
-    Splitfs_strict;
-    Splitfs_fams;
-    Splitfs_split_only;
-    Splitfs_staging_only;
-    Pmfs;
-    Nova_relaxed;
-    Nova_strict;
-    Strata;
-  ]
-
-let name = function
-  | Ext4_dax -> "ext4-dax"
-  | Splitfs_posix -> "splitfs-posix"
-  | Splitfs_sync -> "splitfs-sync"
-  | Splitfs_strict -> "splitfs-strict"
-  | Splitfs_fams -> "splitfs-fams"
-  | Splitfs_split_only -> "splitfs-split-only"
-  | Splitfs_staging_only -> "splitfs-staging-only"
-  | Pmfs -> "pmfs"
-  | Nova_relaxed -> "nova-relaxed"
-  | Nova_strict -> "nova-strict"
-  | Strata -> "strata"
-
-let of_name s =
-  match List.find_opt (fun spec -> name spec = s) all with
-  | Some spec -> spec
-  | None -> invalid_arg (Printf.sprintf "unknown file system %S" s)
-
-type stack = {
-  spec : spec;
-  env : Pmem.Env.t;
-  fs : Fsapi.Fs.t;
-  sys : Kernelfs.Syscall.t option;  (** the kernel below SplitFS / ext4 *)
-  usplit : Splitfs.Usplit.t option;
-  strata : Baselines.Strata.t option;
-}
-
-let splitfs_experiment_cfg mode =
-  {
-    Splitfs.Config.default with
-    Splitfs.Config.mode;
-    staging_files = 4;
-    staging_size = 20 * 1024 * 1024;
-    oplog_size = 4 * 1024 * 1024;
-  }
-
-(** Build a stack. [capacity] sizes the simulated PM device. *)
-let make ?(capacity = 256 * 1024 * 1024) ?timing ?splitfs_cfg spec =
-  let env = Pmem.Env.create ~capacity ?timing () in
-  let kernel () =
-    let kfs = Kernelfs.Ext4.mkfs ~journal_len:(8 * 1024 * 1024) env in
-    Kernelfs.Syscall.make kfs
-  in
-  let splitfs cfg =
-    let cfg = match splitfs_cfg with Some c -> c | None -> cfg in
-    let sys = kernel () in
-    let u = Splitfs.Usplit.mount ~cfg ~sys ~env ~instance:0 () in
-    {
-      spec;
-      env;
-      fs = Splitfs.Usplit.as_fsapi u;
-      sys = Some sys;
-      usplit = Some u;
-      strata = None;
-    }
-  in
-  match spec with
-  | Ext4_dax ->
-      let sys = kernel () in
-      {
-        spec;
-        env;
-        fs = Kernelfs.Syscall.as_fsapi sys;
-        sys = Some sys;
-        usplit = None;
-        strata = None;
-      }
-  | Splitfs_posix -> splitfs (splitfs_experiment_cfg Splitfs.Config.Posix)
-  | Splitfs_sync -> splitfs (splitfs_experiment_cfg Splitfs.Config.Sync)
-  | Splitfs_strict -> splitfs (splitfs_experiment_cfg Splitfs.Config.Strict)
-  | Splitfs_fams -> splitfs (splitfs_experiment_cfg Splitfs.Config.Fams)
-  | Splitfs_split_only ->
-      splitfs
-        {
-          (splitfs_experiment_cfg Splitfs.Config.Posix) with
-          Splitfs.Config.use_staging = false;
-          use_relink = false;
-        }
-  | Splitfs_staging_only ->
-      splitfs
-        {
-          (splitfs_experiment_cfg Splitfs.Config.Posix) with
-          Splitfs.Config.use_relink = false;
-        }
-  | Pmfs ->
-      let p = Baselines.Pmfs.mkfs env in
-      { spec; env; fs = Baselines.Pmfs.as_fsapi p; sys = None; usplit = None; strata = None }
-  | Nova_relaxed ->
-      let n = Baselines.Nova.mkfs env ~mode:Baselines.Nova.Relaxed in
-      { spec; env; fs = Baselines.Nova.as_fsapi n; sys = None; usplit = None; strata = None }
-  | Nova_strict ->
-      let n = Baselines.Nova.mkfs env ~mode:Baselines.Nova.Strict in
-      { spec; env; fs = Baselines.Nova.as_fsapi n; sys = None; usplit = None; strata = None }
-  | Strata ->
-      let s = Baselines.Strata.mkfs ~log_len:(4 * 1024 * 1024) env in
-      { spec; env; fs = Baselines.Strata.as_fsapi s; sys = None; usplit = None; strata = Some s }
+include Stacks.Fs_config

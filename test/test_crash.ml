@@ -150,24 +150,28 @@ let test_double_replay_idempotent mode () =
     }
   in
   let trial ~(point : E.point) ~survivors =
-    let st = R.build mode in
-    let fds = R.setup w st.R.fs in
-    let dev = st.R.env.Pmem.Env.dev in
+    let st = Harness.Fs_config.make_small (Harness.Fs_config.of_mode mode) in
+    let env = st.Harness.Fs_config.env in
+    let sys = Option.get st.Harness.Fs_config.sys in
+    let fds = R.setup w st.Harness.Fs_config.fs in
+    let dev = env.Pmem.Env.dev in
     Pmem.Device.journal_begin dev;
     Pmem.Device.arm_crash dev ~fence:point.E.fence ~survivors;
-    let cp () = Splitfs.Usplit.relink_all st.R.u in
+    let cp () = Harness.Fs_config.checkpoint st in
     (try
-       List.iter (R.apply ~checkpoint:cp st.R.fs fds) w.Crashcheck.Workload.ops;
+       List.iter
+         (R.apply ~checkpoint:cp st.Harness.Fs_config.fs fds)
+         w.Crashcheck.Workload.ops;
        (* armed fence past the last one: crash at end of trace *)
        Pmem.Device.crash_partial dev ~survivors
      with Pmem.Device.Crashed -> ());
     Pmem.Device.resume dev;
     Pmem.Device.journal_stop dev;
-    ignore (Splitfs.Recovery.recover ~sys:st.R.sys ~env:st.R.env ~instance:0);
-    let after1 = R.read_back st.R.sys 0 in
+    ignore (Splitfs.Recovery.recover ~sys ~env ~instance:0);
+    let after1 = R.read_back sys 0 in
     Pmem.Device.crash dev;
-    let r2 = Splitfs.Recovery.recover ~sys:st.R.sys ~env:st.R.env ~instance:0 in
-    let after2 = R.read_back st.R.sys 0 in
+    let r2 = Splitfs.Recovery.recover ~sys ~env ~instance:0 in
+    let after2 = R.read_back sys 0 in
     (after1, r2, after2)
   in
   let rng = Workloads.Rng.create 0x1DE8 in

@@ -215,9 +215,46 @@ let test_injected_bug_caught () =
     check_mode ~samples:200 ~seed:committed_seed ~nops:24 ~checks
       Splitfs.Config.Strict
   in
-  Alcotest.(check bool)
-    "disabled checksum verification is caught by the sampler" true
-    (r.r_violations <> [])
+  match r.r_violations with
+  | [] -> Alcotest.fail "disabled checksum verification went unnoticed"
+  | v :: _ ->
+      (* the first violation is the one the shrinker minimises; its
+         counterexample is pinned so a shrinker change shows up here *)
+      Util.check_int "fence" 3 v.v_fence;
+      Alcotest.(check (option int)) "op in flight" (Some 2) v.v_op;
+      Util.check_int "file" 2 v.v_file;
+      Alcotest.(check (list string))
+        "shrunk counterexample" [ "line 36939 keep 0" ]
+        (List.map (Fmt.str "%a" pp_survivor) v.v_shrunk)
+
+(* ------------------------------------------------------------------ *)
+(* The shared greedy shrinker, in faultcheck's drop-one form            *)
+(* ------------------------------------------------------------------ *)
+
+(* Each pass visits the elements of the candidate it started from, in
+   order, and keeps every drop that still violates; passes repeat while
+   one makes progress, within the budget of [violates] calls. From
+   [1..6] with "2 and 5 present" as the violation, pass one drops 1, 3,
+   4 and 6 (six calls) and pass two confirms [2; 5] is minimal (two
+   more). A budget of 4 stops pass one after the drop of 4. *)
+let test_greedy_shrinker () =
+  let calls = ref 0 in
+  let violates c =
+    incr calls;
+    List.mem 2 c && List.mem 5 c
+  in
+  let drop x c =
+    if List.length c > 1 then Some (List.filter (( <> ) x) c) else None
+  in
+  let run budget =
+    calls := 0;
+    let r = Shrink.greedy ~budget ~violates ~simpler:drop [ 1; 2; 3; 4; 5; 6 ] in
+    (r, !calls)
+  in
+  Alcotest.(check (pair (list int) int))
+    "minimal culprit set" ([ 2; 5 ], 8) (run 100);
+  Alcotest.(check (pair (list int) int))
+    "budget bounds the re-runs" ([ 2; 5; 6 ], 4) (run 4)
 
 let suite =
   [
@@ -237,4 +274,5 @@ let suite =
       (test_differential Splitfs.Config.Fams);
     tc "injected bug: unverified op-log checksums are caught" `Quick
       test_injected_bug_caught;
+    tc "greedy shrinker: visit order and budget" `Quick test_greedy_shrinker;
   ]

@@ -11,7 +11,7 @@ module M = Crashcheck.Minimize
 
 (* ---- exhaustive state counts, pinned per (pattern, stack) ----------- *)
 
-(* Counts in [all_stacks] order: ext4-dax, pmfs, nova-relaxed,
+(* Counts in [Litmus.stacks] order: ext4-dax, pmfs, nova-relaxed,
    splitfs-posix, splitfs-sync, splitfs-strict, splitfs-fams. These are
    the *entire* crash spaces — any change to fence placement, journal
    traffic or the persist-order model drifts a count here before it
@@ -38,17 +38,18 @@ let check_pattern name () =
     | None -> Alcotest.fail ("no litmus pattern " ^ name)
   in
   List.iter2
-    (fun stack expected ->
-      let r = L.run_pattern p stack in
-      let where = name ^ "/" ^ L.stack_name stack in
+    (fun c expected ->
+      let r = L.run_combo c in
+      let where = L.combo_name c in
       Alcotest.(check (list string))
         (where ^ ": no violations") []
         (List.map (Fmt.str "%a" L.pp_violation) r.L.r_violations);
       Alcotest.(check int) (where ^ ": crash states") expected r.L.r_states)
-    L.all_stacks (List.assoc name pinned_states)
+    (List.map (L.on_stack p) L.stacks)
+    (List.assoc name pinned_states)
 
 let test_aux_configs () =
-  let runs = L.run_aux () in
+  let runs = L.run_corpus L.aux_combos in
   Alcotest.(check int) "aux configs" 2 (List.length runs);
   List.iter
     (fun (r : L.run) ->
@@ -66,7 +67,7 @@ let test_aux_configs () =
          staged-append Sync one *)
       Alcotest.(check string)
         (r.L.r_config ^ ": contract") "sync-dax"
-        (L.contract_name r.L.r_contract))
+        (Crashcheck.Check.contract_name r.L.r_contract))
     runs
 
 (* ---- fence-site coverage -------------------------------------------- *)
@@ -87,10 +88,10 @@ let test_fence_site_coverage () =
 
 (* ---- minimizer verdicts, pinned ------------------------------------- *)
 
-let combo name =
-  match List.find_opt (fun (c : M.combo) -> c.M.c_name = name) (M.all_combos ())
-  with
-  | Some c -> c
+(* The minimizer's evidence for one combo: its un-elided profile. *)
+let profiled name =
+  match List.find_opt (fun c -> L.combo_name c = name) L.combos with
+  | Some c -> M.profile_combos [ c ]
   | None -> Alcotest.fail ("no litmus combo " ^ name)
 
 let site name =
@@ -100,6 +101,17 @@ let site name =
   | Some (s, _) -> s
   | None -> Alcotest.fail ("no fence site " ^ name)
 
+(* A shrunk counterexample, pinned down to the keep value of every
+   surviving line. Line addresses are left out: they follow the device
+   layout, not the shrinker. *)
+let check_counterexample (v : L.violation) ~fence ~op ~path ~keeps =
+  Alcotest.(check int) "fence" fence v.L.vl_fence;
+  Alcotest.(check (option int)) "op in flight" op v.L.vl_op;
+  Alcotest.(check (option string)) "path" (Some path) v.L.vl_path;
+  Alcotest.(check (list int))
+    "shrunk survivors' keep values" keeps
+    (List.map (fun (s : Pmem.Device.survivor) -> s.s_keep) v.L.vl_survivors)
+
 (* Eliding the per-append persist barrier in strict mode must break the
    two-appends pattern: with the fence gone, the second append's oplog
    commit can persist while the first append's staged data line is
@@ -108,15 +120,13 @@ let site name =
    lost lines. *)
 let test_strict_write_required () =
   match
-    M.classify ~combos:[ combo "two-appends/splitfs-strict" ]
+    M.classify (profiled "two-appends/splitfs-strict")
       (site "usplit:strict-write")
   with
   | M.Required { q_combo; q_violation } ->
       Alcotest.(check string) "combo" "two-appends/splitfs-strict" q_combo;
-      Alcotest.(check bool) "shrunk to a nonempty minimal core" true
-        (q_violation.L.vl_survivors <> []);
-      Alcotest.(check bool) "counterexample names the file" true
-        (q_violation.L.vl_path = Some "/log")
+      check_counterexample q_violation ~fence:0 ~op:None ~path:"/log"
+        ~keeps:[ 0 ]
   | v ->
       Alcotest.fail ("expected REQUIRED for usplit:strict-write, got "
                      ^ M.verdict_name v)
@@ -128,7 +138,7 @@ let test_strict_write_required () =
    its size pinned. *)
 let test_strict_truncate_redundant () =
   match
-    M.classify ~combos:[ combo "replace-truncate/splitfs-strict" ]
+    M.classify (profiled "replace-truncate/splitfs-strict")
       (site "usplit:strict-truncate")
   with
   | M.Redundant { q_combos; q_states } ->
@@ -145,13 +155,13 @@ let test_strict_truncate_redundant () =
    torn image, violating the pre-or-post-msync contract. *)
 let test_msync_pre_required () =
   match
-    M.classify ~combos:[ combo "create-rename/splitfs-fams" ]
+    M.classify (profiled "create-rename/splitfs-fams")
       (site "usplit:msync-pre")
   with
   | M.Required { q_combo; q_violation } ->
       Alcotest.(check string) "combo" "create-rename/splitfs-fams" q_combo;
-      Alcotest.(check bool) "shrunk to a nonempty minimal core" true
-        (q_violation.L.vl_survivors <> [])
+      check_counterexample q_violation ~fence:0 ~op:(Some 2) ~path:"/f.tmp"
+        ~keeps:[ 0 ]
   | v ->
       Alcotest.fail ("expected REQUIRED for usplit:msync-pre, got "
                      ^ M.verdict_name v)
@@ -164,11 +174,13 @@ let test_msync_pre_required () =
    was what surfaced this site in the first place. *)
 let test_cow_unshare_required () =
   match
-    M.classify ~combos:[ combo "snapshot-cow/splitfs-posix" ]
+    M.classify (profiled "snapshot-cow/splitfs-posix")
       (site "ext4:cow-unshare")
   with
-  | M.Required { q_combo; _ } ->
-      Alcotest.(check string) "combo" "snapshot-cow/splitfs-posix" q_combo
+  | M.Required { q_combo; q_violation } ->
+      Alcotest.(check string) "combo" "snapshot-cow/splitfs-posix" q_combo;
+      check_counterexample q_violation ~fence:2 ~op:(Some 2) ~path:"/src"
+        ~keeps:[ 0 ]
   | v ->
       Alcotest.fail ("expected REQUIRED for ext4:cow-unshare, got "
                      ^ M.verdict_name v)
@@ -182,8 +194,7 @@ let test_catches_torn_msync () =
 (* A site that only fires during mount initialisation is outside every
    crash window: no verdict, the fence stays. *)
 let test_oplog_init_unexercised () =
-  match M.classify ~combos:[ combo "two-appends/splitfs-strict" ]
-          (site "oplog:init")
+  match M.classify (profiled "two-appends/splitfs-strict") (site "oplog:init")
   with
   | M.Unexercised -> ()
   | v -> Alcotest.fail ("expected unexercised, got " ^ M.verdict_name v)

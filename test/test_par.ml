@@ -167,7 +167,7 @@ let test_faultcheck_invariant () =
 
 let litmus_fingerprint jobs =
   let runs =
-    Crashcheck.Litmus.run_corpus ~jobs () @ Crashcheck.Litmus.run_aux ~jobs ()
+    Crashcheck.Litmus.(run_corpus ~jobs combos)
   in
   String.concat "\n"
     (List.map

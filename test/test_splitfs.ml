@@ -203,6 +203,30 @@ let test_staging_exhaustion_midstream () =
   Util.check_str "last chunk intact" (Bytes.to_string chunk) s;
   fs.close fd
 
+(* A write no staging file can hold once its in-block offset is counted
+   takes the kernel path. The crash-trial stack's staging files hold
+   256 KiB, and 262,044 bytes at offset 4000 need 4000 + 262,044 bytes
+   of one. Relinking cannot make room for such a write, so waiting for
+   staging space would never end. *)
+let test_unstageable_write_degrades () =
+  List.iter
+    (fun spec ->
+      let st = Harness.Fs_config.make_small spec in
+      let fs = st.Harness.Fs_config.fs in
+      let fd = fs.open_ "/wide" Fsapi.Flags.create_rw in
+      let head = Util.pattern ~seed:31 4000 in
+      ignore (fs.pwrite fd ~buf:(Bytes.of_string head) ~boff:0 ~len:4000 ~at:0);
+      fs.fsync fd;
+      let len = 262_044 in
+      let body = Util.pattern ~seed:32 len in
+      let name = Harness.Fs_config.name spec in
+      Util.check_int (name ^ ": pwrite returns") len
+        (fs.pwrite fd ~buf:(Bytes.of_string body) ~boff:0 ~len ~at:4000);
+      Util.check_str (name ^ ": data reads back") (head ^ body)
+        (Fsapi.Fs.pread_exact fs fd ~len:(4000 + len) ~at:0);
+      fs.close fd)
+    Harness.Fs_config.[ Splitfs_posix; Splitfs_sync; Splitfs_strict ]
+
 let test_unlink_cleans_up =
   for_each_mode (fun mode _u fs ->
       let name = Splitfs.Config.mode_to_string mode in
@@ -379,6 +403,8 @@ let suite =
     tc "ftruncate grows sparsely" `Quick test_ftruncate_grow_sparse;
     tc "staging exhaustion forces early relink" `Quick
       test_staging_exhaustion_midstream;
+    tc "unstageable write takes the kernel path" `Quick
+      test_unstageable_write_degrades;
     tc "unlink cleans up" `Quick test_unlink_cleans_up;
     tc "unlink while open keeps data" `Quick test_unlink_while_open_keeps_data;
     tc "reaped files leave no kernel mappings" `Quick
