@@ -114,6 +114,35 @@ let recovery_closure () =
     Pmem.Device.crash env.Pmem.Env.dev;
     ignore (Splitfs.Recovery.recover ~sys ~env ~instance:0)
 
+(* Per-layer kernels (one layer's host cost, beside the end-to-end
+   kernels above). The staged pwrite overwrites one of 16 blocks of a
+   64 KiB file on splitfs-strict: a staging reservation and NT store, the
+   staged-data CRC, one op-log entry and one fence; every 256th call also
+   fsyncs, so the relink that frees staging space is amortized in. *)
+let crc32_closure () =
+  let buf = Bytes.init 4096 (fun i -> Char.unsafe_chr (i * 7 land 0xFF)) in
+  fun () ->
+    ignore (Sys.opaque_identity (Fsapi.Crc32.update 0 buf ~off:0 ~len:4096))
+
+let strict_pwrite_closure () =
+  let stack = Harness.Fs_config.make Harness.Fs_config.Splitfs_strict in
+  let fs = stack.Harness.Fs_config.fs in
+  Fsapi.Fs.write_file fs "/bench-pw" (String.make 65536 'p');
+  let fd = fs.Fsapi.Fs.open_ "/bench-pw" Fsapi.Flags.rdwr in
+  let buf = Bytes.make 4096 's' in
+  let i = ref 0 in
+  let pwrite () =
+    ignore
+      (fs.Fsapi.Fs.pwrite fd ~buf ~boff:0 ~len:4096 ~at:(!i mod 16 * 4096));
+    incr i;
+    if !i mod 256 = 0 then fs.Fsapi.Fs.fsync fd
+  in
+  (* warm: the staging pool, log and mappings have served a full cycle *)
+  for _ = 1 to 256 do
+    pwrite ()
+  done;
+  pwrite
+
 (* Each entry is a constructor so the test's FS stack is built right
    before its measurement and becomes garbage right after: keeping all
    eleven stacks live at once made the incremental major GC's marking
@@ -165,6 +194,13 @@ let bechamel_tests : (unit -> Test.t) list =
     (fun () ->
       Test.make ~name:"recovery/crash-replay"
         (Staged.stage (recovery_closure ())));
+    (* per layer: the checksum every strict data op computes, and one
+       strict staged write with its log entry and fence *)
+    (fun () ->
+      Test.make ~name:"layer/crc32-4k" (Staged.stage (crc32_closure ())));
+    (fun () ->
+      Test.make ~name:"layer/strict-pwrite-4k"
+        (Staged.stage (strict_pwrite_closure ())));
   ]
 
 (** Run every bechamel test, print one line per test and return the

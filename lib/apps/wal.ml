@@ -7,23 +7,6 @@ type op = Put of string * string | Delete of string
 
 type t = { path : string; fd : Fsapi.Fs.fd; mutable bytes : int }
 
-let crc s =
-  (* same CRC32 as the SplitFS log, reimplemented cheaply over strings *)
-  let table =
-    let t = Array.make 256 0 in
-    for n = 0 to 255 do
-      let c = ref n in
-      for _ = 0 to 7 do
-        if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
-      done;
-      t.(n) <- !c
-    done;
-    t
-  in
-  let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
-  !c lxor 0xFFFFFFFF
-
 let encode op =
   let payload =
     let b = Buffer.create 64 in
@@ -42,7 +25,7 @@ let encode op =
   in
   let b = Buffer.create (String.length payload + 8) in
   Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_int32_le b (Int32.of_int (crc payload));
+  Buffer.add_int32_le b (Int32.of_int (Fsapi.Crc32.string payload));
   Buffer.add_string b payload;
   Buffer.contents b
 
@@ -75,7 +58,7 @@ let replay (fs : Fsapi.Fs.t) path f =
                let stored = Int32.to_int (String.get_int32_le data (!pos + 4)) land 0xFFFFFFFF in
                if plen <= 0 || !pos + 8 + plen > size then raise Exit;
                let payload = String.sub data (!pos + 8) plen in
-               if crc payload <> stored then raise Exit;
+               if Fsapi.Crc32.string payload <> stored then raise Exit;
                (match payload.[0] with
                | 'P' ->
                    let klen = Int32.to_int (String.get_int32_le payload 1) in

@@ -35,7 +35,6 @@ type t = {
   fds : (int, open_file) Hashtbl.t;
   mutable next_fd : int;
   mutable next_ino : int;
-  zero_block : Bytes.t;
 }
 
 (** [create env ~reserved] lays the data area after [reserved] bytes that
@@ -51,7 +50,6 @@ let create (env : Env.t) ~reserved =
     fds = Hashtbl.create 32;
     next_fd = 3;
     next_ino = 2;
-    zero_block = Bytes.make block_size '\000';
   }
 
 let block_addr t phys = t.data_start + (phys * block_size)
@@ -182,8 +180,8 @@ let write_data t file ~off buf ~boff ~len ~cow =
             Kernelfs.Alloc.free_extent t.alloc ~start:old_phys ~len:1
         | None ->
             if n < block_size then
-              Device.store_nt t.env.Env.dev ~addr:(block_addr t start)
-                t.zero_block ~off:0 ~len:block_size);
+              Device.zero_nt t.env.Env.dev ~addr:(block_addr t start)
+                ~len:block_size);
         Kernelfs.Extent_tree.insert file.extents ~logical:lblk ~physical:start
           ~len:1;
         (start, true)
@@ -191,8 +189,8 @@ let write_data t file ~off buf ~boff ~len ~cow =
       else begin
         let phys, fresh = get_or_alloc_block t file lblk in
         if fresh && n < block_size then
-          Device.store_nt t.env.Env.dev ~addr:(block_addr t phys) t.zero_block
-            ~off:0 ~len:block_size;
+          Device.zero_nt t.env.Env.dev ~addr:(block_addr t phys)
+            ~len:block_size;
         (phys, fresh)
       end
     in
@@ -247,9 +245,9 @@ let truncate_data t file size =
       match Kernelfs.Extent_tree.find file.extents (size / block_size) with
       | Some (phys, _) ->
           let in_block = size mod block_size in
-          Device.store_nt t.env.Env.dev
+          Device.zero_nt t.env.Env.dev
             ~addr:(block_addr t phys + in_block)
-            t.zero_block ~off:0 ~len:(block_size - in_block)
+            ~len:(block_size - in_block)
       | None -> ()
   end;
   file.size <- size

@@ -91,7 +91,7 @@ let encode entry =
   | Snapshot { target_ino; snap_ino } ->
       set_ino target_ino;
       Bytes.set_int64_le b 16 (Int64.of_int snap_ino));
-  let crc = Crc32.bytes b in
+  let crc = Fsapi.Crc32.bytes b in
   Bytes.set_int32_le b 4 (Int32.of_int crc);
   b
 
@@ -110,7 +110,7 @@ let decode ?(verify = true) b ~off =
     let stored = Int32.to_int (Bytes.get_int32_le b (off + 4)) land 0xFFFFFFFF in
     let copy = Bytes.sub b off entry_size in
     Bytes.set_int32_le copy 4 0l;
-    if verify && Crc32.bytes copy <> stored then Torn
+    if verify && Fsapi.Crc32.bytes copy <> stored then Torn
     else begin
       let geti pos = Int64.to_int (Bytes.get_int64_le copy pos) in
       let data_op () =

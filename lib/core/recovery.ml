@@ -181,8 +181,10 @@ let verify_final_data ~verify kfs valid =
               Kernelfs.Ext4.pread kfs staging ~off:op.Oplog.staging_off buf
                 ~boff:0 ~len:op.Oplog.len
             in
-            if got = op.Oplog.len && Crc32.bytes buf = op.Oplog.data_crc then
-              (valid, 0)
+            if
+              got = op.Oplog.len
+              && Fsapi.Crc32.bytes buf = op.Oplog.data_crc
+            then (valid, 0)
             else (List.rev earlier, 1)
           end)
   | _ -> (valid, 0)

@@ -41,12 +41,26 @@ type t = {
   file_size : int;
   dir : string;
   in_dram : bool;
-  queue : handle Queue.t;
-      (** the paper uses a lock-free queue; the simulation is single-domain
-          so a plain queue carries the same semantics *)
+  mutable ring : handle array;
+      (** the pool, a FIFO: [pooled] handles from slot [head] on,
+          wrapping; other slots hold [vacant]. The paper uses a lock-free
+          queue; the simulation is single-domain, so a ring carries the
+          same semantics *)
+  mutable head : int;
+  mutable pooled : int;
   mutable created : int;
   mutable live : int;
 }
+
+(* Fills the ring's empty slots. A ring rather than stdlib [Queue]: each
+   Queue push allocates a cell linked from the previous tail cell, and a
+   pop leaves the popped cell's link in place. Once a push links from a
+   cell already in the major heap, every cell pushed after it is
+   reachable from the remembered set at the next minor GC and is
+   promoted, popped or not: major-heap garbage at every acquire/release
+   cycle. Storing a long-lived handle into a ring slot allocates
+   nothing. *)
+let vacant = { h_id = -1; backing = Dram Bytes.empty; s_size = 0; cursor = 0 }
 
 (** Fields of a PM-backed handle; raises on DRAM handles (which cannot be
     relinked). *)
@@ -98,6 +112,20 @@ let new_handle t =
   in
   { h_id = t.created - 1; backing; s_size = t.file_size; cursor = 0 }
 
+(** Append [h] to the pool; a full ring doubles, keeping FIFO order. *)
+let push t h =
+  let cap = Array.length t.ring in
+  if t.pooled = cap then begin
+    let grown = Array.make (2 * cap) vacant in
+    for k = 0 to cap - 1 do
+      grown.(k) <- t.ring.((t.head + k) mod cap)
+    done;
+    t.ring <- grown;
+    t.head <- 0
+  end;
+  t.ring.((t.head + t.pooled) mod Array.length t.ring) <- h;
+  t.pooled <- t.pooled + 1
+
 let create ?(in_dram = false) ~sys ~env ~instance ~count ~file_size () =
   let dir = staging_dir_of instance in
   if not in_dram then (
@@ -105,23 +133,39 @@ let create ?(in_dram = false) ~sys ~env ~instance ~count ~file_size () =
     | () -> ()
     | exception Fsapi.Errno.Error (Fsapi.Errno.EEXIST, _) -> ());
   let t =
-    { sys; env; file_size; dir; in_dram; queue = Queue.create (); created = 0; live = 0 }
+    {
+      sys;
+      env;
+      file_size;
+      dir;
+      in_dram;
+      ring = Array.make (max 1 count) vacant;
+      head = 0;
+      pooled = 0;
+      created = 0;
+      live = 0;
+    }
   in
   for _ = 1 to count do
-    Queue.push (new_handle t) t.queue
+    push t (new_handle t)
   done;
   t
 
-let pool_size t = Queue.length t.queue
+let pool_size t = t.pooled
 let live_files t = t.live
 let bytes_reserved t = t.live * t.file_size
 
 (** Pop a staging file; if the pool ran dry (burst), one is created in the
     foreground — the cost the background thread normally hides. *)
 let acquire t =
-  match Queue.pop t.queue with
-  | h -> h
-  | exception Queue.Empty -> new_handle t
+  if t.pooled = 0 then new_handle t
+  else begin
+    let h = t.ring.(t.head) in
+    t.ring.(t.head) <- vacant;
+    t.head <- (t.head + 1) mod Array.length t.ring;
+    t.pooled <- t.pooled - 1;
+    h
+  end
 
 let retire t h =
   (match h.backing with
@@ -135,7 +179,7 @@ let retire t h =
     replacement is pre-allocated by the background thread. *)
 let release t h =
   let min_useful = max block_size (t.file_size / 8) in
-  if h.s_size - h.cursor >= min_useful then Queue.push h t.queue
+  if h.s_size - h.cursor >= min_useful then push t h
   else begin
     retire t h;
     Env.in_background t.env (fun () ->
@@ -143,7 +187,7 @@ let release t h =
            the pool just stays one file short and the next [acquire]
            retries in the foreground *)
         match new_handle t with
-        | h -> Queue.push h t.queue
+        | h -> push t h
         | exception Fsapi.Errno.Error (Fsapi.Errno.ENOSPC, _) -> ())
   end
 

@@ -435,7 +435,7 @@ let rec stage_write t st ~at buf ~boff ~len =
             staging_ino = Staging.s_ino h;
             staging_off = s;
             len;
-            data_crc = Crc32.bytes buf ~off:boff ~len;
+            data_crc = Fsapi.Crc32.update 0 buf ~off:boff ~len;
           }
         in
         log_entry t

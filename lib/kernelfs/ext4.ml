@@ -47,7 +47,6 @@ type t = {
   inodes : (int, inode) Hashtbl.t;
   mutable next_ino : int;
   root : inode;
-  zero_block : Bytes.t;
   ilocks : Pmem.Lock.t array;
       (** striped inode rwsems: writers to the same inode serialize (VFS
           write path) on stripe [ino land (stripes - 1)]; a fixed-size
@@ -126,7 +125,6 @@ let mkfs ?(journal_len = 8 * 1024 * 1024) ?(alloc_shards = 1)
       inodes = Hashtbl.create 1024;
       next_ino = 3;
       root;
-      zero_block = Bytes.make block_size '\000';
       ilocks = Array.make lock_stripes unused_stripe;
       running_meta = Array.make (Journal.nstreams journal) 0;
       live_maps = [];
@@ -513,8 +511,7 @@ let write_data t inode ~off buf ~boff ~len =
       (* a partially covered fresh block must be zeroed first so reclaimed
          blocks never leak stale bytes (dax_iomap zeroing) *)
       if n < block_size then
-        Device.store_nt t.env.Env.dev ~addr:(block_addr t phys) t.zero_block
-          ~off:0 ~len:block_size
+        Device.zero_nt t.env.Env.dev ~addr:(block_addr t phys) ~len:block_size
     end;
     Device.store_nt t.env.Env.dev
       ~addr:(block_addr t phys + in_block)
@@ -611,9 +608,9 @@ let truncate t inode size =
       | Some (phys, _) ->
           let phys = unshare_block t inode ~lblk ~phys in
           let in_block = size mod block_size in
-          Device.store_nt t.env.Env.dev
+          Device.zero_nt t.env.Env.dev
             ~addr:(block_addr t phys + in_block)
-            t.zero_block ~off:0 ~len:(block_size - in_block)
+            ~len:(block_size - in_block)
       | None -> ()
   end
   else if size > inode.size then begin
@@ -626,9 +623,9 @@ let truncate t inode size =
           let phys = unshare_block t inode ~lblk ~phys in
           let in_block = last mod block_size in
           let n = min (size - last) (block_size - in_block) in
-          Device.store_nt t.env.Env.dev
+          Device.zero_nt t.env.Env.dev
             ~addr:(block_addr t phys + in_block)
-            t.zero_block ~off:0 ~len:n
+            ~len:n
       | None -> ()
   end;
   inode.size <- size;

@@ -42,7 +42,6 @@ type t = {
   block_size : int;
   streams : stream array;
   mutable commits : int;
-  scratch : Bytes.t;
 }
 
 let create ?(streams = 1) ~env ~region_start ~region_len ~block_size () =
@@ -66,7 +65,6 @@ let create ?(streams = 1) ~env ~region_start ~region_len ~block_size () =
     block_size;
     streams = Array.init streams mk;
     commits = 0;
-    scratch = Bytes.make block_size '\000';
   }
 
 let nstreams t = Array.length t.streams
@@ -83,9 +81,10 @@ let stream_for t =
 let write_journal_block t s =
   let dev = t.env.Pmem.Env.dev in
   if s.head + t.block_size > s.st_len then s.head <- 0;
-  Pmem.Device.store_nt dev
-    ~addr:(s.st_start + s.head)
-    t.scratch ~off:0 ~len:t.block_size;
+  (* the simulated journal carries no replayable content (see [commit]):
+     its blocks are zero stores, which leave never-written chunks of the
+     durable image unallocated *)
+  Pmem.Device.zero_nt dev ~addr:(s.st_start + s.head) ~len:t.block_size;
   s.head <- s.head + t.block_size;
   let stats = t.env.Pmem.Env.stats in
   stats.Pmem.Stats.journal_bytes <-

@@ -41,7 +41,7 @@ let word_mask = 0xFFFFFFFF
     chunks, and an absent chunk reads as zero. A shadow image leaves them
     uninitialised: a shadow line is read only while its dirty bit is set,
     and setting it always writes the line first. Every access to either
-    image goes through [read], [write], [copy] and [sub]. *)
+    image goes through [read], [write], [zero], [copy] and [sub]. *)
 module Image = struct
   let chunk_bits = 16
   let chunk_size = 1 lsl chunk_bits
@@ -108,6 +108,19 @@ module Image = struct
         Bytes.blit s within (chunk_for_write dst c) within n
       else if Bytes.length dst.chunks.(c) > 0 || not dst.zeroed then
         Bytes.fill (chunk_for_write dst c) within n '\000';
+      addr := !addr + n;
+      len := !len - n
+    done
+
+  (** Zero [len] image bytes at [addr]. In a durable image an absent
+      chunk already reads as zero, so it stays absent. *)
+  let zero img ~addr ~len =
+    let addr = ref addr and len = ref len in
+    while !len > 0 do
+      let c = !addr lsr chunk_bits and within = !addr land chunk_mask in
+      let n = min !len (chunk_size - within) in
+      if Bytes.length img.chunks.(c) > 0 || not img.zeroed then
+        Bytes.fill (chunk_for_write img c) within n '\000';
       addr := !addr + n;
       len := !len - n
     done
@@ -665,8 +678,9 @@ let store t ~addr src ~off ~len =
   end
 
 (** Non-temporal store: bypasses the cache; durable once a subsequent fence
-    orders it (ADR makes it durable on arrival, the fence is ordering). *)
-let store_nt t ~addr src ~off ~len =
+    orders it (ADR makes it durable on arrival, the fence is ordering).
+    With [zero] the stored bytes are zeros and [src] is not read. *)
+let nt_store t ~zero ~addr src ~off ~len =
   assert (check_range t addr len);
   if len > 0 && not t.halted then begin
     let obs = Simclock.obs t.clock in
@@ -682,7 +696,8 @@ let store_nt t ~addr src ~off ~len =
       t.stats.Stats.slow_path_hits <- t.stats.Stats.slow_path_hits + 1;
       writeback_dirty_range t (addr / line_size) ((addr + len - 1) / line_size)
     end;
-    Image.write t.persistent ~addr src ~off ~len;
+    if zero then Image.zero t.persistent ~addr ~len
+    else Image.write t.persistent ~addr src ~off ~len;
     (* a fully-overwritten poisoned line is healed: the write replaces the
        bad ECC word wholesale (partially-covered boundary lines keep their
        poison — the device would have to read-modify-write them) *)
@@ -702,6 +717,8 @@ let store_nt t ~addr src ~off ~len =
       Obs.emit obs ~name:"pm:w" ~cat:Obs.Media ~actor:a.Simclock.aid ~t0
         ~t1:a.Simclock.a_now
   end
+
+let store_nt t ~addr src ~off ~len = nt_store t ~zero:false ~addr src ~off ~len
 
 (* ------------------------------------------------------------------ *)
 (* Flush / fence                                                        *)
@@ -882,15 +899,20 @@ let load_bytes t ~addr ~len =
 let store_nt_bytes t ~addr b = store_nt t ~addr b ~off:0 ~len:(Bytes.length b)
 let store_bytes t ~addr b = store t ~addr b ~off:0 ~len:(Bytes.length b)
 
-(* Shared zero buffer for [zero_nt]: only ever read from. *)
-let zeros = Bytes.make 65536 '\000'
+(* Longest single NT store [zero_nt] makes: a longer range is stored,
+   counted and charged in pieces of this size. *)
+let zero_piece = 65536
 
-(** Write zeros with non-temporal stores (used to initialise log files). *)
+(** Write zeros with non-temporal stores: the charges, counters, wear,
+    journal versions and poison healing of [store_nt] of a zero buffer,
+    without copying one. A never-written chunk of the durable image stays
+    absent, so zeroing journal blocks and fresh data blocks allocates
+    nothing. *)
 let zero_nt t ~addr ~len =
   let pos = ref addr and remaining = ref len in
   while !remaining > 0 do
-    let n = min !remaining (Bytes.length zeros) in
-    store_nt t ~addr:!pos zeros ~off:0 ~len:n;
+    let n = min !remaining zero_piece in
+    nt_store t ~zero:true ~addr:!pos Bytes.empty ~off:0 ~len:n;
     pos := !pos + n;
     remaining := !remaining - n
   done
@@ -998,7 +1020,7 @@ let migrate_block t ~src ~dst =
       Hashtbl.mem t.poison sline
       && not (t.dirty_count > 0 && line_dirty t sline)
     then begin
-      store_nt t ~addr:d zeros ~off:0 ~len:line_size;
+      zero_nt t ~addr:d ~len:line_size;
       Hashtbl.remove t.poison sline;
       Hashtbl.replace t.quarantined (d / line_size) ();
       incr lost

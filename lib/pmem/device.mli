@@ -92,7 +92,10 @@ val load_bytes : t -> addr:int -> len:int -> Bytes.t
 val store_nt_bytes : t -> addr:int -> Bytes.t -> unit
 val store_bytes : t -> addr:int -> Bytes.t -> unit
 
-(** Write zeros with non-temporal stores (log-file initialisation). *)
+(** Write zeros with non-temporal stores: charged, counted and journalled
+    as [store_nt] of a zero buffer (ranges over 64 KiB as one store per
+    64 KiB piece). Never-written parts of the durable image stay
+    unallocated. *)
 val zero_nt : t -> addr:int -> len:int -> unit
 
 (** Crash: all cache lines not yet flushed (and not written with NT

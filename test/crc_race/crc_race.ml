@@ -1,6 +1,6 @@
 (** First CRC-32 computations racing across domains.
 
-    Campaign domains share [Splitfs.Crc32]'s lookup table. In each round,
+    Campaign domains share [Fsapi.Crc32]'s lookup table. In each round,
     four domains wait at a barrier, then each makes the first CRC-32 call
     of the process at the same moment; every one must return the standard
     check value. A table built lazily on first use fails here: a domain
@@ -23,7 +23,7 @@ let round () =
     while Atomic.get ready < domains do
       Domain.cpu_relax ()
     done;
-    match Splitfs.Crc32.string "123456789" with
+    match Fsapi.Crc32.string "123456789" with
     | crc when crc = expected -> None
     | crc -> Some (Printf.sprintf "got 0x%08X" crc)
     | exception e -> Some (Printexc.to_string e)

@@ -70,6 +70,11 @@ let test_sstable_records_from () =
 (* --- wal --- *)
 
 let test_wal_replay () =
+  (* the record format: payload length, CRC-32 of the payload, payload *)
+  Util.check_str "record bytes"
+    ("\x0b\x00\x00\x00" ^ "\x8f\x8e\x9f\x1a"
+   ^ "P\x01\x00\x00\x00\x01\x00\x00\x00a1")
+    (Apps.Wal.encode (Apps.Wal.Put ("a", "1")));
   with_stack (fun _env _sys fs ->
       let w = Apps.Wal.open_ fs "/test.wal" in
       Apps.Wal.append fs w (Apps.Wal.Put ("a", "1")) ~sync:false;

@@ -101,6 +101,21 @@ let test_host_tolerance () =
     [ "scale10k/dispatch/heap-ns" ]
     (keys_of (Harness.Benchdiff.regressed r))
 
+(* The Bechamel kernels of bench/main.ml, end-to-end and per-layer, are
+   host keys (judged inside the band); the simulated tables are exact. *)
+let test_kernel_names_are_host () =
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " is a host key") true
+        (Harness.Benchdiff.is_host k))
+    [
+      "table6/varmail-splitfs-strict";
+      "layer/crc32-4k";
+      "layer/strict-pwrite-4k";
+    ];
+  Alcotest.(check bool) "a simulated table key is exact" false
+    (Harness.Benchdiff.is_host "table6/sim/splitfs-strict/append")
+
 (* Direction: SLO attainment and speedups are better when higher. *)
 let test_higher_is_better () =
   let set k v =
@@ -241,6 +256,7 @@ let suite =
     tc "identical files pass" `Quick test_identical_ok;
     tc "sim keys are exact" `Quick test_sim_exact;
     tc "host keys get the tolerance band" `Quick test_host_tolerance;
+    tc "bechamel kernels are host keys" `Quick test_kernel_names_are_host;
     tc "slo and speedup are higher-better" `Quick test_higher_is_better;
     tc "exact counts regress both ways" `Quick test_exact_counts_both_ways;
     tc "schema mismatch refused, legacy accepted" `Quick test_schema_refusal;

@@ -213,6 +213,57 @@ let test_torn_tail_entry_skipped () =
   Util.check_str "valid prefix replayed" "good data!"
     (kread (Kernelfs.Syscall.as_fsapi sys) "/torn")
 
+(* The final data entry's staged bytes are checked against the CRC the
+   entry carries: entry and data share one fence, so a crash can keep the
+   entry and tear the data. One strict append makes both durable; with
+   one staged byte flipped in the durable image the entry is dropped,
+   intact it is replayed. *)
+let final_entry_recovery ~flip =
+  let env, kfs, sys, u, fs = Util.make_splitfs ~mode:Splitfs.Config.Strict () in
+  let payload = Util.pattern ~seed:9 3000 in
+  let fd = fs.open_ "/final" Fsapi.Flags.create_rw in
+  Fsapi.Fs.write_string fs fd payload;
+  let log =
+    match Splitfs.Usplit.oplog u with
+    | Some log -> log
+    | None -> Alcotest.fail "no oplog"
+  in
+  let scan = Splitfs.Oplog.scan sys (Splitfs.Oplog.path log) in
+  let op =
+    match List.rev scan.Splitfs.Oplog.valid with
+    | Splitfs.Oplog.Append op :: _ -> op
+    | _ -> Alcotest.fail "the final log entry is not the append"
+  in
+  Util.check_int "entry covers the write" 3000 op.Splitfs.Oplog.len;
+  let dev = env.Pmem.Env.dev in
+  if flip then begin
+    let staging = Kernelfs.Ext4.inode_of kfs op.Splitfs.Oplog.staging_ino in
+    match
+      Kernelfs.Ext4.device_addr kfs staging
+        ~off:(op.Splitfs.Oplog.staging_off + 1234)
+    with
+    | Some addr ->
+        let b = Pmem.Device.peek_persistent dev ~addr ~len:1 in
+        Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x10));
+        Pmem.Device.poke_persistent dev ~addr b ~off:0 ~len:1
+    | None -> Alcotest.fail "staged byte not mapped"
+  end;
+  Pmem.Device.crash dev;
+  let report = Splitfs.Recovery.recover ~sys ~env ~instance:0 in
+  (report, kread (Kernelfs.Syscall.as_fsapi sys) "/final", payload)
+
+let test_torn_final_data_dropped () =
+  let report, data, _ = final_entry_recovery ~flip:true in
+  Util.check_int "entry dropped" 1 report.Splitfs.Recovery.torn_data_entries;
+  Util.check_int "nothing replayed" 0 report.Splitfs.Recovery.entries_replayed;
+  Util.check_str "file keeps its pre-write content" "" data
+
+let test_intact_final_data_replayed () =
+  let report, data, payload = final_entry_recovery ~flip:false in
+  Util.check_int "no entry dropped" 0 report.Splitfs.Recovery.torn_data_entries;
+  Util.check_int "entry replayed" 1 report.Splitfs.Recovery.entries_replayed;
+  Util.check_str "write recovered" payload data
+
 let test_remount_after_recovery () =
   (* after crash + recovery, a fresh U-Split instance must serve the data *)
   let env, _kfs, sys, _u, fs = Util.make_splitfs ~mode:Splitfs.Config.Strict () in
@@ -269,6 +320,10 @@ let suite =
     tc "fams: double replay = single, incl. mid-publish states" `Quick
       (test_double_replay_idempotent Splitfs.Config.Fams);
     tc "torn tail entry skipped" `Quick test_torn_tail_entry_skipped;
+    tc "strict: torn final data drops its entry" `Quick
+      test_torn_final_data_dropped;
+    tc "strict: intact final data is replayed" `Quick
+      test_intact_final_data_replayed;
     tc "fresh mount after recovery" `Quick test_remount_after_recovery;
     QCheck_alcotest.to_alcotest prop_strict_crash_recovers_everything;
   ]

@@ -147,6 +147,9 @@ module Naive = struct
       end
     end
 
+  let zero_nt t ~addr ~len =
+    store_nt t ~addr (Bytes.make len '\000') ~off:0 ~len
+
   let peek t ~addr ~len = Bytes.sub t.persistent addr len
   let poke t ~addr src ~off ~len = Bytes.blit src off t.persistent addr len
 
@@ -205,7 +208,10 @@ let straddling rng ~len =
   let boundary = chunk * (1 + Workloads.Rng.int rng 3) in
   boundary - 1 - Workloads.Rng.int rng (max 1 (len - 1))
 
-let run_ops ~seed ~ops ?(place = anywhere) () =
+(* [zero_nt] turns a quarter of the NT stores into zero stores without
+   changing the random stream, so a seed's addresses, lengths and crash
+   points stay the same. *)
+let run_ops ~seed ~ops ?(place = anywhere) ?(zero_nt = false) () =
   let rng = Workloads.Rng.create seed in
   let env = Pmem.Env.create ~capacity () in
   let dev = env.Env.dev in
@@ -225,6 +231,9 @@ let run_ops ~seed ~ops ?(place = anywhere) () =
     | r when r < 30 ->
         Naive.store naive ~addr payload ~off ~len;
         Device.store dev ~addr payload ~off ~len
+    | r when r < 50 && zero_nt && r >= 45 ->
+        Naive.zero_nt naive ~addr ~len;
+        Device.zero_nt dev ~addr ~len
     | r when r < 50 ->
         Naive.store_nt naive ~addr payload ~off ~len;
         Device.store_nt dev ~addr payload ~off ~len
@@ -269,6 +278,9 @@ let test_differential_seed2 () = run_ops ~seed:42 ~ops:2500 ()
 
 let test_chunk_straddles () =
   run_ops ~seed:11 ~ops:3000 ~place:straddling ()
+
+let test_differential_zero_nt () =
+  run_ops ~seed:0x2E50 ~ops:3000 ~zero_nt:true ()
 
 (* Narrow window: nearly every op hits the same few blocks, maximising
    dirty/clean span alternation inside single bitmap words. *)
@@ -375,6 +387,115 @@ let test_create_cost () =
   Util.check_str "far end" (String.make 64 'z')
     (Bytes.to_string (Device.load_bytes dev ~addr:(capacity - 64) ~len:64))
 
+(* ------------------------------------------------------------------ *)
+(* Zero stores                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Zeroing never-written chunks allocates none of them: the whole of a
+   1 GiB device is zeroed under the set-up budget above, and reads back
+   as zeros. *)
+let test_zero_nt_keeps_absent_chunks () =
+  let capacity = 1 lsl 30 in
+  let env = Pmem.Env.create ~capacity () in
+  let dev = env.Env.dev in
+  let before = Gc.allocated_bytes () in
+  Device.zero_nt dev ~addr:0 ~len:capacity;
+  let used = Gc.allocated_bytes () -. before in
+  if used >= 0.01 *. float_of_int capacity then
+    Alcotest.failf "zero_nt of %d never-written bytes allocated %.0f bytes"
+      capacity used;
+  Util.check_int "one NT store per 64 KiB" (capacity / chunk)
+    env.Env.stats.Stats.nt_stores;
+  List.iter
+    (fun addr ->
+      let len = 3 * chunk in
+      check_bytes ~op_no:0 "zeroed bytes" (Bytes.make len '\000')
+        (Device.load_bytes dev ~addr ~len))
+    [ 0; (capacity / 2) + 4097; capacity - (3 * chunk) ]
+
+(* Over written data, zero_nt zeroes its range and nothing else:
+   unaligned ends, three chunks, and a dirty cached line inside the range
+   that the store must invalidate. *)
+let test_zero_nt_exact_range () =
+  let capacity = 8 * chunk in
+  let env = Pmem.Env.create ~capacity () in
+  let dev = env.Env.dev in
+  let data = Bytes.init capacity (fun i -> Char.chr (1 + (i * 31 mod 251))) in
+  Device.store_nt dev ~addr:0 data ~off:0 ~len:capacity;
+  Device.store dev ~addr:((2 * chunk) + 100) (Bytes.make 10 'c') ~off:0
+    ~len:10;
+  let addr = chunk + 4001 and len = (2 * chunk) + 3333 in
+  Device.zero_nt dev ~addr ~len;
+  Util.check_int "covered dirty line written back" 0 (Device.dirty_lines dev);
+  let expect = Bytes.copy data in
+  Bytes.fill expect addr len '\000';
+  check_bytes ~op_no:0 "durable image" expect
+    (Device.peek_persistent dev ~addr:0 ~len:capacity);
+  check_bytes ~op_no:0 "loaded image" expect
+    (Device.load_bytes dev ~addr:0 ~len:capacity)
+
+(* zero_nt is store_nt of a zero buffer to every observer: simulated
+   time, media charge, NT-store and byte counters, fast/slow-path hits,
+   wear, dirty lines, the durable image, and the persist-order journal's
+   pending versions. Each range is at most one 64 KiB piece; ranges hit
+   never-written chunks, written ones and dirty cached lines. *)
+let test_zero_nt_bookkeeping () =
+  let capacity = 8 * chunk in
+  let mk () =
+    let env = Pmem.Env.create ~capacity () in
+    Device.journal_begin env.Env.dev;
+    env
+  in
+  let a = mk () and b = mk () in
+  let zeros = Bytes.make chunk '\000' in
+  let payload = Bytes.init 9000 (fun i -> Char.chr (i land 0xFF)) in
+  let both f =
+    f a.Env.dev;
+    f b.Env.dev
+  in
+  let ranges =
+    [
+      (0, 64);
+      (100, 5000);
+      ((3 * chunk) - 70, 140);
+      ((5 * chunk) + 3, chunk - 3);
+      (4096, 4096);
+      ((6 * chunk) + 1000, 1);
+    ]
+  in
+  both (fun d -> Device.store_nt d ~addr:2000 payload ~off:0 ~len:9000);
+  both (fun d ->
+      Device.store d ~addr:((3 * chunk) - 10) payload ~off:0 ~len:20);
+  both Device.fence;
+  List.iteri
+    (fun i (addr, len) ->
+      Device.store_nt a.Env.dev ~addr zeros ~off:0 ~len;
+      Device.zero_nt b.Env.dev ~addr ~len;
+      let tag msg = Printf.sprintf "range %d: %s" i msg in
+      check_float (tag "clock") (Env.now a) (Env.now b);
+      check_float (tag "media_ns") a.Env.stats.Stats.media_ns
+        b.Env.stats.Stats.media_ns;
+      let count name f =
+        Util.check_int (tag name) (f a.Env.stats) (f b.Env.stats)
+      in
+      count "nt_stores" (fun s -> s.Stats.nt_stores);
+      count "pm_write_bytes" (fun s -> s.Stats.pm_write_bytes);
+      count "fast path" (fun s -> s.Stats.fast_path_hits);
+      count "slow path" (fun s -> s.Stats.slow_path_hits);
+      Util.check_int (tag "dirty lines") (Device.dirty_lines a.Env.dev)
+        (Device.dirty_lines b.Env.dev);
+      for blk = 0 to (capacity / Device.block_size) - 1 do
+        Util.check_int (tag (Printf.sprintf "wear of block %d" blk))
+          (Device.wear_of_block a.Env.dev blk)
+          (Device.wear_of_block b.Env.dev blk)
+      done;
+      if Device.pending_now a.Env.dev <> Device.pending_now b.Env.dev then
+        Alcotest.failf "%s" (tag "pending versions differ");
+      check_bytes ~op_no:i "durable images"
+        (Device.peek_persistent a.Env.dev ~addr:0 ~len:capacity)
+        (Device.peek_persistent b.Env.dev ~addr:0 ~len:capacity))
+    ranges
+
 let suite =
   [
     tc "differential vs naive model (seed 1)" `Quick test_differential_seed1;
@@ -383,4 +504,11 @@ let suite =
     tc "differential, chunk-straddling accesses" `Quick test_chunk_straddles;
     tc "never-written chunks read as zero" `Quick test_unwritten_chunks;
     tc "device set-up allocates under 1% of capacity" `Quick test_create_cost;
+    tc "differential with zero stores (seed 0x2E50)" `Quick
+      test_differential_zero_nt;
+    tc "zero_nt leaves never-written chunks unallocated" `Quick
+      test_zero_nt_keeps_absent_chunks;
+    tc "zero_nt zeroes exactly its range" `Quick test_zero_nt_exact_range;
+    tc "zero_nt bookkeeping = store_nt of zeros" `Quick
+      test_zero_nt_bookkeeping;
   ]

@@ -56,8 +56,81 @@ let test_errno_printer () =
 
 let test_crc32_known_vector () =
   (* standard CRC-32 of "123456789" is 0xCBF43926 *)
-  Util.check_int "check vector" 0xCBF43926 (Splitfs.Crc32.string "123456789");
-  Util.check_int "empty" 0 (Splitfs.Crc32.string "")
+  Util.check_int "check vector" 0xCBF43926 (Fsapi.Crc32.string "123456789");
+  Util.check_int "empty" 0 (Fsapi.Crc32.string "")
+
+(* Byte-at-a-time CRC-32, the definition [Fsapi.Crc32.update]'s
+   word-at-a-time loop must reproduce bit for bit. *)
+let reference_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let reference_crc crc buf ~off ~len =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = off to off + len - 1 do
+    c :=
+      reference_table.((!c lxor Char.code (Bytes.get buf i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let random_bytes ~seed len =
+  let rng = Workloads.Rng.create seed in
+  Bytes.init len (fun _ -> Char.chr (Workloads.Rng.int rng 256))
+
+let test_crc32_matches_reference () =
+  let buf = random_bytes ~seed:0xC3C 4200 in
+  let check ~off ~len =
+    let want = reference_crc 0 buf ~off ~len in
+    let got = Fsapi.Crc32.update 0 buf ~off ~len in
+    if got <> want then
+      Alcotest.failf "off %d len %d: got 0x%08X, reference 0x%08X" off len got
+        want
+  in
+  for off = 0 to 15 do
+    for len = 0 to 300 do
+      check ~off ~len
+    done;
+    List.iter (fun len -> check ~off ~len) [ 4095; 4096; 4103 ]
+  done;
+  (* a different buffer, so a table indexing slip cannot hide behind one
+     lucky byte pattern *)
+  let other = random_bytes ~seed:7 4103 in
+  Util.check_int "second buffer"
+    (reference_crc 0 other ~off:0 ~len:4103)
+    (Fsapi.Crc32.update 0 other ~off:0 ~len:4103)
+
+let test_crc32_chains () =
+  let buf = random_bytes ~seed:0xC4A1 600 in
+  List.iter
+    (fun (a, b) ->
+      let whole = Fsapi.Crc32.update 0 buf ~off:3 ~len:(a + b) in
+      let chained =
+        Fsapi.Crc32.update
+          (Fsapi.Crc32.update 0 buf ~off:3 ~len:a)
+          buf ~off:(3 + a) ~len:b
+      in
+      Util.check_int (Printf.sprintf "split %d + %d" a b) whole chained;
+      Util.check_int
+        (Printf.sprintf "reference %d + %d" a b)
+        (reference_crc 0 buf ~off:3 ~len:(a + b))
+        chained)
+    [ (0, 0); (0, 17); (1, 15); (7, 9); (16, 16); (15, 300); (33, 555) ]
+
+let test_crc32_range_checked () =
+  let buf = Bytes.make 32 'c' in
+  List.iter
+    (fun (off, len) ->
+      match Fsapi.Crc32.update 0 buf ~off ~len with
+      | _ -> Alcotest.failf "off %d len %d: no Invalid_argument" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 4); (0, -1); (0, 33); (17, 16); (32, 1); (33, 0); (max_int, 2) ];
+  Util.check_int "empty range at the end" 0
+    (Fsapi.Crc32.update 0 buf ~off:32 ~len:0)
 
 let test_journal_accounting () =
   let env = Util.make_env () in
@@ -106,6 +179,10 @@ let suite =
     tc "reference FS POSIX semantics" `Quick test_ref_fs_is_posixish;
     tc "errno printer" `Quick test_errno_printer;
     tc "crc32 check vector" `Quick test_crc32_known_vector;
+    tc "crc32 matches byte-at-a-time reference" `Quick
+      test_crc32_matches_reference;
+    tc "crc32 chained updates" `Quick test_crc32_chains;
+    tc "crc32 range checked" `Quick test_crc32_range_checked;
     tc "journal accounting" `Quick test_journal_accounting;
     tc "zipf deterministic" `Quick test_zipf_deterministic;
     tc "split_on_string" `Quick test_str_split;

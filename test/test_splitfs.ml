@@ -382,6 +382,59 @@ let prop_equiv_with_ext4 mode =
         ops;
       !ok && Test_ext4.final_states_agree split_fs ext4_fs)
 
+(* --- staging pool ------------------------------------------------------ *)
+
+let staging_pool ~count =
+  let env, _kfs, sys = Util.make_kernel () in
+  Splitfs.Staging.create ~sys ~env ~instance:0 ~count ~file_size:(64 * 1024) ()
+
+(* The pool hands out handles first in, first out. Three rotations, each
+   taking every pooled handle and returning them in another order: the
+   first overruns the pool by one (a foreground handle joins it), the
+   second returns one handle used up (it is retired and a background
+   replacement joins first). A final drain shows the order left behind. *)
+let test_staging_pool_order () =
+  let module S = Splitfs.Staging in
+  let pool = staging_pool ~count:3 in
+  let take n = List.init n (fun _ -> S.acquire pool) in
+  let ids hs = List.map (fun h -> h.S.h_id) hs in
+  let give order hs =
+    List.iter (fun id -> S.release pool (List.find (fun h -> h.S.h_id = id) hs))
+      order
+  in
+  let r1 = take 4 in
+  Alcotest.(check (list int)) "rotation 1" [ 0; 1; 2; 3 ] (ids r1);
+  give [ 2; 0; 3; 1 ] r1;
+  let r2 = take 4 in
+  Alcotest.(check (list int)) "rotation 2" [ 2; 0; 3; 1 ] (ids r2);
+  let used = List.find (fun h -> h.S.h_id = 1) r2 in
+  ignore (S.reserve used ~align_rem:0 (S.remaining used));
+  give [ 1; 3; 2; 0 ] r2;
+  Util.check_int "retired handle replaced" 4 (S.live_files pool);
+  let r3 = take 4 in
+  Alcotest.(check (list int)) "rotation 3" [ 4; 3; 2; 0 ] (ids r3);
+  give [ 0; 2; 3; 4 ] r3;
+  Util.check_int "all pooled" 4 (S.pool_size pool);
+  Alcotest.(check (list int)) "left behind" [ 0; 2; 3; 4 ] (ids (take 4));
+  Util.check_int "drained" 0 (S.pool_size pool)
+
+(* A warm release/acquire cycle allocates nothing: no queue cell that
+   could be promoted behind an old one. Native-only, like the clock
+   funnel pin in test_obs.ml. *)
+let test_staging_cycle_alloc_free () =
+  match Sys.backend_type with
+  | Sys.Native ->
+      let module S = Splitfs.Staging in
+      let pool = staging_pool ~count:2 in
+      let cycle () = S.release pool (S.acquire pool) in
+      for _ = 1 to 100 do cycle () done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do cycle () done;
+      let words = Gc.minor_words () -. w0 in
+      if words <> 0. then
+        Alcotest.failf "1000 release/acquire cycles allocated %.0f words" words
+  | _ -> ()
+
 let suite =
   [
     tc "roundtrip in all modes" `Quick test_roundtrip;
@@ -415,6 +468,9 @@ let suite =
     tc "oplog checkpoint when full" `Quick test_oplog_checkpoint_on_full;
     tc "DRAM staging ablation functional" `Quick test_dram_staging_functional;
     tc "memory usage reported" `Quick test_memory_usage_reported;
+    tc "staging pool hands out handles FIFO" `Quick test_staging_pool_order;
+    tc "staging release/acquire allocates nothing" `Quick
+      test_staging_cycle_alloc_free;
     QCheck_alcotest.to_alcotest (prop_equiv_with_ext4 Splitfs.Config.Posix);
     QCheck_alcotest.to_alcotest (prop_equiv_with_ext4 Splitfs.Config.Sync);
     QCheck_alcotest.to_alcotest (prop_equiv_with_ext4 Splitfs.Config.Strict);
