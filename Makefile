@@ -16,25 +16,23 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Perf-trajectory point for this PR: host ns/op per experiment kernel
-# (bechamel) plus simulated ns/op per scaling configuration, plus the
-# domain-parallel campaign wall times (par/*). Carries a meta block
-# (schema/seed/jobs/stacks) so bench-diff can refuse cross-schema
-# comparisons. The existing simulated-ns entries must be bit-identical
-# to BENCH_PR9.json (the fams mode must not perturb the other stacks) —
-# enforced by the bench-diff gate below.
+# Perf-trajectory point (schema 3) from a full run: every simulated
+# table, count and attainment, the 10k-actor sweep, the Bechamel host
+# ns/op per experiment kernel and the campaign wall times (par/*), each
+# key with its unit and declared gate at full precision, under a meta
+# block (schema/mode/seed/jobs/stacks). The committed file is the
+# baseline the bench-diff gate below judges by.
 bench-json:
-	dune exec bench/main.exe -- --json BENCH_PR10.json
+	dune exec bench/main.exe -- --json BENCH_PR16.json
 
 # Perf-regression sentinel: regenerate the deterministic (sim-only)
-# trajectory subset in fast mode and judge it against the last committed
-# snapshot. Sim-ns keys are compared exactly; --subset accepts that a
-# fast run carries no host-clock entries; --strict-meta refuses a
-# baseline without a meta block (every snapshot since PR 9 carries one).
-# Exits non-zero on regression.
+# trajectory in fast mode and judge it against the last committed
+# snapshot, each key by the gate the snapshot declares. Exact and sim
+# keys have no tolerance; the fast run's meta.mode lets it omit the host
+# and 10k-actor keys. Exits 1 on a regression, 2 if a file is refused.
 bench-diff:
 	dune exec bench/main.exe -- --fast --json BENCH_NEW_FAST.json
-	dune exec bin/splitfs_cli.exe -- bench-diff BENCH_PR9.json BENCH_NEW_FAST.json --subset --strict-meta
+	dune exec bin/splitfs_cli.exe -- bench-diff BENCH_PR16.json BENCH_NEW_FAST.json
 
 # Scale-out serving tier smoke: the multi-tenant sweep up to N=1000
 # actors across all six stacks, plus the scheduler dispatch-overhead
@@ -119,11 +117,13 @@ par-bench:
 # Full verification: build, unit + property + differential tests, the
 # four verification campaigns diffed against their golden reports, and
 # the paper tables as a smoke test of every experiment stack. Campaigns
-# run with $(JOBS) worker domains.
+# run with $(JOBS) worker domains. The par-bench table is also kept in
+# par-walltime.txt, with par-bench's exit status.
 check:
 	dune build
 	dune runtest
 	$(MAKE) golden
 	dune exec bin/splitfs_cli.exe -- scale --fast --jobs $(JOBS)
-	dune exec bin/splitfs_cli.exe -- par-bench
+	dune exec bin/splitfs_cli.exe -- par-bench > par-walltime.txt; \
+	  status=$$?; cat par-walltime.txt; exit $$status
 	$(MAKE) bench-diff

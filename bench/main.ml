@@ -6,9 +6,9 @@
 
     Usage: [dune exec bench/main.exe] (paper tables + bechamel)
            [dune exec bench/main.exe -- --fast] (paper tables only)
-           [dune exec bench/main.exe -- --json <path>] (also write the
-           host ns/op estimates to [path] as a perf-trajectory point:
-           [{"tests": {"<name>": {"ns_per_op": N}}, "date": "..."}]) *)
+           [dune exec bench/main.exe -- --json <path>] (also write every
+           recorded value to [path] as a perf-trajectory point: each key
+           with its unit and declared gate, see {!Harness.Benchdiff}) *)
 
 open Bechamel
 open Toolkit
@@ -143,6 +143,19 @@ let strict_pwrite_closure () =
   done;
   pwrite
 
+(* ------------------------------------------------------------------ *)
+(* Perf trajectory: every recorded value with its unit and gate, one     *)
+(* file per PR (Harness.Benchdiff writes, reads and diffs them)          *)
+(* ------------------------------------------------------------------ *)
+
+module B = Harness.Benchdiff
+
+let point gate unit key value = { B.key; value; unit; gate }
+let sim_ns = point B.Sim_lower "ns"
+let host_ns = point B.Host_lower "ns"
+let host_speedup = point B.Host_higher "x"
+let count unit key n = point B.Exact unit key (float_of_int n)
+
 (* Each entry is a constructor so the test's FS stack is built right
    before its measurement and becomes garbage right after: keeping all
    eleven stacks live at once made the incremental major GC's marking
@@ -203,8 +216,8 @@ let bechamel_tests : (unit -> Test.t) list =
         (Staged.stage (strict_pwrite_closure ())));
   ]
 
-(** Run every bechamel test, print one line per test and return the
-    (name, host ns/op) estimates in declaration order. *)
+(** Run every bechamel test, print one line per test and return the host
+    ns/op estimates in declaration order. *)
 let run_bechamel () =
   let instances = Instance.[ monotonic_clock ] in
   (* long enough for the OLS estimate to converge on closures that mutate
@@ -228,62 +241,17 @@ let run_bechamel () =
           match Analyze.OLS.estimates result with
           | Some [ est ] ->
               Printf.printf "%-34s %10.0f ns/op (host)\n" name est;
-              (name, est) :: acc
+              host_ns name est :: acc
           | _ ->
               Printf.printf "%-34s (no estimate)\n" name;
               acc)
         ols [])
     bechamel_tests
 
-(* ------------------------------------------------------------------ *)
-(* JSON perf trajectory: one point per PR, diffable across sessions     *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* schema 2: trajectory files carry a meta block so `splitfs_cli
-   bench-diff` can refuse cross-schema comparisons instead of producing a
-   misleading table. Bump [schema_version] whenever key names or units
-   change meaning. *)
-let schema_version = 2
-let campaign_seed = 0x51ED
-
-let write_trajectory ?(mode = "full") path estimates =
-  let tm = Unix.gmtime (Unix.time ()) in
-  let date =
-    Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-      tm.Unix.tm_mday
-  in
-  let oc = open_out path in
-  output_string oc "{\n  \"meta\": {\n";
-  Printf.fprintf oc "    \"schema\": %d,\n" schema_version;
-  Printf.fprintf oc "    \"mode\": \"%s\",\n" mode;
-  Printf.fprintf oc "    \"seed\": %d,\n" campaign_seed;
-  Printf.fprintf oc "    \"jobs\": %d,\n" (Par.resolve_jobs ());
-  Printf.fprintf oc "    \"stacks\": [%s]\n"
-    (String.concat ", "
-       (List.map
-          (fun s -> Printf.sprintf "\"%s\"" (Harness.Fs_config.name s))
-          Harness.Experiments.scale_specs));
-  output_string oc "  },\n  \"tests\": {\n";
-  List.iteri
-    (fun i (name, est) ->
-      Printf.fprintf oc "    \"%s\": {\"ns_per_op\": %.1f}%s\n" (json_escape name)
-        est
-        (if i = List.length estimates - 1 then "" else ","))
-    estimates;
-  Printf.fprintf oc "  },\n  \"date\": \"%s\"\n}\n" date;
-  close_out oc;
+let write_trajectory ~mode points path =
+  B.write ~mode ~seed:0x51ED ~jobs:(Par.resolve_jobs ())
+    ~stacks:(List.map Harness.Fs_config.name Harness.Experiments.scale_specs)
+    path points;
   Printf.printf "\nwrote perf trajectory point to %s\n" path
 
 (* The scaling experiment's trajectory entries carry *simulated* ns/op
@@ -295,10 +263,11 @@ let scaling_estimates results =
     (fun (spec, rs) ->
       List.map
         (fun (r : Harness.Multiclient.result) ->
-          ( Printf.sprintf "scaling/%s-%dc" (Harness.Fs_config.name spec)
-              r.Harness.Multiclient.nclients,
-            r.Harness.Multiclient.makespan_ns
-            /. float_of_int (max 1 r.Harness.Multiclient.total_ops) ))
+          sim_ns
+            (Printf.sprintf "scaling/%s-%dc" (Harness.Fs_config.name spec)
+               r.Harness.Multiclient.nclients)
+            (r.Harness.Multiclient.makespan_ns
+            /. float_of_int (max 1 r.Harness.Multiclient.total_ops)))
         rs)
     results
 
@@ -317,20 +286,21 @@ let scale_estimates results (d : Harness.Experiments.dispatch_result) =
               r.Harness.Multiclient.sr_nactors
           in
           [
-            ( base,
-              r.Harness.Multiclient.sr_makespan_ns
-              /. float_of_int (max 1 r.Harness.Multiclient.sr_total_ops) );
-            (base ^ "/p999", r.Harness.Multiclient.sr_p999_ns);
-            (base ^ "/slo", r.Harness.Multiclient.sr_slo_attainment);
+            sim_ns base
+              (r.Harness.Multiclient.sr_makespan_ns
+              /. float_of_int (max 1 r.Harness.Multiclient.sr_total_ops));
+            sim_ns (base ^ "/p999") r.Harness.Multiclient.sr_p999_ns;
+            point B.Sim_higher "fraction" (base ^ "/slo")
+              r.Harness.Multiclient.sr_slo_attainment;
           ])
         rs)
     results
   @ [
-      ( "scale10k/dispatch/heap_host_ns",
-        d.Harness.Experiments.db_heap_ns_per_dispatch );
-      ( "scale10k/dispatch/scan_host_ns",
-        d.Harness.Experiments.db_scan_ns_per_dispatch );
-      ("scale10k/dispatch/speedup", d.Harness.Experiments.db_speedup);
+      host_ns "scale10k/dispatch/heap_host_ns"
+        d.Harness.Experiments.db_heap_ns_per_dispatch;
+      host_ns "scale10k/dispatch/scan_host_ns"
+        d.Harness.Experiments.db_scan_ns_per_dispatch;
+      host_speedup "scale10k/dispatch/speedup" d.Harness.Experiments.db_speedup;
     ]
 
 (* Latency percentiles and the overhead attribution likewise carry
@@ -345,10 +315,10 @@ let latency_estimates rows =
           r.Harness.Experiments.lat_op
       in
       [
-        (base ^ "/p50", r.Harness.Experiments.lat_p50);
-        (base ^ "/p90", r.Harness.Experiments.lat_p90);
-        (base ^ "/p99", r.Harness.Experiments.lat_p99);
-        (base ^ "/p999", r.Harness.Experiments.lat_p999);
+        sim_ns (base ^ "/p50") r.Harness.Experiments.lat_p50;
+        sim_ns (base ^ "/p90") r.Harness.Experiments.lat_p90;
+        sim_ns (base ^ "/p99") r.Harness.Experiments.lat_p99;
+        sim_ns (base ^ "/p999") r.Harness.Experiments.lat_p999;
       ])
     rows
 
@@ -359,15 +329,14 @@ let latency_estimates rows =
 let fault_estimates reports =
   List.concat_map
     (fun (r : Faultcheck.stack_report) ->
+      let trials outcome =
+        count "trials" (Printf.sprintf "faults/%s/%s" r.Faultcheck.s_stack outcome)
+      in
       [
-        (Printf.sprintf "faults/%s/untriggered" r.Faultcheck.s_stack,
-         float_of_int r.Faultcheck.s_untriggered);
-        (Printf.sprintf "faults/%s/masked" r.Faultcheck.s_stack,
-         float_of_int r.Faultcheck.s_masked);
-        (Printf.sprintf "faults/%s/retried" r.Faultcheck.s_stack,
-         float_of_int r.Faultcheck.s_retried);
-        (Printf.sprintf "faults/%s/errno" r.Faultcheck.s_stack,
-         float_of_int r.Faultcheck.s_errno);
+        trials "untriggered" r.Faultcheck.s_untriggered;
+        trials "masked" r.Faultcheck.s_masked;
+        trials "retried" r.Faultcheck.s_retried;
+        trials "errno" r.Faultcheck.s_errno;
       ])
     reports
 
@@ -382,9 +351,9 @@ let degraded_estimates rows =
           r.Harness.Experiments.dg_variant
       in
       [
-        (base ^ "/p50", r.Harness.Experiments.dg_p50);
-        (base ^ "/p90", r.Harness.Experiments.dg_p90);
-        (base ^ "/p99", r.Harness.Experiments.dg_p99);
+        sim_ns (base ^ "/p50") r.Harness.Experiments.dg_p50;
+        sim_ns (base ^ "/p90") r.Harness.Experiments.dg_p90;
+        sim_ns (base ^ "/p99") r.Harness.Experiments.dg_p99;
       ])
     rows
 
@@ -396,10 +365,11 @@ let profile_estimates rows =
           if ns = 0. then None
           else
             Some
-              ( Printf.sprintf "profile/%s/%s"
-                  (Harness.Fs_config.name r.Harness.Experiments.pr_spec)
-                  (Obs.cat_name cat),
-                ns /. float_of_int r.Harness.Experiments.pr_ops ))
+              (sim_ns
+                 (Printf.sprintf "profile/%s/%s"
+                    (Harness.Fs_config.name r.Harness.Experiments.pr_spec)
+                    (Obs.cat_name cat))
+                 (ns /. float_of_int r.Harness.Experiments.pr_ops)))
         r.Harness.Experiments.pr_breakdown)
     rows
 
@@ -412,9 +382,10 @@ let profile_estimates rows =
 let litmus_estimates runs =
   List.map
     (fun (r : Crashcheck.Litmus.run) ->
-      ( Printf.sprintf "litmus/%s/%s" r.Crashcheck.Litmus.r_pattern
-          r.Crashcheck.Litmus.r_config,
-        float_of_int r.Crashcheck.Litmus.r_states ))
+      count "states"
+        (Printf.sprintf "litmus/%s/%s" r.Crashcheck.Litmus.r_pattern
+           r.Crashcheck.Litmus.r_config)
+        r.Crashcheck.Litmus.r_states)
     runs
 
 (* FAMS-vs-WAL: per-commit simulated latency of the mmap-native page
@@ -428,17 +399,19 @@ let fams_estimates rows =
           (Harness.Fs_config.name r.Harness.Experiments.fw_spec)
       in
       [
-        (base ^ "/p50", r.Harness.Experiments.fw_p50_ns);
-        (base ^ "/p99", r.Harness.Experiments.fw_p99_ns);
-        (base ^ "/recovery-ms", r.Harness.Experiments.fw_recovery_ms);
+        sim_ns (base ^ "/p50") r.Harness.Experiments.fw_p50_ns;
+        sim_ns (base ^ "/p99") r.Harness.Experiments.fw_p99_ns;
+        point B.Sim_lower "ms" (base ^ "/recovery-ms")
+          r.Harness.Experiments.fw_recovery_ms;
       ])
     rows
 
 let table1_sim_estimates rows =
   List.map
     (fun (r : Harness.Experiments.table1_row) ->
-      ( "table1/sim/" ^ r.Harness.Experiments.t1_fs,
-        r.Harness.Experiments.t1_append_ns ))
+      sim_ns
+        ("table1/sim/" ^ r.Harness.Experiments.t1_fs)
+        r.Harness.Experiments.t1_append_ns)
     rows
 
 (* fig4/sim and table6/sim carry simulated ns/op per cell. The Table-1 /
@@ -453,10 +426,11 @@ let fig4_sim_estimates results =
         (fun (spec, runs) ->
           List.map
             (fun (p, m) ->
-              ( Printf.sprintf "fig4/sim/%s/%s"
-                  (Harness.Fs_config.name spec)
-                  (Workloads.Iopattern.pattern_name p),
-                Harness.Runner.ns_per_op m ))
+              sim_ns
+                (Printf.sprintf "fig4/sim/%s/%s"
+                   (Harness.Fs_config.name spec)
+                   (Workloads.Iopattern.pattern_name p))
+                (Harness.Runner.ns_per_op m))
             runs)
         (base :: challengers))
     results
@@ -465,29 +439,22 @@ let fig4_sim_estimates results =
    each job count, plus the speedup vs one job. Host-dependent like the
    bechamel entries; the speedups are the comparable numbers. *)
 let par_estimates rows =
-  let wall campaign jobs =
-    let r =
-      List.find
-        (fun (r : Harness.Experiments.par_row) ->
-          r.Harness.Experiments.pb_campaign = campaign
-          && r.Harness.Experiments.pb_jobs = jobs)
-        rows
-    in
-    r.Harness.Experiments.pb_wall_ns
-  in
   List.concat_map
     (fun (r : Harness.Experiments.par_row) ->
       let c = r.Harness.Experiments.pb_campaign in
       let j = r.Harness.Experiments.pb_jobs in
       let entry =
-        (Printf.sprintf "par/%s/walltime-j%d" c j, r.Harness.Experiments.pb_wall_ns)
+        host_ns (Printf.sprintf "par/%s/walltime-j%d" c j)
+          r.Harness.Experiments.pb_wall_ns
       in
       if j = 1 then [ entry ]
       else
         [
           entry;
-          ( Printf.sprintf "par/%s/speedup-j%d" c j,
-            wall c 1 /. r.Harness.Experiments.pb_wall_ns );
+          host_speedup
+            (Printf.sprintf "par/%s/speedup-j%d" c j)
+            (Harness.Experiments.par_wall rows c 1
+            /. r.Harness.Experiments.pb_wall_ns);
         ])
     rows
 
@@ -495,7 +462,7 @@ let table6_sim_estimates rows =
   List.concat_map
     (fun (fs, (l : Workloads.Varmail.latencies)) ->
       List.map
-        (fun (op, ns) -> (Printf.sprintf "table6/sim/%s/%s" fs op, ns))
+        (fun (op, ns) -> sim_ns (Printf.sprintf "table6/sim/%s/%s" fs op) ns)
         [
           ("open", l.Workloads.Varmail.open_ns);
           ("close", l.Workloads.Varmail.close_ns);
@@ -549,19 +516,16 @@ let () =
     @ fams_estimates fams @ litmus_estimates litmus
   in
   if fast then
-    Option.iter
-      (fun path -> write_trajectory ~mode:"fast" path sim_estimates)
-      json_path
+    Option.iter (write_trajectory ~mode:"fast" sim_estimates) json_path
   else begin
     let scale = Harness.Experiments.scale () in
     let dispatch = Harness.Experiments.dispatch_bench () in
     let par = Harness.Experiments.par_bench () in
     let estimates = run_bechamel () in
     Option.iter
-      (fun path ->
-        write_trajectory path
-          (estimates @ sim_estimates
-          @ scale_estimates scale dispatch @ par_estimates par))
+      (write_trajectory ~mode:"full"
+         (estimates @ sim_estimates
+         @ scale_estimates scale dispatch @ par_estimates par))
       json_path
   end;
   print_endline "\nAll experiments completed."

@@ -116,17 +116,7 @@ let run_scale fast dispatch_n jobs =
    containers pinned to one core) the gate is skipped — there is nothing
    to parallelise onto. *)
 let run_par_bench () =
-  let rows = Harness.Experiments.par_bench () in
-  let wall campaign jobs =
-    let r =
-      List.find
-        (fun (r : Harness.Experiments.par_row) ->
-          r.Harness.Experiments.pb_campaign = campaign
-          && r.Harness.Experiments.pb_jobs = jobs)
-        rows
-    in
-    r.Harness.Experiments.pb_wall_ns
-  in
+  let wall = Harness.Experiments.par_wall (Harness.Experiments.par_bench ()) in
   if Domain.recommended_domain_count () >= 4 then
     List.iter
       (fun campaign ->
@@ -189,26 +179,21 @@ let run_trace fs_name nclients ops out sample syscalls =
     r.Harness.Multiclient.makespan_ns
 
 (** [bench-diff]: the perf-regression sentinel. Exit codes: 0 clean,
-    1 regression (or non-subset missing keys), 2 a file failed to load or
-    the schemas refuse to compare. *)
-let run_bench_diff old_path new_path host_tol subset strict_meta =
+    1 a regression, a gate mismatch or (outside a fast run) missing keys,
+    2 a file failed to load or the pair refuses to compare. *)
+let run_bench_diff old_path new_path =
   match
-    try Ok (Harness.Benchdiff.load old_path, Harness.Benchdiff.load new_path)
-    with Failure msg -> Error msg
+    Result.bind
+      (try Ok (Harness.Benchdiff.load old_path, Harness.Benchdiff.load new_path)
+       with Failure msg -> Error msg)
+      (fun (old_f, new_f) -> Harness.Benchdiff.diff old_f new_f)
   with
   | Error msg ->
       Printf.eprintf "bench-diff: %s\n" msg;
       exit 2
-  | Ok (old_f, new_f) -> (
-      match
-        Harness.Benchdiff.diff ~host_tol ~subset ~strict_meta old_f new_f
-      with
-      | Error msg ->
-          Printf.eprintf "bench-diff: %s\n" msg;
-          exit 2
-      | Ok report ->
-          Harness.Benchdiff.print_report report;
-          if not (Harness.Benchdiff.ok report) then exit 1)
+  | Ok report ->
+      print_string (Harness.Benchdiff.render report);
+      if not (Harness.Benchdiff.ok report) then exit 1
 
 (** [timeline]: one serving-tier run with the virtual-time sampler and
     tail forensics on; print the warmup-vs-steady window table, export
@@ -346,30 +331,6 @@ let bd_new =
     & pos 1 (some file) None
     & info [] ~docv:"NEW" ~doc:"Candidate trajectory point to judge.")
 
-let bd_host_tol =
-  Arg.(
-    value & opt float 0.5
-    & info [ "host-tol" ]
-        ~doc:
-          "Relative tolerance for host-clock keys (bechamel, wall times, \
-           dispatch overhead). Simulated-ns keys are always exact.")
-
-let bd_subset =
-  Arg.(
-    value & flag
-    & info [ "subset" ]
-        ~doc:
-          "Accept NEW covering only part of OLD's keys (a fast-mode run \
-           has no host entries).")
-
-let bd_strict_meta =
-  Arg.(
-    value & flag
-    & info [ "strict-meta" ]
-        ~doc:
-          "Refuse (exit 2) a trajectory file without a \"meta\" block \
-           instead of warning about the legacy snapshot.")
-
 let tl_fs =
   Arg.(
     value
@@ -503,9 +464,7 @@ let () =
                 $ tl_out_trace);
             cmd "bench-diff"
               "Compare two perf trajectory points; exit nonzero on regression."
-              Term.(
-                const run_bench_diff $ bd_old $ bd_new $ bd_host_tol $ bd_subset
-                $ bd_strict_meta);
+              Term.(const run_bench_diff $ bd_old $ bd_new);
             smoke;
             all_cmd;
           ]))

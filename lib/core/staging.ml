@@ -153,7 +153,6 @@ let create ?(in_dram = false) ~sys ~env ~instance ~count ~file_size () =
 
 let pool_size t = t.pooled
 let live_files t = t.live
-let bytes_reserved t = t.live * t.file_size
 
 (** Pop a staging file; if the pool ran dry (burst), one is created in the
     foreground — the cost the background thread normally hides. *)

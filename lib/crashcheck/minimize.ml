@@ -125,15 +125,3 @@ let verdict_name = function
   | Required _ -> "REQUIRED"
   | Redundant _ -> "REDUNDANT"
   | Unexercised -> "unexercised"
-
-let pp_verdict ppf = function
-  | Required { q_combo; q_violation } ->
-      Fmt.pf ppf "REQUIRED    counterexample in %s: %a" q_combo
-        Litmus.pp_violation q_violation
-  | Redundant { q_combos; q_states } ->
-      Fmt.pf ppf "REDUNDANT   %d combos, %d crash states, all recover" q_combos
-        q_states
-  | Unexercised -> Fmt.string ppf "unexercised (kept)"
-
-let pp_site_report ppf r =
-  Fmt.pf ppf "@[<v2>%-26s %a@]" r.s_name pp_verdict r.s_verdict

@@ -98,7 +98,6 @@ let create () =
 
 let enabled t = t.on
 let arm t = t.on <- true
-let disarm t = t.on <- false
 
 let inject t r =
   t.faults <- { spec = r; tripped = -1 } :: t.faults;

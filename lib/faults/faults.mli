@@ -86,13 +86,11 @@ val enabled : t -> bool
     set this must not change any simulated result. *)
 val arm : t -> unit
 
-val disarm : t -> unit
-
 (** Inject a resource fault (arms the plane). *)
 val inject : t -> rfault -> unit
 
 (** Remove all injected faults and reset call/epoch/outcome state; the
-    plane stays in its current armed/disarmed state. *)
+    plane stays armed or unarmed as it was. *)
 val reset : t -> unit
 
 (** [check t site] — consult the plane at a fault point. Counts the call

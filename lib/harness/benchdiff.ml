@@ -1,30 +1,28 @@
-(** Perf-regression sentinel: diff two BENCH_PR*.json trajectory points.
+(** Perf-regression sentinel: the trajectory record, its JSON file, and
+    the diff of two BENCH_PR*.json points.
 
-    Seven snapshots existed before anything checked them; this module is
-    the check. [load] parses a trajectory file (a hand-rolled parser —
-    the repo deliberately has no JSON dependency), [diff] classifies
-    every key common to both files as improved / regressed / unchanged
-    under per-key-class tolerances:
+    Every value the bench harness records is a {!point}: a key, its value
+    and unit, and a declared {!gate}, the rule that judges it. [write]
+    renders points as a schema-3 file whose numbers read back as the same
+    floats; [load] also reads schema-2 files, whose one-decimal values
+    are all labelled [ns_per_op] and declare no gate (a hand-rolled
+    parser: the repo deliberately has no JSON dependency). [diff] judges
+    every key common to both files by its gate:
 
-    - {b sim keys} (simulated ns, crash-state counts, fault outcome
-      counts, SLO attainment) are deterministic by construction — the
-      tolerance is exact. Any drift in an exact-class key (litmus state
-      counts, fault outcome counts) is a regression in either direction:
-      the enumerated space silently changed. Sim latencies/ns may
-      legitimately improve; only increases regress.
-    - {b host keys} (bechamel estimates, campaign wall times, dispatch
-      overhead) vary with the machine — they get a relative tolerance
-      (default +-50%).
+    - {b exact}: a deterministic enumeration (litmus crash states,
+      faultcheck outcomes), so a change in either direction regresses —
+      the enumerated space silently changed;
+    - {b sim}: simulated time or attainment, deterministic by
+      construction, so any move the wrong way regresses and any move the
+      right way improves;
+    - {b host}: host time or a ratio of host times (Bechamel estimates,
+      campaign wall times, dispatch overhead), which varies with the
+      machine, so only a move beyond [host_band] is judged.
 
-    Direction matters: keys ending in [/slo] or containing [/speedup]
-    are better when higher.
-
-    Schema honesty: files written since PR 9 carry a [meta] block
-    (schema version, mode, seed, jobs, stacks). Two meta-bearing files
-    with different schema versions refuse to diff — an honest error
-    instead of a misleading table. Pre-PR-9 files have no meta and are
-    accepted as legacy (schema 1) with a warning note, so the CI gate
-    can compare against the last committed snapshot. *)
+    A key takes its gate from the old file when that file declares one
+    and from the new file otherwise; two files that declare different
+    gates fail the key. Against a schema-2 baseline the new values are
+    compared at that file's one-decimal precision. *)
 
 (* --- minimal JSON ---------------------------------------------------- *)
 
@@ -170,104 +168,160 @@ let parse (s : string) : json =
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
+(* --- the trajectory record -------------------------------------------- *)
+
+type gate = Exact | Sim_lower | Sim_higher | Host_lower | Host_higher
+
+let gate_name = function
+  | Exact -> "exact"
+  | Sim_lower -> "sim-lower"
+  | Sim_higher -> "sim-higher"
+  | Host_lower -> "host-lower"
+  | Host_higher -> "host-higher"
+
+let gate_of_name s =
+  List.find_opt
+    (fun g -> gate_name g = s)
+    [ Exact; Sim_lower; Sim_higher; Host_lower; Host_higher ]
+
+type point = { key : string; value : float; unit : string; gate : gate }
+
+(** Relative move a host key may make before it is judged. *)
+let host_band = 0.5
+
+(** The shortest decimal that reads back as [v]. *)
+let number v =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p v in
+    if p = 17 || float_of_string s = v then s else go (p + 1)
+  in
+  go 15
+
 (* --- trajectory files ------------------------------------------------ *)
 
+let schema = 3
+
 type meta = {
-  m_schema : int;
-  m_mode : string;
+  m_mode : string;  (** ["fast"]: a sim-only run that may omit keys *)
   m_seed : int option;
-  m_jobs : int option;
   m_stacks : string list;
 }
 
-type file = {
-  f_path : string;
-  f_meta : meta option;  (** [None]: legacy pre-PR-9 snapshot (schema 1) *)
-  f_tests : (string * float) list;  (** key -> ns_per_op, file order *)
-}
+type tests =
+  | Declared of point list  (** schema 3, file order *)
+  | Legacy of (string * float) list
+      (** schema 2: key -> [ns_per_op] at one decimal, file order *)
+
+type file = { f_path : string; f_meta : meta; f_tests : tests }
+
+let json_escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(** Write [points] as a schema-3 trajectory file. Raises
+    [Invalid_argument], leaving [path] untouched, if a value is not
+    finite: JSON has no spelling for it, and a diff could not judge it. *)
+let write ~mode ~seed ~jobs ~stacks path points =
+  List.iter
+    (fun p ->
+      if not (Float.is_finite p.value) then
+        invalid_arg
+          (Printf.sprintf "Benchdiff.write: %s is %f, not a finite value"
+             p.key p.value))
+    points;
+  let str s = "\"" ^ json_escape s ^ "\"" in
+  let tests =
+    List.map
+      (fun p ->
+        Printf.sprintf "    %s: {\"value\": %s, \"unit\": %s, \"gate\": %s}"
+          (str p.key) (number p.value) (str p.unit) (str (gate_name p.gate)))
+      points
+  in
+  let tm = Unix.gmtime (Unix.time ()) in
+  let oc = open_out path in
+  Printf.fprintf oc
+    "{\n\
+    \  \"meta\": {\n\
+    \    \"schema\": %d,\n\
+    \    \"mode\": %s,\n\
+    \    \"seed\": %d,\n\
+    \    \"jobs\": %d,\n\
+    \    \"stacks\": [%s]\n\
+    \  },\n\
+    \  \"tests\": {\n%s\n  },\n\
+    \  \"date\": \"%04d-%02d-%02d\"\n\
+     }\n"
+    schema (str mode) seed jobs
+    (String.concat ", " (List.map str stacks))
+    (String.concat ",\n" tests)
+    (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday;
+  close_out oc
 
 let load path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let body = really_input_string ic len in
   close_in ic;
-  let j =
-    try parse body
-    with Parse_error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+  let fail fmt = Printf.ksprintf (fun m -> failwith (path ^ ": " ^ m)) fmt in
+  let j = try parse body with Parse_error msg -> fail "%s" msg in
+  let m =
+    match member "meta" j with
+    | Some m -> m
+    | None ->
+        fail
+          "no \"meta\" block (a snapshot from before schema 2); regenerate \
+           it with the current bench harness"
   in
-  let tests =
-    match member "tests" j with
-    | Some (Obj kvs) ->
-        List.map
-          (fun (k, v) ->
-            match member "ns_per_op" v with
-            | Some (Num f) -> (k, f)
-            | _ -> failwith (Printf.sprintf "%s: test %S has no ns_per_op" path k))
-          kvs
-    | _ -> failwith (Printf.sprintf "%s: no \"tests\" object" path)
+  let int_field k =
+    match member k m with Some (Num f) -> Some (int_of_float f) | _ -> None
   in
   let meta =
-    match member "meta" j with
-    | None -> None
-    | Some m ->
-        let int_field k =
-          match member k m with Some (Num f) -> Some (int_of_float f) | _ -> None
-        in
-        Some
-          {
-            m_schema =
-              (match int_field "schema" with
-              | Some v -> v
-              | None -> failwith (Printf.sprintf "%s: meta without schema" path));
-            m_mode =
-              (match member "mode" m with Some (Str s) -> s | _ -> "full");
-            m_seed = int_field "seed";
-            m_jobs = int_field "jobs";
-            m_stacks =
-              (match member "stacks" m with
-              | Some (Arr l) ->
-                  List.filter_map (function Str s -> Some s | _ -> None) l
-              | _ -> []);
-          }
+    {
+      m_mode = (match member "mode" m with Some (Str s) -> s | _ -> "full");
+      m_seed = int_field "seed";
+      m_stacks =
+        (match member "stacks" m with
+        | Some (Arr l) -> List.filter_map (function Str s -> Some s | _ -> None) l
+        | _ -> []);
+    }
+  in
+  let kvs =
+    match member "tests" j with
+    | Some (Obj kvs) -> kvs
+    | _ -> fail "no \"tests\" object"
+  in
+  let value k field v =
+    match member field v with
+    | Some (Num f) when Float.is_finite f -> f
+    | _ -> fail "test %S has no finite %s" k field
+  in
+  let tests =
+    match int_field "schema" with
+    | None -> fail "meta without schema"
+    | Some 2 -> Legacy (List.map (fun (k, v) -> (k, value k "ns_per_op" v)) kvs)
+    | Some 3 ->
+        Declared
+          (List.map
+             (fun (key, v) ->
+               match (member "unit" v, member "gate" v) with
+               | Some (Str unit), Some (Str g) -> (
+                   match gate_of_name g with
+                   | Some gate -> { key; value = value key "value" v; unit; gate }
+                   | None -> fail "test %S has unknown gate %S" key g)
+               | _ -> fail "test %S declares no unit and gate" key)
+             kvs)
+    | Some n -> fail "schema %d; bench-diff reads schemas 2 and 3" n
   in
   { f_path = path; f_meta = meta; f_tests = tests }
-
-(* --- key classification ---------------------------------------------- *)
-
-let has_prefix p k =
-  String.length k >= String.length p && String.sub k 0 (String.length p) = p
-
-let has_suffix suf k =
-  let ls = String.length suf and lk = String.length k in
-  lk >= ls && String.sub k (lk - ls) ls = suf
-
-let contains sub k =
-  let ls = String.length sub and lk = String.length k in
-  let rec go i = i + ls <= lk && (String.sub k i ls = sub || go (i + 1)) in
-  go 0
-
-(** Host-clock keys: everything bechamel measures, campaign wall times
-    and speedups, and the dispatch-overhead microbenchmark. Sim keys are
-    the deterministic rest. *)
-let is_host key =
-  has_prefix "par/" key
-  || has_prefix "scale10k/dispatch/" key
-  || not
-       (List.exists
-          (fun p -> has_prefix p key)
-          [
-            "table1/sim/"; "fig4/sim/"; "table6/sim/"; "scaling/"; "lat/";
-            "profile/"; "faults/"; "fams/"; "litmus/"; "scale10k/";
-          ])
-
-(** Exact-count keys: deterministic enumerations where a change in
-    either direction means behaviour drifted (litmus crash-state counts,
-    faultcheck outcome counts — not the degraded-latency percentiles). *)
-let is_exact_count key =
-  has_prefix "litmus/" key
-  || (has_prefix "faults/" key && not (has_prefix "faults/degraded-lat/" key))
-
-let higher_is_better key = has_suffix "/slo" key || contains "/speedup" key
 
 (* --- diff ------------------------------------------------------------ *)
 
@@ -275,15 +329,23 @@ type verdict =
   | Unchanged
   | Improved of float  (** relative delta, new vs old *)
   | Regressed of float
+  | Gate_mismatch of gate  (** the new file's declaration *)
 
-type entry = { e_key : string; e_old : float; e_new : float; e_verdict : verdict }
+type entry = {
+  e_key : string;
+  e_old : float;
+  e_new : float;  (** at the old file's precision *)
+  e_unit : string;
+  e_gate : gate;
+  e_verdict : verdict;
+}
 
 type report = {
   r_entries : entry list;  (** old-file key order *)
   r_missing : string list;  (** keys in old absent from new *)
   r_added : string list;  (** keys in new absent from old *)
   r_notes : string list;  (** non-fatal meta warnings *)
-  r_subset : bool;
+  r_fast : bool;  (** the new file is a fast run, which may omit keys *)
 }
 
 let rel_delta old_v new_v =
@@ -291,126 +353,132 @@ let rel_delta old_v new_v =
   else if old_v = 0. then Float.of_int (compare new_v 0.)
   else (new_v -. old_v) /. Float.abs old_v
 
-let classify ~host_tol key old_v new_v =
+let judge gate old_v new_v =
   let rel = rel_delta old_v new_v in
-  if is_exact_count key then if rel = 0. then Unchanged else Regressed rel
-  else begin
-    let tol = if is_host key then host_tol else 0. in
-    let signed = if higher_is_better key then -.rel else rel in
-    if signed > tol then Regressed rel
-    else if signed < -.tol then Improved rel
-    else Unchanged
-  end
-
-(** [diff ?host_tol ?subset ?strict_meta old new_] — [Error] on a schema
-    refusal, otherwise the classified report. [subset] accepts a new file
-    covering only part of the old keys (the CI gate diffs a fast-mode
-    run, which has no host entries, against a full snapshot).
-    [strict_meta] upgrades the legacy-snapshot warning to a refusal: a
-    file without a [meta] block is an [Error] naming the file, instead
-    of a note. Use it once every committed snapshot carries meta. *)
-let diff ?(host_tol = 0.5) ?(subset = false) ?(strict_meta = false)
-    (old_f : file) (new_f : file) =
-  let missing_meta =
-    List.filter_map
-      (fun f -> if f.f_meta = None then Some f.f_path else None)
-      [ old_f; new_f ]
+  let worse =
+    match gate with
+    | Exact -> Float.abs rel
+    | Sim_lower | Host_lower -> rel
+    | Sim_higher | Host_higher -> -.rel
   in
-  match (old_f.f_meta, new_f.f_meta) with
-  | _ when strict_meta && missing_meta <> [] ->
+  let band = match gate with Host_lower | Host_higher -> host_band | _ -> 0. in
+  if worse > band then Regressed rel
+  else if worse < -.band then Improved rel
+  else Unchanged
+
+(** [diff old_ new_] — [Error] when [new_] declares no gates (a schema-2
+    candidate), otherwise the judged report. *)
+let diff (old_f : file) (new_f : file) =
+  match new_f.f_tests with
+  | Legacy _ ->
       Error
         (Printf.sprintf
-           "--strict-meta: %s has no \"meta\" block (legacy pre-PR-9 \
-            snapshot); regenerate it with the current bench harness"
-           (String.concat " and " missing_meta))
-  | Some mo, Some mn when mo.m_schema <> mn.m_schema ->
-      Error
-        (Printf.sprintf
-           "schema mismatch: %s is schema %d, %s is schema %d — refusing to \
-            diff across schemas (regenerate the old point or compare \
-            like-for-like)"
-           old_f.f_path mo.m_schema new_f.f_path mn.m_schema)
-  | _ ->
-      let notes = ref [] in
-      let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
-      (match (old_f.f_meta, new_f.f_meta) with
-      | None, _ -> note "%s has no meta block (legacy pre-PR-9 snapshot)" old_f.f_path
-      | _, None -> note "%s has no meta block (legacy pre-PR-9 snapshot)" new_f.f_path
-      | Some mo, Some mn ->
-          if mo.m_seed <> mn.m_seed then note "seeds differ: sim keys may drift legitimately";
-          if mo.m_stacks <> mn.m_stacks && mn.m_stacks <> [] && mo.m_stacks <> []
-          then note "stack lists differ";
-          if mo.m_mode <> mn.m_mode then
-            note "modes differ (%s vs %s): host keys may be absent" mo.m_mode mn.m_mode);
+           "%s is schema 2: a candidate must declare its gates (schema %d); \
+            regenerate it with the current bench harness"
+           new_f.f_path schema)
+  | Declared new_points ->
+      let mo = old_f.f_meta and mn = new_f.f_meta in
+      let notes =
+        (if mo.m_seed <> mn.m_seed then
+           [ "seeds differ: sim keys may drift legitimately" ]
+         else [])
+        @
+        if mo.m_stacks <> mn.m_stacks && mn.m_stacks <> [] && mo.m_stacks <> []
+        then [ "stack lists differ" ]
+        else []
+      in
       let new_tbl = Hashtbl.create 256 in
-      List.iter (fun (k, v) -> Hashtbl.replace new_tbl k v) new_f.f_tests;
+      List.iter (fun p -> Hashtbl.replace new_tbl p.key p) new_points;
+      (* (key, value, declared point): a schema-2 baseline declares none *)
+      let old_tests =
+        match old_f.f_tests with
+        | Declared ps -> List.map (fun p -> (p.key, p.value, Some p)) ps
+        | Legacy kvs -> List.map (fun (k, v) -> (k, v, None)) kvs
+      in
       let entries, missing =
         List.fold_left
-          (fun (es, ms) (k, old_v) ->
+          (fun (es, ms) (k, old_v, declared) ->
             match Hashtbl.find_opt new_tbl k with
-            | Some new_v ->
+            | None -> (es, k :: ms)
+            | Some np ->
                 Hashtbl.remove new_tbl k;
-                ( { e_key = k; e_old = old_v; e_new = new_v;
-                    e_verdict = classify ~host_tol k old_v new_v }
+                let gate, unit, new_v =
+                  match declared with
+                  | Some op -> (op.gate, op.unit, np.value)
+                  | None ->
+                      ( np.gate,
+                        np.unit,
+                        float_of_string (Printf.sprintf "%.1f" np.value) )
+                in
+                let verdict =
+                  if gate <> np.gate then Gate_mismatch np.gate
+                  else judge gate old_v new_v
+                in
+                ( { e_key = k; e_old = old_v; e_new = new_v; e_unit = unit;
+                    e_gate = gate; e_verdict = verdict }
                   :: es,
-                  ms )
-            | None -> (es, k :: ms))
-          ([], []) old_f.f_tests
-      in
-      let added =
-        List.filter (fun (k, _) -> Hashtbl.mem new_tbl k) new_f.f_tests
-        |> List.map fst
+                  ms ))
+          ([], []) old_tests
       in
       Ok
         {
           r_entries = List.rev entries;
           r_missing = List.rev missing;
-          r_added = added;
-          r_notes = List.rev !notes;
-          r_subset = subset;
+          r_added =
+            List.filter_map
+              (fun p -> if Hashtbl.mem new_tbl p.key then Some p.key else None)
+              new_points;
+          r_notes = notes;
+          r_fast = mn.m_mode = "fast";
         }
 
-let regressed r =
-  List.filter (fun e -> match e.e_verdict with Regressed _ -> true | _ -> false) r.r_entries
+let with_verdict f r = List.filter (fun e -> f e.e_verdict) r.r_entries
+let regressed = with_verdict (function Regressed _ -> true | _ -> false)
+let improved = with_verdict (function Improved _ -> true | _ -> false)
+let mismatched = with_verdict (function Gate_mismatch _ -> true | _ -> false)
+let unchanged_count r = List.length (with_verdict (( = ) Unchanged) r)
 
-let improved r =
-  List.filter (fun e -> match e.e_verdict with Improved _ -> true | _ -> false) r.r_entries
+(** The gate: regressions and gate mismatches always fail; missing keys
+    fail unless the new file is a fast run. *)
+let ok r =
+  regressed r = [] && mismatched r = [] && (r.r_fast || r.r_missing = [])
 
-let unchanged_count r =
-  List.length r.r_entries - List.length (regressed r) - List.length (improved r)
-
-(** The gate: regressions always fail; missing keys fail unless the diff
-    was declared a subset comparison. *)
-let ok r = regressed r = [] && (r.r_subset || r.r_missing = [])
-
-let print_report r =
-  List.iter (fun s -> Printf.printf "note: %s\n" s) r.r_notes;
+(** The report as text: one line per note, gate mismatch, regression and
+    improvement, then the missing and added counts and a summary. *)
+let render r =
+  let b = Buffer.create 1024 in
+  List.iter (Printf.bprintf b "note: %s\n") r.r_notes;
   let pr tag es =
     List.iter
       (fun e ->
-        let rel =
-          match e.e_verdict with Improved d | Regressed d -> d | Unchanged -> 0.
-        in
-        Printf.printf "%-10s %-44s %14.1f -> %14.1f  (%+.1f%%%s)\n" tag e.e_key
-          e.e_old e.e_new (100. *. rel)
-          (if is_host e.e_key then Printf.sprintf ", host"
-           else if is_exact_count e.e_key then ", exact"
-           else ""))
+        match e.e_verdict with
+        | Gate_mismatch g ->
+            Printf.bprintf b "%-10s %-44s old declares %s, new declares %s\n"
+              tag e.e_key (gate_name e.e_gate) (gate_name g)
+        | Improved d | Regressed d ->
+            Printf.bprintf b "%-10s %-44s %14s -> %-14s %s (%+.1f%%, %s)\n" tag
+              e.e_key (number e.e_old) (number e.e_new) e.e_unit (100. *. d)
+              (gate_name e.e_gate)
+        | Unchanged -> ())
       es
   in
+  pr "GATE" (mismatched r);
   pr "REGRESSED" (regressed r);
   pr "improved" (improved r);
   if r.r_missing <> [] then
-    Printf.printf "%s: %d key(s) in old absent from new%s\n"
-      (if r.r_subset then "subset" else "MISSING")
+    Printf.bprintf b "%s: %d key(s) in old absent from new%s\n"
+      (if r.r_fast then "subset" else "MISSING")
       (List.length r.r_missing)
-      (if r.r_subset then " (accepted: --subset)" else "");
+      (if r.r_fast then " (accepted: new is a fast run)" else "");
   if r.r_added <> [] then
-    Printf.printf "added: %d new key(s)\n" (List.length r.r_added);
-  Printf.printf
-    "bench-diff: %d compared — %d regressed, %d improved, %d unchanged%s\n"
+    Printf.bprintf b "added: %d new key(s)\n" (List.length r.r_added);
+  Printf.bprintf b
+    "bench-diff: %d compared — %d regressed, %d improved, %d unchanged, %d \
+     gate mismatch(es)%s\n"
     (List.length r.r_entries)
     (List.length (regressed r))
     (List.length (improved r))
     (unchanged_count r)
-    (if ok r then " — OK" else " — FAIL")
+    (List.length (mismatched r))
+    (if ok r then " — OK" else " — FAIL");
+  Buffer.contents b

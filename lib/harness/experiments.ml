@@ -1730,6 +1730,11 @@ let par_campaigns =
     ("minimize", fun ~jobs -> ignore (Crashcheck.Minimize.run ~jobs ()));
   ]
 
+(** [campaign]'s wall time at [jobs] among [par_bench]'s rows. *)
+let par_wall rows campaign jobs =
+  (List.find (fun r -> r.pb_campaign = campaign && r.pb_jobs = jobs) rows)
+    .pb_wall_ns
+
 (** Host wall time of every verification campaign at each job count in
     [jobs_list]: the headline evidence that fanning trials over domains
     buys real wall-clock, and the input to the BENCH_PR*.json
@@ -1750,12 +1755,7 @@ let par_bench ?(jobs_list = [ 1; 2; 4; 8 ]) ?(print = true) () =
       par_campaigns
   in
   if print then begin
-    let wall name jobs =
-      let r =
-        List.find (fun r -> r.pb_campaign = name && r.pb_jobs = jobs) rows
-      in
-      r.pb_wall_ns
-    in
+    let wall = par_wall rows in
     Runner.print_table
       ~title:
         (Printf.sprintf

@@ -50,48 +50,48 @@ let scaling_cfg mode =
     oplog_size = 1 * mb;
   }
 
+(** [n] file-system views of one [spec] stack on [env]: a syscall table
+    each over one ext4 from [kernel], or a U-Split instance each (in
+    [cfg mode]) over it; the baselines share one instance. Returns the
+    ext4 below, if any. *)
+let views spec ~n ~kernel ~cfg env =
+  match (spec, Fs_config.mode spec) with
+  | Fs_config.Ext4_dax, _ ->
+      let kfs = kernel () in
+      ( Array.init n (fun _ ->
+            Kernelfs.Syscall.as_fsapi (Kernelfs.Syscall.make kfs)),
+        Some kfs )
+  | ( (Fs_config.Splitfs_posix | Fs_config.Splitfs_sync
+      | Fs_config.Splitfs_strict),
+      Some mode ) ->
+      let kfs = kernel () in
+      ( Array.init n (fun i ->
+            let sys = Kernelfs.Syscall.make kfs in
+            let u =
+              Splitfs.Usplit.mount ~cfg:(cfg mode) ~sys ~env ~instance:i ()
+            in
+            Splitfs.Usplit.as_fsapi u),
+        Some kfs )
+  | Fs_config.Pmfs, _ ->
+      let p = Baselines.Pmfs.mkfs env in
+      (Array.init n (fun _ -> Baselines.Pmfs.as_fsapi p), None)
+  | (Fs_config.Nova_relaxed | Fs_config.Nova_strict), _ ->
+      let mode =
+        if spec = Fs_config.Nova_relaxed then Baselines.Nova.Relaxed
+        else Baselines.Nova.Strict
+      in
+      let nv = Baselines.Nova.mkfs env ~mode in
+      (Array.init n (fun _ -> Baselines.Nova.as_fsapi nv), None)
+  | _ ->
+      invalid_arg
+        (Printf.sprintf "Multiclient: no multi-client model for %s"
+           (Fs_config.name spec))
+
 (** Build one shared stack and a per-client [Fsapi.Fs.t] view of it. *)
 let build spec ~nclients =
   let env = Pmem.Env.create ~capacity:(256 * mb) () in
-  let shared_kernel () = Kernelfs.Ext4.mkfs ~journal_len:(8 * mb) env in
-  let fss =
-    match spec with
-    | Fs_config.Ext4_dax ->
-        let kfs = shared_kernel () in
-        Array.init nclients (fun _ ->
-            Kernelfs.Syscall.as_fsapi (Kernelfs.Syscall.make kfs))
-    | Fs_config.Splitfs_posix | Fs_config.Splitfs_sync
-    | Fs_config.Splitfs_strict ->
-        let mode =
-          match spec with
-          | Fs_config.Splitfs_posix -> Splitfs.Config.Posix
-          | Fs_config.Splitfs_sync -> Splitfs.Config.Sync
-          | _ -> Splitfs.Config.Strict
-        in
-        let kfs = shared_kernel () in
-        Array.init nclients (fun i ->
-            let sys = Kernelfs.Syscall.make kfs in
-            let u =
-              Splitfs.Usplit.mount ~cfg:(scaling_cfg mode) ~sys ~env
-                ~instance:i ()
-            in
-            Splitfs.Usplit.as_fsapi u)
-    | Fs_config.Pmfs ->
-        let p = Baselines.Pmfs.mkfs env in
-        Array.init nclients (fun _ -> Baselines.Pmfs.as_fsapi p)
-    | Fs_config.Nova_relaxed | Fs_config.Nova_strict ->
-        let mode =
-          if spec = Fs_config.Nova_relaxed then Baselines.Nova.Relaxed
-          else Baselines.Nova.Strict
-        in
-        let n = Baselines.Nova.mkfs env ~mode in
-        Array.init nclients (fun _ -> Baselines.Nova.as_fsapi n)
-    | _ ->
-        invalid_arg
-          (Printf.sprintf "Multiclient.build: no multi-client model for %s"
-             (Fs_config.name spec))
-  in
-  (env, fss)
+  let kernel () = Kernelfs.Ext4.mkfs ~journal_len:(8 * mb) env in
+  (env, fst (views spec ~n:nclients ~kernel ~cfg:scaling_cfg env))
 
 (** One client's closed loop: open a private file, append, fsync
     periodically, close. Step 0 opens, steps 1..ops append, the final step
@@ -223,44 +223,7 @@ let build_scale spec ~nactors ~tenants ~shards env =
     Kernelfs.Ext4.mkfs ~journal_len:(8 * mb) ~alloc_shards:shards
       ~journal_streams:shards env
   in
-  match spec with
-  | Fs_config.Ext4_dax ->
-      let kfs = kernel () in
-      ( Array.init tenants (fun _ ->
-            Kernelfs.Syscall.as_fsapi (Kernelfs.Syscall.make kfs)),
-        Some kfs )
-  | Fs_config.Splitfs_posix | Fs_config.Splitfs_sync | Fs_config.Splitfs_strict
-    ->
-      let mode =
-        match spec with
-        | Fs_config.Splitfs_posix -> Splitfs.Config.Posix
-        | Fs_config.Splitfs_sync -> Splitfs.Config.Sync
-        | _ -> Splitfs.Config.Strict
-      in
-      let kfs = kernel () in
-      ( Array.init tenants (fun i ->
-            let sys = Kernelfs.Syscall.make kfs in
-            let u =
-              Splitfs.Usplit.mount
-                ~cfg:(scale_cfg mode ~actors_per_tenant)
-                ~sys ~env ~instance:i ()
-            in
-            Splitfs.Usplit.as_fsapi u),
-        Some kfs )
-  | Fs_config.Pmfs ->
-      let p = Baselines.Pmfs.mkfs env in
-      (Array.init tenants (fun _ -> Baselines.Pmfs.as_fsapi p), None)
-  | Fs_config.Nova_relaxed | Fs_config.Nova_strict ->
-      let mode =
-        if spec = Fs_config.Nova_relaxed then Baselines.Nova.Relaxed
-        else Baselines.Nova.Strict
-      in
-      let n = Baselines.Nova.mkfs env ~mode in
-      (Array.init tenants (fun _ -> Baselines.Nova.as_fsapi n), None)
-  | _ ->
-      invalid_arg
-        (Printf.sprintf "Multiclient.build_scale: no multi-tenant model for %s"
-           (Fs_config.name spec))
+  views spec ~n:tenants ~kernel ~cfg:(scale_cfg ~actors_per_tenant) env
 
 (** Run [nactors] multi-tenant serving actors of [spec] — the 10k-actor
     experiment. Tenant roots are set up unmetered-by-histogram before the

@@ -12,9 +12,6 @@ type measurement = {
 
 let ns_per_op m = m.sim_ns /. float_of_int (max 1 m.ops)
 
-(** Software overhead per op: everything that is not media time (§5.7). *)
-let overhead_ns m = (m.sim_ns -. m.media_ns) /. float_of_int (max 1 m.ops)
-
 let kops m = float_of_int m.ops /. (m.sim_ns /. 1e6)
 
 (** [measure stack label f] runs [f ()] (which returns an op count) and

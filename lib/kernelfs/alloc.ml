@@ -42,7 +42,6 @@ type t = {
       (** one byte per block: '\000' free, '\001' used, '\002' retired
           (worn/poisoned block taken out of service — never free again) *)
   mutable free : int;
-  mutable retired : int;
   shards : shard array;
   shard_blocks : int;  (** blocks per shard; the last takes the remainder *)
   mutable steals : int;  (** cross-shard allocations after home ENOSPC *)
@@ -72,7 +71,6 @@ let create ?faults ?env ?(shards = 1) ~nblocks () =
     nblocks;
     bitmap = Bytes.make nblocks '\000';
     free = nblocks;
-    retired = 0;
     shards = Array.init shards mk;
     shard_blocks;
     steals = 0;
@@ -290,11 +288,8 @@ let retire t ~start ~len =
         s.s_free <- s.s_free - 1
     | '\002' -> invalid_arg "Alloc.retire: already retired"
     | _ -> ());
-    Bytes.set t.bitmap b '\002';
-    t.retired <- t.retired + 1
+    Bytes.set t.bitmap b '\002'
   done
-
-let retired_blocks t = t.retired
 
 let run_length_any t b cap =
   let n = ref 0 in

@@ -62,8 +62,6 @@ val is_allocated : t -> int -> bool
     again. Used blocks may be retired after their data is migrated. *)
 val retire : t -> start:int -> len:int -> unit
 
-val retired_blocks : t -> int
-
 (** Fraction of free space that is in runs shorter than [run] blocks; a
     fragmentation measure used by the huge-page experiments. *)
 val fragmentation : t -> run:int -> float

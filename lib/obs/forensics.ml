@@ -59,8 +59,6 @@ let create ?(k = 3) ~ncats () =
     ops = Hashtbl.create 32;
   }
 
-let capturing t = t.depth > 0
-
 (** Route for the tracing capture hook: spans emitted during an open op
     belong to that op's exemplar candidate. *)
 let on_span t s = if t.depth > 0 then t.cur_spans_rev <- s :: t.cur_spans_rev

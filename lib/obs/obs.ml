@@ -197,8 +197,6 @@ let snapshot t = Array.copy t.attr
 let breakdown_since t snap =
   List.map (fun c -> (c, t.attr.(cat_index c) -. snap.(cat_index c))) all_cats
 
-let reset_attr t = Array.fill t.attr 0 ncats 0.
-
 (* --- tracing --- *)
 
 let set_tracing ?(sample = 1) ?(ring = 65536) t on =

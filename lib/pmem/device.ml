@@ -211,8 +211,6 @@ let register_fence_site name =
 let fence_sites () =
   Array.to_list (Array.mapi (fun i n -> (i, n)) !fence_site_names)
 
-let fence_site_name i = !fence_site_names.(i)
-
 type t = {
   capacity : int;
   persistent : Image.t;  (** the durable image *)
@@ -288,12 +286,7 @@ let create ?(capacity = 64 * 1024 * 1024) ?faults ~clock ~timing ~stats () =
   }
 
 let site_hits t i = if i < Array.length t.site_hits then t.site_hits.(i) else 0
-let reset_site_hits t = Array.fill t.site_hits 0 (Array.length t.site_hits) 0
 let elide_fence_site t i = t.elided_fence_site <- i
-let clear_fence_elision t = t.elided_fence_site <- -1
-
-let elided_site t =
-  if t.elided_fence_site < 0 then None else Some t.elided_fence_site
 
 let capacity t = t.capacity
 let check_range t addr len = addr >= 0 && len >= 0 && addr + len <= t.capacity
@@ -890,14 +883,11 @@ let load t ~addr dst ~off ~len =
         ~t1:a.Simclock.a_now
   end
 
-(** Convenience wrappers over whole buffers. *)
+(** [load] into a fresh buffer. *)
 let load_bytes t ~addr ~len =
   let b = Bytes.create len in
   load t ~addr b ~off:0 ~len;
   b
-
-let store_nt_bytes t ~addr b = store_nt t ~addr b ~off:0 ~len:(Bytes.length b)
-let store_bytes t ~addr b = store t ~addr b ~off:0 ~len:(Bytes.length b)
 
 (* Longest single NT store [zero_nt] makes: a longer range is stored,
    counted and charged in pieces of this size. *)
@@ -955,7 +945,6 @@ let poison_line t ~addr =
   Hashtbl.replace t.poison (addr / line_size) ()
 
 let is_poisoned t ~addr = Hashtbl.mem t.poison (addr / line_size)
-let poisoned_count t = Hashtbl.length t.poison
 let is_quarantined t ~addr = Hashtbl.mem t.quarantined (addr / line_size)
 let quarantined_count t = Hashtbl.length t.quarantined
 let last_poison t = t.last_poison
@@ -988,14 +977,6 @@ let quarantine t ~addr ~len =
   match t.faults with
   | Some f -> Faults.note_quarantined f (last - first + 1)
   | None -> ()
-
-(** Blocks (4 KB indices) whose wear has reached [limit], ascending. *)
-let worn_blocks t ~limit =
-  let acc = ref [] in
-  for b = Array.length t.wear - 1 downto 0 do
-    if t.wear.(b) >= limit then acc := b :: !acc
-  done;
-  !acc
 
 (** Does the block at device address [addr] need scrubbing — worn to
     [limit] or holding a poisoned line? *)

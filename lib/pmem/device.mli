@@ -60,23 +60,14 @@ val register_fence_site : string -> int
 val fence_sites : unit -> (int * string) list
 (** All registered sites, in registration order. *)
 
-val fence_site_name : int -> string
-
 val site_hits : t -> int -> int
-(** Executions of the site on this device since its creation or the last
-    {!reset_site_hits} (halted devices don't count; elided executions
-    do). *)
-
-val reset_site_hits : t -> unit
+(** Executions of the site on this device since its creation (halted
+    devices don't count; elided executions do). *)
 
 val elide_fence_site : t -> int -> unit
-(** Suppress the given site on this device until {!clear_fence_elision}.
-    At most one site is elided at a time per device (matching
+(** Suppress the given site on this device for the rest of its life. At
+    most one site is elided at a time per device (matching
     one-fence-at-a-time minimization). *)
-
-val clear_fence_elision : t -> unit
-
-val elided_site : t -> int option
 
 (** Load into [dst]; dirty lines are served from the cache at cache speed,
     the rest is charged PM media cost with sequential/random latency
@@ -89,8 +80,6 @@ val elided_site : t -> int option
 val load : t -> addr:int -> Bytes.t -> off:int -> len:int -> unit
 
 val load_bytes : t -> addr:int -> len:int -> Bytes.t
-val store_nt_bytes : t -> addr:int -> Bytes.t -> unit
-val store_bytes : t -> addr:int -> Bytes.t -> unit
 
 (** Write zeros with non-temporal stores: charged, counted and journalled
     as [store_nt] of a zero buffer (ranges over 64 KiB as one store per
@@ -135,7 +124,6 @@ val poison_line : t -> addr:int -> unit
 (** Poison the cache line containing [addr]. *)
 
 val is_poisoned : t -> addr:int -> bool
-val poisoned_count : t -> int
 
 val range_has_poison : t -> addr:int -> len:int -> bool
 
@@ -150,9 +138,6 @@ val quarantine : t -> addr:int -> len:int -> unit
 
 val is_quarantined : t -> addr:int -> bool
 val quarantined_count : t -> int
-
-val worn_blocks : t -> limit:int -> int list
-(** Blocks (4 KB indices) whose wear has reached [limit], ascending. *)
 
 val block_needs_scrub : t -> addr:int -> limit:int -> bool
 (** Block at device address [addr] is worn to [limit] or holds poison. *)

@@ -131,8 +131,6 @@ let with_span t ~cat ~name f =
       Obs.pop t.obs;
       raise e
 
-let snapshot_stats t = Stats.copy t.stats
-
 (** [in_background t f] runs [f] on behalf of a background thread: the
     simulated time it consumes is moved off the foreground clock and
     accumulated in [stats.background_ns] (the paper keeps staging-file
@@ -197,8 +195,6 @@ let check_identity t =
     the current actor's time, so it cannot contend with work that finished
     before it was spawned. *)
 let new_actor t ~name = Simclock.new_actor t.clock ~name
-
-let current_actor t = Simclock.current t.clock
 
 (** [run_as t a f] runs [f ()] with [a] as the current actor — all charges
     (CPU, media, lock waits) land on [a]'s clock — then restores the

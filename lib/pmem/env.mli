@@ -73,8 +73,6 @@ val accountable_ns : t -> float
     violation. *)
 val check_identity : t -> float * float
 
-val snapshot_stats : t -> Stats.t
-
 (** [in_background t f] runs [f] on behalf of a background thread: the
     simulated time it consumes is moved off the foreground clock and
     accumulated in [stats.background_ns] (the paper keeps staging-file
@@ -84,8 +82,6 @@ val in_background : t -> (unit -> 'a) -> 'a
 (** Register a fresh actor (simulated client thread); its clock starts at
     the current actor's time. *)
 val new_actor : t -> name:string -> Simclock.actor
-
-val current_actor : t -> Simclock.actor
 
 (** [run_as t a f] runs [f ()] with [a] as the current actor — all charges
     land on [a]'s clock — then restores the previous actor. *)

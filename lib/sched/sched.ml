@@ -101,21 +101,6 @@ let precedes a b =
   let ta = a.actor.Pmem.Simclock.a_now and tb = b.actor.Pmem.Simclock.a_now in
   ta < tb || (ta = tb && a.c_id < b.c_id)
 
-let sift_up heap i =
-  let c = heap.(i) in
-  let i = ref i in
-  while
-    !i > 0
-    &&
-    let parent = (!i - 1) / 2 in
-    precedes c heap.(parent)
-  do
-    let parent = (!i - 1) / 2 in
-    heap.(!i) <- heap.(parent);
-    i := parent
-  done;
-  heap.(!i) <- c
-
 let sift_down heap n i =
   let c = heap.(i) in
   let i = ref i in
@@ -213,8 +198,3 @@ let makespan t =
     m := Float.max !m (t.clients.(i).actor.Pmem.Simclock.a_now -. t.spawned_at)
   done;
   !m
-
-let pp_client ppf c =
-  Fmt.pf ppf "%s: %d ops, ended %.0fns (lock %.0fns, bw %.0fns)" c.c_name
-    c.ops_done c.actor.Pmem.Simclock.a_now
-    c.actor.Pmem.Simclock.a_lock_wait_ns c.actor.Pmem.Simclock.a_bw_wait_ns

@@ -25,14 +25,6 @@ let bool t = Int64.logand (next t) 1L = 1L
 (** Deterministic printable payload of [len] bytes. *)
 let payload t len = String.init len (fun _ -> Char.chr (33 + int t 94))
 
-(** Fill [buf[0..len)] with the printable payload stream — the
-    allocation-free twin of {!payload} for trial-setup hot paths that
-    reuse a scratch buffer. *)
-let fill_payload t buf len =
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set buf i (Char.unsafe_chr (33 + int t 94))
-  done
-
 (** [derive seed index] is a fresh seed for trial [index] of a campaign
     keyed by [seed] — splitmix64's finalizer over the campaign seed XOR a
     golden-ratio-scrambled trial index. It depends only on the pair, not
