@@ -71,11 +71,11 @@ faultcheck:
 
 # Litmus corpus: named crash patterns (Ferrite's create-rename,
 # two-appends, chrome, replace-via-truncate, plus SplitFS-specific
-# WAL-commit and relink-publish) explored EXHAUSTIVELY on every stack x
-# mode, then the fence minimizer: every registered fence site elided in
-# turn and the corpus re-explored to prove it REQUIRED (shrunk
-# counterexample) or REDUNDANT. Exits non-zero on any contract
-# violation with all fences in place. (~10s sequential)
+# WAL-commit, relink-publish, msync-publish and snapshot-cow) explored
+# EXHAUSTIVELY on every stack x mode, then the fence minimizer: every
+# registered fence site elided in turn and the corpus re-explored to
+# prove it REQUIRED (shrunk counterexample) or REDUNDANT. Exits non-zero
+# on any contract violation with all fences in place. (~10s sequential)
 litmus:
 	dune exec bin/splitfs_cli.exe -- litmus --jobs $(JOBS)
 

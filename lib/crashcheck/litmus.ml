@@ -27,36 +27,34 @@
     pre- or post-msync image. On top of the per-file differential
     check every pattern carries a claim — a cross-file safety property
     ("the destination of the rename always exists") evaluated on every
-    recovered crash state. *)
+    recovered crash state. A pattern is a {!Trial.program} with that
+    claim, and every crash state runs through the shared crash kernel
+    ({!Trial.run}). *)
 
 (* ------------------------------------------------------------------ *)
 (* Patterns                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type op =
-  | Create of { slot : int; path : string }
-  | Write of { slot : int; at : int; len : int; seed : int }
-  | Fsync of { slot : int }
-  | Truncate of { slot : int; size : int }
-  | Rename of { src : string; dst : string }
-  | Unlink of { path : string }
-  | Checkpoint  (** relink_all on SplitFS, no-op on the kernel stacks *)
-  | Snapshot of { src : string; dst : string }
-      (** native extent-map clone on SplitFS (publish + reflink, one
-          journal transaction); fsync-src + read + write + fsync-dst
-          copy fallback on the kernel stacks and the oracle *)
+type pattern = { p_name : string; p_program : Trial.program }
 
-type pattern = {
-  p_name : string;
-  p_doc : string;
-  p_initial : (string * int * int) list;
-      (** (path, length, payload seed); created and fsync'd before the
-          crash window opens, bound to slots 0..n-1 *)
-  p_paths : string list;  (** every path checked after recovery *)
-  p_ops : op list;
-  p_claim : Check.contract -> (string -> Bytes.t option) -> string option;
-      (** safety property over the recovered state, [None] = holds *)
-}
+(** A one-client pattern: [initial] lists (path, length, payload seed),
+    created and fsync'd before the crash window opens, bound to slots
+    0..n-1; every path in [paths] is checked after recovery, and
+    [claim] over the recovered state on top. *)
+let pattern name ~initial ~paths ~claim ops =
+  {
+    p_name = name;
+    p_program =
+      {
+        Trial.initial =
+          List.map
+            (fun (path, len, seed) -> { Trial.client = 0; path; len; seed })
+            initial;
+        paths = Array.of_list paths;
+        ops = List.map (fun op -> (0, op)) ops;
+        claim;
+      };
+  }
 
 let must_exist path what lookup =
   match lookup path with
@@ -67,57 +65,49 @@ let must_exist path what lookup =
     The destination must exist in every crash state, and under the
     atomic contract its content is exactly the old or the new file. *)
 let create_rename =
-  {
-    p_name = "create-rename";
-    p_doc = "create tmp, write, fsync, rename over the destination";
-    p_initial = [ ("/f", 96, 1) ];
-    p_paths = [ "/f"; "/f.tmp" ];
-    p_ops =
+  pattern "create-rename"
+    ~initial:[ ("/f", 96, 1) ]
+    ~paths:[ "/f"; "/f.tmp" ]
+    Trial.
       [
         Create { slot = 1; path = "/f.tmp" };
-        Write { slot = 1; at = 0; len = 96; seed = 2 };
-        Fsync { slot = 1 };
+        Op (Workload.Write { file = 1; at = 0; len = 96; seed = 2 });
+        Op (Workload.Fsync { file = 1 });
         Rename { src = "/f.tmp"; dst = "/f" };
-      ];
-    p_claim =
-      (fun contract lookup ->
-        match lookup "/f" with
-        | None -> Some "/f lost: no crash state may drop the rename target"
-        | Some b when contract = Check.Atomic ->
-            if
-              Bytes.equal b (Workload.payload ~seed:1 96)
-              || Bytes.equal b (Workload.payload ~seed:2 96)
-            then None
-            else Some "/f is neither the old nor the new content"
-        | Some _ -> None);
-  }
+      ]
+    ~claim:(fun contract lookup ->
+      match lookup "/f" with
+      | None -> Some "/f lost: no crash state may drop the rename target"
+      | Some b when contract = Check.Atomic ->
+          if
+            Bytes.equal b (Workload.payload ~seed:1 96)
+            || Bytes.equal b (Workload.payload ~seed:2 96)
+          then None
+          else Some "/f is neither the old nor the new content"
+      | Some _ -> None)
 
 (** Two appends with no fsync between them. Under the atomic contract
     the second append must never be durable without the first — the
     Ferrite prefix-append litmus. *)
 let two_appends =
-  {
-    p_name = "two-appends";
-    p_doc = "append A then B, no fsync: B must never survive without A";
-    p_initial = [ ("/log", 64, 3) ];
-    p_paths = [ "/log" ];
-    p_ops =
+  pattern "two-appends"
+    ~initial:[ ("/log", 64, 3) ]
+    ~paths:[ "/log" ]
+    Trial.
       [
-        Write { slot = 0; at = 64; len = 64; seed = 4 };
-        Write { slot = 0; at = 128; len = 64; seed = 5 };
-      ];
-    p_claim =
-      (fun contract lookup ->
-        match (contract, lookup "/log") with
-        | _, None -> Some "/log lost"
-        | Check.Atomic, Some b ->
-            let init = Workload.payload ~seed:3 64 in
-            let a = Bytes.cat init (Workload.payload ~seed:4 64) in
-            let ab = Bytes.cat a (Workload.payload ~seed:5 64) in
-            if List.exists (Bytes.equal b) [ init; a; ab ] then None
-            else Some "/log holds append B without append A (or a tear)"
-        | _ -> None);
-  }
+        Op (Workload.Write { file = 0; at = 64; len = 64; seed = 4 });
+        Op (Workload.Write { file = 0; at = 128; len = 64; seed = 5 });
+      ]
+    ~claim:(fun contract lookup ->
+      match (contract, lookup "/log") with
+      | _, None -> Some "/log lost"
+      | Check.Atomic, Some b ->
+          let init = Workload.payload ~seed:3 64 in
+          let a = Bytes.cat init (Workload.payload ~seed:4 64) in
+          let ab = Bytes.cat a (Workload.payload ~seed:5 64) in
+          if List.exists (Bytes.equal b) [ init; a; ab ] then None
+          else Some "/log holds append B without append A (or a tear)"
+      | _ -> None)
 
 (** The Chrome profile-save bug shape: append into a temp file and
     rename it over the live one with no fsync. The destination must
@@ -125,88 +115,75 @@ let two_appends =
     by each stack's own contract (on POSIX-grade stacks it may well be
     empty — that is the documented bug, not a violation). *)
 let chrome =
-  {
-    p_name = "chrome";
-    p_doc = "append to tmp, rename over live file, no fsync";
-    p_initial = [ ("/prefs", 64, 6) ];
-    p_paths = [ "/prefs"; "/prefs.tmp" ];
-    p_ops =
+  pattern "chrome"
+    ~initial:[ ("/prefs", 64, 6) ]
+    ~paths:[ "/prefs"; "/prefs.tmp" ]
+    Trial.
       [
         Create { slot = 1; path = "/prefs.tmp" };
-        Write { slot = 1; at = 0; len = 128; seed = 7 };
+        Op (Workload.Write { file = 1; at = 0; len = 128; seed = 7 });
         Rename { src = "/prefs.tmp"; dst = "/prefs" };
-      ];
-    p_claim = (fun _ lookup -> must_exist "/prefs" "rename target lost" lookup);
-  }
+      ]
+    ~claim:(fun _ lookup -> must_exist "/prefs" "rename target lost" lookup)
 
 (** Replace a file's content in place: truncate to zero, rewrite,
     fsync twice (the second fsync has no new data and exercises the
     kernel fsync fast path). *)
 let replace_truncate =
-  {
-    p_name = "replace-truncate";
-    p_doc = "truncate to 0, rewrite, fsync (twice)";
-    p_initial = [ ("/cfg", 128, 8) ];
-    p_paths = [ "/cfg" ];
-    p_ops =
+  pattern "replace-truncate"
+    ~initial:[ ("/cfg", 128, 8) ]
+    ~paths:[ "/cfg" ]
+    Trial.
       [
         Truncate { slot = 0; size = 0 };
-        Write { slot = 0; at = 0; len = 128; seed = 9 };
-        Fsync { slot = 0 };
-        Fsync { slot = 0 };
-      ];
-    p_claim =
-      (fun contract lookup ->
-        match (contract, lookup "/cfg") with
-        | _, None -> Some "/cfg lost"
-        | Check.Atomic, Some b ->
-            if
-              Bytes.length b = 0
-              || Bytes.equal b (Workload.payload ~seed:8 128)
-              || Bytes.equal b (Workload.payload ~seed:9 128)
-            then None
-            else Some "/cfg is neither old, empty, nor the new content"
-        | _ -> None);
-  }
+        Op (Workload.Write { file = 0; at = 0; len = 128; seed = 9 });
+        Op (Workload.Fsync { file = 0 });
+        Op (Workload.Fsync { file = 0 });
+      ]
+    ~claim:(fun contract lookup ->
+      match (contract, lookup "/cfg") with
+      | _, None -> Some "/cfg lost"
+      | Check.Atomic, Some b ->
+          if
+            Bytes.length b = 0
+            || Bytes.equal b (Workload.payload ~seed:8 128)
+            || Bytes.equal b (Workload.payload ~seed:9 128)
+          then None
+          else Some "/cfg is neither old, empty, nor the new content"
+      | _ -> None)
 
 (** Write-ahead-log commit with rotation: append a record, fsync it,
     drop the previous log generation, checkpoint. Exercises the oplog
     clear path and strict unlink logging. *)
 let wal_commit =
-  {
-    p_name = "wal-commit";
-    p_doc = "append record, fsync, unlink old log, checkpoint";
-    p_initial = [ ("/wal", 64, 10); ("/wal.old", 64, 11) ];
-    p_paths = [ "/wal"; "/wal.old" ];
-    p_ops =
+  pattern "wal-commit"
+    ~initial:[ ("/wal", 64, 10); ("/wal.old", 64, 11) ]
+    ~paths:[ "/wal"; "/wal.old" ]
+    Trial.
       [
-        Write { slot = 0; at = 64; len = 64; seed = 12 };
-        Fsync { slot = 0 };
+        Op (Workload.Write { file = 0; at = 64; len = 64; seed = 12 });
+        Op (Workload.Fsync { file = 0 });
         Unlink { path = "/wal.old" };
-        Checkpoint;
-      ];
-    p_claim = (fun _ lookup -> must_exist "/wal" "live log lost" lookup);
-  }
+        Op Workload.Checkpoint;
+      ]
+    ~claim:(fun _ lookup -> must_exist "/wal" "live log lost" lookup)
 
 (** The SplitFS bread-and-butter sequence: staged appends, a relink at
     fsync (boundary copies, publish entry), more staged appends, then a
     checkpoint clearing the operation log. *)
 let relink_publish =
-  {
-    p_name = "relink-publish";
-    p_doc = "staged appends, relink at fsync, more appends, checkpoint";
-    p_initial = [ ("/data", 64, 13) ];
-    p_paths = [ "/data" ];
-    p_ops =
+  pattern "relink-publish"
+    ~initial:[ ("/data", 64, 13) ]
+    ~paths:[ "/data" ]
+    Trial.
       [
-        Write { slot = 0; at = 64; len = 64; seed = 14 };
-        Write { slot = 0; at = 128; len = 64; seed = 15 };
-        Fsync { slot = 0 };
-        Write { slot = 0; at = 192; len = 64; seed = 16 };
-        Checkpoint;
-      ];
-    p_claim = (fun _ lookup -> must_exist "/data" "file lost" lookup);
-  }
+        Op (Workload.Write { file = 0; at = 64; len = 64; seed = 14 });
+        Op (Workload.Write { file = 0; at = 128; len = 64; seed = 15 });
+        Op (Workload.Fsync { file = 0 });
+        Op (Workload.Write { file = 0; at = 192; len = 64; seed = 16 });
+        Op Workload.Checkpoint;
+      ]
+    ~claim:(fun _ lookup -> must_exist "/data" "file lost" lookup)
 
 (** Overlay a write on top of [base], growing it if the write lands past
     the end — the oracle-side image algebra the fams claims are stated
@@ -230,29 +207,25 @@ let msync_publish =
     overlay (overlay img0 ~at:64 ~len:96 ~seed:21) ~at:160 ~len:64 ~seed:22
   in
   let img2 = overlay img1 ~at:0 ~len:48 ~seed:23 in
-  {
-    p_name = "msync-publish";
-    p_doc = "unfenced fams stores, atomic msync publish, unpublished tail";
-    p_initial = [ ("/db", 96, 20) ];
-    p_paths = [ "/db" ];
-    p_ops =
+  pattern "msync-publish"
+    ~initial:[ ("/db", 96, 20) ]
+    ~paths:[ "/db" ]
+    Trial.
       [
-        Write { slot = 0; at = 64; len = 96; seed = 21 };
-        Write { slot = 0; at = 160; len = 64; seed = 22 };
-        Fsync { slot = 0 };
-        Write { slot = 0; at = 0; len = 48; seed = 23 };
-        Fsync { slot = 0 };
-        Write { slot = 0; at = 224; len = 32; seed = 24 };
-      ];
-    p_claim =
-      (fun contract lookup ->
-        match (contract, lookup "/db") with
-        | _, None -> Some "/db lost"
-        | Check.Fams, Some b ->
-            if List.exists (Bytes.equal b) [ img0; img1; img2 ] then None
-            else Some "/db is not one of the three msync images"
-        | _ -> None);
-  }
+        Op (Workload.Write { file = 0; at = 64; len = 96; seed = 21 });
+        Op (Workload.Write { file = 0; at = 160; len = 64; seed = 22 });
+        Op (Workload.Fsync { file = 0 });
+        Op (Workload.Write { file = 0; at = 0; len = 48; seed = 23 });
+        Op (Workload.Fsync { file = 0 });
+        Op (Workload.Write { file = 0; at = 224; len = 32; seed = 24 });
+      ]
+    ~claim:(fun contract lookup ->
+      match (contract, lookup "/db") with
+      | _, None -> Some "/db lost"
+      | Check.Fams, Some b ->
+          if List.exists (Bytes.equal b) [ img0; img1; img2 ] then None
+          else Some "/db is not one of the three msync images"
+      | _ -> None)
 
 (** Snapshot copy-on-write: stage a write, snapshot the file (publish +
     extent-map clone), then overwrite the source over the now-shared
@@ -263,29 +236,25 @@ let snapshot_cow =
   let img_pub =
     overlay (Workload.payload ~seed:30 160) ~at:64 ~len:64 ~seed:31
   in
-  {
-    p_name = "snapshot-cow";
-    p_doc = "write, snapshot (publish + clone), overwrite source, fsync";
-    p_initial = [ ("/src", 160, 30) ];
-    p_paths = [ "/src"; "/snap" ];
-    p_ops =
+  pattern "snapshot-cow"
+    ~initial:[ ("/src", 160, 30) ]
+    ~paths:[ "/src"; "/snap" ]
+    Trial.
       [
-        Write { slot = 0; at = 64; len = 64; seed = 31 };
+        Op (Workload.Write { file = 0; at = 64; len = 64; seed = 31 });
         Snapshot { src = "/src"; dst = "/snap" };
-        Write { slot = 0; at = 0; len = 96; seed = 32 };
-        Fsync { slot = 0 };
-      ];
-    p_claim =
-      (fun contract lookup ->
-        match contract with
-        | Check.Fams | Check.Atomic -> (
-            match lookup "/snap" with
-            | None -> None (* crash before the clone committed *)
-            | Some b ->
-                if Bytes.length b = 0 || Bytes.equal b img_pub then None
-                else Some "/snap is neither empty nor the published image")
-        | _ -> None);
-  }
+        Op (Workload.Write { file = 0; at = 0; len = 96; seed = 32 });
+        Op (Workload.Fsync { file = 0 });
+      ]
+    ~claim:(fun contract lookup ->
+      match contract with
+      | Check.Fams | Check.Atomic -> (
+          match lookup "/snap" with
+          | None -> None (* crash before the clone committed *)
+          | Some b ->
+              if Bytes.length b = 0 || Bytes.equal b img_pub then None
+              else Some "/snap is neither empty nor the published image")
+      | _ -> None)
 
 (** The four Ferrite-style application patterns. *)
 let ferrite = [ create_rename; two_appends; chrome; replace_truncate ]
@@ -381,144 +350,17 @@ let combos =
   List.concat_map (fun p -> List.map (on_stack p) stacks) corpus @ aux_combos
 
 (* ------------------------------------------------------------------ *)
-(* Applying a pattern                                                   *)
+(* Profiling and the crash trial                                        *)
 (* ------------------------------------------------------------------ *)
-
-let slot_count p =
-  let m =
-    List.fold_left
-      (fun a op ->
-        match op with
-        | Create { slot; _ }
-        | Write { slot; _ }
-        | Fsync { slot }
-        | Truncate { slot; _ } ->
-            max a slot
-        | Rename _ | Unlink _ | Checkpoint | Snapshot _ -> a)
-      (List.length p.p_initial - 1)
-      p.p_ops
-  in
-  m + 1
-
-(** Create and fsync the initial files: the crash window opens on a
-    fully durable state. *)
-let setup p (fs : Fsapi.Fs.t) =
-  let slots = Array.make (slot_count p) None in
-  List.iteri
-    (fun i (path, len, seed) ->
-      let fd = fs.Fsapi.Fs.open_ path Fsapi.Flags.create_rw in
-      if len > 0 then
-        ignore
-          (fs.Fsapi.Fs.pwrite fd ~buf:(Workload.payload ~seed len) ~boff:0
-             ~len ~at:0);
-      fs.Fsapi.Fs.fsync fd;
-      slots.(i) <- Some fd)
-    p.p_initial;
-  slots
-
-let fdx slots i =
-  match slots.(i) with
-  | Some fd -> fd
-  | None -> invalid_arg "litmus: op on a slot no Create filled"
-
-let apply (fs : Fsapi.Fs.t) ~checkpoint ~snapshot slots op =
-  match op with
-  | Create { slot; path } ->
-      slots.(slot) <- Some (fs.Fsapi.Fs.open_ path Fsapi.Flags.create_rw)
-  | Write { slot; at; len; seed } ->
-      ignore
-        (fs.Fsapi.Fs.pwrite (fdx slots slot)
-           ~buf:(Workload.payload ~seed len) ~boff:0 ~len ~at)
-  | Fsync { slot } -> fs.Fsapi.Fs.fsync (fdx slots slot)
-  | Truncate { slot; size } -> fs.Fsapi.Fs.ftruncate (fdx slots slot) size
-  | Rename { src; dst } -> fs.Fsapi.Fs.rename src dst
-  | Unlink { path } -> fs.Fsapi.Fs.unlink path
-  | Checkpoint -> checkpoint ()
-  | Snapshot { src; dst } -> snapshot src dst
-
-(** Fallback snapshot for stacks without the native extent-map clone
-    (and for the oracle): fsync the source first — the native snapshot
-    publishes staged data before cloning — then copy its content into
-    [dst] and fsync that. *)
-let copy_snapshot (fs : Fsapi.Fs.t) src dst =
-  let sfd = fs.Fsapi.Fs.open_ src Fsapi.Flags.rdonly in
-  let dfd = fs.Fsapi.Fs.open_ dst Fsapi.Flags.create_rw in
-  Fun.protect
-    ~finally:(fun () ->
-      fs.Fsapi.Fs.close dfd;
-      fs.Fsapi.Fs.close sfd)
-    (fun () ->
-      fs.Fsapi.Fs.fsync sfd;
-      let size = (fs.Fsapi.Fs.stat src).Fsapi.Fs.st_size in
-      let buf = Bytes.create size in
-      let got =
-        if size = 0 then 0 else fs.Fsapi.Fs.pread sfd ~buf ~boff:0 ~len:size ~at:0
-      in
-      fs.Fsapi.Fs.ftruncate dfd 0;
-      if got > 0 then ignore (fs.Fsapi.Fs.pwrite dfd ~buf ~boff:0 ~len:got ~at:0);
-      fs.Fsapi.Fs.fsync dfd)
-
-(** [op] on the stack under test: checkpoint is a relink on SplitFS and
-    a no-op elsewhere; snapshot is SplitFS's native clone (publish +
-    reflink, one journal transaction) or the copy fallback. *)
-let apply_stack (st : Fs_config.stack) slots =
-  let snapshot =
-    match st.usplit with
-    | Some u -> Splitfs.Usplit.snapshot u
-    | None -> copy_snapshot st.fs
-  in
-  apply st.fs ~checkpoint:(fun () -> Fs_config.checkpoint st) ~snapshot slots
-
-(** [op] on the oracle, which has no relink: checkpoint makes everything
-    durable. *)
-let apply_oracle (ofs : Fsapi.Fs.t) oslots =
-  let checkpoint () =
-    Array.iter (function Some fd -> ofs.Fsapi.Fs.fsync fd | None -> ()) oslots
-  in
-  apply ofs ~checkpoint ~snapshot:(copy_snapshot ofs) oslots
-
-(** Crash recovery on [st], returning the view recovered files are read
-    through. SplitFS replays its op log and is read through the kernel
-    below it, bypassing U-Split, whose DRAM caches died with the
-    process. Injected faults are cleared first: they model a full device
-    at run time, not a broken one at recovery time. *)
-let recover (st : Fs_config.stack) =
-  Faults.reset st.env.Pmem.Env.faults;
-  match (st.usplit, st.sys) with
-  | Some _, Some sys ->
-      ignore (Splitfs.Recovery.recover ~sys ~env:st.env ~instance:0);
-      Kernelfs.Syscall.as_fsapi sys
-  | _ -> st.fs
-
-(* ------------------------------------------------------------------ *)
-(* Profiling and the lockstep trial                                     *)
-(* ------------------------------------------------------------------ *)
-
-(** Run the pattern once to completion with the persist-order journal
-    on (store dedup enabled). Returns every crash point and each
-    registered site's hit count before and after the crash window. Hit
-    counters are per-device, so the mount and setup traffic of this
-    stack is the baseline. *)
-let record c =
-  let st = c.c_build () in
-  let slots = setup c.c_pattern st.fs in
-  let dev = st.env.Pmem.Env.dev in
-  let hits () =
-    List.map
-      (fun (i, _) -> Pmem.Device.site_hits dev i)
-      (Pmem.Device.fence_sites ())
-  in
-  let before = hits () in
-  let points =
-    Explore.points ~dedup:true dev (fun () ->
-        List.iter (apply_stack st slots) c.c_pattern.p_ops)
-  in
-  (points, before, hits ())
 
 (** Every crash point of the combo, and the fence sites that fire inside
-    its crash window (the evidence the minimizer works from). *)
+    its crash window (the evidence the minimizer works from): one run to
+    completion with the persist-order journal on, store dedup enabled
+    ({!Trial.profile}). *)
 let profile c =
-  let points, before, after = record c in
+  let points, before, after =
+    Trial.profile ~dedup:true ~build:c.c_build c.c_pattern.p_program
+  in
   let fired =
     List.filter_map
       (fun ((site, _), (h0, h1)) -> if h1 > h0 then Some site else None)
@@ -535,7 +377,9 @@ let site_coverage ?jobs () =
   let per_combo =
     Par.map ?jobs
       (fun _ c ->
-        let _, _, after = record c in
+        let _, _, after =
+          Trial.profile ~dedup:true ~build:c.c_build c.c_pattern.p_program
+        in
         after)
       combos
   in
@@ -546,50 +390,10 @@ let site_coverage ?jobs () =
         List.fold_left (fun acc hits -> acc + List.nth hits k) 0 per_combo ))
     (Pmem.Device.fence_sites ())
 
-type trial = {
-  t_crashed_at : int option;
-      (** index of the op in flight, [None] = end of trace *)
-  t_violations : (string option * string) list;
-      (** (path, reason); path [None] = the pattern claim failed *)
-}
-
-(** One crash state end to end: fresh stack, {!Trial.replay} against
-    the {!Fsapi.Ref_fs} oracle, recovery, read-back, per-file contract
-    check plus the pattern claim. *)
-let run_trial c ~(point : Explore.point) ~survivors =
-  let p = c.c_pattern in
-  let st = c.c_build () in
-  let slots = setup p st.fs in
-  let ofs, oracle = Fsapi.Ref_fs.make_oracle () in
-  let oslots = setup p ofs in
-  let crashed_at, pre, post =
-    Trial.replay ~dedup:true st.env.Pmem.Env.dev ~point ~survivors
-      ~real:(apply_stack st slots) ~oracle:(apply_oracle ofs oslots)
-      ~snap:(fun () -> List.map (View.of_oracle oracle) p.p_paths)
-      p.p_ops
-  in
-  let rfs = recover st in
-  let recovered =
-    List.map (fun path -> (path, Trial.read_back rfs path)) p.p_paths
-  in
-  let files =
-    List.map2
-      (fun (path, got) (pre, post) ->
-        Option.map
-          (fun reason -> (Some path, reason))
-          (Check.check_file c.c_contract ~pre ~post got))
-      recovered (List.combine pre post)
-  in
-  let claim =
-    p.p_claim c.c_contract (fun path ->
-        Option.join (List.assoc_opt path recovered))
-  in
-  {
-    t_crashed_at = crashed_at;
-    t_violations =
-      List.filter_map Fun.id
-        (files @ [ Option.map (fun reason -> (None, reason)) claim ]);
-  }
+(** One crash state of the combo ({!Trial.run}, store dedup on). *)
+let trial c =
+  Trial.run ~dedup:true ~build:c.c_build ~contract:c.c_contract
+    c.c_pattern.p_program
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive driver                                                    *)
@@ -632,19 +436,21 @@ let run_combo c =
       states := !states + n;
       List.iter
         (fun svs ->
-          let t = run_trial c ~point:pt ~survivors:svs in
+          let t = trial c ~point:pt ~survivors:svs in
           List.iter
-            (fun (path, reason) ->
+            (fun (i, reason) ->
               violations :=
                 {
-                  vl_path = path;
+                  vl_path =
+                    (if i < 0 then None
+                     else Some c.c_pattern.p_program.Trial.paths.(i));
                   vl_reason = reason;
                   vl_fence = pt.Explore.fence;
-                  vl_op = t.t_crashed_at;
+                  vl_op = t.Trial.crashed_at;
                   vl_survivors = svs;
                 }
                 :: !violations)
-            t.t_violations)
+            t.Trial.violations)
         (Explore.enumerate pt.Explore.pending))
     points;
   {

@@ -50,7 +50,7 @@ let shrink c (v : Litmus.violation) =
   | None -> v
   | Some point ->
       let violates svs =
-        (Litmus.run_trial c ~point ~survivors:svs).Litmus.t_violations <> []
+        (Litmus.trial c ~point ~survivors:svs).Trial.violations <> []
       in
       {
         v with

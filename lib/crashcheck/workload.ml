@@ -14,21 +14,20 @@ type t = {
   ops : op list;
 }
 
-(** Deterministic content; must be identical for the system under test
-    and the oracle, distinctive across seeds. *)
-let payload ~seed len =
-  Bytes.init len (fun i ->
-      Char.chr ((seed * 131 + i * 7 + (i * i mod 251)) land 0xFF))
-
-(** Allocation-free twin of {!payload}: fill [buf]'s first [len] bytes
-    with the same content stream. Safe to reuse across ops because
-    every [pwrite] in the simulation (U-Split staging, kernel, oracle)
-    copies out of the caller's buffer. *)
+(** Fill [buf]'s first [len] bytes with the deterministic payload of
+    [seed]: identical for the system under test and the oracle,
+    distinctive across seeds. *)
 let payload_into ~seed buf ~len =
   for i = 0 to len - 1 do
     Bytes.unsafe_set buf i
       (Char.unsafe_chr ((seed * 131 + (i * 7) + (i * i mod 251)) land 0xFF))
   done
+
+(** {!payload_into} on a fresh buffer. *)
+let payload ~seed len =
+  let buf = Bytes.create len in
+  payload_into ~seed buf ~len;
+  buf
 
 (** Random interleaving of appends, overwrites (possibly crossing EOF),
     fsyncs and checkpoints. Sizes stay small so each trial stays cheap

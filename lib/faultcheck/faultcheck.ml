@@ -26,6 +26,7 @@
     subset before reporting. *)
 
 module W = Crashcheck.Workload
+module Trial = Crashcheck.Trial
 module Fs_config = Stacks.Fs_config
 
 let all_stacks =
@@ -111,31 +112,6 @@ let tiny_staging c =
   { c with Splitfs.Config.staging_files = 1; staging_size = 4096 }
 
 module Runner = struct
-  let file_path = Crashcheck.Runner.file_path
-
-  let setup (w : W.t) (st : Fs_config.stack) =
-    Array.init w.W.nfiles (fun i ->
-        let fd = st.fs.Fsapi.Fs.open_ (file_path i) Fsapi.Flags.create_rw in
-        let len = w.W.initial.(i) in
-        let buf = W.payload ~seed:(1000 + i) len in
-        (* On the fams stack a whole-file write can overflow a
-           [tiny_staging] pool, and fams (correctly) answers ENOSPC
-           rather than degrading to an in-place write. Initial content
-           is harness setup, not part of the trial — feed it in
-           staging-sized bites with a publish in between. Faults are not
-           armed yet, so no other stack can fail here. *)
-        (try ignore (st.fs.Fsapi.Fs.pwrite fd ~buf ~boff:0 ~len ~at:0)
-         with Fsapi.Errno.Error (Fsapi.Errno.ENOSPC, _) ->
-           let pos = ref 0 in
-           while !pos < len do
-             let n = min 1024 (len - !pos) in
-             ignore (st.fs.Fsapi.Fs.pwrite fd ~buf ~boff:!pos ~len:n ~at:!pos);
-             st.fs.Fsapi.Fs.fsync fd;
-             pos := !pos + n
-           done);
-        st.fs.Fsapi.Fs.fsync fd;
-        fd)
-
   let allowed_errno = function
     | Fsapi.Errno.EIO | Fsapi.Errno.ENOSPC -> true
     | _ -> false
@@ -151,22 +127,28 @@ module Runner = struct
 
   let snapshot_counts (c : Faults.counts) = { c with Faults.injected = c.injected }
 
-  (** One trial on a fresh crash-trial stack from the registry, with
-      the staging pool shrunk when [tiny] is set. *)
-  let run_trial ?(tiny = false) ?checks spec (w : W.t)
+  (** One trial: the program's files set up on a fresh crash-trial stack
+      from the registry (its staging pool shrunk when [tiny] is set),
+      the faults injected, the ops run to completion and every file read
+      back through the stack and checked against the model. *)
+  let run_trial ?(tiny = false) ?checks spec (p : Trial.program)
       ~(points : fault_point list) =
     let tweak = if tiny then tiny_staging else Fun.id in
-    let st = Fs_config.make_small ?checks ~tweak spec in
+    let m =
+      Trial.mount ~scratch:(ref Bytes.empty)
+        ~build:(fun () -> Fs_config.make_small ?checks ~tweak spec)
+        p
+    in
+    let st = m.Trial.stack and fds = m.Trial.slots.(0) in
     let dev = st.env.Pmem.Env.dev in
     let plane = st.env.Pmem.Env.faults in
     let kfs = Kernelfs.Syscall.kernel (Option.get st.sys) in
-    let fds = setup w st in
+    let files = Array.of_list p.Trial.initial in
     let model =
-      Array.init w.W.nfiles (fun i ->
-          {
-            Model.views = [ W.payload ~seed:(1000 + i) w.W.initial.(i) ];
-            failed = [];
-          })
+      Array.map
+        (fun (f : Trial.file) ->
+          { Model.views = [ W.payload ~seed:f.seed f.len ]; failed = [] })
+        files
     in
     (* the initial content is durable; now inject *)
     Faults.arm plane;
@@ -179,12 +161,25 @@ module Runner = struct
       points;
     let errno = ref None in
     let unexpected = ref [] in
-    let record_fail k e ctx =
-      if allowed_errno e then errno := Some (e, ctx)
-      else
-        unexpected :=
-          Fmt.str "op %d: unexpected errno %a" k Fsapi.Errno.pp (e, ctx)
-          :: !unexpected
+    (* the one error guard: an allowed errno is an honest outcome (the
+       trial's last errno); any other errno, or an escaped exception, is
+       a violation *)
+    let guard k what f =
+      match f () with
+      | () -> `Done
+      | exception Fsapi.Errno.Error (e, ctx) when allowed_errno e ->
+          errno := Some (e, ctx);
+          `Errno
+      | exception Fsapi.Errno.Error (e, ctx) ->
+          unexpected :=
+            Fmt.str "op %d: unexpected errno %a" k Fsapi.Errno.pp (e, ctx)
+            :: !unexpected;
+          `Broken
+      | exception e ->
+          unexpected :=
+            Fmt.str "%s: escaped exception %s" what (Printexc.to_string e)
+            :: !unexpected;
+          `Broken
     in
     let run_scrub () =
       match (!scrub_limit, st.usplit) with
@@ -192,54 +187,26 @@ module Runner = struct
       | Some l, Some u -> ignore (Splitfs.Usplit.scrub u ~wear_limit:l)
       | Some l, None -> ignore (Kernelfs.Ext4.scrub kfs ~wear_limit:l)
     in
-    let nops = List.length w.W.ops in
+    let nops = List.length p.Trial.ops in
     List.iteri
-      (fun k op ->
+      (fun k ((_, op) as step) ->
         if k = nops / 2 then run_scrub ();
-        match op with
-        | W.Write { file; at; len; seed } -> (
-            let buf = W.payload ~seed len in
-            match st.fs.Fsapi.Fs.pwrite fds.(file) ~buf ~boff:0 ~len ~at with
-            | n ->
-                if n = len then Model.write_ok model.(file) ~at buf
-                else
-                  unexpected :=
-                    Fmt.str "op %d: short write %d/%d" k n len :: !unexpected
-            | exception Fsapi.Errno.Error (e, ctx) ->
-                record_fail k e ctx;
-                if allowed_errno e then Model.write_failed model.(file) ~at buf
-            | exception e ->
-                unexpected :=
-                  Fmt.str "op %d: escaped exception %s" k (Printexc.to_string e)
-                  :: !unexpected)
-        | W.Fsync { file } -> (
-            match st.fs.Fsapi.Fs.fsync fds.(file) with
-            | () -> ()
-            | exception Fsapi.Errno.Error (e, ctx) -> record_fail k e ctx
-            | exception e ->
-                unexpected :=
-                  Fmt.str "op %d: escaped exception %s" k (Printexc.to_string e)
-                  :: !unexpected)
-        | W.Checkpoint -> (
-            match Fs_config.checkpoint st with
-            | () -> ()
-            | exception Fsapi.Errno.Error (e, ctx) -> record_fail k e ctx
-            | exception e ->
-                unexpected :=
-                  Fmt.str "op %d: escaped exception %s" k (Printexc.to_string e)
-                  :: !unexpected))
-      w.W.ops;
+        let outcome =
+          guard k (Printf.sprintf "op %d" k) (fun () -> m.Trial.step step)
+        in
+        match (op, outcome) with
+        | Trial.Op (W.Write { file; at; len; seed }), `Done ->
+            Model.write_ok model.(file) ~at (W.payload ~seed len)
+        | Trial.Op (W.Write { file; at; len; seed }), `Errno ->
+            Model.write_failed model.(file) ~at (W.payload ~seed len)
+        | _ -> ())
+      p.Trial.ops;
     (* settle: a final fsync per file, failures allowed like any op *)
     Array.iteri
       (fun i fd ->
-        match st.fs.Fsapi.Fs.fsync fd with
-        | () -> ()
-        | exception Fsapi.Errno.Error (e, ctx) -> record_fail (nops + i) e ctx
-        | exception e ->
-            unexpected :=
-              Fmt.str "settle f%d: escaped exception %s" i
-                (Printexc.to_string e)
-              :: !unexpected)
+        ignore
+          (guard (nops + i) (Printf.sprintf "settle f%d" i) (fun () ->
+               st.fs.Fsapi.Fs.fsync fd)))
       fds;
     (* read-back; EIO from a poisoned line retires (quarantines) the line
        and retries, like an application's MCE handler would *)
@@ -293,7 +260,7 @@ module Runner = struct
                      (fun v -> off < Bytes.length v && Bytes.get v off = b)
                      views
                    || Model.failed_explains model.(i) ~off b
-                   || (b = '\000' && quarantined_zero (file_path i) off)
+                   || (b = '\000' && quarantined_zero files.(i).Trial.path off)
                  in
                  if not ok then begin
                    bad :=
@@ -308,7 +275,7 @@ module Runner = struct
           end
     in
     let violations = ref [] in
-    for i = w.W.nfiles - 1 downto 0 do
+    for i = Array.length files - 1 downto 0 do
       match check_file i with
       | Some r -> violations := (i, r) :: !violations
       | None -> ()
@@ -337,14 +304,14 @@ end
 (** Greedily drop fault points from a violating set while the violation
     persists ({!Crashcheck.Shrink.greedy}, 32 re-runs at most); what
     remains is a minimal culprit set. *)
-let shrink ~tiny spec w ~points =
+let shrink ~tiny spec p ~points =
   Crashcheck.Shrink.greedy ~budget:32 points
-    ~simpler:(fun p current ->
+    ~simpler:(fun x current ->
       if List.length current > 1 then
-        Some (List.filter (fun q -> q != p) current)
+        Some (List.filter (fun q -> q != x) current)
       else None)
     ~violates:(fun ps ->
-      (Runner.run_trial ~tiny spec w ~points:ps).Runner.violations <> [])
+      (Runner.run_trial ~tiny spec p ~points:ps).Runner.violations <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Campaign driver                                                      *)
@@ -418,34 +385,34 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs spec =
   let mode = Option.value (Fs_config.mode spec) ~default:Splitfs.Config.Posix in
   (* scale 16 pushes writes across block boundaries so full-block relink
      (and therefore the swap_extents fault site) is part of the campaign *)
-  let w = W.generate ~mode ~seed ~scale:16 ~nops () in
+  let p = Trial.of_workload (W.generate ~mode ~seed ~scale:16 ~nops ()) in
   (* profiling pass: no faults, count site calls + collect poison lines *)
   let calls, poison_candidates =
-    let st = Fs_config.make_small spec in
-    let plane = st.env.Pmem.Env.faults in
-    let kfs = Kernelfs.Syscall.kernel (Option.get st.sys) in
-    let fds = Runner.setup w st in
+    let m =
+      Trial.mount ~scratch:(ref Bytes.empty)
+        ~build:(fun () -> Fs_config.make_small spec)
+        p
+    in
+    let plane = m.Trial.stack.env.Pmem.Env.faults in
+    let kfs = Kernelfs.Syscall.kernel (Option.get m.Trial.stack.sys) in
     let poison =
-      List.concat
-        (List.init w.W.nfiles (fun i ->
-             match Kernelfs.Ext4.namei kfs (Runner.file_path i) with
-             | inode ->
-                 let lines = (w.W.initial.(i) + 63) / 64 in
-                 List.filter_map
-                   (fun off ->
-                     match Kernelfs.Ext4.device_addr kfs inode ~off with
-                     | Some a -> Some (a / 64 * 64)
-                     | None -> None)
-                   [ 0; lines / 2 * 64 ]
-             | exception Fsapi.Errno.Error _ -> []))
+      List.concat_map
+        (fun (f : Trial.file) ->
+          match Kernelfs.Ext4.namei kfs f.path with
+          | inode ->
+              let lines = (f.len + 63) / 64 in
+              List.filter_map
+                (fun off ->
+                  match Kernelfs.Ext4.device_addr kfs inode ~off with
+                  | Some a -> Some (a / 64 * 64)
+                  | None -> None)
+                [ 0; lines / 2 * 64 ]
+          | exception Fsapi.Errno.Error _ -> [])
+        p.Trial.initial
       |> List.sort_uniq compare
     in
     Faults.arm plane;
-    List.iter
-      (Crashcheck.Runner.apply
-         ~checkpoint:(fun () -> Fs_config.checkpoint st)
-         st.fs fds)
-      w.W.ops;
+    List.iter m.Trial.step p.Trial.ops;
     ((fun site -> Faults.calls plane site), poison)
   in
   let site_points =
@@ -510,7 +477,7 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs spec =
      job count *)
   let results =
     Par.map ?jobs
-      (fun _ (points, tiny) -> Runner.run_trial ~tiny spec w ~points)
+      (fun _ (points, tiny) -> Runner.run_trial ~tiny spec p ~points)
       trials
   in
   let totals = Faults.counts (Faults.create ()) in
@@ -527,7 +494,7 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs spec =
       List.iter
         (fun (file, reason) ->
           let shrunk =
-            if !violations = [] then shrink ~tiny spec w ~points
+            if !violations = [] then shrink ~tiny spec p ~points
             else points
           in
           violations :=
@@ -577,9 +544,12 @@ let oracle_catches_dropped_writes ?(seed = 0xFA17) ?(nops = 24) () =
   let checks =
     { (Pmem.Env.default_checks ()) with Pmem.Env.honest_degraded_writes = false }
   in
-  let w = W.generate ~mode:Splitfs.Config.Sync ~seed ~scale:16 ~nops () in
+  let p =
+    Trial.of_workload
+      (W.generate ~mode:Splitfs.Config.Sync ~seed ~scale:16 ~nops ())
+  in
   let t =
-    Runner.run_trial ~tiny:true ~checks Fs_config.Splitfs_sync w
+    Runner.run_trial ~tiny:true ~checks Fs_config.Splitfs_sync p
       ~points:
         [
           Resource

@@ -153,14 +153,15 @@ let test_double_replay_idempotent mode () =
     let st = Harness.Fs_config.make_small (Harness.Fs_config.of_mode mode) in
     let env = st.Harness.Fs_config.env in
     let sys = Option.get st.Harness.Fs_config.sys in
-    let fds = R.setup w st.Harness.Fs_config.fs in
+    let scratch = ref Bytes.empty in
+    let fds = R.setup ~scratch w st.Harness.Fs_config.fs in
     let dev = env.Pmem.Env.dev in
     Pmem.Device.journal_begin dev;
     Pmem.Device.arm_crash dev ~fence:point.E.fence ~survivors;
     let cp () = Harness.Fs_config.checkpoint st in
     (try
        List.iter
-         (R.apply ~checkpoint:cp st.Harness.Fs_config.fs fds)
+         (R.apply ~scratch ~checkpoint:cp st.Harness.Fs_config.fs fds)
          w.Crashcheck.Workload.ops;
        (* armed fence past the last one: crash at end of trace *)
        Pmem.Device.crash_partial dev ~survivors

@@ -236,19 +236,58 @@ let test_scale_run_deterministic () =
 
 (* --- Crashcheck under concurrency ----------------------------------- *)
 
+(* Two clients, 12 ops each, 60 sampled states at the committed seed:
+   the crash-point count of each mode's merged trace is pinned, and the
+   report must not depend on the job count. *)
+let weave mode = Crashcheck.weave ~mode ~seed:0x51ED ~nops:12
+
 let test_concurrent_crashcheck () =
   List.iter
-    (fun mode ->
-      let r =
-        Crashcheck.Concurrent.check_mode ~samples:60 ~seed:0x51ED ~nops:12 mode
-      in
+    (fun jobs ->
       List.iter
-        (fun (c, f, reason) ->
-          Alcotest.failf "mode %s client %d file %d: %s"
-            (Splitfs.Config.mode_to_string mode)
-            c f reason)
-        r.Crashcheck.Concurrent.c_violations)
-    [ Splitfs.Config.Posix; Splitfs.Config.Sync; Splitfs.Config.Strict ]
+        (fun (mode, points) ->
+          let where =
+            Printf.sprintf "%s, %d jobs"
+              (Splitfs.Config.mode_to_string mode)
+              jobs
+          in
+          let r =
+            Crashcheck.check_program ~samples:60 ~seed:0x51ED ~jobs mode
+              (weave mode)
+          in
+          Alcotest.(check int) (where ^ ": crash points") points
+            r.Crashcheck.r_points;
+          Alcotest.(check int)
+            (where ^ ": explored") 60 r.Crashcheck.r_explored;
+          List.iter
+            (fun v ->
+              Alcotest.failf "%s: %a" where Crashcheck.pp_violation v)
+            r.Crashcheck.r_violations)
+        Splitfs.Config.[ (Posix, 20); (Sync, 45); (Strict, 45); (Fams, 44) ])
+    [ 1; 2 ]
+
+(* The two-client leg's canary: with op-log checksum verification off,
+   the same strict campaign must report violations. The first one in
+   trial order gets the shrinking budget; its counterexample is pinned
+   like the single-client one. *)
+let test_concurrent_canary () =
+  let checks =
+    { (Pmem.Env.default_checks ()) with Pmem.Env.verify_checksums = false }
+  in
+  let p = weave Splitfs.Config.Strict in
+  let r =
+    Crashcheck.check_program ~samples:60 ~seed:0x51ED ~checks
+      Splitfs.Config.Strict p
+  in
+  Alcotest.(check int) "violations" 6 (List.length r.Crashcheck.r_violations);
+  let v = List.hd r.Crashcheck.r_violations in
+  Alcotest.(check int) "fence" 28 v.Crashcheck.v_fence;
+  Alcotest.(check (option int)) "op in flight" (Some 14) v.Crashcheck.v_op;
+  Alcotest.(check string) "path" "/c0f1"
+    p.Crashcheck.Trial.paths.(v.Crashcheck.v_file);
+  Alcotest.(check (list string))
+    "shrunk counterexample" [ "line 37010 keep 0" ]
+    (List.map (Fmt.str "%a" Crashcheck.pp_survivor) v.Crashcheck.v_shrunk)
 
 let suite =
   [
@@ -265,4 +304,6 @@ let suite =
     tc "splitfs >= 2x ext4 at 8 clients" `Quick test_splitfs_scales_over_ext4;
     tc "aggregate throughput scales" `Quick test_scaling_improves_with_clients;
     tc "2-client interleaved crashcheck" `Slow test_concurrent_crashcheck;
+    tc "2-client canary: unverified op-log checksums are caught" `Slow
+      test_concurrent_canary;
   ]
