@@ -88,15 +88,18 @@ litmus:
 fams:
 	dune exec bin/splitfs_cli.exe -- fams --jobs $(JOBS)
 
-# Golden campaign reports: each verification campaign's report at its
-# pinned seed must match the committed file in test/golden byte for
-# byte. Reports are identical at every job count (DESIGN.md §5j), so
-# the files hold the --jobs 1 output and the gate runs at $(JOBS). A
-# refactor that claims "same output from less code" passes this
-# unchanged; a deliberate report change regenerates a file with
-# `dune exec bin/splitfs_cli.exe -- <campaign> --jobs 1 >
-# test/golden/<campaign>.txt` and shows up in the diff. Exits non-zero
-# on any difference or on a campaign failure.
+# Golden reports: each verification campaign's report at its pinned
+# seed, and the paper tables (`splitfs_cli all`: Tables 1, 2, 6 and 7,
+# Figures 3-6, recovery, resources and ablations, every number the
+# baselines produce), must match the committed file in test/golden byte
+# for byte. Reports are identical at every job count (DESIGN.md §5j),
+# so the files hold the --jobs 1 output and the gate runs at $(JOBS);
+# `all` runs sequentially and takes no --jobs. A refactor that claims
+# "same output from less code" passes this unchanged; a deliberate
+# report change regenerates a file with `dune exec bin/splitfs_cli.exe
+# -- <campaign> --jobs 1 > test/golden/<campaign>.txt` (or `-- all >
+# test/golden/paper.txt`) and shows up in the diff. Exits non-zero on
+# any difference or on a campaign failure.
 GOLDEN = crashcheck faultcheck litmus fams
 
 golden:
@@ -106,7 +109,11 @@ golden:
 	  dune exec bin/splitfs_cli.exe -- $$c --jobs $(JOBS) \
 	    > _build/golden/$$c.txt || status=1; \
 	  diff -u test/golden/$$c.txt _build/golden/$$c.txt || status=1; \
-	done; exit $$status
+	done; \
+	echo "golden: paper"; \
+	dune exec bin/splitfs_cli.exe -- all > _build/golden/paper.txt || status=1; \
+	diff -u test/golden/paper.txt _build/golden/paper.txt || status=1; \
+	exit $$status
 
 # Campaign wall time at 1/2/4/8 worker domains. On hosts with >= 4
 # recommended domains this is also a gate: litmus and minimize must be
@@ -115,9 +122,9 @@ par-bench:
 	dune exec bin/splitfs_cli.exe -- par-bench
 
 # Full verification: build, unit + property + differential tests, the
-# four verification campaigns diffed against their golden reports, and
-# the paper tables as a smoke test of every experiment stack. Campaigns
-# run with $(JOBS) worker domains. The par-bench table is also kept in
+# four verification campaigns and the paper tables diffed against their
+# golden reports, the serving-tier smoke, par-bench and the bench-diff
+# gate. Campaigns run with $(JOBS) worker domains. The par-bench table is also kept in
 # par-walltime.txt, with par-bench's exit status.
 check:
 	dune build

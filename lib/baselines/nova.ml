@@ -11,21 +11,19 @@
     - [Strict] — copy-on-write data updates, atomic data operations
       (NOVA-strict);
     - [Relaxed] — in-place data updates, log only for metadata
-      (NOVA-relaxed), equivalent to SplitFS-sync guarantees. *)
+      (NOVA-relaxed), equivalent to SplitFS-sync guarantees.
+
+    The POSIX surface is {!Pmbase}'s. *)
 
 open Pmem
 
 type mode = Strict | Relaxed
 
-let mode_to_string = function Strict -> "strict" | Relaxed -> "relaxed"
-
 type t = {
   base : Pmbase.t;
   env : Env.t;
   mode : mode;
-  log_start : int;
-  log_len : int;
-  mutable log_cursor : int;
+  mutable log_cursor : int;  (** in the log ring at device address 0 *)
   entry : Bytes.t;  (** scratch 64 B log entry *)
 }
 
@@ -36,178 +34,43 @@ let mkfs (env : Env.t) ~mode =
     base = Pmbase.create env ~reserved:log_reserved;
     env;
     mode;
-    log_start = 0;
-    log_len = log_reserved;
     log_cursor = 0;
     entry = Bytes.make 64 '\x01';
   }
-
-let trap t =
-  let tm = t.env.Env.timing in
-  Env.cpu_cat t.env Obs.Syscall (tm.Timing.syscall_trap +. tm.Timing.vfs_path);
-  t.env.Env.stats.Stats.syscalls <- t.env.Env.stats.Stats.syscalls + 1
-
-let cpu t = Env.cpu_cat t.env Obs.Kernel t.env.Env.timing.Timing.nova_op_cpu
 
 (** One logged operation: log entry + persisted tail = two cache lines,
     two fences. *)
 let log_op t =
   Env.with_cat t.env Obs.Journal @@ fun () ->
   let dev = t.env.Env.dev in
-  if t.log_cursor + 128 > t.log_len then t.log_cursor <- 0;
-  Device.store_nt dev ~addr:(t.log_start + t.log_cursor) t.entry ~off:0 ~len:64;
+  if t.log_cursor + 128 > log_reserved then t.log_cursor <- 0;
+  Device.store_nt dev ~addr:t.log_cursor t.entry ~off:0 ~len:64;
   Device.fence dev;
   (* tail update: temporal store + clflush + fence *)
-  Device.store dev ~addr:(t.log_start + t.log_cursor + 64) t.entry ~off:0 ~len:8;
-  Device.flush dev ~addr:(t.log_start + t.log_cursor + 64) ~len:8;
+  Device.store dev ~addr:(t.log_cursor + 64) t.entry ~off:0 ~len:8;
+  Device.flush dev ~addr:(t.log_cursor + 64) ~len:8;
   Device.fence dev;
   t.log_cursor <- t.log_cursor + 128;
   let stats = t.env.Env.stats in
   stats.Stats.log_entries <- stats.Stats.log_entries + 1
 
-let alloc_cpu t n =
-  Env.cpu_cat t.env Obs.Alloc
-    (t.env.Env.timing.Timing.nova_alloc_cpu *. float_of_int (max 1 n))
-
-(* --- operations --- *)
-
-let open_ t path flags =
-  trap t;
-  cpu t;
-  let fd, _file, created = Pmbase.open_file t.base path flags in
-  if created then log_op t;
-  fd
-
-let close t fd =
-  trap t;
-  Pmbase.close_fd t.base fd
-
-let dup t fd =
-  trap t;
-  Pmbase.dup_fd t.base fd
-
-let do_pwrite t fd ~buf ~boff ~len ~at =
-  trap t;
-  cpu t;
-  let e = Pmbase.fd_entry t.base fd in
-  if not (Fsapi.Flags.writable e.Pmbase.oflags) then
-    Fsapi.Errno.(error EBADF "pwrite");
-  if len < 0 || at < 0 then Fsapi.Errno.(error EINVAL "pwrite");
-  let cow = t.mode = Strict in
-  let fresh = Pmbase.write_data t.base e.Pmbase.file ~off:at buf ~boff ~len ~cow in
-  alloc_cpu t fresh;
-  log_op t;
-  len
-
-let do_pread t fd ~buf ~boff ~len ~at =
-  trap t;
-  Env.cpu_cat t.env Obs.Kernel t.env.Env.timing.Timing.ext4_read_cpu;
-  let e = Pmbase.fd_entry t.base fd in
-  if not (Fsapi.Flags.readable e.Pmbase.oflags) then
-    Fsapi.Errno.(error EBADF "pread");
-  if len < 0 || at < 0 then Fsapi.Errno.(error EINVAL "pread");
-  Pmbase.read_data t.base e.Pmbase.file ~off:at buf ~boff ~len
-
-let write t fd ~buf ~boff ~len =
-  let e = Pmbase.fd_entry t.base fd in
-  let at =
-    if e.Pmbase.oflags.Fsapi.Flags.append then e.Pmbase.file.Pmbase.size
-    else !(e.Pmbase.pos)
-  in
-  let n = do_pwrite t fd ~buf ~boff ~len ~at in
-  e.Pmbase.pos := at + n;
-  n
-
-let read t fd ~buf ~boff ~len =
-  let e = Pmbase.fd_entry t.base fd in
-  let n = do_pread t fd ~buf ~boff ~len ~at:!(e.Pmbase.pos) in
-  e.Pmbase.pos := !(e.Pmbase.pos) + n;
-  n
-
-let lseek t fd off whence =
-  trap t;
-  let e = Pmbase.fd_entry t.base fd in
-  let base =
-    match whence with
-    | Fsapi.Flags.Set -> 0
-    | Fsapi.Flags.Cur -> !(e.Pmbase.pos)
-    | Fsapi.Flags.End -> e.Pmbase.file.Pmbase.size
-  in
-  let npos = base + off in
-  if npos < 0 then Fsapi.Errno.(error EINVAL "lseek");
-  e.Pmbase.pos := npos;
-  npos
-
-(** NOVA operations are synchronous; fsync only needs the kernel trap. *)
-let fsync t fd =
-  trap t;
-  ignore (Pmbase.fd_entry t.base fd)
-
-let ftruncate t fd size =
-  trap t;
-  cpu t;
-  if size < 0 then Fsapi.Errno.(error EINVAL "ftruncate");
-  let e = Pmbase.fd_entry t.base fd in
-  Pmbase.truncate_data t.base e.Pmbase.file size;
-  log_op t
-
-let fstat t fd =
-  trap t;
-  let e = Pmbase.fd_entry t.base fd in
-  Pmbase.stat_node (Pmbase.File e.Pmbase.file)
-
-let stat t path =
-  trap t;
-  Pmbase.stat_path t.base path
-
-let unlink t path =
-  trap t;
-  cpu t;
-  ignore (Pmbase.unlink_path t.base path);
-  log_op t
-
-let rename t src dst =
-  trap t;
-  cpu t;
-  Pmbase.rename_path t.base src dst;
-  (* rename journals entries in both directory logs *)
-  log_op t;
-  log_op t
-
-let mkdir t path =
-  trap t;
-  cpu t;
-  Pmbase.mkdir_path t.base path;
-  log_op t
-
-let rmdir t path =
-  trap t;
-  cpu t;
-  Pmbase.rmdir_path t.base path;
-  log_op t
-
-let readdir t path =
-  trap t;
-  Pmbase.readdir_path t.base path
-
-let as_fsapi t : Fsapi.Fs.t =
-  {
-    Fsapi.Fs.fs_name = Printf.sprintf "nova-%s" (mode_to_string t.mode);
-    open_ = open_ t;
-    close = close t;
-    dup = dup t;
-    pread = (fun fd ~buf ~boff ~len ~at -> do_pread t fd ~buf ~boff ~len ~at);
-    pwrite = (fun fd ~buf ~boff ~len ~at -> do_pwrite t fd ~buf ~boff ~len ~at);
-    read = (fun fd ~buf ~boff ~len -> read t fd ~buf ~boff ~len);
-    write = (fun fd ~buf ~boff ~len -> write t fd ~buf ~boff ~len);
-    lseek = lseek t;
-    fsync = fsync t;
-    ftruncate = ftruncate t;
-    fstat = fstat t;
-    stat = stat t;
-    unlink = unlink t;
-    rename = rename t;
-    mkdir = mkdir t;
-    rmdir = rmdir t;
-    readdir = readdir t;
-  }
+let as_fsapi t =
+  let tm = t.env.Env.timing in
+  Pmbase.as_fsapi t.base
+    (Pmbase.kernel t.base
+       ~name:(match t.mode with Strict -> "nova-strict" | Relaxed -> "nova-relaxed")
+       ~op_cpu:tm.Timing.nova_op_cpu
+       ~persist:(function
+         | Pmbase.Rename ->
+             (* rename journals entries in both directory logs *)
+             log_op t;
+             log_op t
+         | Create | Truncate | Unlink _ | Mkdir | Rmdir -> log_op t)
+       ~write:(fun file ~buf ~boff ~len ~at ->
+         let fresh =
+           Pmbase.write_data t.base file ~buf ~boff ~len ~at
+             ~cow:(t.mode = Strict)
+         in
+         Env.cpu_cat t.env Obs.Alloc
+           (tm.Timing.nova_alloc_cpu *. float_of_int (max 1 fresh));
+         log_op t))

@@ -1,11 +1,14 @@
 (** Shared chassis for the baseline PM file systems (PMFS, NOVA, Strata).
 
-    Provides the mechanics every baseline needs — directory tree, inodes
-    with extent maps over a block allocator, fd table, and raw block IO on
-    the PM device — without charging any file-system-specific cost. Each
-    baseline composes these with its own persistence protocol (in-place
-    writes + undo log, per-inode redo logs + COW, private log + digest) and
-    its own cost charges, which is where the paper's comparisons come from.
+    The chassis serves the whole POSIX surface once: directory tree, inodes
+    with extent maps over a block allocator, the fd table with its cursors,
+    argument checks and errno paths, and raw block IO on the PM device. A
+    baseline supplies only its persistence protocol as a {!protocol}: what
+    each call charges on entry, how a metadata change is made durable, how
+    data is written and read, what fsync adds and what settles before a
+    truncate (in-place writes + undo log, per-inode redo logs + COW,
+    private log + digest). That protocol is where the paper's comparisons
+    come from.
 
     The extent machinery is deliberately the same {!Kernelfs.Extent_tree}
     and {!Kernelfs.Alloc} used by the ext4 simulation so the baselines
@@ -56,8 +59,6 @@ let block_addr t phys = t.data_start + (phys * block_size)
 
 (* --- namespace --- *)
 
-let split_path = Fsapi.Path.split
-
 let rec walk dir = function
   | [] -> Dir dir
   | [ last ] -> (
@@ -70,8 +71,7 @@ let rec walk dir = function
       | Some (File _) -> Fsapi.Errno.(error ENOTDIR part)
       | None -> Fsapi.Errno.(error ENOENT part))
 
-let find_node t path =
-  match split_path path with [] -> Dir t.root | parts -> walk t.root parts
+let find_node t path = walk t.root (Fsapi.Path.split path)
 
 let parent_of t path =
   let parents, name = Fsapi.Path.split_parent path in
@@ -112,26 +112,12 @@ let fd_entry t fd =
   | Some e -> e
   | None -> Fsapi.Errno.(error EBADF (string_of_int fd))
 
-let install_fd t file oflags =
+let install_fd t e =
   let fd = t.next_fd in
   t.next_fd <- t.next_fd + 1;
-  file.refcount <- file.refcount + 1;
-  Hashtbl.replace t.fds fd { file; pos = ref 0; oflags };
-  fd
-
-let close_fd t fd =
-  let e = fd_entry t fd in
-  Hashtbl.remove t.fds fd;
-  e.file.refcount <- e.file.refcount - 1;
-  maybe_reap t e.file
-
-let dup_fd t fd =
-  let e = fd_entry t fd in
-  let nfd = t.next_fd in
-  t.next_fd <- t.next_fd + 1;
   e.file.refcount <- e.file.refcount + 1;
-  Hashtbl.replace t.fds nfd e;
-  nfd
+  Hashtbl.replace t.fds fd e;
+  fd
 
 (* --- block IO --- *)
 
@@ -153,9 +139,9 @@ let get_or_alloc_block t file lblk =
     With [cow:true] every touched block gets a fresh block first (NOVA
     strict); old blocks are freed. Returns the number of freshly allocated
     blocks. *)
-let write_data t file ~off buf ~boff ~len ~cow =
+let write_data t file ~buf ~boff ~len ~at ~cow =
   let fresh_count = ref 0 in
-  let pos = ref off and src = ref boff and remaining = ref len in
+  let pos = ref at and src = ref boff and remaining = ref len in
   while !remaining > 0 do
     let lblk = !pos / block_size in
     let in_block = !pos mod block_size in
@@ -201,14 +187,14 @@ let write_data t file ~off buf ~boff ~len ~cow =
     src := !src + n;
     remaining := !remaining - n
   done;
-  if off + len > file.size then file.size <- off + len;
+  if at + len > file.size then file.size <- at + len;
   !fresh_count
 
-let read_data t file ~off buf ~boff ~len =
-  if off >= file.size then 0
+let read_data t file ~buf ~boff ~len ~at =
+  if at >= file.size then 0
   else begin
-    let len = min len (file.size - off) in
-    let pos = ref off and dst = ref boff and remaining = ref len in
+    let len = min len (file.size - at) in
+    let pos = ref at and dst = ref boff and remaining = ref len in
     while !remaining > 0 do
       let lblk = !pos / block_size in
       let in_block = !pos mod block_size in
@@ -252,7 +238,7 @@ let truncate_data t file size =
   end;
   file.size <- size
 
-(* --- namespace mutations (no charging; callers charge per protocol) --- *)
+(* --- namespace mutations (no charging: the protocol charges) --- *)
 
 let open_file t path (flags : Fsapi.Flags.t) =
   let parent, name = parent_of t path in
@@ -269,7 +255,7 @@ let open_file t path (flags : Fsapi.Flags.t) =
         Hashtbl.replace parent name (File f);
         (f, true)
   in
-  (install_fd t file flags, file, created)
+  (install_fd t { file; pos = ref 0; oflags = flags }, created)
 
 let unlink_path t path =
   let parent, name = parent_of t path in
@@ -286,16 +272,20 @@ let rename_path t src dst =
   let sparent, sname = parent_of t src in
   match Hashtbl.find_opt sparent sname with
   | None -> Fsapi.Errno.(error ENOENT src)
-  | Some node ->
+  | Some node -> (
       let dparent, dname = parent_of t dst in
-      (match Hashtbl.find_opt dparent dname with
-      | Some (Dir d) when Hashtbl.length d > 0 -> Fsapi.Errno.(error ENOTEMPTY dst)
-      | Some (File f) ->
-          f.nlink <- f.nlink - 1;
-          maybe_reap t f
-      | _ -> ());
-      Hashtbl.remove sparent sname;
-      Hashtbl.replace dparent dname node
+      match Hashtbl.find_opt dparent dname with
+      | Some old when old == node -> () (* onto itself: a no-op (POSIX) *)
+      | old ->
+          (match old with
+          | Some (Dir d) when Hashtbl.length d > 0 ->
+              Fsapi.Errno.(error ENOTEMPTY dst)
+          | Some (File f) ->
+              f.nlink <- f.nlink - 1;
+              maybe_reap t f
+          | _ -> ());
+          Hashtbl.remove sparent sname;
+          Hashtbl.replace dparent dname node)
 
 let mkdir_path t path =
   let parent, name = parent_of t path in
@@ -322,4 +312,140 @@ let stat_node = function
   | Dir d ->
       { Fsapi.Fs.st_ino = 1; st_kind = Fsapi.Fs.Directory; st_size = Hashtbl.length d; st_nlink = 2 }
 
-let stat_path t path = stat_node (find_node t path)
+(* --- the protocol a baseline supplies --- *)
+
+(** What a call does, for its entry charge. *)
+type call =
+  | Query  (** close, dup, lseek, fsync, fstat, stat, readdir *)
+  | Update  (** open, pwrite/write, ftruncate and the namespace mutations *)
+  | Read  (** pread/read *)
+
+(** A metadata change, made durable after it is applied. *)
+type meta = Create | Truncate | Unlink of file | Rename | Mkdir | Rmdir
+
+type protocol = {
+  name : string;
+  enter : call -> unit;  (** charged first, before any check *)
+  persist : meta -> unit;
+  write : file -> buf:Bytes.t -> boff:int -> len:int -> at:int -> unit;
+      (** a data write on a validated fd *)
+  read : file -> buf:Bytes.t -> boff:int -> len:int -> at:int -> int;
+  fsync : unit -> unit;  (** what fsync adds once the fd is checked *)
+  settle : file -> unit;  (** what must settle before a truncate *)
+}
+
+(** The protocol of an in-kernel file system (PMFS, NOVA): every call
+    crosses into the kernel ({!Kernelfs.Syscall.trap}), an update adds
+    [op_cpu] and a read the kernel read path's CPU. Data is read in place,
+    and every operation is synchronous, so fsync adds nothing and nothing
+    settles before a truncate. *)
+let kernel t ~name ~op_cpu ~persist ~write =
+  let env = t.env in
+  let enter call =
+    Kernelfs.Syscall.trap env;
+    match call with
+    | Query -> ()
+    | Update -> Env.cpu_cat env Obs.Kernel op_cpu
+    | Read -> Env.cpu_cat env Obs.Kernel env.Env.timing.Timing.ext4_read_cpu
+  in
+  { name; enter; persist; write; read = read_data t; fsync = ignore; settle = ignore }
+
+(** The POSIX surface of [t] under protocol [p]: one fd lookup and one
+    argument check per call, one cursor. *)
+let as_fsapi t p : Fsapi.Fs.t =
+  let checked e ok what ~len ~at =
+    if not (ok e.oflags) then Fsapi.Errno.(error EBADF what);
+    if len < 0 || at < 0 then Fsapi.Errno.(error EINVAL what)
+  in
+  let pwrite e ~buf ~boff ~len ~at =
+    checked e Fsapi.Flags.writable "pwrite" ~len ~at;
+    p.write e.file ~buf ~boff ~len ~at;
+    len
+  in
+  let pread e ~buf ~boff ~len ~at =
+    checked e Fsapi.Flags.readable "pread" ~len ~at;
+    p.read e.file ~buf ~boff ~len ~at
+  in
+  let entered call fd =
+    p.enter call;
+    fd_entry t fd
+  in
+  let update f meta =
+    p.enter Update;
+    f ();
+    p.persist meta
+  in
+  {
+    Fsapi.Fs.fs_name = p.name;
+    open_ =
+      (fun path flags ->
+        p.enter Update;
+        let fd, created = open_file t path flags in
+        if created then p.persist Create;
+        fd);
+    close =
+      (fun fd ->
+        let e = entered Query fd in
+        Hashtbl.remove t.fds fd;
+        e.file.refcount <- e.file.refcount - 1;
+        maybe_reap t e.file);
+    dup = (fun fd -> install_fd t (entered Query fd));
+    pread = (fun fd -> pread (entered Read fd));
+    pwrite = (fun fd -> pwrite (entered Update fd));
+    read =
+      (fun fd ~buf ~boff ~len ->
+        let e = fd_entry t fd in
+        p.enter Read;
+        let n = pread e ~buf ~boff ~len ~at:!(e.pos) in
+        e.pos := !(e.pos) + n;
+        n);
+    write =
+      (fun fd ~buf ~boff ~len ->
+        let e = fd_entry t fd in
+        let at = if e.oflags.Fsapi.Flags.append then e.file.size else !(e.pos) in
+        p.enter Update;
+        let n = pwrite e ~buf ~boff ~len ~at in
+        e.pos := at + n;
+        n);
+    lseek =
+      (fun fd off whence ->
+        let e = entered Query fd in
+        let base =
+          match whence with
+          | Fsapi.Flags.Set -> 0
+          | Fsapi.Flags.Cur -> !(e.pos)
+          | Fsapi.Flags.End -> e.file.size
+        in
+        let npos = base + off in
+        if npos < 0 then Fsapi.Errno.(error EINVAL "lseek");
+        e.pos := npos;
+        npos);
+    fsync =
+      (fun fd ->
+        ignore (entered Query fd);
+        p.fsync ());
+    ftruncate =
+      (fun fd size ->
+        p.enter Update;
+        if size < 0 then Fsapi.Errno.(error EINVAL "ftruncate");
+        let e = fd_entry t fd in
+        p.settle e.file;
+        truncate_data t e.file size;
+        p.persist Truncate);
+    fstat = (fun fd -> stat_node (File (entered Query fd).file));
+    stat =
+      (fun path ->
+        p.enter Query;
+        stat_node (find_node t path));
+    unlink =
+      (fun path ->
+        p.enter Update;
+        p.persist (Unlink (unlink_path t path)));
+    rename = (fun src dst -> update (fun () -> rename_path t src dst) Rename);
+    mkdir = (fun path -> update (fun () -> mkdir_path t path) Mkdir);
+    rmdir = (fun path -> update (fun () -> rmdir_path t path) Rmdir);
+    readdir =
+      (fun path ->
+        p.enter Query;
+        readdir_path t path);
+  }

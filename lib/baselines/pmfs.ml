@@ -5,16 +5,14 @@
     fine-grained undo logging for metadata. Every metadata change writes a
     few 64-byte undo-log entries, each flushed and fenced, before the
     in-place update — cheaper than jbd2 block journaling, pricier than
-    SplitFS's user-space path. *)
+    SplitFS's user-space path. The POSIX surface is {!Pmbase}'s. *)
 
 open Pmem
 
 type t = {
   base : Pmbase.t;
   env : Env.t;
-  log_start : int;
-  log_len : int;
-  mutable log_cursor : int;
+  mutable log_cursor : int;  (** in the undo-log ring at device address 0 *)
   entry : Bytes.t;
 }
 
@@ -24,169 +22,35 @@ let mkfs (env : Env.t) =
   {
     base = Pmbase.create env ~reserved:log_reserved;
     env;
-    log_start = 0;
-    log_len = log_reserved;
     log_cursor = 0;
     entry = Bytes.make 64 '\x02';
   }
-
-let trap t =
-  let tm = t.env.Env.timing in
-  Env.cpu_cat t.env Obs.Syscall (tm.Timing.syscall_trap +. tm.Timing.vfs_path);
-  t.env.Env.stats.Stats.syscalls <- t.env.Env.stats.Stats.syscalls + 1
-
-let cpu t = Env.cpu_cat t.env Obs.Kernel t.env.Env.timing.Timing.pmfs_op_cpu
 
 (** [undo_log t n] writes [n] 64-byte undo entries, fenced. *)
 let undo_log t n =
   Env.with_cat t.env Obs.Journal @@ fun () ->
   let dev = t.env.Env.dev in
   for _ = 1 to n do
-    if t.log_cursor + 64 > t.log_len then t.log_cursor <- 0;
-    Device.store_nt dev ~addr:(t.log_start + t.log_cursor) t.entry ~off:0 ~len:64;
+    if t.log_cursor + 64 > log_reserved then t.log_cursor <- 0;
+    Device.store_nt dev ~addr:t.log_cursor t.entry ~off:0 ~len:64;
     t.log_cursor <- t.log_cursor + 64
   done;
   Device.fence dev;
   let stats = t.env.Env.stats in
   stats.Stats.log_entries <- stats.Stats.log_entries + n
 
-let open_ t path flags =
-  trap t;
-  cpu t;
-  let fd, _file, created = Pmbase.open_file t.base path flags in
-  if created then undo_log t 3;
-  fd
-
-let close t fd =
-  trap t;
-  Pmbase.close_fd t.base fd
-
-let dup t fd =
-  trap t;
-  Pmbase.dup_fd t.base fd
-
-let do_pwrite t fd ~buf ~boff ~len ~at =
-  trap t;
-  cpu t;
-  let e = Pmbase.fd_entry t.base fd in
-  if not (Fsapi.Flags.writable e.Pmbase.oflags) then
-    Fsapi.Errno.(error EBADF "pwrite");
-  if len < 0 || at < 0 then Fsapi.Errno.(error EINVAL "pwrite");
-  let fresh =
-    Pmbase.write_data t.base e.Pmbase.file ~off:at buf ~boff ~len ~cow:false
-  in
-  (* inode + allocator undo entries when the file grew *)
-  undo_log t (if fresh > 0 then 2 else 1);
-  Device.fence t.env.Env.dev;
-  len
-
-let do_pread t fd ~buf ~boff ~len ~at =
-  trap t;
-  Env.cpu_cat t.env Obs.Kernel t.env.Env.timing.Timing.ext4_read_cpu;
-  let e = Pmbase.fd_entry t.base fd in
-  if not (Fsapi.Flags.readable e.Pmbase.oflags) then
-    Fsapi.Errno.(error EBADF "pread");
-  if len < 0 || at < 0 then Fsapi.Errno.(error EINVAL "pread");
-  Pmbase.read_data t.base e.Pmbase.file ~off:at buf ~boff ~len
-
-let write t fd ~buf ~boff ~len =
-  let e = Pmbase.fd_entry t.base fd in
-  let at =
-    if e.Pmbase.oflags.Fsapi.Flags.append then e.Pmbase.file.Pmbase.size
-    else !(e.Pmbase.pos)
-  in
-  let n = do_pwrite t fd ~buf ~boff ~len ~at in
-  e.Pmbase.pos := at + n;
-  n
-
-let read t fd ~buf ~boff ~len =
-  let e = Pmbase.fd_entry t.base fd in
-  let n = do_pread t fd ~buf ~boff ~len ~at:!(e.Pmbase.pos) in
-  e.Pmbase.pos := !(e.Pmbase.pos) + n;
-  n
-
-let lseek t fd off whence =
-  trap t;
-  let e = Pmbase.fd_entry t.base fd in
-  let base =
-    match whence with
-    | Fsapi.Flags.Set -> 0
-    | Fsapi.Flags.Cur -> !(e.Pmbase.pos)
-    | Fsapi.Flags.End -> e.Pmbase.file.Pmbase.size
-  in
-  let npos = base + off in
-  if npos < 0 then Fsapi.Errno.(error EINVAL "lseek");
-  e.Pmbase.pos := npos;
-  npos
-
-(** PMFS writes are synchronous, so fsync is only a trap. *)
-let fsync t fd =
-  trap t;
-  ignore (Pmbase.fd_entry t.base fd)
-
-let ftruncate t fd size =
-  trap t;
-  cpu t;
-  if size < 0 then Fsapi.Errno.(error EINVAL "ftruncate");
-  let e = Pmbase.fd_entry t.base fd in
-  Pmbase.truncate_data t.base e.Pmbase.file size;
-  undo_log t 2
-
-let fstat t fd =
-  trap t;
-  let e = Pmbase.fd_entry t.base fd in
-  Pmbase.stat_node (Pmbase.File e.Pmbase.file)
-
-let stat t path =
-  trap t;
-  Pmbase.stat_path t.base path
-
-let unlink t path =
-  trap t;
-  cpu t;
-  ignore (Pmbase.unlink_path t.base path);
-  undo_log t 3
-
-let rename t src dst =
-  trap t;
-  cpu t;
-  Pmbase.rename_path t.base src dst;
-  undo_log t 4
-
-let mkdir t path =
-  trap t;
-  cpu t;
-  Pmbase.mkdir_path t.base path;
-  undo_log t 3
-
-let rmdir t path =
-  trap t;
-  cpu t;
-  Pmbase.rmdir_path t.base path;
-  undo_log t 3
-
-let readdir t path =
-  trap t;
-  Pmbase.readdir_path t.base path
-
-let as_fsapi t : Fsapi.Fs.t =
-  {
-    Fsapi.Fs.fs_name = "pmfs";
-    open_ = open_ t;
-    close = close t;
-    dup = dup t;
-    pread = (fun fd ~buf ~boff ~len ~at -> do_pread t fd ~buf ~boff ~len ~at);
-    pwrite = (fun fd ~buf ~boff ~len ~at -> do_pwrite t fd ~buf ~boff ~len ~at);
-    read = (fun fd ~buf ~boff ~len -> read t fd ~buf ~boff ~len);
-    write = (fun fd ~buf ~boff ~len -> write t fd ~buf ~boff ~len);
-    lseek = lseek t;
-    fsync = fsync t;
-    ftruncate = ftruncate t;
-    fstat = fstat t;
-    stat = stat t;
-    unlink = unlink t;
-    rename = rename t;
-    mkdir = mkdir t;
-    rmdir = rmdir t;
-    readdir = readdir t;
-  }
+let as_fsapi t =
+  Pmbase.as_fsapi t.base
+    (Pmbase.kernel t.base ~name:"pmfs"
+       ~op_cpu:t.env.Env.timing.Timing.pmfs_op_cpu
+       ~persist:(function
+         | Pmbase.Truncate -> undo_log t 2
+         | Rename -> undo_log t 4
+         | Create | Unlink _ | Mkdir | Rmdir -> undo_log t 3)
+       ~write:(fun file ~buf ~boff ~len ~at ->
+         let fresh =
+           Pmbase.write_data t.base file ~buf ~boff ~len ~at ~cow:false
+         in
+         (* inode + allocator undo entries when the file grew *)
+         undo_log t (if fresh > 0 then 2 else 1);
+         Device.fence t.env.Env.dev))

@@ -7,41 +7,43 @@
     digest threshold, a *digest* coalesces the log and copies live data
     into the shared area — so appends are written to PM twice, the 2×
     write-amplification the paper measures against relink (§2.3, Table 7).
-    Updates are private (invisible to other processes) until digested. *)
+    Updates are private (invisible to other processes) until digested.
+    The POSIX surface is {!Pmbase}'s. *)
 
 open Pmem
 
 let block_size = 4096
 let header_size = 64
 
+(** Fill fraction of the private log that triggers a digest. *)
+let digest_threshold = 0.9
+
 type t = {
   base : Pmbase.t;  (** shared area *)
   env : Env.t;
-  log_start : int;
-  log_len : int;
+  log_len : int;  (** the private log sits at device address 0 *)
   mutable log_cursor : int;
   shadows : (int, Kernelfs.Extent_tree.t) Hashtbl.t;
       (** per-inode byte-granular map: file offset -> private-log offset *)
-  digest_threshold : float;
   mutable digests : int;
   header : Bytes.t;
 }
 
-let mkfs ?(log_len = 8 * 1024 * 1024) ?(digest_threshold = 0.9) (env : Env.t) =
+let mkfs ?(log_len = 8 * 1024 * 1024) (env : Env.t) =
   let log_len = (log_len + block_size - 1) / block_size * block_size in
   {
     base = Pmbase.create env ~reserved:log_len;
     env;
-    log_start = 0;
     log_len;
     log_cursor = 0;
     shadows = Hashtbl.create 64;
-    digest_threshold;
     digests = 0;
     header = Bytes.make header_size '\x03';
   }
 
+(** User-space op CPU: the only entry charge, since no call traps. *)
 let cpu t = Env.cpu_cat t.env Obs.Usplit t.env.Env.timing.Timing.strata_op_cpu
+
 let digests t = t.digests
 
 let shadow_of t ino =
@@ -54,8 +56,8 @@ let shadow_of t ino =
 
 (* --- digest --- *)
 
-let digest_file t ino (file : Pmbase.file) =
-  match Hashtbl.find_opt t.shadows ino with
+let digest_file t (file : Pmbase.file) =
+  match Hashtbl.find_opt t.shadows file.Pmbase.ino with
   | None -> ()
   | Some shadow ->
       let tm = t.env.Env.timing in
@@ -63,17 +65,16 @@ let digest_file t ino (file : Pmbase.file) =
         (fun e ->
           let len = e.Kernelfs.Extent_tree.len in
           let buf = Bytes.create len in
-          Device.load t.env.Env.dev
-            ~addr:(t.log_start + e.Kernelfs.Extent_tree.physical)
-            buf ~off:0 ~len;
+          Device.load t.env.Env.dev ~addr:e.Kernelfs.Extent_tree.physical buf
+            ~off:0 ~len;
           Env.cpu_cat t.env Obs.Usplit
             (tm.Timing.strata_digest_per_byte *. float_of_int len);
           ignore
-            (Pmbase.write_data t.base file
-               ~off:e.Kernelfs.Extent_tree.logical buf ~boff:0 ~len ~cow:false))
+            (Pmbase.write_data t.base file ~buf ~boff:0 ~len
+               ~at:e.Kernelfs.Extent_tree.logical ~cow:false))
         shadow;
       Device.fence t.env.Env.dev;
-      Hashtbl.remove t.shadows ino
+      Hashtbl.remove t.shadows file.Pmbase.ino
 
 (** Digest every file, then reset the log. Runs in the foreground: a full
     private log back-pressures the application, which is the stall the
@@ -95,70 +96,61 @@ let digest_all t =
   List.iter
     (fun ino ->
       match find_file (Pmbase.Dir t.base.Pmbase.root) ino with
-      | Some file -> digest_file t ino file
+      | Some file -> digest_file t file
       | None -> Hashtbl.remove t.shadows ino)
     live;
   t.log_cursor <- 0;
   t.digests <- t.digests + 1
 
-(** Force a digest immediately (tests and experiments). *)
-let digest_now t = digest_all t
-
 let ensure_log_space t need =
   if
     t.log_cursor + need
-    > int_of_float (t.digest_threshold *. float_of_int t.log_len)
+    > int_of_float (digest_threshold *. float_of_int t.log_len)
   then digest_all t;
   if t.log_cursor + need > t.log_len then
     Fsapi.Errno.(error ENOSPC "strata: private log too small for this write")
 
-(* --- data path (all user-space: no traps) --- *)
-
-let rec do_pwrite t fd ~buf ~boff ~len ~at =
-  cpu t;
-  let e = Pmbase.fd_entry t.base fd in
-  if not (Fsapi.Flags.writable e.Pmbase.oflags) then
-    Fsapi.Errno.(error EBADF "pwrite");
-  if len < 0 || at < 0 then Fsapi.Errno.(error EINVAL "pwrite");
-  let file = e.Pmbase.file in
-  (* a write larger than the private log is split into log-sized pieces,
-     each forcing a digest *)
-  let max_piece = (t.log_len / 2) - header_size in
-  if len > max_piece then begin
-    let first = do_pwrite t fd ~buf ~boff ~len:max_piece ~at in
-    let rest =
-      do_pwrite t fd ~buf ~boff:(boff + max_piece) ~len:(len - max_piece)
-        ~at:(at + max_piece)
-    in
-    first + rest
-  end
-  else begin
+(** Append one record — the header, then [len] payload bytes of [buf] — to
+    the private log and fence it. Returns the payload's log offset. *)
+let log_append t buf ~boff ~len =
   ensure_log_space t (header_size + len);
   let dev = t.env.Env.dev in
-  Device.store_nt dev ~addr:(t.log_start + t.log_cursor) t.header ~off:0
-    ~len:header_size;
-  t.log_cursor <- t.log_cursor + header_size;
-  let data_off = t.log_cursor in
-  Device.store_nt dev ~addr:(t.log_start + data_off) buf ~off:boff ~len;
-  t.log_cursor <- t.log_cursor + len;
+  Device.store_nt dev ~addr:t.log_cursor t.header ~off:0 ~len:header_size;
+  let data_off = t.log_cursor + header_size in
+  Device.store_nt dev ~addr:data_off buf ~off:boff ~len;
+  t.log_cursor <- data_off + len;
   Device.fence dev;
-  let shadow = shadow_of t file.Pmbase.ino in
-  ignore (Kernelfs.Extent_tree.remove_range shadow ~logical:at ~len);
-  Kernelfs.Extent_tree.insert shadow ~logical:at ~physical:data_off ~len;
-  if at + len > file.Pmbase.size then file.Pmbase.size <- at + len;
   let stats = t.env.Env.stats in
   stats.Stats.log_entries <- stats.Stats.log_entries + 1;
-  stats.Stats.staged_bytes <- stats.Stats.staged_bytes + len;
-  len
+  data_off
+
+(* --- data path (all user-space: no traps) --- *)
+
+(** A write larger than half the private log is split into pieces of at
+    most half the log, each charged as a call of its own; a piece that
+    does not fit forces a digest. *)
+let rec log_write t (file : Pmbase.file) ~buf ~boff ~len ~at =
+  let max_piece = (t.log_len / 2) - header_size in
+  if len > max_piece then begin
+    cpu t;
+    log_write t file ~buf ~boff ~len:max_piece ~at;
+    cpu t;
+    log_write t file ~buf ~boff:(boff + max_piece) ~len:(len - max_piece)
+      ~at:(at + max_piece)
+  end
+  else begin
+    let data_off = log_append t buf ~boff ~len in
+    let shadow = shadow_of t file.Pmbase.ino in
+    ignore (Kernelfs.Extent_tree.remove_range shadow ~logical:at ~len);
+    Kernelfs.Extent_tree.insert shadow ~logical:at ~physical:data_off ~len;
+    if at + len > file.Pmbase.size then file.Pmbase.size <- at + len;
+    let stats = t.env.Env.stats in
+    stats.Stats.staged_bytes <- stats.Stats.staged_bytes + len
   end
 
-let do_pread t fd ~buf ~boff ~len ~at =
-  cpu t;
-  let e = Pmbase.fd_entry t.base fd in
-  if not (Fsapi.Flags.readable e.Pmbase.oflags) then
-    Fsapi.Errno.(error EBADF "pread");
-  if len < 0 || at < 0 then Fsapi.Errno.(error EINVAL "pread");
-  let file = e.Pmbase.file in
+(** Read through the private log: logged bytes from the log, the rest from
+    the shared area. *)
+let log_read t (file : Pmbase.file) ~buf ~boff ~len ~at =
   if at >= file.Pmbase.size then 0
   else begin
     let len = min len (file.Pmbase.size - at) in
@@ -168,8 +160,7 @@ let do_pread t fd ~buf ~boff ~len ~at =
       (match Kernelfs.Extent_tree.find shadow !pos with
       | Some (log_off, run) ->
           let n = min run !remaining in
-          Device.load t.env.Env.dev ~addr:(t.log_start + log_off) buf
-            ~off:!dst ~len:n;
+          Device.load t.env.Env.dev ~addr:log_off buf ~off:!dst ~len:n;
           pos := !pos + n;
           dst := !dst + n;
           remaining := !remaining - n
@@ -179,7 +170,9 @@ let do_pread t fd ~buf ~boff ~len ~at =
             | Some next -> min !remaining (next - !pos)
             | None -> !remaining
           in
-          let got = Pmbase.read_data t.base file ~off:!pos buf ~boff:!dst ~len:bound in
+          let got =
+            Pmbase.read_data t.base file ~buf ~boff:!dst ~len:bound ~at:!pos
+          in
           let got = if got = 0 then bound else got in
           (* holes (not yet digested gaps) read as zeros *)
           if got < bound then Bytes.fill buf (!dst + got) (bound - got) '\000';
@@ -190,129 +183,23 @@ let do_pread t fd ~buf ~boff ~len ~at =
     len
   end
 
-let write t fd ~buf ~boff ~len =
-  let e = Pmbase.fd_entry t.base fd in
-  let at =
-    if e.Pmbase.oflags.Fsapi.Flags.append then e.Pmbase.file.Pmbase.size
-    else !(e.Pmbase.pos)
-  in
-  let n = do_pwrite t fd ~buf ~boff ~len ~at in
-  e.Pmbase.pos := at + n;
-  n
-
-let read t fd ~buf ~boff ~len =
-  let e = Pmbase.fd_entry t.base fd in
-  let n = do_pread t fd ~buf ~boff ~len ~at:!(e.Pmbase.pos) in
-  e.Pmbase.pos := !(e.Pmbase.pos) + n;
-  n
-
-let lseek t fd off whence =
-  cpu t;
-  let e = Pmbase.fd_entry t.base fd in
-  let base =
-    match whence with
-    | Fsapi.Flags.Set -> 0
-    | Fsapi.Flags.Cur -> !(e.Pmbase.pos)
-    | Fsapi.Flags.End -> e.Pmbase.file.Pmbase.size
-  in
-  let npos = base + off in
-  if npos < 0 then Fsapi.Errno.(error EINVAL "lseek");
-  e.Pmbase.pos := npos;
-  npos
-
-(** The private log is durable at write time: fsync is just an ordering
-    point. *)
-let fsync t fd =
-  cpu t;
-  ignore (Pmbase.fd_entry t.base fd);
-  Device.fence t.env.Env.dev
-
-(* --- metadata ops: logged in the private log, no kernel traps --- *)
-
-let log_meta t =
-  ensure_log_space t header_size;
-  Device.store_nt t.env.Env.dev ~addr:(t.log_start + t.log_cursor) t.header
-    ~off:0 ~len:header_size;
-  t.log_cursor <- t.log_cursor + header_size;
-  Device.fence t.env.Env.dev;
-  let stats = t.env.Env.stats in
-  stats.Stats.log_entries <- stats.Stats.log_entries + 1
-
-let open_ t path flags =
-  cpu t;
-  let fd, _file, created = Pmbase.open_file t.base path flags in
-  if created then log_meta t;
-  fd
-
-let close t fd =
-  cpu t;
-  Pmbase.close_fd t.base fd
-
-let dup t fd =
-  cpu t;
-  Pmbase.dup_fd t.base fd
-
-let ftruncate t fd size =
-  cpu t;
-  if size < 0 then Fsapi.Errno.(error EINVAL "ftruncate");
-  let e = Pmbase.fd_entry t.base fd in
-  (* settle the log for this file, then truncate the shared copy *)
-  digest_file t e.Pmbase.file.Pmbase.ino e.Pmbase.file;
-  Pmbase.truncate_data t.base e.Pmbase.file size;
-  log_meta t
-
-let fstat t fd =
-  cpu t;
-  let e = Pmbase.fd_entry t.base fd in
-  Pmbase.stat_node (Pmbase.File e.Pmbase.file)
-
-let stat t path =
-  cpu t;
-  Pmbase.stat_path t.base path
-
-let unlink t path =
-  cpu t;
-  let file = Pmbase.unlink_path t.base path in
-  Hashtbl.remove t.shadows file.Pmbase.ino;
-  log_meta t
-
-let rename t src dst =
-  cpu t;
-  Pmbase.rename_path t.base src dst;
-  log_meta t
-
-let mkdir t path =
-  cpu t;
-  Pmbase.mkdir_path t.base path;
-  log_meta t
-
-let rmdir t path =
-  cpu t;
-  Pmbase.rmdir_path t.base path;
-  log_meta t
-
-let readdir t path =
-  cpu t;
-  Pmbase.readdir_path t.base path
-
-let as_fsapi t : Fsapi.Fs.t =
-  {
-    Fsapi.Fs.fs_name = "strata";
-    open_ = open_ t;
-    close = close t;
-    dup = dup t;
-    pread = (fun fd ~buf ~boff ~len ~at -> do_pread t fd ~buf ~boff ~len ~at);
-    pwrite = (fun fd ~buf ~boff ~len ~at -> do_pwrite t fd ~buf ~boff ~len ~at);
-    read = (fun fd ~buf ~boff ~len -> read t fd ~buf ~boff ~len);
-    write = (fun fd ~buf ~boff ~len -> write t fd ~buf ~boff ~len);
-    lseek = lseek t;
-    fsync = fsync t;
-    ftruncate = ftruncate t;
-    fstat = fstat t;
-    stat = stat t;
-    unlink = unlink t;
-    rename = rename t;
-    mkdir = mkdir t;
-    rmdir = rmdir t;
-    readdir = readdir t;
-  }
+let as_fsapi t =
+  Pmbase.as_fsapi t.base
+    {
+      Pmbase.name = "strata";
+      enter = (fun _ -> cpu t);
+      (* metadata changes are logged in the private log too *)
+      persist =
+        (fun meta ->
+          (match meta with
+          | Pmbase.Unlink file -> Hashtbl.remove t.shadows file.Pmbase.ino
+          | Create | Truncate | Rename | Mkdir | Rmdir -> ());
+          ignore (log_append t t.header ~boff:0 ~len:0));
+      write = log_write t;
+      read = log_read t;
+      (* the private log is durable at write time: fsync is an ordering
+         point *)
+      fsync = (fun () -> Device.fence t.env.Env.dev);
+      (* settle the log for this file, then truncate the shared copy *)
+      settle = digest_file t;
+    }

@@ -72,16 +72,8 @@ let views spec ~n ~kernel ~cfg env =
             in
             Splitfs.Usplit.as_fsapi u),
         Some kfs )
-  | Fs_config.Pmfs, _ ->
-      let p = Baselines.Pmfs.mkfs env in
-      (Array.init n (fun _ -> Baselines.Pmfs.as_fsapi p), None)
-  | (Fs_config.Nova_relaxed | Fs_config.Nova_strict), _ ->
-      let mode =
-        if spec = Fs_config.Nova_relaxed then Baselines.Nova.Relaxed
-        else Baselines.Nova.Strict
-      in
-      let nv = Baselines.Nova.mkfs env ~mode in
-      (Array.init n (fun _ -> Baselines.Nova.as_fsapi nv), None)
+  | (Fs_config.Pmfs | Fs_config.Nova_relaxed | Fs_config.Nova_strict), _ ->
+      (Array.make n (Fs_config.baseline env spec), None)
   | _ ->
       invalid_arg
         (Printf.sprintf "Multiclient: no multi-client model for %s"

@@ -23,8 +23,9 @@ type t = {
 let make kfs = { kfs; fds = Hashtbl.create 64; next_fd = 3 }
 let kernel t = t.kfs
 
-let trap t =
-  let env = Ext4.env t.kfs in
+(** The cost of one kernel crossing, charged by every system call here
+    and by the in-kernel baselines (PMFS, NOVA). *)
+let trap env =
   let tm = env.Env.timing in
   Env.cpu_cat env Obs.Syscall (tm.Timing.syscall_trap +. tm.Timing.vfs_path);
   env.Env.stats.Stats.syscalls <- env.Env.stats.Stats.syscalls + 1
@@ -37,7 +38,7 @@ let kcall t name fargs fres f =
   let obs = env.Env.obs in
   let a = Simclock.current env.Env.clock in
   let t0 = a.Simclock.a_now in
-  trap t;
+  trap env;
   match Env.with_cat env Obs.Kernel f with
   | x ->
       if Obs.tracing obs then

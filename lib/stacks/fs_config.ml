@@ -75,7 +75,6 @@ type stack = {
   fs : Fsapi.Fs.t;
   sys : Kernelfs.Syscall.t option;  (** the kernel below SplitFS / ext4 *)
   usplit : Splitfs.Usplit.t option;
-  strata : Baselines.Strata.t option;
 }
 
 let splitfs_experiment_cfg mode =
@@ -107,9 +106,21 @@ let splitfs_cfg_of sized spec =
       | _ -> c)
     (mode spec)
 
+(** The baseline file system [spec] (PMFS, NOVA or Strata) on [env]. *)
+let baseline env = function
+  | Pmfs -> Baselines.Pmfs.as_fsapi (Baselines.Pmfs.mkfs env)
+  | Nova_relaxed ->
+      Baselines.Nova.as_fsapi (Baselines.Nova.mkfs env ~mode:Baselines.Nova.Relaxed)
+  | Nova_strict ->
+      Baselines.Nova.as_fsapi (Baselines.Nova.mkfs env ~mode:Baselines.Nova.Strict)
+  | Strata ->
+      Baselines.Strata.as_fsapi
+        (Baselines.Strata.mkfs ~log_len:(4 * 1024 * 1024) env)
+  | spec -> invalid_arg (Printf.sprintf "Fs_config: %s is no baseline" (name spec))
+
 let build ~capacity ~journal_len ~timing ~checks ~cfg spec =
   let env = Pmem.Env.create ~capacity ?timing ?checks () in
-  let bare fs = { spec; env; fs; sys = None; usplit = None; strata = None } in
+  let bare fs = { spec; env; fs; sys = None; usplit = None } in
   let kernel () =
     Kernelfs.Syscall.make (Kernelfs.Ext4.mkfs ~journal_len env)
   in
@@ -122,19 +133,7 @@ let build ~capacity ~journal_len ~timing ~checks ~cfg spec =
   | Ext4_dax, None ->
       let sys = kernel () in
       { (bare (Kernelfs.Syscall.as_fsapi sys)) with sys = Some sys }
-  | Pmfs, None -> bare (Baselines.Pmfs.as_fsapi (Baselines.Pmfs.mkfs env))
-  | Nova_relaxed, None ->
-      bare
-        (Baselines.Nova.as_fsapi
-           (Baselines.Nova.mkfs env ~mode:Baselines.Nova.Relaxed))
-  | Nova_strict, None ->
-      bare
-        (Baselines.Nova.as_fsapi
-           (Baselines.Nova.mkfs env ~mode:Baselines.Nova.Strict))
-  | Strata, None ->
-      let s = Baselines.Strata.mkfs ~log_len:(4 * 1024 * 1024) env in
-      { (bare (Baselines.Strata.as_fsapi s)) with strata = Some s }
-  | _, None -> invalid_arg "Fs_config: SplitFS stack without a configuration"
+  | _, None -> bare (baseline env spec)
 
 (** Build a stack at experiment size. [capacity] sizes the simulated PM
     device; [splitfs_cfg] replaces the SplitFS configuration outright. *)

@@ -282,11 +282,10 @@ let apply_op (fs : Fsapi.Fs.t) op =
       match fs.unlink (path_of f) with
       | () -> None
       | exception Fsapi.Errno.Error (Fsapi.Errno.ENOENT, _) -> None)
-  | Renam (a, b) when a <> b -> (
+  | Renam (a, b) -> (
       match fs.rename (path_of a) (path_of b) with
       | () -> None
       | exception Fsapi.Errno.Error (Fsapi.Errno.ENOENT, _) -> None)
-  | Renam _ -> None
 
 let final_states_agree fs_a fs_b =
   List.for_all

@@ -63,7 +63,7 @@ let test_wear_splitfs_vs_strata () =
       ignore (fs.write fd ~buf ~boff:0 ~len:4096)
     done;
     fs.fsync fd;
-    Baselines.Strata.digest_now s;
+    Baselines.Strata.digest_all s;
     fs.close fd;
     Pmem.Device.total_wear env.Pmem.Env.dev - w0
   in
