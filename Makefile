@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-json bench-diff crashcheck faultcheck litmus fams golden profile scale par-bench check
+.PHONY: all build test bench bench-json bench-diff crashcheck faultcheck litmus fams golden swarm profile scale par-bench check
 
 all: build
 
@@ -115,6 +115,26 @@ golden:
 	diff -u test/golden/paper.txt _build/golden/paper.txt || status=1; \
 	exit $$status
 
+# Seed swarm: crashcheck at seeds 1..K, each with $(JOBS) worker
+# domains. A seed's report is printed only if it fails; exits non-zero
+# naming every failing seed. The pinned-seed golden run covers only what
+# seed 0x51ED reaches. Faultcheck joins the swarm once its
+# relink/ENOSPC violation class is fixed (ROADMAP item 1): 17 of its
+# first 32 seeds still report it. (~0.3 s per seed at one job)
+K ?= 16
+
+swarm:
+	dune build ./bin/splitfs_cli.exe
+	@failed=""; \
+	for s in $$(seq 1 $(K)); do \
+	  out=$$(./_build/default/bin/splitfs_cli.exe crashcheck --seed $$s \
+	    --jobs $(JOBS) 2>&1) || { echo "$$out"; failed="$$failed $$s"; }; \
+	done; \
+	if [ -n "$$failed" ]; then \
+	  echo "swarm: crashcheck failed at seed(s)$$failed"; exit 1; \
+	fi; \
+	echo "swarm: crashcheck seeds 1..$(K) clean"
+
 # Campaign wall time at 1/2/4/8 worker domains. On hosts with >= 4
 # recommended domains this is also a gate: litmus and minimize must be
 # >= 2x faster at 4 jobs than at 1; single-core hosts skip the gate.
@@ -123,13 +143,15 @@ par-bench:
 
 # Full verification: build, unit + property + differential tests, the
 # four verification campaigns and the paper tables diffed against their
-# golden reports, the serving-tier smoke, par-bench and the bench-diff
-# gate. Campaigns run with $(JOBS) worker domains. The par-bench table is also kept in
+# golden reports, the crashcheck swarm over seeds 1..16, the
+# serving-tier smoke, par-bench and the bench-diff gate. Campaigns run
+# with $(JOBS) worker domains. The par-bench table is also kept in
 # par-walltime.txt, with par-bench's exit status.
 check:
 	dune build
 	dune runtest
 	$(MAKE) golden
+	$(MAKE) swarm K=16
 	dune exec bin/splitfs_cli.exe -- scale --fast --jobs $(JOBS)
 	dune exec bin/splitfs_cli.exe -- par-bench > par-walltime.txt; \
 	  status=$$?; cat par-walltime.txt; exit $$status

@@ -143,6 +143,30 @@ let strict_pwrite_closure () =
   done;
   pwrite
 
+(* [Crashcheck.trial] builds the strict crash-trial stack, sets up the
+   files, replays the 24-op workload at crashcheck's default seed to the
+   armed fence with the persist-order journal on, recovers, reads the
+   files back and checks them. The state is fixed: the workload's crash
+   point with the most pending lines, with the survivor vector the
+   sampler draws for it from that seed. *)
+let crash_trial_closure () =
+  let mode = Splitfs.Config.Strict in
+  let p =
+    Crashcheck.Trial.of_workload
+      (Crashcheck.Workload.generate ~mode ~seed:0x51ED ~nops:24 ())
+  in
+  let points = Crashcheck.points mode p in
+  let most (a : Crashcheck.Explore.point) (b : Crashcheck.Explore.point) =
+    if Array.length b.pending > Array.length a.pending then b else a
+  in
+  let point = List.fold_left most (List.hd points) points in
+  let survivors =
+    Crashcheck.Explore.sample (Workloads.Rng.create 0x51ED)
+      point.Crashcheck.Explore.pending
+  in
+  fun () ->
+    ignore (Sys.opaque_identity (Crashcheck.trial mode p ~point ~survivors))
+
 (* ------------------------------------------------------------------ *)
 (* Perf trajectory: every recorded value with its unit and gate, one     *)
 (* file per PR (Harness.Benchdiff writes, reads and diffs them)          *)
@@ -207,13 +231,17 @@ let bechamel_tests : (unit -> Test.t) list =
     (fun () ->
       Test.make ~name:"recovery/crash-replay"
         (Staged.stage (recovery_closure ())));
-    (* per layer: the checksum every strict data op computes, and one
-       strict staged write with its log entry and fence *)
+    (* per layer: the checksum every strict data op computes, one
+       strict staged write with its log entry and fence, and one crash
+       state of the strict crash campaign *)
     (fun () ->
       Test.make ~name:"layer/crc32-4k" (Staged.stage (crc32_closure ())));
     (fun () ->
       Test.make ~name:"layer/strict-pwrite-4k"
         (Staged.stage (strict_pwrite_closure ())));
+    (fun () ->
+      Test.make ~name:"layer/crash-trial-strict"
+        (Staged.stage (crash_trial_closure ())));
   ]
 
 (** Run every bechamel test, print one line per test and return the host

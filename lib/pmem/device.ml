@@ -41,7 +41,8 @@ let word_mask = 0xFFFFFFFF
     chunks, and an absent chunk reads as zero. A shadow image leaves them
     uninitialised: a shadow line is read only while its dirty bit is set,
     and setting it always writes the line first. Every access to either
-    image goes through [read], [write], [zero], [copy] and [sub]. *)
+    image goes through [read], [write], [zero], [copy], [sub], [line]
+    and [write_line]. *)
 module Image = struct
   let chunk_bits = 16
   let chunk_size = 1 lsl chunk_bits
@@ -130,6 +131,23 @@ module Image = struct
     let b = Bytes.create len in
     read img ~addr b ~off:0 ~len;
     b
+
+  (** One all-zero line, shared by every caller of [line]. *)
+  let zero_line = Bytes.make line_size '\000'
+
+  (** The line at [addr] as a buffer nobody may write: [zero_line] for a
+      line in an absent chunk of a durable image, a fresh copy
+      otherwise. *)
+  let line img ~addr =
+    if img.zeroed && Bytes.length img.chunks.(addr lsr chunk_bits) = 0 then
+      zero_line
+    else sub img ~addr ~len:line_size
+
+  (** Write line content [b] at [addr]; [zero_line] leaves an absent
+      chunk absent. *)
+  let write_line img ~addr b =
+    if b == zero_line then zero img ~addr ~len:line_size
+    else write img ~addr b ~off:0 ~len:line_size
 end
 
 (* ------------------------------------------------------------------ *)
@@ -141,14 +159,22 @@ end
     real hardware may tear at 8-byte granularity); [reached] means the
     content has reached the persistence domain (NT store, clwb, or the
     writeback an NT store forces on a covered dirty line) and will be
-    committed by the next fence. *)
+    committed by the next fence. [vdata] is never written once captured,
+    so a commit can make it the line's base and lines can share one
+    buffer ({!Image.zero_line}). *)
 type jversion = { vdata : Bytes.t; nt : bool; mutable reached : bool }
 
-(** Pending state of one journalled line. [jbase] is the line's durable
-    content as of the last fence (the state a crash falls back to when no
-    later version survives); [jversions] are the post-commit versions,
-    newest first. *)
-type jline = { jbase : Bytes.t; mutable jversions : jversion list }
+(** Pending state of journalled line [jl_line]. [jbase] is the line's
+    durable content as of the last fence (the state a crash falls back
+    to when no later version survives), immutable like [vdata];
+    [jversions] are the post-commit versions, newest first. *)
+type jline = {
+  jl_line : int;
+  mutable jbase : Bytes.t;
+  mutable jversions : jversion list;
+}
+
+let no_jline = { jl_line = -1; jbase = Bytes.empty; jversions = [] }
 
 (** Survivor choice for one line in a partial crash: keep the first
     [s_keep] pending versions (0 = revert to the fence-committed base).
@@ -162,8 +188,28 @@ type survivor = { s_line : int; s_keep : int; s_tear : int }
     [k+1] (1-based, oldest first) came from a non-temporal store. *)
 type pending_line = { p_line : int; p_versions : int; p_nt_mask : int }
 
+(* The journal's table, keyed by line number. Line numbers are small
+   non-negative ints, so the number itself picks the bucket: no call to
+   the generic hash and compare for every line a store touches. *)
+module Lines = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash l = l
+end)
+
+(** [jlines] holds only lines a crash can still change: those with
+    pending versions, and those touched since the last fence. A fence
+    drops every line it leaves without pending versions. Such a line's
+    base equals its durable content, because every durable write while
+    journalling pushes or promotes a version, so a later touch
+    recaptures the same base. *)
 type journal = {
-  jlines : (int, jline) Hashtbl.t;
+  jlines : jline Lines.t;
+  mutable jlive : jline array;
+      (** the lines of [jlines] in [0, jcount), walked by a fence and a
+          crash instead of the table's buckets; [no_jline] beyond *)
+  mutable jcount : int;
   mutable j_fences : int;  (** fences observed since [journal_begin] *)
   j_fence_pending : (int, pending_line array) Hashtbl.t;
       (** per fence index, the pending summary captured just before that
@@ -438,21 +484,30 @@ let span_end t ~d ~line ~last =
 (* the power loss), so the per-line choice space is "keep the first k    *)
 (* versions" for k in 0..n. A fence commits the newest version that has  *)
 (* reached the persistence domain and keeps cached-only newer versions   *)
-(* pending. All hooks are passive: they never touch simulated time.      *)
+(* pending; a line left with none leaves the journal, so a fence costs   *)
+(* the lines stored since the last one plus those still pending. All     *)
+(* hooks are passive: they never touch simulated time.                   *)
 (* ------------------------------------------------------------------ *)
 
 let j_touch j t line =
-  match Hashtbl.find_opt j.jlines line with
+  match Lines.find_opt j.jlines line with
   | Some jl -> jl
   | None ->
       let jl =
         {
-          jbase =
-            Image.sub t.persistent ~addr:(line * line_size) ~len:line_size;
+          jl_line = line;
+          jbase = Image.line t.persistent ~addr:(line * line_size);
           jversions = [];
         }
       in
-      Hashtbl.add j.jlines line jl;
+      Lines.add j.jlines line jl;
+      if j.jcount = Array.length j.jlive then begin
+        let grown = Array.make (2 * j.jcount) no_jline in
+        Array.blit j.jlive 0 grown 0 j.jcount;
+        j.jlive <- grown
+      end;
+      j.jlive.(j.jcount) <- jl;
+      j.jcount <- j.jcount + 1;
       jl
 
 (** The line's newest cached content reached the persistence domain
@@ -461,12 +516,13 @@ let j_reached t jl line =
   match jl.jversions with
   | v :: _ -> v.reached <- true
   | [] ->
-      (* dirty line whose store predates journal_begin: record its cached
-         content as the sole (reached) version *)
+      (* dirty line with nothing pending (its store predates
+         journal_begin, or dedup dropped it at the committed content):
+         record its cached content as the sole (reached) version *)
       jl.jversions <-
         [
           {
-            vdata = Image.sub t.shadow ~addr:(line * line_size) ~len:line_size;
+            vdata = Image.line t.shadow ~addr:(line * line_size);
             nt = false;
             reached = true;
           };
@@ -486,9 +542,7 @@ let j_store t ~addr ~len =
       let first = addr / line_size and last = (addr + len - 1) / line_size in
       for line = first to last do
         let jl = j_touch j t line in
-        let vdata =
-          Image.sub t.shadow ~addr:(line * line_size) ~len:line_size
-        in
+        let vdata = Image.line t.shadow ~addr:(line * line_size) in
         (* identical content, identical crash outcomes: surviving the
            duplicate is indistinguishable from surviving its predecessor *)
         if not (j.j_dedup && Bytes.equal vdata (j_frontier jl)) then
@@ -518,9 +572,7 @@ let j_store_nt_post t ~addr ~len =
       let first = addr / line_size and last = (addr + len - 1) / line_size in
       for line = first to last do
         let jl = j_touch j t line in
-        let vdata =
-          Image.sub t.persistent ~addr:(line * line_size) ~len:line_size
-        in
+        let vdata = Image.line t.persistent ~addr:(line * line_size) in
         if j.j_dedup && Bytes.equal vdata (j_frontier jl) then
           (* content already at the frontier; the NT store still reaches
              the persistence domain, so promote the frontier (a tear
@@ -551,42 +603,53 @@ let j_flush t ~addr ~len =
 (** Per-line pending summary, sorted by line for determinism. *)
 let pending_summary j =
   let acc = ref [] in
-  Hashtbl.iter
-    (fun line jl ->
-      if jl.jversions <> [] then begin
-        let n = List.length jl.jversions in
-        let mask = ref 0 in
-        List.iteri
-          (fun i v -> if v.nt then mask := !mask lor (1 lsl (n - 1 - i)))
-          jl.jversions;
-        acc := { p_line = line; p_versions = n; p_nt_mask = !mask } :: !acc
-      end)
-    j.jlines;
+  for i = 0 to j.jcount - 1 do
+    let jl = j.jlive.(i) in
+    if jl.jversions <> [] then begin
+      let n = List.length jl.jversions in
+      let mask = ref 0 in
+      List.iteri
+        (fun i v -> if v.nt then mask := !mask lor (1 lsl (n - 1 - i)))
+        jl.jversions;
+      acc := { p_line = jl.jl_line; p_versions = n; p_nt_mask = !mask } :: !acc
+    end
+  done;
   let arr = Array.of_list !acc in
   Array.sort (fun a b -> compare a.p_line b.p_line) arr;
   arr
 
 (** Fence commit: for each line, the newest reached version becomes the
     new base; versions older than it can no longer survive a crash and
-    are dropped; cached-only newer versions stay pending. *)
+    are dropped; cached-only newer versions stay pending. A line left
+    with no pending version leaves the journal. *)
 let commit_journal j =
-  Hashtbl.iter
-    (fun _ jl ->
-      match jl.jversions with
-      | [] -> ()
-      | vs -> (
-          let rec split kept = function
-            | [] -> None
-            | v :: rest ->
-                if v.reached then Some (List.rev kept, v)
-                else split (v :: kept) rest
-          in
-          match split [] vs with
-          | None -> ()
-          | Some (newer, r) ->
-              Bytes.blit r.vdata 0 jl.jbase 0 line_size;
-              jl.jversions <- newer))
-    j.jlines
+  let rec commit jl newer = function
+    | [] -> ()
+    | v :: older ->
+        if v.reached then begin
+          jl.jbase <- v.vdata;
+          jl.jversions <- List.rev newer
+        end
+        else commit jl (v :: newer) older
+  in
+  let kept = ref 0 in
+  for i = 0 to j.jcount - 1 do
+    let jl = j.jlive.(i) in
+    commit jl [] jl.jversions;
+    if jl.jversions = [] then Lines.remove j.jlines jl.jl_line
+    else begin
+      j.jlive.(!kept) <- jl;
+      incr kept
+    end
+  done;
+  Array.fill j.jlive !kept (j.jcount - !kept) no_jline;
+  j.jcount <- !kept
+
+(** Drop every journalled line, as a crash does. *)
+let reset_journal j =
+  Lines.reset j.jlines;
+  Array.fill j.jlive 0 j.jcount no_jline;
+  j.jcount <- 0
 
 (* Crash-state application --------------------------------------------- *)
 
@@ -606,25 +669,30 @@ let crash_common t =
 (* Write one survivor choice into the durable image. [s_keep] is clamped
    to the line's pending-version count. *)
 let apply_survivor t j s =
-  match Hashtbl.find_opt j.jlines s.s_line with
+  match Lines.find_opt j.jlines s.s_line with
   | None -> ()
   | Some jl ->
       let n = List.length jl.jversions in
       let keep = max 0 (min n s.s_keep) in
       (* [jversions] is newest-first; version [k] counts oldest-first *)
       let version k = List.nth jl.jversions (n - k) in
+      let kept = if keep = 0 then jl.jbase else (version keep).vdata in
       let content =
-        Bytes.copy (if keep = 0 then jl.jbase else (version keep).vdata)
+        if keep = 0 || s.s_tear land 0xFF = 0 then kept
+        else begin
+          (* line contents are shared: tear a copy *)
+          let torn = Bytes.copy kept in
+          let prev =
+            if keep = 1 then jl.jbase else (version (keep - 1)).vdata
+          in
+          for c = 0 to 7 do
+            if s.s_tear land (1 lsl c) <> 0 then
+              Bytes.blit prev (c * 8) torn (c * 8) 8
+          done;
+          torn
+        end
       in
-      if keep > 0 && s.s_tear land 0xFF <> 0 then begin
-        let prev = if keep = 1 then jl.jbase else (version (keep - 1)).vdata in
-        for c = 0 to 7 do
-          if s.s_tear land (1 lsl c) <> 0 then
-            Bytes.blit prev (c * 8) content (c * 8) 8
-        done
-      end;
-      Image.write t.persistent ~addr:(s.s_line * line_size) content ~off:0
-        ~len:line_size
+      Image.write_line t.persistent ~addr:(s.s_line * line_size) content
 
 (** Crash leaving a chosen subset of pending stores durable. Lines not
     named in [survivors] default to their newest pending content (every
@@ -635,18 +703,18 @@ let crash_partial t ~survivors =
   match t.journal with
   | None -> invalid_arg "Device.crash_partial: journaling is off"
   | Some j ->
-      Hashtbl.iter
-        (fun line jl ->
-          match jl.jversions with
-          | [] -> ()
-          | v :: _ ->
-              Image.write t.persistent ~addr:(line * line_size) v.vdata ~off:0
-                ~len:line_size)
-        j.jlines;
+      for i = 0 to j.jcount - 1 do
+        let jl = j.jlive.(i) in
+        match jl.jversions with
+        | [] -> ()
+        | v :: _ ->
+            Image.write_line t.persistent ~addr:(jl.jl_line * line_size)
+              v.vdata
+      done;
       List.iter (apply_survivor t j) survivors;
       crash_common t;
       t.stats.Stats.partial_crashes <- t.stats.Stats.partial_crashes + 1;
-      Hashtbl.reset j.jlines
+      reset_journal j
 
 (* ------------------------------------------------------------------ *)
 (* Stores                                                               *)
@@ -914,7 +982,7 @@ let zero_nt t ~addr ~len =
     reuse a device as if it were new). *)
 let crash t =
   crash_common t;
-  match t.journal with Some j -> Hashtbl.reset j.jlines | None -> ()
+  Option.iter reset_journal t.journal
 
 (** Number of dirty (would-be-lost) cache lines; exposed for tests. *)
 let dirty_lines t = t.dirty_count
@@ -1036,7 +1104,9 @@ let journal_begin ?(dedup = false) t =
   t.journal <-
     Some
       {
-        jlines = Hashtbl.create 256;
+        jlines = Lines.create 256;
+        jlive = Array.make 256 no_jline;
+        jcount = 0;
         j_fences = 0;
         j_fence_pending = Hashtbl.create 64;
         j_trip_fence = -1;

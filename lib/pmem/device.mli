@@ -161,7 +161,11 @@ val reset_faults : t -> unit
     persistence domain. Per line, the legal post-crash contents are the
     fence-committed base or any single later version; choices across
     lines are independent. Journaling is passive — it never changes
-    simulated-time charges. *)
+    simulated-time charges. It keeps only the lines a crash can still
+    change: a fence drops every line it leaves with no pending version,
+    so its cost follows the lines stored since the previous fence plus
+    the lines still pending, not every line touched since
+    [journal_begin]. *)
 
 (** Survivor choice for one line in a partial crash: keep the first
     [s_keep] pending versions, counted oldest-first (0 = revert to the

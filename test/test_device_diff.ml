@@ -8,7 +8,10 @@
     operation that the simulated clocks agree bit-for-bit, that dirty-line
     counts and PM-traffic counters match, that loads return identical
     bytes, and (at crash points and at the end) that the durable images are
-    identical. Host-side fast paths must never change simulated results. *)
+    identical. Host-side fast paths must never change simulated results.
+    [Naive_journal] does the same for the persist-order journal: pending
+    summaries and crash images must match a journal that keeps and copies
+    every line it has touched. *)
 
 open Pmem
 
@@ -496,6 +499,410 @@ let test_zero_nt_bookkeeping () =
         (Device.peek_persistent b.Env.dev ~addr:0 ~len:capacity))
     ranges
 
+(* ------------------------------------------------------------------ *)
+(* Persist-order journal vs a naive model                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [Naive_journal] is the journal at its simplest: every line touched
+   since [begin_] stays in one table, its base and every version are
+   fresh copies of the line, and each fence walks every line. It rides
+   on [Naive] for the cache and the durable image and runs the journal's
+   hooks around each operation in the order the device runs them: an NT
+   store captures its lines' bases and marks their cached content
+   reached before it writes, and records their durable content after. *)
+module Naive_journal = struct
+  type version = { data : Bytes.t; nt : bool; mutable reached : bool }
+  type line = { mutable base : Bytes.t; mutable versions : version list }
+  (* [versions] newest first *)
+
+  type t = {
+    n : Naive.t;
+    mutable on : bool;
+    mutable dedup : bool;
+    lines : (int, line) Hashtbl.t;
+    mutable fences : int;
+    summaries : (int, Device.pending_line array) Hashtbl.t;
+    mutable trip : int;
+    mutable trip_survivors : Device.survivor list;
+  }
+
+  let create n =
+    {
+      n;
+      on = false;
+      dedup = false;
+      lines = Hashtbl.create 64;
+      fences = 0;
+      summaries = Hashtbl.create 16;
+      trip = -1;
+      trip_survivors = [];
+    }
+
+  let begin_ t ~dedup =
+    t.on <- true;
+    t.dedup <- dedup;
+    Hashtbl.reset t.lines;
+    Hashtbl.reset t.summaries;
+    t.fences <- 0;
+    t.trip <- -1
+
+  let arm t ~fence ~survivors =
+    t.trip <- fence;
+    t.trip_survivors <- survivors
+
+  let durable t l = Bytes.sub t.n.Naive.persistent (l * line_size) line_size
+
+  let lines_of ~addr ~len =
+    let first = addr / line_size in
+    List.init (((addr + len - 1) / line_size) - first + 1) (( + ) first)
+
+  let touch t l =
+    match Hashtbl.find_opt t.lines l with
+    | Some jl -> jl
+    | None ->
+        let jl = { base = durable t l; versions = [] } in
+        Hashtbl.add t.lines l jl;
+        jl
+
+  let frontier jl = match jl.versions with v :: _ -> v.data | [] -> jl.base
+
+  (* A store's post-store content: a new version, unless dedup finds it
+     at the frontier, where an NT store still promotes the frontier. *)
+  let push t jl ~data ~nt =
+    if t.dedup && Bytes.equal data (frontier jl) then begin
+      if nt then match jl.versions with v :: _ -> v.reached <- true | [] -> ()
+    end
+    else jl.versions <- { data; nt; reached = nt } :: jl.versions
+
+  (* A dirty line's cached content reaches the persistence domain. *)
+  let reach t l =
+    match Hashtbl.find_opt t.n.Naive.dirty l with
+    | None -> ()
+    | Some cached -> (
+        let jl = touch t l in
+        match jl.versions with
+        | v :: _ -> v.reached <- true
+        | [] ->
+            jl.versions <-
+              [ { data = Bytes.copy cached; nt = false; reached = true } ])
+
+  let store t ~addr src ~off ~len =
+    Naive.store t.n ~addr src ~off ~len;
+    if t.on && len > 0 then
+      List.iter
+        (fun l ->
+          push t (touch t l)
+            ~data:(Bytes.copy (Hashtbl.find t.n.Naive.dirty l))
+            ~nt:false)
+        (lines_of ~addr ~len)
+
+  let nt t ~addr ~len write =
+    if t.on && len > 0 then begin
+      let ls = lines_of ~addr ~len in
+      List.iter
+        (fun l ->
+          ignore (touch t l);
+          reach t l)
+        ls;
+      write ();
+      List.iter (fun l -> push t (touch t l) ~data:(durable t l) ~nt:true) ls
+    end
+    else write ()
+
+  let store_nt t ~addr src ~off ~len =
+    nt t ~addr ~len (fun () -> Naive.store_nt t.n ~addr src ~off ~len)
+
+  let zero_nt t ~addr ~len =
+    nt t ~addr ~len (fun () -> Naive.zero_nt t.n ~addr ~len)
+
+  let flush t ~addr ~len =
+    if t.on && len > 0 then List.iter (reach t) (lines_of ~addr ~len);
+    Naive.flush t.n ~addr ~len
+
+  let summary t =
+    let acc =
+      Hashtbl.fold
+        (fun l jl acc ->
+          match jl.versions with
+          | [] -> acc
+          | vs ->
+              let n = List.length vs in
+              let mask = ref 0 in
+              List.iteri
+                (fun i v -> if v.nt then mask := !mask lor (1 lsl (n - 1 - i)))
+                vs;
+              { Device.p_line = l; p_versions = n; p_nt_mask = !mask } :: acc)
+        t.lines []
+    in
+    Array.of_list
+      (List.sort
+         (fun (a : Device.pending_line) b -> compare a.p_line b.p_line)
+         acc)
+
+  let commit t =
+    Hashtbl.iter
+      (fun _ jl ->
+        let rec split newer = function
+          | [] -> ()
+          | v :: older ->
+              if v.reached then begin
+                jl.base <- Bytes.copy v.data;
+                jl.versions <- List.rev newer
+              end
+              else split (v :: newer) older
+        in
+        split [] jl.versions)
+      t.lines
+
+  let crash_partial t ~survivors =
+    Hashtbl.iter
+      (fun l jl ->
+        match jl.versions with
+        | v :: _ ->
+            Bytes.blit v.data 0 t.n.Naive.persistent (l * line_size) line_size
+        | [] -> ())
+      t.lines;
+    List.iter
+      (fun (s : Device.survivor) ->
+        match Hashtbl.find_opt t.lines s.s_line with
+        | None -> ()
+        | Some jl ->
+            (* index 0 is the base, [k] the k-th version, oldest first *)
+            let vs =
+              Array.of_list
+                (jl.base :: List.rev_map (fun v -> v.data) jl.versions)
+            in
+            let keep = max 0 (min (Array.length vs - 1) s.s_keep) in
+            let content = Bytes.copy vs.(keep) in
+            if keep > 0 then
+              for c = 0 to 7 do
+                if s.s_tear land (1 lsl c) <> 0 then
+                  Bytes.blit vs.(keep - 1) (c * 8) content (c * 8) 8
+              done;
+            Bytes.blit content 0 t.n.Naive.persistent (s.s_line * line_size)
+              line_size)
+      survivors;
+    Naive.crash t.n;
+    Hashtbl.reset t.lines
+
+  let fence t =
+    if t.on then begin
+      if t.trip < 0 then Hashtbl.replace t.summaries t.fences (summary t);
+      let here = t.fences in
+      t.fences <- here + 1;
+      if t.trip = here then begin
+        crash_partial t ~survivors:t.trip_survivors;
+        raise Device.Crashed
+      end
+      else commit t
+    end;
+    Naive.fence t.n
+end
+
+type jop =
+  | J_store of { addr : int; off : int; len : int }
+  | J_store_nt of { addr : int; off : int; len : int }
+  | J_zero of { addr : int; len : int }
+  | J_flush of { addr : int; len : int }
+  | J_fence
+
+(* Eight chunks. Data stores land in chunks 0-3, mostly in a 1 KiB
+   window across the chunk 1/2 boundary, so lines collide and ranges
+   straddle chunks; one access in five may land anywhere, so chunks 4-7
+   are never written or only zeroed. *)
+let jcapacity = 8 * chunk
+let hot_start = (2 * chunk) - 512
+
+(* The payload's first 4 KiB are zeros and the next 4 KiB all 'a', so
+   stores often repeat a line's content (what dedup collapses). *)
+let jpayload =
+  let rng = Workloads.Rng.create 0x70C in
+  Bytes.init 16384 (fun i ->
+      if i < 4096 then '\000'
+      else if i < 8192 then 'a'
+      else Char.chr (Workloads.Rng.int rng 256))
+
+let gen_jop rng =
+  let pick n = Workloads.Rng.int rng n in
+  let len = if pick 10 < 7 then 1 + pick 200 else 1 + pick 9000 in
+  let addr =
+    match pick 10 with
+    | r when r < 5 -> hot_start + pick 1024
+    | r when r < 8 -> pick ((4 * chunk) - len)
+    | _ -> pick (jcapacity - len)
+  in
+  let off =
+    match pick 3 with
+    | 0 when len <= 4096 -> 0
+    | 1 when len <= 4096 -> 4096
+    | _ -> pick (Bytes.length jpayload - len)
+  in
+  match pick 100 with
+  | r when r < 30 -> J_store { addr; off; len }
+  | r when r < 50 -> J_store_nt { addr; off; len }
+  | r when r < 60 -> J_zero { addr; len }
+  | r when r < 80 -> J_flush { addr; len }
+  | _ -> J_fence
+
+(* A short unjournalled prefix leaves lines dirty whose stores predate
+   [journal_begin]; then the journalled trace. *)
+let gen_trace ~seed =
+  let rng = Workloads.Rng.create seed in
+  let prefix =
+    List.init 8 (fun i ->
+        let addr = hot_start + Workloads.Rng.int rng 1024 in
+        let len = 1 + Workloads.Rng.int rng 300 in
+        if i mod 2 = 0 then J_store { addr; off = 8192; len }
+        else J_store_nt { addr; off = 9000; len })
+  in
+  (prefix, List.init 120 (fun _ -> gen_jop rng))
+
+let device_op dev = function
+  | J_store { addr; off; len } -> Device.store dev ~addr jpayload ~off ~len
+  | J_store_nt { addr; off; len } ->
+      Device.store_nt dev ~addr jpayload ~off ~len
+  | J_zero { addr; len } -> Device.zero_nt dev ~addr ~len
+  | J_flush { addr; len } -> Device.flush dev ~addr ~len
+  | J_fence -> Device.fence dev
+
+let naive_op nj = function
+  | J_store { addr; off; len } ->
+      Naive_journal.store nj ~addr jpayload ~off ~len
+  | J_store_nt { addr; off; len } ->
+      Naive_journal.store_nt nj ~addr jpayload ~off ~len
+  | J_zero { addr; len } -> Naive_journal.zero_nt nj ~addr ~len
+  | J_flush { addr; len } -> Naive_journal.flush nj ~addr ~len
+  | J_fence -> Naive_journal.fence nj
+
+let crashes f = match f () with () -> false | exception Device.Crashed -> true
+
+let check_pending what (naive : Device.pending_line array) device =
+  if naive <> device then
+    Alcotest.failf "%s: naive %d pending lines, device %d (or they differ)"
+      what (Array.length naive) (Array.length device)
+
+(* One lockstep run of [trace]: fresh device and model, the prefix with
+   the journal off, then the journalled trace. Unarmed, every fence's
+   pending summary is compared as it is recorded. Returns the index of
+   the op at which an armed crash tripped, or [None]. *)
+let journal_run ~dedup ?arm (prefix, trace) =
+  let env = Pmem.Env.create ~capacity:jcapacity () in
+  let dev = env.Env.dev in
+  let nj =
+    Naive_journal.create
+      (Naive.create ~capacity:jcapacity ~timing:env.Env.timing ())
+  in
+  List.iter
+    (fun op ->
+      device_op dev op;
+      naive_op nj op)
+    prefix;
+  Device.journal_begin ~dedup dev;
+  Naive_journal.begin_ nj ~dedup;
+  Option.iter
+    (fun (fence, survivors) ->
+      Device.arm_crash dev ~fence ~survivors;
+      Naive_journal.arm nj ~fence ~survivors)
+    arm;
+  let rec go k = function
+    | [] -> None
+    | op :: rest ->
+        let d = crashes (fun () -> device_op dev op) in
+        let n = crashes (fun () -> naive_op nj op) in
+        if d <> n then
+          Alcotest.failf "op %d: device crashed %b, naive model crashed %b" k d
+            n;
+        if d then Some k
+        else begin
+          if op = J_fence && arm = None then begin
+            let i = Device.fence_count dev - 1 in
+            check_pending
+              (Printf.sprintf "fence %d" i)
+              (Hashtbl.find nj.Naive_journal.summaries i)
+              (Device.fence_pending dev i)
+          end;
+          go (k + 1) rest
+        end
+  in
+  let tripped = go 0 trace in
+  (dev, nj, tripped)
+
+let check_journal_images what dev nj =
+  if
+    not
+      (Bytes.equal nj.Naive_journal.n.Naive.persistent
+         (Device.peek_persistent dev ~addr:0 ~len:jcapacity))
+  then Alcotest.failf "%s: durable images differ" what
+
+(* A survivor vector over [pending]: most pending lines, keeps from -1 to
+   two past the line's versions, tear masks with bits above the low
+   eight, and a few lines that are not pending (committed, or never
+   touched). *)
+let draw_survivors rng (pending : Device.pending_line array) =
+  let pick n = Workloads.Rng.int rng n in
+  let tear () = if pick 3 = 0 then pick 512 else 0 in
+  let named =
+    List.filter_map
+      (fun (p : Device.pending_line) ->
+        if pick 4 = 0 then None
+        else
+          Some
+            {
+              Device.s_line = p.p_line;
+              s_keep = pick (p.p_versions + 3) - 1;
+              s_tear = tear ();
+            })
+      (Array.to_list pending)
+  in
+  let stray =
+    List.init (pick 4) (fun _ ->
+        {
+          Device.s_line = (hot_start / line_size) + pick 16;
+          s_keep = pick 3;
+          s_tear = tear ();
+        })
+  in
+  named @ stray
+
+let test_journal_vs_naive ~dedup () =
+  List.iter
+    (fun seed ->
+      let trace = gen_trace ~seed in
+      let tag msg = Printf.sprintf "seed %d: %s" seed msg in
+      (* profile: every fence's summary, the end-of-trace summary *)
+      let dev, nj, _ = journal_run ~dedup trace in
+      let nf = Device.fence_count dev in
+      Util.check_int (tag "fences") nj.Naive_journal.fences nf;
+      let at_end = Device.pending_now dev in
+      check_pending (tag "end of trace") (Naive_journal.summary nj) at_end;
+      let pending i = if i = nf then at_end else Device.fence_pending dev i in
+      let rng = Workloads.Rng.create (seed lxor 0x5EED) in
+      (* crash_partial at the end of the trace *)
+      for v = 1 to 24 do
+        let survivors = draw_survivors rng at_end in
+        let dev, nj, _ = journal_run ~dedup trace in
+        Device.crash_partial dev ~survivors;
+        Naive_journal.crash_partial nj ~survivors;
+        check_journal_images (tag (Printf.sprintf "vector %d" v)) dev nj
+      done;
+      (* an armed crash at every fence, and past the last one *)
+      for fence = 0 to nf do
+        let survivors = draw_survivors rng (pending fence) in
+        let dev, nj, tripped =
+          journal_run ~dedup ~arm:(fence, survivors) trace
+        in
+        if tripped = None then begin
+          if fence < nf then
+            Alcotest.failf "%s" (tag "armed fence not reached");
+          Device.crash_partial dev ~survivors;
+          Naive_journal.crash_partial nj ~survivors
+        end;
+        check_journal_images
+          (tag (Printf.sprintf "armed at fence %d" fence))
+          dev nj
+      done)
+    [ 1; 0x5107; 0xC0FFEE ]
+
 let suite =
   [
     tc "differential vs naive model (seed 1)" `Quick test_differential_seed1;
@@ -511,4 +918,8 @@ let suite =
     tc "zero_nt zeroes exactly its range" `Quick test_zero_nt_exact_range;
     tc "zero_nt bookkeeping = store_nt of zeros" `Quick
       test_zero_nt_bookkeeping;
+    tc "persist-order journal vs naive model (dedup off)" `Quick
+      (test_journal_vs_naive ~dedup:false);
+    tc "persist-order journal vs naive model (dedup on)" `Quick
+      (test_journal_vs_naive ~dedup:true);
   ]
