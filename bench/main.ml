@@ -167,18 +167,7 @@ let crash_trial_closure () =
   fun () ->
     ignore (Sys.opaque_identity (Crashcheck.trial mode p ~point ~survivors))
 
-(* ------------------------------------------------------------------ *)
-(* Perf trajectory: every recorded value with its unit and gate, one     *)
-(* file per PR (Harness.Benchdiff writes, reads and diffs them)          *)
-(* ------------------------------------------------------------------ *)
-
 module B = Harness.Benchdiff
-
-let point gate unit key value = { B.key; value; unit; gate }
-let sim_ns = point B.Sim_lower "ns"
-let host_ns = point B.Host_lower "ns"
-let host_speedup = point B.Host_higher "x"
-let count unit key n = point B.Exact unit key (float_of_int n)
 
 (* Each entry is a constructor so the test's FS stack is built right
    before its measurement and becomes garbage right after: keeping all
@@ -269,7 +258,7 @@ let run_bechamel () =
           match Analyze.OLS.estimates result with
           | Some [ est ] ->
               Printf.printf "%-34s %10.0f ns/op (host)\n" name est;
-              host_ns name est :: acc
+              B.host_ns name est :: acc
           | _ ->
               Printf.printf "%-34s (no estimate)\n" name;
               acc)
@@ -282,225 +271,6 @@ let write_trajectory ~mode points path =
     path points;
   Printf.printf "\nwrote perf trajectory point to %s\n" path
 
-(* The scaling experiment's trajectory entries carry *simulated* ns/op
-   (aggregate makespan over total ops at each client count) — the quantity
-   the acceptance test pins — rather than host-clock cost: contention
-   results need to stay comparable across machines. *)
-let scaling_estimates results =
-  List.concat_map
-    (fun (spec, rs) ->
-      List.map
-        (fun (r : Harness.Multiclient.result) ->
-          sim_ns
-            (Printf.sprintf "scaling/%s-%dc" (Harness.Fs_config.name spec)
-               r.Harness.Multiclient.nclients)
-            (r.Harness.Multiclient.makespan_ns
-            /. float_of_int (max 1 r.Harness.Multiclient.total_ops)))
-        rs)
-    results
-
-(* The 10k-actor serving-tier sweep: simulated ns/op, tail latency and
-   SLO attainment per (stack, actor count), plus the host-side dispatch
-   overhead of the event-heap scheduler against the retained min-scan —
-   the one host-clock number here, since the heap's win *is* host
-   overhead. *)
-let scale_estimates results (d : Harness.Experiments.dispatch_result) =
-  List.concat_map
-    (fun (spec, rs) ->
-      List.concat_map
-        (fun (r : Harness.Multiclient.scale_result) ->
-          let base =
-            Printf.sprintf "scale10k/%s-%da" (Harness.Fs_config.name spec)
-              r.Harness.Multiclient.sr_nactors
-          in
-          [
-            sim_ns base
-              (r.Harness.Multiclient.sr_makespan_ns
-              /. float_of_int (max 1 r.Harness.Multiclient.sr_total_ops));
-            sim_ns (base ^ "/p999") r.Harness.Multiclient.sr_p999_ns;
-            point B.Sim_higher "fraction" (base ^ "/slo")
-              r.Harness.Multiclient.sr_slo_attainment;
-          ])
-        rs)
-    results
-  @ [
-      host_ns "scale10k/dispatch/heap_host_ns"
-        d.Harness.Experiments.db_heap_ns_per_dispatch;
-      host_ns "scale10k/dispatch/scan_host_ns"
-        d.Harness.Experiments.db_scan_ns_per_dispatch;
-      host_speedup "scale10k/dispatch/speedup" d.Harness.Experiments.db_speedup;
-    ]
-
-(* Latency percentiles and the overhead attribution likewise carry
-   simulated ns — stable across machines, so the trajectory can watch the
-   cost model rather than the host. *)
-let latency_estimates rows =
-  List.concat_map
-    (fun (r : Harness.Experiments.latency_row) ->
-      let base =
-        Printf.sprintf "lat/%s/%s"
-          (Harness.Fs_config.name r.Harness.Experiments.lat_spec)
-          r.Harness.Experiments.lat_op
-      in
-      [
-        sim_ns (base ^ "/p50") r.Harness.Experiments.lat_p50;
-        sim_ns (base ^ "/p90") r.Harness.Experiments.lat_p90;
-        sim_ns (base ^ "/p99") r.Harness.Experiments.lat_p99;
-        sim_ns (base ^ "/p999") r.Harness.Experiments.lat_p999;
-      ])
-    rows
-
-(* Faultcheck outcome counts per stack: how many injected-fault trials
-   were masked / retried / surfaced an honest errno. A shift in these
-   counts at a pinned seed means a degradation path changed behaviour —
-   exactly what a robustness trajectory should catch. *)
-let fault_estimates reports =
-  List.concat_map
-    (fun (r : Faultcheck.stack_report) ->
-      let trials outcome =
-        count "trials" (Printf.sprintf "faults/%s/%s" r.Faultcheck.s_stack outcome)
-      in
-      [
-        trials "untriggered" r.Faultcheck.s_untriggered;
-        trials "masked" r.Faultcheck.s_masked;
-        trials "retried" r.Faultcheck.s_retried;
-        trials "errno" r.Faultcheck.s_errno;
-      ])
-    reports
-
-(* Degraded-mode write latency (staging starved by a sticky allocator
-   fault) vs the healthy stack, simulated ns per percentile. *)
-let degraded_estimates rows =
-  List.concat_map
-    (fun (r : Harness.Experiments.degraded_row) ->
-      let base =
-        Printf.sprintf "faults/degraded-lat/%s/%s"
-          (Harness.Fs_config.name r.Harness.Experiments.dg_spec)
-          r.Harness.Experiments.dg_variant
-      in
-      [
-        sim_ns (base ^ "/p50") r.Harness.Experiments.dg_p50;
-        sim_ns (base ^ "/p90") r.Harness.Experiments.dg_p90;
-        sim_ns (base ^ "/p99") r.Harness.Experiments.dg_p99;
-      ])
-    rows
-
-let profile_estimates rows =
-  List.concat_map
-    (fun (r : Harness.Experiments.profile_row) ->
-      List.filter_map
-        (fun (cat, ns) ->
-          if ns = 0. then None
-          else
-            Some
-              (sim_ns
-                 (Printf.sprintf "profile/%s/%s"
-                    (Harness.Fs_config.name r.Harness.Experiments.pr_spec)
-                    (Obs.cat_name cat))
-                 (ns /. float_of_int r.Harness.Experiments.pr_ops)))
-        r.Harness.Experiments.pr_breakdown)
-    rows
-
-(* Litmus trajectory entries carry the *exhaustive crash-state count*
-   per (pattern, stack) — not ns — so a change that silently grows or
-   shrinks the enumerated space shows up in the BENCH_PR*.json diff.
-   table1/sim carries the simulated append cost per stack: the fences
-   physically removed after the minimizer's REDUNDANT proofs (PR 7)
-   show there as a drop against earlier PRs. *)
-let litmus_estimates runs =
-  List.map
-    (fun (r : Crashcheck.Litmus.run) ->
-      count "states"
-        (Printf.sprintf "litmus/%s/%s" r.Crashcheck.Litmus.r_pattern
-           r.Crashcheck.Litmus.r_config)
-        r.Crashcheck.Litmus.r_states)
-    runs
-
-(* FAMS-vs-WAL: per-commit simulated latency of the mmap-native page
-   store on failure-atomic msync against the WAL pager everywhere else,
-   plus the simulated crash-to-consistent-reopen time. *)
-let fams_estimates rows =
-  List.concat_map
-    (fun (r : Harness.Experiments.fams_row) ->
-      let base =
-        Printf.sprintf "fams/%s"
-          (Harness.Fs_config.name r.Harness.Experiments.fw_spec)
-      in
-      [
-        sim_ns (base ^ "/p50") r.Harness.Experiments.fw_p50_ns;
-        sim_ns (base ^ "/p99") r.Harness.Experiments.fw_p99_ns;
-        point B.Sim_lower "ms" (base ^ "/recovery-ms")
-          r.Harness.Experiments.fw_recovery_ms;
-      ])
-    rows
-
-let table1_sim_estimates rows =
-  List.map
-    (fun (r : Harness.Experiments.table1_row) ->
-      sim_ns
-        ("table1/sim/" ^ r.Harness.Experiments.t1_fs)
-        r.Harness.Experiments.t1_append_ns)
-    rows
-
-(* fig4/sim and table6/sim carry simulated ns/op per cell. The Table-1 /
-   Fig-4 hot loops contain none of the removed fences (their fences were
-   proven REQUIRED and stayed), so those entries double as a
-   bit-identity pin; the removal delta lands on the metadata/fsync paths
-   that table6/sim records (varmail open/fsync). *)
-let fig4_sim_estimates results =
-  List.concat_map
-    (fun (_, base, challengers) ->
-      List.concat_map
-        (fun (spec, runs) ->
-          List.map
-            (fun (p, m) ->
-              sim_ns
-                (Printf.sprintf "fig4/sim/%s/%s"
-                   (Harness.Fs_config.name spec)
-                   (Workloads.Iopattern.pattern_name p))
-                (Harness.Runner.ns_per_op m))
-            runs)
-        (base :: challengers))
-    results
-
-(* Domain-parallel campaign sweep (§5j): host wall ns per campaign at
-   each job count, plus the speedup vs one job. Host-dependent like the
-   bechamel entries; the speedups are the comparable numbers. *)
-let par_estimates rows =
-  List.concat_map
-    (fun (r : Harness.Experiments.par_row) ->
-      let c = r.Harness.Experiments.pb_campaign in
-      let j = r.Harness.Experiments.pb_jobs in
-      let entry =
-        host_ns (Printf.sprintf "par/%s/walltime-j%d" c j)
-          r.Harness.Experiments.pb_wall_ns
-      in
-      if j = 1 then [ entry ]
-      else
-        [
-          entry;
-          host_speedup
-            (Printf.sprintf "par/%s/speedup-j%d" c j)
-            (Harness.Experiments.par_wall rows c 1
-            /. r.Harness.Experiments.pb_wall_ns);
-        ])
-    rows
-
-let table6_sim_estimates rows =
-  List.concat_map
-    (fun (fs, (l : Workloads.Varmail.latencies)) ->
-      List.map
-        (fun (op, ns) -> sim_ns (Printf.sprintf "table6/sim/%s/%s" fs op) ns)
-        [
-          ("open", l.Workloads.Varmail.open_ns);
-          ("close", l.Workloads.Varmail.close_ns);
-          ("append", l.Workloads.Varmail.append_ns);
-          ("fsync", l.Workloads.Varmail.fsync_ns);
-          ("read", l.Workloads.Varmail.read_ns);
-          ("unlink", l.Workloads.Varmail.unlink_ns);
-        ])
-    rows
-
 let () =
   let fast = Array.exists (fun a -> a = "--fast") Sys.argv in
   let json_path =
@@ -511,49 +281,51 @@ let () =
     in
     find (Array.to_list Sys.argv)
   in
-  let table1 = Harness.Experiments.table1 () in
-  ignore (Harness.Experiments.table2 ());
-  let table6 = Harness.Experiments.table6 () in
-  ignore (Harness.Experiments.fig3 ());
-  let fig4 = Harness.Experiments.fig4 () in
-  ignore (Harness.Experiments.fig5 ());
-  ignore (Harness.Experiments.fig6 ());
-  ignore (Harness.Experiments.table7 ());
-  ignore (Harness.Experiments.recovery ());
-  ignore (Harness.Experiments.resources ());
-  ignore (Harness.Experiments.ablations ());
-  let scaling = Harness.Experiments.scaling () in
-  let profile = Harness.Experiments.profile () in
-  let latency = Harness.Experiments.latency () in
-  let faultcheck = Harness.Experiments.faultcheck () in
-  let degraded = Harness.Experiments.degraded_latency () in
-  let fams = Harness.Experiments.fams_vs_wal () in
+  let module E = Harness.Experiments in
+  (* print an experiment's tables; keep its trajectory points *)
+  let run (r : _ Harness.Runner.report) =
+    print_string r.text;
+    r.points
+  in
+  let table1 = run (E.table1 ()) in
+  let _ = run (E.table2 ()) in
+  let table6 = run (E.table6 ()) in
+  let _ = run (E.fig3 ()) in
+  let fig4 = run (E.fig4 ()) in
+  let _ = run (E.fig5 ()) in
+  let _ = run (E.fig6 ()) in
+  let _ = run (E.table7 ()) in
+  let _ = run (E.recovery ()) in
+  let _ = run (E.resources ()) in
+  let _ = run (E.ablations ()) in
+  let scaling = run (E.scaling ()) in
+  let profile = run (E.profile ()) in
+  let latency = run (E.latency ()) in
+  let faults = run (E.faultcheck ()) in
+  let degraded = run (E.degraded_latency ()) in
+  let fams = run (E.fams_vs_wal ()) in
   (* the minimizer re-explores the corpus once per fence site; skip it
      in --fast smoke runs, keep the corpus itself (it is the crash
      regression gate) *)
-  let litmus, _verdicts = Harness.Experiments.litmus ~minimize:(not fast) () in
-  (* every entry below is simulated ns (or a deterministic count): cheap
-     to produce and exact to compare, so --fast runs now write a
-     trajectory point too — the sim-only subset the CI regression gate
-     diffs against the last committed full snapshot *)
-  let sim_estimates =
-    table1_sim_estimates table1 @ fig4_sim_estimates fig4
-    @ table6_sim_estimates table6 @ scaling_estimates scaling
-    @ profile_estimates profile @ latency_estimates latency
-    @ fault_estimates faultcheck @ degraded_estimates degraded
-    @ fams_estimates fams @ litmus_estimates litmus
+  let litmus = run (E.litmus ~minimize:(not fast) ()) in
+  (* every point so far is simulated ns or a deterministic count: cheap
+     to produce and exact to compare, so --fast runs write a trajectory
+     point too — the sim-only subset the CI regression gate diffs
+     against the last committed full snapshot *)
+  let sim =
+    List.concat
+      [ table1; fig4; table6; scaling; profile; latency; faults; degraded;
+        fams; litmus ]
   in
-  if fast then
-    Option.iter (write_trajectory ~mode:"fast" sim_estimates) json_path
+  if fast then Option.iter (write_trajectory ~mode:"fast" sim) json_path
   else begin
-    let scale = Harness.Experiments.scale () in
-    let dispatch = Harness.Experiments.dispatch_bench () in
-    let par = Harness.Experiments.par_bench () in
-    let estimates = run_bechamel () in
+    let scale = run (E.scale ()) in
+    let dispatch = run (E.dispatch_bench ()) in
+    let par = run (E.par_bench ()) in
+    let bechamel = run_bechamel () in
     Option.iter
       (write_trajectory ~mode:"full"
-         (estimates @ sim_estimates
-         @ scale_estimates scale dispatch @ par_estimates par))
+         (List.concat [ bechamel; sim; scale; dispatch; par ]))
       json_path
   end;
   print_endline "\nAll experiments completed."

@@ -5,39 +5,38 @@
 
 open Cmdliner
 
-let run_table1 total_mb = ignore (Harness.Experiments.table1 ~total_mb ())
-let run_table2 () = ignore (Harness.Experiments.table2 ())
-let run_table6 iterations = ignore (Harness.Experiments.table6 ~iterations ())
+module E = Harness.Experiments
 
-let run_table7 records operations =
-  ignore (Harness.Experiments.table7 ~records ~operations ())
+(** Print an experiment's tables and hand back its value. *)
+let show (r : _ Harness.Runner.report) =
+  print_string r.text;
+  r.value
 
-let run_fig3 total_mb = ignore (Harness.Experiments.fig3 ~total_mb ())
-let run_fig4 total_mb = ignore (Harness.Experiments.fig4 ~total_mb ())
-
-let run_fig5 records operations =
-  ignore (Harness.Experiments.fig5 ~records ~operations ())
-
-let run_fig6 records operations =
-  ignore (Harness.Experiments.fig6 ~records ~operations ())
-
-let run_recovery () = ignore (Harness.Experiments.recovery ())
+let print r = ignore (show r)
+let run_table1 total_mb = print (E.table1 ~total_mb ())
+let run_table2 () = print (E.table2 ())
+let run_table6 iterations = print (E.table6 ~iterations ())
+let run_table7 records operations = print (E.table7 ~records ~operations ())
+let run_fig3 total_mb = print (E.fig3 ~total_mb ())
+let run_fig4 total_mb = print (E.fig4 ~total_mb ())
+let run_fig5 records operations = print (E.fig5 ~records ~operations ())
+let run_fig6 records operations = print (E.fig6 ~records ~operations ())
+let run_recovery () = print (E.recovery ())
 
 let run_crashcheck samples seed nops jobs =
-  let reports = Harness.Experiments.crashcheck ~samples ~seed ~nops ?jobs () in
+  let reports = show (E.crashcheck ~samples ~seed ~nops ?jobs ()) in
   if
     List.exists
       (fun (r : Crashcheck.mode_report) -> r.Crashcheck.r_violations <> [])
       reports
   then exit 1
+
 let run_faultcheck seed nops jobs =
-  let reports = Harness.Experiments.faultcheck ~seed ~nops ?jobs () in
-  if not (Faultcheck.clean reports) then exit 1
+  if not (Faultcheck.clean (show (E.faultcheck ~seed ~nops ?jobs ()))) then
+    exit 1
 
 let run_litmus no_minimize jobs =
-  let runs, _verdicts =
-    Harness.Experiments.litmus ~minimize:(not no_minimize) ?jobs ()
-  in
+  let runs = show (E.litmus ~minimize:(not no_minimize) ?jobs ()) in
   (* REQUIRED verdicts are findings, not failures: they are the proof a
      fence is load-bearing. Only a contract violation with every fence
      in place fails the run. *)
@@ -91,24 +90,22 @@ let run_fams jobs =
     Printf.eprintf "fams: faultcheck violation on splitfs-fams\n";
     failed := true
   end;
-  ignore (Harness.Experiments.fams_vs_wal ());
+  print (E.fams_vs_wal ());
   if !failed then exit 1
 
-let run_ablations total_mb = ignore (Harness.Experiments.ablations ~total_mb ())
-let run_resources () = ignore (Harness.Experiments.resources ())
-let run_scaling () = ignore (Harness.Experiments.scaling ())
+let run_ablations total_mb = print (E.ablations ~total_mb ())
+let run_resources () = print (E.resources ())
+let run_scaling () = print (E.scaling ())
 
 let run_scale fast dispatch_n jobs =
-  let counts =
-    if fast then [ 16; 100; 1000 ] else Harness.Experiments.scale_counts
-  in
-  ignore (Harness.Experiments.scale ~counts ?jobs ());
-  let d = Harness.Experiments.dispatch_bench ~nactors:dispatch_n () in
-  if d.Harness.Experiments.db_speedup < 10. then begin
-    Printf.eprintf "dispatch speedup %.1fx below the 10x floor\n"
-      d.Harness.Experiments.db_speedup;
+  let counts = if fast then [ 16; 100; 1000 ] else E.scale_counts in
+  print (E.scale ~counts ?jobs ());
+  let speedup = show (E.dispatch_bench ~nactors:dispatch_n ()) in
+  if speedup < 10. then begin
+    Printf.eprintf "dispatch speedup %.1fx below the 10x floor\n" speedup;
     exit 1
   end
+
 (* [par-bench]: wall-time every verification campaign at 1/2/4/8 worker
    domains. On hosts with at least 4 recommended domains the sweep is
    also a gate: 4 jobs must be at least 2x faster than 1 job on the
@@ -116,7 +113,7 @@ let run_scale fast dispatch_n jobs =
    containers pinned to one core) the gate is skipped — there is nothing
    to parallelise onto. *)
 let run_par_bench () =
-  let wall = Harness.Experiments.par_wall (Harness.Experiments.par_bench ()) in
+  let wall = E.par_wall (show (E.par_bench ())) in
   if Domain.recommended_domain_count () >= 4 then
     List.iter
       (fun campaign ->
@@ -132,8 +129,8 @@ let run_par_bench () =
       "(speedup gate skipped: only %d recommended domain(s) on this host)\n"
       (Domain.recommended_domain_count ())
 
-let run_profile () = ignore (Harness.Experiments.profile ())
-let run_latency () = ignore (Harness.Experiments.latency ())
+let run_profile () = print (E.profile ())
+let run_latency () = print (E.latency ())
 
 (** [trace]: run a multi-client workload with span tracing on and write a
     Chrome trace-event JSON (load it at https://ui.perfetto.dev). With
@@ -206,9 +203,7 @@ let run_timeline fs_name nactors out_metrics out_trace =
     env_ref := Some env;
     Obs.set_tracing env.Pmem.Env.obs true
   in
-  let _windows, r =
-    Harness.Experiments.timeline_report ~spec ~nactors ~on_env ()
-  in
+  let r = show (E.timeline_report ~spec ~nactors ~on_env ()) in
   let env = Option.get !env_ref in
   let tl = Option.get r.Harness.Multiclient.sr_timeline in
   let oc = open_out out_metrics in
@@ -377,17 +372,17 @@ let smoke =
 
 let all_cmd =
   let run total_mb records operations iterations =
-    ignore (Harness.Experiments.table1 ~total_mb ());
-    ignore (Harness.Experiments.table2 ());
-    ignore (Harness.Experiments.table6 ~iterations ());
-    ignore (Harness.Experiments.fig3 ~total_mb ());
-    ignore (Harness.Experiments.fig4 ~total_mb ());
-    ignore (Harness.Experiments.fig5 ~records ~operations ());
-    ignore (Harness.Experiments.fig6 ~records ~operations ());
-    ignore (Harness.Experiments.table7 ~records ~operations ());
-    ignore (Harness.Experiments.recovery ());
-    ignore (Harness.Experiments.resources ());
-    ignore (Harness.Experiments.ablations ())
+    run_table1 total_mb;
+    run_table2 ();
+    run_table6 iterations;
+    run_fig3 total_mb;
+    run_fig4 total_mb;
+    run_fig5 records operations;
+    run_fig6 records operations;
+    run_table7 records operations;
+    run_recovery ();
+    run_resources ();
+    print (E.ablations ())
   in
   cmd "all" "Run every experiment of the evaluation."
     Term.(const run $ total_mb $ records $ operations $ iterations)

@@ -316,9 +316,6 @@ let rec scan ?(fetch = 0) t ~start ~count =
   if unreliable && fetch < count * 64 then scan ~fetch:(fetch * 2) t ~start ~count
   else List.rev !results
 
-(** Persist everything: flush the memtable and fsync. *)
-let flush t = flush_memtable t
-
 let close t =
   flush_memtable t;
   Wal.close t.fs t.wal;

@@ -34,5 +34,4 @@ let transaction t f =
   t.txs <- t.txs + 1;
   x
 
-let entries t = Btree.entries t.bt
 let close t = Btree.close t.bt

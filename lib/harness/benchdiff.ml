@@ -6,7 +6,8 @@
     renders points as a schema-3 file whose numbers read back as the same
     floats; [load] also reads schema-2 files, whose one-decimal values
     are all labelled [ns_per_op] and declare no gate (a hand-rolled
-    parser: the repo deliberately has no JSON dependency). [diff] judges
+    parser: the repo deliberately has no JSON dependency). Neither
+    accepts a key twice. [diff] judges
     every key common to both files by its gate:
 
     - {b exact}: a deterministic enumeration (litmus crash states,
@@ -186,6 +187,12 @@ let gate_of_name s =
 
 type point = { key : string; value : float; unit : string; gate : gate }
 
+let point gate unit key value = { key; value; unit; gate }
+let sim_ns = point Sim_lower "ns"
+let host_ns = point Host_lower "ns"
+let host_speedup = point Host_higher "x"
+let count unit key n = point Exact unit key (float_of_int n)
+
 (** Relative move a host key may make before it is judged. *)
 let host_band = 0.5
 
@@ -214,22 +221,17 @@ type tests =
 
 type file = { f_path : string; f_meta : meta; f_tests : tests }
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(** The first key that occurs twice in [keys], if any. *)
+let repeated keys =
+  let seen = Hashtbl.create 256 in
+  List.find_opt
+    (fun k -> Hashtbl.mem seen k || (Hashtbl.add seen k (); false))
+    keys
 
 (** Write [points] as a schema-3 trajectory file. Raises
     [Invalid_argument], leaving [path] untouched, if a value is not
-    finite: JSON has no spelling for it, and a diff could not judge it. *)
+    finite (JSON has no spelling for it, and a diff could not judge it)
+    or a key repeats (a diff could judge only one of its values). *)
 let write ~mode ~seed ~jobs ~stacks path points =
   List.iter
     (fun p ->
@@ -238,7 +240,14 @@ let write ~mode ~seed ~jobs ~stacks path points =
           (Printf.sprintf "Benchdiff.write: %s is %f, not a finite value"
              p.key p.value))
     points;
-  let str s = "\"" ^ json_escape s ^ "\"" in
+  Option.iter
+    (Printf.ksprintf invalid_arg "Benchdiff.write: key %s repeats")
+    (repeated (List.map (fun p -> p.key) points));
+  let str s =
+    let b = Buffer.create 64 in
+    Obs.add_json_string b s;
+    Buffer.contents b
+  in
   let tests =
     List.map
       (fun p ->
@@ -299,6 +308,7 @@ let load path =
     | Some (Obj kvs) -> kvs
     | _ -> fail "no \"tests\" object"
   in
+  Option.iter (fail "test %S repeats") (repeated (List.map fst kvs));
   let value k field v =
     match member field v with
     | Some (Num f) when Float.is_finite f -> f

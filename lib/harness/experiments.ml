@@ -1,12 +1,16 @@
 (** One function per table/figure of the paper's evaluation. Every function
-    prints a paper-style table and returns its measurements so tests can
-    assert the expected shapes (who wins, by roughly what factor).
+    returns a {!Runner.report} and prints nothing: the measurements tests
+    assert the expected shapes on (who wins, by roughly what factor), the
+    paper-style tables as text, and the perf-trajectory points the
+    experiment adds to a BENCH_PR*.json file, each built beside the row
+    it comes from.
 
     Absolute numbers come from the simulation's cost model (see
     [Pmem.Timing]); the paper's published values are printed alongside
     where the paper gives them. *)
 
 open Fs_config
+module B = Benchdiff
 
 let mb = 1024 * 1024
 
@@ -16,13 +20,6 @@ let media_4k = 671.
 (* ------------------------------------------------------------------ *)
 (* Table 1: software overhead of a 4 KB append                          *)
 (* ------------------------------------------------------------------ *)
-
-type table1_row = {
-  t1_fs : string;
-  t1_append_ns : float;
-  t1_overhead_ns : float;
-  t1_overhead_pct : float;
-}
 
 let append_bench stack ~total_bytes =
   (* the paper's Table 1 measures the bare append operation: no periodic
@@ -37,57 +34,52 @@ let append_bench stack ~total_bytes =
   Runner.measure stack "append" (fun () ->
       Workloads.Iopattern.run stack.fs cfg Workloads.Iopattern.Append)
 
+(* the paper's append and overhead columns (ns) *)
 let table1_specs =
   [
-    (Ext4_dax, Some (9002., 8331., 1241.));
-    (Pmfs, Some (4150., 3479., 518.));
-    (Nova_strict, Some (3021., 2350., 350.));
-    (Splitfs_strict, Some (1251., 580., 86.));
-    (Splitfs_posix, Some (1160., 488., 73.));
+    (Ext4_dax, (9002., 8331.));
+    (Pmfs, (4150., 3479.));
+    (Nova_strict, (3021., 2350.));
+    (Splitfs_strict, (1251., 580.));
+    (Splitfs_posix, (1160., 488.));
   ]
 
-let table1 ?(total_mb = 16) ?(print = true) () =
+(** Simulated ns per 4 KB append, per file system. The points
+    [table1/sim/<fs>] carry the same numbers. *)
+let table1 ?(total_mb = 16) () =
   let rows =
     List.map
-      (fun (spec, _) ->
+      (fun (spec, paper) ->
         let stack = make spec in
         let m = append_bench stack ~total_bytes:(total_mb * mb) in
-        let per_op = Runner.ns_per_op m in
-        {
-          t1_fs = name spec;
-          t1_append_ns = per_op;
-          t1_overhead_ns = per_op -. media_4k;
-          t1_overhead_pct = (per_op -. media_4k) /. media_4k *. 100.;
-        })
+        (name spec, Runner.ns_per_op m, paper))
       table1_specs
   in
-  if print then
-    Runner.print_table ~title:"Table 1: software overhead of a 4K append"
+  let text =
+    Runner.table ~title:"Table 1: software overhead of a 4K append"
       [ "file system"; "append (ns)"; "overhead (ns)"; "overhead (%)";
         "paper append"; "paper overhead" ]
-      (List.map2
-         (fun r (_, paper) ->
-           let pa, po =
-             match paper with
-             | Some (a, o, _) -> (Runner.f0 a, Runner.f0 o)
-             | None -> ("-", "-")
-           in
+      (List.map
+         (fun (fs, ns, (pa, po)) ->
+           let overhead = ns -. media_4k in
            [
-             r.t1_fs;
-             Runner.f0 r.t1_append_ns;
-             Runner.f0 r.t1_overhead_ns;
-             Runner.f0 r.t1_overhead_pct ^ "%";
-             pa;
-             po;
+             fs;
+             Runner.f0 ns;
+             Runner.f0 overhead;
+             Runner.f0 (overhead /. media_4k *. 100.) ^ "%";
+             Runner.f0 pa;
+             Runner.f0 po;
            ])
-         rows table1_specs);
-  rows
+         rows)
+  in
+  let points = List.map (fun (fs, ns, _) -> B.sim_ns ("table1/sim/" ^ fs) ns) rows in
+  { Runner.value = List.map (fun (fs, ns, _) -> (fs, ns)) rows; text; points }
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: PM performance characteristics                              *)
 (* ------------------------------------------------------------------ *)
 
-let table2 ?(print = true) () =
+let table2 () =
   let env = Pmem.Env.create ~capacity:(16 * mb) () in
   let dev = env.Pmem.Env.dev in
   let timed f =
@@ -126,17 +118,32 @@ let table2 ?(print = true) () =
       ("write bandwidth (GB/s)", write_bw, float_of_int (4 * mb) /. (671. /. 4096. *. float_of_int (4 * mb)));
     ]
   in
-  if print then
-    Runner.print_table ~title:"Table 2: PM performance characteristics"
+  let text =
+    Runner.table ~title:"Table 2: PM performance characteristics"
       [ "property"; "measured"; "paper / target" ]
-      (List.map (fun (p, m, t) -> [ p; Runner.f1 m; Runner.f1 t ]) rows);
-  rows
+      (List.map (fun (p, m, t) -> [ p; Runner.f1 m; Runner.f1 t ]) rows)
+  in
+  { Runner.value = rows; text; points = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Table 6: system call latencies (varmail microbenchmark)              *)
 (* ------------------------------------------------------------------ *)
 
-let table6 ?(iterations = 200) ?(print = true) () =
+(* the varmail sequence's syscalls: the table's rows and the points' keys *)
+let varmail_ops =
+  Workloads.Varmail.
+    [
+      ("open", fun l -> l.open_ns);
+      ("close", fun l -> l.close_ns);
+      ("append", fun l -> l.append_ns);
+      ("fsync", fun l -> l.fsync_ns);
+      ("read", fun l -> l.read_ns);
+      ("unlink", fun l -> l.unlink_ns);
+    ]
+
+(** Varmail syscall latencies per stack. The points
+    [table6/sim/<fs>/<op>] carry every cell in simulated ns. *)
+let table6 ?(iterations = 200) () =
   let specs = [ Splitfs_strict; Splitfs_sync; Splitfs_posix; Ext4_dax ] in
   let rows =
     List.map
@@ -151,23 +158,24 @@ let table6 ?(iterations = 200) ?(print = true) () =
         (name spec, lat))
       specs
   in
-  if print then begin
-    let us x = Runner.f2 (x /. 1000.) in
-    Runner.print_table ~title:"Table 6: system call latency (us), varmail sequence"
+  let us x = Runner.f2 (x /. 1000.) in
+  let text =
+    Runner.table ~title:"Table 6: system call latency (us), varmail sequence"
       ("syscall" :: List.map fst rows)
       (List.map
-         (fun (label, get) ->
-           label :: List.map (fun (_, l) -> us (get l)) rows)
-         [
-           ("open", fun l -> l.Workloads.Varmail.open_ns);
-           ("close", fun l -> l.Workloads.Varmail.close_ns);
-           ("append", fun l -> l.Workloads.Varmail.append_ns);
-           ("fsync", fun l -> l.Workloads.Varmail.fsync_ns);
-           ("read", fun l -> l.Workloads.Varmail.read_ns);
-           ("unlink", fun l -> l.Workloads.Varmail.unlink_ns);
-         ])
-  end;
-  rows
+         (fun (op, get) -> op :: List.map (fun (_, l) -> us (get l)) rows)
+         varmail_ops)
+  in
+  let points =
+    List.concat_map
+      (fun (fs, l) ->
+        List.map
+          (fun (op, get) ->
+            B.sim_ns (Printf.sprintf "table6/sim/%s/%s" fs op) (get l))
+          varmail_ops)
+      rows
+  in
+  { Runner.value = rows; text; points }
 
 (* ------------------------------------------------------------------ *)
 (* YCSB on the LSM store (Figure 6 data-intensive part, Table 7)        *)
@@ -212,7 +220,7 @@ let ycsb_series stack ~records ~operations =
   Apps.Lsm.close lsm;
   results
 
-let table7 ?(records = 4000) ?(operations = 4000) ?(print = true) () =
+let table7 ?(records = 4000) ?(operations = 4000) () =
   let strata_stack = make Strata in
   let split_stack = make Splitfs_strict in
   let strata = ycsb_series strata_stack ~records ~operations in
@@ -223,21 +231,22 @@ let table7 ?(records = 4000) ?(operations = 4000) ?(print = true) () =
         (Workloads.Ycsb.workload_name w, Runner.kops ms, Runner.kops mp))
       strata split
   in
-  if print then
-    Runner.print_table ~title:"Table 7: Strata vs SplitFS-strict (YCSB on LSM store)"
+  let text =
+    Runner.table ~title:"Table 7: Strata vs SplitFS-strict (YCSB on LSM store)"
       [ "workload"; "strata kops/s"; "splitfs kops/s"; "splitfs/strata"; "paper" ]
       (List.map2
          (fun (w, s, p) paper ->
            [ w; Runner.f1 s; Runner.f1 p; Runner.f2 (p /. s) ^ "x"; paper ])
          rows
-         [ "1.73x"; "1.76x"; "2.16x"; "2.14x"; "2.25x"; "2.03x"; "2.25x" ]);
-  rows
+         [ "1.73x"; "1.76x"; "2.16x"; "2.14x"; "2.25x"; "2.03x"; "2.25x" ])
+  in
+  { Runner.value = (); text; points = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3: contribution of each technique                             *)
 (* ------------------------------------------------------------------ *)
 
-let fig3 ?(total_mb = 16) ?(print = true) () =
+let fig3 ?(total_mb = 16) () =
   let specs =
     [ Ext4_dax; Splitfs_split_only; Splitfs_staging_only; Splitfs_posix ]
   in
@@ -263,11 +272,11 @@ let fig3 ?(total_mb = 16) ?(print = true) () =
         (name spec, Runner.kops ow, Runner.kops ap))
       specs
   in
-  if print then begin
-    let base_ow, base_ap =
-      match rows with (_, ow, ap) :: _ -> (ow, ap) | [] -> (1., 1.)
-    in
-    Runner.print_table
+  let base_ow, base_ap =
+    match rows with (_, ow, ap) :: _ -> (ow, ap) | [] -> (1., 1.)
+  in
+  let text =
+    Runner.table
       ~title:"Figure 3: technique contributions (4K ops, fsync every 10)"
       [ "configuration"; "seq-overwrite kops/s"; "vs ext4"; "append kops/s"; "vs ext4" ]
       (List.map
@@ -280,8 +289,8 @@ let fig3 ?(total_mb = 16) ?(print = true) () =
              Runner.f2 (ap /. base_ap) ^ "x";
            ])
          rows)
-  end;
-  rows
+  in
+  { Runner.value = rows; text; points = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4: IO patterns per guarantee group                            *)
@@ -294,7 +303,9 @@ let fig4_groups =
     ("strict", Nova_strict, [ Strata; Splitfs_strict ]);
   ]
 
-let fig4 ?(total_mb = 16) ?(print = true) () =
+(** Throughput per IO pattern within each guarantee group. The points
+    [fig4/sim/<fs>/<pattern>] carry simulated ns/op per cell. *)
+let fig4 ?(total_mb = 16) () =
   let patterns =
     Workloads.Iopattern.[ Seq_read; Rand_read; Seq_write; Rand_write; Append ]
   in
@@ -328,25 +339,42 @@ let fig4 ?(total_mb = 16) ?(print = true) () =
          List.map (fun c -> (c, run_all c)) challengers))
       fig4_groups
   in
-  if print then
-    List.iter
-      (fun (group, (bspec, bruns), cruns) ->
-        Runner.print_table
-          ~title:(Printf.sprintf "Figure 4 (%s mode): throughput, normalised to %s" group (name bspec))
-          ("pattern" :: (name bspec ^ " kops/s")
-           :: List.concat_map (fun (c, _) -> [ name c ^ " kops/s"; "vs base" ]) cruns)
-          (List.map
-             (fun (p, bm) ->
-               let base = Runner.kops bm in
-               Workloads.Iopattern.pattern_name p :: Runner.f1 base
-               :: List.concat_map
-                    (fun (_, runs) ->
-                      let m = List.assoc p runs in
-                      [ Runner.f1 (Runner.kops m); Runner.f2 (Runner.kops m /. base) ^ "x" ])
-                    cruns)
-             bruns))
-      results;
-  results
+  let text =
+    String.concat ""
+      (List.map
+         (fun (group, (bspec, bruns), cruns) ->
+           Runner.table
+             ~title:(Printf.sprintf "Figure 4 (%s mode): throughput, normalised to %s" group (name bspec))
+             ("pattern" :: (name bspec ^ " kops/s")
+              :: List.concat_map (fun (c, _) -> [ name c ^ " kops/s"; "vs base" ]) cruns)
+             (List.map
+                (fun (p, bm) ->
+                  let base = Runner.kops bm in
+                  Workloads.Iopattern.pattern_name p :: Runner.f1 base
+                  :: List.concat_map
+                       (fun (_, runs) ->
+                         let m = List.assoc p runs in
+                         [ Runner.f1 (Runner.kops m); Runner.f2 (Runner.kops m /. base) ^ "x" ])
+                       cruns)
+                bruns))
+         results)
+  in
+  let points =
+    List.concat_map
+      (fun (_, base, challengers) ->
+        List.concat_map
+          (fun (spec, runs) ->
+            List.map
+              (fun (p, m) ->
+                B.sim_ns
+                  (Printf.sprintf "fig4/sim/%s/%s" (name spec)
+                     (Workloads.Iopattern.pattern_name p))
+                  (Runner.ns_per_op m))
+              runs)
+          (base :: challengers))
+      results
+  in
+  { Runner.value = results; text; points }
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: relative software overhead on applications                 *)
@@ -358,6 +386,28 @@ let fig4 ?(total_mb = 16) ?(print = true) () =
 let software_overhead (m : Runner.measurement) =
   m.Runner.sim_ns -. m.Runner.media_ns
 
+(** TPC-C on the WAL database of a fresh [spec] stack: [operations / 4]
+    transactions, each with 30 us of application CPU (Figures 5 and 6). *)
+let tpcc_run spec ~operations =
+  let stack = make spec in
+  let db = Apps.Waldb.open_ stack.fs "/tpcc.db" () in
+  let cfg =
+    {
+      Workloads.Tpcc.default_config with
+      Workloads.Tpcc.transactions = operations / 4;
+      customers_per_district = 30;
+      items = 200;
+    }
+  in
+  Workloads.Tpcc.load db cfg;
+  let think () = Pmem.Env.cpu stack.env 30000. in
+  let m =
+    Runner.measure stack "tpcc" (fun () ->
+        Workloads.Tpcc.total (Workloads.Tpcc.run ~think db cfg))
+  in
+  Apps.Waldb.close db;
+  m
+
 let fig5_groups =
   [
     ("POSIX", [ Ext4_dax ], Splitfs_posix);
@@ -365,74 +415,49 @@ let fig5_groups =
     ("strict", [ Nova_strict ], Splitfs_strict);
   ]
 
-let fig5 ?(records = 3000) ?(operations = 3000) ?(print = true) () =
+let fig5 ?(records = 3000) ?(operations = 3000) () =
   let ycsb_load_run spec =
-    let stack = make spec in
-    let series = ycsb_series stack ~records ~operations in
-    let pick w = List.assq w series in
-    ignore pick;
-    let load = List.assoc Workloads.Ycsb.Load series in
-    let runa = List.assoc Workloads.Ycsb.A series in
-    (load, runa)
-  in
-  let tpcc_run spec =
-    let stack = make spec in
-    let db = Apps.Waldb.open_ stack.fs "/tpcc.db" () in
-    let cfg =
-      {
-        Workloads.Tpcc.default_config with
-        Workloads.Tpcc.transactions = operations / 4;
-        customers_per_district = 30;
-        items = 200;
-      }
-    in
-    Workloads.Tpcc.load db cfg;
-    let think () = Pmem.Env.cpu stack.env 30000. in
-    let m =
-      Runner.measure stack "tpcc" (fun () ->
-          Workloads.Tpcc.total (Workloads.Tpcc.run ~think db cfg))
-    in
-    Apps.Waldb.close db;
-    m
+    let series = ycsb_series (make spec) ~records ~operations in
+    (List.assoc Workloads.Ycsb.Load series, List.assoc Workloads.Ycsb.A series)
   in
   let results =
     List.map
       (fun (group, others, split_spec) ->
-        let all = others @ [ split_spec ] in
         let per_fs =
           List.map
             (fun spec ->
               let load, runa = ycsb_load_run spec in
-              let tpcc = tpcc_run spec in
+              let tpcc = tpcc_run spec ~operations in
               (spec, [ ("LoadA", load); ("RunA", runa); ("TPCC", tpcc) ]))
-            all
+            (others @ [ split_spec ])
         in
         (group, per_fs))
       fig5_groups
   in
-  if print then
-    List.iter
-      (fun (group, per_fs) ->
-        let split_spec, split_runs = List.nth per_fs (List.length per_fs - 1) in
-        Runner.print_table
-          ~title:
-            (Printf.sprintf
-               "Figure 5 (%s mode): software overhead relative to %s" group
-               (name split_spec))
-          ("workload"
-           :: List.concat_map (fun (spec, _) -> [ name spec ]) per_fs)
-          (List.map
-             (fun wname ->
-               let base = software_overhead (List.assoc wname split_runs) in
-               wname
-               :: List.map
-                    (fun (_, runs) ->
-                      Runner.f2 (software_overhead (List.assoc wname runs) /. base)
-                      ^ "x")
-                    per_fs)
-             [ "LoadA"; "RunA"; "TPCC" ]))
-      results;
-  results
+  let text =
+    String.concat ""
+      (List.map
+         (fun (group, per_fs) ->
+           let split_spec, split_runs = List.nth per_fs (List.length per_fs - 1) in
+           Runner.table
+             ~title:
+               (Printf.sprintf
+                  "Figure 5 (%s mode): software overhead relative to %s" group
+                  (name split_spec))
+             ("workload" :: List.map (fun (spec, _) -> name spec) per_fs)
+             (List.map
+                (fun wname ->
+                  let base = software_overhead (List.assoc wname split_runs) in
+                  wname
+                  :: List.map
+                       (fun (_, runs) ->
+                         Runner.f2 (software_overhead (List.assoc wname runs) /. base)
+                         ^ "x")
+                       per_fs)
+                [ "LoadA"; "RunA"; "TPCC" ]))
+         results)
+  in
+  { Runner.value = (); text; points = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: real applications                                          *)
@@ -492,30 +517,13 @@ let fig6_groups =
     ("strict", Nova_strict, Splitfs_strict);
   ]
 
-let fig6 ?(records = 3000) ?(operations = 3000) ?(print = true) () =
+let fig6 ?(records = 3000) ?(operations = 3000) () =
   let app_suite spec =
     let stack = make spec in
     let ycsb = ycsb_series stack ~records ~operations in
     let redis = redis_run stack ~sets:operations in
-    let tpcc_stack = make spec in
-    let db = Apps.Waldb.open_ tpcc_stack.fs "/tpcc.db" () in
-    let tcfg =
-      {
-        Workloads.Tpcc.default_config with
-        Workloads.Tpcc.transactions = operations / 4;
-        customers_per_district = 30;
-        items = 200;
-      }
-    in
-    Workloads.Tpcc.load db tcfg;
-    let think () = Pmem.Env.cpu tpcc_stack.env 30000. in
-    let tpcc =
-      Runner.measure tpcc_stack "tpcc" (fun () ->
-          Workloads.Tpcc.total (Workloads.Tpcc.run ~think db tcfg))
-    in
-    Apps.Waldb.close db;
-    let util_stack = make spec in
-    let utils = utility_run util_stack ~files:200 in
+    let tpcc = tpcc_run spec ~operations in
+    let utils = utility_run (make spec) ~files:200 in
     (ycsb, redis, tpcc, utils)
   in
   let results =
@@ -524,44 +532,42 @@ let fig6 ?(records = 3000) ?(operations = 3000) ?(print = true) () =
         (group, (base_spec, app_suite base_spec), (split_spec, app_suite split_spec)))
       fig6_groups
   in
-  if print then
-    List.iter
-      (fun (group, (bspec, (bycsb, bredis, btpcc, butils)), (sspec, (sycsb, sredis, stpcc, sutils))) ->
-        let row label (bm : Runner.measurement) (sm : Runner.measurement) ~higher_better =
-          let b = Runner.kops bm and s = Runner.kops sm in
-          let rel = if higher_better then s /. b else b /. s in
-          [ label; Runner.f1 b; Runner.f1 s; Runner.f2 rel ^ "x" ]
-        in
-        Runner.print_table
-          ~title:(Printf.sprintf "Figure 6 (%s mode): application performance" group)
-          [ "workload"; name bspec ^ " kops/s"; name sspec ^ " kops/s"; "splitfs speedup" ]
-          (List.map
-             (fun (w, bm) ->
-               let sm = List.assoc w sycsb in
-               row (Workloads.Ycsb.workload_name w) bm sm ~higher_better:true)
-             bycsb
-          @ [ row "Redis-SET" bredis sredis ~higher_better:true ]
-          @ [ row "TPCC" btpcc stpcc ~higher_better:true ]
-          @ List.map
-              (fun (n, bm) ->
-                let sm = List.assoc n sutils in
-                (* utilities are runtime (lower better): report as relative
-                   runtime of splitfs vs baseline *)
-                [
-                  n;
-                  Runner.f2 (bm.Runner.sim_ns /. 1e9) ^ "s";
-                  Runner.f2 (sm.Runner.sim_ns /. 1e9) ^ "s";
-                  Runner.f2 (bm.Runner.sim_ns /. sm.Runner.sim_ns) ^ "x";
-                ])
-              butils))
-      results;
-  results
+  let row label (bm : Runner.measurement) (sm : Runner.measurement) =
+    let b = Runner.kops bm and s = Runner.kops sm in
+    [ label; Runner.f1 b; Runner.f1 s; Runner.f2 (s /. b) ^ "x" ]
+  in
+  let text =
+    String.concat ""
+      (List.map
+         (fun (group, (bspec, (bycsb, bredis, btpcc, butils)), (sspec, (sycsb, sredis, stpcc, sutils))) ->
+           Runner.table
+             ~title:(Printf.sprintf "Figure 6 (%s mode): application performance" group)
+             [ "workload"; name bspec ^ " kops/s"; name sspec ^ " kops/s"; "splitfs speedup" ]
+             (List.map
+                (fun (w, bm) -> row (Workloads.Ycsb.workload_name w) bm (List.assoc w sycsb))
+                bycsb
+             @ [ row "Redis-SET" bredis sredis; row "TPCC" btpcc stpcc ]
+             @ List.map
+                 (fun (n, bm) ->
+                   let sm = List.assoc n sutils in
+                   (* utilities are runtime (lower better): report as relative
+                      runtime of splitfs vs baseline *)
+                   [
+                     n;
+                     Runner.f2 (bm.Runner.sim_ns /. 1e9) ^ "s";
+                     Runner.f2 (sm.Runner.sim_ns /. 1e9) ^ "s";
+                     Runner.f2 (bm.Runner.sim_ns /. sm.Runner.sim_ns) ^ "x";
+                   ])
+                 butils))
+         results)
+  in
+  { Runner.value = (); text; points = [] }
 
 (* ------------------------------------------------------------------ *)
 (* §5.3: recovery time vs number of valid log entries                   *)
 (* ------------------------------------------------------------------ *)
 
-let recovery ?(print = true) () =
+let recovery () =
   let entry_counts = [ 1_000; 5_000; 18_000; 50_000 ] in
   let rows =
     List.map
@@ -588,8 +594,8 @@ let recovery ?(print = true) () =
         (entries, report))
       entry_counts
   in
-  if print then
-    Runner.print_table ~title:"Recovery time vs valid log entries (section 5.3)"
+  let text =
+    Runner.table ~title:"Recovery time vs valid log entries (section 5.3)"
       [ "log entries"; "replayed"; "torn"; "files"; "replay time (ms, simulated)" ]
       (List.map
          (fun (entries, (r : Splitfs.Recovery.report)) ->
@@ -600,21 +606,13 @@ let recovery ?(print = true) () =
              string_of_int r.Splitfs.Recovery.files_recovered;
              Runner.f2 (r.Splitfs.Recovery.replay_ns /. 1e6);
            ])
-         rows);
-  rows
+         rows)
+  in
+  { Runner.value = rows; text; points = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Failure-atomic msync vs write-ahead logging                          *)
 (* ------------------------------------------------------------------ *)
-
-type fams_row = {
-  fw_spec : spec;
-  fw_app : string;  (** ["mmapdb-msync"] or ["pager-wal"] *)
-  fw_commits : int;
-  fw_p50_ns : float;
-  fw_p99_ns : float;
-  fw_recovery_ms : float;  (** simulated time to a consistent reopen *)
-}
 
 (** The workload failure-atomic msync exists for: an mmap-native page
     store ({!Apps.Mmapdb}) that updates pages in place and commits a
@@ -624,13 +622,14 @@ type fams_row = {
     page twice (WAL frame now, checkpoint later) and scan the log on
     open to get the same guarantee.
 
-    Columns: per-commit simulated latency (p50/p99 over [ntx] commits of
-    [pages_per_tx] dirty pages) and the simulated time from crash to a
+    Columns: per-commit simulated latency (p50/p99 over 200 commits of 4
+    dirty pages out of 64) and the simulated time from crash to a
     consistent reopen — SplitFS oplog replay where the stack has one,
     plus the application's own open (WAL scan-and-settle for the pager,
-    a bare fstat for mmapdb). *)
-let fams_vs_wal ?(ntx = 200) ?(pages_per_tx = 4) ?(npages = 64)
-    ?(print = true) () =
+    a bare fstat for mmapdb). The points [fams/<fs>/p50], [.../p99] and
+    [.../recovery-ms] carry the same cells. *)
+let fams_vs_wal () =
+  let ntx = 200 and pages_per_tx = 4 and npages = 64 in
   let percentile sorted p =
     let n = Array.length sorted in
     let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
@@ -693,35 +692,35 @@ let fams_vs_wal ?(ntx = 200) ?(pages_per_tx = 4) ?(npages = 64)
      else ignore (Apps.Pager.open_ read_fs "/db" ~checkpoint_frames:64));
     let reopen_ns = Pmem.Env.now stack.env -. t0 in
     Array.sort compare lat;
-    {
-      fw_spec = spec;
-      fw_app = (if is_fams then "mmapdb-msync" else "pager-wal");
-      fw_commits = ntx;
-      fw_p50_ns = percentile lat 50.;
-      fw_p99_ns = percentile lat 99.;
-      fw_recovery_ms = (replay_ns +. reopen_ns) /. 1e6;
-    }
+    let p50 = percentile lat 50. and p99 = percentile lat 99. in
+    let recovery_ms = (replay_ns +. reopen_ns) /. 1e6 in
+    let key = "fams/" ^ name spec in
+    ( [
+        name spec;
+        (if is_fams then "mmapdb-msync" else "pager-wal");
+        string_of_int ntx;
+        Runner.f0 p50;
+        Runner.f0 p99;
+        Runner.f2 recovery_ms;
+      ],
+      [
+        B.sim_ns (key ^ "/p50") p50;
+        B.sim_ns (key ^ "/p99") p99;
+        B.point B.Sim_lower "ms" (key ^ "/recovery-ms") recovery_ms;
+      ] )
   in
   let rows =
     List.map run
       [ Splitfs_fams; Splitfs_strict; Splitfs_sync; Ext4_dax; Nova_relaxed ]
   in
-  if print then
-    Runner.print_table
+  let text =
+    Runner.table
       ~title:"Failure-atomic msync vs WAL (per-commit, simulated)"
       [ "stack"; "app"; "commits"; "p50 (ns)"; "p99 (ns)"; "recovery (ms)" ]
-      (List.map
-         (fun r ->
-           [
-             name r.fw_spec;
-             r.fw_app;
-             string_of_int r.fw_commits;
-             Runner.f0 r.fw_p50_ns;
-             Runner.f0 r.fw_p99_ns;
-             Runner.f2 r.fw_recovery_ms;
-           ])
-         rows);
-  rows
+      (List.map fst rows)
+  in
+  let points = List.concat_map snd rows in
+  { Runner.value = (); text; points }
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: the design choices discussed in paper sections 4 and 3.6  *)
@@ -734,7 +733,7 @@ type ablation_row = { ab_name : string; ab_variant : string; ab_kops : float }
       fsync-time copy overshadowed the cheaper staging, section 4);
     - huge pages on vs off (reads drop ~50% without huge pages, section 4);
     - mmap region size sweep (section 3.6 tunable). *)
-let ablations ?(total_mb = 8) ?(print = true) () =
+let ablations ?(total_mb = 8) () =
   let io_cfg fsync_every =
     {
       Workloads.Iopattern.default_config with
@@ -804,17 +803,19 @@ let ablations ?(total_mb = 8) ?(print = true) () =
       mmap_row (32 * mb);
     ]
   in
-  if print then
-    Runner.print_table ~title:"Ablations (paper sections 4 and 3.6)"
+  let text =
+    Runner.table ~title:"Ablations (paper sections 4 and 3.6)"
       [ "ablation"; "variant"; "kops/s" ]
-      (List.map (fun r -> [ r.ab_name; r.ab_variant; Runner.f1 r.ab_kops ]) rows);
-  rows
+      (List.map (fun r -> [ r.ab_name; r.ab_variant; Runner.f1 r.ab_kops ]) rows)
+  in
+  { Runner.value = rows; text; points = [] }
 
 (* ------------------------------------------------------------------ *)
 (* §5.10: resource consumption                                          *)
 (* ------------------------------------------------------------------ *)
 
-let resources ?(files = 500) ?(print = true) () =
+let resources () =
+  let files = 500 in
   let run mode =
     (* a small staging pool so the background thread has pre-allocation
        work to do, plus a broad working set of files and mappings *)
@@ -859,29 +860,29 @@ let resources ?(files = 500) ?(print = true) () =
   in
   let all = List.map run [ Splitfs_posix; Splitfs_strict ] in
   let rows = List.map fst all in
-  if print then begin
-    Runner.print_table ~title:"Resource consumption (section 5.10)"
+  let text =
+    Runner.table ~title:"Resource consumption (section 5.10)"
       [ "configuration"; "U-Split DRAM (KB)"; "background thread (% of run)" ]
       (List.map
          (fun (n, mem, bg) -> [ n; string_of_int (mem / 1024); Runner.f1 bg ^ "%" ])
-         rows);
+         rows)
     (* host-side simulator internals: how often the device served an
        operation with the zero-dirty-lines fast path, and how deep the
        dirty-line set got (these do not affect simulated time) *)
-    Runner.print_table ~title:"Simulator fast-path statistics (host-side)"
-      [ "configuration"; "dirty-line high-water"; "fast-path ops"; "slow-path ops"; "fast-path share" ]
-      (List.map
-         (fun (_, (n, hwm, fast, slow)) ->
-           [
-             n;
-             string_of_int hwm;
-             string_of_int fast;
-             string_of_int slow;
-             Runner.f1 (float_of_int fast /. float_of_int (max 1 (fast + slow)) *. 100.) ^ "%";
-           ])
-         all)
-  end;
-  rows
+    ^ Runner.table ~title:"Simulator fast-path statistics (host-side)"
+        [ "configuration"; "dirty-line high-water"; "fast-path ops"; "slow-path ops"; "fast-path share" ]
+        (List.map
+           (fun (_, (n, hwm, fast, slow)) ->
+             [
+               n;
+               string_of_int hwm;
+               string_of_int fast;
+               string_of_int slow;
+               Runner.f1 (float_of_int fast /. float_of_int (max 1 (fast + slow)) *. 100.) ^ "%";
+             ])
+           all)
+  in
+  { Runner.value = rows; text; points = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Crashcheck: crash-state exploration with a recovery oracle (§5d)     *)
@@ -891,11 +892,10 @@ let resources ?(files = 500) ?(print = true) () =
     legal states the workload's persist-order journal admits, how many
     were visited (exhaustive when the space fits the budget, seeded
     sampling otherwise), and any differential violations found. *)
-let crashcheck ?(samples = 200) ?(seed = 0x51ED) ?(nops = 24) ?jobs
-    ?(print = true) () =
+let crashcheck ?(samples = 200) ?(seed = 0x51ED) ?(nops = 24) ?jobs () =
   let reports = Crashcheck.run ~samples ~seed ~nops ?jobs () in
-  if print then begin
-    Runner.print_table ~title:"Crashcheck: crash states explored per mode"
+  let text =
+    Runner.table ~title:"Crashcheck: crash states explored per mode"
       [ "mode"; "ops"; "crash points"; "legal states"; "explored"; "coverage"; "violations" ]
       (List.map
          (fun (r : Crashcheck.mode_report) ->
@@ -908,68 +908,85 @@ let crashcheck ?(samples = 200) ?(seed = 0x51ED) ?(nops = 24) ?jobs
              (if r.Crashcheck.r_exhaustive then "exhaustive" else "sampled");
              string_of_int (List.length r.Crashcheck.r_violations);
            ])
-         reports);
-    List.iter
-      (fun (r : Crashcheck.mode_report) ->
-        List.iter
-          (fun v -> Fmt.pr "%a@." Crashcheck.pp_violation v)
-          r.Crashcheck.r_violations)
-      reports
-  end;
-  reports
+         reports)
+    ^ String.concat ""
+        (List.concat_map
+           (fun (r : Crashcheck.mode_report) ->
+             List.map (Fmt.str "%a@." Crashcheck.pp_violation)
+               r.Crashcheck.r_violations)
+           reports)
+  in
+  { Runner.value = reports; text; points = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Faultcheck: fault-injection campaign with a differential oracle (§5g) *)
 (* ------------------------------------------------------------------ *)
 
+(* trial outcomes: the first table's columns and the points' keys *)
+let fault_outcomes =
+  Faultcheck.
+    [
+      ("untriggered", fun r -> r.s_untriggered);
+      ("masked", fun r -> r.s_masked);
+      ("retried", fun r -> r.s_retried);
+      ("errno", fun r -> r.s_errno);
+    ]
+
 (** Per-stack summary of the {!Faultcheck} campaign: how every injected
     fault was absorbed (masked / retried / honest errno), plus the
-    degradation-machinery counters, and any oracle violations found. *)
-let faultcheck ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs
-    ?(print = true) () =
-  let reports = Faultcheck.run ~seed ~nops ~max_per_site ?jobs () in
-  if print then begin
-    Runner.print_table
+    degradation-machinery counters, and any oracle violations found. The
+    points [faults/<stack>/<outcome>] count each outcome's trials: at a
+    pinned seed a shifted count means a degradation path changed
+    behaviour. *)
+let faultcheck ?(seed = 0xFA17) ?(nops = 24) ?jobs () =
+  let reports = Faultcheck.run ~seed ~nops ?jobs () in
+  let text =
+    Runner.table
       ~title:"Faultcheck: fault-injection outcomes per stack"
-      [ "stack"; "trials"; "untriggered"; "masked"; "retried"; "errno"; "violations" ]
+      (("stack" :: "trials" :: List.map fst fault_outcomes) @ [ "violations" ])
       (List.map
          (fun (r : Faultcheck.stack_report) ->
-           [
-             r.Faultcheck.s_stack;
-             string_of_int r.Faultcheck.s_trials;
-             string_of_int r.Faultcheck.s_untriggered;
-             string_of_int r.Faultcheck.s_masked;
-             string_of_int r.Faultcheck.s_retried;
-             string_of_int r.Faultcheck.s_errno;
-             string_of_int (List.length r.Faultcheck.s_violations);
-           ])
-         reports);
-    Runner.print_table
-      ~title:"Faultcheck: degradation machinery exercised (summed counters)"
-      [ "stack"; "injected"; "media"; "degraded writes"; "relink retries";
-        "journal retries"; "quarantined"; "scrub migrations" ]
-      (List.map
-         (fun (r : Faultcheck.stack_report) ->
-           let c = r.Faultcheck.s_counts in
-           [
-             r.Faultcheck.s_stack;
-             string_of_int c.Faults.injected;
-             string_of_int c.Faults.media;
-             string_of_int c.Faults.degraded_writes;
-             string_of_int c.Faults.relink_retries;
-             string_of_int c.Faults.journal_retries;
-             string_of_int c.Faults.quarantined_lines;
-             string_of_int c.Faults.scrub_migrations;
-           ])
-         reports);
-    List.iter
+           (r.Faultcheck.s_stack :: string_of_int r.Faultcheck.s_trials
+           :: List.map (fun (_, get) -> string_of_int (get r)) fault_outcomes)
+           @ [ string_of_int (List.length r.Faultcheck.s_violations) ])
+         reports)
+    ^ Runner.table
+        ~title:"Faultcheck: degradation machinery exercised (summed counters)"
+        [ "stack"; "injected"; "media"; "degraded writes"; "relink retries";
+          "journal retries"; "quarantined"; "scrub migrations" ]
+        (List.map
+           (fun (r : Faultcheck.stack_report) ->
+             let c = r.Faultcheck.s_counts in
+             [
+               r.Faultcheck.s_stack;
+               string_of_int c.Faults.injected;
+               string_of_int c.Faults.media;
+               string_of_int c.Faults.degraded_writes;
+               string_of_int c.Faults.relink_retries;
+               string_of_int c.Faults.journal_retries;
+               string_of_int c.Faults.quarantined_lines;
+               string_of_int c.Faults.scrub_migrations;
+             ])
+           reports)
+    ^ String.concat ""
+        (List.concat_map
+           (fun (r : Faultcheck.stack_report) ->
+             List.map (Fmt.str "%a@." Faultcheck.pp_violation)
+               r.Faultcheck.s_violations)
+           reports)
+  in
+  let points =
+    List.concat_map
       (fun (r : Faultcheck.stack_report) ->
-        List.iter
-          (fun v -> Fmt.pr "%a@." Faultcheck.pp_violation v)
-          r.Faultcheck.s_violations)
+        List.map
+          (fun (outcome, get) ->
+            B.count "trials"
+              (Printf.sprintf "faults/%s/%s" r.Faultcheck.s_stack outcome)
+              (get r))
+          fault_outcomes)
       reports
-  end;
-  reports
+  in
+  { Runner.value = reports; text; points }
 
 (* ------------------------------------------------------------------ *)
 (* Litmus: named crash patterns, exhaustively, plus fence minimization  *)
@@ -983,82 +1000,85 @@ let faultcheck ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs
     [Device.fence] site elided and the whole corpus re-explored to
     decide whether it is load-bearing (REQUIRED, with a shrunk
     counterexample) or covered by later ordering (REDUNDANT, an
-    exhaustive proof relative to the corpus). *)
-let litmus ?(minimize = true) ?jobs ?(print = true) () =
-  let runs =
-    Crashcheck.Litmus.(run_corpus ?jobs combos)
-  in
-  if print then begin
-    Runner.print_table
+    exhaustive proof relative to the corpus). The value is the corpus
+    runs; the points [litmus/<pattern>/<stack>] carry each run's
+    crash-state count, so a change that grows or shrinks the enumerated
+    space shows in the trajectory. *)
+let litmus ?(minimize = true) ?jobs () =
+  let module L = Crashcheck.Litmus in
+  let module M = Crashcheck.Minimize in
+  let runs = L.(run_corpus ?jobs combos) in
+  let verdicts = if minimize then M.run ?jobs () else [] in
+  let corpus =
+    Runner.table
       ~title:"Litmus corpus: exhaustive crash-state exploration"
       [ "pattern"; "stack"; "contract"; "crash points"; "states"; "violations" ]
       (List.map
-         (fun (r : Crashcheck.Litmus.run) ->
+         (fun (r : L.run) ->
            [
-             r.Crashcheck.Litmus.r_pattern;
-             r.Crashcheck.Litmus.r_config;
-             Crashcheck.Check.contract_name r.Crashcheck.Litmus.r_contract;
-             string_of_int r.Crashcheck.Litmus.r_points;
-             string_of_int r.Crashcheck.Litmus.r_states;
-             string_of_int (List.length r.Crashcheck.Litmus.r_violations);
+             r.L.r_pattern;
+             r.L.r_config;
+             Crashcheck.Check.contract_name r.L.r_contract;
+             string_of_int r.L.r_points;
+             string_of_int r.L.r_states;
+             string_of_int (List.length r.L.r_violations);
            ])
-         runs);
-    List.iter
-      (fun (r : Crashcheck.Litmus.run) ->
-        List.iter
-          (fun v ->
-            Fmt.pr "%s/%s: %a@." r.Crashcheck.Litmus.r_pattern
-              r.Crashcheck.Litmus.r_config Crashcheck.Litmus.pp_violation v)
-          r.Crashcheck.Litmus.r_violations)
-      runs
-  end;
-  let verdicts = if minimize then Crashcheck.Minimize.run ?jobs () else [] in
-  if print && minimize then begin
-    Runner.print_table
+         runs)
+    ^ String.concat ""
+        (List.concat_map
+           (fun (r : L.run) ->
+             List.map
+               (Fmt.str "%s/%s: %a@." r.L.r_pattern r.L.r_config L.pp_violation)
+               r.L.r_violations)
+           runs)
+  in
+  let minimization () =
+    Runner.table
       ~title:"Fence minimization: per-site verdicts (exhaustive elision)"
       [ "fence site"; "verdict"; "evidence" ]
       (List.map
-         (fun (s : Crashcheck.Minimize.site_report) ->
+         (fun (s : M.site_report) ->
            [
-             s.Crashcheck.Minimize.s_name;
-             Crashcheck.Minimize.verdict_name s.Crashcheck.Minimize.s_verdict;
-             (match s.Crashcheck.Minimize.s_verdict with
-             | Crashcheck.Minimize.Required { q_combo; _ } ->
-                 "counterexample in " ^ q_combo
-             | Crashcheck.Minimize.Redundant { q_combos; q_states } ->
+             s.M.s_name;
+             M.verdict_name s.M.s_verdict;
+             (match s.M.s_verdict with
+             | M.Required { q_combo; _ } -> "counterexample in " ^ q_combo
+             | M.Redundant { q_combos; q_states } ->
                  Printf.sprintf "%d combos, %d states, all recover" q_combos
                    q_states
-             | Crashcheck.Minimize.Unexercised ->
-                 "outside every crash window");
+             | M.Unexercised -> "outside every crash window");
            ])
-         verdicts);
-    List.iter
-      (fun (s : Crashcheck.Minimize.site_report) ->
-        match s.Crashcheck.Minimize.s_verdict with
-        | Crashcheck.Minimize.Required { q_combo; q_violation } ->
-            Fmt.pr "%s @@ %s: %a@." s.Crashcheck.Minimize.s_name q_combo
-              Crashcheck.Litmus.pp_violation q_violation
-        | _ -> ())
-      verdicts
-  end;
-  (runs, verdicts)
-
-type degraded_row = {
-  dg_spec : spec;
-  dg_variant : string;  (** ["healthy"] or ["degraded"] *)
-  dg_n : int;
-  dg_p50 : float;
-  dg_p90 : float;
-  dg_p99 : float;
-}
+         verdicts)
+    ^ String.concat ""
+        (List.filter_map
+           (fun (s : M.site_report) ->
+             match s.M.s_verdict with
+             | M.Required { q_combo; q_violation } ->
+                 Some
+                   (Fmt.str "%s @@ %s: %a@." s.M.s_name q_combo L.pp_violation
+                      q_violation)
+             | _ -> None)
+           verdicts)
+  in
+  let text = if minimize then corpus ^ minimization () else corpus in
+  let points =
+    List.map
+      (fun (r : L.run) ->
+        B.count "states"
+          (Printf.sprintf "litmus/%s/%s" r.L.r_pattern r.L.r_config)
+          r.L.r_states)
+      runs
+  in
+  { Runner.value = runs; text; points }
 
 (** Write latency with the staging pool starved: the same 200-append
     workload on a healthy SplitFS stack and on one where an origin-scoped
     sticky Alloc fault makes every staging pre-allocation fail, so each
     write takes the degraded kernel path instead. The percentile gap is
     the price of graceful degradation — service continues under resource
-    exhaustion, at K-Split latency rather than with an ENOSPC. *)
-let degraded_latency ?(print = true) () =
+    exhaustion, at K-Split latency rather than with an ENOSPC. The points
+    [faults/degraded-lat/<fs>/<variant>/<pct>] carry every percentile. *)
+let degraded_latency () =
   let nops = 200 in
   let modes =
     [
@@ -1075,6 +1095,7 @@ let degraded_latency ?(print = true) () =
                 (min (n - 1)
                    (int_of_float ((p /. 100. *. float_of_int (n - 1)) +. 0.5))))
   in
+  let pcts = [ ("p50", 50.); ("p90", 90.); ("p99", 99.) ] in
   let run spec mode ~degraded =
     let splitfs_cfg =
       if degraded then
@@ -1102,14 +1123,12 @@ let degraded_latency ?(print = true) () =
     in
     fs.Fsapi.Fs.fsync fd;
     Array.sort compare samples;
-    {
-      dg_spec = spec;
-      dg_variant = (if degraded then "degraded" else "healthy");
-      dg_n = nops;
-      dg_p50 = pctl samples 50.;
-      dg_p90 = pctl samples 90.;
-      dg_p99 = pctl samples 99.;
-    }
+    let variant = if degraded then "degraded" else "healthy" in
+    let key = Printf.sprintf "faults/degraded-lat/%s/%s" (name spec) variant in
+    let values = List.map (fun (label, p) -> (label, pctl samples p)) pcts in
+    ( name spec :: variant :: string_of_int nops
+      :: List.map (fun (_, v) -> Runner.f0 v) values,
+      List.map (fun (label, v) -> B.sim_ns (key ^ "/" ^ label) v) values )
   in
   let rows =
     List.concat_map
@@ -1117,22 +1136,14 @@ let degraded_latency ?(print = true) () =
         [ run spec mode ~degraded:false; run spec mode ~degraded:true ])
       modes
   in
-  if print then
-    Runner.print_table
+  let text =
+    Runner.table
       ~title:"Degraded-mode write latency (staging starved), simulated ns"
-      [ "stack"; "variant"; "n"; "p50"; "p90"; "p99" ]
-      (List.map
-         (fun r ->
-           [
-             name r.dg_spec;
-             r.dg_variant;
-             string_of_int r.dg_n;
-             Runner.f0 r.dg_p50;
-             Runner.f0 r.dg_p90;
-             Runner.f0 r.dg_p99;
-           ])
-         rows);
-  rows
+      ("stack" :: "variant" :: "n" :: List.map fst pcts)
+      (List.map fst rows)
+  in
+  let points = List.concat_map snd rows in
+  { Runner.value = (); text; points }
 
 (* ------------------------------------------------------------------ *)
 (* Scaling: aggregate throughput vs concurrent clients (§5e)            *)
@@ -1148,8 +1159,10 @@ let scaling_counts = [ 1; 2; 4; 8; 16 ]
     and the scheduler interleaves them deterministically. ext4 DAX
     serializes every client's metadata behind one jbd2 journal, while each
     SplitFS client appends through its own staging files and op-log — the
-    concurrency half of the paper's software-overhead argument. *)
-let scaling ?(print = true) () =
+    concurrency half of the paper's software-overhead argument. The
+    points [scaling/<fs>-<N>c] carry simulated ns/op (makespan over total
+    ops), not host time, so contention results compare across machines. *)
+let scaling () =
   let results =
     List.map
       (fun spec ->
@@ -1159,34 +1172,45 @@ let scaling ?(print = true) () =
             scaling_counts ))
       scaling_specs
   in
-  if print then begin
-    Runner.print_table
+  let text =
+    Runner.table
       ~title:"Scaling: aggregate append throughput (kops/s) vs clients"
-      ("file system"
-      :: List.map (fun n -> Printf.sprintf "%d" n) scaling_counts)
+      ("file system" :: List.map string_of_int scaling_counts)
       (List.map
          (fun (spec, rs) ->
            name spec
            :: List.map
                 (fun (r : Multiclient.result) -> Runner.f1 r.Multiclient.kops_per_s)
                 rs)
-         results);
-    Runner.print_table
-      ~title:"Scaling: time blocked on contention at 8 clients (us)"
-      [ "file system"; "lock wait"; "bandwidth wait" ]
-      (List.map
-         (fun (spec, rs) ->
-           let r8 =
-             List.find (fun (r : Multiclient.result) -> r.Multiclient.nclients = 8) rs
-           in
-           [
-             name spec;
-             Runner.f1 (r8.Multiclient.lock_wait_ns /. 1e3);
-             Runner.f1 (r8.Multiclient.bw_wait_ns /. 1e3);
-           ])
          results)
-  end;
-  results
+    ^ Runner.table
+        ~title:"Scaling: time blocked on contention at 8 clients (us)"
+        [ "file system"; "lock wait"; "bandwidth wait" ]
+        (List.map
+           (fun (spec, rs) ->
+             let r8 =
+               List.find (fun (r : Multiclient.result) -> r.Multiclient.nclients = 8) rs
+             in
+             [
+               name spec;
+               Runner.f1 (r8.Multiclient.lock_wait_ns /. 1e3);
+               Runner.f1 (r8.Multiclient.bw_wait_ns /. 1e3);
+             ])
+           results)
+  in
+  let points =
+    List.concat_map
+      (fun (spec, rs) ->
+        List.map
+          (fun (r : Multiclient.result) ->
+            B.sim_ns
+              (Printf.sprintf "scaling/%s-%dc" (name spec) r.Multiclient.nclients)
+              (r.Multiclient.makespan_ns
+              /. float_of_int (max 1 r.Multiclient.total_ops)))
+          rs)
+      results
+  in
+  { Runner.value = (); text; points }
 
 (* ------------------------------------------------------------------ *)
 (* Profile: software-overhead attribution (paper Fig. 2 analogue, §5f)  *)
@@ -1238,8 +1262,10 @@ let profile_specs =
     check the accounting identity on the whole environment (mount
     included). This is the software-overhead breakdown behind the paper's
     Figure 2: ext4 DAX pays traps + journal, SplitFS-POSIX pays a little
-    U-Split CPU and log appends on top of near-bare media time. *)
-let profile ?(print = true) () =
+    U-Split CPU and log appends on top of near-bare media time. The
+    points [profile/<fs>/<category>] carry each non-zero category's
+    simulated ns/op. *)
+let profile () =
   let rows =
     List.map
       (fun spec ->
@@ -1260,23 +1286,23 @@ let profile ?(print = true) () =
       profile_specs
   in
   let section_total r = List.fold_left (fun a (_, v) -> a +. v) 0. r.pr_breakdown in
-  if print then begin
-    let per_op r v = v /. float_of_int r.pr_ops in
-    let cell r v =
-      let t = section_total r in
-      let pct = if t > 0. then 100. *. v /. t else 0. in
-      if v = 0. then "-" else Printf.sprintf "%s (%s%%)" (Runner.f0 (per_op r v)) (Runner.f1 pct)
-    in
-    let cat_rows =
-      List.filter_map
-        (fun c ->
-          let vals = List.map (fun r -> List.assoc c r.pr_breakdown) rows in
-          if List.for_all (fun v -> v = 0.) vals then None
-          else Some (Obs.cat_name c :: List.map2 cell rows vals))
-        Obs.all_cats
-    in
-    let summary label f = label :: List.map (fun r -> Runner.f0 (per_op r (f r))) rows in
-    Runner.print_table
+  let per_op r v = v /. float_of_int r.pr_ops in
+  let cell r v =
+    let t = section_total r in
+    let pct = if t > 0. then 100. *. v /. t else 0. in
+    if v = 0. then "-" else Printf.sprintf "%s (%s%%)" (Runner.f0 (per_op r v)) (Runner.f1 pct)
+  in
+  let cat_rows =
+    List.filter_map
+      (fun c ->
+        let vals = List.map (fun r -> List.assoc c r.pr_breakdown) rows in
+        if List.for_all (fun v -> v = 0.) vals then None
+        else Some (Obs.cat_name c :: List.map2 cell rows vals))
+      Obs.all_cats
+  in
+  let summary label f = label :: List.map (fun r -> Runner.f0 (per_op r (f r))) rows in
+  let text =
+    Runner.table
       ~title:
         "Overhead attribution: ns/op (% of total), 4K appends + fsync/10 + read-back"
       ("category" :: List.map (fun r -> name r.pr_spec) rows)
@@ -1285,23 +1311,40 @@ let profile ?(print = true) () =
           summary "TOTAL" section_total;
           summary "software overhead" (fun r ->
               section_total r -. List.assoc Obs.Media r.pr_breakdown);
-        ]);
-    List.iter
+        ])
+    ^ String.concat ""
+        (List.map
+           (fun r ->
+             let att, acc = r.pr_identity in
+             Printf.sprintf "  identity %-16s attributed %.0f ns = accountable %.0f ns\n"
+               (name r.pr_spec) att acc)
+           rows)
+    ^ "\n"
+    ^ String.concat ""
+        (List.filter_map
+           (fun r ->
+             if r.pr_spec = Ext4_dax || r.pr_spec = Splitfs_posix then
+               Some
+                 (Printf.sprintf "PM activity during workload (%s):\n" (name r.pr_spec)
+                 ^ Fmt.str "%a@." Pmem.Stats.pp_delta r.pr_stats)
+             else None)
+           rows)
+  in
+  let points =
+    List.concat_map
       (fun r ->
-        let att, acc = r.pr_identity in
-        Printf.printf "  identity %-16s attributed %.0f ns = accountable %.0f ns\n"
-          (name r.pr_spec) att acc)
-      rows;
-    print_newline ();
-    List.iter
-      (fun r ->
-        if r.pr_spec = Ext4_dax || r.pr_spec = Splitfs_posix then begin
-          Printf.printf "PM activity during workload (%s):\n" (name r.pr_spec);
-          Format.printf "%a@." Pmem.Stats.pp_delta r.pr_stats
-        end)
+        List.filter_map
+          (fun (cat, ns) ->
+            if ns = 0. then None
+            else
+              Some
+                (B.sim_ns
+                   (Printf.sprintf "profile/%s/%s" (name r.pr_spec) (Obs.cat_name cat))
+                   (per_op r ns)))
+          r.pr_breakdown)
       rows
-  end;
-  rows
+  in
+  { Runner.value = rows; text; points }
 
 (* ------------------------------------------------------------------ *)
 (* Latency: per-(stack x op) percentiles from the obs histograms (§5f)  *)
@@ -1321,8 +1364,9 @@ type latency_row = {
     runs behind {!Instrument.fs}, which buckets every op's simulated
     latency into a log-scaled histogram keyed ["<stack>/<op>"]. The
     percentile spread shows what averages hide — e.g. ext4's p999 write
-    absorbing a jbd2 commit, and SplitFS's flat write profile. *)
-let latency ?(print = true) () =
+    absorbing a jbd2 commit, and SplitFS's flat write profile. The points
+    [lat/<fs>/<op>/<pct>] carry every percentile in simulated ns. *)
+let latency () =
   let rows =
     List.concat_map
       (fun spec ->
@@ -1349,23 +1393,31 @@ let latency ?(print = true) () =
           (Obs.hists stack.env.Pmem.Env.obs))
       profile_specs
   in
-  if print then
-    Runner.print_table
+  let pcts r =
+    [ ("p50", r.lat_p50); ("p90", r.lat_p90); ("p99", r.lat_p99); ("p999", r.lat_p999) ]
+  in
+  let text =
+    Runner.table
       ~title:"Latency percentiles per (stack x op), simulated ns"
       [ "stack"; "op"; "n"; "p50"; "p90"; "p99"; "p999" ]
       (List.map
          (fun r ->
-           [
-             name r.lat_spec;
-             r.lat_op;
-             string_of_int r.lat_n;
-             Runner.f0 r.lat_p50;
-             Runner.f0 r.lat_p90;
-             Runner.f0 r.lat_p99;
-             Runner.f0 r.lat_p999;
-           ])
-         rows);
-  rows
+           name r.lat_spec :: r.lat_op :: string_of_int r.lat_n
+           :: List.map (fun (_, v) -> Runner.f0 v) (pcts r))
+         rows)
+  in
+  let points =
+    List.concat_map
+      (fun r ->
+        List.map
+          (fun (label, v) ->
+            B.sim_ns
+              (Printf.sprintf "lat/%s/%s/%s" (name r.lat_spec) r.lat_op label)
+              v)
+          (pcts r))
+      rows
+  in
+  { Runner.value = rows; text; points }
 
 (* ------------------------------------------------------------------ *)
 (* Scale-out serving tier: 10k actors, sharded namespace (§5h)          *)
@@ -1374,26 +1426,21 @@ let latency ?(print = true) () =
 let scale_specs = scaling_specs
 let scale_counts = [ 16; 100; 1000; 10000 ]
 
-(** Total fleet work held roughly constant as N grows, so a 10k-actor run
-    stays tractable while each actor still runs a full open/serve/close
-    lifecycle. *)
-let scale_ops_for nactors = max 6 (60_000 / nactors)
-
-let scale_run ?timeline ?forensics spec ~nactors =
-  let cfg =
-    {
-      Workloads.Multitenant.default_cfg with
-      Workloads.Multitenant.ops_per_actor = scale_ops_for nactors;
-    }
-  in
-  Multiclient.run_scale ~cfg ?timeline ?forensics spec ~nactors
+(** The serving-tier workload at [nactors]: total fleet work held roughly
+    constant as N grows, so a 10k-actor run stays tractable while each
+    actor still runs a full open/serve/close lifecycle. *)
+let scale_cfg nactors =
+  {
+    Workloads.Multitenant.default_cfg with
+    Workloads.Multitenant.ops_per_actor = max 6 (60_000 / nactors);
+  }
 
 (** "Why is p999 slow": for each (stack x op) with a captured tail
     exemplar, decompose the single slowest op into the attribution
     categories that paid for it. The rows answer the question a latency
     percentile can't: not {i how} slow the tail is but {i where} the
-    nanoseconds of the worst op went. *)
-let print_forensics_table ~title stores =
+    nanoseconds of the worst op went. Empty when nothing was captured. *)
+let forensics_table ~title stores =
   let rows =
     List.concat_map
       (fun (fo : Obs.span Obs.Forensics.t) ->
@@ -1426,8 +1473,9 @@ let print_forensics_table ~title stores =
           (Obs.Forensics.keys fo))
       stores
   in
-  if rows <> [] then
-    Runner.print_table ~title
+  if rows = [] then ""
+  else
+    Runner.table ~title
       [ "stack/op"; "ops"; "worst ns"; "where the ns went" ]
       rows
 
@@ -1438,8 +1486,10 @@ let print_forensics_table ~title stores =
     latency / SLO attainment per stack — the scale-out half of the
     software-overhead argument: U-Split keeps the data path in userspace
     while the sharded K-Split allocator and per-stream journal keep the
-    kernel residue from serializing 10k actors. *)
-let scale ?(counts = scale_counts) ?jobs ?(print = true) () =
+    kernel residue from serializing 10k actors. The points
+    [scale10k/<fs>-<N>a] carry simulated ns/op, [.../p999] the tail and
+    [.../slo] the attainment. *)
+let scale ?(counts = scale_counts) ?jobs () =
   (* each (stack, N) cell is a self-contained simulation — own env, own
      fleet — so the grid fans over the domain pool; regrouping by spec in
      declaration order keeps the report independent of job count *)
@@ -1455,7 +1505,8 @@ let scale ?(counts = scale_counts) ?jobs ?(print = true) () =
            (* tail forensics at the serving-tier sizes only: the small
               warm-up cells have no interesting tail and capture would
               just add host-side noise to the grid *)
-           scale_run ~forensics:(n >= 1000) spec ~nactors:n)
+           Multiclient.run_scale ~cfg:(scale_cfg n) ~forensics:(n >= 1000) spec
+             ~nactors:n)
          cells)
   in
   let ncounts = List.length counts in
@@ -1465,10 +1516,16 @@ let scale ?(counts = scale_counts) ?jobs ?(print = true) () =
         (spec, List.mapi (fun ci _ -> cell_results.((si * ncounts) + ci)) counts))
       scale_specs
   in
-  if print then begin
-    Runner.print_table
+  let nmax = List.fold_left max 0 counts in
+  let at_nmax rs =
+    List.find_opt
+      (fun (r : Multiclient.scale_result) -> r.Multiclient.sr_nactors = nmax)
+      rs
+  in
+  let text =
+    Runner.table
       ~title:"Scale-out: aggregate serving throughput (kops/s) vs actors"
-      ("file system" :: List.map (fun n -> Printf.sprintf "%d" n) counts)
+      ("file system" :: List.map string_of_int counts)
       (List.map
          (fun (spec, rs) ->
            name spec
@@ -1476,82 +1533,72 @@ let scale ?(counts = scale_counts) ?jobs ?(print = true) () =
                 (fun (r : Multiclient.scale_result) ->
                   Runner.f1 r.Multiclient.sr_kops_per_s)
                 rs)
-         results);
-    let nmax = List.fold_left max 0 counts in
-    Runner.print_table
-      ~title:
-        (Printf.sprintf
-           "Scale-out: tail latency and SLO attainment at %d actors" nmax)
-      [ "file system"; "tenants"; "p50 ns"; "p999 ns"; "SLO<100us"; "steals" ]
-      (List.map
-         (fun (spec, rs) ->
-           let r =
-             List.find
-               (fun (r : Multiclient.scale_result) ->
-                 r.Multiclient.sr_nactors = nmax)
-               rs
-           in
-           [
-             name spec;
-             string_of_int r.Multiclient.sr_tenants;
-             Runner.f0 r.Multiclient.sr_p50_ns;
-             Runner.f0 r.Multiclient.sr_p999_ns;
-             Runner.f2 r.Multiclient.sr_slo_attainment;
-             string_of_int r.Multiclient.sr_alloc_steals;
-           ])
-         results);
-    let stores =
-      List.filter_map
-        (fun (_, rs) ->
-          match
-            List.find_opt
-              (fun (r : Multiclient.scale_result) ->
-                r.Multiclient.sr_nactors = nmax)
-              rs
-          with
-          | Some r -> r.Multiclient.sr_forensics
-          | None -> None)
-        results
-    in
-    print_forensics_table
-      ~title:
-        (Printf.sprintf
-           "Why is p999 slow: slowest-op decomposition at %d actors" nmax)
-      stores
-  end;
-  results
+         results)
+    ^ Runner.table
+        ~title:
+          (Printf.sprintf
+             "Scale-out: tail latency and SLO attainment at %d actors" nmax)
+        [ "file system"; "tenants"; "p50 ns"; "p999 ns"; "SLO<100us"; "steals" ]
+        (List.map
+           (fun (spec, rs) ->
+             let r = Option.get (at_nmax rs) in
+             [
+               name spec;
+               string_of_int r.Multiclient.sr_tenants;
+               Runner.f0 r.Multiclient.sr_p50_ns;
+               Runner.f0 r.Multiclient.sr_p999_ns;
+               Runner.f2 r.Multiclient.sr_slo_attainment;
+               string_of_int r.Multiclient.sr_alloc_steals;
+             ])
+           results)
+    ^ forensics_table
+        ~title:
+          (Printf.sprintf
+             "Why is p999 slow: slowest-op decomposition at %d actors" nmax)
+        (List.filter_map
+           (fun (_, rs) ->
+             Option.bind (at_nmax rs) (fun (r : Multiclient.scale_result) ->
+                 r.Multiclient.sr_forensics))
+           results)
+  in
+  let points =
+    List.concat_map
+      (fun (spec, rs) ->
+        List.concat_map
+          (fun (r : Multiclient.scale_result) ->
+            let key =
+              Printf.sprintf "scale10k/%s-%da" (name spec) r.Multiclient.sr_nactors
+            in
+            [
+              B.sim_ns key
+                (r.Multiclient.sr_makespan_ns
+                /. float_of_int (max 1 r.Multiclient.sr_total_ops));
+              B.sim_ns (key ^ "/p999") r.Multiclient.sr_p999_ns;
+              B.point B.Sim_higher "fraction" (key ^ "/slo")
+                r.Multiclient.sr_slo_attainment;
+            ])
+          rs)
+      results
+  in
+  { Runner.value = (); text; points }
 
 (* ------------------------------------------------------------------ *)
 (* Timeline report: warmup vs steady state over virtual time (§5k)      *)
 (* ------------------------------------------------------------------ *)
 
-type timeline_window = {
-  tw_lo_ns : float;
-  tw_hi_ns : float;
-  tw_ops : float;  (** fleet ops completed inside the window *)
-  tw_kops_per_s : float;
-  tw_top_cats : (Obs.cat * float) list;  (** category ns, largest first *)
-}
-
 (** One serving-tier run with the virtual-time sampler on, folded into
-    [windows] equal slices of the run: per-window fleet throughput and the
+    four equal slices of the run: per-window fleet throughput and the
     categories that dominated each slice. This is the question a single
     end-of-run number hides — whether the first slice (cold namespace,
     empty journal, unwarmed allocator groups) behaves like the rest.
-    Returns the windows and the underlying [scale_result] (whose
+    The value is the underlying [scale_result] (whose
     [sr_timeline]/[sr_forensics] the CLI exports as OpenMetrics/Perfetto). *)
-let timeline_report ?spec ?(nactors = 1000) ?(windows = 4) ?on_env
-    ?(print = true) () =
+let timeline_report ?spec ?(nactors = 1000) ?on_env () =
+  let windows = 4 in
   let spec = match spec with Some s -> s | None -> List.hd scale_specs in
-  let cfg =
-    {
-      Workloads.Multitenant.default_cfg with
-      Workloads.Multitenant.ops_per_actor = scale_ops_for nactors;
-    }
-  in
   let r =
-    Multiclient.run_scale ~cfg ?on_env ~timeline:true ~forensics:true spec
-      ~nactors
+    Multiclient.run_scale ~cfg:(scale_cfg nactors) ?on_env ~timeline:true
+      ~forensics:true spec ~nactors
   in
   let tl =
     match r.Multiclient.sr_timeline with
@@ -1595,62 +1642,50 @@ let timeline_report ?spec ?(nactors = 1000) ?(windows = 4) ?on_env
           cats_w.(w).(i) <- cats_w.(w).(i) +. delta)
         samples)
     cat_series;
-  let result =
+  let rows =
     List.init windows (fun w ->
         let lo = t_lo +. (span *. float_of_int w /. float_of_int windows) in
         let hi = t_lo +. (span *. float_of_int (w + 1) /. float_of_int windows) in
+        (* the window's categories, largest first *)
         let top =
           List.map (fun c -> (c, cats_w.(w).(Obs.cat_index c))) Obs.all_cats
           |> List.filter (fun (_, ns) -> ns > 0.)
           |> List.sort (fun (_, a) (_, b) -> compare b a)
         in
-        {
-          tw_lo_ns = lo;
-          tw_hi_ns = hi;
-          tw_ops = ops_w.(w);
-          tw_kops_per_s = ops_w.(w) /. Float.max (hi -. lo) 1e-9 *. 1e6;
-          tw_top_cats = top;
-        })
+        [
+          (if w = 0 then "0 (warmup)" else string_of_int w);
+          Printf.sprintf "%.0f-%.0f" lo hi;
+          Runner.f0 ops_w.(w);
+          Runner.f1 (ops_w.(w) /. Float.max (hi -. lo) 1e-9 *. 1e6);
+          (List.filteri (fun i _ -> i < 3) top
+          |> List.map (fun (c, ns) -> Printf.sprintf "%s %.0f" (Obs.cat_name c) ns)
+          |> String.concat ", ");
+        ])
   in
-  if print then
-    Runner.print_table
+  let text =
+    Runner.table
       ~title:
         (Printf.sprintf "Timeline: %s at %d actors, %d virtual-time windows"
            (name spec) nactors windows)
       [ "window"; "virtual ns"; "ops"; "kops/s"; "dominant categories" ]
-      (List.mapi
-         (fun w tw ->
-           [
-             (if w = 0 then "0 (warmup)" else string_of_int w);
-             Printf.sprintf "%.0f-%.0f" tw.tw_lo_ns tw.tw_hi_ns;
-             Runner.f0 tw.tw_ops;
-             Runner.f1 tw.tw_kops_per_s;
-             (List.filteri (fun i _ -> i < 3) tw.tw_top_cats
-             |> List.map (fun (c, ns) -> Printf.sprintf "%s %.0f" (Obs.cat_name c) ns)
-             |> String.concat ", ");
-           ])
-         result);
-  (result, r)
+      rows
+  in
+  { Runner.value = r; text; points = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch overhead: event-heap vs reference min-scan (§5h)            *)
 (* ------------------------------------------------------------------ *)
 
-type dispatch_result = {
-  db_nactors : int;
-  db_dispatches : int;
-  db_heap_ns_per_dispatch : float;
-  db_scan_ns_per_dispatch : float;
-  db_speedup : float;
-}
-
 (** Host-side scheduler overhead: time [Sched.run] (binary event heap)
     against [Sched.run_reference] (the retained O(N) min-scan) driving the
-    same N-actor pure-CPU fleet, and check the dispatch traces are
-    bit-identical while at it. This is host wall time per dispatch — the
-    simulator's own software overhead, the quantity the event heap exists
-    to shrink. *)
-let dispatch_bench ?(nactors = 10_000) ?(ops = 4) ?(print = true) () =
+    same N-actor pure-CPU fleet of 4 ops per actor, and check the
+    dispatch traces are bit-identical while at it. This is host wall time
+    per dispatch — the simulator's own software overhead, the quantity
+    the event heap exists to shrink — so its [scale10k/dispatch/*] points
+    are the host keys of the serving tier. The value is the heap's
+    speedup. *)
+let dispatch_bench ?(nactors = 10_000) () =
+  let ops = 4 in
   let run_with runner =
     let env = Pmem.Env.create ~capacity:mb () in
     let s = Sched.create env in
@@ -1674,36 +1709,27 @@ let dispatch_bench ?(nactors = 10_000) ?(ops = 4) ?(print = true) () =
   let scan_ns, s_scan = run_with Sched.run_reference in
   if Sched.trace_hash s_heap <> Sched.trace_hash s_scan then
     failwith "dispatch_bench: heap and min-scan dispatch traces diverge";
-  let r =
-    {
-      db_nactors = nactors;
-      db_dispatches = Sched.dispatches s_heap;
-      db_heap_ns_per_dispatch = heap_ns;
-      db_scan_ns_per_dispatch = scan_ns;
-      db_speedup = (if heap_ns > 0. then scan_ns /. heap_ns else infinity);
-    }
-  in
-  if print then
-    Runner.print_table
+  let dispatches = string_of_int (Sched.dispatches s_heap) in
+  let speedup = if heap_ns > 0. then scan_ns /. heap_ns else infinity in
+  let text =
+    Runner.table
       ~title:
         (Printf.sprintf "Scheduler dispatch overhead, host ns/op (N=%d)"
            nactors)
       [ "dispatcher"; "dispatches"; "ns/dispatch"; "speedup" ]
       [
-        [
-          "event heap";
-          string_of_int r.db_dispatches;
-          Runner.f0 r.db_heap_ns_per_dispatch;
-          Runner.f1 r.db_speedup;
-        ];
-        [
-          "min-scan (ref)";
-          string_of_int r.db_dispatches;
-          Runner.f0 r.db_scan_ns_per_dispatch;
-          Runner.f1 1.0;
-        ];
-      ];
-  r
+        [ "event heap"; dispatches; Runner.f0 heap_ns; Runner.f1 speedup ];
+        [ "min-scan (ref)"; dispatches; Runner.f0 scan_ns; Runner.f1 1.0 ];
+      ]
+  in
+  let points =
+    [
+      B.host_ns "scale10k/dispatch/heap_host_ns" heap_ns;
+      B.host_ns "scale10k/dispatch/scan_host_ns" scan_ns;
+      B.host_speedup "scale10k/dispatch/speedup" speedup;
+    ]
+  in
+  { Runner.value = speedup; text; points }
 
 (* ------------------------------------------------------------------ *)
 (* Parallel campaign speedup: wall time vs worker domains (§5j)         *)
@@ -1735,13 +1761,14 @@ let par_wall rows campaign jobs =
   (List.find (fun r -> r.pb_campaign = campaign && r.pb_jobs = jobs) rows)
     .pb_wall_ns
 
-(** Host wall time of every verification campaign at each job count in
-    [jobs_list]: the headline evidence that fanning trials over domains
-    buys real wall-clock, and the input to the BENCH_PR*.json
-    [par/<campaign>/walltime-j<N>] trajectory entries. Wall time is
-    host-dependent; the speedup columns are what should be compared
-    across machines. *)
-let par_bench ?(jobs_list = [ 1; 2; 4; 8 ]) ?(print = true) () =
+(** Host wall time of every verification campaign at 1, 2, 4 and 8 jobs:
+    the headline evidence that fanning trials over domains buys real
+    wall-clock. Wall time is host-dependent; the speedup columns are what
+    should be compared across machines. The points
+    [par/<campaign>/walltime-j<N>] carry the wall times and
+    [par/<campaign>/speedup-j<N>] the speedups over one job. *)
+let par_bench () =
+  let jobs_list = [ 1; 2; 4; 8 ] in
   let rows =
     List.concat_map
       (fun (name, campaign) ->
@@ -1754,9 +1781,9 @@ let par_bench ?(jobs_list = [ 1; 2; 4; 8 ]) ?(print = true) () =
           jobs_list)
       par_campaigns
   in
-  if print then begin
-    let wall = par_wall rows in
-    Runner.print_table
+  let wall = par_wall rows in
+  let text =
+    Runner.table
       ~title:
         (Printf.sprintf
            "Campaign wall time (ms) and speedup vs 1 job (%d cores \
@@ -1768,16 +1795,24 @@ let par_bench ?(jobs_list = [ 1; 2; 4; 8 ]) ?(print = true) () =
            jobs_list)
       (List.map
          (fun (name, _) ->
-           let base = wall name (List.hd jobs_list) in
            name
            :: List.concat_map
                 (fun j ->
                   let w = wall name j in
                   [
                     Runner.f1 (w /. 1e6);
-                    (if w > 0. then Runner.f2 (base /. w) else "-");
+                    (if w > 0. then Runner.f2 (wall name 1 /. w) else "-");
                   ])
                 jobs_list)
          par_campaigns)
-  end;
-  rows
+  in
+  let points =
+    List.concat_map
+      (fun r ->
+        let key what = Printf.sprintf "par/%s/%s-j%d" r.pb_campaign what r.pb_jobs in
+        B.host_ns (key "walltime") r.pb_wall_ns
+        :: (if r.pb_jobs = 1 then []
+            else [ B.host_speedup (key "speedup") (wall r.pb_campaign 1 /. r.pb_wall_ns) ]))
+      rows
+  in
+  { Runner.value = rows; text; points }

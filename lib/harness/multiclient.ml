@@ -218,22 +218,19 @@ let build_scale spec ~nactors ~tenants ~shards env =
   views spec ~n:tenants ~kernel ~cfg:(scale_cfg ~actors_per_tenant) env
 
 (** Run [nactors] multi-tenant serving actors of [spec] — the 10k-actor
-    experiment. Tenant roots are set up unmetered-by-histogram before the
+    experiment — over [tenants_for nactors] tenants, one allocator group
+    and journal stream per tenant up to 16, on a [scale_capacity nactors]
+    device. Tenant roots are set up unmetered-by-histogram before the
     fleet spawns; every actor's file-system view is instrumented so p999
-    and SLO attainment come from the same obs histograms the latency
-    experiment uses. Fully deterministic in simulated time; host wall
-    time inside the scheduler is reported separately. *)
-let run_scale ?(cfg = Workloads.Multitenant.default_cfg) ?(slo_ns = 100_000.)
-    ?capacity ?tenants ?shards ?on_env ?(timeline = false) ?(forensics = false)
-    spec ~nactors =
-  let capacity =
-    match capacity with Some c -> c | None -> scale_capacity nactors
-  in
-  let tenants =
-    match tenants with Some t -> max 1 t | None -> tenants_for nactors
-  in
-  let shards = match shards with Some s -> max 1 s | None -> min 16 tenants in
-  let env = Pmem.Env.create ~capacity () in
+    and attainment of a 100 us SLO come from the same obs histograms the
+    latency experiment uses. Fully deterministic in simulated time; host
+    wall time inside the scheduler is reported separately. *)
+let run_scale ?(cfg = Workloads.Multitenant.default_cfg) ?on_env
+    ?(timeline = false) ?(forensics = false) spec ~nactors =
+  let slo_ns = 100_000. in
+  let tenants = tenants_for nactors in
+  let shards = min 16 tenants in
+  let env = Pmem.Env.create ~capacity:(scale_capacity nactors) () in
   let tl =
     if timeline then
       match Obs.timeline env.Pmem.Env.obs with

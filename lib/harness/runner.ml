@@ -1,6 +1,6 @@
-(** Measurement and table-formatting helpers shared by the benchmark
-    executable, the CLI and the examples. All times are simulated
-    nanoseconds from the stack's clock. *)
+(** Measurement and table-rendering helpers for the experiments, and the
+    report every experiment returns. All times are simulated nanoseconds
+    from the stack's clock. *)
 
 type measurement = {
   label : string;
@@ -31,6 +31,11 @@ let measure (stack : Fs_config.stack) label f =
     stats;
   }
 
+(** What an experiment returns instead of printing: [value] is what
+    tests and the CLI's exit checks read, [text] is its tables as the
+    caller prints them, and [points] are its perf-trajectory entries. *)
+type 'a report = { value : 'a; text : string; points : Benchdiff.point list }
+
 (* --- plain-text tables --- *)
 
 let hline widths =
@@ -47,20 +52,24 @@ let render_row widths cells =
          widths cells)
   ^ " |"
 
-(** Print a table: header row + data rows, auto-sized columns. *)
-let print_table ~title header rows =
+(** A table as text: a blank line and the title, then the header row and
+    the data rows between rules, columns auto-sized. *)
+let table ~title header rows =
   let all = header :: rows in
   let ncols = List.length header in
   let widths =
     List.init ncols (fun i ->
         List.fold_left (fun acc row -> max acc (String.length (List.nth row i))) 0 all)
   in
-  Printf.printf "\n== %s ==\n" title;
-  print_endline (hline widths);
-  print_endline (render_row widths header);
-  print_endline (hline widths);
-  List.iter (fun row -> print_endline (render_row widths row)) rows;
-  print_endline (hline widths)
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "\n== %s ==\n" title;
+  let line s = Printf.bprintf b "%s\n" s in
+  line (hline widths);
+  line (render_row widths header);
+  line (hline widths);
+  List.iter (fun row -> line (render_row widths row)) rows;
+  line (hline widths);
+  Buffer.contents b
 
 let f1 x = Printf.sprintf "%.1f" x
 let f2 x = Printf.sprintf "%.2f" x

@@ -312,6 +312,30 @@ let test_load_errors () =
   | B.Legacy kvs -> Alcotest.(check int) "BENCH_PR10.json keys" 471 (List.length kvs)
   | B.Declared _ -> Alcotest.fail "BENCH_PR10.json read as schema 3"
 
+(* A key holds one value: a file that repeats one is refused on load, and
+   the writer refuses to write one, leaving the path untouched. *)
+let test_repeated_key () =
+  let entry v = Printf.sprintf {|{"value": %d, "unit": "ns", "gate": "sim-lower"}|} v in
+  let body =
+    Printf.sprintf {|{"meta": {"schema": 3}, "tests": {"k": %s, "j": %s, "k": %s}}|}
+      (entry 1) (entry 2) (entry 3)
+  in
+  (match B.load (write_file body) with
+  | (_ : B.file) -> Alcotest.fail "a repeated key loaded"
+  | exception Failure msg ->
+      Alcotest.(check bool) ("refusal names the key: " ^ msg) true
+        (contains "\"k\" repeats" msg));
+  let path = write_file "untouched" in
+  let k = p B.Sim_lower "ns" "k" 1. in
+  (match
+     B.write ~mode:"full" ~seed:1 ~jobs:1 ~stacks:[] path
+       [ k; p B.Exact "n" "j" 2.; { k with B.value = 3. } ]
+   with
+  | () -> Alcotest.fail "a repeated key written"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check string) "nothing written" "untouched"
+    (In_channel.with_open_bin path In_channel.input_all)
+
 (* BENCH_PR10.json's values under BENCH_PR16.json's gates: equal keys and
    values, so nothing moves and nothing is missing. *)
 let test_pr10_clean () =
@@ -371,6 +395,7 @@ let suite =
     tc "write, load, diff round trip per gate" `Quick test_round_trip;
     tc "sub-decimal recovery-ms change regresses" `Quick test_recovery_ms;
     tc "gate mismatch fails the key" `Quick test_gate_mismatch;
+    tc "a repeated key is refused" `Quick test_repeated_key;
     tc "BENCH_PR10 diffs clean under schema 3" `Quick test_pr10_clean;
     tc "committed BENCH_PR16 declares every key" `Quick test_pr16_complete;
   ]

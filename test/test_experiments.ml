@@ -11,11 +11,9 @@ let within pct ~target x =
 (* --- Table 1: calibrated within 15% and correctly ordered --- *)
 
 let test_table1_calibration () =
-  let rows = Harness.Experiments.table1 ~total_mb:4 ~print:false () in
-  let get name =
-    (List.find (fun r -> r.Harness.Experiments.t1_fs = name) rows)
-      .Harness.Experiments.t1_append_ns
-  in
+  let r = Harness.Experiments.table1 ~total_mb:4 () in
+  Util.check_points ~values:false "table1/sim/" r.points;
+  let get name = List.assoc name r.value in
   let ext4 = get "ext4-dax" in
   let pmfs = get "pmfs" in
   let nova = get "nova-strict" in
@@ -40,7 +38,7 @@ let test_table1_calibration () =
 (* --- Table 2: media model matches the characterisation --- *)
 
 let test_table2_media_model () =
-  let rows = Harness.Experiments.table2 ~print:false () in
+  let rows = (Harness.Experiments.table2 ()).value in
   List.iter
     (fun (prop, measured, target) ->
       Alcotest.(check bool)
@@ -52,8 +50,9 @@ let test_table2_media_model () =
 (* --- Table 6: syscall cost shape --- *)
 
 let test_table6_shape () =
-  let rows = Harness.Experiments.table6 ~iterations:50 ~print:false () in
-  let get fs = List.assoc fs rows in
+  let r = Harness.Experiments.table6 ~iterations:50 () in
+  Util.check_points ~values:false "table6/sim/" r.points;
+  let get fs = List.assoc fs r.value in
   let split = get "splitfs-strict" and ext4 = get "ext4-dax" in
   (* data ops much faster on SplitFS, metadata ops somewhat slower *)
   Alcotest.(check bool) "append 3-4x faster" true
@@ -74,8 +73,7 @@ let test_table6_shape () =
 (* --- Figure 3: each technique helps appends --- *)
 
 let test_fig3_monotonic () =
-  let rows = Harness.Experiments.fig3 ~total_mb:4 ~print:false () in
-  match rows with
+  match (Harness.Experiments.fig3 ~total_mb:4 ()).value with
   | [ (_, ow_ext4, ap_ext4); (_, ow_split, ap_split); (_, _, ap_staging); (_, _, ap_relink) ] ->
       Alcotest.(check bool) "user-space overwrites beat ext4" true (ow_split > ow_ext4);
       Alcotest.(check bool) "staging roughly doubles appends" true
@@ -91,7 +89,8 @@ let test_fig3_monotonic () =
 (* --- Figure 4: SplitFS wins within each guarantee group --- *)
 
 let test_fig4_winners () =
-  let groups = Harness.Experiments.fig4 ~total_mb:4 ~print:false () in
+  let r = Harness.Experiments.fig4 ~total_mb:4 () in
+  Util.check_points ~values:false "fig4/sim/" r.points;
   List.iter
     (fun (group, (_bspec, bruns), cruns) ->
       (* the splitfs entry is the last challenger in each group *)
@@ -105,12 +104,12 @@ let test_fig4_winners () =
                (Workloads.Iopattern.pattern_name p) ratio)
             true (ratio >= 0.95))
         bruns)
-    groups
+    r.value
 
 (* --- §5.3: recovery time grows linearly with log entries --- *)
 
 let test_recovery_scaling () =
-  let rows = Harness.Experiments.recovery ~print:false () in
+  let rows = (Harness.Experiments.recovery ()).value in
   let times =
     List.map (fun (n, r) -> (n, r.Splitfs.Recovery.replay_ns)) rows
   in
@@ -131,7 +130,7 @@ let test_recovery_scaling () =
 (* --- §5.10: resource consumption is bounded and background work exists --- *)
 
 let test_resources () =
-  let rows = Harness.Experiments.resources ~files:100 ~print:false () in
+  let rows = (Harness.Experiments.resources ()).value in
   List.iter
     (fun (n, mem, bg) ->
       Alcotest.(check bool) (n ^ ": memory bounded") true (mem > 0 && mem < 10_000_000);
@@ -141,7 +140,7 @@ let test_resources () =
 (* --- ablations: the section-4 design discussions --- *)
 
 let test_ablations () =
-  let rows = Harness.Experiments.ablations ~total_mb:4 ~print:false () in
+  let rows = (Harness.Experiments.ablations ~total_mb:4 ()).value in
   let kops name variant =
     (List.find
        (fun r ->

@@ -384,7 +384,9 @@ let test_stats_printers () =
 (* --- the profile experiment ------------------------------------------ *)
 
 let test_profile_experiment () =
-  let rows = Harness.Experiments.profile ~print:false () in
+  let r = Harness.Experiments.profile () in
+  Util.check_points ~values:true "profile/" r.points;
+  let rows = r.value in
   let find spec =
     List.find
       (fun r -> r.Harness.Experiments.pr_spec = spec)
@@ -408,7 +410,9 @@ let test_profile_experiment () =
   Alcotest.(check bool) "ext4 has no usplit time" true (cat ext4 Obs.Usplit = 0.)
 
 let test_latency_experiment () =
-  let rows = Harness.Experiments.latency ~print:false () in
+  let r = Harness.Experiments.latency () in
+  Util.check_points ~values:true "lat/" r.points;
+  let rows = r.value in
   let find spec op =
     List.find
       (fun r ->

@@ -37,3 +37,24 @@ let check_bool = Alcotest.(check bool)
 let fs_write_read_roundtrip (fs : Fsapi.Fs.t) path content =
   Fsapi.Fs.write_file fs path content;
   Fsapi.Fs.read_file fs path
+
+(** [points] against the committed BENCH_PR16.json entries whose keys
+    start with [prefix], one for one: the same keys, units and gates, and
+    with [~values:true] the same values at full precision. *)
+let check_points ~values prefix points =
+  let module B = Harness.Benchdiff in
+  let baseline =
+    match (B.load "../BENCH_PR16.json").B.f_tests with
+    | B.Declared ps ->
+        List.filter (fun p -> String.starts_with ~prefix p.B.key) ps
+    | B.Legacy _ -> Alcotest.fail "BENCH_PR16.json declares no gates"
+  in
+  let show p =
+    String.concat " "
+      ([ p.B.key; p.B.unit; B.gate_name p.B.gate ]
+      @ if values then [ B.number p.B.value ] else [])
+  in
+  let sorted ps = List.sort compare (List.map show ps) in
+  Alcotest.(check (list string))
+    (prefix ^ "* matches BENCH_PR16.json")
+    (sorted baseline) (sorted points)
