@@ -23,7 +23,7 @@ bench:
 # block (schema/mode/seed/jobs/stacks). The committed file is the
 # baseline the bench-diff gate below judges by.
 bench-json:
-	dune exec bench/main.exe -- --json BENCH_PR16.json
+	dune exec bench/main.exe -- --json BENCH_PR21.json
 
 # Perf-regression sentinel: regenerate the deterministic (sim-only)
 # trajectory in fast mode and judge it against the last committed
@@ -32,7 +32,7 @@ bench-json:
 # and 10k-actor keys. Exits 1 on a regression, 2 if a file is refused.
 bench-diff:
 	dune exec bench/main.exe -- --fast --json BENCH_NEW_FAST.json
-	dune exec bin/splitfs_cli.exe -- bench-diff BENCH_PR16.json BENCH_NEW_FAST.json
+	dune exec bin/splitfs_cli.exe -- bench-diff BENCH_PR21.json BENCH_NEW_FAST.json
 
 # Scale-out serving tier smoke: the multi-tenant sweep up to N=1000
 # actors across all six stacks, plus the scheduler dispatch-overhead
@@ -127,7 +127,7 @@ golden:
 # domains. A seed's report is printed only if it fails; exits non-zero
 # naming every failing seed. The pinned-seed golden run covers only what
 # seed 0x51ED reaches. Faultcheck joins the swarm once its
-# relink/ENOSPC violation class is fixed (ROADMAP item 1): 17 of its
+# relink/ENOSPC violation class is fixed (ROADMAP item 1): 18 of its
 # first 32 seeds still report it. (~0.3 s per seed at one job)
 K ?= 16
 

@@ -199,26 +199,53 @@ let entries_written t = Atomic.get t.tail
 let capacity t = t.capacity
 let path t = t.path
 
-(** Crash-atomic two-phase clear (checkpoint, §3.3). Zeroing the whole used region under one
-    fence is not safe: a crash may persist an arbitrary subset of the
-    zero-stores, and if it keeps a stale prefix of entries while dropping
-    the slots behind it (including the Relinked markers that cancel them),
-    recovery replays stale data over the freshly relinked file. Instead:
-    zero slot 0 alone and fence — after this the log is durably either
-    untouched (the full entry sequence, whose Relinked entries cancel all
-    replay) or empty-at-the-head (scan stops immediately); both are safe —
-    then zero the remaining slots under a second fence. *)
-let clear t =
-  let used = Atomic.get t.tail in
+(** The one crash-atomic clear of the first [used] slots, for checkpoint
+    reuse (§3.3) and recovery's reset alike. Zeroing the whole used
+    region under one fence is not safe: a crash may persist an arbitrary
+    subset of the zero-stores, and if it keeps a stale prefix of entries
+    while dropping the slots behind it (including the Relinked markers
+    that cancel them), recovery replays stale data over the freshly
+    relinked file. Instead: zero slot 0 alone and order it — after this
+    the log is durably either untouched (the full entry sequence, whose
+    Relinked entries cancel all replay, or which a finished recovery
+    already applied) or empty-at-the-head (scan stops immediately); both
+    are safe — then zero the remaining slots. [zero ~off ~len ~site]
+    zeroes that byte range of the log and orders it behind a fence;
+    [site] names the step for the fence-site registry. *)
+let clear_slots ~used zero =
   if used > 0 then begin
-    zero_range t ~off:0 ~len:entry_size;
-    Device.fence ~site:site_clear_head t.env.Env.dev;
-    if used > 1 then begin
-      zero_range t ~off:entry_size ~len:((used - 1) * entry_size);
-      Device.fence ~site:site_clear_rest t.env.Env.dev
-    end;
-    Atomic.set t.tail 0
+    zero ~off:0 ~len:entry_size ~site:site_clear_head;
+    if used > 1 then
+      zero ~off:entry_size ~len:((used - 1) * entry_size) ~site:site_clear_rest
   end
+
+let clear t =
+  clear_slots ~used:(Atomic.get t.tail) (fun ~off ~len ~site ->
+      zero_range t ~off ~len;
+      Device.fence ~site t.env.Env.dev);
+  Atomic.set t.tail 0
+
+(** Recovery's reset: {!clear_slots} over the log file at [path] through
+    the kernel, since U-Split's mapping died with the process. Each step
+    is ext4 pwrites of zeros, and each ext4 pwrite ends in its own fence
+    (at the [ext4:pwrite] site). *)
+let reset sys path ~used =
+  let fd = Kernelfs.Syscall.open_ sys path Fsapi.Flags.rdwr in
+  Fun.protect
+    ~finally:(fun () -> Kernelfs.Syscall.close sys fd)
+    (fun () ->
+      let size = (Kernelfs.Syscall.fstat sys fd).Fsapi.Fs.st_size in
+      let zeros = Bytes.make 65536 '\000' in
+      clear_slots ~used:(min used (size / entry_size))
+        (fun ~off ~len ~site:_ ->
+          let pos = ref off in
+          while !pos < off + len do
+            let n = min (Bytes.length zeros) (off + len - !pos) in
+            ignore
+              (Kernelfs.Syscall.pwrite sys fd ~buf:zeros ~boff:0 ~len:n
+                 ~at:!pos);
+            pos := !pos + n
+          done))
 
 (** Append one entry with a single non-temporal store. No fence is issued
     here: the caller's one sfence covers staged data and the log entry

@@ -73,8 +73,14 @@ val entries_written : t -> int
     ENOSPC if full — U-Split checkpoints before that can happen. *)
 val append : t -> entry -> unit
 
-(** Zero the used prefix and reset the tail (checkpoint reuse, §3.3). *)
+(** Zero the used prefix and reset the tail (checkpoint reuse, §3.3):
+    slot 0 alone under its own fence, then the rest. *)
 val clear : t -> unit
+
+(** [reset sys path ~used] is {!clear}'s head-first zeroing of the
+    first [used] slots of the log file at [path], through kernel pwrites
+    (recovery, after the mapping died with the process). *)
+val reset : Kernelfs.Syscall.t -> string -> used:int -> unit
 
 type scan_result = { valid : entry list; torn : int; scanned : int }
 

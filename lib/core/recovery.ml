@@ -268,19 +268,7 @@ let recover ~sys ~env ~instance =
     pending;
   (* make the replayed state durable, then reset the log for reuse *)
   Kernelfs.Ext4.fsync kfs (Kernelfs.Ext4.root_inode kfs);
-  (let fd = Kernelfs.Syscall.open_ sys path Fsapi.Flags.rdwr in
-   Fun.protect
-     ~finally:(fun () -> Kernelfs.Syscall.close sys fd)
-     (fun () ->
-       let size = (Kernelfs.Syscall.fstat sys fd).Fsapi.Fs.st_size in
-       let zeros = Bytes.make 65536 '\000' in
-       let pos = ref 0 in
-       let used = scan.Oplog.scanned * Oplog.entry_size in
-       while !pos < used && !pos < size do
-         let n = min (Bytes.length zeros) (min (used - !pos) (size - !pos)) in
-         ignore (Kernelfs.Syscall.pwrite sys fd ~buf:zeros ~boff:0 ~len:n ~at:!pos);
-         pos := !pos + n
-       done));
+  Oplog.reset sys path ~used:scan.Oplog.scanned;
   {
     entries_scanned = scan.Oplog.scanned;
     entries_replayed = !replayed;

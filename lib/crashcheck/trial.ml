@@ -5,7 +5,7 @@
     workloads to a {!program} and differ only in the stack they build,
     the contract they hold it to and how they pick crash states;
     faultcheck runs the same program through {!mount} under a fault
-    plan instead of a crash. *)
+    plan instead of a crash, and judges it against {!oracle} worlds. *)
 
 module Fs_config = Stacks.Fs_config
 
@@ -172,6 +172,25 @@ let on_stack ~scratch (st : Fs_config.stack) =
   in
   apply ~scratch ~checkpoint:(fun () -> Fs_config.checkpoint st) ~snapshot st.fs
 
+(** The oracle every campaign judges by: a fresh {!Fsapi.Ref_fs} with
+    the program's files {!setup} for each client, and a step that runs
+    one client's op on it, where a checkpoint fsyncs the issuing
+    client's files and a snapshot copies. Returns the oracle's views and
+    the step. *)
+let oracle ~scratch p =
+  let ofs, views = Fsapi.Ref_fs.make_oracle () in
+  let oslots = setup ~scratch (Array.make (nclients p) ofs) p in
+  let run =
+    Array.map
+      (fun slots ->
+        let checkpoint () =
+          Array.iter (fun fd -> if fd >= 0 then ofs.Fsapi.Fs.fsync fd) slots
+        in
+        apply ~scratch ~checkpoint ~snapshot:(copy_snapshot ofs) ofs slots)
+      oslots
+  in
+  (views, fun (c, op) -> run.(c) op)
+
 (* ------------------------------------------------------------------ *)
 (* Mounting a program's clients                                        *)
 (* ------------------------------------------------------------------ *)
@@ -308,32 +327,21 @@ type trial = {
 }
 
 (** One crash state end to end: a fresh stack from [build] with the
-    program's clients, {!replay} against the {!Fsapi.Ref_fs} oracle
-    (where a checkpoint fsyncs the issuing client's files and a snapshot
-    copies), recovery of every U-Split instance, read-back through the
-    kernel below them (their DRAM state died with the process), and
-    {!Check.check_file} under [contract] per path plus the program's
-    claim. Injected faults are cleared before recovery: they model a
-    full device at run time, not a broken one at recovery time. *)
+    program's clients, {!replay} against the {!oracle}, recovery of
+    every U-Split instance, read-back through the kernel below them
+    (their DRAM state died with the process), and {!Check.check_file}
+    under [contract] per path plus the program's claim. Injected faults
+    are cleared before recovery: they model a full device at run time,
+    not a broken one at recovery time. *)
 let run ?dedup ~build ~contract p ~point ~survivors =
   let scratch = ref Bytes.empty in
   let m = mount ~scratch ~build p in
   let env = m.stack.env in
-  let ofs, oracle = Fsapi.Ref_fs.make_oracle () in
-  let oslots = setup ~scratch (Array.map (fun _ -> ofs) m.clients) p in
-  let orun =
-    Array.map
-      (fun slots ->
-        let checkpoint () =
-          Array.iter (fun fd -> if fd >= 0 then ofs.Fsapi.Fs.fsync fd) slots
-        in
-        apply ~scratch ~checkpoint ~snapshot:(copy_snapshot ofs) ofs slots)
-      oslots
-  in
+  let views, ostep = oracle ~scratch p in
   let crashed_at, pre, post =
     replay ?dedup env.Pmem.Env.dev ~point ~survivors ~real:m.step
-      ~oracle:(fun (c, op) -> orun.(c) op)
-      ~snap:(fun () -> Array.map (View.of_oracle oracle) p.paths)
+      ~oracle:ostep
+      ~snap:(fun () -> Array.map (View.of_oracle views) p.paths)
       p.ops
   in
   Faults.reset env.Pmem.Env.faults;

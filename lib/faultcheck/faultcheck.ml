@@ -4,9 +4,9 @@
     For every (stack × fault point) pair, a trial builds a fresh stack,
     establishes durable initial file content, injects exactly the faults
     of the trial's fault set — resource faults into the {!Faults} plane,
-    media poison straight into the device — and runs a seeded workload to
-    completion while a host-side model tracks the legal final contents.
-    Every fault must land in one of the allowed outcomes:
+    media poison straight into the device — runs a seeded workload to
+    completion and reads every file back. Every fault must land in one
+    of the allowed outcomes:
 
     - {b masked}: the operation succeeded with correct data (fallbacks,
       scrubber migration, dirty-cache hits over poisoned lines);
@@ -16,17 +16,20 @@
       whose context names the originating layer.
 
     Anything else — wrong bytes, wrong size, an unexpected errno, a raw
-    exception escaping the stack — is a violation. The model forks an
-    alternative content view at each failed write (the write may have
-    partially applied before the fault), applies successful writes to
-    every view, and at the end checks the recovered size against the view
-    sizes and every byte against the union of views, additionally
-    allowing zeros on quarantined device lines (surfaced media loss).
-    Violating fault sets are shrunk greedily to a minimal violating
-    subset before reporting. *)
+    exception escaping the stack — is a violation. The oracle is the
+    crash campaigns' own: {!Trial.oracle} worlds of the same program,
+    one with every acknowledged op applied and one more per op that
+    failed with an allowed errno, with that op applied too (the fault
+    may have struck before, during or after it took effect). Each
+    read-back is judged by {!Check.check_size} and {!Check.check_bytes}
+    across the worlds; zeros on quarantined device lines (surfaced media
+    loss) are the one fault-specific relaxation. Violating fault sets
+    are shrunk greedily to a minimal violating subset before
+    reporting. *)
 
 module W = Crashcheck.Workload
 module Trial = Crashcheck.Trial
+module Check = Crashcheck.Check
 module Fs_config = Stacks.Fs_config
 
 let all_stacks =
@@ -52,54 +55,77 @@ let pp_fault_point ppf = function
   | Scrub_wear limit -> Fmt.pf ppf "scrub patrol (wear limit %d)" limit
 
 (* ------------------------------------------------------------------ *)
-(* Legal-content model                                                  *)
+(* Legal contents: the crash kernel's oracle worlds                     *)
 (* ------------------------------------------------------------------ *)
 
-module Model = struct
-  (** Candidate final contents of one file. The head view has every
-      acknowledged operation applied; each failed write forks one
-      as-if-applied alternative (the fault may have struck after the data
-      reached the file but before the errno surfaced). A failed write's
-      range is additionally recorded: the fault may equally have struck
-      mid-operation — size extended but data not yet copied — so inside
-      that range the failed payload, a zero hole, or the pre-image are
-      all legal. *)
-  type file = {
-    mutable views : Bytes.t list;
-    mutable failed : (int * Bytes.t) list;  (** (at, payload) of failed writes *)
-  }
+(** What became of one op of a trial. *)
+type ack =
+  | Acked
+  | Failed  (** raised an allowed errno: it may or may not have landed *)
+  | Broken  (** raised anything else: a violation of its own *)
 
-  let max_views = 5
+(** The legal final contents of [p]'s paths, given what became of each
+    of its ops: one {!Trial.oracle} world with every acknowledged op
+    applied, plus one per failed op with that op applied too. That is
+    exact per byte, partial application included: a byte's final value
+    comes from its last writer among the acknowledged ops and whichever
+    failed ops landed, and that value is in that writer's world. *)
+type legal = {
+  head : Bytes.t array;  (** per path, every acknowledged op applied *)
+  failed : Bytes.t array list Lazy.t;
+      (** per failed op, the same with that op applied too; built on
+          first use, since a read-back equal to [head] needs none *)
+}
 
-  let apply_view v ~at data =
-    let len = Bytes.length data in
-    let n = max (Bytes.length v) (at + len) in
-    let nv = Bytes.make n '\000' in
-    Bytes.blit v 0 nv 0 (Bytes.length v);
-    Bytes.blit data 0 nv at len;
-    nv
+(** {!legal} for [p], with [acks] in program order. *)
+let worlds (p : Trial.program) acks =
+  let scratch = ref Bytes.empty in
+  let world extra =
+    let views, step = Trial.oracle ~scratch p in
+    List.iteri
+      (fun k op -> if acks.(k) = Acked || k = extra then step op)
+      p.ops;
+    Array.map
+      (fun path ->
+        Option.value (views.Fsapi.Ref_fs.dump path) ~default:Bytes.empty)
+      p.paths
+  in
+  let failed =
+    List.filter
+      (fun k -> acks.(k) = Failed)
+      (List.init (Array.length acks) Fun.id)
+  in
+  { head = world (-1); failed = lazy (List.map world failed) }
 
-  (** An acknowledged write is non-negotiable: every legal final content
-      has it applied. This is what catches silently dropped writes. *)
-  let write_ok f ~at data =
-    f.views <- List.map (fun v -> apply_view v ~at data) f.views
-
-  let write_failed f ~at data =
-    if List.length f.views < max_views then
-      f.views <- f.views @ [ apply_view (List.hd f.views) ~at data ];
-    f.failed <- (at, data) :: f.failed
-
-  (** Is byte [b] at [off] explained by the partial application of a
-      failed write? Inside a failed range, the payload byte or a zero
-      hole is legal (pre-image bytes are covered by the views). *)
-  let failed_explains f ~off b =
-    List.exists
-      (fun (at, data) ->
-        off >= at
-        && off < at + Bytes.length data
-        && (b = '\000' || b = Bytes.get data (off - at)))
-      f.failed
-end
+(** Judge a read-back [got] of path [i] with {!Check.check_size} and
+    {!Check.check_bytes} across the worlds of [legal]. [quarantined
+    off] tells whether the device line behind file offset [off] was
+    quarantined: a zero there is media loss surfaced honestly, the one
+    fault-specific relaxation. It enters as one more view, a world of
+    [got]'s size with those lines zeroed, so it accepts a zero there
+    and nothing else; the lookup runs once per line. *)
+let judge legal ~quarantined i got =
+  if Bytes.equal got legal.head.(i) then None
+  else
+    let views =
+      List.map (fun w -> w.(i)) (legal.head :: Lazy.force legal.failed)
+    in
+    let len = Bytes.length got in
+    let sizes = List.sort_uniq compare (List.map Bytes.length views) in
+    match Check.check_size got sizes with
+    | Some _ as v -> v
+    | None ->
+        let zeroed =
+          Bytes.copy (List.find (fun w -> Bytes.length w = len) views)
+        in
+        let any = ref false in
+        for line = 0 to (len - 1) / 64 do
+          if quarantined (line * 64) then begin
+            any := true;
+            Bytes.fill zeroed (line * 64) (min 64 (len - (line * 64))) '\000'
+          end
+        done;
+        Check.check_bytes got (if !any then zeroed :: views else views)
 
 (* ------------------------------------------------------------------ *)
 (* Trial runner                                                         *)
@@ -130,7 +156,8 @@ module Runner = struct
   (** One trial: the program's files set up on a fresh crash-trial stack
       from the registry (its staging pool shrunk when [tiny] is set),
       the faults injected, the ops run to completion and every file read
-      back through the stack and checked against the model. *)
+      back through the stack and {!judge}d against the {!worlds} of what
+      became of each op. *)
   let run_trial ?(tiny = false) ?checks spec (p : Trial.program)
       ~(points : fault_point list) =
     let tweak = if tiny then tiny_staging else Fun.id in
@@ -143,13 +170,6 @@ module Runner = struct
     let dev = st.env.Pmem.Env.dev in
     let plane = st.env.Pmem.Env.faults in
     let kfs = Kernelfs.Syscall.kernel (Option.get st.sys) in
-    let files = Array.of_list p.Trial.initial in
-    let model =
-      Array.map
-        (fun (f : Trial.file) ->
-          { Model.views = [ W.payload ~seed:f.seed f.len ]; failed = [] })
-        files
-    in
     (* the initial content is durable; now inject *)
     Faults.arm plane;
     let scrub_limit = ref None in
@@ -166,20 +186,20 @@ module Runner = struct
        a violation *)
     let guard k what f =
       match f () with
-      | () -> `Done
+      | () -> Acked
       | exception Fsapi.Errno.Error (e, ctx) when allowed_errno e ->
           errno := Some (e, ctx);
-          `Errno
+          Failed
       | exception Fsapi.Errno.Error (e, ctx) ->
           unexpected :=
             Fmt.str "op %d: unexpected errno %a" k Fsapi.Errno.pp (e, ctx)
             :: !unexpected;
-          `Broken
+          Broken
       | exception e ->
           unexpected :=
             Fmt.str "%s: escaped exception %s" what (Printexc.to_string e)
             :: !unexpected;
-          `Broken
+          Broken
     in
     let run_scrub () =
       match (!scrub_limit, st.usplit) with
@@ -188,19 +208,14 @@ module Runner = struct
       | Some l, None -> ignore (Kernelfs.Ext4.scrub kfs ~wear_limit:l)
     in
     let nops = List.length p.Trial.ops in
-    List.iteri
-      (fun k ((_, op) as step) ->
-        if k = nops / 2 then run_scrub ();
-        let outcome =
-          guard k (Printf.sprintf "op %d" k) (fun () -> m.Trial.step step)
-        in
-        match (op, outcome) with
-        | Trial.Op (W.Write { file; at; len; seed }), `Done ->
-            Model.write_ok model.(file) ~at (W.payload ~seed len)
-        | Trial.Op (W.Write { file; at; len; seed }), `Errno ->
-            Model.write_failed model.(file) ~at (W.payload ~seed len)
-        | _ -> ())
-      p.Trial.ops;
+    let acks =
+      Array.of_list
+        (List.mapi
+           (fun k step ->
+             if k = nops / 2 then run_scrub ();
+             guard k (Printf.sprintf "op %d" k) (fun () -> m.Trial.step step))
+           p.Trial.ops)
+    in
     (* settle: a final fsync per file, failures allowed like any op *)
     Array.iteri
       (fun i fd ->
@@ -229,9 +244,9 @@ module Runner = struct
       in
       go 0
     in
-    (* a zero byte is additionally legal when its backing line was
-       quarantined: media loss surfaced honestly as zeros *)
-    let quarantined_zero path off =
+    let quarantined path off =
+      Pmem.Device.quarantined_count dev > 0
+      &&
       match Kernelfs.Ext4.namei kfs path with
       | inode -> (
           match Kernelfs.Ext4.device_addr kfs inode ~off with
@@ -239,43 +254,15 @@ module Runner = struct
           | None -> false)
       | exception Fsapi.Errno.Error _ -> false
     in
+    let legal = worlds p acks in
     let check_file i =
       match read_back i with
       | Error reason -> Some reason
       | Ok got ->
-          let views = model.(i).Model.views in
-          let sizes = List.sort_uniq compare (List.map Bytes.length views) in
-          if not (List.mem (Bytes.length got) sizes) then
-            Some
-              (Fmt.str "size %d not in {%a}" (Bytes.length got)
-                 Fmt.(list ~sep:comma int)
-                 sizes)
-          else begin
-            let bad = ref None in
-            (try
-               for off = 0 to Bytes.length got - 1 do
-                 let b = Bytes.get got off in
-                 let ok =
-                   List.exists
-                     (fun v -> off < Bytes.length v && Bytes.get v off = b)
-                     views
-                   || Model.failed_explains model.(i) ~off b
-                   || (b = '\000' && quarantined_zero files.(i).Trial.path off)
-                 in
-                 if not ok then begin
-                   bad :=
-                     Some
-                       (Fmt.str "byte %d (%#x) matches no legal view" off
-                          (Char.code b));
-                   raise Exit
-                 end
-               done
-             with Exit -> ());
-            !bad
-          end
+          judge legal ~quarantined:(quarantined p.Trial.paths.(i)) i got
     in
     let violations = ref [] in
-    for i = Array.length files - 1 downto 0 do
+    for i = Array.length fds - 1 downto 0 do
       match check_file i with
       | Some r -> violations := (i, r) :: !violations
       | None -> ()

@@ -1613,22 +1613,26 @@ let timeline_report ?spec ?(nactors = 1000) ?on_env () =
     |> List.map series
   in
   let cat_series = List.map (fun c -> (c, series ("cat/" ^ Obs.cat_name c))) Obs.all_cats in
-  (* window bounds span the retained samples; with widening on, that is
-     the whole run *)
-  let t_lo, t_hi =
+  (* the windows span the fleet: from its first spawn to the closing
+     sample at its end (the makespan counts from the first spawn).
+     Samples from the tenant set-up before the spawn fall in none. *)
+  let t_hi =
     match tenant_series with
     | s :: _ when Array.length s > 0 ->
-        let t3 (t, _, _) = t in
-        (t3 s.(0), t3 s.(Array.length s - 1))
-    | _ -> (0., 0.)
+        let t, _, _ = s.(Array.length s - 1) in
+        t
+    | _ -> 0.
   in
+  let t_lo = t_hi -. r.Multiclient.sr_makespan_ns in
   let span = Float.max (t_hi -. t_lo) 1e-9 in
   let win_of t =
-    min (windows - 1)
-      (max 0 (int_of_float (float_of_int windows *. (t -. t_lo) /. span)))
+    min (windows - 1) (int_of_float (float_of_int windows *. (t -. t_lo) /. span))
   in
   let sum_into acc samples =
-    Array.iter (fun (t, delta, _) -> acc.(win_of t) <- acc.(win_of t) +. delta) samples
+    Array.iter
+      (fun (t, delta, _) ->
+        if t >= t_lo then acc.(win_of t) <- acc.(win_of t) +. delta)
+      samples
   in
   let ops_w = Array.make windows 0. in
   List.iter (sum_into ops_w) tenant_series;
@@ -1638,8 +1642,10 @@ let timeline_report ?spec ?(nactors = 1000) ?on_env () =
       let i = Obs.cat_index c in
       Array.iter
         (fun (t, delta, _) ->
-          let w = win_of t in
-          cats_w.(w).(i) <- cats_w.(w).(i) +. delta)
+          if t >= t_lo then begin
+            let w = win_of t in
+            cats_w.(w).(i) <- cats_w.(w).(i) +. delta
+          end)
         samples)
     cat_series;
   let rows =

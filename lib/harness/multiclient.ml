@@ -154,8 +154,7 @@ let run ?(params = default_params) ?(instrument = false) ?on_env spec ~nclients
 
 (** Result of one multi-tenant scale run. Latency numbers come from the
     merged per-op obs histograms of the run's instrumented file-system
-    views (simulated ns); [sr_host_run_s] is host wall time inside
-    [Sched.run], the scheduler-overhead side of the experiment. *)
+    views (simulated ns). *)
 type scale_result = {
   sr_spec : Fs_config.spec;
   sr_nactors : int;
@@ -163,16 +162,11 @@ type scale_result = {
   sr_total_ops : int;
   sr_makespan_ns : float;
   sr_kops_per_s : float;
-  sr_lock_wait_ns : float;
-  sr_bw_wait_ns : float;
   sr_trace_hash : int;
   sr_p50_ns : float;
   sr_p999_ns : float;
-  sr_slo_ns : float;  (** the latency objective judged against *)
-  sr_slo_attainment : float;  (** fraction of fs ops within [sr_slo_ns] *)
+  sr_slo_attainment : float;  (** fraction of fs ops within 100 us *)
   sr_alloc_steals : int;  (** cross-shard allocator steals (K-Split stacks) *)
-  sr_dispatches : int;
-  sr_host_run_s : float;
   sr_timeline : Obs.Timeline.t option;
       (** virtual-time telemetry of the run, when [~timeline:true] *)
   sr_forensics : Obs.span Obs.Forensics.t option;
@@ -223,8 +217,7 @@ let build_scale spec ~nactors ~tenants ~shards env =
     device. Tenant roots are set up unmetered-by-histogram before the
     fleet spawns; every actor's file-system view is instrumented so p999
     and attainment of a 100 us SLO come from the same obs histograms the
-    latency experiment uses. Fully deterministic in simulated time; host
-    wall time inside the scheduler is reported separately. *)
+    latency experiment uses. Fully deterministic in simulated time. *)
 let run_scale ?(cfg = Workloads.Multitenant.default_cfg) ?on_env
     ?(timeline = false) ?(forensics = false) spec ~nactors =
   let slo_ns = 100_000. in
@@ -308,9 +301,7 @@ let run_scale ?(cfg = Workloads.Multitenant.default_cfg) ?on_env
               0. mine)
       done
   | None -> ());
-  let t0 = Sys.time () in
   Sched.run s;
-  let host_run_s = Sys.time () -. t0 in
   (* close the books at the fleet's absolute end time (sample times are
      absolute actor clocks, makespan is relative to the first spawn) *)
   (match tl with
@@ -333,7 +324,6 @@ let run_scale ?(cfg = Workloads.Multitenant.default_cfg) ?on_env
     (Obs.hists env.Pmem.Env.obs);
   let makespan_ns = Sched.makespan s in
   let total_ops = Sched.total_ops s in
-  let stats = env.Pmem.Env.stats in
   {
     sr_spec = spec;
     sr_nactors = nactors;
@@ -341,19 +331,14 @@ let run_scale ?(cfg = Workloads.Multitenant.default_cfg) ?on_env
     sr_total_ops = total_ops;
     sr_makespan_ns = makespan_ns;
     sr_kops_per_s = float_of_int total_ops /. makespan_ns *. 1e6;
-    sr_lock_wait_ns = stats.Pmem.Stats.lock_wait_ns;
-    sr_bw_wait_ns = stats.Pmem.Stats.bw_wait_ns;
     sr_trace_hash = Sched.trace_hash s;
     sr_p50_ns = Obs.Hist.percentile merged 50.;
     sr_p999_ns = Obs.Hist.percentile merged 99.9;
-    sr_slo_ns = slo_ns;
     sr_slo_attainment = Obs.Hist.frac_below merged slo_ns;
     sr_alloc_steals =
       (match kfs with
       | Some kfs -> Kernelfs.Alloc.steals (Kernelfs.Ext4.allocator kfs)
       | None -> 0);
-    sr_dispatches = Sched.dispatches s;
-    sr_host_run_s = host_run_s;
     sr_timeline = tl;
     sr_forensics = fo;
   }

@@ -195,6 +195,59 @@ let test_double_replay_idempotent mode () =
         states)
     (R.profile w)
 
+(* A crash inside recovery. Recovery resets the op log once the replayed
+   state is durable; a crash during that reset must leave a log the next
+   recovery replays into the same legal state. Each case crashes the
+   crashcheck workload of seed 0x51ED at workload fence [fence] with
+   [survivors], then crashes its recovery at recovery fence [rfence] with
+   the log's first two lines (device lines 40960 and 40961: slots 0 and
+   1) reverted, recovers again and judges every file under the mode's
+   contract. A reset that zeroes all slots under one fence keeps the
+   stale slots 0-1 here while the zeroes behind them persist, and the
+   second recovery replays that stale prefix. *)
+let test_crash_inside_log_reset mode ~fence ~survivors ~rfence () =
+  let module T = Crashcheck.Trial in
+  let p =
+    T.of_workload
+      (Crashcheck.Workload.generate ~mode ~seed:0x51ED ~nops:24 ())
+  in
+  let spec = Harness.Fs_config.of_mode mode in
+  let scratch = ref Bytes.empty in
+  let m =
+    T.mount ~scratch ~build:(fun () -> Harness.Fs_config.make_small spec) p
+  in
+  let views, ostep = T.oracle ~scratch p in
+  let env = m.T.stack.Harness.Fs_config.env in
+  let dev = env.Pmem.Env.dev in
+  let sys = Option.get m.T.stack.Harness.Fs_config.sys in
+  let line l = { Pmem.Device.s_line = l; s_keep = 0; s_tear = 0 } in
+  let _, pre, post =
+    T.replay dev
+      ~point:{ Crashcheck.Explore.fence; pending = [||] }
+      ~survivors:(List.map line survivors) ~real:m.T.step ~oracle:ostep
+      ~snap:(fun () -> Array.map (Crashcheck.View.of_oracle views) p.T.paths)
+      p.T.ops
+  in
+  Pmem.Device.journal_begin dev;
+  Pmem.Device.arm_crash dev ~fence:rfence
+    ~survivors:(List.map line [ 40960; 40961 ]);
+  (match Splitfs.Recovery.recover ~sys ~env ~instance:0 with
+  | _ -> Alcotest.fail "recovery finished before its armed fence"
+  | exception Pmem.Device.Crashed -> ());
+  Pmem.Device.resume dev;
+  Pmem.Device.journal_stop dev;
+  ignore (Splitfs.Recovery.recover ~sys ~env ~instance:0);
+  let rfs = Kernelfs.Syscall.as_fsapi sys in
+  Array.iteri
+    (fun i path ->
+      Alcotest.(check (option string))
+        (path ^ ": legal after a crash inside recovery")
+        None
+        (Crashcheck.Check.check_file
+           (Crashcheck.Check.contract_of spec)
+           ~pre:pre.(i) ~post:post.(i) (T.read_back rfs path)))
+    p.T.paths
+
 let test_torn_tail_entry_skipped () =
   let env, _kfs, sys, _u, fs = Util.make_splitfs ~mode:Splitfs.Config.Strict () in
   let fd = fs.open_ "/torn" Fsapi.Flags.create_rw in
@@ -320,6 +373,12 @@ let suite =
       (test_double_replay_idempotent Splitfs.Config.Strict);
     tc "fams: double replay = single, incl. mid-publish states" `Quick
       (test_double_replay_idempotent Splitfs.Config.Fams);
+    tc "strict: crash inside the log reset recovers" `Quick
+      (test_crash_inside_log_reset Splitfs.Config.Strict ~fence:19
+         ~survivors:[] ~rfence:5);
+    tc "sync: crash inside the log reset recovers" `Quick
+      (test_crash_inside_log_reset Splitfs.Config.Sync ~fence:18
+         ~survivors:[ 40963 ] ~rfence:4);
     tc "torn tail entry skipped" `Quick test_torn_tail_entry_skipped;
     tc "strict: torn final data drops its entry" `Quick
       test_torn_final_data_dropped;

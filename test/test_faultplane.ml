@@ -420,6 +420,54 @@ let test_campaign_clean () =
   Util.check_bool "scrub migrations exercised" true (c.Faults.scrub_migrations > 0);
   Util.check_bool "media faults exercised" true (c.Faults.media > 0)
 
+(* The judge's semantics on a hand-built one-file program: a failed
+   write over [100, 500) of a 1000-byte file, then an acknowledged write
+   over [200, 300), inside it. The legal contents are the world with only
+   the acknowledged write and the world with both. *)
+let test_judge_semantics () =
+  let module T = Crashcheck.Trial in
+  let module W = Crashcheck.Workload in
+  let write at len seed = (0, T.Op (W.Write { file = 0; at; len; seed })) in
+  let p =
+    {
+      T.initial = [ { T.client = 0; path = "/f0"; len = 1000; seed = 1000 } ];
+      paths = [| "/f0" |];
+      ops = [ write 100 400 1; write 200 100 2 ];
+      claim = T.no_claim;
+    }
+  in
+  let legal = Faultcheck.worlds p [| Faultcheck.Failed; Faultcheck.Acked |] in
+  let judge got = Faultcheck.judge legal ~quarantined:(fun _ -> false) 0 got in
+  let initial = W.payload ~seed:1000 1000 in
+  let with_range b ~at src =
+    let b = Bytes.copy b in
+    Bytes.blit src 0 b at (Bytes.length src);
+    b
+  in
+  let failed = W.payload ~seed:1 400 and acked = W.payload ~seed:2 100 in
+  let head = with_range initial ~at:200 acked in
+  let both = with_range (with_range initial ~at:100 failed) ~at:200 acked in
+  let legal_ok what got =
+    Alcotest.(check (option string)) what None (judge got)
+  in
+  let flagged what got =
+    Util.check_bool what true (Option.is_some (judge got))
+  in
+  legal_ok "the failed write did not land" head;
+  legal_ok "the failed write landed" both;
+  (* a per-byte failed-range rule (payload or zero anywhere in a failed
+     write's range) would accept these two: the acknowledged bytes were
+     lost *)
+  flagged "zeros over the acknowledged range"
+    (with_range head ~at:200 (Bytes.make 100 '\000'));
+  flagged "the failed payload over the acknowledged range"
+    (with_range head ~at:200 (Bytes.sub failed 100 100));
+  legal_ok "a byte-prefix of the failed write nothing later covers"
+    (with_range head ~at:100 (Bytes.sub failed 0 50));
+  Alcotest.(check (option string))
+    "a size no world has" (Some "recovered size 1001 not in {1000}")
+    (judge (Bytes.cat head (Bytes.make 1 'x')))
+
 let test_oracle_catches_injected_bug () =
   (* regression for the oracle itself: a deliberately dishonest degraded
      write path (data dropped, success returned) must be flagged *)
@@ -459,6 +507,8 @@ let suite =
     tc "zero faults: armed plane bit-identical" `Quick
       test_zero_faults_bit_identical;
     tc "faultcheck campaign clean at pinned seed" `Quick test_campaign_clean;
+    tc "faultcheck judge: worlds, not failed ranges" `Quick
+      test_judge_semantics;
     tc "oracle catches injected degradation bug" `Quick
       test_oracle_catches_injected_bug;
   ]

@@ -568,6 +568,33 @@ let test_timeline_bit_identical () =
       | None -> Alcotest.fail "no forensics attached")
     [ Harness.Fs_config.Ext4_dax; Harness.Fs_config.Splitfs_posix ]
 
+(** The timeline report's four windows span the fleet, from its first
+    spawn to its end, so at 1,000 actors every window serves ops. The
+    first samples are taken during tenant set-up, before any actor
+    runs: windows bounded by them would show set-up, not serving. *)
+let test_timeline_windows_span_fleet () =
+  let r =
+    Harness.Experiments.timeline_report ~spec:Harness.Fs_config.Splitfs_posix
+      ~nactors:1000 ()
+  in
+  let rows =
+    String.split_on_char '\n' r.Harness.Runner.text
+    |> List.filter_map (fun line ->
+           match List.map String.trim (String.split_on_char '|' line) with
+           | [ ""; window; _; ops; _; _; "" ] when window <> "window" ->
+               Some (window, int_of_string ops)
+           | _ -> None)
+  in
+  Util.check_int "four windows" 4 (List.length rows);
+  List.iter
+    (fun (window, ops) ->
+      Util.check_bool (Printf.sprintf "window %s serves ops" window) true
+        (ops > 0))
+    rows;
+  Util.check_int "every fleet op lands in a window"
+    r.Harness.Runner.value.Harness.Multiclient.sr_total_ops
+    (List.fold_left (fun acc (_, ops) -> acc + ops) 0 rows)
+
 (** The obs-disabled fast path in the clock funnel must stay
     allocation-free apart from the boxed float store on the actor clock:
     no closures, tuples or options per advance. Native-only — bytecode
@@ -767,6 +794,8 @@ let suite =
     tc "timeline widen determinism" `Quick test_timeline_widen_determinism;
     tc "telemetry leaves simulated ns bit-identical" `Quick
       test_timeline_bit_identical;
+    tc "timeline windows span the fleet" `Quick
+      test_timeline_windows_span_fleet;
     tc "clock funnel alloc-free with obs off" `Quick test_advance_alloc_free;
     tc "forensics top-k" `Quick test_forensics_topk;
     tc "forensics span capture" `Quick test_forensics_span_capture;
