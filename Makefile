@@ -128,7 +128,8 @@ golden:
 # naming every failing seed. The pinned-seed golden run covers only what
 # seed 0x51ED reaches. Faultcheck joins the swarm once its
 # relink/ENOSPC violation class is fixed (ROADMAP item 1): 18 of its
-# first 32 seeds still report it. (~0.3 s per seed at one job)
+# first 32 seeds still report it. `make check` runs K=32. (~0.25 s per
+# seed at one job)
 K ?= 16
 
 swarm:
@@ -152,7 +153,7 @@ par-bench:
 # Full verification: build, unit + property + differential tests, the
 # four verification campaigns, the scaling/profile/latency tables and
 # the paper tables diffed against their golden reports, the crashcheck
-# swarm over seeds 1..16, the serving-tier smoke, par-bench and the
+# swarm over seeds 1..32, the serving-tier smoke, par-bench and the
 # bench-diff gate. Campaigns run with $(JOBS) worker domains. The
 # par-bench table is also kept in par-walltime.txt, with par-bench's
 # exit status.
@@ -160,7 +161,7 @@ check:
 	dune build
 	dune runtest
 	$(MAKE) golden
-	$(MAKE) swarm K=16
+	$(MAKE) swarm K=32
 	dune exec bin/splitfs_cli.exe -- scale --fast --jobs $(JOBS)
 	dune exec bin/splitfs_cli.exe -- par-bench > par-walltime.txt; \
 	  status=$$?; cat par-walltime.txt; exit $$status

@@ -225,6 +225,10 @@ let clear t =
       Device.fence ~site t.env.Env.dev);
   Atomic.set t.tail 0
 
+(* Longest pread or pwrite recovery's scan and reset issue; a buffer is
+   sized to the bytes it covers up to this. *)
+let max_io = 65536
+
 (** Recovery's reset: {!clear_slots} over the log file at [path] through
     the kernel, since U-Split's mapping died with the process. Each step
     is ext4 pwrites of zeros, and each ext4 pwrite ends in its own fence
@@ -235,8 +239,13 @@ let reset sys path ~used =
     ~finally:(fun () -> Kernelfs.Syscall.close sys fd)
     (fun () ->
       let size = (Kernelfs.Syscall.fstat sys fd).Fsapi.Fs.st_size in
-      let zeros = Bytes.make 65536 '\000' in
-      clear_slots ~used:(min used (size / entry_size))
+      let used = min used (size / entry_size) in
+      (* one zero buffer as long as the longest pwrite below, if any *)
+      let zeros =
+        if used = 0 then Bytes.empty
+        else Bytes.make (min max_io (used * entry_size)) '\000'
+      in
+      clear_slots ~used
         (fun ~off ~len ~site:_ ->
           let pos = ref off in
           while !pos < off + len do
@@ -281,7 +290,7 @@ let scan ?(verify = true) sys path =
     ~finally:(fun () -> Kernelfs.Syscall.close sys fd)
     (fun () ->
       let size = (Kernelfs.Syscall.fstat sys fd).Fsapi.Fs.st_size in
-      let chunk = 64 * 1024 in
+      let chunk = min max_io size in
       let buf = Bytes.create chunk in
       let valid = ref [] and torn = ref 0 and scanned = ref 0 in
       let stop = ref false and trusted = ref true in

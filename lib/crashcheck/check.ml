@@ -44,27 +44,29 @@ let check_size recovered allowed =
 (** Every recovered byte (up to [upto]) covered by at least one view
     must be explained by a covering view. *)
 let check_bytes ?(upto = max_int) recovered views =
+  let views = Array.of_list views in
   let limit = min (Bytes.length recovered) upto in
-  let bad = ref None in
-  (try
-     for i = 0 to limit - 1 do
-       let b = Bytes.get recovered i in
-       let covered = List.exists (fun v -> i < Bytes.length v) views in
-       let ok =
-         List.exists
-           (fun v -> i < Bytes.length v && Bytes.get v i = b)
-           views
-       in
-       if covered && not ok then begin
-         bad :=
-           Some
-             (Fmt.str "byte %d (%#02x) matches no legal view" i
-                (Char.code b));
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !bad
+  (* byte [i] is bad when some view covers it and none that does holds it *)
+  let bad i =
+    let b = Bytes.get recovered i in
+    let covered = ref false and ok = ref false and k = ref 0 in
+    while (not !ok) && !k < Array.length views do
+      let v = views.(!k) in
+      if i < Bytes.length v then begin
+        covered := true;
+        if Bytes.get v i = b then ok := true
+      end;
+      incr k
+    done;
+    !covered && not !ok
+  in
+  let i = ref 0 in
+  while !i < limit && not (bad !i) do incr i done;
+  if !i < limit then
+    Some
+      (Fmt.str "byte %d (%#02x) matches no legal view" !i
+         (Char.code (Bytes.get recovered !i)))
+  else None
 
 (** [check mode ~pre ~post recovered] — [pre]/[post] are the oracle
     views immediately before and after the operation in flight at the

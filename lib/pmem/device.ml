@@ -41,8 +41,8 @@ let word_mask = 0xFFFFFFFF
     chunks, and an absent chunk reads as zero. A shadow image leaves them
     uninitialised: a shadow line is read only while its dirty bit is set,
     and setting it always writes the line first. Every access to either
-    image goes through [read], [write], [zero], [copy], [sub], [line]
-    and [write_line]. *)
+    image goes through [read], [write], [zero], [copy], [absent], [sub],
+    [line] and [write_line]. *)
 module Image = struct
   let chunk_bits = 16
   let chunk_size = 1 lsl chunk_bits
@@ -126,6 +126,13 @@ module Image = struct
       len := !len - n
     done
 
+  (** Every chunk holding a byte of [addr, addr+len) is absent from a
+      durable image: the range reads as zero and was never written. *)
+  let absent img ~addr ~len =
+    let c = ref (addr lsr chunk_bits) and last = (addr + len - 1) lsr chunk_bits in
+    while !c <= last && Bytes.length img.chunks.(!c) = 0 do incr c done;
+    img.zeroed && !c > last
+
   (** A fresh copy of [len] image bytes at [addr]. *)
   let sub img ~addr ~len =
     let b = Bytes.create len in
@@ -203,13 +210,25 @@ end)
     drops every line it leaves without pending versions. Such a line's
     base equals its durable content, because every durable write while
     journalling pushes or promotes a version, so a later touch
-    recaptures the same base. *)
+    recaptures the same base.
+
+    [jruns] holds the zero runs: NT zero stores over clean lines of
+    never-written chunks that no jline or earlier run covers (jbd2's
+    content-free blocks, fresh data blocks), one [(first, last)] line
+    range per store. A run line stands for the jline the per-line path
+    builds, base {!Image.zero_line} and one reached NT version
+    {!Image.zero_line}, without building it: every survivor choice on it
+    leaves the zeros it already holds, so a crash ignores runs and a
+    committing fence drops them. The first touch of a run line before
+    the next fence ([j_touch]) takes it out of its run and builds that
+    jline, so later versions number as they would have. *)
 type journal = {
   jlines : jline Lines.t;
   mutable jlive : jline array;
       (** the lines of [jlines] in [0, jcount), walked by a fence and a
           crash instead of the table's buckets; [no_jline] beyond *)
   mutable jcount : int;
+  mutable jruns : (int * int) list;  (** zero runs, newest first *)
   mutable j_fences : int;  (** fences observed since [journal_begin] *)
   j_fence_pending : (int, pending_line array) Hashtbl.t;
       (** per fence index, the pending summary captured just before that
@@ -489,16 +508,43 @@ let span_end t ~d ~line ~last =
 (* hooks are passive: they never touch simulated time.                   *)
 (* ------------------------------------------------------------------ *)
 
+let rec overlaps_runs first last = function
+  | [] -> false
+  | (f, l) :: rest -> (f <= last && first <= l) || overlaps_runs first last rest
+
+(** Take [line] out of the zero run holding it, splitting the run. *)
+let take_from_run j line =
+  j.jruns <-
+    List.concat_map
+      (fun ((first, last) as run) ->
+        if line < first || line > last then [ run ]
+        else
+          (if first < line then [ (first, line - 1) ] else [])
+          @ if line < last then [ (line + 1, last) ] else [])
+      j.jruns
+
+(** The line's jline, created on first touch since the last fence. A run
+    line leaves its run here with the jline the run stood for. *)
 let j_touch j t line =
   match Lines.find_opt j.jlines line with
   | Some jl -> jl
   | None ->
       let jl =
-        {
-          jl_line = line;
-          jbase = Image.line t.persistent ~addr:(line * line_size);
-          jversions = [];
-        }
+        if overlaps_runs line line j.jruns then begin
+          take_from_run j line;
+          {
+            jl_line = line;
+            jbase = Image.zero_line;
+            jversions =
+              [ { vdata = Image.zero_line; nt = true; reached = true } ];
+          }
+        end
+        else
+          {
+            jl_line = line;
+            jbase = Image.line t.persistent ~addr:(line * line_size);
+            jversions = [];
+          }
       in
       Lines.add j.jlines line jl;
       if j.jcount = Array.length j.jlive then begin
@@ -584,6 +630,31 @@ let j_store_nt_post t ~addr ~len =
           jl.jversions <- { vdata; nt = true; reached = true } :: jl.jversions
       done
 
+(** Before a zero NT store: take it as one zero run if every line it
+    covers is clean, in a never-written chunk, absent from the table and
+    outside every run; otherwise the per-line hooks record it. With
+    dedup on a covered store records nothing: dedup leaves its lines no
+    version. Must run before [persistent] is modified. *)
+let j_zero_run t ~addr ~len =
+  match t.journal with
+  | None -> false
+  | Some j ->
+      let first = addr / line_size and last = (addr + len - 1) / line_size in
+      Image.absent t.persistent ~addr ~len
+      && (not (overlaps_runs first last j.jruns))
+      && (t.dirty_count = 0
+         || ((not (line_dirty t first))
+            && span_end t ~d:false ~line:first ~last = last))
+      && begin
+           let l = ref first in
+           while !l <= last && not (Lines.mem j.jlines !l) do incr l done;
+           !l > last
+         end
+      && begin
+           if not j.j_dedup then j.jruns <- (first, last) :: j.jruns;
+           true
+         end
+
 (** Before a flush writes dirty lines back: mark their newest cached
     versions reached. Must run before [persistent] is modified. *)
 let j_flush t ~addr ~len =
@@ -614,6 +685,12 @@ let pending_summary j =
       acc := { p_line = jl.jl_line; p_versions = n; p_nt_mask = !mask } :: !acc
     end
   done;
+  List.iter
+    (fun (first, last) ->
+      for l = first to last do
+        acc := { p_line = l; p_versions = 1; p_nt_mask = 1 } :: !acc
+      done)
+    j.jruns;
   let arr = Array.of_list !acc in
   Array.sort (fun a b -> compare a.p_line b.p_line) arr;
   arr
@@ -621,8 +698,10 @@ let pending_summary j =
 (** Fence commit: for each line, the newest reached version becomes the
     new base; versions older than it can no longer survive a crash and
     are dropped; cached-only newer versions stay pending. A line left
-    with no pending version leaves the journal. *)
+    with no pending version leaves the journal, as every run line
+    does. *)
 let commit_journal j =
+  j.jruns <- [];
   let rec commit jl newer = function
     | [] -> ()
     | v :: older ->
@@ -645,8 +724,9 @@ let commit_journal j =
   Array.fill j.jlive !kept (j.jcount - !kept) no_jline;
   j.jcount <- !kept
 
-(** Drop every journalled line, as a crash does. *)
+(** Drop every journalled line and run, as a crash does. *)
 let reset_journal j =
+  j.jruns <- [];
   Lines.reset j.jlines;
   Array.fill j.jlive 0 j.jcount no_jline;
   j.jcount <- 0
@@ -698,7 +778,10 @@ let apply_survivor t j s =
     named in [survivors] default to their newest pending content (every
     store to them persisted); a [survivor] entry reverts its line to an
     earlier version — optionally with an 8-byte-granularity tear against
-    the version below it. The pending journal state is consumed. *)
+    the version below it. Zero runs are skipped: every choice on a run
+    line writes zeros over the zeros it holds, so a survivor naming one
+    finds nothing to do, as for a committed line. The pending journal
+    state is consumed. *)
 let crash_partial t ~survivors =
   match t.journal with
   | None -> invalid_arg "Device.crash_partial: journaling is off"
@@ -747,7 +830,8 @@ let nt_store t ~zero ~addr src ~off ~len =
     let obs = Simclock.obs t.clock in
     let a = Simclock.current t.clock in
     let t0 = a.Simclock.a_now in
-    j_store_nt_pre t ~addr ~len;
+    let as_run = zero && j_zero_run t ~addr ~len in
+    if not as_run then j_store_nt_pre t ~addr ~len;
     if t.dirty_count = 0 then
       t.stats.Stats.fast_path_hits <- t.stats.Stats.fast_path_hits + 1
     else begin
@@ -769,7 +853,7 @@ let nt_store t ~zero ~addr src ~off ~len =
         Hashtbl.remove t.poison line
       done
     end;
-    j_store_nt_post t ~addr ~len;
+    if not as_run then j_store_nt_post t ~addr ~len;
     charge_media t (Timing.nt_write_cost t.timing len);
     t.stats.Stats.nt_stores <- t.stats.Stats.nt_stores + 1;
     t.stats.Stats.pm_write_bytes <- t.stats.Stats.pm_write_bytes + len;
@@ -965,7 +1049,9 @@ let zero_piece = 65536
     journal versions and poison healing of [store_nt] of a zero buffer,
     without copying one. A never-written chunk of the durable image stays
     absent, so zeroing journal blocks and fresh data blocks allocates
-    nothing. *)
+    nothing; while journalling, a piece over such chunks that finds its
+    lines clean and untouched since the last fence costs the journal one
+    zero run ([j_zero_run]) instead of a jline per line. *)
 let zero_nt t ~addr ~len =
   let pos = ref addr and remaining = ref len in
   while !remaining > 0 do
@@ -1107,6 +1193,7 @@ let journal_begin ?(dedup = false) t =
         jlines = Lines.create 256;
         jlive = Array.make 256 no_jline;
         jcount = 0;
+        jruns = [];
         j_fences = 0;
         j_fence_pending = Hashtbl.create 64;
         j_trip_fence = -1;

@@ -84,7 +84,11 @@ val load_bytes : t -> addr:int -> len:int -> Bytes.t
 (** Write zeros with non-temporal stores: charged, counted and journalled
     as [store_nt] of a zero buffer (ranges over 64 KiB as one store per
     64 KiB piece). Never-written parts of the durable image stay
-    unallocated. *)
+    unallocated. A piece whose lines are all clean, in never-written
+    parts and untouched since the last fence costs the persist-order
+    journal one line range (a zero run) rather than one entry per line;
+    pending summaries and crash images are those of the per-line
+    record. *)
 val zero_nt : t -> addr:int -> len:int -> unit
 
 (** Crash: all cache lines not yet flushed (and not written with NT
@@ -165,7 +169,12 @@ val reset_faults : t -> unit
     change: a fence drops every line it leaves with no pending version,
     so its cost follows the lines stored since the previous fence plus
     the lines still pending, not every line touched since
-    [journal_begin]. *)
+    [journal_begin]. A {!zero_nt} piece over never-written, clean and
+    untouched lines (jbd2's content-free blocks) is kept as one zero
+    run: each of its lines reads as one pending NT version of zeros over
+    a zero base, every survivor choice on it leaves zeros, and the first
+    later store, NT store or zero store to one of them before the next
+    fence turns that line into an ordinary entry. *)
 
 (** Survivor choice for one line in a partial crash: keep the first
     [s_keep] pending versions, counted oldest-first (0 = revert to the

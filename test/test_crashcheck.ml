@@ -256,6 +256,61 @@ let test_greedy_shrinker () =
   Alcotest.(check (pair (list int) int))
     "budget bounds the re-runs" ([ 2; 5; 6 ], 4) (run 4)
 
+(* ------------------------------------------------------------------ *)
+(* The payload formula and the per-byte judge                            *)
+(* ------------------------------------------------------------------ *)
+
+(* [Workload.payload_into] carries i*i mod 251 incrementally; every byte
+   must still be the closed formula's, for negative seeds, across the
+   251-byte period and at length 0, and bytes past [len] stay as they
+   were. *)
+let test_payload_formula () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun len ->
+          let got = Workload.payload ~seed len in
+          Util.check_int "length" len (Bytes.length got);
+          for i = 0 to len - 1 do
+            let want = (seed * 131 + (i * 7) + (i * i mod 251)) land 0xFF in
+            if Char.code (Bytes.get got i) <> want then
+              Alcotest.failf "seed %d len %d: byte %d is %d, formula %d" seed
+                len i
+                (Char.code (Bytes.get got i))
+                want
+          done)
+        [ 0; 1; 250; 251; 252; 502; 503; 4096; 70_000 ])
+    [ -50; -7; -1; 0; 1; 7; 250; 251; 3000 ];
+  let buf = Bytes.make 8 'x' in
+  Workload.payload_into ~seed:5 buf ~len:3;
+  Util.check_str "bytes past len untouched" "xxxxx"
+    (Bytes.sub_string buf 3 5);
+  Workload.payload_into ~seed:5 buf ~len:0;
+  Util.check_str "length 0 writes nothing" "xxxxx" (Bytes.sub_string buf 3 5)
+
+(* Views of different lengths: a byte no view covers is free, a byte
+   some view covers must match one of the views that cover it, and the
+   first byte that does not is the one reported. *)
+let test_check_bytes_views () =
+  let b = Bytes.of_string in
+  let views = [ b "abcd"; b "abXdefgh"; b "" ] in
+  let judge ?upto s = Check.check_bytes ?upto (b s) views in
+  let msg = Alcotest.(check (option string)) in
+  msg "covered bytes match, uncovered bytes free" None (judge "abcdefghZZ");
+  msg "a byte only the shorter view explains" None (judge "abcd");
+  msg "a byte only the longer view explains" None (judge "abXd");
+  msg "covered by the longer view only"
+    (Some "byte 6 (0x51) matches no legal view")
+    (judge "abcdefQhZZ");
+  msg "first failing byte wins"
+    (Some "byte 1 (0x7a) matches no legal view")
+    (judge "azcdefQh");
+  msg "zero byte" (Some "byte 4 (00) matches no legal view")
+    (judge "abcd\000fgh");
+  msg "nothing judged from upto on" None (judge ~upto:6 "abcdefQh");
+  msg "no views, nothing covered" None
+    (Check.check_bytes (b "anything") [])
+
 let suite =
   [
     tc "exhaustive enumeration visits all 14 states once" `Quick
@@ -275,4 +330,7 @@ let suite =
     tc "injected bug: unverified op-log checksums are caught" `Quick
       test_injected_bug_caught;
     tc "greedy shrinker: visit order and budget" `Quick test_greedy_shrinker;
+    tc "payload bytes follow the closed formula" `Quick test_payload_formula;
+    tc "check_bytes over views of different lengths" `Quick
+      test_check_bytes_views;
   ]

@@ -612,8 +612,16 @@ module Naive_journal = struct
   let store_nt t ~addr src ~off ~len =
     nt t ~addr ~len (fun () -> Naive.store_nt t.n ~addr src ~off ~len)
 
+  (* the device stores a zero range over 64 KiB as one NT store per
+     64 KiB piece, so a line two pieces share gets two versions *)
   let zero_nt t ~addr ~len =
-    nt t ~addr ~len (fun () -> Naive.zero_nt t.n ~addr ~len)
+    let pos = ref addr and remaining = ref len in
+    while !remaining > 0 do
+      let addr = !pos and len = min !remaining 65536 in
+      nt t ~addr ~len (fun () -> Naive.zero_nt t.n ~addr ~len);
+      pos := addr + len;
+      remaining := !remaining - len
+    done
 
   let flush t ~addr ~len =
     if t.on && len > 0 then List.iter (reach t) (lines_of ~addr ~len);
@@ -785,12 +793,11 @@ let check_pending what (naive : Device.pending_line array) device =
    the journal off, then the journalled trace. Unarmed, every fence's
    pending summary is compared as it is recorded. Returns the index of
    the op at which an armed crash tripped, or [None]. *)
-let journal_run ~dedup ?arm (prefix, trace) =
-  let env = Pmem.Env.create ~capacity:jcapacity () in
+let journal_run ?(capacity = jcapacity) ~dedup ?arm (prefix, trace) =
+  let env = Pmem.Env.create ~capacity () in
   let dev = env.Env.dev in
   let nj =
-    Naive_journal.create
-      (Naive.create ~capacity:jcapacity ~timing:env.Env.timing ())
+    Naive_journal.create (Naive.create ~capacity ~timing:env.Env.timing ())
   in
   List.iter
     (fun op ->
@@ -828,10 +835,10 @@ let journal_run ~dedup ?arm (prefix, trace) =
   (dev, nj, tripped)
 
 let check_journal_images what dev nj =
+  let n = nj.Naive_journal.n.Naive.persistent in
   if
     not
-      (Bytes.equal nj.Naive_journal.n.Naive.persistent
-         (Device.peek_persistent dev ~addr:0 ~len:jcapacity))
+      (Bytes.equal n (Device.peek_persistent dev ~addr:0 ~len:(Bytes.length n)))
   then Alcotest.failf "%s: durable images differ" what
 
 (* A survivor vector over [pending]: most pending lines, keeps from -1 to
@@ -864,10 +871,15 @@ let draw_survivors rng (pending : Device.pending_line array) =
   in
   named @ stray
 
-let test_journal_vs_naive ~dedup () =
+(* Lockstep runs of the traces [gen] makes at [seeds] on a device of
+   [capacity], with survivor vectors from [draw]: every fence's summary
+   and the end-of-trace one, 24 crashes at the end of the trace, and an
+   armed crash at every fence and past the last. *)
+let journal_vs_naive ?capacity ~dedup ~gen ~draw seeds =
+  let journal_run = journal_run ?capacity in
   List.iter
     (fun seed ->
-      let trace = gen_trace ~seed in
+      let trace = gen ~seed in
       let tag msg = Printf.sprintf "seed %d: %s" seed msg in
       (* profile: every fence's summary, the end-of-trace summary *)
       let dev, nj, _ = journal_run ~dedup trace in
@@ -879,7 +891,7 @@ let test_journal_vs_naive ~dedup () =
       let rng = Workloads.Rng.create (seed lxor 0x5EED) in
       (* crash_partial at the end of the trace *)
       for v = 1 to 24 do
-        let survivors = draw_survivors rng at_end in
+        let survivors = draw rng at_end in
         let dev, nj, _ = journal_run ~dedup trace in
         Device.crash_partial dev ~survivors;
         Naive_journal.crash_partial nj ~survivors;
@@ -887,7 +899,7 @@ let test_journal_vs_naive ~dedup () =
       done;
       (* an armed crash at every fence, and past the last one *)
       for fence = 0 to nf do
-        let survivors = draw_survivors rng (pending fence) in
+        let survivors = draw rng (pending fence) in
         let dev, nj, tripped =
           journal_run ~dedup ~arm:(fence, survivors) trace
         in
@@ -901,7 +913,119 @@ let test_journal_vs_naive ~dedup () =
           (tag (Printf.sprintf "armed at fence %d" fence))
           dev nj
       done)
+    seeds
+
+let test_journal_vs_naive ~dedup () =
+  journal_vs_naive ~dedup ~gen:gen_trace ~draw:draw_survivors
     [ 1; 0x5107; 0xC0FFEE ]
+
+(* jbd2-shaped traces on a 16-chunk device. Each commit zeroes one to
+   four consecutive 4 KiB blocks at a journal head in never-written
+   chunks 4-11, the way a jbd2 commit stores its content-free blocks.
+   Before its fence a commit may touch the lines it just zeroed, in
+   random order: a temporal store, an NT store, a flush over the blocks
+   (writing back the stored lines) and a second zero store that starts
+   inside them and may run past their end; it may also zero over dirty
+   lines of the hot window. A third of the commits fence right after
+   their zero blocks. A touch that reaches the durable image writes its
+   chunk, so blocks zeroed there later take the per-line path; most
+   commits move the head on to a fresh chunk. One commit also zeroes
+   100,000 bytes across chunks 13-15 (two pieces, each straddling a
+   chunk boundary), and the trace ends with zero blocks that no fence
+   commits. The unjournalled prefix also leaves a line of the first
+   commit's first block dirty, with zeros or 'a's cached over a
+   never-written chunk. *)
+let zcapacity = 16 * chunk
+let journal_area = 4 * chunk
+
+let gen_jbd2_trace ~seed =
+  let rng = Workloads.Rng.create seed in
+  let pick n = Workloads.Rng.int rng n in
+  let head = ref (journal_area + (pick 12 * 4096)) in
+  let prefix =
+    let len = 1 + pick 90 in
+    fst (gen_trace ~seed)
+    @ [ J_store { addr = !head + pick (4096 - len); off = 4096 * pick 2; len } ]
+  in
+  let zero_blocks () =
+    let start = !head and blocks = 1 + pick 4 in
+    head := start + (blocks * 4096);
+    ( start,
+      blocks * 4096,
+      List.init blocks (fun b -> J_zero { addr = start + (b * 4096); len = 4096 })
+    )
+  in
+  let payload_off len = if pick 2 = 0 then 4096 else 8192 + pick (8192 - len) in
+  let commit k =
+    if k > 0 && pick 3 > 0 then
+      head := ((!head / chunk) + 1) * chunk + (pick 12 * 4096);
+    let start, span, zeros = zero_blocks () in
+    let inside len = start + pick (span - len) in
+    let touches =
+      if pick 3 = 0 then []
+      else
+        let store =
+          let len = 1 + pick 200 in
+          [ J_store { addr = inside len; off = payload_off len; len } ]
+        in
+        let store_nt =
+          let len = 1 + pick 300 in
+          [ J_store_nt { addr = inside len; off = payload_off len; len } ]
+        in
+        let flush = [ J_flush { addr = start; len = span } ] in
+        let rezero = [ J_zero { addr = inside 1; len = 1 + pick 6000 } ] in
+        let hot =
+          let addr = hot_start + pick 1024 and len = 1 + pick 300 in
+          [ J_store { addr; off = 8192; len }; J_zero { addr; len } ]
+        in
+        List.filter (fun _ -> pick 4 > 0) [ store; store_nt; flush; rezero; hot ]
+        |> List.map (fun ops -> (pick 1000, ops))
+        |> List.sort compare |> List.concat_map snd
+    in
+    let long =
+      if k = 1 then [ J_zero { addr = (14 * chunk) - 3000; len = 100_000 } ]
+      else []
+    in
+    zeros @ long @ touches @ [ J_fence ]
+  in
+  let commits = List.concat (List.init (4 + pick 3) commit) in
+  let _, _, tail = zero_blocks () in
+  (prefix, commits @ tail)
+
+(* Survivors for jbd2-shaped traces: every pending line of the journal
+   area, keeping 0, 1 or 2 versions (a one-version run line clamps 2 to
+   1), with a tear on about half; [draw_survivors] over the hot window;
+   and a few journal-area lines that are not pending, such as the blocks
+   of earlier commits. *)
+let draw_run_survivors rng (pending : Device.pending_line array) =
+  let pick n = Workloads.Rng.int rng n in
+  let first_area_line = journal_area / line_size in
+  let area, hot =
+    List.partition
+      (fun (p : Device.pending_line) -> p.p_line >= first_area_line)
+      (Array.to_list pending)
+  in
+  let tear () = if pick 2 = 0 then 1 + pick 255 else 0 in
+  let named =
+    List.mapi
+      (fun i (p : Device.pending_line) ->
+        { Device.s_line = p.p_line; s_keep = i mod 3; s_tear = tear () })
+      area
+  in
+  let stray =
+    List.init (pick 4) (fun _ ->
+        {
+          Device.s_line = first_area_line + pick 1024;
+          s_keep = pick 3;
+          s_tear = tear ();
+        })
+  in
+  named @ draw_survivors rng (Array.of_list hot) @ stray
+
+let test_zero_runs_vs_naive ~dedup () =
+  journal_vs_naive ~capacity:zcapacity ~dedup ~gen:gen_jbd2_trace
+    ~draw:draw_run_survivors
+    [ 2; 0x1BD2; 0xB10C; 0x2E0 ]
 
 let suite =
   [
@@ -922,4 +1046,8 @@ let suite =
       (test_journal_vs_naive ~dedup:false);
     tc "persist-order journal vs naive model (dedup on)" `Quick
       (test_journal_vs_naive ~dedup:true);
+    tc "zero runs vs naive model, jbd2-shaped (dedup off)" `Quick
+      (test_zero_runs_vs_naive ~dedup:false);
+    tc "zero runs vs naive model, jbd2-shaped (dedup on)" `Quick
+      (test_zero_runs_vs_naive ~dedup:true);
   ]
