@@ -153,15 +153,18 @@ par-bench:
 # Full verification: build, unit + property + differential tests, the
 # four verification campaigns, the scaling/profile/latency tables and
 # the paper tables diffed against their golden reports, the crashcheck
-# swarm over seeds 1..32, the serving-tier smoke, par-bench and the
-# bench-diff gate. Campaigns run with $(JOBS) worker domains. The
-# par-bench table is also kept in par-walltime.txt, with par-bench's
-# exit status.
+# swarm over seeds 1..32, crashcheck with an 8,192-state budget (at the
+# pinned seed sync and strict fit it, so every one of their 7,472 and
+# 7,988 crash states is replayed and checked; posix and fams sample
+# 8,192), the serving-tier smoke, par-bench and the bench-diff gate.
+# Campaigns run with $(JOBS) worker domains. The par-bench table is also
+# kept in par-walltime.txt, with par-bench's exit status.
 check:
 	dune build
 	dune runtest
 	$(MAKE) golden
 	$(MAKE) swarm K=32
+	dune exec bin/splitfs_cli.exe -- crashcheck --samples 8192 --jobs $(JOBS)
 	dune exec bin/splitfs_cli.exe -- scale --fast --jobs $(JOBS)
 	dune exec bin/splitfs_cli.exe -- par-bench > par-walltime.txt; \
 	  status=$$?; cat par-walltime.txt; exit $$status

@@ -1,9 +1,11 @@
 (** Small Bloom filter used by SSTables to skip files that cannot contain a
-    key (LevelDB uses the same trick with ~10 bits per key). *)
+    key, at 10 bits per key as LevelDB's default. *)
 
 type t = { bits : Bytes.t; nbits : int; hashes : int }
 
-let create ~expected ?(bits_per_key = 10) () =
+let bits_per_key = 10
+
+let create ~expected =
   let nbits = max 64 (expected * bits_per_key) in
   let nbytes = (nbits + 7) / 8 in
   { bits = Bytes.make nbytes '\000'; nbits; hashes = 7 }

@@ -37,7 +37,7 @@ let write (fs : Fsapi.Fs.t) path records =
   assert (records <> []);
   let data = Buffer.create 65536 in
   let index = ref [] in
-  let bloom = Bloom.create ~expected:(List.length records) () in
+  let bloom = Bloom.create ~expected:(List.length records) in
   List.iteri
     (fun i r ->
       if i mod index_interval = 0 then index := (r.key, Buffer.length data) :: !index;

@@ -9,11 +9,11 @@
     versions at that point. *)
 type point = { fence : int; pending : Pmem.Device.pending_line array }
 
-(** [points ?dedup dev run] runs [run] with [dev]'s persist-order
-    journal on and returns every crash point it recorded: one per fence
-    plus one for the end of the trace. *)
-let points ?dedup dev run =
-  Pmem.Device.journal_begin ?dedup dev;
+(** [points dev run] runs [run] with [dev]'s persist-order journal on
+    and returns every crash point it recorded: one per fence plus one
+    for the end of the trace. *)
+let points dev run =
+  Pmem.Device.journal_begin dev;
   run ();
   let nf = Pmem.Device.fence_count dev in
   let points =

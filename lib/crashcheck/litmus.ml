@@ -15,10 +15,11 @@
     on, the failure-atomic msync publish, and the snapshot
     copy-on-write idiom.
 
-    Enumerability depends on [Pmem.Device.journal_begin ~dedup:true]:
-    jbd2 journal blocks and fresh-block zeroing write all-zero content
-    over all-zero lines, and deduplicating those stores is what keeps a
-    pattern's crash space in the thousands instead of 2^60.
+    Enumerability rests on the persist-order journal's one rule: a store
+    that leaves a line's content unchanged adds no version. jbd2 journal
+    blocks and fresh-block zeroing write all-zero content over all-zero
+    lines, and dropping those stores is what keeps a pattern's crash
+    space in the thousands instead of 2^60.
 
     Each stack is checked against the strongest contract it claims
     (paper Table 3): SplitFS strict is atomic, SplitFS sync and the
@@ -355,11 +356,10 @@ let combos =
 
 (** Every crash point of the combo, and the fence sites that fire inside
     its crash window (the evidence the minimizer works from): one run to
-    completion with the persist-order journal on, store dedup enabled
-    ({!Trial.profile}). *)
+    completion with the persist-order journal on ({!Trial.profile}). *)
 let profile c =
   let points, before, after =
-    Trial.profile ~dedup:true ~build:c.c_build c.c_pattern.p_program
+    Trial.profile ~build:c.c_build c.c_pattern.p_program
   in
   let fired =
     List.filter_map
@@ -378,7 +378,7 @@ let site_coverage ?jobs () =
     Par.map ?jobs
       (fun _ c ->
         let _, _, after =
-          Trial.profile ~dedup:true ~build:c.c_build c.c_pattern.p_program
+          Trial.profile ~build:c.c_build c.c_pattern.p_program
         in
         after)
       combos
@@ -390,10 +390,9 @@ let site_coverage ?jobs () =
         List.fold_left (fun acc hits -> acc + List.nth hits k) 0 per_combo ))
     (Pmem.Device.fence_sites ())
 
-(** One crash state of the combo ({!Trial.run}, store dedup on). *)
+(** One crash state of the combo ({!Trial.run}). *)
 let trial c =
-  Trial.run ~dedup:true ~build:c.c_build ~contract:c.c_contract
-    c.c_pattern.p_program
+  Trial.run ~build:c.c_build ~contract:c.c_contract c.c_pattern.p_program
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive driver                                                    *)

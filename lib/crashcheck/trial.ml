@@ -246,11 +246,11 @@ let mount ~scratch ~build p =
   { stack; clients; slots; step }
 
 (** Run the program once to completion with the persist-order journal
-    on ([dedup] as in {!Explore.points}). Returns every crash point and
-    each registered fence site's hit count before and after the crash
-    window; hit counters are per-device, so the stack's mount and setup
-    traffic is the baseline. *)
-let profile ?dedup ~build p =
+    on. Returns every crash point and each registered fence site's hit
+    count before and after the crash window; hit counters are
+    per-device, so the stack's mount and setup traffic is the
+    baseline. *)
+let profile ~build p =
   let m = mount ~scratch:(ref Bytes.empty) ~build p in
   let dev = m.stack.env.Pmem.Env.dev in
   let hits () =
@@ -259,24 +259,23 @@ let profile ?dedup ~build p =
       (Pmem.Device.fence_sites ())
   in
   let before = hits () in
-  let points = Explore.points ?dedup dev (fun () -> List.iter m.step p.ops) in
+  let points = Explore.points dev (fun () -> List.iter m.step p.ops) in
   (points, before, hits ())
 
 (* ------------------------------------------------------------------ *)
 (* The lockstep crash trial                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** [replay ?dedup dev ~point ~survivors ~real ~oracle ~snap ops] arms
-    the crash at [point] with [survivors], steps [real] and [oracle]
+(** [replay dev ~point ~survivors ~real ~oracle ~snap ops] arms the
+    crash at [point] with [survivors], steps [real] and [oracle]
     through [ops] in lockstep, and captures the oracle views [snap]
     around the operation in flight when the crash fires. If the armed
     fence lies past the trace, the crash lands at its end and the pre
     and post views coincide. The device is crashed and resumed on
     return, ready for recovery. Returns the index of the op in flight
     ([None] at the end of the trace) and the pre and post views. *)
-let replay ?dedup dev ~(point : Explore.point) ~survivors ~real ~oracle ~snap
-    ops =
-  Pmem.Device.journal_begin ?dedup dev;
+let replay dev ~(point : Explore.point) ~survivors ~real ~oracle ~snap ops =
+  Pmem.Device.journal_begin dev;
   Pmem.Device.arm_crash dev ~fence:point.Explore.fence ~survivors;
   let rec go k = function
     | [] ->
@@ -333,14 +332,13 @@ type trial = {
     under [contract] per path plus the program's claim. Injected faults
     are cleared before recovery: they model a full device at run time,
     not a broken one at recovery time. *)
-let run ?dedup ~build ~contract p ~point ~survivors =
+let run ~build ~contract p ~point ~survivors =
   let scratch = ref Bytes.empty in
   let m = mount ~scratch ~build p in
   let env = m.stack.env in
   let views, ostep = oracle ~scratch p in
   let crashed_at, pre, post =
-    replay ?dedup env.Pmem.Env.dev ~point ~survivors ~real:m.step
-      ~oracle:ostep
+    replay env.Pmem.Env.dev ~point ~survivors ~real:m.step ~oracle:ostep
       ~snap:(fun () -> Array.map (View.of_oracle views) p.paths)
       p.ops
   in

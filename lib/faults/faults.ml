@@ -96,7 +96,6 @@ let create () =
     c = zero_counts ();
   }
 
-let enabled t = t.on
 let arm t = t.on <- true
 
 let inject t r =

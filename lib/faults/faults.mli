@@ -79,8 +79,6 @@ type t
 
 val create : unit -> t
 
-val enabled : t -> bool
-
 (** Turn the plane on without injecting anything: call counters start
     counting (used by faultcheck's profiling pass). With an empty fault
     set this must not change any simulated result. *)

@@ -7,9 +7,9 @@
     transaction before returning, giving the metadata-atomicity contract of
     ext4 DAX.
 
-    The [swap_extents] ioctl implements the kernel half of the paper's
-    relink primitive: it exchanges logical->physical mappings between two
-    files inside one journal transaction, without touching data. *)
+    The [relink] ioctl implements the kernel half of the paper's relink
+    primitive: it moves logical->physical mappings from one file to
+    another inside one journal transaction, without touching data. *)
 
 open Pmem
 
@@ -49,8 +49,8 @@ type t = {
   root : inode;
   ilocks : Pmem.Lock.t array;
       (** striped inode rwsems: writers to the same inode serialize (VFS
-          write path) on stripe [ino land (stripes - 1)]; a fixed-size
-          power-of-two table instead of a lock per inode, sized so that
+          write path) on stripe [ino land (lock_stripes - 1)]; a
+          fixed-size power-of-two table instead of a lock per inode, sized so that
           10k-actor namespaces don't allocate 10k lock records while
           distinct inodes in the N<=stripes experiments never share a
           stripe. A stripe's lock is created the first time it is taken
@@ -90,10 +90,12 @@ let timing t = t.env.Env.timing
    acquired, so sharing it across stacks and domains is safe. *)
 let unused_stripe = Pmem.Lock.create "inode-stripe:unused"
 
+(* Inode lock stripes: a power of two, so [ino land (lock_stripes - 1)]
+   picks one. *)
+let lock_stripes = 4096
+
 let mkfs ?(journal_len = 8 * 1024 * 1024) ?(alloc_shards = 1)
-    ?(journal_streams = 1) ?(lock_stripes = 4096) (env : Env.t) =
-  if lock_stripes land (lock_stripes - 1) <> 0 || lock_stripes <= 0 then
-    invalid_arg "Ext4.mkfs: lock_stripes must be a power of two";
+    ?(journal_streams = 1) (env : Env.t) =
   let capacity = Device.capacity env.Env.dev in
   let huge = blocks_per_huge * block_size in
   let journal_len = (journal_len + huge - 1) / huge * huge in
@@ -140,7 +142,7 @@ let mkfs ?(journal_len = 8 * 1024 * 1024) ?(alloc_shards = 1)
     use: a fresh lock is identical to one created at mkfs and never taken,
     so contention charges are the same either way. *)
 let ilock t inode =
-  let i = inode.ino land (Array.length t.ilocks - 1) in
+  let i = inode.ino land (lock_stripes - 1) in
   let l = t.ilocks.(i) in
   if l != unused_stripe then l
   else begin
@@ -651,40 +653,16 @@ let fsync t inode =
     Device.fence ~site:site_fsync_fast t.env.Env.dev
 
 (* ------------------------------------------------------------------ *)
-(* swap_extents — the kernel half of relink                             *)
+(* relink — the kernel half of the paper's swap_extents primitive      *)
 (* ------------------------------------------------------------------ *)
-
-(** [swap_extents t ~src ~src_blk ~dst ~dst_blk ~nblks] atomically exchanges
-    the logical→physical mappings of the two block ranges inside one journal
-    transaction, without moving, copying or flushing data (the paper's
-    modified [EXT4_IOC_MOVE_EXT]). Existing memory-mappings of the physical
-    blocks remain valid; U-Split re-points its collection of mmaps. *)
-let swap_extents t ~src ~src_blk ~dst ~dst_blk ~nblks =
-  if nblks <= 0 then Fsapi.Errno.(error EINVAL "swap_extents");
-  if Faults.check t.env.Env.faults Faults.Swap then
-    Fsapi.Errno.(error EIO "k-split: swap_extents injected EIO");
-  with_ilock t src @@ fun () ->
-  with_ilock t dst @@ fun () ->
-  let ex_src = Extent_tree.remove_range src.extents ~logical:src_blk ~len:nblks in
-  let ex_dst = Extent_tree.remove_range dst.extents ~logical:dst_blk ~len:nblks in
-  let shift into delta e =
-    Extent_tree.insert into
-      ~logical:(e.Extent_tree.logical + delta)
-      ~physical:e.Extent_tree.physical ~len:e.Extent_tree.len
-  in
-  List.iter (shift dst.extents (dst_blk - src_blk)) ex_src;
-  List.iter (shift src.extents (src_blk - dst_blk)) ex_dst;
-  let touched = List.length ex_src + List.length ex_dst in
-  cpu t ((timing t).Timing.ext4_extent_cpu *. float_of_int (2 + touched));
-  (* two inodes + two extent blocks in one transaction *)
-  Journal.commit t.journal ~meta_blocks:4
 
 (** [relink t ~src ~src_blk ~dst ~dst_blk ~nblks ~dst_size] is the paper's
     new primitive as one kernel operation: logically and atomically move the
     block range of [src] (a staging file) into [dst], de-allocating any
     blocks it replaces, and update [dst]'s size — all inside a single journal
-    transaction, with no data movement or flushing. Built from the same
-    extent manipulation as {!swap_extents}. *)
+    transaction, with no data movement or flushing (the paper's modified
+    [EXT4_IOC_MOVE_EXT]). Existing memory-mappings of the physical blocks
+    remain valid; U-Split re-points its collection of mmaps. *)
 let relink t ~src ~src_blk ~dst ~dst_blk ~nblks ~dst_size =
   if nblks <= 0 then Fsapi.Errno.(error EINVAL "relink");
   if Faults.check t.env.Env.faults Faults.Swap then
@@ -894,7 +872,7 @@ let mmap_retained (t : t) inode ~off ~len =
 (** Mappings the kernel still tracks (test hook). *)
 let live_map_count t = List.length t.live_maps
 
-(** Re-derive the page array of an existing mapping after [swap_extents]
+(** Re-derive the page array of an existing mapping after [relink]
     re-pointed the file's extents; charges nothing (the paper's modified
     ioctl keeps mappings valid without faults). *)
 let remap_quietly t inode m =

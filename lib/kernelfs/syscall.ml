@@ -218,20 +218,6 @@ let relink t ~src_fd ~src_blk ~dst_fd ~dst_blk ~nblks ~dst_size =
     ~dst:(inode_of_fd t dst_fd)
     ~dst_blk ~nblks ~dst_size
 
-(** The relink ioctl: swap extents between two open files. *)
-let ioctl_swap_extents t ~src_fd ~src_blk ~dst_fd ~dst_blk ~nblks =
-  kcall t "ioctl_swap_extents"
-    (fun () ->
-      Printf.sprintf "%d+%d <-> %d+%d, %d blks" src_fd src_blk dst_fd dst_blk
-        nblks)
-    r0
-  @@ fun () ->
-  Ext4.swap_extents t.kfs
-    ~src:(inode_of_fd t src_fd)
-    ~src_blk
-    ~dst:(inode_of_fd t dst_fd)
-    ~dst_blk ~nblks
-
 (** The snapshot ioctl: make [dst_fd]'s extent map a copy-on-write alias
     of [src_fd]'s in one trap, one transaction (reflink). *)
 let ioctl_clone_extents t ~src_fd ~dst_fd =

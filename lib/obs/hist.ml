@@ -88,8 +88,3 @@ let merge ~into src =
   into.sum <- into.sum +. src.sum;
   if src.vmin < into.vmin then into.vmin <- src.vmin;
   if src.vmax > into.vmax then into.vmax <- src.vmax
-
-let pp ppf t =
-  Fmt.pf ppf "n=%d p50=%.0f p90=%.0f p99=%.0f p999=%.0f min=%.0f max=%.0f" t.n
-    (percentile t 50.) (percentile t 90.) (percentile t 99.)
-    (percentile t 99.9) (min_v t) (max_v t)

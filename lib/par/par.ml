@@ -79,7 +79,3 @@ let map ?jobs f items =
            | Pending -> assert false)
          results)
   end
-
-(** [run ~jobs thunks] runs index-labelled thunks; convenience over
-    [map]. *)
-let run ?jobs thunks = map ?jobs (fun _ thunk -> thunk ()) thunks

@@ -212,23 +212,18 @@ end)
     journalling pushes or promotes a version, so a later touch
     recaptures the same base.
 
-    [jruns] holds the zero runs: NT zero stores over clean lines of
-    never-written chunks that no jline or earlier run covers (jbd2's
-    content-free blocks, fresh data blocks), one [(first, last)] line
-    range per store. A run line stands for the jline the per-line path
-    builds, base {!Image.zero_line} and one reached NT version
-    {!Image.zero_line}, without building it: every survivor choice on it
-    leaves the zeros it already holds, so a crash ignores runs and a
-    committing fence drops them. The first touch of a run line before
-    the next fence ([j_touch]) takes it out of its run and builds that
-    jline, so later versions number as they would have. *)
+    One rule keeps the space small: a store whose post-store line
+    content equals the line's frontier (newest pending version, or the
+    base when none is pending) adds no version. Surviving the duplicate
+    is indistinguishable from surviving its predecessor, so every
+    distinct crash image stays reachable; what goes is the padding, above
+    all the all-zero jbd2 blocks written over a zeroed journal area. *)
 type journal = {
   jlines : jline Lines.t;
   mutable jlive : jline array;
       (** the lines of [jlines] in [0, jcount), walked by a fence and a
           crash instead of the table's buckets; [no_jline] beyond *)
   mutable jcount : int;
-  mutable jruns : (int * int) list;  (** zero runs, newest first *)
   mutable j_fences : int;  (** fences observed since [journal_begin] *)
   j_fence_pending : (int, pending_line array) Hashtbl.t;
       (** per fence index, the pending summary captured just before that
@@ -236,15 +231,6 @@ type journal = {
           no crash is armed *)
   mutable j_trip_fence : int;  (** fence index to crash at; -1 = disarmed *)
   mutable j_trip_survivors : survivor list;
-  j_dedup : bool;
-      (** collapse stores whose post-store line content equals the line's
-          current frontier (newest pending version, or the base when none
-          is pending). Identical content means identical crash outcome —
-          keeping the duplicate only multiplies the survivor space — so
-          exhaustive litmus exploration turns this on. Notably it erases
-          the all-zero jbd2 journal-block traffic over a zeroed journal
-          area, which would otherwise add 64 one-version lines per
-          commit. *)
 }
 
 exception Crashed
@@ -508,43 +494,17 @@ let span_end t ~d ~line ~last =
 (* hooks are passive: they never touch simulated time.                   *)
 (* ------------------------------------------------------------------ *)
 
-let rec overlaps_runs first last = function
-  | [] -> false
-  | (f, l) :: rest -> (f <= last && first <= l) || overlaps_runs first last rest
-
-(** Take [line] out of the zero run holding it, splitting the run. *)
-let take_from_run j line =
-  j.jruns <-
-    List.concat_map
-      (fun ((first, last) as run) ->
-        if line < first || line > last then [ run ]
-        else
-          (if first < line then [ (first, line - 1) ] else [])
-          @ if line < last then [ (line + 1, last) ] else [])
-      j.jruns
-
-(** The line's jline, created on first touch since the last fence. A run
-    line leaves its run here with the jline the run stood for. *)
+(** The line's jline, created on first touch since the last fence. *)
 let j_touch j t line =
   match Lines.find_opt j.jlines line with
   | Some jl -> jl
   | None ->
       let jl =
-        if overlaps_runs line line j.jruns then begin
-          take_from_run j line;
-          {
-            jl_line = line;
-            jbase = Image.zero_line;
-            jversions =
-              [ { vdata = Image.zero_line; nt = true; reached = true } ];
-          }
-        end
-        else
-          {
-            jl_line = line;
-            jbase = Image.line t.persistent ~addr:(line * line_size);
-            jversions = [];
-          }
+        {
+          jl_line = line;
+          jbase = Image.line t.persistent ~addr:(line * line_size);
+          jversions = [];
+        }
       in
       Lines.add j.jlines line jl;
       if j.jcount = Array.length j.jlive then begin
@@ -563,7 +523,7 @@ let j_reached t jl line =
   | v :: _ -> v.reached <- true
   | [] ->
       (* dirty line with nothing pending (its store predates
-         journal_begin, or dedup dropped it at the committed content):
+         journal_begin, or it equals the committed content):
          record its cached content as the sole (reached) version *)
       jl.jversions <-
         [
@@ -580,7 +540,8 @@ let j_frontier jl =
   match jl.jversions with v :: _ -> v.vdata | [] -> jl.jbase
 
 (** After a temporal store: push one unreached version per touched line,
-    holding the line's full post-store cached content. *)
+    holding the line's full post-store cached content, unless it equals
+    the frontier. *)
 let j_store t ~addr ~len =
   match t.journal with
   | None -> ()
@@ -589,9 +550,7 @@ let j_store t ~addr ~len =
       for line = first to last do
         let jl = j_touch j t line in
         let vdata = Image.line t.shadow ~addr:(line * line_size) in
-        (* identical content, identical crash outcomes: surviving the
-           duplicate is indistinguishable from surviving its predecessor *)
-        if not (j.j_dedup && Bytes.equal vdata (j_frontier jl)) then
+        if not (Bytes.equal vdata (j_frontier jl)) then
           jl.jversions <-
             { vdata; nt = false; reached = false } :: jl.jversions
       done
@@ -610,7 +569,8 @@ let j_store_nt_pre t ~addr ~len =
       done
 
 (** After an NT store's blit: push one reached NT version per line with
-    the line's full post-store durable content. *)
+    the line's full post-store durable content, unless it equals the
+    frontier. *)
 let j_store_nt_post t ~addr ~len =
   match t.journal with
   | None -> ()
@@ -619,7 +579,7 @@ let j_store_nt_post t ~addr ~len =
       for line = first to last do
         let jl = j_touch j t line in
         let vdata = Image.line t.persistent ~addr:(line * line_size) in
-        if j.j_dedup && Bytes.equal vdata (j_frontier jl) then
+        if Bytes.equal vdata (j_frontier jl) then
           (* content already at the frontier; the NT store still reaches
              the persistence domain, so promote the frontier (a tear
              against identical content is a no-op) *)
@@ -630,30 +590,20 @@ let j_store_nt_post t ~addr ~len =
           jl.jversions <- { vdata; nt = true; reached = true } :: jl.jversions
       done
 
-(** Before a zero NT store: take it as one zero run if every line it
-    covers is clean, in a never-written chunk, absent from the table and
-    outside every run; otherwise the per-line hooks record it. With
-    dedup on a covered store records nothing: dedup leaves its lines no
-    version. Must run before [persistent] is modified. *)
-let j_zero_run t ~addr ~len =
-  match t.journal with
-  | None -> false
-  | Some j ->
-      let first = addr / line_size and last = (addr + len - 1) / line_size in
-      Image.absent t.persistent ~addr ~len
-      && (not (overlaps_runs first last j.jruns))
-      && (t.dirty_count = 0
-         || ((not (line_dirty t first))
-            && span_end t ~d:false ~line:first ~last = last))
-      && begin
-           let l = ref first in
-           while !l <= last && not (Lines.mem j.jlines !l) do incr l done;
-           !l > last
-         end
-      && begin
-           if not j.j_dedup then j.jruns <- (first, last) :: j.jruns;
-           true
-         end
+(** A zero NT store the journal can skip: every line it covers is clean
+    and in a never-written chunk, so it holds zeros with nothing pending
+    and the per-line hooks would add no version. Nothing can be pending
+    there: only a store that dirties the line or an NT store of content
+    other than zeros pushes a version, and the line is clean again only
+    once a writeback has written its chunk, or after a crash, which
+    empties the journal. Must run before [persistent] is modified. *)
+let j_zero_skip t ~addr ~len =
+  t.journal <> None
+  && Image.absent t.persistent ~addr ~len
+  &&
+  let first = addr / line_size and last = (addr + len - 1) / line_size in
+  t.dirty_count = 0
+  || ((not (line_dirty t first)) && span_end t ~d:false ~line:first ~last = last)
 
 (** Before a flush writes dirty lines back: mark their newest cached
     versions reached. Must run before [persistent] is modified. *)
@@ -685,12 +635,6 @@ let pending_summary j =
       acc := { p_line = jl.jl_line; p_versions = n; p_nt_mask = !mask } :: !acc
     end
   done;
-  List.iter
-    (fun (first, last) ->
-      for l = first to last do
-        acc := { p_line = l; p_versions = 1; p_nt_mask = 1 } :: !acc
-      done)
-    j.jruns;
   let arr = Array.of_list !acc in
   Array.sort (fun a b -> compare a.p_line b.p_line) arr;
   arr
@@ -698,10 +642,8 @@ let pending_summary j =
 (** Fence commit: for each line, the newest reached version becomes the
     new base; versions older than it can no longer survive a crash and
     are dropped; cached-only newer versions stay pending. A line left
-    with no pending version leaves the journal, as every run line
-    does. *)
+    with no pending version leaves the journal. *)
 let commit_journal j =
-  j.jruns <- [];
   let rec commit jl newer = function
     | [] -> ()
     | v :: older ->
@@ -724,9 +666,8 @@ let commit_journal j =
   Array.fill j.jlive !kept (j.jcount - !kept) no_jline;
   j.jcount <- !kept
 
-(** Drop every journalled line and run, as a crash does. *)
+(** Drop every journalled line, as a crash does. *)
 let reset_journal j =
-  j.jruns <- [];
   Lines.reset j.jlines;
   Array.fill j.jlive 0 j.jcount no_jline;
   j.jcount <- 0
@@ -778,10 +719,7 @@ let apply_survivor t j s =
     named in [survivors] default to their newest pending content (every
     store to them persisted); a [survivor] entry reverts its line to an
     earlier version — optionally with an 8-byte-granularity tear against
-    the version below it. Zero runs are skipped: every choice on a run
-    line writes zeros over the zeros it holds, so a survivor naming one
-    finds nothing to do, as for a committed line. The pending journal
-    state is consumed. *)
+    the version below it. The pending journal state is consumed. *)
 let crash_partial t ~survivors =
   match t.journal with
   | None -> invalid_arg "Device.crash_partial: journaling is off"
@@ -830,8 +768,8 @@ let nt_store t ~zero ~addr src ~off ~len =
     let obs = Simclock.obs t.clock in
     let a = Simclock.current t.clock in
     let t0 = a.Simclock.a_now in
-    let as_run = zero && j_zero_run t ~addr ~len in
-    if not as_run then j_store_nt_pre t ~addr ~len;
+    let skip = zero && j_zero_skip t ~addr ~len in
+    if not skip then j_store_nt_pre t ~addr ~len;
     if t.dirty_count = 0 then
       t.stats.Stats.fast_path_hits <- t.stats.Stats.fast_path_hits + 1
     else begin
@@ -853,7 +791,7 @@ let nt_store t ~zero ~addr src ~off ~len =
         Hashtbl.remove t.poison line
       done
     end;
-    if not as_run then j_store_nt_post t ~addr ~len;
+    if not skip then j_store_nt_post t ~addr ~len;
     charge_media t (Timing.nt_write_cost t.timing len);
     t.stats.Stats.nt_stores <- t.stats.Stats.nt_stores + 1;
     t.stats.Stats.pm_write_bytes <- t.stats.Stats.pm_write_bytes + len;
@@ -1050,8 +988,7 @@ let zero_piece = 65536
     without copying one. A never-written chunk of the durable image stays
     absent, so zeroing journal blocks and fresh data blocks allocates
     nothing; while journalling, a piece over such chunks that finds its
-    lines clean and untouched since the last fence costs the journal one
-    zero run ([j_zero_run]) instead of a jline per line. *)
+    lines clean records nothing ([j_zero_skip]). *)
 let zero_nt t ~addr ~len =
   let pos = ref addr and remaining = ref len in
   while !remaining > 0 do
@@ -1186,19 +1123,17 @@ let reset_faults t =
 (* Persist-order journal API                                            *)
 (* ------------------------------------------------------------------ *)
 
-let journal_begin ?(dedup = false) t =
+let journal_begin t =
   t.journal <-
     Some
       {
         jlines = Lines.create 256;
         jlive = Array.make 256 no_jline;
         jcount = 0;
-        jruns = [];
         j_fences = 0;
         j_fence_pending = Hashtbl.create 64;
         j_trip_fence = -1;
         j_trip_survivors = [];
-        j_dedup = dedup;
       }
 
 let journal_stop t = t.journal <- None

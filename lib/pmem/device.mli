@@ -84,11 +84,9 @@ val load_bytes : t -> addr:int -> len:int -> Bytes.t
 (** Write zeros with non-temporal stores: charged, counted and journalled
     as [store_nt] of a zero buffer (ranges over 64 KiB as one store per
     64 KiB piece). Never-written parts of the durable image stay
-    unallocated. A piece whose lines are all clean, in never-written
-    parts and untouched since the last fence costs the persist-order
-    journal one line range (a zero run) rather than one entry per line;
-    pending summaries and crash images are those of the per-line
-    record. *)
+    unallocated. A piece whose lines are all clean and in never-written
+    parts leaves every line at the zeros it already holds, with nothing
+    pending, so the persist-order journal records nothing for it. *)
 val zero_nt : t -> addr:int -> len:int -> unit
 
 (** Crash: all cache lines not yet flushed (and not written with NT
@@ -169,12 +167,15 @@ val reset_faults : t -> unit
     change: a fence drops every line it leaves with no pending version,
     so its cost follows the lines stored since the previous fence plus
     the lines still pending, not every line touched since
-    [journal_begin]. A {!zero_nt} piece over never-written, clean and
-    untouched lines (jbd2's content-free blocks) is kept as one zero
-    run: each of its lines reads as one pending NT version of zeros over
-    a zero base, every survivor choice on it leaves zeros, and the first
-    later store, NT store or zero store to one of them before the next
-    fence turns that line into an ordinary entry. *)
+    [journal_begin].
+
+    One rule shapes the space: a store or NT store whose post-store line
+    content equals the line's frontier (its newest pending version, or
+    its fence-committed base when none is pending) adds no version; an
+    NT store still marks that frontier reached. The duplicate's crash
+    images are its predecessor's, so every distinct crash image stays
+    reachable while jbd2's all-zero blocks over a zeroed journal area,
+    and other stores that change nothing, leave the space as it was. *)
 
 (** Survivor choice for one line in a partial crash: keep the first
     [s_keep] pending versions, counted oldest-first (0 = revert to the
@@ -193,15 +194,9 @@ type pending_line = { p_line : int; p_versions : int; p_nt_mask : int }
 exception Crashed
 (** Raised by [fence] when an armed crash trips. *)
 
-val journal_begin : ?dedup:bool -> t -> unit
+val journal_begin : t -> unit
 (** Start (or restart) persist-order journaling. Call at a quiescent
-    point — ideally with no dirty lines and no armed crash. [dedup]
-    (default false) collapses stores whose post-store line content equals
-    the line's current frontier (newest pending version, or the base):
-    identical content means identical crash outcomes, so the duplicate
-    only multiplies the survivor space. Exhaustive litmus exploration
-    turns this on; notably it erases all-zero jbd2 journal-block traffic
-    over a zeroed journal area. *)
+    point — ideally with no dirty lines and no armed crash. *)
 
 val journal_stop : t -> unit
 val journaling : t -> bool

@@ -90,7 +90,6 @@ let create ?(capacity = 64 * 1024 * 1024) ?(timing = Timing.default) ?obs
   t
 
 let now t = Simclock.now t.clock
-let advance t ns = Simclock.advance t.clock ns
 
 (** Charge pure CPU time (no PM traffic). *)
 let cpu t ns = Simclock.advance t.clock ns
@@ -207,12 +206,3 @@ let run_as t a f =
 (** [with_lock t l f] runs [f] as a critical section of [l], charging any
     contention wait to the current actor. *)
 let with_lock t l f = Lock.with_ l ~clock:t.clock ~stats:t.stats f
-
-(** [measure t f] returns [f ()] along with elapsed simulated time and the
-    statistics delta. *)
-let measure t f =
-  let s0 = Stats.copy t.stats in
-  let t0 = Simclock.now t.clock in
-  let x = f () in
-  let t1 = Simclock.now t.clock in
-  (x, t1 -. t0, Stats.diff t.stats s0)

@@ -47,8 +47,6 @@ val enable_timeline :
 (** Current simulated time, in nanoseconds. *)
 val now : t -> float
 
-val advance : t -> float -> unit
-
 (** Charge pure CPU time (no PM traffic). *)
 val cpu : t -> float -> unit
 
@@ -90,7 +88,3 @@ val run_as : t -> Simclock.actor -> (unit -> 'a) -> 'a
 (** [with_lock t l f] runs [f] as a critical section of [l], charging any
     contention wait to the current actor. *)
 val with_lock : t -> Lock.t -> (unit -> 'a) -> 'a
-
-(** [measure t f] returns [f ()] along with elapsed simulated time and the
-    statistics delta. *)
-val measure : t -> (unit -> 'a) -> 'a * float * Stats.t

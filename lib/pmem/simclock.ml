@@ -71,15 +71,6 @@ let advance t ns =
 (** Rewind/set the current actor's clock (background-work accounting). *)
 let set_now t ns = t.current.a_now <- ns
 
-let reset t = List.iter (fun a -> a.a_now <- a.a_start) t.actors_rev
-
-(** [timed t f] runs [f ()] and returns its result together with the
-    simulated time it consumed (on the current actor's clock). *)
-let timed t f =
-  let start = t.current.a_now in
-  let x = f () in
-  (x, t.current.a_now -. start)
-
 (* --- actors --- *)
 
 (** More than one actor registered: contention modelling is live. *)

@@ -73,31 +73,6 @@ let create () =
     partial_crashes = 0;
   }
 
-let reset t =
-  t.pm_read_bytes <- 0;
-  t.pm_write_bytes <- 0;
-  t.nt_stores <- 0;
-  t.flushes <- 0;
-  t.fences <- 0;
-  t.syscalls <- 0;
-  t.page_faults <- 0;
-  t.page_faults_huge <- 0;
-  t.journal_commits <- 0;
-  t.journal_bytes <- 0;
-  t.relinks <- 0;
-  t.relink_copied_bytes <- 0;
-  t.log_entries <- 0;
-  t.staged_bytes <- 0;
-  t.mmap_setups <- 0;
-  t.media_ns <- 0.;
-  t.background_ns <- 0.;
-  t.lock_wait_ns <- 0.;
-  t.bw_wait_ns <- 0.;
-  t.dirty_lines_hwm <- 0;
-  t.fast_path_hits <- 0;
-  t.slow_path_hits <- 0;
-  t.partial_crashes <- 0
-
 let copy t = { t with pm_read_bytes = t.pm_read_bytes }
 
 (** [diff later earlier] gives the counters accumulated between two

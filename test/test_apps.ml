@@ -11,7 +11,7 @@ let with_stack ?(mode = Splitfs.Config.Posix) f =
 (* --- bloom --- *)
 
 let test_bloom () =
-  let b = Apps.Bloom.create ~expected:1000 () in
+  let b = Apps.Bloom.create ~expected:1000 in
   for i = 0 to 999 do
     Apps.Bloom.add b (Printf.sprintf "key%d" i)
   done;

@@ -1,8 +1,9 @@
 (** Crashcheck: the crash-state exploration engine itself (exhaustive
     enumeration on a hand-built device trace), the relink-atomicity
-    window, the sampled differential run against the ref_fs oracle, and
-    the injected-bug canary (op-log checksum verification disabled must
-    be caught by the sampler). *)
+    window, the sampled differential run against the ref_fs oracle, the
+    enumerated run over a short generated workload, and the injected-bug
+    canary (op-log checksum verification disabled must be caught by the
+    sampler). *)
 
 open Crashcheck
 
@@ -201,6 +202,20 @@ let test_differential mode () =
   | [] -> ()
   | v :: _ -> Alcotest.failf "differential violation: %a" pp_violation v
 
+(* A generated workload's whole crash-state space fits a budget: stores
+   that leave a line's content unchanged add no version, so an 8-op sync
+   or strict workload at the committed seed has 1,293 states over 17
+   crash points, every one of them replayed and checked. *)
+let test_enumerated mode () =
+  let r = check_mode ~samples:2000 ~seed:committed_seed ~nops:8 mode in
+  Util.check_int "crash points" 17 r.r_points;
+  Util.check_int "legal states" 1293 r.r_total_states;
+  Alcotest.(check bool) "enumerated" true r.r_exhaustive;
+  Util.check_int "explored every state" r.r_total_states r.r_explored;
+  match r.r_violations with
+  | [] -> ()
+  | v :: _ -> Alcotest.failf "differential violation: %a" pp_violation v
+
 (* ------------------------------------------------------------------ *)
 (* Injected bug: skipping checksum verification must be caught          *)
 (* ------------------------------------------------------------------ *)
@@ -327,6 +342,10 @@ let suite =
       (test_differential Splitfs.Config.Strict);
     tc "differential vs ref_fs oracle, fams (200 sampled states)" `Quick
       (test_differential Splitfs.Config.Fams);
+    tc "sync 8-op workload: every state enumerated" `Quick
+      (test_enumerated Splitfs.Config.Sync);
+    tc "strict 8-op workload: every state enumerated" `Quick
+      (test_enumerated Splitfs.Config.Strict);
     tc "injected bug: unverified op-log checksums are caught" `Quick
       test_injected_bug_caught;
     tc "greedy shrinker: visit order and budget" `Quick test_greedy_shrinker;

@@ -509,7 +509,9 @@ let test_zero_nt_bookkeeping () =
    on [Naive] for the cache and the durable image and runs the journal's
    hooks around each operation in the order the device runs them: an NT
    store captures its lines' bases and marks their cached content
-   reached before it writes, and records their durable content after. *)
+   reached before it writes, and records their durable content after.
+   Every zero store goes through those hooks, never-written lines
+   included. *)
 module Naive_journal = struct
   type version = { data : Bytes.t; nt : bool; mutable reached : bool }
   type line = { mutable base : Bytes.t; mutable versions : version list }
@@ -518,7 +520,6 @@ module Naive_journal = struct
   type t = {
     n : Naive.t;
     mutable on : bool;
-    mutable dedup : bool;
     lines : (int, line) Hashtbl.t;
     mutable fences : int;
     summaries : (int, Device.pending_line array) Hashtbl.t;
@@ -530,7 +531,6 @@ module Naive_journal = struct
     {
       n;
       on = false;
-      dedup = false;
       lines = Hashtbl.create 64;
       fences = 0;
       summaries = Hashtbl.create 16;
@@ -538,9 +538,8 @@ module Naive_journal = struct
       trip_survivors = [];
     }
 
-  let begin_ t ~dedup =
+  let begin_ t =
     t.on <- true;
-    t.dedup <- dedup;
     Hashtbl.reset t.lines;
     Hashtbl.reset t.summaries;
     t.fences <- 0;
@@ -566,10 +565,10 @@ module Naive_journal = struct
 
   let frontier jl = match jl.versions with v :: _ -> v.data | [] -> jl.base
 
-  (* A store's post-store content: a new version, unless dedup finds it
-     at the frontier, where an NT store still promotes the frontier. *)
-  let push t jl ~data ~nt =
-    if t.dedup && Bytes.equal data (frontier jl) then begin
+  (* A store's post-store content: a new version, unless it equals the
+     frontier, where an NT store still promotes the frontier. *)
+  let push jl ~data ~nt =
+    if Bytes.equal data (frontier jl) then begin
       if nt then match jl.versions with v :: _ -> v.reached <- true | [] -> ()
     end
     else jl.versions <- { data; nt; reached = nt } :: jl.versions
@@ -591,7 +590,7 @@ module Naive_journal = struct
     if t.on && len > 0 then
       List.iter
         (fun l ->
-          push t (touch t l)
+          push (touch t l)
             ~data:(Bytes.copy (Hashtbl.find t.n.Naive.dirty l))
             ~nt:false)
         (lines_of ~addr ~len)
@@ -605,7 +604,7 @@ module Naive_journal = struct
           reach t l)
         ls;
       write ();
-      List.iter (fun l -> push t (touch t l) ~data:(durable t l) ~nt:true) ls
+      List.iter (fun l -> push (touch t l) ~data:(durable t l) ~nt:true) ls
     end
     else write ()
 
@@ -722,7 +721,7 @@ let jcapacity = 8 * chunk
 let hot_start = (2 * chunk) - 512
 
 (* The payload's first 4 KiB are zeros and the next 4 KiB all 'a', so
-   stores often repeat a line's content (what dedup collapses). *)
+   stores often repeat a line's content (and add no version). *)
 let jpayload =
   let rng = Workloads.Rng.create 0x70C in
   Bytes.init 16384 (fun i ->
@@ -793,7 +792,7 @@ let check_pending what (naive : Device.pending_line array) device =
    the journal off, then the journalled trace. Unarmed, every fence's
    pending summary is compared as it is recorded. Returns the index of
    the op at which an armed crash tripped, or [None]. *)
-let journal_run ?(capacity = jcapacity) ~dedup ?arm (prefix, trace) =
+let journal_run ?(capacity = jcapacity) ?arm (prefix, trace) =
   let env = Pmem.Env.create ~capacity () in
   let dev = env.Env.dev in
   let nj =
@@ -804,8 +803,8 @@ let journal_run ?(capacity = jcapacity) ~dedup ?arm (prefix, trace) =
       device_op dev op;
       naive_op nj op)
     prefix;
-  Device.journal_begin ~dedup dev;
-  Naive_journal.begin_ nj ~dedup;
+  Device.journal_begin dev;
+  Naive_journal.begin_ nj;
   Option.iter
     (fun (fence, survivors) ->
       Device.arm_crash dev ~fence ~survivors;
@@ -875,14 +874,14 @@ let draw_survivors rng (pending : Device.pending_line array) =
    [capacity], with survivor vectors from [draw]: every fence's summary
    and the end-of-trace one, 24 crashes at the end of the trace, and an
    armed crash at every fence and past the last. *)
-let journal_vs_naive ?capacity ~dedup ~gen ~draw seeds =
+let journal_vs_naive ?capacity ~gen ~draw seeds =
   let journal_run = journal_run ?capacity in
   List.iter
     (fun seed ->
       let trace = gen ~seed in
       let tag msg = Printf.sprintf "seed %d: %s" seed msg in
       (* profile: every fence's summary, the end-of-trace summary *)
-      let dev, nj, _ = journal_run ~dedup trace in
+      let dev, nj, _ = journal_run trace in
       let nf = Device.fence_count dev in
       Util.check_int (tag "fences") nj.Naive_journal.fences nf;
       let at_end = Device.pending_now dev in
@@ -892,7 +891,7 @@ let journal_vs_naive ?capacity ~dedup ~gen ~draw seeds =
       (* crash_partial at the end of the trace *)
       for v = 1 to 24 do
         let survivors = draw rng at_end in
-        let dev, nj, _ = journal_run ~dedup trace in
+        let dev, nj, _ = journal_run trace in
         Device.crash_partial dev ~survivors;
         Naive_journal.crash_partial nj ~survivors;
         check_journal_images (tag (Printf.sprintf "vector %d" v)) dev nj
@@ -900,9 +899,7 @@ let journal_vs_naive ?capacity ~dedup ~gen ~draw seeds =
       (* an armed crash at every fence, and past the last one *)
       for fence = 0 to nf do
         let survivors = draw rng (pending fence) in
-        let dev, nj, tripped =
-          journal_run ~dedup ~arm:(fence, survivors) trace
-        in
+        let dev, nj, tripped = journal_run ~arm:(fence, survivors) trace in
         if tripped = None then begin
           if fence < nf then
             Alcotest.failf "%s" (tag "armed fence not reached");
@@ -915,8 +912,8 @@ let journal_vs_naive ?capacity ~dedup ~gen ~draw seeds =
       done)
     seeds
 
-let test_journal_vs_naive ~dedup () =
-  journal_vs_naive ~dedup ~gen:gen_trace ~draw:draw_survivors
+let test_journal_vs_naive () =
+  journal_vs_naive ~gen:gen_trace ~draw:draw_survivors
     [ 1; 0x5107; 0xC0FFEE ]
 
 (* jbd2-shaped traces on a 16-chunk device. Each commit zeroes one to
@@ -928,8 +925,8 @@ let test_journal_vs_naive ~dedup () =
    inside them and may run past their end; it may also zero over dirty
    lines of the hot window. A third of the commits fence right after
    their zero blocks. A touch that reaches the durable image writes its
-   chunk, so blocks zeroed there later take the per-line path; most
-   commits move the head on to a fresh chunk. One commit also zeroes
+   chunk, so blocks zeroed there later go through the per-line hooks;
+   most commits move the head on to a fresh chunk. One commit also zeroes
    100,000 bytes across chunks 13-15 (two pieces, each straddling a
    chunk boundary), and the trace ends with zero blocks that no fence
    commits. The unjournalled prefix also leaves a line of the first
@@ -993,8 +990,8 @@ let gen_jbd2_trace ~seed =
   (prefix, commits @ tail)
 
 (* Survivors for jbd2-shaped traces: every pending line of the journal
-   area, keeping 0, 1 or 2 versions (a one-version run line clamps 2 to
-   1), with a tear on about half; [draw_survivors] over the hot window;
+   area, keeping 0, 1 or 2 versions (a one-version line clamps 2 to 1),
+   with a tear on about half; [draw_survivors] over the hot window;
    and a few journal-area lines that are not pending, such as the blocks
    of earlier commits. *)
 let draw_run_survivors rng (pending : Device.pending_line array) =
@@ -1022,10 +1019,54 @@ let draw_run_survivors rng (pending : Device.pending_line array) =
   in
   named @ draw_survivors rng (Array.of_list hot) @ stray
 
-let test_zero_runs_vs_naive ~dedup () =
-  journal_vs_naive ~capacity:zcapacity ~dedup ~gen:gen_jbd2_trace
+let test_jbd2_vs_naive () =
+  journal_vs_naive ~capacity:zcapacity ~gen:gen_jbd2_trace
     ~draw:draw_run_survivors
     [ 2; 0x1BD2; 0xB10C; 0x2E0 ]
+
+(* The journal's one rule through a plain [journal_begin]: a temporal
+   or NT store that rewrites a line's frontier content leaves the pending
+   summary as it was, while one that changes the content adds a version;
+   and a zero store over a never-written chunk leaves nothing pending at
+   the next fence. *)
+let test_unchanged_store () =
+  let env = Pmem.Env.create ~capacity:(4 * chunk) () in
+  let dev = env.Env.dev in
+  let x = Bytes.make 128 'x' and y = Bytes.make 64 'y' in
+  Device.store_nt dev ~addr:0 x ~off:0 ~len:128;
+  Device.fence dev;
+  Device.journal_begin dev;
+  let pending what expect =
+    let got =
+      Array.to_list
+        (Array.map
+           (fun (p : Device.pending_line) -> (p.p_line, p.p_versions))
+           (Device.pending_now dev))
+    in
+    if got <> expect then
+      Alcotest.failf "%s: pending (line, versions) %s" what
+        (String.concat " "
+           (List.map (fun (l, n) -> Printf.sprintf "(%d, %d)" l n) got))
+  in
+  Device.store dev ~addr:10 x ~off:0 ~len:20;
+  Device.store_nt dev ~addr:64 x ~off:0 ~len:64;
+  pending "committed content rewritten" [];
+  Device.store dev ~addr:64 y ~off:0 ~len:64;
+  pending "new content" [ (1, 1) ];
+  Device.store dev ~addr:64 y ~off:0 ~len:64;
+  Device.store dev ~addr:100 y ~off:0 ~len:8;
+  Device.store_nt dev ~addr:64 y ~off:0 ~len:64;
+  pending "frontier rewritten" [ (1, 1) ];
+  Device.store dev ~addr:64 x ~off:0 ~len:64;
+  pending "changed again" [ (1, 2) ];
+  Device.flush dev ~addr:0 ~len:128;
+  Device.fence dev;
+  Device.zero_nt dev ~addr:(2 * chunk) ~len:(3 * 4096);
+  Device.fence dev;
+  Util.check_int "fences" 2 (Device.fence_count dev);
+  pending "after the zero store's fence" [];
+  Util.check_int "pending at the zero store's fence" 0
+    (Array.length (Device.fence_pending dev 1))
 
 let suite =
   [
@@ -1042,12 +1083,9 @@ let suite =
     tc "zero_nt zeroes exactly its range" `Quick test_zero_nt_exact_range;
     tc "zero_nt bookkeeping = store_nt of zeros" `Quick
       test_zero_nt_bookkeeping;
-    tc "persist-order journal vs naive model (dedup off)" `Quick
-      (test_journal_vs_naive ~dedup:false);
-    tc "persist-order journal vs naive model (dedup on)" `Quick
-      (test_journal_vs_naive ~dedup:true);
-    tc "zero runs vs naive model, jbd2-shaped (dedup off)" `Quick
-      (test_zero_runs_vs_naive ~dedup:false);
-    tc "zero runs vs naive model, jbd2-shaped (dedup on)" `Quick
-      (test_zero_runs_vs_naive ~dedup:true);
+    tc "persist-order journal vs naive model" `Quick test_journal_vs_naive;
+    tc "zero runs vs naive model, jbd2-shaped traces" `Quick
+      test_jbd2_vs_naive;
+    tc "a store that changes no content adds no version" `Quick
+      test_unchanged_store;
   ]

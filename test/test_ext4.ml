@@ -1,5 +1,5 @@
 (** Kernel file system (simulated ext4 DAX): POSIX behaviour, extents,
-    relink/swap_extents, DAX mmap, and a model-based equivalence test
+    relink, DAX mmap, and a model-based equivalence test
     against the in-memory reference file system. *)
 
 let tc = Alcotest.test_case
@@ -131,22 +131,7 @@ let test_dup_shares_offset () =
       fs.close fd;
       fs.close fd2)
 
-(* --- relink / swap_extents --- *)
-
-let test_swap_extents () =
-  let _env, kfs, sys = Util.make_kernel () in
-  let fs = Kernelfs.Syscall.as_fsapi sys in
-  let a = Util.pattern ~seed:1 8192 and b = Util.pattern ~seed:2 8192 in
-  Fsapi.Fs.write_file fs "/a" a;
-  Fsapi.Fs.write_file fs "/b" b;
-  let fa = fs.open_ "/a" Fsapi.Flags.rdwr and fb = fs.open_ "/b" Fsapi.Flags.rdwr in
-  Kernelfs.Syscall.ioctl_swap_extents sys ~src_fd:fa ~src_blk:0 ~dst_fd:fb
-    ~dst_blk:0 ~nblks:2;
-  Util.check_str "a has b's data" b (Fsapi.Fs.read_file fs "/a");
-  Util.check_str "b has a's data" a (Fsapi.Fs.read_file fs "/b");
-  ignore kfs;
-  fs.close fa;
-  fs.close fb
+(* --- relink --- *)
 
 let test_relink_moves_data () =
   let env, kfs, sys = Util.make_kernel () in
@@ -330,7 +315,6 @@ let suite =
     tc "ftruncate" `Quick test_ftruncate;
     tc "O_APPEND" `Quick test_append_mode;
     tc "dup shares offset" `Quick test_dup_shares_offset;
-    tc "swap_extents ioctl" `Quick test_swap_extents;
     tc "relink moves data without copy" `Quick test_relink_moves_data;
     tc "relink frees replaced blocks" `Quick test_relink_replaces_blocks;
     tc "fallocate gives huge-page mmap" `Quick test_fallocate_and_mmap;
