@@ -89,17 +89,21 @@ fams:
 	dune exec bin/splitfs_cli.exe -- fams --jobs $(JOBS)
 
 # Golden reports: each verification campaign's report at its pinned
-# seed, the scaling, profile and latency tables, and the paper tables
-# (`splitfs_cli all`: Tables 1, 2, 6 and 7, Figures 3-6, recovery,
-# resources and ablations, every number the baselines produce), must
-# match the committed file in test/golden byte for byte. Reports are
-# identical at every job count (DESIGN.md §5j), so the campaign files
-# hold the --jobs 1 output and the gate runs them at $(JOBS); the
-# experiments run sequentially and take no --jobs. A refactor that
-# claims "same output from less code" passes this unchanged; a
-# deliberate report change regenerates a file with `dune exec
-# bin/splitfs_cli.exe -- <campaign> --jobs 1 > test/golden/<campaign>.txt`
-# (or `-- <experiment> > test/golden/<experiment>.txt`, or `-- all >
+# seed, crashcheck with an 8,192-state budget (at the pinned seed sync
+# and strict fit it, so every one of their 7,472 and 7,988 crash states
+# is replayed and checked; posix and fams sample 8,192), the scaling,
+# profile and latency tables, and the paper tables (`splitfs_cli all`:
+# Tables 1, 2, 6 and 7, Figures 3-6, recovery, resources and
+# ablations, every number the baselines produce), must match the
+# committed file in test/golden byte for byte. Reports are identical at
+# every job count (DESIGN.md §5j), so the campaign files hold the
+# --jobs 1 output and the gate runs them at $(JOBS); the experiments
+# run sequentially and take no --jobs. A refactor that claims "same
+# output from less code" passes this unchanged; a deliberate report
+# change regenerates a file with `dune exec bin/splitfs_cli.exe --
+# <campaign> --jobs 1 > test/golden/<campaign>.txt` (`-- crashcheck
+# --samples 8192 --jobs 1 > test/golden/crashcheck-8192.txt`, `--
+# <experiment> > test/golden/<experiment>.txt`, or `-- all >
 # test/golden/paper.txt`) and shows up in the diff. Exits non-zero on
 # any difference or on a campaign failure.
 GOLDEN = crashcheck faultcheck litmus fams
@@ -113,6 +117,11 @@ golden:
 	    > _build/golden/$$c.txt || status=1; \
 	  diff -u test/golden/$$c.txt _build/golden/$$c.txt || status=1; \
 	done; \
+	echo "golden: crashcheck-8192"; \
+	dune exec bin/splitfs_cli.exe -- crashcheck --samples 8192 \
+	  --jobs $(JOBS) > _build/golden/crashcheck-8192.txt || status=1; \
+	diff -u test/golden/crashcheck-8192.txt \
+	  _build/golden/crashcheck-8192.txt || status=1; \
 	for c in $(GOLDEN_TABLES); do \
 	  echo "golden: $$c"; \
 	  dune exec bin/splitfs_cli.exe -- $$c > _build/golden/$$c.txt || status=1; \
@@ -151,20 +160,18 @@ par-bench:
 	dune exec bin/splitfs_cli.exe -- par-bench
 
 # Full verification: build, unit + property + differential tests, the
-# four verification campaigns, the scaling/profile/latency tables and
-# the paper tables diffed against their golden reports, the crashcheck
-# swarm over seeds 1..32, crashcheck with an 8,192-state budget (at the
-# pinned seed sync and strict fit it, so every one of their 7,472 and
-# 7,988 crash states is replayed and checked; posix and fams sample
-# 8,192), the serving-tier smoke, par-bench and the bench-diff gate.
-# Campaigns run with $(JOBS) worker domains. The par-bench table is also
-# kept in par-walltime.txt, with par-bench's exit status.
+# four verification campaigns, crashcheck with an 8,192-state budget
+# (every sync and strict crash state of the pinned seed), the
+# scaling/profile/latency tables and the paper tables diffed against
+# their golden reports, the crashcheck swarm over seeds 1..32, the
+# serving-tier smoke, par-bench and the bench-diff gate. Campaigns run
+# with $(JOBS) worker domains. The par-bench table is also kept in
+# par-walltime.txt, with par-bench's exit status.
 check:
 	dune build
 	dune runtest
 	$(MAKE) golden
 	$(MAKE) swarm K=32
-	dune exec bin/splitfs_cli.exe -- crashcheck --samples 8192 --jobs $(JOBS)
 	dune exec bin/splitfs_cli.exe -- scale --fast --jobs $(JOBS)
 	dune exec bin/splitfs_cli.exe -- par-bench > par-walltime.txt; \
 	  status=$$?; cat par-walltime.txt; exit $$status

@@ -27,7 +27,7 @@ let run_crashcheck samples seed nops jobs =
   let reports = show (E.crashcheck ~samples ~seed ~nops ?jobs ()) in
   if
     List.exists
-      (fun (r : Crashcheck.mode_report) -> r.Crashcheck.r_violations <> [])
+      (fun (_, (r : Crashcheck.Trial.report)) -> r.r_violations <> [])
       reports
   then exit 1
 
@@ -42,8 +42,7 @@ let run_litmus no_minimize jobs =
      in place fails the run. *)
   if
     List.exists
-      (fun (r : Crashcheck.Litmus.run) ->
-        r.Crashcheck.Litmus.r_violations <> [])
+      (fun (_, (r : Crashcheck.Trial.report)) -> r.r_violations <> [])
       runs
   then exit 1
 
@@ -67,8 +66,7 @@ let run_fams jobs =
   let failed = ref false in
   if
     List.exists
-      (fun (r : Crashcheck.Litmus.run) ->
-        r.Crashcheck.Litmus.r_violations <> [])
+      (fun (_, (r : Crashcheck.Trial.report)) -> r.r_violations <> [])
       runs
   then begin
     Printf.eprintf "fams: litmus contract violation\n";

@@ -172,6 +172,8 @@ let zero_range t ~off ~len =
     | None -> Fsapi.Errno.(error EINVAL "oplog: hole")
   done
 
+let instance_path instance = Printf.sprintf "/.splitfs-oplog-%d" instance
+
 let create ~sys ~env ~path ~size =
   let size = size / entry_size * entry_size in
   let kfd = Kernelfs.Syscall.open_ sys path Fsapi.Flags.create_rw in

@@ -57,6 +57,10 @@ val decode : ?verify:bool -> Bytes.t -> off:int -> decoded
 
 type t
 
+(** The log file of U-Split instance [instance]: mount creates it there,
+    recovery scans it there. *)
+val instance_path : int -> string
+
 (** Create (or adopt) the log file at [path], pre-allocate and
     zero-initialise it, and map it for user-space stores. *)
 val create :

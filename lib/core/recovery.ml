@@ -195,7 +195,7 @@ let recover ~sys ~env ~instance =
   let dev = env.Env.dev in
   let faults = env.Env.faults in
   let verify = env.Env.checks.Env.verify_checksums in
-  let path = Printf.sprintf "/.splitfs-oplog-%d" instance in
+  let path = Oplog.instance_path instance in
   let t0 = Env.now env in
   (* quarantine the PM line behind the most recent machine-check so the
      faulted range reads back as zeros instead of faulting forever *)

@@ -120,6 +120,19 @@ let scratch_buf t len =
     t.scratch <- Bytes.create (max len (2 * Bytes.length t.scratch));
   t.scratch
 
+(** Copy [len] staged bytes at [s_off] of [h] into [st]'s file at
+    [t_off] with a kernel pwrite, charged to relink copying: fsync's
+    path when relink is ablated or staging lives in DRAM, and the
+    fallback when a relink fault is sticky. *)
+let kernel_copy t st h ~t_off ~s_off ~len =
+  Env.with_cat t.env Obs.Relink_copy @@ fun () ->
+  let buf = scratch_buf t len in
+  Staging.read t.staging_pool h ~off:s_off buf ~boff:0 ~len;
+  let n = Kernelfs.Syscall.pwrite t.sys st.f_kfd ~buf ~boff:0 ~len ~at:t_off in
+  assert (n = len);
+  let stats = t.env.Env.stats in
+  stats.Stats.relink_copied_bytes <- stats.Stats.relink_copied_bytes + len
+
 let logs_ops t =
   match t.cfg.Config.mode with
   | Config.Posix -> false
@@ -467,17 +480,11 @@ and relink_extent t st h (e : Kernelfs.Extent_tree.extent) ~dst_size =
   let t_off = e.Kernelfs.Extent_tree.logical in
   let s_off = e.Kernelfs.Extent_tree.physical in
   let len = e.Kernelfs.Extent_tree.len in
-  if (not t.cfg.Config.use_relink) || Staging.is_dram h then begin
+  if (not t.cfg.Config.use_relink) || Staging.is_dram h then
     (* Figure 3 ablation (staging without relink) and the §4 DRAM-staging
        design: fsync copies the staged data into the target file through
        the kernel *)
-    Env.with_cat t.env Obs.Relink_copy @@ fun () ->
-    let buf = scratch_buf t len in
-    Staging.read t.staging_pool h ~off:s_off buf ~boff:0 ~len;
-    let n = Kernelfs.Syscall.pwrite t.sys st.f_kfd ~buf ~boff:0 ~len ~at:t_off in
-    assert (n = len);
-    stats.Stats.relink_copied_bytes <- stats.Stats.relink_copied_bytes + len
-  end
+    kernel_copy t st h ~t_off ~s_off ~len
   else begin
     (* partial head block: the target's block already exists (it is the old
        end of file, or an overwritten block); copy just those bytes *)
@@ -509,19 +516,6 @@ and relink_extent t st h (e : Kernelfs.Extent_tree.extent) ~dst_size =
          fault is masked, only performance suffers. *)
       let faults = t.env.Env.faults in
       let max_relink_attempts = 6 in
-      let copy_fallback () =
-        Faults.note_masked faults;
-        let clen = if tail_reaches_eof then rem else nfull * block_size in
-        Env.with_cat t.env Obs.Relink_copy @@ fun () ->
-        let buf = scratch_buf t clen in
-        Staging.read t.staging_pool h ~off:s2 buf ~boff:0 ~len:clen;
-        let n =
-          Kernelfs.Syscall.pwrite t.sys st.f_kfd ~buf ~boff:0 ~len:clen ~at:t2
-        in
-        assert (n = clen);
-        stats.Stats.relink_copied_bytes <-
-          stats.Stats.relink_copied_bytes + clen
-      in
       let rec attempt n =
         match
           Kernelfs.Syscall.relink t.sys ~src_fd:(Staging.sfd h)
@@ -537,7 +531,10 @@ and relink_extent t st h (e : Kernelfs.Extent_tree.extent) ~dst_size =
             Faults.new_epoch faults;
             Faults.note_relink_retry faults;
             attempt (n + 1)
-        | exception Fsapi.Errno.Error (Fsapi.Errno.EIO, _) -> copy_fallback ()
+        | exception Fsapi.Errno.Error (Fsapi.Errno.EIO, _) ->
+            Faults.note_masked faults;
+            kernel_copy t st h ~t_off:t2 ~s_off:s2
+              ~len:(if tail_reaches_eof then rem else nfull * block_size)
       in
       attempt 1
     end;
@@ -789,26 +786,28 @@ let do_pread t od ~buf ~boff ~len ~at =
 (* Metadata operations (routed to the kernel, with U-Split bookkeeping) *)
 (* ------------------------------------------------------------------ *)
 
+(** A fresh file state over kernel fd [kfd], from the [kstat] its caller
+    already took (a second fstat would be one more simulated syscall). *)
+let new_state ~path kfd (kstat : Fsapi.Fs.stat) =
+  {
+    f_ino = kstat.st_ino;
+    f_path = path;
+    f_kfd = kfd;
+    ksize = kstat.st_size;
+    usize = kstat.st_size;
+    shadow = Kernelfs.Extent_tree.create ();
+    staging = None;
+    mmaps = [];
+    mmap_index = [||];
+    mmap_index_stale = false;
+    mmap_last = 0;
+    open_count = 0;
+    unlinked = kstat.st_nlink = 0;
+    f_lock = Pmem.Lock.create (Printf.sprintf "ufile:%d" kstat.st_ino);
+  }
+
 let make_state t path kfd =
-  let kstat = Kernelfs.Syscall.fstat t.sys kfd in
-  let st =
-    {
-      f_ino = kstat.Fsapi.Fs.st_ino;
-      f_path = path;
-      f_kfd = kfd;
-      ksize = kstat.Fsapi.Fs.st_size;
-      usize = kstat.Fsapi.Fs.st_size;
-      shadow = Kernelfs.Extent_tree.create ();
-      staging = None;
-      mmaps = [];
-      mmap_index = [||];
-      mmap_index_stale = false;
-      mmap_last = 0;
-      open_count = 0;
-      unlinked = false;
-      f_lock = Pmem.Lock.create (Printf.sprintf "ufile:%d" kstat.Fsapi.Fs.st_ino);
-    }
-  in
+  let st = new_state ~path kfd (Kernelfs.Syscall.fstat t.sys kfd) in
   Hashtbl.replace t.files_by_ino st.f_ino st;
   Hashtbl.replace t.files_by_path path st;
   st
@@ -861,7 +860,9 @@ let open_ t path (flags : Fsapi.Flags.t) =
   st.open_count <- st.open_count + 1;
   install_fd t { st; fpos = ref 0; oflags = flags; od_kfd }
 
-let cleanup_state t st =
+(** Drop [st]'s staged data and mappings: its staging handle returns to
+    the pool, its shadow and mapping index empty. *)
+let drop_staged t st =
   (match st.staging with
   | Some h ->
       st.staging <- None;
@@ -869,7 +870,10 @@ let cleanup_state t st =
   | None -> ());
   Kernelfs.Extent_tree.clear st.shadow;
   st.mmaps <- [];
-  invalidate_mmap_index st;
+  invalidate_mmap_index st
+
+let cleanup_state t st =
+  drop_staged t st;
   Hashtbl.remove t.files_by_ino st.f_ino;
   Kernelfs.Syscall.close t.sys st.f_kfd
 
@@ -1044,14 +1048,7 @@ let snapshot_file t src_path snap_path =
      re-learn the size from the kernel *)
   (match Hashtbl.find_opt t.files_by_path snap_path with
   | Some dst when not dst.unlinked ->
-      (match dst.staging with
-      | Some h ->
-          dst.staging <- None;
-          Staging.release t.staging_pool h
-      | None -> ());
-      Kernelfs.Extent_tree.clear dst.shadow;
-      dst.mmaps <- [];
-      invalidate_mmap_index dst;
+      drop_staged t dst;
       let kstat = Kernelfs.Syscall.fstat t.sys dst.f_kfd in
       dst.ksize <- kstat.Fsapi.Fs.st_size;
       dst.usize <- kstat.Fsapi.Fs.st_size
@@ -1130,8 +1127,6 @@ let lseek t fd off whence =
 (* Mount, resource accounting, Fsapi view                               *)
 (* ------------------------------------------------------------------ *)
 
-let oplog_path instance = Printf.sprintf "/.splitfs-oplog-%d" instance
-
 let mount ?(cfg = Config.default) ~sys ~env ~instance () =
   let staging_pool =
     Staging.create ~in_dram:cfg.Config.staging_in_dram ~sys ~env ~instance
@@ -1142,7 +1137,7 @@ let mount ?(cfg = Config.default) ~sys ~env ~instance () =
     | Config.Posix -> None
     | Config.Sync | Config.Strict | Config.Fams ->
         Some
-          (Oplog.create ~sys ~env ~path:(oplog_path instance)
+          (Oplog.create ~sys ~env ~path:(Oplog.instance_path instance)
              ~size:cfg.Config.oplog_size)
   in
   let t =
@@ -1200,24 +1195,8 @@ let adopt_fd t' ~od_kfd ~fpos ~oflags =
     match Hashtbl.find_opt t'.files_by_ino ino with
     | Some st -> st
     | None ->
-        let st =
-          {
-            f_ino = ino;
-            f_path = "";  (* re-learned on the next open by path *)
-            f_kfd = od_kfd;
-            ksize = kstat.Fsapi.Fs.st_size;
-            usize = kstat.Fsapi.Fs.st_size;
-            shadow = Kernelfs.Extent_tree.create ();
-            staging = None;
-            mmaps = [];
-            mmap_index = [||];
-            mmap_index_stale = false;
-            mmap_last = 0;
-            open_count = 0;
-            unlinked = kstat.Fsapi.Fs.st_nlink = 0;
-            f_lock = Pmem.Lock.create (Printf.sprintf "ufile:%d" ino);
-          }
-        in
+        (* the path is re-learned on the next open by path *)
+        let st = new_state ~path:"" od_kfd kstat in
         Hashtbl.replace t'.files_by_ino ino st;
         st
   in

@@ -34,16 +34,15 @@
     a 24-op sync or strict workload has 7,472 or 7,988 states, and an
     8,192-state budget enumerates them. Posix and fams workloads leave
     more versions pending per crash point (1.3 M and 3.2 billion states
-    at the same seed), so they are sampled. A shrinking reporter
-    minimises the surviving-line deviation of any violating state
-    before reporting.
+    at the same seed), so they are sampled. The first violating state
+    is shrunk to its minimal surviving-line deviation before reporting.
 
     A generated workload, or two clients' workloads woven together
-    ({!weave}), compiles to a {!Trial.program}, and every state runs
-    through the crash kernel ({!Trial}) the litmus corpus, the fence
-    minimizer and faultcheck run too, on a stack from the
-    {!Stacks.Fs_config} registry, with the contracts of {!Check} and the
-    shrinker of {!Shrink}. *)
+    ({!weave}), compiles to a {!Trial.program}, and its crash states run
+    through {!Trial.explore}, the explorer the litmus corpus and the
+    fence minimizer run too, on a stack from the {!Stacks.Fs_config}
+    registry, with the contracts of {!Check} and the shrinker of
+    {!Shrink}. *)
 
 module Workload = Workload
 module Explore = Explore
@@ -125,124 +124,19 @@ end
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type violation = {
-  v_fence : int;  (** crash point (fence index) *)
-  v_op : int option;  (** operation in flight, if any *)
-  v_file : int;  (** index into the program's checked [paths] *)
-  v_reason : string;
-  v_survivors : Pmem.Device.survivor list;  (** as sampled/enumerated *)
-  v_shrunk : Pmem.Device.survivor list;  (** minimal deviating subset *)
-}
-
-type mode_report = {
-  r_mode : Splitfs.Config.mode;
-  r_ops : int;
-  r_points : int;  (** crash points (fences + end of trace) *)
-  r_total_states : int;  (** |legal crash states|, line-granular *)
-  r_explored : int;  (** trials actually run *)
-  r_exhaustive : bool;
-  r_violations : violation list;
-}
-
-let pp_survivor ppf (s : Pmem.Device.survivor) =
-  if s.s_tear <> 0 then
-    Fmt.pf ppf "line %d keep %d tear %#x" s.s_line s.s_keep s.s_tear
-  else Fmt.pf ppf "line %d keep %d" s.s_line s.s_keep
-
-let pp_violation ppf v =
-  Fmt.pf ppf "@[<v2>fence %d%a, file f%d: %s@,shrunk to: @[%a@]@]" v.v_fence
-    (fun ppf -> function
-      | Some k -> Fmt.pf ppf " (op %d in flight)" k
-      | None -> ())
-    v.v_op v.v_file v.v_reason
-    Fmt.(list ~sep:semi pp_survivor)
-    v.v_shrunk
-
-let pp_mode_report ppf r =
-  Fmt.pf ppf "@[<v2>%-6s %3d ops  %4d crash points  %6d/%-6d states %s  %d violation(s)%a@]"
-    (Splitfs.Config.mode_to_string r.r_mode)
-    r.r_ops r.r_points r.r_explored r.r_total_states
-    (if r.r_exhaustive then "(exhaustive)" else "(sampled)")
-    (List.length r.r_violations)
-    Fmt.(list ~sep:nop (fun ppf v -> Fmt.pf ppf "@,%a" pp_violation v))
-    r.r_violations
-
-(** [check_program ?samples ?seed ?jobs ?checks mode p] maps the
-    crash-state space of [p] on the crash-trial stack of [mode], with as
-    many clients as [p] names, explores it (exhaustively if it fits in
-    [samples] trials, by seeded sampling otherwise) and differentially
-    checks recovery for every explored state. The first violation is
-    shrunk ({!Shrink.survivors}, 100 re-runs at most); all are
-    reported. [checks] sets the trials' oracle/recovery toggles (the
-    injected-bug canaries); the profile pass runs with all checks on.
-
-    Parallel structure (DESIGN.md §5j): the trial list is materialised by
-    a cheap sequential prepass — identical RNG draws regardless of job
-    count — then the expensive per-trial replays fan over the {!Par}
-    domain pool. Results come back in trial order, so the merge (and
-    which violation gets the shrinking budget) is byte-identical at any
-    job count. *)
+(** [check_program ?samples ?seed ?jobs ?checks mode p] explores the
+    crash states of [p] on the crash-trial stack of [mode], with as many
+    clients as [p] names, held to that mode's contract
+    ({!Trial.explore}: every state if they fit in [samples] trials, seeded
+    draws otherwise, the first violation shrunk). [checks] sets the
+    trials' oracle/recovery toggles (the injected-bug canaries); the
+    profile pass runs with all checks on. *)
 let check_program ?(samples = 200) ?(seed = 0x51ED) ?jobs ?checks mode
     (p : Trial.program) =
-  let points = points mode p in
-  let trial ((pt : Explore.point), svs) =
-    trial ?checks mode p ~point:pt ~survivors:svs
-  in
-  let total =
-    List.fold_left
-      (fun acc (p : Explore.point) -> acc + Explore.state_count p.pending)
-      0 points
-  in
-  let exhaustive = total <= samples in
-  let trials =
-    if exhaustive then
-      List.concat_map
-        (fun (p : Explore.point) ->
-          List.map (fun svs -> (p, svs)) (Explore.enumerate p.pending))
-        points
-    else begin
-      (* partition-independent sampling: trial [i]'s crash state is a
-         function of (seed, i) alone, never of shared RNG state — the
-         sampled multiset is identical at any job count or budget split *)
-      let parr = Array.of_list points in
-      List.init samples (fun i ->
-          Explore.sample_point_indexed ~seed:(seed lxor 0x5EED5EED) ~index:i
-            parr)
-    end
-  in
-  let results = Par.map ?jobs (fun _ t -> trial t) trials in
-  let violations = ref [] in
-  List.iter2
-    (fun ((pt : Explore.point), svs) (t : Trial.trial) ->
-      List.iter
-        (fun (file, reason) ->
-          let shrunk =
-            if !violations = [] then
-              Shrink.survivors ~budget:100 pt svs ~violates:(fun svs ->
-                  (trial (pt, svs)).Trial.violations <> [])
-            else svs
-          in
-          violations :=
-            {
-              v_fence = pt.Explore.fence;
-              v_op = t.Trial.crashed_at;
-              v_file = file;
-              v_reason = reason;
-              v_survivors = svs;
-              v_shrunk = shrunk;
-            }
-            :: !violations)
-        t.Trial.violations)
-    trials results;
-  {
-    r_mode = mode;
-    r_ops = List.length p.Trial.ops;
-    r_points = List.length points;
-    r_total_states = total;
-    r_explored = List.length trials;
-    r_exhaustive = exhaustive;
-    r_violations = List.rev !violations;
-  }
+  let spec = Fs_config.of_mode mode in
+  Trial.explore ~samples ~seed:(seed lxor 0x5EED5EED) ?jobs
+    ~build:(fun () -> Fs_config.make_small ?checks spec)
+    ~contract:(Check.contract_of spec) p (points mode p)
 
 (** [check_mode ?samples ?seed ?nops ?jobs ?checks mode]: {!check_program}
     on a generated [nops]-op workload of [mode]. *)
@@ -250,10 +144,10 @@ let check_mode ?samples ?(seed = 0x51ED) ?(nops = 24) ?jobs ?checks mode =
   check_program ?samples ~seed ?jobs ?checks mode
     (Trial.of_workload (Workload.generate ~mode ~seed ~nops ()))
 
-(** All four modes with the same budget. *)
+(** All four modes with the same budget, each report with its mode. *)
 let run ?samples ?seed ?nops ?jobs () =
   List.map
-    (fun mode -> check_mode ?samples ?seed ?nops ?jobs mode)
+    (fun mode -> (mode, check_mode ?samples ?seed ?nops ?jobs mode))
     [
       Splitfs.Config.Posix;
       Splitfs.Config.Sync;

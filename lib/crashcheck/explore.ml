@@ -1,7 +1,8 @@
-(** Crash-state space of the persist-order journal (DESIGN.md §5d).
-
-    Shared by the whole-workload differential runner ({!Crashcheck}), the
-    litmus corpus ({!Litmus}) and the fence minimizer ({!Minimize}). *)
+(** Crash-state space of the persist-order journal (DESIGN.md §5d): the
+    crash points of a run, the size of each point's space, and the two
+    ways a crash state is named by an index, {!nth} for enumeration and
+    {!sample_point_indexed} for seeded draws. {!Trial.explore} walks it
+    for every campaign; the end-to-end benchmark draws from it too. *)
 
 (** A crash point: trip at fence [fence] (0-based, counted from
     [journal_begin]); [fence = fence_count] means "end of trace".
@@ -38,27 +39,24 @@ let state_count (pending : Pmem.Device.pending_line array) =
       if acc >= count_cap then count_cap else acc * (p.p_versions + 1))
     1 pending
 
-(** All survivor vectors for one point, in odometer order. *)
-let enumerate (pending : Pmem.Device.pending_line array) =
-  let n = Array.length pending in
-  let rec go i =
-    if i = n then [ [] ]
+(** Survivor vector [i] of one point, [0 <= i < state_count pending],
+    in odometer order: the last pending line's keep turns fastest, the
+    first line's slowest. A crash state is its index: explorers keep the
+    index and decode the vector when they need it. *)
+let nth (pending : Pmem.Device.pending_line array) i =
+  let rec go k i tail =
+    if k < 0 then tail
     else
-      let tails = go (i + 1) in
-      List.concat_map
-        (fun keep ->
-          List.map
-            (fun tail ->
-              {
-                Pmem.Device.s_line = pending.(i).Pmem.Device.p_line;
-                s_keep = keep;
-                s_tear = 0;
-              }
-              :: tail)
-            tails)
-        (List.init (pending.(i).Pmem.Device.p_versions + 1) Fun.id)
+      let p = pending.(k) in
+      let radix = p.Pmem.Device.p_versions + 1 in
+      go (k - 1) (i / radix)
+        ({ Pmem.Device.s_line = p.p_line; s_keep = i mod radix; s_tear = 0 }
+        :: tail)
   in
-  go 0
+  go (Array.length pending - 1) i []
+
+(** All survivor vectors for one point, in {!nth}'s order. *)
+let enumerate pending = List.init (state_count pending) (nth pending)
 
 (** One random survivor vector. Non-temporal frontier versions get a
     random 8-byte tear mask one time in four: x86 only guarantees
@@ -90,21 +88,13 @@ let sample rng (pending : Pmem.Device.pending_line array) =
   in
   build 0
 
-(** [sample_indexed ~seed ~index pending] is the deterministic,
-    partition-independent sampler for parallel campaigns: draw [index]'s
-    survivor vector from a PRNG derived from [(seed, index)] alone
-    ({!Workloads.Rng.derive}), never from shared RNG state. A budget of
-    [m] samples split over [k] domains — each domain covering its own
-    index range — therefore visits exactly the same multiset of crash
-    states as one sequential pass over indices [0..m-1]. *)
-let sample_indexed ~seed ~index (pending : Pmem.Device.pending_line array) =
-  sample (Workloads.Rng.create_derived seed index) pending
-
-(** [sample_point_indexed ~seed ~index points] is {!sample_indexed} for a
-    whole campaign trial: both the crash point and its survivor vector
-    are drawn from the [(seed, index)]-derived PRNG, so trial [index] is
-    the same crash state no matter how the budget is partitioned across
-    domains or how many trials precede it. *)
+(** [sample_point_indexed ~seed ~index points] is the deterministic,
+    partition-independent sampler for parallel campaigns: both the crash
+    point and its survivor vector of draw [index] come from a PRNG
+    derived from [(seed, index)] alone ({!Workloads.Rng.derive}), never
+    from shared RNG state. Draw [index] is therefore the same crash
+    state no matter how a budget is split over domains or how many draws
+    precede it. *)
 let sample_point_indexed ~seed ~index (points : point array) =
   let rng = Workloads.Rng.create_derived seed index in
   let p = points.(Workloads.Rng.int rng (Array.length points)) in

@@ -29,8 +29,8 @@
     check every pattern carries a claim — a cross-file safety property
     ("the destination of the rename always exists") evaluated on every
     recovered crash state. A pattern is a {!Trial.program} with that
-    claim, and every crash state runs through the shared crash kernel
-    ({!Trial.run}). *)
+    claim, and its crash states run through the one explorer
+    ({!Trial.explore}) crashcheck runs too. *)
 
 (* ------------------------------------------------------------------ *)
 (* Patterns                                                             *)
@@ -351,7 +351,7 @@ let combos =
   List.concat_map (fun p -> List.map (on_stack p) stacks) corpus @ aux_combos
 
 (* ------------------------------------------------------------------ *)
-(* Profiling and the crash trial                                        *)
+(* Profiling                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (** Every crash point of the combo, and the fence sites that fire inside
@@ -390,39 +390,20 @@ let site_coverage ?jobs () =
         List.fold_left (fun acc hits -> acc + List.nth hits k) 0 per_combo ))
     (Pmem.Device.fence_sites ())
 
-(** One crash state of the combo ({!Trial.run}). *)
-let trial c =
-  Trial.run ~build:c.c_build ~contract:c.c_contract c.c_pattern.p_program
-
 (* ------------------------------------------------------------------ *)
 (* Exhaustive driver                                                    *)
 (* ------------------------------------------------------------------ *)
-
-type violation = {
-  vl_path : string option;  (** [None] = pattern-claim violation *)
-  vl_reason : string;
-  vl_fence : int;
-  vl_op : int option;
-  vl_survivors : Pmem.Device.survivor list;
-}
-
-type run = {
-  r_pattern : string;
-  r_config : string;  (** stack name, or an aux configuration name *)
-  r_contract : Check.contract;
-  r_points : int;  (** crash points: fences + end of trace *)
-  r_states : int;  (** crash states enumerated — all of them *)
-  r_violations : violation list;
-}
 
 (** Litmus is exhaustive by construction: a pattern whose crash space
     outgrows this per-point cap is a corpus bug, not a sampling
     opportunity. *)
 let max_point_states = 4096
 
+(** Every crash state of the combo ({!Trial.explore}), on the calling
+    domain: the corpus and the minimizer fan out over combos and sites
+    above it. *)
 let run_combo c =
   let points, _ = profile c in
-  let states = ref 0 and violations = ref [] in
   List.iter
     (fun (pt : Explore.point) ->
       let n = Explore.state_count pt.Explore.pending in
@@ -431,43 +412,17 @@ let run_combo c =
           (Printf.sprintf
              "litmus %s on %s: %d crash states at fence %d exceed the \
               exhaustive cap %d"
-             c.c_pattern.p_name c.c_config n pt.Explore.fence max_point_states);
-      states := !states + n;
-      List.iter
-        (fun svs ->
-          let t = trial c ~point:pt ~survivors:svs in
-          List.iter
-            (fun (i, reason) ->
-              violations :=
-                {
-                  vl_path =
-                    (if i < 0 then None
-                     else Some c.c_pattern.p_program.Trial.paths.(i));
-                  vl_reason = reason;
-                  vl_fence = pt.Explore.fence;
-                  vl_op = t.Trial.crashed_at;
-                  vl_survivors = svs;
-                }
-                :: !violations)
-            t.Trial.violations)
-        (Explore.enumerate pt.Explore.pending))
+             c.c_pattern.p_name c.c_config n pt.Explore.fence max_point_states))
     points;
-  {
-    r_pattern = c.c_pattern.p_name;
-    r_config = c.c_config;
-    r_contract = c.c_contract;
-    r_points = List.length points;
-    r_states = !states;
-    r_violations = List.rev !violations;
-  }
+  Trial.explore ~jobs:1 ~build:c.c_build ~contract:c.c_contract
+    c.c_pattern.p_program points
 
-(** [combos], each exhaustively. Combos are
+(** [combos], each exhaustively, each report with its combo. Combos are
     independent — each builds its own stacks — so they fan over the
     {!Par} domain pool; results come back in combo order, identical at
-    any job count. Exploration inside one combo stays sequential,
-    preserving the pinned per-combo state counts exactly. *)
+    any job count. *)
 let run_corpus ?jobs combos =
-  Par.map ?jobs (fun _ c -> run_combo c) combos
+  Par.map ?jobs (fun _ c -> (c, run_combo c)) combos
 
 (** Harness self-test: break the fams publish protocol (no commit record
     before the relink — [Env.checks.fams_commit_record]) and re-explore
@@ -489,30 +444,15 @@ let catches_torn_msync () =
       c_build = (fun () -> Fs_config.make_small ~checks Fs_config.Splitfs_fams);
     }
   in
-  (run_combo c).r_violations <> []
+  (run_combo c).Trial.r_violations <> []
 
-let pp_violation ppf v =
-  Fmt.pf ppf "@[<v2>fence %d%a%a: %s@,survivors: @[%a@]@]" v.vl_fence
-    (fun ppf -> function
-      | Some k -> Fmt.pf ppf " (op %d in flight)" k
-      | None -> ())
-    v.vl_op
-    (fun ppf -> function
-      | Some p -> Fmt.pf ppf ", %s" p
-      | None -> Fmt.string ppf ", claim")
-    v.vl_path v.vl_reason
-    Fmt.(
-      list ~sep:semi (fun ppf (s : Pmem.Device.survivor) ->
-          Fmt.pf ppf "line %d keep %d" s.s_line s.s_keep))
-    v.vl_survivors
-
-let pp_run ppf r =
+let pp_run ppf (c, (r : Trial.report)) =
   Fmt.pf ppf
     "@[<v2>%-16s %-22s %-8s %3d points %5d states (exhaustive)  %d \
      violation(s)%a@]"
-    r.r_pattern r.r_config
-    (Check.contract_name r.r_contract)
+    c.c_pattern.p_name c.c_config
+    (Check.contract_name c.c_contract)
     r.r_points r.r_states
     (List.length r.r_violations)
-    Fmt.(list ~sep:nop (fun ppf v -> Fmt.pf ppf "@,%a" pp_violation v))
+    Fmt.(list ~sep:nop (fun ppf v -> Fmt.pf ppf "@,%a" Trial.pp_violation v))
     r.r_violations

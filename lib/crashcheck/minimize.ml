@@ -37,27 +37,6 @@
 let profile_combos ?jobs combos =
   Par.map ?jobs (fun _ c -> (c, snd (Litmus.profile c))) combos
 
-(** Shrink a counterexample with the elision still active: what remains
-    is the minimal deviation that breaks recovery without the elided
-    fence. *)
-let shrink c (v : Litmus.violation) =
-  let points, _ = Litmus.profile c in
-  match
-    List.find_opt
-      (fun (p : Explore.point) -> p.Explore.fence = v.Litmus.vl_fence)
-      points
-  with
-  | None -> v
-  | Some point ->
-      let violates svs =
-        (Litmus.trial c ~point ~survivors:svs).Trial.violations <> []
-      in
-      {
-        v with
-        Litmus.vl_survivors =
-          Shrink.survivors ~budget:48 ~violates point v.Litmus.vl_survivors;
-      }
-
 (* ------------------------------------------------------------------ *)
 (* Per-site classification                                              *)
 (* ------------------------------------------------------------------ *)
@@ -65,7 +44,9 @@ let shrink c (v : Litmus.violation) =
 type verdict =
   | Required of {
       q_combo : string;  (** where the counterexample lives *)
-      q_violation : Litmus.violation;  (** shrunk *)
+      q_violation : Trial.violation;
+          (** the combo's first violation, shrunk with the elision still
+              active *)
     }
   | Redundant of {
       q_combos : int;  (** combinations the site fires in *)
@@ -99,14 +80,12 @@ let classify profiled site =
         | [] ->
             Redundant { q_combos = List.length firing; q_states = !states }
         | (c, _) :: rest -> (
-            let ec = elided c site in
-            let r = Litmus.run_combo ec in
-            states := !states + r.Litmus.r_states;
-            match r.Litmus.r_violations with
+            let r = Litmus.run_combo (elided c site) in
+            states := !states + r.Trial.r_states;
+            match r.Trial.r_violations with
             | [] -> go rest
             | v :: _ ->
-                Required
-                  { q_combo = Litmus.combo_name c; q_violation = shrink ec v })
+                Required { q_combo = Litmus.combo_name c; q_violation = v })
       in
       go firing
 

@@ -1,11 +1,12 @@
 (** The crash kernel every campaign runs (DESIGN.md §5d): one program
-    type, one {!setup}, one {!apply}, one crash-point {!profile} pass
-    and one lockstep crash trial ({!run}). Crashcheck (one client or
-    two), the litmus corpus and its fence minimizer compile their
+    type, one {!setup}, one {!apply}, one crash-point {!profile} pass,
+    one lockstep crash trial ({!run}) and one explorer ({!explore}) from
+    crash points to a {!report} of {!violation}s. Crashcheck (one client
+    or two), the litmus corpus and its fence minimizer compile their
     workloads to a {!program} and differ only in the stack they build,
-    the contract they hold it to and how they pick crash states;
-    faultcheck runs the same program through {!mount} under a fault
-    plan instead of a crash, and judges it against {!oracle} worlds. *)
+    the contract they hold it to and their sample budget; faultcheck
+    runs the same program through {!mount} under a fault plan instead of
+    a crash, and judges it against {!oracle} worlds. *)
 
 module Fs_config = Stacks.Fs_config
 
@@ -372,3 +373,116 @@ let run ~build ~contract p ~point ~survivors =
     | None -> ()
   done;
   { crashed_at; violations = !violations; recovered; recovery }
+
+(* ------------------------------------------------------------------ *)
+(* Exploring a program's crash states                                   *)
+(* ------------------------------------------------------------------ *)
+
+(** One failed check in one crash state. *)
+type violation = {
+  v_fence : int;  (** crash point (fence index) *)
+  v_op : int option;  (** op in flight, [None] = end of trace *)
+  v_path : string option;  (** [None] = the program's claim *)
+  v_reason : string;
+  v_survivors : Pmem.Device.survivor list;
+      (** the crash state's survivor vector; for a report's first
+          violation, its minimal deviating subset *)
+}
+
+type report = {
+  r_points : int;  (** crash points: fences + end of trace *)
+  r_states : int;  (** legal crash states, line-granular *)
+  r_explored : int;  (** trials run *)
+  r_exhaustive : bool;  (** every legal state was run *)
+  r_violations : violation list;  (** in trial order *)
+}
+
+(** [explore ?samples ?seed ?jobs ~build ~contract p points] runs crash
+    states of [p] at [points] (from {!profile}) through {!run}: every
+    state when they number at most [samples] (default: no limit), else
+    [samples] seeded draws. A crash state is its index [i]: the [i]th of
+    {!Explore.nth}'s walk over the points in order, or draw [i] of
+    {!Explore.sample_point_indexed} at [seed]. A trial keeps only its op
+    in flight and violations; a violation's survivor vector is decoded
+    from its index again. The first violation in trial order is shrunk
+    ({!Shrink.survivors}, 100 re-runs at most).
+
+    Trials fan over the {!Par} domain pool and come back in trial order,
+    so the report, and which violation gets shrunk, is byte-identical at
+    any job count (DESIGN.md §5j). *)
+let explore ?samples ?(seed = 0) ?jobs ~build ~contract p points =
+  let points = Array.of_list points in
+  let counts =
+    Array.map
+      (fun (pt : Explore.point) -> Explore.state_count pt.Explore.pending)
+      points
+  in
+  let states = Array.fold_left ( + ) 0 counts in
+  let exhaustive = match samples with Some n -> states <= n | None -> true in
+  let explored = if exhaustive then states else Option.get samples in
+  let state i =
+    if exhaustive then
+      let rec find k i =
+        if i < counts.(k) then
+          (points.(k), Explore.nth points.(k).Explore.pending i)
+        else find (k + 1) (i - counts.(k))
+      in
+      find 0 i
+    else Explore.sample_point_indexed ~seed ~index:i points
+  in
+  let trial (point, survivors) = run ~build ~contract p ~point ~survivors in
+  let outcomes =
+    Par.map ?jobs
+      (fun _ i ->
+        let t = trial (state i) in
+        (t.crashed_at, t.violations))
+      (List.init explored Fun.id)
+  in
+  let violations = ref [] in
+  List.iteri
+    (fun i (op, vs) ->
+      if vs <> [] then begin
+        let point, svs = state i in
+        List.iter
+          (fun (k, reason) ->
+            let survivors =
+              if !violations <> [] then svs
+              else
+                Shrink.survivors ~budget:100 point svs ~violates:(fun svs ->
+                    (trial (point, svs)).violations <> [])
+            in
+            violations :=
+              {
+                v_fence = point.Explore.fence;
+                v_op = op;
+                v_path = (if k < 0 then None else Some p.paths.(k));
+                v_reason = reason;
+                v_survivors = survivors;
+              }
+              :: !violations)
+          vs
+      end)
+    outcomes;
+  {
+    r_points = Array.length points;
+    r_states = states;
+    r_explored = explored;
+    r_exhaustive = exhaustive;
+    r_violations = List.rev !violations;
+  }
+
+let pp_survivor ppf (s : Pmem.Device.survivor) =
+  if s.s_tear <> 0 then
+    Fmt.pf ppf "line %d keep %d tear %#x" s.s_line s.s_keep s.s_tear
+  else Fmt.pf ppf "line %d keep %d" s.s_line s.s_keep
+
+let pp_violation ppf v =
+  Fmt.pf ppf "@[<v2>fence %d%a, %s: %s@,survivors: @[%a@]@]" v.v_fence
+    (fun ppf -> function
+      | Some k -> Fmt.pf ppf " (op %d in flight)" k
+      | None -> ())
+    v.v_op
+    (Option.value v.v_path ~default:"claim")
+    v.v_reason
+    Fmt.(list ~sep:semi pp_survivor)
+    v.v_survivors

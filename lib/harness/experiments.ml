@@ -898,22 +898,22 @@ let crashcheck ?(samples = 200) ?(seed = 0x51ED) ?(nops = 24) ?jobs () =
     Runner.table ~title:"Crashcheck: crash states explored per mode"
       [ "mode"; "ops"; "crash points"; "legal states"; "explored"; "coverage"; "violations" ]
       (List.map
-         (fun (r : Crashcheck.mode_report) ->
+         (fun (mode, (r : Crashcheck.Trial.report)) ->
            [
-             Splitfs.Config.mode_to_string r.Crashcheck.r_mode;
-             string_of_int r.Crashcheck.r_ops;
-             string_of_int r.Crashcheck.r_points;
-             string_of_int r.Crashcheck.r_total_states;
-             string_of_int r.Crashcheck.r_explored;
-             (if r.Crashcheck.r_exhaustive then "exhaustive" else "sampled");
-             string_of_int (List.length r.Crashcheck.r_violations);
+             Splitfs.Config.mode_to_string mode;
+             string_of_int nops;
+             string_of_int r.r_points;
+             string_of_int r.r_states;
+             string_of_int r.r_explored;
+             (if r.r_exhaustive then "exhaustive" else "sampled");
+             string_of_int (List.length r.r_violations);
            ])
          reports)
     ^ String.concat ""
         (List.concat_map
-           (fun (r : Crashcheck.mode_report) ->
-             List.map (Fmt.str "%a@." Crashcheck.pp_violation)
-               r.Crashcheck.r_violations)
+           (fun (_, (r : Crashcheck.Trial.report)) ->
+             List.map (Fmt.str "%a@." Crashcheck.Trial.pp_violation)
+               r.r_violations)
            reports)
   in
   { Runner.value = reports; text; points = [] }
@@ -1007,6 +1007,7 @@ let faultcheck ?(seed = 0xFA17) ?(nops = 24) ?jobs () =
 let litmus ?(minimize = true) ?jobs () =
   let module L = Crashcheck.Litmus in
   let module M = Crashcheck.Minimize in
+  let module T = Crashcheck.Trial in
   let runs = L.(run_corpus ?jobs combos) in
   let verdicts = if minimize then M.run ?jobs () else [] in
   let corpus =
@@ -1014,22 +1015,22 @@ let litmus ?(minimize = true) ?jobs () =
       ~title:"Litmus corpus: exhaustive crash-state exploration"
       [ "pattern"; "stack"; "contract"; "crash points"; "states"; "violations" ]
       (List.map
-         (fun (r : L.run) ->
+         (fun ((c : L.combo), (r : T.report)) ->
            [
-             r.L.r_pattern;
-             r.L.r_config;
-             Crashcheck.Check.contract_name r.L.r_contract;
-             string_of_int r.L.r_points;
-             string_of_int r.L.r_states;
-             string_of_int (List.length r.L.r_violations);
+             c.c_pattern.p_name;
+             c.c_config;
+             Crashcheck.Check.contract_name c.c_contract;
+             string_of_int r.r_points;
+             string_of_int r.r_states;
+             string_of_int (List.length r.r_violations);
            ])
          runs)
     ^ String.concat ""
         (List.concat_map
-           (fun (r : L.run) ->
+           (fun (c, (r : T.report)) ->
              List.map
-               (Fmt.str "%s/%s: %a@." r.L.r_pattern r.L.r_config L.pp_violation)
-               r.L.r_violations)
+               (Fmt.str "%s: %a@." (L.combo_name c) T.pp_violation)
+               r.r_violations)
            runs)
   in
   let minimization () =
@@ -1055,7 +1056,7 @@ let litmus ?(minimize = true) ?jobs () =
              match s.M.s_verdict with
              | M.Required { q_combo; q_violation } ->
                  Some
-                   (Fmt.str "%s @@ %s: %a@." s.M.s_name q_combo L.pp_violation
+                   (Fmt.str "%s @@ %s: %a@." s.M.s_name q_combo T.pp_violation
                       q_violation)
              | _ -> None)
            verdicts)
@@ -1063,10 +1064,8 @@ let litmus ?(minimize = true) ?jobs () =
   let text = if minimize then corpus ^ minimization () else corpus in
   let points =
     List.map
-      (fun (r : L.run) ->
-        B.count "states"
-          (Printf.sprintf "litmus/%s/%s" r.L.r_pattern r.L.r_config)
-          r.L.r_states)
+      (fun (c, (r : T.report)) ->
+        B.count "states" ("litmus/" ^ L.combo_name c) r.r_states)
       runs
   in
   { Runner.value = runs; text; points }

@@ -11,23 +11,15 @@
 
     Each source becomes one {e series} of fixed capacity holding, per
     sample, the boundary-crossing time, the delta of the counter since
-    the previous sample, and the cumulative value. Two full-buffer
-    policies:
+    the previous sample, and the cumulative value. When the buffer
+    fills, adjacent sample pairs merge (deltas add, the later time and
+    cumulative value win) and the sampling period doubles: the series
+    always covers the whole run at a resolution that adapts to its
+    length. The compaction depends only on the sample count, so it is as
+    deterministic as the samples themselves, and every series maintains
+    the invariant
 
-    - {b newest-window} ([widen = false]): the ring overwrites the oldest
-      sample; its delta is folded into a per-series [evicted] accumulator
-      so the accounting identity survives the wrap;
-    - {b period doubling} ([widen = true], the default): when the buffer
-      fills, adjacent sample pairs merge (deltas add, the later time and
-      cumulative value win) and the sampling period doubles — the series
-      always covers the whole run at a resolution that adapts to its
-      length. The compaction depends only on the sample count, so it is
-      as deterministic as the samples themselves.
-
-    Either way every series maintains the invariant
-
-      evicted + sum(retained deltas) = last sampled value - value at
-                                       registration
+      sum(retained deltas) = last sampled value - value at registration
 
     which {!check} verifies at 1e-8 relative tolerance — the timeline leg
     of [Env.check_identity].
@@ -41,23 +33,20 @@ type series = {
   s_read : unit -> float;  (** cumulative counter; must not charge time *)
   s_cum0 : float;  (** counter value when the source was registered *)
   mutable s_last : float;  (** counter value at the newest sample *)
-  mutable s_evicted : float;  (** deltas lost to ring overwrite *)
   s_delta : float array;  (** per-slot delta since the previous sample *)
   s_cum : float array;  (** per-slot cumulative value *)
 }
 
 type t = {
   capacity : int;
-  widen : bool;
   period0_ns : float;
   mutable period_ns : float;
   mutable next_ns : float;  (** next boundary; [Simclock.advance] compares *)
   mutable series_rev : series list;  (** newest first; {!series_list} reverses *)
   mutable nseries : int;
   times : float array;  (** shared sample times (clock at the crossing) *)
-  mutable len : int;
-  mutable pos : int;  (** next write slot; equals [len] in widen mode *)
-  mutable taken : int;  (** samples taken, including evicted ones *)
+  mutable len : int;  (** retained samples; the next write slot *)
+  mutable taken : int;  (** samples taken, including merged ones *)
   mutable doublings : int;
 }
 
@@ -70,14 +59,13 @@ let timeline_everything =
   | Some ("1" | "true" | "yes") -> true
   | _ -> false
 
-let create ?(capacity = 512) ?(period_ns = 4096.) ?(widen = true) () =
+let create ?(capacity = 512) ?(period_ns = 4096.) () =
   let capacity = max 8 capacity in
   (* pair-merging compaction needs an even slot count *)
   let capacity = capacity + (capacity land 1) in
   if period_ns <= 0. then invalid_arg "Timeline.create: period_ns <= 0";
   {
     capacity;
-    widen;
     period0_ns = period_ns;
     period_ns;
     next_ns = period_ns;
@@ -85,7 +73,6 @@ let create ?(capacity = 512) ?(period_ns = 4096.) ?(widen = true) () =
     nseries = 0;
     times = Array.make capacity 0.;
     len = 0;
-    pos = 0;
     taken = 0;
     doublings = 0;
   }
@@ -114,7 +101,6 @@ let add_source t ~name read =
       s_read = read;
       s_cum0 = v;
       s_last = v;
-      s_evicted = 0.;
       s_delta = Array.make t.capacity 0.;
       s_cum = Array.make t.capacity v;
     }
@@ -143,7 +129,6 @@ let compact t =
       done)
     t.series_rev;
   t.len <- half;
-  t.pos <- half;
   t.period_ns <- t.period_ns *. 2.;
   t.doublings <- t.doublings + 1
 
@@ -151,11 +136,7 @@ let compact t =
     the boundary. Called from the clock funnel when [now] crosses
     {!next_boundary}; callable directly ({!flush}) to close the books. *)
 let sample t ~now =
-  let slot = t.pos in
-  if (not t.widen) && t.len = t.capacity then begin
-    (* overwriting the oldest sample: keep its deltas in the identity *)
-    List.iter (fun s -> s.s_evicted <- s.s_evicted +. s.s_delta.(slot)) t.series_rev
-  end;
+  let slot = t.len in
   t.times.(slot) <- now;
   List.iter
     (fun s ->
@@ -164,15 +145,8 @@ let sample t ~now =
       s.s_cum.(slot) <- v;
       s.s_last <- v)
     t.series_rev;
-  if t.widen then begin
-    t.len <- t.len + 1;
-    t.pos <- t.len;
-    if t.len = t.capacity then compact t
-  end
-  else begin
-    t.pos <- (slot + 1) mod t.capacity;
-    if t.len < t.capacity then t.len <- t.len + 1
-  end;
+  t.len <- t.len + 1;
+  if t.len = t.capacity then compact t;
   t.taken <- t.taken + 1;
   let next = t.period_ns *. (Float.floor (now /. t.period_ns) +. 1.) in
   (* guard against float-precision stalls at extreme now/period ratios *)
@@ -182,10 +156,7 @@ let sample t ~now =
     clock has not moved) so the series account for every counter value up
     to the present — used before exports and by the identity check. *)
 let flush t ~now =
-  let last = if t.len = 0 then neg_infinity else
-      t.times.((if t.widen || t.len < t.capacity then t.len - 1
-                else (t.pos + t.capacity - 1) mod t.capacity))
-  in
+  let last = if t.len = 0 then neg_infinity else t.times.(t.len - 1) in
   sample t ~now:(Float.max now last)
 
 (** Retained samples of series [name], oldest first, as
@@ -194,30 +165,26 @@ let samples t name =
   match List.find_opt (fun s -> s.s_name = name) t.series_rev with
   | None -> invalid_arg ("Timeline.samples: unknown series " ^ name)
   | Some s ->
-      let first =
-        if t.widen || t.len < t.capacity then 0 else t.pos
-      in
-      Array.init t.len (fun i ->
-          let slot = (first + i) mod t.capacity in
-          (t.times.(slot), s.s_delta.(slot), s.s_cum.(slot)))
+      Array.init t.len (fun i -> (t.times.(i), s.s_delta.(i), s.s_cum.(i)))
 
-(** Verify, for every series, evicted + sum(retained deltas) =
-    last sampled value - value at registration, at 1e-8 relative + 1e-6
-    absolute tolerance (float summation order only). Raises [Failure] on
-    violation; returns the number of series checked. *)
+(** Verify, for every series, sum(retained deltas) = last sampled value
+    - value at registration, at 1e-8 relative + 1e-6 absolute tolerance
+    (float summation order only). Raises [Failure] on violation; returns
+    the number of series checked. *)
 let check t =
   List.iter
     (fun s ->
       let retained = Array.fold_left ( +. ) 0. s.s_delta in
-      let total = s.s_evicted +. retained in
       let expect = s.s_last -. s.s_cum0 in
-      let tol = (1e-8 *. Float.max (Float.abs total) (Float.abs expect)) +. 1e-6 in
-      if Float.abs (total -. expect) > tol then
+      let tol =
+        (1e-8 *. Float.max (Float.abs retained) (Float.abs expect)) +. 1e-6
+      in
+      if Float.abs (retained -. expect) > tol then
         failwith
           (Printf.sprintf
-             "timeline identity violated for series %s: evicted %.6f + \
-              retained %.6f = %.6f <> final-cum0 %.6f (tol %.6f)"
-             s.s_name s.s_evicted retained total expect tol))
+             "timeline identity violated for series %s: retained %.6f <> \
+              final-cum0 %.6f (tol %.6f)"
+             s.s_name retained expect tol))
     t.series_rev;
   t.nseries
 

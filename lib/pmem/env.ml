@@ -41,8 +41,8 @@ type t = {
     sources on top (allocator steals, journal-stream depth, per-tenant
     throughput). Returns the timeline for exports and further sources.
     Host-side only: sampling never charges simulated time. *)
-let enable_timeline ?capacity ?period_ns ?widen t =
-  let tl = Obs.Timeline.create ?capacity ?period_ns ?widen () in
+let enable_timeline t =
+  let tl = Obs.Timeline.create () in
   List.iter
     (fun c ->
       let i = Obs.cat_index c in

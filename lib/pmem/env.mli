@@ -41,8 +41,7 @@ val create :
     driven by the clock funnel at deterministic virtual-ns boundaries;
     host time only. Returns the timeline for exports and for harness
     layers to add their own sources. *)
-val enable_timeline :
-  ?capacity:int -> ?period_ns:float -> ?widen:bool -> t -> Obs.Timeline.t
+val enable_timeline : t -> Obs.Timeline.t
 
 (** Current simulated time, in nanoseconds. *)
 val now : t -> float

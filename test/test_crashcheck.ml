@@ -98,6 +98,30 @@ let test_exhaustive_trace () =
         (List.mem c [ 'c'; 'd'; 'e' ]))
     at_end
 
+(* A crash state is its index: [Explore.nth] decodes it in odometer
+   order, the last pending line turning fastest. That order decides
+   which violation an explorer reports first and shrinks. *)
+let test_nth_odometer () =
+  let pending =
+    [|
+      { Pmem.Device.p_line = 7; p_versions = 1; p_nt_mask = 0 };
+      { Pmem.Device.p_line = 9; p_versions = 2; p_nt_mask = 0 };
+    |]
+  in
+  let keeps i =
+    match Explore.nth pending i with
+    | [ a; b ] ->
+        Alcotest.(check (list int))
+          "lines in pending order, untorn" [ 7; 0; 9; 0 ]
+          [ a.s_line; a.s_tear; b.s_line; b.s_tear ];
+        (a.s_keep, b.s_keep)
+    | _ -> Alcotest.fail "one survivor per pending line"
+  in
+  Alcotest.(check (list (pair int int)))
+    "keeps in odometer order"
+    [ (0, 0); (0, 1); (0, 2); (1, 0); (1, 1); (1, 2) ]
+    (List.init (Explore.state_count pending) keeps)
+
 (* ------------------------------------------------------------------ *)
 (* Satellite: Device.crash resets the PR-1 path-hit counters            *)
 (* ------------------------------------------------------------------ *)
@@ -194,13 +218,13 @@ let committed_seed = 0x51ED
 
 let test_differential mode () =
   let r = check_mode ~samples:200 ~seed:committed_seed ~nops:24 mode in
-  Alcotest.(check bool) "space too large to enumerate" false r.r_exhaustive;
+  Alcotest.(check bool) "space too large to enumerate" false r.Trial.r_exhaustive;
   Util.check_int "explored exactly the sample budget" 200 r.r_explored;
   Alcotest.(check bool)
     "every crash point got pending-line summaries" true (r.r_points > 0);
   match r.r_violations with
   | [] -> ()
-  | v :: _ -> Alcotest.failf "differential violation: %a" pp_violation v
+  | v :: _ -> Alcotest.failf "differential violation: %a" Trial.pp_violation v
 
 (* A generated workload's whole crash-state space fits a budget: stores
    that leave a line's content unchanged add no version, so an 8-op sync
@@ -208,13 +232,13 @@ let test_differential mode () =
    crash points, every one of them replayed and checked. *)
 let test_enumerated mode () =
   let r = check_mode ~samples:2000 ~seed:committed_seed ~nops:8 mode in
-  Util.check_int "crash points" 17 r.r_points;
-  Util.check_int "legal states" 1293 r.r_total_states;
+  Util.check_int "crash points" 17 r.Trial.r_points;
+  Util.check_int "legal states" 1293 r.r_states;
   Alcotest.(check bool) "enumerated" true r.r_exhaustive;
-  Util.check_int "explored every state" r.r_total_states r.r_explored;
+  Util.check_int "explored every state" r.r_states r.r_explored;
   match r.r_violations with
   | [] -> ()
-  | v :: _ -> Alcotest.failf "differential violation: %a" pp_violation v
+  | v :: _ -> Alcotest.failf "differential violation: %a" Trial.pp_violation v
 
 (* ------------------------------------------------------------------ *)
 (* Injected bug: skipping checksum verification must be caught          *)
@@ -230,17 +254,17 @@ let test_injected_bug_caught () =
     check_mode ~samples:200 ~seed:committed_seed ~nops:24 ~checks
       Splitfs.Config.Strict
   in
-  match r.r_violations with
+  match r.Trial.r_violations with
   | [] -> Alcotest.fail "disabled checksum verification went unnoticed"
   | v :: _ ->
       (* the first violation is the one the shrinker minimises; its
          counterexample is pinned so a shrinker change shows up here *)
       Util.check_int "fence" 3 v.v_fence;
       Alcotest.(check (option int)) "op in flight" (Some 2) v.v_op;
-      Util.check_int "file" 2 v.v_file;
+      Alcotest.(check (option string)) "path" (Some "/f2") v.v_path;
       Alcotest.(check (list string))
         "shrunk counterexample" [ "line 36939 keep 0" ]
-        (List.map (Fmt.str "%a" pp_survivor) v.v_shrunk)
+        (List.map (Fmt.str "%a" Trial.pp_survivor) v.v_survivors)
 
 (* ------------------------------------------------------------------ *)
 (* The shared greedy shrinker, in faultcheck's drop-one form            *)
@@ -330,6 +354,7 @@ let suite =
   [
     tc "exhaustive enumeration visits all 14 states once" `Quick
       test_exhaustive_trace;
+    tc "nth decodes a state index in odometer order" `Quick test_nth_odometer;
     tc "crash resets fast/slow path counters" `Quick
       test_crash_resets_path_counters;
     tc "relink window: never a pre/post mix" `Quick

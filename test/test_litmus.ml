@@ -8,6 +8,7 @@ let tc = Alcotest.test_case
 
 module L = Crashcheck.Litmus
 module M = Crashcheck.Minimize
+module T = Crashcheck.Trial
 
 (* ---- exhaustive state counts, pinned per (pattern, stack) ----------- *)
 
@@ -43,8 +44,8 @@ let check_pattern name () =
       let where = L.combo_name c in
       Alcotest.(check (list string))
         (where ^ ": no violations") []
-        (List.map (Fmt.str "%a" L.pp_violation) r.L.r_violations);
-      Alcotest.(check int) (where ^ ": crash states") expected r.L.r_states)
+        (List.map (Fmt.str "%a" T.pp_violation) r.T.r_violations);
+      Alcotest.(check int) (where ^ ": crash states") expected r.T.r_states)
     (List.map (L.on_stack p) L.stacks)
     (List.assoc name pinned_states)
 
@@ -52,22 +53,22 @@ let test_aux_configs () =
   let runs = L.run_corpus L.aux_combos in
   Alcotest.(check int) "aux configs" 2 (List.length runs);
   List.iter
-    (fun (r : L.run) ->
+    (fun ((c : L.combo), (r : T.report)) ->
       Alcotest.(check (list string))
-        (r.L.r_config ^ ": no violations") []
-        (List.map (Fmt.str "%a" L.pp_violation) r.L.r_violations);
+        (c.c_config ^ ": no violations") []
+        (List.map (Fmt.str "%a" T.pp_violation) r.r_violations);
       Alcotest.(check int)
-        (r.L.r_config ^ ": crash states")
-        (match r.L.r_config with
+        (c.c_config ^ ": crash states")
+        (match c.c_config with
         | "splitfs-sync-degraded" -> 9
         | _ -> 7)
-        r.L.r_states;
+        r.r_states;
       (* kernel-path writes: DRAM metadata survives, data tails may
          zero — the aux configs are held to the DAX contract, not the
          staged-append Sync one *)
       Alcotest.(check string)
-        (r.L.r_config ^ ": contract") "sync-dax"
-        (Crashcheck.Check.contract_name r.L.r_contract))
+        (c.c_config ^ ": contract") "sync-dax"
+        (Crashcheck.Check.contract_name c.c_contract))
     runs
 
 (* ---- fence-site coverage -------------------------------------------- *)
@@ -104,13 +105,13 @@ let site name =
 (* A shrunk counterexample, pinned down to the keep value of every
    surviving line. Line addresses are left out: they follow the device
    layout, not the shrinker. *)
-let check_counterexample (v : L.violation) ~fence ~op ~path ~keeps =
-  Alcotest.(check int) "fence" fence v.L.vl_fence;
-  Alcotest.(check (option int)) "op in flight" op v.L.vl_op;
-  Alcotest.(check (option string)) "path" (Some path) v.L.vl_path;
+let check_counterexample (v : T.violation) ~fence ~op ~path ~keeps =
+  Alcotest.(check int) "fence" fence v.v_fence;
+  Alcotest.(check (option int)) "op in flight" op v.v_op;
+  Alcotest.(check (option string)) "path" (Some path) v.v_path;
   Alcotest.(check (list int))
     "shrunk survivors' keep values" keeps
-    (List.map (fun (s : Pmem.Device.survivor) -> s.s_keep) v.L.vl_survivors)
+    (List.map (fun (s : Pmem.Device.survivor) -> s.s_keep) v.v_survivors)
 
 (* Eliding the per-append persist barrier in strict mode must break the
    two-appends pattern: with the fence gone, the second append's oplog

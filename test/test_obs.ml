@@ -462,46 +462,12 @@ let test_timeline_identity_all_stacks () =
         && List.length (Obs.Timeline.series_names tl) >= Obs.ncats))
     Harness.Fs_config.all
 
-(** Newest-window mode: a series longer than capacity keeps exactly the
-    newest [capacity] samples, and the evicted deltas stay in the
-    identity. *)
-let test_timeline_ring_wraparound () =
-  let tl = Obs.Timeline.create ~capacity:8 ~period_ns:10. ~widen:false () in
-  let counter = ref 0. in
-  Obs.Timeline.add_source tl ~name:"c" (fun () -> !counter);
-  let nsamples = 30 in
-  for i = 1 to nsamples do
-    counter := !counter +. float_of_int i;
-    (* monotone sample times; values 1, 1+2, ... cumulative *)
-    Obs.Timeline.sample tl ~now:(10. *. float_of_int i)
-  done;
-  Alcotest.(check int) "retained = capacity" 8 (Obs.Timeline.length tl);
-  Alcotest.(check int) "taken counts evicted too" nsamples
-    (Obs.Timeline.samples_taken tl);
-  let samples = Obs.Timeline.samples tl "c" in
-  (* newest window: samples 23..30, oldest first *)
-  Array.iteri
-    (fun i (time, delta, _cum) ->
-      let j = nsamples - 8 + 1 + i in
-      Alcotest.(check (float 0.))
-        (Printf.sprintf "sample %d time" i)
-        (10. *. float_of_int j)
-        time;
-      Alcotest.(check (float 0.))
-        (Printf.sprintf "sample %d delta" i)
-        (float_of_int j) delta)
-    samples;
-  let (_, _, newest_cum) = samples.(7) in
-  Alcotest.(check (float 0.)) "newest cumulative = counter" !counter newest_cum;
-  (* evicted + retained = final - cum0, verified by check *)
-  Alcotest.(check int) "identity holds across the wrap" 1 (Obs.Timeline.check tl)
-
-(** Widen mode: when the buffer fills, adjacent samples pair-merge and the
-    period doubles — and because compaction depends only on the sample
-    count, the whole history is reproducible byte-for-byte. *)
+(** When the buffer fills, adjacent samples pair-merge and the period
+    doubles — and because compaction depends only on the sample count,
+    the whole history is reproducible byte-for-byte. *)
 let test_timeline_widen_determinism () =
   let run () =
-    let tl = Obs.Timeline.create ~capacity:8 ~period_ns:10. ~widen:true () in
+    let tl = Obs.Timeline.create ~capacity:8 ~period_ns:10. () in
     let counter = ref 0. in
     Obs.Timeline.add_source tl ~name:"c" (fun () -> !counter);
     for i = 1 to 100 do
@@ -515,7 +481,7 @@ let test_timeline_widen_determinism () =
   Alcotest.(check bool) "retained below capacity" true
     (Obs.Timeline.length tl <= 8);
   Alcotest.(check bool) "period doubled" true (Obs.Timeline.period_ns tl > 10.);
-  (* no evicted bucket in widen mode: retained deltas alone cover the run *)
+  (* nothing is evicted: retained deltas alone cover the run *)
   let retained =
     Array.fold_left (fun acc (_, d, _) -> acc +. d) 0.
       (Obs.Timeline.samples tl "c")
@@ -790,7 +756,6 @@ let suite =
     tc "profile experiment shape" `Quick test_profile_experiment;
     tc "latency experiment shape" `Quick test_latency_experiment;
     tc "timeline identity: every stack" `Quick test_timeline_identity_all_stacks;
-    tc "timeline ring wraparound" `Quick test_timeline_ring_wraparound;
     tc "timeline widen determinism" `Quick test_timeline_widen_determinism;
     tc "telemetry leaves simulated ns bit-identical" `Quick
       test_timeline_bit_identical;

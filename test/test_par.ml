@@ -90,38 +90,45 @@ let test_derived_streams_independent () =
 
 (* ---- partition-independent sampling --------------------------------- *)
 
-let synthetic_pending =
+let synthetic_points =
   [|
-    { Pmem.Device.p_line = 4; p_versions = 3; p_nt_mask = 0b101 };
-    { Pmem.Device.p_line = 17; p_versions = 1; p_nt_mask = 0b1 };
-    { Pmem.Device.p_line = 99; p_versions = 5; p_nt_mask = 0 };
+    {
+      Explore.fence = 0;
+      pending =
+        [|
+          { Pmem.Device.p_line = 4; p_versions = 3; p_nt_mask = 0b101 };
+          { Pmem.Device.p_line = 17; p_versions = 1; p_nt_mask = 0b1 };
+          { Pmem.Device.p_line = 99; p_versions = 5; p_nt_mask = 0 };
+        |];
+    };
+    {
+      Explore.fence = 1;
+      pending =
+        [| { Pmem.Device.p_line = 4; p_versions = 2; p_nt_mask = 0b11 } |];
+    };
   |]
 
 let survivor_key (s : Pmem.Device.survivor) =
   Printf.sprintf "%d/%d/%d" s.s_line s.s_keep s.s_tear
 
-let vector_key svs = String.concat ";" (List.map survivor_key svs)
+let state_key index =
+  let (p : Explore.point), svs =
+    Explore.sample_point_indexed ~seed:0x51ED ~index synthetic_points
+  in
+  String.concat ";" (string_of_int p.fence :: List.map survivor_key svs)
 
-let test_sample_indexed_partition_free () =
+let test_sample_point_indexed_partition_free () =
   (* a budget of 64 samples drawn sequentially vs split over 4 "domains"
      (each claiming every 4th index, worst-case interleaving) must visit
      the same multiset of crash states *)
   let budget = 64 in
-  let sequential =
-    List.init budget (fun index ->
-        vector_key (Explore.sample_indexed ~seed:0x51ED ~index synthetic_pending))
-  in
+  let sequential = List.init budget state_key in
   let partitioned =
     List.concat_map
       (fun domain ->
         List.filter_map
           (fun index ->
-            if index mod 4 = domain then
-              Some
-                (vector_key
-                   (Explore.sample_indexed ~seed:0x51ED ~index
-                      synthetic_pending))
-            else None)
+            if index mod 4 = domain then Some (state_key index) else None)
           (List.init budget Fun.id))
       [ 0; 1; 2; 3 ]
   in
@@ -141,7 +148,10 @@ let report_fingerprint jobs =
     Crashcheck.check_mode ~samples:60 ~seed:0x51ED ~nops:12 ~jobs
       Splitfs.Config.Strict
   in
-  Fmt.str "%a" Crashcheck.pp_mode_report r
+  Fmt.str "%d points %d/%d states %b@.%a" r.r_points r.r_explored r.r_states
+    r.r_exhaustive
+    Fmt.(list Crashcheck.Trial.pp_violation)
+    r.r_violations
 
 let test_crashcheck_invariant () =
   let base = report_fingerprint 1 in
@@ -171,11 +181,11 @@ let litmus_fingerprint jobs =
   in
   String.concat "\n"
     (List.map
-       (fun (r : Crashcheck.Litmus.run) ->
-         Printf.sprintf "%s/%s: %d points %d states %d violations"
-           r.Crashcheck.Litmus.r_pattern r.Crashcheck.Litmus.r_config
-           r.Crashcheck.Litmus.r_points r.Crashcheck.Litmus.r_states
-           (List.length r.Crashcheck.Litmus.r_violations))
+       (fun (c, (r : Crashcheck.Trial.report)) ->
+         Printf.sprintf "%s: %d points %d states %d violations"
+           (Crashcheck.Litmus.combo_name c)
+           r.r_points r.r_states
+           (List.length r.r_violations))
        runs)
 
 let test_litmus_invariant () =
@@ -199,7 +209,7 @@ let suite =
     tc "derived streams are independent" `Quick
       test_derived_streams_independent;
     tc "partitioned sampling = sequential multiset" `Quick
-      test_sample_indexed_partition_free;
+      test_sample_point_indexed_partition_free;
     tc "crashcheck report invariant at 1/2/4/8 jobs" `Slow
       test_crashcheck_invariant;
     tc "faultcheck report invariant across jobs" `Slow
