@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-json bench-diff crashcheck faultcheck litmus fams golden swarm profile scale par-bench check
+.PHONY: all build test bench bench-json bench-diff crashcheck faultcheck litmus fams golden swarm profile scale par-bench layout check
 
 all: build
 
@@ -57,7 +57,7 @@ profile:
 
 # Crash-state exploration: sampled partial-persistence crash states per
 # mode, each recovered and checked against the reference oracle. Exits
-# non-zero on any invariant violation. (~2s sequential, less with JOBS)
+# non-zero on any invariant violation. (~0.2 s at one job)
 crashcheck:
 	dune exec bin/splitfs_cli.exe -- crashcheck --jobs $(JOBS)
 
@@ -65,7 +65,7 @@ crashcheck:
 # resource exhaustion (ENOSPC, journal/swap EIO), and scrubber patrols
 # injected into every stack x mode, each trial checked against the
 # differential fault oracle (masked / retried / correct errno — never
-# silent corruption). Exits non-zero on any violation. (~1s)
+# silent corruption). Exits non-zero on any violation. (~0.2 s at one job)
 faultcheck:
 	dune exec bin/splitfs_cli.exe -- faultcheck --jobs $(JOBS)
 
@@ -75,7 +75,8 @@ faultcheck:
 # EXHAUSTIVELY on every stack x mode, then the fence minimizer: every
 # registered fence site elided in turn and the corpus re-explored to
 # prove it REQUIRED (shrunk counterexample) or REDUNDANT. Exits non-zero
-# on any contract violation with all fences in place. (~10s sequential)
+# on any contract violation with all fences in place. (~2.5 s at one job,
+# ~1.9 s at two)
 litmus:
 	dune exec bin/splitfs_cli.exe -- litmus --jobs $(JOBS)
 
@@ -84,7 +85,7 @@ litmus:
 # the commit record disabled the corpus MUST flag a violation), the fams
 # faultcheck leg (staging starvation answers honest ENOSPC), and the
 # FAMS-vs-WAL experiment table. Exits non-zero if a contract is violated
-# or the canary fails to catch the injected bug. (~3s)
+# or the canary fails to catch the injected bug. (~0.6 s at two jobs)
 fams:
 	dune exec bin/splitfs_cli.exe -- fams --jobs $(JOBS)
 
@@ -137,7 +138,7 @@ golden:
 # naming every failing seed. The pinned-seed golden run covers only what
 # seed 0x51ED reaches. Faultcheck joins the swarm once its
 # relink/ENOSPC violation class is fixed (ROADMAP item 1): 18 of its
-# first 32 seeds still report it. `make check` runs K=32. (~0.25 s per
+# first 32 seeds still report it. `make check` runs K=64. (~0.2 s per
 # seed at one job)
 K ?= 16
 
@@ -159,11 +160,24 @@ swarm:
 par-bench:
 	dune exec bin/splitfs_cli.exe -- par-bench
 
+# Code layout of the end-to-end benchmark: the address of the C runtime's
+# caml_string_equal and caml_blit_bytes in perfbench.exe and their offset
+# within a 64-byte line. zipf-rw's throughput follows these offsets as
+# well as its code path (ROADMAP item 10), so a change that moves zipf-rw
+# reports them at both commits.
+layout:
+	dune build ./perfbench/perfbench.exe
+	@for sym in caml_string_equal caml_blit_bytes; do \
+	  addr=$$(nm _build/default/perfbench/perfbench.exe | \
+	    awk -v s=$$sym '$$3 == s { print $$1 }'); \
+	  printf '%s 0x%s line offset 0x%02x\n' $$sym $$addr $$((0x$$addr % 64)); \
+	done
+
 # Full verification: build, unit + property + differential tests, the
 # four verification campaigns, crashcheck with an 8,192-state budget
 # (every sync and strict crash state of the pinned seed), the
 # scaling/profile/latency tables and the paper tables diffed against
-# their golden reports, the crashcheck swarm over seeds 1..32, the
+# their golden reports, the crashcheck swarm over seeds 1..64, the
 # serving-tier smoke, par-bench and the bench-diff gate. Campaigns run
 # with $(JOBS) worker domains. The par-bench table is also kept in
 # par-walltime.txt, with par-bench's exit status.
@@ -171,7 +185,7 @@ check:
 	dune build
 	dune runtest
 	$(MAKE) golden
-	$(MAKE) swarm K=32
+	$(MAKE) swarm K=64
 	dune exec bin/splitfs_cli.exe -- scale --fast --jobs $(JOBS)
 	dune exec bin/splitfs_cli.exe -- par-bench > par-walltime.txt; \
 	  status=$$?; cat par-walltime.txt; exit $$status

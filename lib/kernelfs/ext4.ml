@@ -47,13 +47,15 @@ type t = {
   inodes : (int, inode) Hashtbl.t;
   mutable next_ino : int;
   root : inode;
-  ilocks : Pmem.Lock.t array;
+  mutable ilocks : Pmem.Lock.t array;
       (** striped inode rwsems: writers to the same inode serialize (VFS
           write path) on stripe [ino land (lock_stripes - 1)]; a
-          fixed-size power-of-two table instead of a lock per inode, sized so that
-          10k-actor namespaces don't allocate 10k lock records while
-          distinct inodes in the N<=stripes experiments never share a
-          stripe. A stripe's lock is created the first time it is taken
+          power-of-two table of at most [lock_stripes] stripes instead of
+          a lock per inode, so that 10k-actor namespaces don't allocate
+          10k lock records while distinct inodes in the N<=stripes
+          experiments never share a stripe. The table starts small and
+          doubles to reach the first stripe beyond it that an ino names,
+          and a stripe's lock is created the first time it is taken
           ({!ilock}); until then the cell holds [unused_stripe]. Inert
           outside multi-actor runs *)
   running_meta : int array;
@@ -91,8 +93,9 @@ let timing t = t.env.Env.timing
 let unused_stripe = Pmem.Lock.create "inode-stripe:unused"
 
 (* Inode lock stripes: a power of two, so [ino land (lock_stripes - 1)]
-   picks one. *)
+   picks one. The table mkfs makes holds the first [initial_stripes]. *)
 let lock_stripes = 4096
+let initial_stripes = 16
 
 let mkfs ?(journal_len = 8 * 1024 * 1024) ?(alloc_shards = 1)
     ?(journal_streams = 1) (env : Env.t) =
@@ -124,10 +127,10 @@ let mkfs ?(journal_len = 8 * 1024 * 1024) ?(alloc_shards = 1)
           ~nblocks:(data_len / block_size) ();
       journal;
       data_start = journal_len;
-      inodes = Hashtbl.create 1024;
+      inodes = Hashtbl.create 64;
       next_ino = 3;
       root;
-      ilocks = Array.make lock_stripes unused_stripe;
+      ilocks = Array.make initial_stripes unused_stripe;
       running_meta = Array.make (Journal.nstreams journal) 0;
       live_maps = [];
       shared = Hashtbl.create 64;
@@ -137,12 +140,21 @@ let mkfs ?(journal_len = 8 * 1024 * 1024) ?(alloc_shards = 1)
   t
 
 (** The inode's lock stripe. Distinct inodes share a stripe only when
-    their inos collide mod the table size — never in the small-N
-    experiments, by construction. The stripe's lock is created on first
-    use: a fresh lock is identical to one created at mkfs and never taken,
-    so contention charges are the same either way. *)
+    their inos collide mod [lock_stripes] — never in the small-N
+    experiments, by construction. The table doubles until it holds the
+    stripe, and the stripe's lock is created on first use: a fresh lock is
+    identical to one created at mkfs and never taken, so contention
+    charges are the same either way. *)
 let ilock t inode =
   let i = inode.ino land (lock_stripes - 1) in
+  let n = Array.length t.ilocks in
+  if i >= n then begin
+    let m = ref (2 * n) in
+    while i >= !m do m := 2 * !m done;
+    let grown = Array.make !m unused_stripe in
+    Array.blit t.ilocks 0 grown 0 n;
+    t.ilocks <- grown
+  end;
   let l = t.ilocks.(i) in
   if l != unused_stripe then l
   else begin

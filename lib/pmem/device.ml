@@ -7,14 +7,17 @@
 
     [persistent] holds the durable image. Dirty cache lines live in a
     [shadow] image (at the same offsets as the durable image) indexed by a
-    dense bitmap: bit [l mod 32] of word [l / 32] in [dirty] is set iff line
+    bitmap: bit [l mod 32] of word [l / 32] in [dirty] is set iff line
     [l] holds unflushed cached data, and [dirty_count] counts the set bits.
-    Both images are sparse ({!Image}): 64 KiB chunks allocated on first
-    write, so building a device costs what the run touches, not its
-    capacity. When [dirty_count] is zero — the common state right after
-    any fsync/relink — [load] and [store_nt] degenerate to a single image
-    copy plus cost accounting, with zero per-line work. The slow paths
-    coalesce contiguous clean/dirty line spans into batched copies.
+    A device allocates what its run touches, not its capacity: both images
+    are sparse ({!Image}: 4 KiB chunks, and the table of them, allocated
+    on first write), the dirty bitmap is made at the first temporal store
+    (a run of NT stores never makes one), and the per-block wear counters
+    live in 64 KiB-region leaves made at the region's first write. When
+    [dirty_count] is zero — the common state right after any fsync/relink
+    — [load] and [store_nt] degenerate to a single image copy plus cost
+    accounting, with zero per-line work. The slow paths coalesce
+    contiguous clean/dirty line spans into batched copies.
 
     Host-side data-structure choices must never change simulated-time
     results: every code path charges exactly the per-line costs the
@@ -34,33 +37,41 @@ let word_mask = 0xFFFFFFFF
 (* Sparse image                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** A capacity-sized byte image held as fixed 64 KiB chunks, each
-    allocated on its first write. A chunk is a whole number of blocks, so
-    a line or block never straddles two chunks; ranges that do (long
-    loads and stores) are split per chunk. A durable image zero-fills its
-    chunks, and an absent chunk reads as zero. A shadow image leaves them
+(** A capacity-sized byte image held as fixed 4 KiB chunks, each
+    allocated on its first write, in a chunk table allocated at the
+    image's first write. A chunk is a whole number of blocks, so a line or
+    block never straddles two chunks; ranges that do (long loads and
+    stores) are split per chunk. A durable image zero-fills its chunks,
+    and an absent chunk reads as zero. A shadow image leaves them
     uninitialised: a shadow line is read only while its dirty bit is set,
     and setting it always writes the line first. Every access to either
     image goes through [read], [write], [zero], [copy], [absent], [sub],
     [line] and [write_line]. *)
 module Image = struct
-  let chunk_bits = 16
+  let chunk_bits = 12
   let chunk_size = 1 lsl chunk_bits
   let chunk_mask = chunk_size - 1
   let () = assert (chunk_size mod block_size = 0)
 
   type t = {
-    chunks : Bytes.t array;  (** [Bytes.empty] until first written *)
+    nchunks : int;
+    mutable chunks : Bytes.t array;
+        (** [[||]] until the image is first written; then one cell per
+            chunk, [Bytes.empty] until that chunk is first written *)
     zeroed : bool;  (** chunks are zero-filled: absent reads as zero *)
   }
 
   let create ~capacity ~zeroed =
-    {
-      chunks = Array.make ((capacity + chunk_mask) lsr chunk_bits) Bytes.empty;
-      zeroed;
-    }
+    { nchunks = (capacity + chunk_mask) lsr chunk_bits; chunks = [||]; zeroed }
+
+  (** Chunk [c], or [Bytes.empty] if it was never written. *)
+  let chunk img c =
+    let chunks = img.chunks in
+    if c < Array.length chunks then chunks.(c) else Bytes.empty
 
   let chunk_for_write img c =
+    if Array.length img.chunks = 0 then
+      img.chunks <- Array.make img.nchunks Bytes.empty;
     let ch = img.chunks.(c) in
     if Bytes.length ch > 0 then ch
     else begin
@@ -78,7 +89,7 @@ module Image = struct
     while !len > 0 do
       let within = !addr land chunk_mask in
       let n = min !len (chunk_size - within) in
-      let ch = img.chunks.(!addr lsr chunk_bits) in
+      let ch = chunk img (!addr lsr chunk_bits) in
       if Bytes.length ch = 0 then Bytes.fill dst !off n '\000'
       else Bytes.blit ch within dst !off n;
       addr := !addr + n;
@@ -104,10 +115,10 @@ module Image = struct
     while !len > 0 do
       let c = !addr lsr chunk_bits and within = !addr land chunk_mask in
       let n = min !len (chunk_size - within) in
-      let s = src.chunks.(c) in
+      let s = chunk src c in
       if Bytes.length s > 0 then
         Bytes.blit s within (chunk_for_write dst c) within n
-      else if Bytes.length dst.chunks.(c) > 0 || not dst.zeroed then
+      else if Bytes.length (chunk dst c) > 0 || not dst.zeroed then
         Bytes.fill (chunk_for_write dst c) within n '\000';
       addr := !addr + n;
       len := !len - n
@@ -120,7 +131,7 @@ module Image = struct
     while !len > 0 do
       let c = !addr lsr chunk_bits and within = !addr land chunk_mask in
       let n = min !len (chunk_size - within) in
-      if Bytes.length img.chunks.(c) > 0 || not img.zeroed then
+      if Bytes.length (chunk img c) > 0 || not img.zeroed then
         Bytes.fill (chunk_for_write img c) within n '\000';
       addr := !addr + n;
       len := !len - n
@@ -130,7 +141,7 @@ module Image = struct
       durable image: the range reads as zero and was never written. *)
   let absent img ~addr ~len =
     let c = ref (addr lsr chunk_bits) and last = (addr + len - 1) lsr chunk_bits in
-    while !c <= last && Bytes.length img.chunks.(!c) = 0 do incr c done;
+    while !c <= last && Bytes.length (chunk img !c) = 0 do incr c done;
     img.zeroed && !c > last
 
   (** A fresh copy of [len] image bytes at [addr]. *)
@@ -146,7 +157,7 @@ module Image = struct
       line in an absent chunk of a durable image, a fresh copy
       otherwise. *)
   let line img ~addr =
-    if img.zeroed && Bytes.length img.chunks.(addr lsr chunk_bits) = 0 then
+    if img.zeroed && Bytes.length (chunk img (addr lsr chunk_bits)) = 0 then
       zero_line
     else sub img ~addr ~len:line_size
 
@@ -266,9 +277,13 @@ type t = {
   capacity : int;
   persistent : Image.t;  (** the durable image *)
   shadow : Image.t;  (** dirty-line contents at their device offsets *)
-  dirty : int array;  (** dense dirty-line bitmap, one word per 32 lines *)
+  mutable dirty : int array;
+      (** dirty-line bitmap, one word per 32 lines; [[||]] until the first
+          temporal store, the only operation that sets a bit *)
   mutable dirty_count : int;  (** number of set bits in [dirty] *)
-  wear : int array;  (** write count per 4 KB block *)
+  wear : int array array;
+      (** write count per 4 KB block, one leaf of [wear_leaf] counters per
+          64 KiB region; [[||]] until the region is first written *)
   clock : Simclock.t;
   timing : Timing.t;
   stats : Stats.t;
@@ -311,15 +326,19 @@ type t = {
           site. *)
 }
 
+(* Blocks per wear leaf: a leaf covers one 64 KiB region. *)
+let wear_leaf = 16
+
 let create ?(capacity = 64 * 1024 * 1024) ?faults ~clock ~timing ~stats () =
   assert (capacity mod block_size = 0);
   {
     capacity;
     persistent = Image.create ~capacity ~zeroed:true;
     shadow = Image.create ~capacity ~zeroed:false;
-    dirty = Array.make (capacity / line_size / lines_per_word) 0;
+    dirty = [||];
     dirty_count = 0;
-    wear = Array.make (capacity / block_size) 0;
+    wear =
+      Array.make (((capacity / block_size) + wear_leaf - 1) / wear_leaf) [||];
     clock;
     timing;
     stats;
@@ -377,7 +396,10 @@ let charge_media t ns =
 let add_wear t addr len =
   let first = addr / block_size and last = (addr + len - 1) / block_size in
   for b = first to last do
-    t.wear.(b) <- t.wear.(b) + 1
+    let r = b / wear_leaf in
+    if Array.length t.wear.(r) = 0 then t.wear.(r) <- Array.make wear_leaf 0;
+    let leaf = t.wear.(r) and i = b mod wear_leaf in
+    leaf.(i) <- leaf.(i) + 1
   done
 
 (* ------------------------------------------------------------------ *)
@@ -748,6 +770,8 @@ let store t ~addr src ~off ~len =
   if len > 0 && not t.halted then begin
     Simclock.advance t.clock
       (float_of_int len *. t.timing.Timing.cache_store_per_byte);
+    if Array.length t.dirty = 0 then
+      t.dirty <- Array.make (t.capacity / line_size / lines_per_word) 0;
     let first = addr / line_size and last = (addr + len - 1) / line_size in
     (* boundary lines may be partially covered: their bytes outside
        [addr, addr+len) must come from the durable image when clean;
@@ -1010,10 +1034,12 @@ let crash t =
 (** Number of dirty (would-be-lost) cache lines; exposed for tests. *)
 let dirty_lines t = t.dirty_count
 
-let wear_of_block t b = t.wear.(b)
-let max_wear t = Array.fold_left max 0 t.wear
+let wear_of_block t b =
+  let leaf = t.wear.(b / wear_leaf) in
+  if Array.length leaf = 0 then 0 else leaf.(b mod wear_leaf)
 
-let total_wear t = Array.fold_left ( + ) 0 t.wear
+let max_wear t = Array.fold_left (Array.fold_left max) 0 t.wear
+let total_wear t = Array.fold_left (Array.fold_left ( + )) 0 t.wear
 
 (** Peek at the durable image without charging time (test/debug only). *)
 let peek_persistent t ~addr ~len =
@@ -1072,7 +1098,7 @@ let quarantine t ~addr ~len =
 (** Does the block at device address [addr] need scrubbing — worn to
     [limit] or holding a poisoned line? *)
 let block_needs_scrub t ~addr ~limit =
-  t.wear.(addr / block_size) >= limit
+  wear_of_block t (addr / block_size) >= limit
   || range_has_poison t ~addr ~len:block_size
 
 (** Scrubber migration: copy one 4 KB block from [src] to [dst] (device
@@ -1114,7 +1140,7 @@ let migrate_block t ~src ~dst =
     keeps all of it (media damage survives power cycles); this is the
     explicit reset for tests. *)
 let reset_faults t =
-  Array.fill t.wear 0 (Array.length t.wear) 0;
+  Array.fill t.wear 0 (Array.length t.wear) [||];
   Hashtbl.reset t.poison;
   Hashtbl.reset t.quarantined;
   t.last_poison <- -1

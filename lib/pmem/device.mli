@@ -19,8 +19,11 @@ val create :
   stats:Stats.t -> unit -> t
 (** [faults] supplies the outcome counters the media-fault paths report
     into; the poison/wear/quarantine state itself lives in the device.
-    The device's images grow in 64 KiB chunks as they are first written,
-    so its memory follows the bytes written, not [capacity]. *)
+    The device allocates what its run touches, not [capacity]: its images
+    grow in 4 KiB chunks, in a chunk table made at the first write, its
+    dirty-line bitmap is made at the first temporal store, and its wear
+    counters grow one 64 KiB region at a time as regions are first
+    written. *)
 
 val capacity : t -> int
 

@@ -241,6 +241,57 @@ let test_enumerated mode () =
   | v :: _ -> Alcotest.failf "differential violation: %a" Trial.pp_violation v
 
 (* ------------------------------------------------------------------ *)
+(* What a crash trial allocates                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Words [f] allocates straight into the major heap: major words that
+   were not promoted from the minor heap, counted with the minor heap
+   emptied on both sides. Direct allocations do not depend on when the
+   GC runs, so the count is deterministic. *)
+let direct_major_words f =
+  let direct () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = direct () in
+  f ();
+  direct () -. before
+
+(* A crash trial allocates what it touches. Building the crash-trial
+   stack, with tracing and the timeline off (their defaults), allocates
+   nothing directly in the major heap: no capacity-sized dirty bitmap,
+   wear counters or chunk table, no full lock-stripe table. A strict
+   trial of the pinned 24-op workload, one per crash point with every
+   pending line reverted, averages at most 12,000 such words, mostly the
+   4 KiB image chunks it writes and their table. *)
+let test_trial_allocation () =
+  let build () =
+    ignore (Fs_config.make_small Fs_config.Splitfs_strict : Fs_config.stack)
+  in
+  Util.check_int "words the crash-trial stack allocates in the major heap" 0
+    (int_of_float (direct_major_words build));
+  let mode = Splitfs.Config.Strict in
+  let p =
+    Trial.of_workload
+      (Workload.generate ~mode ~seed:committed_seed ~nops:24 ())
+  in
+  let points = points mode p in
+  let words =
+    direct_major_words (fun () ->
+        List.iter
+          (fun (point : Explore.point) ->
+            ignore
+              (trial mode p ~point ~survivors:(Explore.nth point.pending 0)
+                : Trial.trial))
+          points)
+  in
+  let per_trial = words /. float_of_int (List.length points) in
+  if per_trial > 12_000. then
+    Alcotest.failf "a strict trial allocates %.0f words in the major heap"
+      per_trial
+
+(* ------------------------------------------------------------------ *)
 (* Injected bug: skipping checksum verification must be caught          *)
 (* ------------------------------------------------------------------ *)
 
@@ -371,6 +422,7 @@ let suite =
       (test_enumerated Splitfs.Config.Sync);
     tc "strict 8-op workload: every state enumerated" `Quick
       (test_enumerated Splitfs.Config.Strict);
+    tc "a crash trial allocates what it touches" `Quick test_trial_allocation;
     tc "injected bug: unverified op-log checksums are caught" `Quick
       test_injected_bug_caught;
     tc "greedy shrinker: visit order and budget" `Quick test_greedy_shrinker;

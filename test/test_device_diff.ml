@@ -6,17 +6,26 @@
     store/store_nt/flush/fence/crash/load operations are driven against
     both the oracle and the fast-path device, asserting after every
     operation that the simulated clocks agree bit-for-bit, that dirty-line
-    counts and PM-traffic counters match, that loads return identical
-    bytes, and (at crash points and at the end) that the durable images are
-    identical. Host-side fast paths must never change simulated results.
-    [Naive_journal] does the same for the persist-order journal: pending
-    summaries and crash images must match a journal that keeps and copies
-    every line it has touched. *)
+    counts, PM-traffic counters and every block's wear match, that loads
+    return identical bytes, and (at crash points and at the end) that the
+    durable images are identical. Host-side fast paths must never change
+    simulated results. [Naive_journal] does the same for the persist-order
+    journal: pending summaries and crash images must match a journal that
+    keeps and copies every line it has touched. *)
 
 open Pmem
 
 let tc = Alcotest.test_case
 let line_size = 64
+
+(* The device holds its images in 4 KiB chunks allocated on first write,
+   and its wear counters in leaves of one 64 KiB region each; the naive
+   model keeps one flat buffer and one wear counter per block. *)
+let chunk = 4096
+let region = 65536
+
+(* [zero_nt] stores a longer range as one NT store per 64 KiB piece. *)
+let zero_piece = 65536
 
 (* ------------------------------------------------------------------ *)
 (* Naive reference model (pre-bitmap semantics, oracle-simple)          *)
@@ -27,6 +36,7 @@ module Naive = struct
     capacity : int;
     persistent : Bytes.t;
     dirty : (int, Bytes.t) Hashtbl.t;  (* line index -> line content *)
+    wear : int array;  (* writes per 4 KiB block *)
     clock : Simclock.t;
     timing : Timing.t;
     stats : Stats.t;
@@ -39,6 +49,7 @@ module Naive = struct
       capacity;
       persistent = Bytes.make capacity '\000';
       dirty = Hashtbl.create 4096;
+      wear = Array.make (capacity / Device.block_size) 0;
       clock = Simclock.create ();
       timing;
       stats = Stats.create ();
@@ -49,6 +60,12 @@ module Naive = struct
   let charge_media t ns =
     Simclock.advance t.clock ns;
     t.stats.Stats.media_ns <- t.stats.Stats.media_ns +. ns
+
+  (* One write to every block [addr, addr+len) covers. *)
+  let wear_range t ~addr ~len =
+    for b = addr / Device.block_size to (addr + len - 1) / Device.block_size do
+      t.wear.(b) <- t.wear.(b) + 1
+    done
 
   let store t ~addr src ~off ~len =
     if len > 0 then begin
@@ -91,7 +108,8 @@ module Naive = struct
       Bytes.blit src off t.persistent addr len;
       charge_media t (Timing.nt_write_cost t.timing len);
       t.stats.Stats.nt_stores <- t.stats.Stats.nt_stores + 1;
-      t.stats.Stats.pm_write_bytes <- t.stats.Stats.pm_write_bytes + len
+      t.stats.Stats.pm_write_bytes <- t.stats.Stats.pm_write_bytes + len;
+      wear_range t ~addr ~len
     end
 
   let flush t ~addr ~len =
@@ -104,7 +122,8 @@ module Naive = struct
           charge_media t (Timing.nt_write_cost t.timing line_size);
           t.stats.Stats.flushes <- t.stats.Stats.flushes + 1;
           t.stats.Stats.pm_write_bytes <-
-            t.stats.Stats.pm_write_bytes + line_size
+            t.stats.Stats.pm_write_bytes + line_size;
+          wear_range t ~addr:(line * line_size) ~len:line_size
         end
       done
     end
@@ -150,16 +169,27 @@ module Naive = struct
       end
     end
 
+  (* one NT store of zeros per piece, so a block two pieces share wears
+     twice *)
   let zero_nt t ~addr ~len =
-    store_nt t ~addr (Bytes.make len '\000') ~off:0 ~len
+    let pos = ref addr and remaining = ref len in
+    while !remaining > 0 do
+      let n = min !remaining zero_piece in
+      store_nt t ~addr:!pos (Bytes.make n '\000') ~off:0 ~len:n;
+      pos := !pos + n;
+      remaining := !remaining - n
+    done
 
   let peek t ~addr ~len = Bytes.sub t.persistent addr len
   let poke t ~addr src ~off ~len = Bytes.blit src off t.persistent addr len
 
+  (* the cache is lost; the image and the wear stay *)
   let crash t =
     Hashtbl.reset t.dirty;
     t.last_read_start <- -1;
     t.last_read_end <- -1
+
+  let reset_faults t = Array.fill t.wear 0 (Array.length t.wear) 0
 
   let dirty_lines t = Hashtbl.length t.dirty
 end
@@ -191,34 +221,52 @@ let check_agreement ~op_no naive env dev =
   Util.check_int (tag "fences") naive.Naive.stats.Stats.fences
     env.Env.stats.Stats.fences;
   Util.check_int (tag "nt_stores") naive.Naive.stats.Stats.nt_stores
-    env.Env.stats.Stats.nt_stores
+    env.Env.stats.Stats.nt_stores;
+  Array.iteri
+    (fun b w ->
+      let d = Device.wear_of_block dev b in
+      if w <> d then
+        Alcotest.failf "%s: oracle %d vs device %d"
+          (tag (Printf.sprintf "wear of block %d" b))
+          w d)
+    naive.Naive.wear;
+  Util.check_int (tag "max wear")
+    (Array.fold_left max 0 naive.Naive.wear)
+    (Device.max_wear dev);
+  Util.check_int (tag "total wear")
+    (Array.fold_left ( + ) 0 naive.Naive.wear)
+    (Device.total_wear dev)
 
 let check_durable_images ?(capacity = capacity) ~op_no naive dev =
   let img = Device.peek_persistent dev ~addr:0 ~len:capacity in
   if not (Bytes.equal naive.Naive.persistent img) then
     Alcotest.failf "op %d: durable images differ" op_no
 
-(* The device holds its images in 64 KiB chunks allocated on first
-   write; the naive model keeps one flat buffer. *)
-let chunk = 65536
-
 (* Where [run_ops] puts an access of [len] bytes: anywhere on the device,
-   or across one of the three interior chunk boundaries of the four-chunk
-   device (a one-byte access ends at one). *)
+   or across an interior chunk boundary (a one-byte access ends at one),
+   half of the time one of the three between the device's four wear
+   regions. *)
 let anywhere rng ~len = Workloads.Rng.int rng (capacity - len)
 
 let straddling rng ~len =
-  let boundary = chunk * (1 + Workloads.Rng.int rng 3) in
+  let boundary =
+    if Workloads.Rng.int rng 2 = 0 then
+      region * (1 + Workloads.Rng.int rng 3)
+    else chunk * (2 + Workloads.Rng.int rng ((capacity / chunk) - 3))
+  in
   boundary - 1 - Workloads.Rng.int rng (max 1 (len - 1))
 
 (* [zero_nt] turns a quarter of the NT stores into zero stores without
    changing the random stream, so a seed's addresses, lengths and crash
-   points stay the same. *)
-let run_ops ~seed ~ops ?(place = anywhere) ?(zero_nt = false) () =
+   points stay the same. [prelude] runs on both models first. *)
+let run_ops ~seed ~ops ?(place = anywhere) ?(zero_nt = false)
+    ?(prelude = fun _ _ -> ()) () =
   let rng = Workloads.Rng.create seed in
   let env = Pmem.Env.create ~capacity () in
   let dev = env.Env.dev in
   let naive = Naive.create ~capacity ~timing:env.Env.timing () in
+  prelude naive dev;
+  check_agreement ~op_no:0 naive env dev;
   let payload = Bytes.create 16384 in
   for i = 0 to Bytes.length payload - 1 do
     Bytes.set payload i (Char.chr (Workloads.Rng.int rng 256))
@@ -285,6 +333,38 @@ let test_chunk_straddles () =
 let test_differential_zero_nt () =
   run_ops ~seed:0x2E50 ~ops:3000 ~zero_nt:true ()
 
+(* The random mix on a device whose first temporal store, which makes
+   its dirty-line bitmap, comes after [event]: first NT and zero stores
+   over three wear regions, a flush and a fence with no line dirty, and a
+   load. *)
+let first_store_after event () =
+  let prelude naive dev =
+    let data = Bytes.init 9000 (fun i -> Char.chr (1 + (i mod 251))) in
+    List.iter
+      (fun (addr, len) ->
+        Naive.store_nt naive ~addr data ~off:0 ~len;
+        Device.store_nt dev ~addr data ~off:0 ~len)
+      [ (100, 9000); (region - 300, 600); ((3 * region) + 5, 64) ];
+    Naive.zero_nt naive ~addr:(chunk + 10) ~len:5000;
+    Device.zero_nt dev ~addr:(chunk + 10) ~len:5000;
+    Naive.flush naive ~addr:0 ~len:capacity;
+    Device.flush dev ~addr:0 ~len:capacity;
+    Naive.fence naive;
+    Device.fence dev;
+    let b_n = Bytes.create 700 and b_d = Bytes.create 700 in
+    Naive.load naive ~addr:(region - 350) b_n ~off:0 ~len:700;
+    Device.load dev ~addr:(region - 350) b_d ~off:0 ~len:700;
+    if not (Bytes.equal b_n b_d) then Alcotest.fail "prelude: loads differ";
+    match event with
+    | `Crash ->
+        Naive.crash naive;
+        Device.crash dev
+    | `Reset_faults ->
+        Naive.reset_faults naive;
+        Device.reset_faults dev
+  in
+  run_ops ~seed:0xF1257 ~ops:1500 ~zero_nt:true ~prelude ()
+
 (* Narrow window: nearly every op hits the same few blocks, maximising
    dirty/clean span alternation inside single bitmap words. *)
 let test_differential_hot_window () =
@@ -333,9 +413,9 @@ let test_unwritten_chunks () =
   let env = Pmem.Env.create ~capacity () in
   let dev = env.Env.dev in
   let naive = Naive.create ~capacity ~timing:env.Env.timing () in
-  let payload = Bytes.init 5000 (fun i -> Char.chr (1 + (i mod 255))) in
-  Naive.store_nt naive ~addr:((3 * chunk) + 100) payload ~off:0 ~len:5000;
-  Device.store_nt dev ~addr:((3 * chunk) + 100) payload ~off:0 ~len:5000;
+  let payload = Bytes.init 3000 (fun i -> Char.chr (1 + (i mod 255))) in
+  Naive.store_nt naive ~addr:((3 * chunk) + 100) payload ~off:0 ~len:3000;
+  Device.store_nt dev ~addr:((3 * chunk) + 100) payload ~off:0 ~len:3000;
   let op_no = ref 0 in
   let load_both ~addr ~len =
     incr op_no;
@@ -357,7 +437,7 @@ let test_unwritten_chunks () =
   expect_zeros ~addr:((9 * chunk) + 777) ~len:3000;
   expect_zeros ~addr:(capacity - 64) ~len:64;
   expect_zeros ~addr:((5 * chunk) - 10) ~len:((2 * chunk) + 20);
-  (* the written range's tail runs on into never-written chunk 4 *)
+  (* a load from the written range runs on into never-written chunk 4 *)
   ignore (load_both ~addr:((4 * chunk) - 4000) ~len:8000);
   let tail = Device.peek_persistent dev ~addr:(4 * chunk) ~len:4000 in
   check_bytes ~op_no:!op_no "chunk 4" (zeros 4000) tail;
@@ -375,14 +455,14 @@ let test_unwritten_chunks () =
   check_durable_images ~capacity ~op_no:(!op_no + 1) naive dev
 
 (* Building a device costs what it touches: a 1 GiB device allocates
-   less than 1% of its capacity (the dirty bitmap, wear counters and
-   chunk tables), not a capacity-sized image. *)
+   less than 0.05% of its capacity (the index of its wear regions), not a
+   capacity-sized image, dirty bitmap, wear table or chunk table. *)
 let test_create_cost () =
   let capacity = 1 lsl 30 in
   let before = Gc.allocated_bytes () in
   let env = Sys.opaque_identity (Pmem.Env.create ~capacity ()) in
   let used = Gc.allocated_bytes () -. before in
-  if used >= 0.01 *. float_of_int capacity then
+  if used >= 0.0005 *. float_of_int capacity then
     Alcotest.failf "Env.create of %d bytes allocated %.0f bytes" capacity used;
   (* still a working device at its far end *)
   let dev = env.Env.dev in
@@ -395,8 +475,8 @@ let test_create_cost () =
 (* ------------------------------------------------------------------ *)
 
 (* Zeroing never-written chunks allocates none of them: the whole of a
-   1 GiB device is zeroed under the set-up budget above, and reads back
-   as zeros. *)
+   1 GiB device is zeroed in under 1% of its capacity, and reads back as
+   zeros. *)
 let test_zero_nt_keeps_absent_chunks () =
   let capacity = 1 lsl 30 in
   let env = Pmem.Env.create ~capacity () in
@@ -407,7 +487,7 @@ let test_zero_nt_keeps_absent_chunks () =
   if used >= 0.01 *. float_of_int capacity then
     Alcotest.failf "zero_nt of %d never-written bytes allocated %.0f bytes"
       capacity used;
-  Util.check_int "one NT store per 64 KiB" (capacity / chunk)
+  Util.check_int "one NT store per 64 KiB" (capacity / zero_piece)
     env.Env.stats.Stats.nt_stores;
   List.iter
     (fun addr ->
@@ -427,7 +507,7 @@ let test_zero_nt_exact_range () =
   Device.store_nt dev ~addr:0 data ~off:0 ~len:capacity;
   Device.store dev ~addr:((2 * chunk) + 100) (Bytes.make 10 'c') ~off:0
     ~len:10;
-  let addr = chunk + 4001 and len = (2 * chunk) + 3333 in
+  let addr = chunk + 401 and len = (2 * chunk) + 333 in
   Device.zero_nt dev ~addr ~len;
   Util.check_int "covered dirty line written back" 0 (Device.dirty_lines dev);
   let expect = Bytes.copy data in
@@ -450,7 +530,7 @@ let test_zero_nt_bookkeeping () =
     env
   in
   let a = mk () and b = mk () in
-  let zeros = Bytes.make chunk '\000' in
+  let zeros = Bytes.make zero_piece '\000' in
   let payload = Bytes.init 9000 (fun i -> Char.chr (i land 0xFF)) in
   let both f =
     f a.Env.dev;
@@ -616,7 +696,7 @@ module Naive_journal = struct
   let zero_nt t ~addr ~len =
     let pos = ref addr and remaining = ref len in
     while !remaining > 0 do
-      let addr = !pos and len = min !remaining 65536 in
+      let addr = !pos and len = min !remaining zero_piece in
       nt t ~addr ~len (fun () -> Naive.zero_nt t.n ~addr ~len);
       pos := addr + len;
       remaining := !remaining - len
@@ -713,12 +793,12 @@ type jop =
   | J_flush of { addr : int; len : int }
   | J_fence
 
-(* Eight chunks. Data stores land in chunks 0-3, mostly in a 1 KiB
-   window across the chunk 1/2 boundary, so lines collide and ranges
-   straddle chunks; one access in five may land anywhere, so chunks 4-7
+(* Eight regions. Data stores land in regions 0-3, mostly in a 1 KiB
+   window across the region 1/2 boundary, so lines collide and ranges
+   straddle chunks; one access in five may land anywhere, so regions 4-7
    are never written or only zeroed. *)
-let jcapacity = 8 * chunk
-let hot_start = (2 * chunk) - 512
+let jcapacity = 8 * region
+let hot_start = (2 * region) - 512
 
 (* The payload's first 4 KiB are zeros and the next 4 KiB all 'a', so
    stores often repeat a line's content (and add no version). *)
@@ -735,7 +815,7 @@ let gen_jop rng =
   let addr =
     match pick 10 with
     | r when r < 5 -> hot_start + pick 1024
-    | r when r < 8 -> pick ((4 * chunk) - len)
+    | r when r < 8 -> pick ((4 * region) - len)
     | _ -> pick (jcapacity - len)
   in
   let off =
@@ -916,24 +996,24 @@ let test_journal_vs_naive () =
   journal_vs_naive ~gen:gen_trace ~draw:draw_survivors
     [ 1; 0x5107; 0xC0FFEE ]
 
-(* jbd2-shaped traces on a 16-chunk device. Each commit zeroes one to
+(* jbd2-shaped traces on a 16-region device. Each commit zeroes one to
    four consecutive 4 KiB blocks at a journal head in never-written
-   chunks 4-11, the way a jbd2 commit stores its content-free blocks.
+   regions 4-11, the way a jbd2 commit stores its content-free blocks.
    Before its fence a commit may touch the lines it just zeroed, in
    random order: a temporal store, an NT store, a flush over the blocks
    (writing back the stored lines) and a second zero store that starts
    inside them and may run past their end; it may also zero over dirty
    lines of the hot window. A third of the commits fence right after
    their zero blocks. A touch that reaches the durable image writes its
-   chunk, so blocks zeroed there later go through the per-line hooks;
-   most commits move the head on to a fresh chunk. One commit also zeroes
-   100,000 bytes across chunks 13-15 (two pieces, each straddling a
-   chunk boundary), and the trace ends with zero blocks that no fence
-   commits. The unjournalled prefix also leaves a line of the first
-   commit's first block dirty, with zeros or 'a's cached over a
-   never-written chunk. *)
-let zcapacity = 16 * chunk
-let journal_area = 4 * chunk
+   chunk, so a zero store over that block later goes through the
+   per-line hooks; most commits move the head on to a fresh region. One
+   commit also zeroes 100,000 bytes across regions 13-15 (two pieces,
+   each straddling a region boundary), and the trace ends with zero
+   blocks that no fence commits. The unjournalled prefix also leaves a
+   line of the first commit's first block dirty, with zeros or 'a's
+   cached over a never-written chunk. *)
+let zcapacity = 16 * region
+let journal_area = 4 * region
 
 let gen_jbd2_trace ~seed =
   let rng = Workloads.Rng.create seed in
@@ -955,7 +1035,7 @@ let gen_jbd2_trace ~seed =
   let payload_off len = if pick 2 = 0 then 4096 else 8192 + pick (8192 - len) in
   let commit k =
     if k > 0 && pick 3 > 0 then
-      head := ((!head / chunk) + 1) * chunk + (pick 12 * 4096);
+      head := ((!head / region) + 1) * region + (pick 12 * 4096);
     let start, span, zeros = zero_blocks () in
     let inside len = start + pick (span - len) in
     let touches =
@@ -980,7 +1060,7 @@ let gen_jbd2_trace ~seed =
         |> List.sort compare |> List.concat_map snd
     in
     let long =
-      if k = 1 then [ J_zero { addr = (14 * chunk) - 3000; len = 100_000 } ]
+      if k = 1 then [ J_zero { addr = (14 * region) - 3000; len = 100_000 } ]
       else []
     in
     zeros @ long @ touches @ [ J_fence ]
@@ -1027,10 +1107,10 @@ let test_jbd2_vs_naive () =
 (* The journal's one rule through a plain [journal_begin]: a temporal
    or NT store that rewrites a line's frontier content leaves the pending
    summary as it was, while one that changes the content adds a version;
-   and a zero store over a never-written chunk leaves nothing pending at
+   and a zero store over never-written chunks leaves nothing pending at
    the next fence. *)
 let test_unchanged_store () =
-  let env = Pmem.Env.create ~capacity:(4 * chunk) () in
+  let env = Pmem.Env.create ~capacity:(4 * region) () in
   let dev = env.Env.dev in
   let x = Bytes.make 128 'x' and y = Bytes.make 64 'y' in
   Device.store_nt dev ~addr:0 x ~off:0 ~len:128;
@@ -1061,7 +1141,7 @@ let test_unchanged_store () =
   pending "changed again" [ (1, 2) ];
   Device.flush dev ~addr:0 ~len:128;
   Device.fence dev;
-  Device.zero_nt dev ~addr:(2 * chunk) ~len:(3 * 4096);
+  Device.zero_nt dev ~addr:(2 * region) ~len:(3 * 4096);
   Device.fence dev;
   Util.check_int "fences" 2 (Device.fence_count dev);
   pending "after the zero store's fence" [];
@@ -1075,9 +1155,14 @@ let suite =
     tc "differential, hot 4K window" `Quick test_differential_hot_window;
     tc "differential, chunk-straddling accesses" `Quick test_chunk_straddles;
     tc "never-written chunks read as zero" `Quick test_unwritten_chunks;
-    tc "device set-up allocates under 1% of capacity" `Quick test_create_cost;
+    tc "device set-up allocates under 0.05% of capacity" `Quick
+      test_create_cost;
     tc "differential with zero stores (seed 0x2E50)" `Quick
       test_differential_zero_nt;
+    tc "first temporal store after a crash" `Quick
+      (first_store_after `Crash);
+    tc "first temporal store after reset_faults" `Quick
+      (first_store_after `Reset_faults);
     tc "zero_nt leaves never-written chunks unallocated" `Quick
       test_zero_nt_keeps_absent_chunks;
     tc "zero_nt zeroes exactly its range" `Quick test_zero_nt_exact_range;
