@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-json bench-diff crashcheck faultcheck litmus fams golden swarm profile scale par-bench layout check
+.PHONY: all build test bench bench-json bench-diff crashcheck faultcheck litmus fams golden swarm profile scale par-bench gcstat layout check
 
 all: build
 
@@ -57,7 +57,7 @@ profile:
 
 # Crash-state exploration: sampled partial-persistence crash states per
 # mode, each recovered and checked against the reference oracle. Exits
-# non-zero on any invariant violation. (~0.2 s at one job)
+# non-zero on any invariant violation. (~0.1 s at one job)
 crashcheck:
 	dune exec bin/splitfs_cli.exe -- crashcheck --jobs $(JOBS)
 
@@ -65,7 +65,7 @@ crashcheck:
 # resource exhaustion (ENOSPC, journal/swap EIO), and scrubber patrols
 # injected into every stack x mode, each trial checked against the
 # differential fault oracle (masked / retried / correct errno — never
-# silent corruption). Exits non-zero on any violation. (~0.2 s at one job)
+# silent corruption). Exits non-zero on any violation. (~0.1 s at one job)
 faultcheck:
 	dune exec bin/splitfs_cli.exe -- faultcheck --jobs $(JOBS)
 
@@ -75,8 +75,8 @@ faultcheck:
 # EXHAUSTIVELY on every stack x mode, then the fence minimizer: every
 # registered fence site elided in turn and the corpus re-explored to
 # prove it REQUIRED (shrunk counterexample) or REDUNDANT. Exits non-zero
-# on any contract violation with all fences in place. (~2.5 s at one job,
-# ~1.9 s at two)
+# on any contract violation with all fences in place. (~1.7 s at one job,
+# ~1.0 s at two)
 litmus:
 	dune exec bin/splitfs_cli.exe -- litmus --jobs $(JOBS)
 
@@ -85,7 +85,7 @@ litmus:
 # the commit record disabled the corpus MUST flag a violation), the fams
 # faultcheck leg (staging starvation answers honest ENOSPC), and the
 # FAMS-vs-WAL experiment table. Exits non-zero if a contract is violated
-# or the canary fails to catch the injected bug. (~0.6 s at two jobs)
+# or the canary fails to catch the injected bug. (~0.3 s at two jobs)
 fams:
 	dune exec bin/splitfs_cli.exe -- fams --jobs $(JOBS)
 
@@ -138,7 +138,7 @@ golden:
 # naming every failing seed. The pinned-seed golden run covers only what
 # seed 0x51ED reaches. Faultcheck joins the swarm once its
 # relink/ENOSPC violation class is fixed (ROADMAP item 1): 18 of its
-# first 32 seeds still report it. `make check` runs K=64. (~0.2 s per
+# first 32 seeds still report it. `make check` runs K=64. (~0.1 s per
 # seed at one job)
 K ?= 16
 
@@ -159,6 +159,24 @@ swarm:
 # >= 2x faster at 4 jobs than at 1; single-core hosts skip the gate.
 par-bench:
 	dune exec bin/splitfs_cli.exe -- par-bench
+
+# GC work of the two crash campaigns at one job, as the OCaml runtime
+# reports it at exit (OCAMLRUNPARAM=v=0x400): major collections, words
+# allocated in the major heap and the top heap size, for litmus and for
+# crashcheck with an 8,192-state budget. Each crash trial builds a fresh
+# stack, so these follow what a trial allocates in the major heap
+# (DESIGN.md §5c). Prints the numbers; no gate.
+GCSTAT = "litmus --jobs 1" "crashcheck --samples 8192 --jobs 1"
+
+gcstat:
+	dune build ./bin/splitfs_cli.exe
+	@for args in $(GCSTAT); do \
+	  OCAMLRUNPARAM=v=0x400 ./_build/default/bin/splitfs_cli.exe $$args \
+	    2>&1 >/dev/null | awk -v run="$$args" ' \
+	    /^(major_collections|major_words|top_heap_words):/ { v[$$1] = $$2 } \
+	    END { printf "%-36s major_collections %s major_words %s top_heap_words %s\n", \
+	      run, v["major_collections:"], v["major_words:"], v["top_heap_words:"] }'; \
+	done
 
 # Code layout of the end-to-end benchmark: the address of the C runtime's
 # caml_string_equal and caml_blit_bytes in perfbench.exe and their offset

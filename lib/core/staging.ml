@@ -225,11 +225,13 @@ let translate t h ~max ~off =
 
 (** User-space write into the staging area — no kernel involvement.
     PM-backed handles take non-temporal stores through the mapping; DRAM
-    handles pay only DRAM bandwidth (§4 ablation). *)
-let write t h ~off buf ~boff ~len =
+    handles pay only DRAM bandwidth (§4 ablation). With [zero] the
+    stored bytes are zeros ({!Device.zero_nt} on PM) and [buf] is not
+    read. *)
+let store t h ~zero ~off buf ~boff ~len =
   (match h.backing with
   | Dram b ->
-      Bytes.blit buf boff b off len;
+      if zero then Bytes.fill b off len '\000' else Bytes.blit buf boff b off len;
       Env.cpu t.env
         (float_of_int len *. t.env.Env.timing.Timing.dram_write_per_byte)
   | Pm_file _ ->
@@ -238,7 +240,8 @@ let write t h ~off buf ~boff ~len =
         match translate t h ~max:!remaining ~off:!pos with
         | Some (addr, run) ->
             let n = min run !remaining in
-            Device.store_nt t.env.Env.dev ~addr buf ~off:!src ~len:n;
+            if zero then Device.zero_nt t.env.Env.dev ~addr ~len:n
+            else Device.store_nt t.env.Env.dev ~addr buf ~off:!src ~len:n;
             pos := !pos + n;
             src := !src + n;
             remaining := !remaining - n
@@ -246,6 +249,11 @@ let write t h ~off buf ~boff ~len =
       done);
   let stats = t.env.Env.stats in
   stats.Stats.staged_bytes <- stats.Stats.staged_bytes + len
+
+let write t h ~off buf ~boff ~len = store t h ~zero:false ~off buf ~boff ~len
+
+(** [write] of [len] zeros at [off], with no buffer of them. *)
+let zero t h ~off ~len = store t h ~zero:true ~off Bytes.empty ~boff:0 ~len
 
 (** User-space read of staged bytes. *)
 let read t h ~off buf ~boff ~len =

@@ -504,10 +504,8 @@ and relink_extent t st h (e : Kernelfs.Extent_tree.extent) ~dst_size =
     if tail_reaches_eof then begin
       let slack_off = s2 + rem in
       let slack = block_size - (slack_off mod block_size) in
-      if slack < block_size then begin
-        let zeros = Bytes.make slack '\000' in
-        Staging.write t.staging_pool h ~off:slack_off zeros ~boff:0 ~len:slack
-      end
+      if slack < block_size then
+        Staging.zero t.staging_pool h ~off:slack_off ~len:slack
     end;
     if relink_blocks > 0 then begin
       (* Transient relink EIO is retried with capped exponential backoff;

@@ -332,7 +332,9 @@ type trial = {
     (their DRAM state died with the process), and {!Check.check_file}
     under [contract] per path plus the program's claim. Injected faults
     are cleared before recovery: they model a full device at run time,
-    not a broken one at recovery time. *)
+    not a broken one at recovery time. The trial owns its stack, so it
+    releases the device once it has checked ({!Pmem.Device.release}):
+    the next trial on this domain writes into its image chunks. *)
 let run ~build ~contract p ~point ~survivors =
   let scratch = ref Bytes.empty in
   let m = mount ~scratch ~build p in
@@ -372,6 +374,7 @@ let run ~build ~contract p ~point ~survivors =
     | Some reason -> violations := (i, reason) :: !violations
     | None -> ()
   done;
+  Pmem.Device.release env.Pmem.Env.dev;
   { crashed_at; violations = !violations; recovered; recovery }
 
 (* ------------------------------------------------------------------ *)

@@ -14,21 +14,45 @@ type t = {
   ops : op list;
 }
 
+external get64 : string -> int -> int64 = "%caml_string_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* The payload's two periodic terms, [7i land 0xFF] (period 256) and
+   [i * i mod 251] (period 251), each with 8 bytes past its period so an
+   8-byte read at any phase stays inside. *)
+let sevens = String.init (256 + 8) (fun i -> Char.chr ((7 * i) land 0xFF))
+let squares = String.init (251 + 8) (fun i -> Char.chr (i * i mod 251))
+
 (** Fill [buf]'s first [len] bytes with the deterministic payload of
     [seed]: identical for the system under test and the oracle,
     distinctive across seeds. Byte [i] is
-    [(seed * 131 + i * 7 + i * i mod 251) land 0xFF]; the loop carries
-    [i * i mod 251] and its step [(2i + 1) mod 251] instead of dividing
-    once per byte. *)
+    [(seed * 131 + i * 7 + i * i mod 251) land 0xFF]. As [7 * 183 = 1]
+    mod 256, [seed * 131 + 7i = 7 (i + k)] mod 256 with
+    [k = seed * 131 * 183], so byte [i] is [sevens] at [i + k] plus
+    [squares] at [i mod 251]: summed eight bytes at a time (the low seven
+    bits of each byte add without carrying out of it, the top bit is
+    their xor), and a byte at a time for the last [len mod 8]. *)
 let payload_into ~seed buf ~len =
-  let base = ref (seed * 131) and sq = ref 0 and step = ref 1 in
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set buf i (Char.unsafe_chr ((!base + !sq) land 0xFF));
-    base := !base + 7;
-    sq := !sq + !step;
-    if !sq >= 251 then sq := !sq - 251;
-    step := !step + 2;
-    if !step >= 251 then step := !step - 251
+  let k = seed * 131 * 183 in
+  let sq = ref 0 and i = ref 0 in
+  while !i + 8 <= len do
+    let x = get64 sevens ((!i + k) land 0xFF) and y = get64 squares !sq in
+    let low = 0x7F7F7F7F7F7F7F7FL in
+    set64 buf !i
+      Int64.(
+        logxor
+          (add (logand x low) (logand y low))
+          (logand (logxor x y) (lognot low)));
+    i := !i + 8;
+    sq := !sq + 8;
+    if !sq >= 251 then sq := !sq - 251
+  done;
+  for i = !i to len - 1 do
+    Bytes.unsafe_set buf i
+      (Char.unsafe_chr
+         ((Char.code sevens.[(i + k) land 0xFF] + Char.code squares.[!sq])
+         land 0xFF));
+    incr sq
   done
 
 (** {!payload_into} on a fresh buffer. *)

@@ -157,7 +157,8 @@ module Runner = struct
       from the registry (its staging pool shrunk when [tiny] is set),
       the faults injected, the ops run to completion and every file read
       back through the stack and {!judge}d against the {!worlds} of what
-      became of each op. *)
+      became of each op. The device is released once judged
+      ({!Pmem.Device.release}). *)
   let run_trial ?(tiny = false) ?checks spec (p : Trial.program)
       ~(points : fault_point list) =
     let tweak = if tiny then tiny_staging else Fun.id in
@@ -268,6 +269,7 @@ module Runner = struct
       | None -> ()
     done;
     List.iter (fun r -> violations := (-1, r) :: !violations) !unexpected;
+    Pmem.Device.release dev;
     let c = Faults.counts plane in
     let outcome =
       if c.Faults.injected = 0 && c.Faults.media = 0 && c.Faults.scrub_migrations = 0

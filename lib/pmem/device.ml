@@ -13,7 +13,9 @@
     are sparse ({!Image}: 4 KiB chunks, and the table of them, allocated
     on first write), the dirty bitmap is made at the first temporal store
     (a run of NT stores never makes one), and the per-block wear counters
-    live in 64 KiB-region leaves made at the region's first write. When
+    live in 64 KiB-region leaves made at the region's first write. A
+    device released when its crash trial ends ([release]) hands its image
+    chunks to the next device made on its domain. When
     [dirty_count] is zero — the common state right after any fsync/relink
     — [load] and [store_nt] degenerate to a single image copy plus cost
     accounting, with zero per-line work. The slow paths coalesce
@@ -46,7 +48,12 @@ let word_mask = 0xFFFFFFFF
     uninitialised: a shadow line is read only while its dirty bit is set,
     and setting it always writes the line first. Every access to either
     image goes through [read], [write], [zero], [copy], [absent], [sub],
-    [line] and [write_line]. *)
+    [line] and [write_line].
+
+    A released image's table and chunks go to its domain's [spares], and
+    the next image on that domain takes them before it allocates: a
+    durable image zero-fills a recycled chunk again, and a shadow image
+    takes it unfilled, as it takes a new one. *)
 module Image = struct
   let chunk_bits = 12
   let chunk_size = 1 lsl chunk_bits
@@ -64,23 +71,73 @@ module Image = struct
   let create ~capacity ~zeroed =
     { nchunks = (capacity + chunk_mask) lsr chunk_bits; chunks = [||]; zeroed }
 
+  (** What released images held on this domain: emptied chunk tables and
+      4 KiB chunks. Each entry has exactly one owner, the list or one
+      image, so no two live images share a buffer. *)
+  type spares = {
+    mutable tables : Bytes.t array list;
+    mutable free : Bytes.t list;
+  }
+
+  let spares = Domain.DLS.new_key (fun () -> { tables = []; free = [] })
+
+  (** A table of [n] empty cells: a spare one of that length, or a new
+      one. *)
+  let take_table n =
+    let s = Domain.DLS.get spares in
+    let rec take = function
+      | [] -> (Array.make n Bytes.empty, [])
+      | table :: rest when Array.length table = n -> (table, rest)
+      | table :: rest ->
+          let found, rest = take rest in
+          (found, table :: rest)
+    in
+    let table, rest = take s.tables in
+    s.tables <- rest;
+    table
+
+  (** A chunk for an image that zero-fills its chunks or not: a spare
+      one, or a new one. *)
+  let take_chunk ~zeroed =
+    let s = Domain.DLS.get spares in
+    match s.free with
+    | ch :: rest ->
+        s.free <- rest;
+        if zeroed then Bytes.fill ch 0 chunk_size '\000';
+        ch
+    | [] ->
+        if zeroed then Bytes.make chunk_size '\000' else Bytes.create chunk_size
+
   (** Chunk [c], or [Bytes.empty] if it was never written. *)
   let chunk img c =
     let chunks = img.chunks in
     if c < Array.length chunks then chunks.(c) else Bytes.empty
 
   let chunk_for_write img c =
-    if Array.length img.chunks = 0 then
-      img.chunks <- Array.make img.nchunks Bytes.empty;
+    if Array.length img.chunks = 0 then img.chunks <- take_table img.nchunks;
     let ch = img.chunks.(c) in
     if Bytes.length ch > 0 then ch
     else begin
-      let ch =
-        if img.zeroed then Bytes.make chunk_size '\000'
-        else Bytes.create chunk_size
-      in
+      let ch = take_chunk ~zeroed:img.zeroed in
       img.chunks.(c) <- ch;
       ch
+    end
+
+  (** Hand the table and every chunk to this domain's [spares]; the image
+      is left never written. *)
+  let release img =
+    let table = img.chunks in
+    if Array.length table > 0 then begin
+      let s = Domain.DLS.get spares in
+      for c = 0 to Array.length table - 1 do
+        let ch = table.(c) in
+        if Bytes.length ch > 0 then begin
+          s.free <- ch :: s.free;
+          table.(c) <- Bytes.empty
+        end
+      done;
+      s.tables <- table :: s.tables;
+      img.chunks <- [||]
     end
 
   (** Copy [len] image bytes at [addr] into [dst] at [off]. *)
@@ -296,6 +353,9 @@ type t = {
       (** set when an armed partial crash fired: every device operation is
           ignored until [resume], so unwinding code cannot disturb the
           chosen crash image *)
+  mutable released : bool;
+      (** set by [release], with [halted]: the images went to the spare
+          list, and every operation raises instead of being ignored *)
   mutable media_free_at : float;
       (** virtual time the media finishes its last accepted transfer; the
           shared-bandwidth contention model (multi-actor only) queues a new
@@ -346,6 +406,7 @@ let create ?(capacity = 64 * 1024 * 1024) ?faults ~clock ~timing ~stats () =
     last_read_end = -1;
     journal = None;
     halted = false;
+    released = false;
     media_free_at = 0.;
     faults;
     poison = Hashtbl.create 16;
@@ -360,6 +421,12 @@ let elide_fence_site t i = t.elided_fence_site <- i
 
 let capacity t = t.capacity
 let check_range t addr len = addr >= 0 && len >= 0 && addr + len <= t.capacity
+
+(** Raises once [t] is released; [false] otherwise. Operations test
+    [not t.halted || refuse t], so a live device never calls it. *)
+let refuse t =
+  if t.released then invalid_arg "Pmem.Device: the device was released";
+  false
 
 let charge_media t ns =
   (* Shared-bandwidth contention: with several actors the media is a
@@ -743,6 +810,7 @@ let apply_survivor t j s =
     earlier version — optionally with an 8-byte-granularity tear against
     the version below it. The pending journal state is consumed. *)
 let crash_partial t ~survivors =
+  ignore (refuse t);
   match t.journal with
   | None -> invalid_arg "Device.crash_partial: journaling is off"
   | Some j ->
@@ -767,7 +835,7 @@ let crash_partial t ~survivors =
     flushed. *)
 let store t ~addr src ~off ~len =
   assert (check_range t addr len);
-  if len > 0 && not t.halted then begin
+  if (not t.halted || refuse t) && len > 0 then begin
     Simclock.advance t.clock
       (float_of_int len *. t.timing.Timing.cache_store_per_byte);
     if Array.length t.dirty = 0 then
@@ -788,7 +856,7 @@ let store t ~addr src ~off ~len =
     With [zero] the stored bytes are zeros and [src] is not read. *)
 let nt_store t ~zero ~addr src ~off ~len =
   assert (check_range t addr len);
-  if len > 0 && not t.halted then begin
+  if (not t.halted || refuse t) && len > 0 then begin
     let obs = Simclock.obs t.clock in
     let a = Simclock.current t.clock in
     let t0 = a.Simclock.a_now in
@@ -853,7 +921,7 @@ let site_elided site t = site >= 0 && site = t.elided_fence_site
 let flush ?(site = -1) t ~addr ~len =
   assert (check_range t addr len);
   site_hit site t;
-  if len > 0 && (not t.halted) && not (site_elided site t) then begin
+  if (not t.halted || refuse t) && len > 0 && not (site_elided site t) then begin
     j_flush t ~addr ~len;
     if t.dirty_count = 0 then
       t.stats.Stats.fast_path_hits <- t.stats.Stats.fast_path_hits + 1
@@ -897,7 +965,7 @@ let flush ?(site = -1) t ~addr ~len =
     exactly as if the sfence were deleted from the source. *)
 let fence ?(site = -1) t =
   site_hit site t;
-  if (not t.halted) && not (site_elided site t) then begin
+  if (not t.halted || refuse t) && not (site_elided site t) then begin
     (match t.journal with
     | None -> ()
     | Some j ->
@@ -928,7 +996,7 @@ let fence ?(site = -1) t =
     the last load ended, or exactly repeating it, counts as sequential. *)
 let load t ~addr dst ~off ~len =
   assert (check_range t addr len);
-  if len > 0 && not t.halted then begin
+  if (not t.halted || refuse t) && len > 0 then begin
     (* machine-check analogue: a load touching a poisoned line that would
        be served from media (not from a dirty cached copy) faults before
        any time is charged or read-adjacency state is touched *)
@@ -1028,6 +1096,7 @@ let zero_nt t ~addr ~len =
     survives a power cycle (only {!reset_faults} clears it, for tests that
     reuse a device as if it were new). *)
 let crash t =
+  ignore (refuse t);
   crash_common t;
   Option.iter reset_journal t.journal
 
@@ -1044,6 +1113,7 @@ let total_wear t = Array.fold_left (Array.fold_left ( + )) 0 t.wear
 (** Peek at the durable image without charging time (test/debug only). *)
 let peek_persistent t ~addr ~len =
   assert (check_range t addr len);
+  ignore (refuse t);
   Image.sub t.persistent ~addr ~len
 
 (** Overwrite the durable image directly, bypassing the cache model and
@@ -1051,6 +1121,7 @@ let peek_persistent t ~addr ~len =
     in durable structures (test/debug only). *)
 let poke_persistent t ~addr b ~off ~len =
   assert (check_range t addr len);
+  ignore (refuse t);
   Image.write t.persistent ~addr b ~off ~len
 
 (* ------------------------------------------------------------------ *)
@@ -1150,6 +1221,7 @@ let reset_faults t =
 (* ------------------------------------------------------------------ *)
 
 let journal_begin t =
+  ignore (refuse t);
   t.journal <-
     Some
       {
@@ -1193,4 +1265,15 @@ let arm_crash t ~fence ~survivors =
 
 (** Reactivate a device halted by an armed crash, so recovery can run
     against the chosen crash image. *)
-let resume t = t.halted <- false
+let resume t =
+  ignore (refuse t);
+  t.halted <- false
+
+(** Hand both images to this domain's spare list ({!Image}) and refuse
+    every later operation. *)
+let release t =
+  ignore (refuse t);
+  t.released <- true;
+  t.halted <- true;
+  Image.release t.persistent;
+  Image.release t.shadow

@@ -27,6 +27,28 @@ val create :
 
 val capacity : t -> int
 
+val release : t -> unit
+(** [release t] ends [t]'s life and hands its two images' chunk table and
+    4 KiB chunks to a spare list kept per domain; the next device made on
+    this domain takes its tables and chunks from that list before it
+    allocates. A durable chunk is zero-filled again when it is taken; a
+    shadow chunk is taken as it is, since a shadow line is written before
+    it is read. No charge, counter, crash state or report depends on which
+    buffer backs a chunk. The list holds only what released images held
+    and later images have not taken back: a domain that runs one crash
+    trial at a time keeps at most the chunks of its largest trial.
+
+    Afterwards every operation that reads, writes, flushes, fences or
+    crashes [t], starts its journal, resumes it or releases it again
+    raises [Invalid_argument]; the statistics, wear and fault counters
+    stay readable. Release only a device nothing will touch again: the
+    owner of a crash-trial stack releases it after reading back and
+    checking.
+
+    Recycling requires that an image own every chunk it holds. A future
+    copy-on-write clone that shares chunks between images must release
+    only the chunks the image allocated itself, never shared ones. *)
+
 (** Temporal store: data lands in the CPU cache and is lost on crash
     unless flushed. *)
 val store : t -> addr:int -> Bytes.t -> off:int -> len:int -> unit

@@ -471,6 +471,78 @@ let test_create_cost () =
     (Bytes.to_string (Device.load_bytes dev ~addr:(capacity - 64) ~len:64))
 
 (* ------------------------------------------------------------------ *)
+(* Released devices                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let junk = Bytes.init capacity (fun i -> Char.chr (1 + (i * 37 mod 253)))
+
+(* Every chunk of both images written with non-zero bytes, through
+   stores, NT stores, zero stores, flushes and a partial crash that keeps
+   some pending lines and reverts others, then released. *)
+let dirty_and_release dev =
+  Device.store_nt dev ~addr:0 junk ~off:0 ~len:capacity;
+  Device.fence dev;
+  Device.journal_begin dev;
+  Device.store dev ~addr:3 junk ~off:0 ~len:(capacity - 3);
+  Device.flush dev ~addr:0 ~len:(capacity / 2);
+  Device.zero_nt dev ~addr:(chunk + 100) ~len:5000;
+  Device.store dev ~addr:0 junk ~off:1 ~len:(capacity - 1);
+  Device.crash_partial dev
+    ~survivors:
+      [
+        { Device.s_line = 0; s_keep = 0; s_tear = 0 };
+        { s_line = (capacity / line_size) - 1; s_keep = 1; s_tear = 0 };
+      ];
+  Device.release dev
+
+(* Released chunks come back as fresh ones. A device is dirtied
+   everywhere and released; the next device of the same capacity on this
+   domain writes every chunk of both images without allocating a chunk
+   or a table, and is dirtied and released in turn; the one after it
+   runs the seeded differential trace against [Naive] on those recycled
+   chunks, durable and shadow. *)
+let test_recycled_chunks () =
+  dirty_and_release (Pmem.Env.create ~capacity ()).Env.dev;
+  let dev = (Pmem.Env.create ~capacity ()).Env.dev in
+  let words =
+    Util.direct_major_words (fun () ->
+        Device.store_nt dev ~addr:0 junk ~off:0 ~len:capacity;
+        Device.store dev ~addr:0 junk ~off:0 ~len:capacity)
+  in
+  if words > 0. then
+    Alcotest.failf "writing recycled images allocated %.0f major words" words;
+  dirty_and_release dev;
+  run_ops ~seed:0x2EC1 ~ops:2500 ~zero_nt:true ()
+
+(* A released device raises on every operation on its images, journal or
+   life cycle; its counters stay readable. *)
+let test_released_refuses () =
+  let env = Pmem.Env.create ~capacity:(4 * chunk) () in
+  let dev = env.Env.dev in
+  let b = Bytes.make 64 'r' in
+  Device.store_nt dev ~addr:0 b ~off:0 ~len:64;
+  Device.release dev;
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s on a released device" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "store" (fun () -> Device.store dev ~addr:0 b ~off:0 ~len:64);
+  refused "store_nt" (fun () -> Device.store_nt dev ~addr:0 b ~off:0 ~len:64);
+  refused "zero_nt" (fun () -> Device.zero_nt dev ~addr:0 ~len:64);
+  refused "load" (fun () -> Device.load dev ~addr:0 b ~off:0 ~len:64);
+  refused "flush" (fun () -> Device.flush dev ~addr:0 ~len:64);
+  refused "fence" (fun () -> Device.fence dev);
+  refused "crash" (fun () -> Device.crash dev);
+  refused "peek" (fun () -> ignore (Device.peek_persistent dev ~addr:0 ~len:64));
+  refused "poke" (fun () -> Device.poke_persistent dev ~addr:0 b ~off:0 ~len:64);
+  refused "journal_begin" (fun () -> Device.journal_begin dev);
+  refused "resume" (fun () -> Device.resume dev);
+  refused "release" (fun () -> Device.release dev);
+  Util.check_int "wear stays readable" 1 (Device.total_wear dev);
+  Util.check_int "NT stores counted" 1 env.Env.stats.Stats.nt_stores
+
+(* ------------------------------------------------------------------ *)
 (* Zero stores                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1157,6 +1229,8 @@ let suite =
     tc "never-written chunks read as zero" `Quick test_unwritten_chunks;
     tc "device set-up allocates under 0.05% of capacity" `Quick
       test_create_cost;
+    tc "recycled chunks read as fresh" `Quick test_recycled_chunks;
+    tc "a released device refuses access" `Quick test_released_refuses;
     tc "differential with zero stores (seed 0x2E50)" `Quick
       test_differential_zero_nt;
     tc "first temporal store after a crash" `Quick

@@ -30,6 +30,24 @@ let pattern ~seed len =
   String.init len (fun i ->
       Char.chr ((seed * 131 + i * 7 + (i * i mod 251)) mod 256))
 
+(** Words [f] allocates straight into the major heap: major words that
+    were not promoted from the minor heap, counted with the minor heap
+    emptied on both sides. A minor collection adds the words it promotes
+    to [promoted_words] at once but to [major_words] only at the next
+    one, so each side collects twice. Direct allocations do not depend on
+    when the GC runs, so the count is deterministic; a 4 KiB image chunk
+    is too large for the minor heap and always counts here. *)
+let direct_major_words f =
+  let direct () =
+    Gc.minor ();
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = direct () in
+  f ();
+  direct () -. before
+
 let check_str = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
