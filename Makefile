@@ -75,8 +75,8 @@ faultcheck:
 # EXHAUSTIVELY on every stack x mode, then the fence minimizer: every
 # registered fence site elided in turn and the corpus re-explored to
 # prove it REQUIRED (shrunk counterexample) or REDUNDANT. Exits non-zero
-# on any contract violation with all fences in place. (~1.7 s at one job,
-# ~1.0 s at two)
+# on any contract violation with all fences in place. (~1.6 s at one job,
+# ~1.5 s at two)
 litmus:
 	dune exec bin/splitfs_cli.exe -- litmus --jobs $(JOBS)
 

@@ -97,22 +97,31 @@ let encode entry =
 
 type decoded = Valid of entry | Torn | Empty
 
-(* [verify:false] skips checksum verification — the "forgot to verify"
-   bug that crashcheck's differential test must catch. Tests only; the
-   campaign flag lives in [Env.checks.verify_checksums]. *)
+(* Four zero bytes: the CRC field as the checksum reads it. *)
+let crc_field_zeros = Bytes.make 4 '\000'
+
+(** Classify the slot at [off] in place: a word-wise zero test, then a
+    checksum chained over the slot's first four bytes, four zero bytes
+    for the CRC field and its last 56 bytes, which equals the checksum of
+    a copy with that field zeroed; the fields are read where they lie.
+    [verify:false] skips checksum verification — the "forgot to verify"
+    bug that crashcheck's differential test must catch. Tests only; the
+    campaign flag lives in [Env.checks.verify_checksums]. *)
 let decode ?(verify = true) b ~off =
-  let is_zero = ref true in
-  for i = off to off + entry_size - 1 do
-    if Bytes.get b i <> '\000' then is_zero := false
-  done;
-  if !is_zero then Empty
+  let rec zero_from i =
+    i = entry_size || (Bytes.get_int64_ne b (off + i) = 0L && zero_from (i + 8))
+  in
+  if zero_from 0 then Empty
   else begin
     let stored = Int32.to_int (Bytes.get_int32_le b (off + 4)) land 0xFFFFFFFF in
-    let copy = Bytes.sub b off entry_size in
-    Bytes.set_int32_le copy 4 0l;
-    if verify && Fsapi.Crc32.bytes copy <> stored then Torn
+    let crc () =
+      let c = Fsapi.Crc32.update 0 b ~off ~len:4 in
+      let c = Fsapi.Crc32.update c crc_field_zeros ~off:0 ~len:4 in
+      Fsapi.Crc32.update c b ~off:(off + 8) ~len:(entry_size - 8)
+    in
+    if verify && crc () <> stored then Torn
     else begin
-      let geti pos = Int64.to_int (Bytes.get_int64_le copy pos) in
+      let geti pos = Int64.to_int (Bytes.get_int64_le b (off + pos)) in
       let data_op () =
         {
           target_ino = geti 8;
@@ -121,10 +130,10 @@ let decode ?(verify = true) b ~off =
           staging_off = geti 32;
           len = geti 40;
           data_crc =
-            Int32.to_int (Bytes.get_int32_le copy 48) land 0xFFFFFFFF;
+            Int32.to_int (Bytes.get_int32_le b (off + 48)) land 0xFFFFFFFF;
         }
       in
-      match Bytes.get_uint8 copy 0 with
+      match Bytes.get_uint8 b off with
       | 1 -> Valid (Append (data_op ()))
       | 2 -> Valid (Overwrite (data_op ()))
       | 3 -> Valid (Relinked { target_ino = geti 8 })
@@ -278,6 +287,13 @@ let append t entry =
 
 type scan_result = { valid : entry list; torn : int; scanned : int }
 
+(* The scan's read buffer, one per domain, grown to the longest pread a
+   scan on that domain has issued. A scan reads it to the end before its
+   next pread, and no scan runs inside another, so one buffer serves
+   every recovery on the domain: a crash campaign recovers once per
+   trial. *)
+let scan_buf = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
 (** Read the log file through the kernel and classify every slot: used at
     mount time by {!Recovery}. Collection stops at the first torn slot —
     replay must never skip over a bad checksum, since everything beyond it
@@ -285,7 +301,9 @@ type scan_result = { valid : entry list; torn : int; scanned : int }
     the first all-zero slot so recovery knows the full non-zero prefix to
     zero (a stale valid-looking entry left beyond a tear must not be
     resurrected when the log is reused). Slots at or beyond the first torn
-    one count as torn. *)
+    one count as torn. The preads are those of a buffer of min(64 KiB,
+    log size) bytes; they land in this domain's [scan_buf], and each slot
+    is decoded where it lies. *)
 let scan ?(verify = true) sys path =
   let fd = Kernelfs.Syscall.open_ sys path Fsapi.Flags.rdonly in
   Fun.protect
@@ -293,7 +311,9 @@ let scan ?(verify = true) sys path =
     (fun () ->
       let size = (Kernelfs.Syscall.fstat sys fd).Fsapi.Fs.st_size in
       let chunk = min max_io size in
-      let buf = Bytes.create chunk in
+      let held = Domain.DLS.get scan_buf in
+      if Bytes.length !held < chunk then held := Bytes.create chunk;
+      let buf = !held in
       let valid = ref [] and torn = ref 0 and scanned = ref 0 in
       let stop = ref false and trusted = ref true in
       let off = ref 0 in

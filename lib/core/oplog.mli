@@ -49,10 +49,13 @@ val encode : entry -> Bytes.t
 
 type decoded = Valid of entry | Torn | Empty
 
-(** Classify the 64-byte slot at [off]: all-zero = [Empty], checksum
-    mismatch = [Torn]. [verify:false] skips checksum verification — the
-    injected bug crashcheck's differential test must catch (campaigns set
-    it from [Env.checks.verify_checksums]; default true). *)
+(** Classify the 64-byte slot at [off] where it lies, copying nothing:
+    all-zero = [Empty], checksum mismatch = [Torn]. The checksum is
+    chained over the slot with its CRC field read as four zero bytes,
+    which is the checksum {!encode} stored. [verify:false] skips checksum
+    verification — the injected bug crashcheck's differential test must
+    catch (campaigns set it from [Env.checks.verify_checksums]; default
+    true). *)
 val decode : ?verify:bool -> Bytes.t -> off:int -> decoded
 
 type t
@@ -92,5 +95,7 @@ type scan_result = { valid : entry list; torn : int; scanned : int }
     up to the first torn slot (replay never skips over a bad checksum),
     keep scanning to the first all-zero slot so [scanned] covers the whole
     non-zero prefix; slots at or beyond the first torn one count as
-    [torn]. *)
+    [torn]. The log is read in preads of up to 64 KiB into one buffer
+    kept per domain and decoded in place, so a scan allocates no buffer
+    once its domain has scanned a log as long. *)
 val scan : ?verify:bool -> Kernelfs.Syscall.t -> string -> scan_result

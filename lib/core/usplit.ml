@@ -274,12 +274,25 @@ let refresh_mappings t st =
   let inode = Kernelfs.Syscall.inode_of_fd t.sys st.f_kfd in
   List.iter (fun m -> Kernelfs.Ext4.remap_quietly (kfs t) inode m) st.mmaps
 
-(** Retain a mapping over a freshly relinked range without faults (§3.5). *)
+(** Retain a mapping over a freshly relinked range without faults (§3.5).
+    Every mapping of the file that the new one fully covers goes, and the
+    kernel forgets it: the newest mapping serves each offset it covers
+    ([rebuild_mmap_index]), so a covered one never serves a lookup, and
+    repeated small appends and fsyncs to one block keep one mapping of
+    it instead of one per relink. *)
 let retain_mapping t st ~off ~len =
   let rstart = off / block_size * block_size in
   let rlen = (off + len + block_size - 1) / block_size * block_size - rstart in
   let inode = Kernelfs.Syscall.inode_of_fd t.sys st.f_kfd in
   let m = Kernelfs.Ext4.mmap_retained (kfs t) inode ~off:rstart ~len:rlen in
+  let covered (c : Kernelfs.Ext4.mapping) =
+    c.m_off >= rstart && c.m_off + c.m_len <= rstart + rlen
+  in
+  if List.exists covered st.mmaps then begin
+    let dropped, kept = List.partition covered st.mmaps in
+    Kernelfs.Ext4.forget_maps (kfs t) dropped;
+    st.mmaps <- kept
+  end;
   st.mmaps <- m :: st.mmaps;
   invalidate_mmap_index st
 
@@ -801,7 +814,7 @@ let new_state ~path kfd (kstat : Fsapi.Fs.stat) =
     mmap_last = 0;
     open_count = 0;
     unlinked = kstat.st_nlink = 0;
-    f_lock = Pmem.Lock.create (Printf.sprintf "ufile:%d" kstat.st_ino);
+    f_lock = Pmem.Lock.create ~id:kstat.st_ino "ufile:";
   }
 
 let make_state t path kfd =

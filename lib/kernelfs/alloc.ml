@@ -64,7 +64,7 @@ let create ?faults ?env ?(shards = 1) ~nblocks () =
       s_free = limit - base;
       s_next_fit = base;
       s_hint = base;
-      s_lock = Pmem.Lock.create (Printf.sprintf "alloc-shard-%d" k);
+      s_lock = Pmem.Lock.create ~id:k "alloc-shard-";
     }
   in
   {

@@ -158,7 +158,7 @@ let ilock t inode =
   let l = t.ilocks.(i) in
   if l != unused_stripe then l
   else begin
-    let l = Pmem.Lock.create (Printf.sprintf "inode-stripe:%d" i) in
+    let l = Pmem.Lock.create ~id:i "inode-stripe:" in
     t.ilocks.(i) <- l;
     l
   end
@@ -880,6 +880,11 @@ let mmap_retained (t : t) inode ~off ~len =
   let m = { m_ino = inode.ino; m_off = off; m_len = len; pages; m_huge = false } in
   t.live_maps <- m :: t.live_maps;
   m
+
+(** Forget the mappings [ms], which their owner dropped: no later
+    copy-on-write or scrub fixes up their page arrays. *)
+let forget_maps t ms =
+  t.live_maps <- List.filter (fun m -> not (List.memq m ms)) t.live_maps
 
 (** Mappings the kernel still tracks (test hook). *)
 let live_map_count t = List.length t.live_maps

@@ -56,8 +56,8 @@ let create ?(streams = 1) ~env ~region_start ~region_len ~block_size () =
       st_len;
       head = 0;
       st_lock =
-        Pmem.Lock.create
-          (if k = 0 then "jbd2" else Printf.sprintf "jbd2-%d" k);
+        (if k = 0 then Pmem.Lock.create "jbd2"
+         else Pmem.Lock.create ~id:k "jbd2-");
     }
   in
   {

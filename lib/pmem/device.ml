@@ -53,7 +53,9 @@ let word_mask = 0xFFFFFFFF
     A released image's table and chunks go to its domain's [spares], and
     the next image on that domain takes them before it allocates: a
     durable image zero-fills a recycled chunk again, and a shadow image
-    takes it unfilled, as it takes a new one. *)
+    takes it unfilled, as it takes a new one. The image lists the chunks
+    it wrote, so releasing it visits those and not every cell of its
+    table. *)
 module Image = struct
   let chunk_bits = 12
   let chunk_size = 1 lsl chunk_bits
@@ -65,11 +67,21 @@ module Image = struct
     mutable chunks : Bytes.t array;
         (** [[||]] until the image is first written; then one cell per
             chunk, [Bytes.empty] until that chunk is first written *)
+    mutable written : int array;
+        (** the indices of the chunks in [chunks], in its first
+            [nwritten] cells: one word a chunk, grown by doubling *)
+    mutable nwritten : int;
     zeroed : bool;  (** chunks are zero-filled: absent reads as zero *)
   }
 
   let create ~capacity ~zeroed =
-    { nchunks = (capacity + chunk_mask) lsr chunk_bits; chunks = [||]; zeroed }
+    {
+      nchunks = (capacity + chunk_mask) lsr chunk_bits;
+      chunks = [||];
+      written = [||];
+      nwritten = 0;
+      zeroed;
+    }
 
   (** What released images held on this domain: emptied chunk tables and
       4 KiB chunks. Each entry has exactly one owner, the list or one
@@ -120,22 +132,29 @@ module Image = struct
     else begin
       let ch = take_chunk ~zeroed:img.zeroed in
       img.chunks.(c) <- ch;
+      let n = img.nwritten in
+      if n = Array.length img.written then begin
+        let grown = Array.make (max 8 (2 * n)) 0 in
+        Array.blit img.written 0 grown 0 n;
+        img.written <- grown
+      end;
+      img.written.(n) <- c;
+      img.nwritten <- n + 1;
       ch
     end
 
   (** Hand the table and every chunk to this domain's [spares]; the image
-      is left never written. *)
+      is left never written. Visits only the chunks [written] lists. *)
   let release img =
     let table = img.chunks in
     if Array.length table > 0 then begin
       let s = Domain.DLS.get spares in
-      for c = 0 to Array.length table - 1 do
-        let ch = table.(c) in
-        if Bytes.length ch > 0 then begin
-          s.free <- ch :: s.free;
-          table.(c) <- Bytes.empty
-        end
+      for i = 0 to img.nwritten - 1 do
+        let c = img.written.(i) in
+        s.free <- table.(c) :: s.free;
+        table.(c) <- Bytes.empty
       done;
+      img.nwritten <- 0;
       s.tables <- table :: s.tables;
       img.chunks <- [||]
     end
@@ -679,6 +698,19 @@ let j_store_nt_post t ~addr ~len =
           jl.jversions <- { vdata; nt = true; reached = true } :: jl.jversions
       done
 
+(** An NT store, zero store or flush the journal can skip because no
+    crash can observe it: a crash is armed at a later fence than the next
+    one, and the journal holds no line. Such an operation pushes only
+    reached versions, and the next fence commits each and drops its line
+    (it is not the armed fence, so it commits rather than crashes): the
+    journal is as empty after that fence as skipping leaves it. A line
+    the epoch touches again after a skipped operation recaptures its base
+    from the durable image, which holds the version the fence would have
+    committed. Temporal stores always record, since an unreached version
+    outlives the fence; so an armed trial journals the epoch its crash
+    lands in, plus the cached versions carried into it. *)
+let j_quiet j = j.jcount = 0 && j.j_trip_fence > j.j_fences
+
 (** A zero NT store the journal can skip: every line it covers is clean
     and in a never-written chunk, so it holds zeros with nothing pending
     and the per-line hooks would add no version. Nothing can be pending
@@ -687,8 +719,7 @@ let j_store_nt_post t ~addr ~len =
     once a writeback has written its chunk, or after a crash, which
     empties the journal. Must run before [persistent] is modified. *)
 let j_zero_skip t ~addr ~len =
-  t.journal <> None
-  && Image.absent t.persistent ~addr ~len
+  Image.absent t.persistent ~addr ~len
   &&
   let first = addr / line_size and last = (addr + len - 1) / line_size in
   t.dirty_count = 0
@@ -700,7 +731,7 @@ let j_flush t ~addr ~len =
   match t.journal with
   | None -> ()
   | Some j ->
-      if t.dirty_count > 0 then begin
+      if t.dirty_count > 0 && not (j_quiet j) then begin
         let first = addr / line_size and last = (addr + len - 1) / line_size in
         for line = first to last do
           if line_dirty t line then begin
@@ -860,7 +891,11 @@ let nt_store t ~zero ~addr src ~off ~len =
     let obs = Simclock.obs t.clock in
     let a = Simclock.current t.clock in
     let t0 = a.Simclock.a_now in
-    let skip = zero && j_zero_skip t ~addr ~len in
+    let skip =
+      match t.journal with
+      | None -> true
+      | Some j -> j_quiet j || (zero && j_zero_skip t ~addr ~len)
+    in
     if not skip then j_store_nt_pre t ~addr ~len;
     if t.dirty_count = 0 then
       t.stats.Stats.fast_path_hits <- t.stats.Stats.fast_path_hits + 1
@@ -1255,7 +1290,9 @@ let pending_now t =
 (** Arm a crash at fence index [fence]: when the journalled run reaches
     it, the device applies [survivors] via [crash_partial], halts (all
     further device operations no-op until [resume]), and raises
-    [Crashed]. [fence = -1] disarms. *)
+    [Crashed]. [fence = -1] disarms. Until the fence before the armed one
+    has run, an NT store, zero store or flush that finds the journal
+    empty records nothing ([j_quiet]). *)
 let arm_crash t ~fence ~survivors =
   match t.journal with
   | None -> invalid_arg "Device.arm_crash: journaling is off"
@@ -1270,7 +1307,8 @@ let resume t =
   t.halted <- false
 
 (** Hand both images to this domain's spare list ({!Image}) and refuse
-    every later operation. *)
+    every later operation. Costs the chunks the images wrote, not their
+    tables' length. *)
 let release t =
   ignore (refuse t);
   t.released <- true;

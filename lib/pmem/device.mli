@@ -36,7 +36,9 @@ val release : t -> unit
     it is read. No charge, counter, crash state or report depends on which
     buffer backs a chunk. The list holds only what released images held
     and later images have not taken back: a domain that runs one crash
-    trial at a time keeps at most the chunks of its largest trial.
+    trial at a time keeps at most the chunks of its largest trial. Each
+    image lists the chunks it wrote, one word a chunk, so [release]
+    costs the chunks written, not the capacity.
 
     Afterwards every operation that reads, writes, flushes, fences or
     crashes [t], starts its journal, resumes it or releases it again
@@ -249,7 +251,17 @@ val arm_crash : t -> fence:int -> survivors:survivor list -> unit
 (** When the run reaches fence index [fence], apply [crash_partial
     ~survivors], halt the device (every device operation becomes a no-op
     so unwinding code cannot disturb the crash image) and raise
-    [Crashed]. [fence = -1] disarms. *)
+    [Crashed]. [fence = -1] disarms.
+
+    While armed, the journal records only what that crash can observe.
+    Until the fence before [fence] has run, an NT store, zero store or
+    flush that finds the journal holding no line records nothing: it
+    would push only reached versions, which the next fence (not the
+    armed one) commits and drops, leaving the journal as empty as
+    skipping does. Temporal stores always record. The crash at [fence]
+    therefore meets the journal an unarmed run holds there, built from
+    that fence's epoch and the cached versions carried into it. An
+    unarmed run records everything. *)
 
 val resume : t -> unit
 (** Reactivate a halted device so recovery can run on the crash image. *)

@@ -16,13 +16,20 @@
     nested acquire sees a past timestamp and charges nothing. *)
 
 type t = {
-  l_name : string;
+  l_prefix : string;
+  l_id : int;  (** the name is [l_prefix] followed by [l_id]; -1 = none *)
   mutable free_at : float;  (** virtual time the last holder released *)
   mutable contended : int;  (** host-side count of charged waits *)
 }
 
-let create name = { l_name = name; free_at = 0.; contended = 0 }
-let name t = t.l_name
+(** [create ?id prefix] is a lock named [prefix], or [prefix] followed by
+    the decimal [id]. The name is formatted only when read, by the traced
+    contended-wait span, so a stack makes its per-file, per-stripe and
+    per-shard locks without formatting a string for each. *)
+let create ?(id = -1) prefix =
+  { l_prefix = prefix; l_id = id; free_at = 0.; contended = 0 }
+
+let name t = if t.l_id < 0 then t.l_prefix else t.l_prefix ^ string_of_int t.l_id
 let contended t = t.contended
 
 (** Charge the current actor for entering the critical section now. *)
@@ -40,7 +47,7 @@ let acquire t ~clock ~(stats : Stats.t) =
       let a = Simclock.current clock in
       a.Simclock.a_lock_wait_ns <- a.Simclock.a_lock_wait_ns +. wait;
       if Obs.tracing obs then
-        Obs.emit obs ~name:("lock:" ^ t.l_name) ~cat:Obs.Lock_wait
+        Obs.emit obs ~name:("lock:" ^ name t) ~cat:Obs.Lock_wait
           ~actor:a.Simclock.aid ~t0:now ~t1:a.Simclock.a_now
     end
   end

@@ -249,10 +249,10 @@ let test_enumerated mode () =
    nothing directly in the major heap: no capacity-sized dirty bitmap,
    wear counters or chunk table, no full lock-stripe table. A strict
    trial of the pinned 24-op workload, one per crash point with every
-   pending line reverted, averages at most 3,000 such words: each trial
+   pending line reverted, averages at most 1,000 such words: each trial
    releases its device, so the next one writes into the 4 KiB image
-   chunks and chunk table the last one held, and what is left is mostly
-   recovery's 2,050-word op-log scan buffer. *)
+   chunks and chunk table the last one held, and recovery scans the op
+   log through its domain's buffer ([test_recovery_allocation]). *)
 let test_trial_allocation () =
   let build () =
     ignore (Fs_config.make_small Fs_config.Splitfs_strict : Fs_config.stack)
@@ -275,9 +275,27 @@ let test_trial_allocation () =
           points)
   in
   let per_trial = words /. float_of_int (List.length points) in
-  if per_trial > 3_000. then
+  if per_trial > 1_000. then
     Alcotest.failf "a strict trial allocates %.0f words in the major heap"
       per_trial
+
+(* Recovery allocates nothing in the major heap once its domain has
+   recovered a stack: the op-log scan reads into the domain's buffer and
+   decodes each slot in place. *)
+let test_recovery_allocation () =
+  let stack () = Fs_config.make_small Fs_config.Splitfs_strict in
+  let recover (st : Fs_config.stack) () =
+    ignore
+      (Splitfs.Recovery.recover ~sys:(Option.get st.sys) ~env:st.env
+         ~instance:0
+        : Splitfs.Recovery.report)
+  in
+  let first = stack () in
+  recover first ();
+  Pmem.Device.release first.env.Pmem.Env.dev;
+  let st = stack () in
+  Util.check_int "words recovery allocates in the major heap" 0
+    (int_of_float (Util.direct_major_words (recover st)))
 
 (* ------------------------------------------------------------------ *)
 (* Injected bug: skipping checksum verification must be caught          *)
@@ -415,6 +433,8 @@ let suite =
     tc "strict 8-op workload: every state enumerated" `Quick
       (test_enumerated Splitfs.Config.Strict);
     tc "a crash trial allocates what it touches" `Quick test_trial_allocation;
+    tc "recovery allocates nothing in the major heap" `Quick
+      test_recovery_allocation;
     tc "injected bug: unverified op-log checksums are caught" `Quick
       test_injected_bug_caught;
     tc "greedy shrinker: visit order and budget" `Quick test_greedy_shrinker;

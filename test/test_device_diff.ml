@@ -1176,6 +1176,59 @@ let test_jbd2_vs_naive () =
     ~draw:draw_run_survivors
     [ 2; 0x1BD2; 0xB10C; 0x2E0 ]
 
+(* Traces whose cached versions outlive several fences. Each round
+   stores into the hot window and fences without flushing, so the
+   stored lines stay pending through the two to four epochs that follow.
+   Those epochs hold NT stores and zero stores in regions 3 and 5 and
+   flushes over the hot window, where the prefix left lines dirty with
+   nothing journalled; from the second of them on, one brings an NT
+   store into the carried range and one (maybe the same) a flush over
+   it. While the range is carried, an armed crash at a later fence finds
+   the journal holding its lines, so every operation must record; once
+   the NT store or the flush has reached them and a fence has committed
+   them, the epochs up to the armed one find the journal empty. *)
+let gen_carried_trace ~seed =
+  let rng = Workloads.Rng.create seed in
+  let pick n = Workloads.Rng.int rng n in
+  let payload_off len = 8192 + pick (8192 - len) in
+  let elsewhere () =
+    let len = 1 + pick 300 in
+    let addr = ((if pick 2 = 0 then 3 else 5) * region) + pick (region - len) in
+    match pick 3 with
+    | 0 -> J_store_nt { addr; off = payload_off len; len }
+    | 1 -> J_zero { addr; len }
+    | _ -> J_flush { addr = hot_start + pick (1024 - len); len }
+  in
+  let round () =
+    let len = 1 + pick 100 in
+    let addr = hot_start + pick (1024 - len) in
+    let quiet = 2 + pick 3 in
+    let nt_at = 1 + pick (quiet - 1) and flush_at = 1 + pick (quiet - 1) in
+    let epoch e =
+      let hits =
+        (if e = nt_at then
+           let n = 1 + pick 64 in
+           [ J_store_nt { addr = addr + pick len; off = payload_off n; len = n } ]
+         else [])
+        @ if e = flush_at then [ J_flush { addr; len } ] else []
+      in
+      let ops =
+        List.map
+          (fun op -> (pick 1000, op))
+          (hits @ List.init (pick 4) (fun _ -> elsewhere ()))
+      in
+      List.map snd (List.sort compare ops) @ [ J_fence ]
+    in
+    J_store { addr; off = payload_off len; len }
+    :: J_fence
+    :: List.concat (List.init quiet epoch)
+  in
+  (fst (gen_trace ~seed), List.concat (List.init 4 (fun _ -> round ())))
+
+let test_carried_vs_naive () =
+  journal_vs_naive ~gen:gen_carried_trace ~draw:draw_survivors
+    [ 3; 0xCA5; 0x9E57 ]
+
 (* The journal's one rule through a plain [journal_begin]: a temporal
    or NT store that rewrites a line's frontier content leaves the pending
    summary as it was, while one that changes the content adds a version;
@@ -1245,6 +1298,8 @@ let suite =
     tc "persist-order journal vs naive model" `Quick test_journal_vs_naive;
     tc "zero runs vs naive model, jbd2-shaped traces" `Quick
       test_jbd2_vs_naive;
+    tc "versions carried across quiet epochs vs naive model" `Quick
+      test_carried_vs_naive;
     tc "a store that changes no content adds no version" `Quick
       test_unchanged_store;
   ]

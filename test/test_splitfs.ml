@@ -269,6 +269,29 @@ let test_reaped_mappings_dropped () =
         (live_after 4) (live_after 32))
     modes
 
+(* Small appends, each fsynced, to one strict-mode file: every relink
+   retains a mapping over the appended block, and drops the mapping it
+   fully covers, so the kernel tracks about one mapping per block of the
+   file beside the stack's own (op log, staging files). *)
+let test_retained_mappings_bounded () =
+  let _env, kfs, _sys, _u, fs = Util.make_splitfs ~mode:Splitfs.Config.Strict () in
+  let fd = fs.open_ "/small-appends" Fsapi.Flags.create_rw in
+  let own = Kernelfs.Ext4.live_map_count kfs in
+  let pairs = 2000 and len = 100 in
+  let buf = Bytes.of_string (Util.pattern ~seed:5 len) in
+  for _ = 1 to pairs do
+    ignore (fs.write fd ~buf ~boff:0 ~len);
+    fs.fsync fd
+  done;
+  let blocks = ((pairs * len) + Pmem.Device.block_size - 1) / Pmem.Device.block_size in
+  let live = Kernelfs.Ext4.live_map_count kfs in
+  if live > own + blocks then
+    Alcotest.failf "%d live mappings after %d appends: %d own + %d blocks" live
+      pairs own blocks;
+  Util.check_str "content" (String.concat "" (List.init pairs (fun _ -> Bytes.to_string buf)))
+    (Fsapi.Fs.pread_exact fs fd ~len:(pairs * len) ~at:0);
+  fs.close fd
+
 let test_rename_updates_cache =
   for_each_mode (fun mode _u fs ->
       let name = Splitfs.Config.mode_to_string mode in
@@ -462,6 +485,8 @@ let suite =
     tc "unlink while open keeps data" `Quick test_unlink_while_open_keeps_data;
     tc "reaped files leave no kernel mappings" `Quick
       test_reaped_mappings_dropped;
+    tc "retained mappings stay one per block" `Quick
+      test_retained_mappings_bounded;
     tc "rename updates attribute cache" `Quick test_rename_updates_cache;
     tc "O_TRUNC resets state" `Quick test_open_trunc_resets;
     tc "dup shares offset" `Quick test_dup_shares_offset;
