@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-json bench-diff crashcheck faultcheck litmus fams golden swarm profile scale par-bench gcstat layout check
+.PHONY: all build test bench bench-json bench-diff crashcheck faultcheck litmus fams golden golden-traced swarm profile scale par-bench gcstat layout check
 
 all: build
 
@@ -133,6 +133,31 @@ golden:
 	diff -u test/golden/paper.txt _build/golden/paper.txt || status=1; \
 	exit $$status
 
+# Golden under tracing and telemetry: crashcheck with an 8,192-state
+# budget, litmus and faultcheck under SPLITFS_TRACE=1 and then under
+# SPLITFS_TIMELINE=1, each diffed against test/golden. Span tracing and
+# the timeline must leave every report byte-identical, and every crash
+# trial runs on a clone of its program's set-up stack, which has to
+# carry the span ring and the timeline with it. (~10 s at two jobs)
+GOLDEN_TRACED = crashcheck-8192 litmus faultcheck
+
+golden-traced:
+	dune build ./bin/splitfs_cli.exe
+	@mkdir -p _build/golden; status=0; \
+	for var in SPLITFS_TRACE SPLITFS_TIMELINE; do \
+	  for c in $(GOLDEN_TRACED); do \
+	    echo "golden-traced: $$var=1 $$c"; \
+	    case $$c in \
+	      crashcheck-8192) args="crashcheck --samples 8192";; \
+	      *) args=$$c;; \
+	    esac; \
+	    env $$var=1 ./_build/default/bin/splitfs_cli.exe $$args \
+	      --jobs $(JOBS) > _build/golden/$$c-$$var.txt || status=1; \
+	    diff -u test/golden/$$c.txt _build/golden/$$c-$$var.txt || status=1; \
+	  done; \
+	done; \
+	exit $$status
+
 # Seed swarm: crashcheck at seeds 1..K, each with $(JOBS) worker
 # domains. A seed's report is printed only if it fails; exits non-zero
 # naming every failing seed. The pinned-seed golden run covers only what
@@ -163,9 +188,10 @@ par-bench:
 # GC work of the two crash campaigns at one job, as the OCaml runtime
 # reports it at exit (OCAMLRUNPARAM=v=0x400): major collections, words
 # allocated in the major heap and the top heap size, for litmus and for
-# crashcheck with an 8,192-state budget. Each crash trial builds a fresh
-# stack, so these follow what a trial allocates in the major heap
-# (DESIGN.md §5c). Prints the numbers; no gate.
+# crashcheck with an 8,192-state budget. Each crash trial runs on a
+# copy-on-write clone of its program's set-up stack, so these follow
+# what a trial allocates in the major heap (DESIGN.md §5c). Prints the
+# numbers; no gate.
 GCSTAT = "litmus --jobs 1" "crashcheck --samples 8192 --jobs 1"
 
 gcstat:
@@ -195,7 +221,8 @@ layout:
 # four verification campaigns, crashcheck with an 8,192-state budget
 # (every sync and strict crash state of the pinned seed), the
 # scaling/profile/latency tables and the paper tables diffed against
-# their golden reports, the crashcheck swarm over seeds 1..64, the
+# their golden reports, the same campaigns again under tracing and
+# telemetry (golden-traced), the crashcheck swarm over seeds 1..64, the
 # serving-tier smoke, par-bench and the bench-diff gate. Campaigns run
 # with $(JOBS) worker domains. The par-bench table is also kept in
 # par-walltime.txt, with par-bench's exit status.
@@ -203,6 +230,7 @@ check:
 	dune build
 	dune runtest
 	$(MAKE) golden
+	$(MAKE) golden-traced
 	$(MAKE) swarm K=64
 	dune exec bin/splitfs_cli.exe -- scale --fast --jobs $(JOBS)
 	dune exec bin/splitfs_cli.exe -- par-bench > par-walltime.txt; \

@@ -143,10 +143,10 @@ let strict_pwrite_closure () =
   done;
   pwrite
 
-(* [Crashcheck.trial] builds the strict crash-trial stack, sets up the
-   files, replays the 24-op workload at crashcheck's default seed to the
-   armed fence with the persist-order journal on, recovers, reads the
-   files back and checks them. The state is fixed: the workload's crash
+(* [Crashcheck.trial] clones the strict crash-trial stack with its files
+   set up (the domain's start), replays the 24-op workload at
+   crashcheck's default seed to the armed fence with the persist-order
+   journal on, recovers, reads the files back and checks them. The state is fixed: the workload's crash
    point with the most pending lines, with the survivor vector the
    sampler draws for it from that seed. *)
 let crash_trial_closure () =

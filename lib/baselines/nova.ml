@@ -38,6 +38,9 @@ let mkfs (env : Env.t) ~mode =
     entry = Bytes.make 64 '\x01';
   }
 
+(** A copy of [t] on [env], a clone of its environment. *)
+let clone t ~env = { t with base = Pmbase.clone t.base ~env; env }
+
 (** One logged operation: log entry + persisted tail = two cache lines,
     two fences. *)
 let log_op t =

@@ -55,6 +55,34 @@ let create (env : Env.t) ~reserved =
     next_ino = 2;
   }
 
+(** A copy of [t] on [env] (a clone of [t]'s environment): directory
+    tree, files, allocator and fd table copied. A file held by the tree
+    and by descriptors stays one file, and an open file dup'ed under two
+    fds stays one open file. *)
+let clone t ~env =
+  let files =
+    Share.create (fun f ->
+        { f with extents = Kernelfs.Extent_tree.copy f.extents })
+  in
+  (* directories are looked up and listed sorted, descriptors looked
+     up: neither is iterated in order *)
+  let rec dir d =
+    Share.rebuild d (function
+      | File f -> File (Share.get files f)
+      | Dir sub -> Dir (dir sub))
+  in
+  let opens =
+    Share.create (fun e ->
+        { e with file = Share.get files e.file; pos = ref !(e.pos) })
+  in
+  {
+    t with
+    env;
+    alloc = Kernelfs.Alloc.clone t.alloc;
+    root = dir t.root;
+    fds = Share.rebuild t.fds (Share.get opens);
+  }
+
 let block_addr t phys = t.data_start + (phys * block_size)
 
 (* --- namespace --- *)

@@ -26,6 +26,9 @@ let mkfs (env : Env.t) =
     entry = Bytes.make 64 '\x02';
   }
 
+(** A copy of [t] on [env], a clone of its environment. *)
+let clone t ~env = { t with base = Pmbase.clone t.base ~env; env }
+
 (** [undo_log t n] writes [n] 64-byte undo entries, fenced. *)
 let undo_log t n =
   Env.with_cat t.env Obs.Journal @@ fun () ->

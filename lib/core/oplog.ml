@@ -206,6 +206,15 @@ let create ~sys ~env ~path ~size =
   Device.fence ~site:site_init env.Env.dev;
   t
 
+let clone t ~sys ~env ~mapping =
+  {
+    t with
+    sys;
+    env;
+    mapping = mapping t.mapping;
+    tail = Atomic.make (Atomic.get t.tail);
+  }
+
 let entries_written t = Atomic.get t.tail
 let capacity t = t.capacity
 let path t = t.path

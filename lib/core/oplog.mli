@@ -69,6 +69,15 @@ val instance_path : int -> string
 val create :
   sys:Kernelfs.Syscall.t -> env:Pmem.Env.t -> path:string -> size:int -> t
 
+(** A copy of [t] on [sys] and [env], clones of its own: the tail
+    copied, the log's mapping replaced by [mapping]'s copy of it. *)
+val clone :
+  t ->
+  sys:Kernelfs.Syscall.t ->
+  env:Pmem.Env.t ->
+  mapping:(Kernelfs.Ext4.mapping -> Kernelfs.Ext4.mapping) ->
+  t
+
 val path : t -> string
 val capacity : t -> int
 (** Slots. *)

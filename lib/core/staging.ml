@@ -151,6 +151,25 @@ let create ?(in_dram = false) ~sys ~env ~instance ~count ~file_size () =
   done;
   t
 
+(** A copy of [t] on [sys] and [env], clones of its own, with each PM
+    handle's mapping replaced by [mapping]'s copy of it. Returns the
+    copy and the function that maps one of [t]'s handles to its copy,
+    the same object for every holder. *)
+let clone t ~sys ~env ~mapping =
+  let handles =
+    Share.create (fun h ->
+        if h == vacant then h
+        else
+          let backing =
+            match h.backing with
+            | Pm_file b -> Pm_file { b with mapping = mapping b.mapping }
+            | Dram b -> Dram (Bytes.copy b)
+          in
+          { h with backing; cursor = h.cursor })
+  in
+  ( { t with sys; env; ring = Array.map (Share.get handles) t.ring },
+    Share.get handles )
+
 let pool_size t = t.pooled
 let live_files t = t.live
 

@@ -266,13 +266,17 @@ let get_mapping t st ~off =
         Some m
       end
 
-(** Refresh every cached mapping of [st] after the kernel changed the
-    file's block layout underneath them (hole-filling writes, relink
-    replacing blocks). Mirrors how the modified ioctl keeps existing
-    mappings valid. *)
-let refresh_mappings t st =
+(** Refresh the cached mappings of [st] after the kernel changed the
+    file's block layout underneath them: only their pages over [range] =
+    [(off, len)], the bytes whose blocks changed (a hole-filling or
+    copy-on-write kernel write, a relinked extent), or every page without
+    [range] (an open adopting another process's size). Mirrors how the
+    modified ioctl keeps existing mappings valid. *)
+let refresh_mappings ?range t st =
   let inode = Kernelfs.Syscall.inode_of_fd t.sys st.f_kfd in
-  List.iter (fun m -> Kernelfs.Ext4.remap_quietly (kfs t) inode m) st.mmaps
+  List.iter
+    (fun m -> Kernelfs.Ext4.remap_quietly ?range (kfs t) inode m)
+    st.mmaps
 
 (** Retain a mapping over a freshly relinked range without faults (§3.5).
     Every mapping of the file that the new one fully covers goes, and the
@@ -355,7 +359,7 @@ let write_inplace t st ~at buf ~boff ~len =
                 Kernelfs.Syscall.pwrite t.sys st.f_kfd ~buf ~boff:!src ~len:n
                   ~at:!pos
               in
-              refresh_mappings t st;
+              refresh_mappings ~range:(!pos, n) t st;
               continue_at n
             end
             else begin
@@ -369,11 +373,11 @@ let write_inplace t st ~at buf ~boff ~len =
               min !remaining (block_size - (!pos mod block_size))
             in
             let n = Kernelfs.Syscall.pwrite t.sys st.f_kfd ~buf ~boff:!src ~len:n ~at:!pos in
-            refresh_mappings t st;
+            refresh_mappings ~range:(!pos, n) t st;
             continue_at n)
     | None ->
         let n = Kernelfs.Syscall.pwrite t.sys st.f_kfd ~buf ~boff:!src ~len:!remaining ~at:!pos in
-        refresh_mappings t st;
+        refresh_mappings ~range:(!pos, n) t st;
         continue_at n
   done
 
@@ -405,7 +409,7 @@ let degraded_write t st ~at buf ~boff ~len =
     ignore (Kernelfs.Extent_tree.remove_range st.shadow ~logical:at ~len);
     st.ksize <- max st.ksize (at + len);
     st.usize <- max st.usize (at + len);
-    refresh_mappings t st;
+    refresh_mappings ~range:(at, len) t st;
     fence ~site:site_degraded_write t
   end
 
@@ -597,7 +601,10 @@ and relink_file t st =
       st.ksize <- st.usize;
       st.staging <- None;
       Staging.release t.staging_pool h;
-      refresh_mappings t st;
+      List.iter
+        (fun (e : Kernelfs.Extent_tree.extent) ->
+          refresh_mappings ~range:(e.logical, e.len) t st)
+        extents;
       if logs_ops t && extents <> [] then begin
         (* the boundary copies must be durable before the Relinked entry:
            the entry cancels replay of this file's logged data ops, so if
@@ -668,7 +675,7 @@ let do_pwrite t od ~buf ~boff ~len ~at =
        assert (n = len);
        st.ksize <- max st.ksize (at + len);
        st.usize <- st.ksize;
-       refresh_mappings t st
+       refresh_mappings ~range:(at, len) t st
      end
      else if not t.cfg.Config.use_staging then begin
        (* Figure 3 ablation: split architecture without staging files —
@@ -685,7 +692,7 @@ let do_pwrite t od ~buf ~boff ~len ~at =
          assert (n = len - overwrite_len);
          st.ksize <- max st.ksize (at + len);
          st.usize <- max st.usize st.ksize;
-         refresh_mappings t st
+         refresh_mappings ~range:(at + overwrite_len, len - overwrite_len) t st
        end;
        fence ~site:site_no_staging_write t
      end
@@ -1171,11 +1178,76 @@ let mount ?(cfg = Config.default) ~sys ~env ~instance () =
   t.checkpoint <- (fun () -> relink_all t);
   t
 
+(** A copy of a quiescent [t] on [sys] and [env], clones of its own:
+    file states, descriptors, staging pool and op log copied, each
+    mapping replaced by [mapping]'s copy of it. A file state held by both
+    tables and by descriptors stays one state, and so does a file offset
+    shared by dup'ed descriptors. [relink_all] and [fork] iterate the
+    inode and fd tables, so their copies keep the originals' order; the
+    path table is only looked up. *)
+let clone t ~sys ~env ~mapping =
+  let staging_pool, handle = Staging.clone t.staging_pool ~sys ~env ~mapping in
+  let states =
+    Share.create (fun st ->
+        {
+          st with
+          shadow = Kernelfs.Extent_tree.copy st.shadow;
+          staging = Option.map handle st.staging;
+          mmaps = List.map mapping st.mmaps;
+          mmap_index =
+            Array.map (fun (s, e, m) -> (s, e, mapping m)) st.mmap_index;
+          f_lock = Lock.copy st.f_lock;
+        })
+  in
+  let fpos = Share.create (fun r -> ref !r) in
+  let fds =
+    Share.table t.fds (fun od ->
+        { od with st = Share.get states od.st; fpos = Share.get fpos od.fpos })
+  in
+  let c =
+    {
+      t with
+      sys;
+      env;
+      staging_pool;
+      oplog = Option.map (fun log -> Oplog.clone log ~sys ~env ~mapping) t.oplog;
+      files_by_ino = Share.table t.files_by_ino (Share.get states);
+      files_by_path = Share.rebuild t.files_by_path (Share.get states);
+      fds;
+      scratch = Bytes.empty;
+    }
+  in
+  c.checkpoint <- (fun () -> relink_all c);
+  c
+
 (** Background scrubber patrol: ask the kernel to migrate file data off
     worn or poisoned blocks and retire them (runs off the critical path,
     like staging replenishment). Returns the number of blocks migrated. *)
 let scrub t ~wear_limit =
   Env.in_background t.env (fun () -> Kernelfs.Ext4.scrub (kfs t) ~wear_limit)
+
+(** The cached mappings whose pages differ from a fresh derivation from
+    their file's extent tree, as (file path, mapping offset) (test
+    hook). *)
+let stale_mappings t =
+  Hashtbl.fold
+    (fun _ st acc ->
+      let inode = Kernelfs.Syscall.inode_of_fd t.sys st.f_kfd in
+      List.fold_left
+        (fun acc (m : Kernelfs.Ext4.mapping) ->
+          let first = m.m_off / block_size in
+          let fresh i =
+            match
+              Kernelfs.Extent_tree.find inode.Kernelfs.Ext4.extents (first + i)
+            with
+            | Some (phys, _) -> phys
+            | None -> -1
+          in
+          let stale = ref false in
+          Array.iteri (fun i p -> if p <> fresh i then stale := true) m.pages;
+          if !stale then (st.f_path, m.m_off) :: acc else acc)
+        acc st.mmaps)
+    t.files_by_ino []
 
 (** Approximate DRAM footprint of U-Split metadata, for the §5.10
     resource-consumption experiment. *)

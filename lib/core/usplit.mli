@@ -28,6 +28,19 @@ val mount :
   unit ->
   t
 
+(** A copy of a quiescent [t] (no operation in progress) on [sys] and
+    [env], clones of the ones it runs on ({!Kernelfs.Syscall.clone},
+    {!Pmem.Env.clone}): file states, descriptors, staging pool and op log
+    copied, every mapping replaced by [mapping]'s copy of it (the kernel
+    clone's, so U-Split and the kernel share each copy as they share the
+    original). *)
+val clone :
+  t ->
+  sys:Kernelfs.Syscall.t ->
+  env:Pmem.Env.t ->
+  mapping:(Kernelfs.Ext4.mapping -> Kernelfs.Ext4.mapping) ->
+  t
+
 (** The POSIX-like view used by applications; every call charges simulated
     time according to the SplitFS protocol for the instance's mode. *)
 val as_fsapi : t -> Fsapi.Fs.t
@@ -50,6 +63,12 @@ val relink_all : t -> unit
     store through either owner breaks the share. A directory [src]
     snapshots every regular file beneath it (the per-tenant case). *)
 val snapshot : t -> string -> string -> unit
+
+(** The cached mappings whose pages differ from a fresh derivation from
+    their file's extent tree, as (file path, mapping offset): empty
+    whenever every kernel change of a file's blocks refreshed the
+    mappings over it (test hook). *)
+val stale_mappings : t -> (string * int) list
 
 (** Approximate DRAM footprint of the instance's bookkeeping (fd table,
     attribute cache, collection of mmaps, shadow maps) — the §5.10

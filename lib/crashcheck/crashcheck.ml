@@ -10,8 +10,9 @@
     granularity). Crashcheck enumerates those crash states exhaustively
     when the space is small and samples it with a seeded RNG otherwise;
     for every state it re-runs the workload up to the crash point on a
-    fresh stack, injects the crash, runs {!Splitfs.Recovery.recover},
-    reads the files back through the kernel, and checks them against a
+    clone of one set-up stack ({!Trial.start}), injects the crash, runs
+    {!Splitfs.Recovery.recover}, reads the files back through the
+    kernel, and checks them against a
     {!Fsapi.Ref_fs} oracle that tracks the legal post-crash contents per
     SplitFS mode:
 
@@ -54,25 +55,53 @@ module Litmus = Litmus
 module Minimize = Minimize
 module Fs_config = Stacks.Fs_config
 
+(** The domain's last start, with its key: the mode, the three
+    toggles, the client count and the initial files, all a start
+    depends on. *)
+let last_start = Domain.DLS.new_key (fun () -> None)
+
+(** A start ({!Trial.start}) of [p] on the registry's crash-trial stack
+    of [mode] with [checks]' toggles (default all on): the domain's last
+    one while its key matches, so every crashcheck workload of a mode
+    shares one. *)
+let start ?checks mode (p : Trial.program) =
+  let c =
+    match checks with
+    | Some c ->
+        { c with Pmem.Env.verify_checksums = c.Pmem.Env.verify_checksums }
+    | None -> Pmem.Env.default_checks ()
+  in
+  let key =
+    ( mode,
+      (c.verify_checksums, c.honest_degraded_writes, c.fams_commit_record),
+      Trial.nclients p,
+      p.initial )
+  in
+  match Domain.DLS.get last_start with
+  | Some (k, s) when k = key -> s
+  | _ ->
+      let spec = Fs_config.of_mode mode in
+      let s =
+        Trial.start ~build:(fun () -> Fs_config.make_small ~checks:c spec) p
+      in
+      Domain.DLS.set last_start (Some (key, s));
+      s
+
 (** Every crash point of [p] on the registry's crash-trial stack of
     [mode]. *)
 let points mode p =
-  let points, _, _ =
-    Trial.profile
-      ~build:(fun () -> Fs_config.make_small (Fs_config.of_mode mode))
-      p
-  in
+  let points, _, _ = Trial.profile (start mode p) p in
   points
 
 (** One crash state of [p] on the registry's crash-trial stack of
-    [mode], held to that mode's contract. [checks] configures the
-    environment's oracle/recovery toggles (the injected-bug canaries);
-    the default is all checks on. *)
+    [mode], held to that mode's contract, on a clone of the domain's
+    {!start}. [checks] configures the environment's oracle/recovery
+    toggles (the injected-bug canaries); the default is all checks
+    on. *)
 let trial ?checks mode p =
-  let spec = Fs_config.of_mode mode in
-  Trial.run
-    ~build:(fun () -> Fs_config.make_small ?checks spec)
-    ~contract:(Check.contract_of spec) p
+  Trial.run ?checks
+    ~contract:(Check.contract_of (Fs_config.of_mode mode))
+    (start ?checks mode p) p
 
 (* ------------------------------------------------------------------ *)
 (* The kernel as the end-to-end benchmark recomposes it                 *)
@@ -133,10 +162,10 @@ end
     profile pass runs with all checks on. *)
 let check_program ?(samples = 200) ?(seed = 0x51ED) ?jobs ?checks mode
     (p : Trial.program) =
-  let spec = Fs_config.of_mode mode in
-  Trial.explore ~samples ~seed:(seed lxor 0x5EED5EED) ?jobs
-    ~build:(fun () -> Fs_config.make_small ?checks spec)
-    ~contract:(Check.contract_of spec) p (points mode p)
+  let points = points mode p in
+  Trial.explore ~samples ~seed:(seed lxor 0x5EED5EED) ?jobs ?checks
+    ~contract:(Check.contract_of (Fs_config.of_mode mode))
+    (start ?checks mode p) p points
 
 (** [check_mode ?samples ?seed ?nops ?jobs ?checks mode]: {!check_program}
     on a generated [nops]-op workload of [mode]. *)

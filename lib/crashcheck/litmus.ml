@@ -273,7 +273,8 @@ module Fs_config = Stacks.Fs_config
 
 (** One pattern on one configuration, held to one contract. [c_build]
     mounts a fresh crash-trial-sized stack from the {!Fs_config}
-    registry: every enumerated crash state rebuilds one. *)
+    registry: the combo's start ({!Trial.start}), which every enumerated
+    crash state clones. *)
 type combo = {
   c_config : string;  (** stack name, or an auxiliary configuration name *)
   c_contract : Check.contract;
@@ -354,13 +355,14 @@ let combos =
 (* Profiling                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let start c = Trial.start ~build:c.c_build c.c_pattern.p_program
+
 (** Every crash point of the combo, and the fence sites that fire inside
     its crash window (the evidence the minimizer works from): one run to
-    completion with the persist-order journal on ({!Trial.profile}). *)
-let profile c =
-  let points, before, after =
-    Trial.profile ~build:c.c_build c.c_pattern.p_program
-  in
+    completion with the persist-order journal on ({!Trial.profile}), on
+    a clone of [s], the combo's {!start}. *)
+let profile s c =
+  let points, before, after = Trial.profile s c.c_pattern.p_program in
   let fired =
     List.filter_map
       (fun ((site, _), (h0, h1)) -> if h1 > h0 then Some site else None)
@@ -377,9 +379,7 @@ let site_coverage ?jobs () =
   let per_combo =
     Par.map ?jobs
       (fun _ c ->
-        let _, _, after =
-          Trial.profile ~build:c.c_build c.c_pattern.p_program
-        in
+        let _, _, after = Trial.profile (start c) c.c_pattern.p_program in
         after)
       combos
   in
@@ -400,10 +400,11 @@ let site_coverage ?jobs () =
 let max_point_states = 4096
 
 (** Every crash state of the combo ({!Trial.explore}), on the calling
-    domain: the corpus and the minimizer fan out over combos and sites
-    above it. *)
+    domain, on clones of one start: the corpus and the minimizer fan out
+    over combos and sites above it. *)
 let run_combo c =
-  let points, _ = profile c in
+  let s = start c in
+  let points, _ = profile s c in
   List.iter
     (fun (pt : Explore.point) ->
       let n = Explore.state_count pt.Explore.pending in
@@ -414,11 +415,10 @@ let run_combo c =
               exhaustive cap %d"
              c.c_pattern.p_name c.c_config n pt.Explore.fence max_point_states))
     points;
-  Trial.explore ~jobs:1 ~build:c.c_build ~contract:c.c_contract
-    c.c_pattern.p_program points
+  Trial.explore ~jobs:1 ~contract:c.c_contract s c.c_pattern.p_program points
 
 (** [combos], each exhaustively, each report with its combo. Combos are
-    independent — each builds its own stacks — so they fan over the
+    independent — each sets up its own start — so they fan over the
     {!Par} domain pool; results come back in combo order, identical at
     any job count. *)
 let run_corpus ?jobs combos =

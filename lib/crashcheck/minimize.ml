@@ -35,7 +35,7 @@
     the costliest loop of the suite by the site count for no information
     gain. *)
 let profile_combos ?jobs combos =
-  Par.map ?jobs (fun _ c -> (c, snd (Litmus.profile c))) combos
+  Par.map ?jobs (fun _ c -> (c, snd (Litmus.profile (Litmus.start c) c))) combos
 
 (* ------------------------------------------------------------------ *)
 (* Per-site classification                                              *)
@@ -56,12 +56,13 @@ type verdict =
 
 type site_report = { s_site : int; s_name : string; s_verdict : verdict }
 
-(** [elided c site] is [c] with every stack it mounts carrying the
-    elision of [site] on its own device. Elision is per-device state,
-    so concurrent classifications of different sites never observe each
-    other; setting it after the mount is faithful because
-    the persist-order journal only opens afterwards — mount-time fences
-    are outside every crash window. *)
+(** [elided c site] is [c] with the stack it mounts carrying the elision
+    of [site] on its own device, from before its files are set up: the
+    combo's start, and so every clone a trial runs on. Elision is
+    per-device state, so concurrent classifications of different sites
+    never observe each other; setting it after the mount is faithful
+    because the persist-order journal only opens afterwards — mount-time
+    fences are outside every crash window. *)
 let elided (c : Litmus.combo) site =
   let build () =
     let st = c.Litmus.c_build () in

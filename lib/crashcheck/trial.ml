@@ -1,12 +1,13 @@
 (** The crash kernel every campaign runs (DESIGN.md §5d): one program
-    type, one {!setup}, one {!apply}, one crash-point {!profile} pass,
+    type, one {!setup}, one {!apply}, one set-up per program ({!start})
+    that every run clones ({!mount}), one crash-point {!profile} pass,
     one lockstep crash trial ({!run}) and one explorer ({!explore}) from
     crash points to a {!report} of {!violation}s. Crashcheck (one client
     or two), the litmus corpus and its fence minimizer compile their
     workloads to a {!program} and differ only in the stack they build,
     the contract they hold it to and their sample budget; faultcheck
-    runs the same program through {!mount} under a fault plan instead of
-    a crash, and judges it against {!oracle} worlds. *)
+    runs the same program on a clone under a fault plan instead of a
+    crash, and judges it against {!oracle} worlds. *)
 
 module Fs_config = Stacks.Fs_config
 
@@ -173,14 +174,32 @@ let on_stack ~scratch (st : Fs_config.stack) =
   in
   apply ~scratch ~checkpoint:(fun () -> Fs_config.checkpoint st) ~snapshot st.fs
 
-(** The oracle every campaign judges by: a fresh {!Fsapi.Ref_fs} with
-    the program's files {!setup} for each client, and a step that runs
-    one client's op on it, where a checkpoint fsyncs the issuing
-    client's files and a snapshot copies. Returns the oracle's views and
-    the step. *)
-let oracle ~scratch p =
-  let ofs, views = Fsapi.Ref_fs.make_oracle () in
-  let oslots = setup ~scratch (Array.make (nclients p) ofs) p in
+(** Each client's slot table for [p], a copy of [slots] with every
+    slot [p] names beyond them empty ([-1]). *)
+let slots_for p slots =
+  Array.mapi
+    (fun c n ->
+      let s = slots.(c) in
+      Array.init (max n (Array.length s)) (fun i ->
+          if i < Array.length s then s.(i) else -1))
+    (slot_counts p)
+
+(** A {!Fsapi.Ref_fs} with the program's files {!setup} for each
+    client: what {!oracle} clones. *)
+type oracle_start = { o_fs : Fsapi.Ref_fs.t; o_slots : Fsapi.Fs.fd array array }
+
+let oracle_start ~scratch p =
+  let o_fs = Fsapi.Ref_fs.create () in
+  let ofs = Fsapi.Ref_fs.oracle_fs o_fs in
+  { o_fs; o_slots = setup ~scratch (Array.make (nclients p) ofs) p }
+
+(** The oracle every campaign judges by: a clone of [o], and a step that
+    runs one client's op of [p] on it, where a checkpoint fsyncs the
+    issuing client's files and a snapshot copies. Returns the oracle's
+    views and the step. *)
+let oracle ~scratch o p =
+  let o_fs = Fsapi.Ref_fs.clone o.o_fs in
+  let ofs = Fsapi.Ref_fs.oracle_fs o_fs in
   let run =
     Array.map
       (fun slots ->
@@ -188,29 +207,34 @@ let oracle ~scratch p =
           Array.iter (fun fd -> if fd >= 0 then ofs.Fsapi.Fs.fsync fd) slots
         in
         apply ~scratch ~checkpoint ~snapshot:(copy_snapshot ofs) ofs slots)
-      oslots
+      (slots_for p o.o_slots)
   in
-  (views, fun (c, op) -> run.(c) op)
+  (Fsapi.Ref_fs.views o_fs, fun (c, op) -> run.(c) op)
 
 (* ------------------------------------------------------------------ *)
-(* Mounting a program's clients                                        *)
+(* A program's start, and the stacks cloned from it                     *)
 (* ------------------------------------------------------------------ *)
 
-type mounted = {
-  stack : Fs_config.stack;
-  clients : Fs_config.stack array;
-      (** client 0 is [stack]; every further client is another U-Split
-          instance, with its own kernel fd table, over the same kernel
-          and device *)
-  slots : Fsapi.Fs.fd array array;  (** per client, from {!setup} *)
-  step : int * op -> unit;  (** run one client's op *)
+(** What every crash state of a program shares, set up once (DESIGN.md
+    §5d): the stack [build] made, one more U-Split instance with its own
+    kernel fd table per further client, each client's scheduler actor
+    when there are several, the initial files set up and fsynced through
+    them, and the oracle with the same files. A start is a function of
+    the build and the initial files, not of the ops. It is never run:
+    every trial runs on a clone of it ({!mount}), so one start serves
+    any number of trials, on any domain, read-only. *)
+type start = {
+  s_initial : file list;
+  s_clients : Fs_config.stack array;  (** client 0 is the built stack *)
+  s_actors : int array;  (** each client's actor id; empty for one client *)
+  s_slots : Fsapi.Fs.fd array array;  (** per client, from {!setup} *)
+  s_oracle : oracle_start;
 }
 
-(** Build a fresh stack with [build], mount the program's further
-    clients on it and {!setup} its files. With more than one client,
-    each client's ops run on its own scheduler actor; a lone client runs
-    on the environment's default one. *)
-let mount ~scratch ~build p =
+(** Build a stack with [build], mount [p]'s further clients on it and
+    {!setup} its files, and set up the oracle. *)
+let start ~build p =
+  let scratch = ref Bytes.empty in
   let stack = build () in
   let env = stack.Fs_config.env in
   let clients =
@@ -230,29 +254,67 @@ let mount ~scratch ~build p =
             usplit = Some u;
           })
   in
-  let run = Array.map (on_stack ~scratch) clients in
-  let on_actor =
-    if Array.length clients = 1 then fun _ f -> f ()
+  let actors =
+    if Array.length clients = 1 then [||]
     else
-      let actors =
-        Array.init (Array.length clients) (fun c ->
-            Pmem.Env.new_actor env ~name:(Printf.sprintf "client%d" c))
-      in
-      fun c f -> Pmem.Env.run_as env actors.(c) f
+      Array.init (Array.length clients) (fun c ->
+          (Pmem.Env.new_actor env ~name:(Printf.sprintf "client%d" c))
+            .Pmem.Simclock.aid)
   in
   let slots =
     setup ~scratch (Array.map (fun (c : Fs_config.stack) -> c.fs) clients) p
   in
-  let step (c, op) = on_actor c (fun () -> run.(c) slots.(c) op) in
-  { stack; clients; slots; step }
+  {
+    s_initial = p.initial;
+    s_clients = clients;
+    s_actors = actors;
+    s_slots = slots;
+    s_oracle = oracle_start ~scratch p;
+  }
 
-(** Run the program once to completion with the persist-order journal
-    on. Returns every crash point and each registered fence site's hit
-    count before and after the crash window; hit counters are
-    per-device, so the stack's mount and setup traffic is the
-    baseline. *)
-let profile ~build p =
-  let m = mount ~scratch:(ref Bytes.empty) ~build p in
+type mounted = {
+  stack : Fs_config.stack;
+  clients : Fs_config.stack array;
+      (** client 0 is [stack]; every further client is another U-Split
+          instance, with its own kernel fd table, over the same kernel
+          and device *)
+  slots : Fsapi.Fs.fd array array;  (** per client, from {!setup} *)
+  step : int * op -> unit;  (** run one client's op *)
+}
+
+(** [clients], [s]'s own or a clone of them, with [p]'s ops stepped on
+    them, each client's on its own scheduler actor ([s.s_actors]) when
+    there are several. *)
+let mounted ~scratch s clients p =
+  let run = Array.map (on_stack ~scratch) clients in
+  let env = clients.(0).Fs_config.env in
+  let on_actor =
+    if Array.length s.s_actors = 0 then fun _ f -> f ()
+    else
+      let actors =
+        Array.map (Pmem.Simclock.actor env.Pmem.Env.clock) s.s_actors
+      in
+      fun c f -> Pmem.Env.run_as env actors.(c) f
+  in
+  let slots = slots_for p s.s_slots in
+  let step (c, op) = on_actor c (fun () -> run.(c) slots.(c) op) in
+  { stack = clients.(0); clients; slots; step }
+
+(** A trial's stack: a clone of [s]'s clients ({!Fs_config.clone}, with
+    [checks] replacing the copied toggles) and [p]'s ops stepped on it.
+    [s] must have been set up with [p]'s initial files and clients. *)
+let mount ~scratch ?checks s p =
+  if s.s_initial <> p.initial || Array.length s.s_clients <> nclients p then
+    invalid_arg "Trial.mount: the start has other initial files or clients";
+  mounted ~scratch s (Fs_config.clone ?checks s.s_clients) p
+
+(** Run the program once to completion, on a clone of [s], with the
+    persist-order journal on. Returns every crash point and each
+    registered fence site's hit count before and after the crash window;
+    hit counters are per-device, so the stack's mount and setup traffic
+    is the baseline. *)
+let profile s p =
+  let m = mount ~scratch:(ref Bytes.empty) s p in
   let dev = m.stack.env.Pmem.Env.dev in
   let hits () =
     List.map
@@ -326,20 +388,15 @@ type trial = {
       (** per client; [None] on a stack without U-Split *)
 }
 
-(** One crash state end to end: a fresh stack from [build] with the
-    program's clients, {!replay} against the {!oracle}, recovery of
-    every U-Split instance, read-back through the kernel below them
-    (their DRAM state died with the process), and {!Check.check_file}
-    under [contract] per path plus the program's claim. Injected faults
-    are cleared before recovery: they model a full device at run time,
-    not a broken one at recovery time. The trial owns its stack, so it
-    releases the device once it has checked ({!Pmem.Device.release}):
-    the next trial on this domain writes into its image chunks. *)
-let run ~build ~contract p ~point ~survivors =
-  let scratch = ref Bytes.empty in
-  let m = mount ~scratch ~build p in
+(** One crash state on [m], {!mount}ed for [p]: {!replay} against the
+    oracle [views] and [ostep] ({!oracle}), recovery of every U-Split
+    instance, read-back through the kernel below them (their DRAM state
+    died with the process), and {!Check.check_file} under [contract] per
+    path plus the program's claim. Injected faults are cleared before
+    recovery: they model a full device at run time, not a broken one at
+    recovery time. The caller owns [m] and releases it. *)
+let run_on ~contract m (views, ostep) p ~point ~survivors =
   let env = m.stack.env in
-  let views, ostep = oracle ~scratch p in
   let crashed_at, pre, post =
     replay env.Pmem.Env.dev ~point ~survivors ~real:m.step ~oracle:ostep
       ~snap:(fun () -> Array.map (View.of_oracle views) p.paths)
@@ -374,8 +431,26 @@ let run ~build ~contract p ~point ~survivors =
     | Some reason -> violations := (i, reason) :: !violations
     | None -> ()
   done;
-  Pmem.Device.release env.Pmem.Env.dev;
   { crashed_at; violations = !violations; recovered; recovery }
+
+(** The start's own clients, with [p]'s ops stepped on them as {!mount}
+    steps them on a clone: what every clone must equal, a freshly built
+    stack. [s] is used up (test hook). *)
+let consume ~scratch s p = mounted ~scratch s s.s_clients p
+
+(** One crash state end to end ({!run_on}) on a clone of [s] ({!mount},
+    [checks] replacing its toggles) against a clone of its oracle. The
+    trial owns its clone, so it releases the device once it has checked
+    ({!Pmem.Device.release}): the next trial on this domain writes into
+    the image chunks the clone owned, and [s]'s stay as they were. *)
+let run ?checks ~contract s p ~point ~survivors =
+  let scratch = ref Bytes.empty in
+  let m = mount ~scratch ?checks s p in
+  let t =
+    run_on ~contract m (oracle ~scratch s.s_oracle p) p ~point ~survivors
+  in
+  Pmem.Device.release m.stack.env.Pmem.Env.dev;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Exploring a program's crash states                                   *)
@@ -400,20 +475,22 @@ type report = {
   r_violations : violation list;  (** in trial order *)
 }
 
-(** [explore ?samples ?seed ?jobs ~build ~contract p points] runs crash
-    states of [p] at [points] (from {!profile}) through {!run}: every
-    state when they number at most [samples] (default: no limit), else
-    [samples] seeded draws. A crash state is its index [i]: the [i]th of
-    {!Explore.nth}'s walk over the points in order, or draw [i] of
-    {!Explore.sample_point_indexed} at [seed]. A trial keeps only its op
-    in flight and violations; a violation's survivor vector is decoded
-    from its index again. The first violation in trial order is shrunk
-    ({!Shrink.survivors}, 100 re-runs at most).
+(** [explore ?samples ?seed ?jobs ?checks ~contract s p points] runs
+    crash states of [p] at [points] (from {!profile}) through {!run}, on
+    clones of [s], made on the calling domain and read by every domain
+    the trials run on: every state when they number at most [samples]
+    (default: no limit), else [samples] seeded draws. A crash state is
+    its index [i]: the [i]th of {!Explore.nth}'s walk over the points in
+    order, or draw [i] of {!Explore.sample_point_indexed} at [seed]. A
+    trial keeps only its op in flight and violations; a violation's
+    survivor vector is decoded from its index again. The first violation
+    in trial order is shrunk ({!Shrink.survivors}, 100 re-runs at
+    most).
 
     Trials fan over the {!Par} domain pool and come back in trial order,
     so the report, and which violation gets shrunk, is byte-identical at
     any job count (DESIGN.md §5j). *)
-let explore ?samples ?(seed = 0) ?jobs ~build ~contract p points =
+let explore ?samples ?(seed = 0) ?jobs ?checks ~contract s p points =
   let points = Array.of_list points in
   let counts =
     Array.map
@@ -433,7 +510,7 @@ let explore ?samples ?(seed = 0) ?jobs ~build ~contract p points =
       find 0 i
     else Explore.sample_point_indexed ~seed ~index:i points
   in
-  let trial (point, survivors) = run ~build ~contract p ~point ~survivors in
+  let trial (point, survivors) = run ?checks ~contract s p ~point ~survivors in
   let outcomes =
     Par.map ?jobs
       (fun _ i ->

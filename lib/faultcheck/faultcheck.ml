@@ -1,8 +1,9 @@
 (** Faultcheck: deterministic fault-injection campaigns with a
     differential fault oracle (PR 5, DESIGN.md §5g).
 
-    For every (stack × fault point) pair, a trial builds a fresh stack,
-    establishes durable initial file content, injects exactly the faults
+    For every (stack × fault point) pair, a trial clones the stack's
+    start, whose initial file content is durable ({!Trial.start}),
+    injects exactly the faults
     of the trial's fault set — resource faults into the {!Faults} plane,
     media poison straight into the device — runs a seeded workload to
     completion and reads every file back. Every fault must land in one
@@ -80,8 +81,9 @@ type legal = {
 (** {!legal} for [p], with [acks] in program order. *)
 let worlds (p : Trial.program) acks =
   let scratch = ref Bytes.empty in
+  let o = Trial.oracle_start ~scratch p in
   let world extra =
-    let views, step = Trial.oracle ~scratch p in
+    let views, step = Trial.oracle ~scratch o p in
     List.iteri
       (fun k op -> if acks.(k) = Acked || k = extra then step op)
       p.ops;
@@ -153,20 +155,20 @@ module Runner = struct
 
   let snapshot_counts (c : Faults.counts) = { c with Faults.injected = c.injected }
 
-  (** One trial: the program's files set up on a fresh crash-trial stack
-      from the registry (its staging pool shrunk when [tiny] is set),
-      the faults injected, the ops run to completion and every file read
-      back through the stack and {!judge}d against the {!worlds} of what
+  (** The start every trial of [p] on [spec] clones: the program's files
+      set up on a crash-trial stack from the registry, its staging pool
+      shrunk when [tiny] is set. *)
+  let start ?(tiny = false) ?checks spec p =
+    let tweak = if tiny then tiny_staging else Fun.id in
+    Trial.start ~build:(fun () -> Fs_config.make_small ?checks ~tweak spec) p
+
+  (** One trial on a clone of [s], a {!start} of [p]: the faults
+      injected, the ops run to completion and every file read back
+      through the stack and {!judge}d against the {!worlds} of what
       became of each op. The device is released once judged
       ({!Pmem.Device.release}). *)
-  let run_trial ?(tiny = false) ?checks spec (p : Trial.program)
-      ~(points : fault_point list) =
-    let tweak = if tiny then tiny_staging else Fun.id in
-    let m =
-      Trial.mount ~scratch:(ref Bytes.empty)
-        ~build:(fun () -> Fs_config.make_small ?checks ~tweak spec)
-        p
-    in
+  let run_trial s (p : Trial.program) ~(points : fault_point list) =
+    let m = Trial.mount ~scratch:(ref Bytes.empty) s p in
     let st = m.Trial.stack and fds = m.Trial.slots.(0) in
     let dev = st.env.Pmem.Env.dev in
     let plane = st.env.Pmem.Env.faults in
@@ -293,14 +295,14 @@ end
 (** Greedily drop fault points from a violating set while the violation
     persists ({!Crashcheck.Shrink.greedy}, 32 re-runs at most); what
     remains is a minimal culprit set. *)
-let shrink ~tiny spec p ~points =
+let shrink s p ~points =
   Crashcheck.Shrink.greedy ~budget:32 points
     ~simpler:(fun x current ->
       if List.length current > 1 then
         Some (List.filter (fun q -> q != x) current)
       else None)
     ~violates:(fun ps ->
-      (Runner.run_trial ~tiny spec p ~points:ps).Runner.violations <> [])
+      (Runner.run_trial s p ~points:ps).Runner.violations <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Campaign driver                                                      *)
@@ -376,12 +378,10 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs spec =
      (and therefore the swap_extents fault site) is part of the campaign *)
   let p = Trial.of_workload (W.generate ~mode ~seed ~scale:16 ~nops ()) in
   (* profiling pass: no faults, count site calls + collect poison lines *)
+  let starts = [| Runner.start spec p; Runner.start ~tiny:true spec p |] in
+  let start tiny = starts.(Bool.to_int tiny) in
   let calls, poison_candidates =
-    let m =
-      Trial.mount ~scratch:(ref Bytes.empty)
-        ~build:(fun () -> Fs_config.make_small spec)
-        p
-    in
+    let m = Trial.mount ~scratch:(ref Bytes.empty) (start false) p in
     let plane = m.Trial.stack.env.Pmem.Env.faults in
     let kfs = Kernelfs.Syscall.kernel (Option.get m.Trial.stack.sys) in
     let poison =
@@ -459,14 +459,14 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs spec =
     List.map (fun p -> (p, false)) (site_points @ poison_points @ scrub_points @ combo)
     @ List.map (fun p -> (p, true)) degraded_points
   in
-  (* fan the trials over the domain pool (every trial builds its own
-     env/stack and fault plane); merge tallies, summed counts and
-     violations over the results in trial order, so the report — and
-     which violation gets the shrinking budget — is identical at any
-     job count *)
+  (* fan the trials over the domain pool (every trial clones its own
+     env/stack and fault plane from one of the two starts, which every
+     domain reads); merge tallies, summed counts and violations over the
+     results in trial order, so the report — and which violation gets
+     the shrinking budget — is identical at any job count *)
   let results =
     Par.map ?jobs
-      (fun _ (points, tiny) -> Runner.run_trial ~tiny spec p ~points)
+      (fun _ (points, tiny) -> Runner.run_trial (start tiny) p ~points)
       trials
   in
   let totals = Faults.counts (Faults.create ()) in
@@ -483,7 +483,7 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs spec =
       List.iter
         (fun (file, reason) ->
           let shrunk =
-            if !violations = [] then shrink ~tiny spec p ~points
+            if !violations = [] then shrink (start tiny) p ~points
             else points
           in
           violations :=
@@ -538,7 +538,9 @@ let oracle_catches_dropped_writes ?(seed = 0xFA17) ?(nops = 24) () =
       (W.generate ~mode:Splitfs.Config.Sync ~seed ~scale:16 ~nops ())
   in
   let t =
-    Runner.run_trial ~tiny:true ~checks Fs_config.Splitfs_sync p
+    Runner.run_trial
+      (Runner.start ~tiny:true ~checks Fs_config.Splitfs_sync p)
+      p
       ~points:
         [
           Resource

@@ -96,6 +96,14 @@ let create () =
     c = zero_counts ();
   }
 
+let clone t =
+  {
+    t with
+    calls = Array.copy t.calls;
+    faults = List.map (fun a -> { a with tripped = a.tripped }) t.faults;
+    c = { t.c with injected = t.c.injected };
+  }
+
 let arm t = t.on <- true
 
 let inject t r =

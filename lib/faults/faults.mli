@@ -79,6 +79,10 @@ type t
 
 val create : unit -> t
 
+(** A copy of [t]: the same injected faults, armed state, epoch, call
+    counters and outcome counters, none shared with [t]. *)
+val clone : t -> t
+
 (** Turn the plane on without injecting anything: call counters start
     counting (used by faultcheck's profiling pass). With an empty fault
     set this must not change any simulated result. *)

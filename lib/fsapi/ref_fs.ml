@@ -35,6 +35,40 @@ let split_path = Path.split
 let create () =
   { root = Hashtbl.create 64; fds = Hashtbl.create 16; next_fd = 3; next_ino = 2 }
 
+(** An independent copy of [t]. A file's content buffers are copied,
+    except [stable], which is replaced, never written in place; a file
+    held by the tree and by descriptors stays one file, and an open file
+    dup'ed under two fds stays one open file. Directories and the fd
+    table are looked up, or listed sorted, so each copy is a table sized
+    to its bindings. *)
+let clone t =
+  (* [Hashtbl.to_seq] reads [h] without flagging it as [Hashtbl.iter]
+     does, so domains may clone one oracle at once *)
+  let table h f =
+    let c = Hashtbl.create (Hashtbl.length h) in
+    Seq.iter (fun (k, v) -> Hashtbl.replace c k (f v)) (Hashtbl.to_seq h);
+    c
+  in
+  let memo copy =
+    let pairs = ref [] in
+    fun x ->
+      match List.assq_opt x !pairs with
+      | Some y -> y
+      | None ->
+          let y = copy x in
+          pairs := (x, y) :: !pairs;
+          y
+  in
+  let file =
+    memo (fun f ->
+        { f with data = Bytes.copy f.data; stable_ow = Bytes.copy f.stable_ow })
+  in
+  let rec dir d =
+    table d (function File f -> File (file f) | Dir sub -> Dir (dir sub))
+  in
+  let opened = memo (fun e -> { e with file = file e.file; pos = ref !(e.pos) }) in
+  { t with root = dir t.root; fds = table t.fds opened }
+
 let rec lookup_dir dir = function
   | [] -> dir
   | part :: rest -> (
@@ -302,9 +336,8 @@ type oracle = {
           after setup/mount, which ends with everything durable) *)
 }
 
-let make_oracle ?(name = "reffs-oracle") () : Fs.t * oracle =
-  let t = create () in
-  let fs = make_with ~name t in
+(** The crash-oracle views of [t]'s files. *)
+let views t =
   let file_at path =
     match find_node t path with Some (File f) -> Some f | _ -> None
   in
@@ -331,4 +364,11 @@ let make_oracle ?(name = "reffs-oracle") () : Fs.t * oracle =
               f.stable_ow <- Bytes.copy f.stable));
     }
   in
-  (fs, oracle)
+  oracle
+
+(** The POSIX view of [t], as the oracle. *)
+let oracle_fs t = make_with ~name:"reffs-oracle" t
+
+let make_oracle () : Fs.t * oracle =
+  let t = create () in
+  (oracle_fs t, views t)

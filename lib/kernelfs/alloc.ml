@@ -78,6 +78,16 @@ let create ?faults ?env ?(shards = 1) ~nblocks () =
     env;
   }
 
+let clone ?faults ?env t =
+  {
+    t with
+    bitmap = Bytes.copy t.bitmap;
+    shards =
+      Array.map (fun s -> { s with s_lock = Pmem.Lock.copy s.s_lock }) t.shards;
+    faults;
+    env;
+  }
+
 let nblocks t = t.nblocks
 let free_blocks t = t.free
 let used_blocks t = t.nblocks - t.free

@@ -26,6 +26,10 @@ type t
 val create :
   ?faults:Faults.t -> ?env:Pmem.Env.t -> ?shards:int -> nblocks:int -> unit -> t
 
+(** A copy of [t] (bitmap, cursors, hints, shard locks), wired to
+    [faults] and [env] as {!create} wires a fresh one. *)
+val clone : ?faults:Faults.t -> ?env:Pmem.Env.t -> t -> t
+
 val nblocks : t -> int
 val free_blocks : t -> int
 val used_blocks : t -> int

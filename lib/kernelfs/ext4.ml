@@ -165,6 +165,40 @@ let ilock t inode =
 
 let with_ilock t inode f = Env.with_lock t.env (ilock t inode) f
 
+(** A copy of [t] on [env] (a clone of [t]'s environment): every inode,
+    directory, extent map, lock, live mapping and share count copied.
+    Returns the copy and the function that maps one of [t]'s mappings to
+    its copy, the same object for every holder. *)
+let clone t ~env =
+  (* the inode and directory tables are looked up, and iterated only
+     into sorted lists ([readdir], [scrub]) *)
+  let inodes =
+    Share.rebuild t.inodes (fun i ->
+        {
+          i with
+          extents = Extent_tree.copy i.extents;
+          dir = Option.map (fun d -> Share.rebuild d Fun.id) i.dir;
+        })
+  in
+  let maps = Share.create (fun m -> { m with pages = Array.copy m.pages }) in
+  ( {
+      env;
+      alloc = Alloc.clone ~faults:env.Env.faults ~env t.alloc;
+      journal = Journal.clone t.journal ~env;
+      data_start = t.data_start;
+      inodes;
+      next_ino = t.next_ino;
+      root = Hashtbl.find inodes t.root.ino;
+      ilocks =
+        Array.map
+          (fun l -> if l == unused_stripe then l else Pmem.Lock.copy l)
+          t.ilocks;
+      running_meta = Array.copy t.running_meta;
+      live_maps = List.map (Share.get maps) t.live_maps;
+      shared = Share.rebuild t.shared Fun.id;
+    },
+    Share.get maps )
+
 let block_addr t phys = t.data_start + (phys * block_size)
 let env t = t.env
 let allocator t = t.alloc
@@ -890,12 +924,22 @@ let forget_maps t ms =
 let live_map_count t = List.length t.live_maps
 
 (** Re-derive the page array of an existing mapping after [relink]
-    re-pointed the file's extents; charges nothing (the paper's modified
-    ioctl keeps mappings valid without faults). *)
-let remap_quietly t inode m =
-  let npages = Array.length m.pages in
+    re-pointed the file's extents, or only its pages over the byte range
+    [range] = [(off, len)] when the blocks changed there alone; charges
+    nothing (the paper's modified ioctl keeps mappings valid without
+    faults). *)
+let remap_quietly ?range t inode m =
   let first = m.m_off / block_size in
-  for i = 0 to npages - 1 do
+  let lo, hi =
+    match range with
+    | None -> (0, Array.length m.pages - 1)
+    | Some (off, len) ->
+        ( max 0 ((off / block_size) - first),
+          min
+            (Array.length m.pages - 1)
+            (((off + len - 1) / block_size) - first) )
+  in
+  for i = lo to hi do
     m.pages.(i) <-
       (match Extent_tree.find inode.extents (first + i) with
       | Some (phys, _) -> phys

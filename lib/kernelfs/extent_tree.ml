@@ -5,6 +5,8 @@ type extent = { logical : int; physical : int; len : int }
 type t = { mutable map : extent Imap.t }  (** keyed by [logical] *)
 
 let create () = { map = Imap.empty }
+
+let copy t = { map = t.map }
 let is_empty t = Imap.is_empty t.map
 let count t = Imap.cardinal t.map
 let blocks t = Imap.fold (fun _ e acc -> acc + e.len) t.map 0

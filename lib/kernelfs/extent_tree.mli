@@ -10,6 +10,10 @@ type t
 type extent = { logical : int; physical : int; len : int }
 
 val create : unit -> t
+
+(** An independent copy, in O(1): the map is persistent. *)
+val copy : t -> t
+
 val is_empty : t -> bool
 
 (** Number of extents (tree size). *)

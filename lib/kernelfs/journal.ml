@@ -67,6 +67,18 @@ let create ?(streams = 1) ~env ~region_start ~region_len ~block_size () =
     commits = 0;
   }
 
+(** A copy of [t] committing through [env]: stream heads and locks
+    copied. *)
+let clone t ~env =
+  {
+    t with
+    env;
+    streams =
+      Array.map
+        (fun s -> { s with st_lock = Pmem.Lock.copy s.st_lock })
+        t.streams;
+  }
+
 let nstreams t = Array.length t.streams
 
 (** The stream serving the current actor: commit traffic spreads across

@@ -21,6 +21,21 @@ type t = {
 }
 
 let make kfs = { kfs; fds = Hashtbl.create 64; next_fd = 3 }
+
+(** A copy of [t]'s fd table over [kfs], a clone of [t]'s kernel: each
+    descriptor names [kfs]'s copy of its inode, and a descriptor shared
+    by dup'ed fds stays shared. The table is only looked up, so the
+    copy is sized to its descriptors ({!Share.rebuild}). *)
+let clone t ~kfs =
+  let desc =
+    Share.create (fun d ->
+        {
+          d with
+          inode = Ext4.inode_of kfs d.inode.Ext4.ino;
+          pos = ref !(d.pos);
+        })
+  in
+  { kfs; fds = Share.rebuild t.fds (Share.get desc); next_fd = t.next_fd }
 let kernel t = t.kfs
 
 (** The cost of one kernel crossing, charged by every system call here

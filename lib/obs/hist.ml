@@ -27,6 +27,8 @@ let create () =
     vmax = neg_infinity;
   }
 
+let copy t = { t with buckets = Array.copy t.buckets }
+
 let bucket_of ns =
   if ns < 1. then 0
   else min (nbuckets - 1) (int_of_float (4. *. log ns *. inv_log2))

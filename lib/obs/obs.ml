@@ -161,6 +161,22 @@ let create () =
     tl = None;
   }
 
+(** A copy of [t]: attribution, category stack, histograms and span ring
+    copied, the hooks shared. The timeline stays behind, since its
+    sources read one environment's counters: [Env.clone] attaches a copy
+    that reads the clone's ({!Timeline.clone}). *)
+let clone t =
+  let hists = Hashtbl.copy t.hists in
+  Hashtbl.filter_map_inplace (fun _ h -> Some (Hist.copy h)) hists;
+  {
+    t with
+    attr = Array.copy t.attr;
+    stack = Array.copy t.stack;
+    ring = Array.copy t.ring;
+    hists;
+    tl = None;
+  }
+
 (* --- attribution --- *)
 
 let i_background = cat_index Background
@@ -253,6 +269,10 @@ let set_timeline t tl =
   t.next_sample <- Timeline.next_boundary tl
 
 let timeline t = t.tl
+
+(** Attach [tl] to a {!clone} whose original carried a timeline: the
+    next boundary is the original's, which the clone copied. *)
+let adopt_timeline t tl = t.tl <- Some tl
 
 (** Boundary crossing, called from the clock funnel. Samples are
     suppressed inside background extents: the pending rewind would make

@@ -108,6 +108,20 @@ let add_source t ~name read =
   t.series_rev <- s :: t.series_rev;
   t.nseries <- t.nseries + 1
 
+(** A copy of [t], every retained sample and the sampling state
+    included, whose series read [source name] instead of their own
+    sources: the same counters of another environment. *)
+let clone t ~source =
+  let series s =
+    {
+      s with
+      s_read = source s.s_name;
+      s_delta = Array.copy s.s_delta;
+      s_cum = Array.copy s.s_cum;
+    }
+  in
+  { t with series_rev = List.map series t.series_rev; times = Array.copy t.times }
+
 (* Merge adjacent sample pairs in place: deltas add, the later time and
    cumulative value survive. Depends only on slot contents, so a given
    sample history always compacts identically. *)

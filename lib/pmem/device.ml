@@ -55,7 +55,12 @@ let word_mask = 0xFFFFFFFF
     durable image zero-fills a recycled chunk again, and a shadow image
     takes it unfilled, as it takes a new one. The image lists the chunks
     it wrote, so releasing it visits those and not every cell of its
-    table. *)
+    table.
+
+    A clone ([clone]) starts with its original's chunks in its table,
+    shared: its first write to one copies it into a chunk of its own, and
+    its release empties the shared cells without recycling them. Its
+    list of written chunks names only those it owns. *)
 module Image = struct
   let chunk_bits = 12
   let chunk_size = 1 lsl chunk_bits
@@ -72,6 +77,9 @@ module Image = struct
             [nwritten] cells: one word a chunk, grown by doubling *)
     mutable nwritten : int;
     zeroed : bool;  (** chunks are zero-filled: absent reads as zero *)
+    mutable base : t option;
+        (** the image this one was cloned from, whose chunks it shares
+            until it writes them; [None] for an image made empty *)
   }
 
   let create ~capacity ~zeroed =
@@ -81,6 +89,7 @@ module Image = struct
       written = [||];
       nwritten = 0;
       zeroed;
+      base = None;
     }
 
   (** What released images held on this domain: emptied chunk tables and
@@ -125,12 +134,18 @@ module Image = struct
     let chunks = img.chunks in
     if c < Array.length chunks then chunks.(c) else Bytes.empty
 
+  (** Chunk [c] holds [ch], its original's: the image does not own it. *)
+  let shared img c ch =
+    match img.base with Some b -> b.chunks.(c) == ch | None -> false
+
   let chunk_for_write img c =
     if Array.length img.chunks = 0 then img.chunks <- take_table img.nchunks;
     let ch = img.chunks.(c) in
-    if Bytes.length ch > 0 then ch
+    if Bytes.length ch > 0 && not (shared img c ch) then ch
     else begin
-      let ch = take_chunk ~zeroed:img.zeroed in
+      let fresh = take_chunk ~zeroed:(img.zeroed && Bytes.length ch = 0) in
+      if Bytes.length ch > 0 then Bytes.blit ch 0 fresh 0 chunk_size;
+      let ch = fresh in
       img.chunks.(c) <- ch;
       let n = img.nwritten in
       if n = Array.length img.written then begin
@@ -143,12 +158,38 @@ module Image = struct
       ch
     end
 
-  (** Hand the table and every chunk to this domain's [spares]; the image
-      is left never written. Visits only the chunks [written] lists. *)
+  (** A copy-on-write clone of [img], which is no clone itself: a table
+      from this domain's [spares] holding [img]'s written chunks, shared
+      ({!shared}). [img] must not be written while a clone lives. *)
+  let clone img =
+    if img.base <> None then invalid_arg "Device.Image.clone: a clone";
+    if Array.length img.chunks = 0 then
+      { img with written = [||]; nwritten = 0 }
+    else begin
+      let table = take_table img.nchunks in
+      for i = 0 to img.nwritten - 1 do
+        let c = img.written.(i) in
+        table.(c) <- img.chunks.(c)
+      done;
+      { img with chunks = table; written = [||]; nwritten = 0; base = Some img }
+    end
+
+  (** Hand the table and every chunk the image owns to this domain's
+      [spares], emptying the cells it shares with its original; the image
+      is left never written. Visits only the chunks [written] lists, and
+      the original's. *)
   let release img =
     let table = img.chunks in
     if Array.length table > 0 then begin
       let s = Domain.DLS.get spares in
+      (match img.base with
+      | Some b ->
+          for i = 0 to b.nwritten - 1 do
+            let c = b.written.(i) in
+            if table.(c) == b.chunks.(c) then table.(c) <- Bytes.empty
+          done;
+          img.base <- None
+      | None -> ());
       for i = 0 to img.nwritten - 1 do
         let c = img.written.(i) in
         s.free <- table.(c) :: s.free;
@@ -433,6 +474,28 @@ let create ?(capacity = 64 * 1024 * 1024) ?faults ~clock ~timing ~stats () =
     last_poison = -1;
     site_hits = Array.make (Array.length !fence_site_names) 0;
     elided_fence_site = -1;
+  }
+
+(** A copy of a quiescent [t] (journal off, not halted) charging
+    [clock] and [stats]: both images copy-on-write clones
+    ({!Image.clone}), the dirty bitmap, wear leaves, media-fault tables,
+    site hits and elided site copied. *)
+let clone ?faults t ~clock ~stats =
+  if t.journal <> None || t.halted then
+    invalid_arg "Pmem.Device.clone: journalling, halted or released";
+  {
+    t with
+    persistent = Image.clone t.persistent;
+    shadow = Image.clone t.shadow;
+    dirty = (if t.dirty_count = 0 then [||] else Array.copy t.dirty);
+    wear =
+      Array.map (fun l -> if Array.length l = 0 then l else Array.copy l) t.wear;
+    clock;
+    stats;
+    faults;
+    poison = Hashtbl.copy t.poison;
+    quarantined = Hashtbl.copy t.quarantined;
+    site_hits = Array.copy t.site_hits;
   }
 
 let site_hits t i = if i < Array.length t.site_hits then t.site_hits.(i) else 0
@@ -1315,3 +1378,35 @@ let release t =
   t.halted <- true;
   Image.release t.persistent;
   Image.release t.shadow
+
+(** Digest of the durable image: the index and content of every chunk
+    holding a non-zero byte, so an absent chunk and a zero one digest
+    alike (test hook). *)
+let image_digest t =
+  ignore (refuse t);
+  let zero = Bytes.make Image.chunk_size '\000' in
+  let b = Buffer.create 256 in
+  Array.iteri
+    (fun c ch ->
+      if Bytes.length ch > 0 && not (Bytes.equal ch zero) then begin
+        Buffer.add_string b (string_of_int c);
+        Buffer.add_string b (Digest.bytes ch)
+      end)
+    t.persistent.Image.chunks;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(** How many of [t]'s chunk tables and chunks sit on this domain's spare
+    list (test hook). *)
+let spared t =
+  let s = Domain.DLS.get Image.spares in
+  let images = [ t.persistent; t.shadow ] in
+  let holds ch =
+    List.exists (fun (img : Image.t) -> Array.exists (( == ) ch) img.chunks) images
+  in
+  List.length (List.filter holds s.Image.free)
+  + List.length
+      (List.filter
+         (fun tb ->
+           Array.length tb > 0
+           && List.exists (fun (img : Image.t) -> img.chunks == tb) images)
+         s.Image.tables)

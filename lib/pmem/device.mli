@@ -47,9 +47,22 @@ val release : t -> unit
     owner of a crash-trial stack releases it after reading back and
     checking.
 
-    Recycling requires that an image own every chunk it holds. A future
-    copy-on-write clone that shares chunks between images must release
-    only the chunks the image allocated itself, never shared ones. *)
+    A {!clone}'s images share their original's chunks until they write
+    them: [release] recycles only the chunks the clone allocated itself
+    and empties the cells it shares, so no chunk of the original ever
+    reaches a spare list. *)
+
+val clone :
+  ?faults:Faults.t -> t -> clock:Simclock.t -> stats:Stats.t -> t
+(** [clone t ~clock ~stats] copies a quiescent [t] (journal off, not
+    halted or released) onto [clock] and [stats]. Both images are
+    copy-on-write: the clone's chunk table, taken from the domain's
+    spare list, holds [t]'s chunks, and its first write to one copies the
+    chunk into one it owns. Copying costs the cells [t] wrote, not the
+    capacity. The dirty bitmap (when a line is dirty), the wear leaves,
+    the poisoned and quarantined lines, the site hits and the elided
+    fence site are copied. [t] must not be written while a clone lives,
+    and it cannot be cloned if it is a clone itself. *)
 
 (** Temporal store: data lands in the CPU cache and is lost on crash
     unless flushed. *)
@@ -179,6 +192,14 @@ val migrate_block : t -> src:int -> dst:int -> int
 val reset_faults : t -> unit
 (** Clear wear counters, poison and quarantine markers (factory-fresh
     DIMM). [crash] deliberately keeps all of them. *)
+
+val image_digest : t -> string
+(** Digest of the durable image, the same for two devices whose durable
+    images read alike (test hook). *)
+
+val spared : t -> int
+(** How many of [t]'s chunk tables and chunks sit on this domain's spare
+    list (test hook: a clone's original must never reach it). *)
 
 (** {1 Persist-order journal (crash-state exploration)}
 

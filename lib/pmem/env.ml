@@ -41,37 +41,33 @@ type t = {
     sources on top (allocator steals, journal-stream depth, per-tenant
     throughput). Returns the timeline for exports and further sources.
     Host-side only: sampling never charges simulated time. *)
+let timeline_sources t =
+  let stats = t.stats and fc = Faults.counts t.faults in
+  List.map
+    (fun c ->
+      let i = Obs.cat_index c in
+      ("cat/" ^ Obs.cat_name c, fun () -> t.obs.Obs.attr.(i)))
+    Obs.all_cats
+  @ [
+      ("stats/media-ns", fun () -> stats.Stats.media_ns);
+      ("stats/lock-wait-ns", fun () -> stats.Stats.lock_wait_ns);
+      ("stats/bw-wait-ns", fun () -> stats.Stats.bw_wait_ns);
+      ("stats/background-ns", fun () -> stats.Stats.background_ns);
+      ("stats/journal-bytes", fun () -> float_of_int stats.Stats.journal_bytes);
+      ("stats/staged-bytes", fun () -> float_of_int stats.Stats.staged_bytes);
+      ("faults/injected", fun () -> float_of_int fc.Faults.injected);
+      ("faults/media", fun () -> float_of_int fc.Faults.media);
+      ( "faults/quarantined-lines",
+        fun () -> float_of_int fc.Faults.quarantined_lines );
+      ( "faults/scrub-migrations",
+        fun () -> float_of_int fc.Faults.scrub_migrations );
+    ]
+
 let enable_timeline t =
   let tl = Obs.Timeline.create () in
   List.iter
-    (fun c ->
-      let i = Obs.cat_index c in
-      Obs.Timeline.add_source tl
-        ~name:("cat/" ^ Obs.cat_name c)
-        (fun () -> t.obs.Obs.attr.(i)))
-    Obs.all_cats;
-  let stats = t.stats in
-  Obs.Timeline.add_source tl ~name:"stats/media-ns" (fun () ->
-      stats.Stats.media_ns);
-  Obs.Timeline.add_source tl ~name:"stats/lock-wait-ns" (fun () ->
-      stats.Stats.lock_wait_ns);
-  Obs.Timeline.add_source tl ~name:"stats/bw-wait-ns" (fun () ->
-      stats.Stats.bw_wait_ns);
-  Obs.Timeline.add_source tl ~name:"stats/background-ns" (fun () ->
-      stats.Stats.background_ns);
-  Obs.Timeline.add_source tl ~name:"stats/journal-bytes" (fun () ->
-      float_of_int stats.Stats.journal_bytes);
-  Obs.Timeline.add_source tl ~name:"stats/staged-bytes" (fun () ->
-      float_of_int stats.Stats.staged_bytes);
-  let fc = Faults.counts t.faults in
-  Obs.Timeline.add_source tl ~name:"faults/injected" (fun () ->
-      float_of_int fc.Faults.injected);
-  Obs.Timeline.add_source tl ~name:"faults/media" (fun () ->
-      float_of_int fc.Faults.media);
-  Obs.Timeline.add_source tl ~name:"faults/quarantined-lines" (fun () ->
-      float_of_int fc.Faults.quarantined_lines);
-  Obs.Timeline.add_source tl ~name:"faults/scrub-migrations" (fun () ->
-      float_of_int fc.Faults.scrub_migrations);
+    (fun (name, read) -> Obs.Timeline.add_source tl ~name read)
+    (timeline_sources t);
   Obs.set_timeline t.obs tl;
   tl
 
@@ -88,6 +84,36 @@ let create ?(capacity = 64 * 1024 * 1024) ?(timing = Timing.default) ?obs
   | true, None -> ignore (enable_timeline t)
   | _ -> ());
   t
+
+(** A copy of a quiescent [t] (journal off, no crash armed): clock and
+    actors, statistics, fault plane, device and observer each copied,
+    none shared with [t]; [checks] replaces the copied toggles. A
+    timeline copies over only if every series reads one of the env-level
+    sources {!enable_timeline} registers. *)
+let clone ?checks t =
+  let obs = Obs.clone t.obs in
+  let clock = Simclock.clone t.clock ~obs in
+  let stats = Stats.copy t.stats in
+  let faults = Faults.clone t.faults in
+  let dev = Device.clone t.dev ~faults ~clock ~stats in
+  let checks =
+    match checks with
+    | Some c -> c
+    | None -> { t.checks with verify_checksums = t.checks.verify_checksums }
+  in
+  let c = { clock; timing = t.timing; stats; dev; obs; faults; checks } in
+  Option.iter
+    (fun tl ->
+      let sources = timeline_sources c in
+      let source name =
+        match List.assoc_opt name sources with
+        | Some read -> read
+        | None ->
+            invalid_arg ("Env.clone: timeline series " ^ name ^ " is not env's")
+      in
+      Obs.adopt_timeline obs (Obs.Timeline.clone tl ~source))
+    (Obs.timeline t.obs);
+  c
 
 let now t = Simclock.now t.clock
 

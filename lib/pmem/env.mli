@@ -35,6 +35,15 @@ type t = {
 val create :
   ?capacity:int -> ?timing:Timing.t -> ?obs:Obs.t -> ?checks:checks -> unit -> t
 
+(** A copy of a quiescent [t] (journal off, no crash armed), sharing
+    nothing mutable with it: the clock and its actors, the statistics,
+    the fault plane (injected faults included), the device
+    ({!Device.clone}) and the observer (attribution, category stack,
+    histograms, span ring and, when [t] has one, the timeline with its
+    samples, its series re-registered on the copy's counters). [checks]
+    replaces the toggles, which are copied otherwise. *)
+val clone : ?checks:checks -> t -> t
+
 (** Attach a virtual-time telemetry timeline ({!Obs.Timeline}) and
     register the env-level counter sources (attribution categories,
     contention/journal/staging stats, fault-plane counters). Sampling is

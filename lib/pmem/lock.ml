@@ -29,6 +29,9 @@ type t = {
 let create ?(id = -1) prefix =
   { l_prefix = prefix; l_id = id; free_at = 0.; contended = 0 }
 
+(** A copy of [t] with its published window and wait count. *)
+let copy t = { t with free_at = t.free_at }
+
 let name t = if t.l_id < 0 then t.l_prefix else t.l_prefix ^ string_of_int t.l_id
 let contended t = t.contended
 

@@ -83,6 +83,16 @@ let set_current t a = t.current <- a
    reproducibility. *)
 let actors t = List.rev t.actors_rev
 
+(** A copy of [t] reporting to [obs]: every actor copied with its clock
+    and counters, the same one current. *)
+let clone t ~obs =
+  let actors_rev = List.map (fun a -> { a with a_now = a.a_now }) t.actors_rev in
+  let current = List.find (fun a -> a.aid = t.current.aid) actors_rev in
+  { current; actors_rev; nactors = t.nactors; obs }
+
+(** The actor with id [aid]. *)
+let actor t aid = List.find (fun a -> a.aid = aid) t.actors_rev
+
 (** [new_actor t ~name] registers a fresh actor whose clock starts at the
     current actor's time ([?at] overrides), modelling a thread spawned
     now: it cannot contend with work that finished before it existed. *)

@@ -4,8 +4,8 @@
 
     Each [make] builds a fresh PM device and the full stack on top of it,
     so experiments are isolated and deterministic. [make_small] builds
-    the same stack at crash-trial size: every crash state re-runs its
-    workload on a fresh stack, so size is latency. *)
+    the same stack at crash-trial size, and [clone] copies one: every
+    crash state runs its workload on a clone of one set-up stack. *)
 
 type spec =
   | Ext4_dax
@@ -69,12 +69,19 @@ let of_mode = function
   | Splitfs.Config.Strict -> Splitfs_strict
   | Splitfs.Config.Fams -> Splitfs_fams
 
+(** The state behind a baseline's [fs], kept for {!clone}. *)
+type baseline =
+  | Pmfs_fs of Baselines.Pmfs.t
+  | Nova_fs of Baselines.Nova.t
+  | Strata_fs of Baselines.Strata.t
+
 type stack = {
   spec : spec;
   env : Pmem.Env.t;
   fs : Fsapi.Fs.t;
   sys : Kernelfs.Syscall.t option;  (** the kernel below SplitFS / ext4 *)
   usplit : Splitfs.Usplit.t option;
+  base : baseline option;  (** PMFS, NOVA or Strata *)
 }
 
 let splitfs_experiment_cfg mode =
@@ -106,21 +113,24 @@ let splitfs_cfg_of sized spec =
       | _ -> c)
     (mode spec)
 
-(** The baseline file system [spec] (PMFS, NOVA or Strata) on [env]. *)
-let baseline env = function
-  | Pmfs -> Baselines.Pmfs.as_fsapi (Baselines.Pmfs.mkfs env)
-  | Nova_relaxed ->
-      Baselines.Nova.as_fsapi (Baselines.Nova.mkfs env ~mode:Baselines.Nova.Relaxed)
-  | Nova_strict ->
-      Baselines.Nova.as_fsapi (Baselines.Nova.mkfs env ~mode:Baselines.Nova.Strict)
-  | Strata ->
-      Baselines.Strata.as_fsapi
-        (Baselines.Strata.mkfs ~log_len:(4 * 1024 * 1024) env)
+let baseline_fs = function
+  | Pmfs_fs p -> Baselines.Pmfs.as_fsapi p
+  | Nova_fs n -> Baselines.Nova.as_fsapi n
+  | Strata_fs s -> Baselines.Strata.as_fsapi s
+
+let mkfs_baseline env = function
+  | Pmfs -> Pmfs_fs (Baselines.Pmfs.mkfs env)
+  | Nova_relaxed -> Nova_fs (Baselines.Nova.mkfs env ~mode:Baselines.Nova.Relaxed)
+  | Nova_strict -> Nova_fs (Baselines.Nova.mkfs env ~mode:Baselines.Nova.Strict)
+  | Strata -> Strata_fs (Baselines.Strata.mkfs ~log_len:(4 * 1024 * 1024) env)
   | spec -> invalid_arg (Printf.sprintf "Fs_config: %s is no baseline" (name spec))
+
+(** The baseline file system [spec] (PMFS, NOVA or Strata) on [env]. *)
+let baseline env spec = baseline_fs (mkfs_baseline env spec)
 
 let build ~capacity ~journal_len ~timing ~checks ~cfg spec =
   let env = Pmem.Env.create ~capacity ?timing ?checks () in
-  let bare fs = { spec; env; fs; sys = None; usplit = None } in
+  let bare fs = { spec; env; fs; sys = None; usplit = None; base = None } in
   let kernel () =
     Kernelfs.Syscall.make (Kernelfs.Ext4.mkfs ~journal_len env)
   in
@@ -133,7 +143,9 @@ let build ~capacity ~journal_len ~timing ~checks ~cfg spec =
   | Ext4_dax, None ->
       let sys = kernel () in
       { (bare (Kernelfs.Syscall.as_fsapi sys)) with sys = Some sys }
-  | _, None -> bare (baseline env spec)
+  | _, None ->
+      let b = mkfs_baseline env spec in
+      { (bare (baseline_fs b)) with base = Some b }
 
 (** Build a stack at experiment size. [capacity] sizes the simulated PM
     device; [splitfs_cfg] replaces the SplitFS configuration outright. *)
@@ -151,6 +163,50 @@ let make_small ?checks ?(tweak = Fun.id) spec =
   build ~capacity:(8 * 1024 * 1024) ~journal_len:(1024 * 1024) ~timing:None
     ~checks spec
     ~cfg:(Option.map tweak (splitfs_cfg_of crash_trial_cfg spec))
+
+(** Copies of quiescent [stacks], a stack and the further clients
+    mounted on it (DESIGN.md §5d). The copies share a clone of the
+    stacks' environment ({!Pmem.Env.clone}, [checks] replacing its
+    toggles) and, on ext4 and SplitFS, a clone of their kernel; each
+    client's fd table and U-Split instance is copied over those, and a
+    mapping the kernel and U-Split share stays shared. Every [fs] is
+    rebuilt over the copies. Nothing mutable is shared with [stacks], so
+    a copy runs while [stacks] stay as they were; a stack made by
+    {!make_small} and then only set up is quiescent. Strata does not
+    clone. *)
+let clone ?checks stacks =
+  let st0 = stacks.(0) in
+  let env = Pmem.Env.clone ?checks st0.env in
+  match (st0.sys, st0.base) with
+  | Some sys0, _ ->
+      let kfs, mapping =
+        Kernelfs.Ext4.clone (Kernelfs.Syscall.kernel sys0) ~env
+      in
+      Array.map
+        (fun st ->
+          let sys = Kernelfs.Syscall.clone (Option.get st.sys) ~kfs in
+          match st.usplit with
+          | Some u ->
+              let u = Splitfs.Usplit.clone u ~sys ~env ~mapping in
+              {
+                st with
+                env;
+                fs = Splitfs.Usplit.as_fsapi u;
+                sys = Some sys;
+                usplit = Some u;
+              }
+          | None ->
+              { st with env; fs = Kernelfs.Syscall.as_fsapi sys; sys = Some sys })
+        stacks
+  | None, Some b ->
+      let b =
+        match b with
+        | Pmfs_fs p -> Pmfs_fs (Baselines.Pmfs.clone p ~env)
+        | Nova_fs n -> Nova_fs (Baselines.Nova.clone n ~env)
+        | Strata_fs _ -> invalid_arg "Fs_config.clone: strata does not clone"
+      in
+      [| { st0 with env; fs = baseline_fs b; base = Some b } |]
+  | None, None -> invalid_arg "Fs_config.clone: no file system to clone"
 
 (** A checkpoint: relink every staged byte on SplitFS; nothing to do on
     the other file systems. *)

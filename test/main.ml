@@ -12,6 +12,7 @@ let () =
       ("oplog", Test_oplog.suite);
       ("crash", Test_crash.suite);
       ("crashcheck", Test_crashcheck.suite);
+      ("clone", Test_clone.suite);
       ("litmus", Test_litmus.suite);
       ("apps", Test_apps.suite);
       ("workloads", Test_workloads.suite);

@@ -213,10 +213,9 @@ let test_crash_inside_log_reset mode ~fence ~survivors ~rfence () =
   in
   let spec = Harness.Fs_config.of_mode mode in
   let scratch = ref Bytes.empty in
-  let m =
-    T.mount ~scratch ~build:(fun () -> Harness.Fs_config.make_small spec) p
-  in
-  let views, ostep = T.oracle ~scratch p in
+  let s = T.start ~build:(fun () -> Harness.Fs_config.make_small spec) p in
+  let m = T.mount ~scratch s p in
+  let views, ostep = T.oracle ~scratch s.T.s_oracle p in
   let env = m.T.stack.Harness.Fs_config.env in
   let dev = env.Pmem.Env.dev in
   let sys = Option.get m.T.stack.Harness.Fs_config.sys in

@@ -405,6 +405,76 @@ let prop_equiv_with_ext4 mode =
         ops;
       !ok && Test_ext4.final_states_agree split_fs ext4_fs)
 
+(* --- cached mappings stay exact ---------------------------------------- *)
+
+(* Every kernel change of a file's blocks (a hole-filling, past-EOF,
+   degraded or copy-on-write kernel write, a relinked extent) refreshes
+   the cached mappings over the bytes it changed, and only those. Random
+   overwrites, appends, writes past EOF, fsyncs, checkpoints, truncates
+   and snapshots on two files, with 16 KiB mmap regions so a file spans
+   several: after every op each cached mapping equals, page for page, a
+   fresh derivation from its file's extent tree. *)
+type mop =
+  | Overwrite of int * int * int
+  | Append of int * int
+  | Past_eof of int * int * int
+  | Fsync of int
+  | Checkpoint
+  | Truncate of int * int
+  | Snapshot of int
+
+let arb_mops =
+  let open QCheck.Gen in
+  let file = int_bound 1 and len = int_range 1 9000 in
+  let mop =
+    frequency
+      [
+        (4, map3 (fun f o l -> Overwrite (f, o, l)) file nat len);
+        (4, map2 (fun f l -> Append (f, l)) file len);
+        (2, map3 (fun f g l -> Past_eof (f, g, l)) file (int_range 1 20000) len);
+        (3, map (fun f -> Fsync f) file);
+        (1, return Checkpoint);
+        (1, map2 (fun f n -> Truncate (f, n)) file nat);
+        (1, map (fun f -> Snapshot f) file);
+      ]
+  in
+  QCheck.make (list_size (int_range 1 40) mop)
+
+let prop_mappings_exact mode =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "splitfs-%s cached mappings match the extent tree"
+         (Splitfs.Config.mode_to_string mode))
+    ~count:30 arb_mops
+    (fun ops ->
+      let cfg =
+        {
+          (Util.small_splitfs_cfg mode) with
+          Splitfs.Config.mmap_size = 16 * 1024;
+        }
+      in
+      let _env, _kfs, _sys, u, fs = Util.make_splitfs ~mode ~cfg () in
+      let paths = [| "/a"; "/b" |] in
+      let fds = Array.map (fun p -> fs.open_ p Fsapi.Flags.create_rw) paths in
+      let size f = (fs.fstat fds.(f)).Fsapi.Fs.st_size in
+      let write f at len =
+        let buf = Bytes.make len (Char.chr (65 + (at mod 26))) in
+        ignore (fs.pwrite fds.(f) ~buf ~boff:0 ~len ~at)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Overwrite (f, o, l) ->
+              write f (if size f = 0 then 0 else o mod size f) l
+          | Append (f, l) -> write f (size f) l
+          | Past_eof (f, g, l) -> write f (size f + g) l
+          | Fsync f -> fs.fsync fds.(f)
+          | Checkpoint -> Splitfs.Usplit.relink_all u
+          | Truncate (f, n) -> fs.ftruncate fds.(f) (n mod (size f + 8192))
+          | Snapshot f -> Splitfs.Usplit.snapshot u paths.(f) "/snap");
+          Splitfs.Usplit.stale_mappings u = [])
+        ops)
+
 (* --- staging pool ------------------------------------------------------ *)
 
 let staging_pool ~count =
@@ -500,3 +570,6 @@ let suite =
     QCheck_alcotest.to_alcotest (prop_equiv_with_ext4 Splitfs.Config.Sync);
     QCheck_alcotest.to_alcotest (prop_equiv_with_ext4 Splitfs.Config.Strict);
   ]
+  @ List.map
+      (fun mode -> QCheck_alcotest.to_alcotest (prop_mappings_exact mode))
+      Splitfs.Config.[ Posix; Sync; Strict; Fams ]
