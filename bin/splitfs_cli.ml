@@ -136,10 +136,6 @@ let run_latency () = print (E.latency ())
     happen. *)
 let run_trace fs_name nclients ops out sample syscalls =
   let spec = Harness.Fs_config.of_name fs_name in
-  let params =
-    { Harness.Multiclient.default_params with
-      Harness.Multiclient.ops_per_client = ops }
-  in
   let env_ref = ref None in
   let on_env (env : Pmem.Env.t) =
     env_ref := Some env;
@@ -157,7 +153,10 @@ let run_trace fs_name nclients ops out sample syscalls =
                      s.Obs.e_actor line
                | None -> ()))
   in
-  let r = Harness.Multiclient.run ~params ~instrument:true ~on_env spec ~nclients in
+  let r =
+    Harness.Multiclient.run ~ops_per_client:ops ~instrument:true ~on_env spec
+      ~nclients
+  in
   let env = Option.get !env_ref in
   let obs = env.Pmem.Env.obs in
   let actors =

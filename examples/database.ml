@@ -9,7 +9,6 @@ let run_on spec =
   let db = Apps.Waldb.open_ stack.Harness.Fs_config.fs "/tpcc.db" () in
   let cfg =
     {
-      Workloads.Tpcc.default_config with
       Workloads.Tpcc.transactions = 400;
       customers_per_district = 30;
       items = 200;

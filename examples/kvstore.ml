@@ -10,7 +10,6 @@ let run_on spec =
   let lsm = Apps.Lsm.open_ fs "/db" in
   let cfg =
     {
-      Workloads.Ycsb.default_config with
       Workloads.Ycsb.records = 2000;
       operations = 2000;
       value_size = 512;

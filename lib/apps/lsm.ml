@@ -8,19 +8,17 @@
     replaced atomically via rename, records the live tables.
 
     The file-system traffic is therefore exactly the mix the paper cares
-    about: small WAL appends with optional fsync, large sequential SSTable
-    writes, point reads, renames and unlinks. *)
+    about: small WAL appends (unsynced, as LevelDB's default), large
+    sequential SSTable writes, point reads, renames and unlinks. *)
 
 module Smap = Map.Make (String)
 
 type config = {
   memtable_budget : int;  (** bytes of memtable before flush *)
   l0_limit : int;  (** level-0 tables before compaction *)
-  sync_writes : bool;  (** fsync the WAL on every write *)
 }
 
-let default_config =
-  { memtable_budget = 256 * 1024; l0_limit = 4; sync_writes = false }
+let default_config = { memtable_budget = 256 * 1024; l0_limit = 4 }
 
 type t = {
   fs : Fsapi.Fs.t;
@@ -210,13 +208,13 @@ let maybe_roll t =
 (* --- public API --- *)
 
 let put t key value =
-  Wal.append t.fs t.wal (Wal.Put (key, value)) ~sync:t.cfg.sync_writes;
+  Wal.append t.fs t.wal (Wal.Put (key, value)) ~sync:false;
   t.memtable <- Smap.add key (Some value) t.memtable;
   t.mem_bytes <- t.mem_bytes + String.length key + String.length value;
   maybe_roll t
 
 let delete t key =
-  Wal.append t.fs t.wal (Wal.Delete key) ~sync:t.cfg.sync_writes;
+  Wal.append t.fs t.wal (Wal.Delete key) ~sync:false;
   t.memtable <- Smap.add key None t.memtable;
   t.mem_bytes <- t.mem_bytes + String.length key;
   maybe_roll t

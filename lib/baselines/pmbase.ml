@@ -61,26 +61,26 @@ let create (env : Env.t) ~reserved =
     fds stays one open file. *)
 let clone t ~env =
   let files =
-    Share.create (fun f ->
+    Fsapi.Share.create (fun f ->
         { f with extents = Kernelfs.Extent_tree.copy f.extents })
   in
   (* directories are looked up and listed sorted, descriptors looked
      up: neither is iterated in order *)
   let rec dir d =
-    Share.rebuild d (function
-      | File f -> File (Share.get files f)
+    Fsapi.Share.rebuild d (function
+      | File f -> File (Fsapi.Share.get files f)
       | Dir sub -> Dir (dir sub))
   in
   let opens =
-    Share.create (fun e ->
-        { e with file = Share.get files e.file; pos = ref !(e.pos) })
+    Fsapi.Share.create (fun e ->
+        { e with file = Fsapi.Share.get files e.file; pos = ref !(e.pos) })
   in
   {
     t with
     env;
     alloc = Kernelfs.Alloc.clone t.alloc;
     root = dir t.root;
-    fds = Share.rebuild t.fds (Share.get opens);
+    fds = Fsapi.Share.rebuild t.fds (Fsapi.Share.get opens);
   }
 
 let block_addr t phys = t.data_start + (phys * block_size)

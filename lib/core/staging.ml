@@ -157,7 +157,7 @@ let create ?(in_dram = false) ~sys ~env ~instance ~count ~file_size () =
     the same object for every holder. *)
 let clone t ~sys ~env ~mapping =
   let handles =
-    Share.create (fun h ->
+    Fsapi.Share.create (fun h ->
         if h == vacant then h
         else
           let backing =
@@ -167,8 +167,8 @@ let clone t ~sys ~env ~mapping =
           in
           { h with backing; cursor = h.cursor })
   in
-  ( { t with sys; env; ring = Array.map (Share.get handles) t.ring },
-    Share.get handles )
+  ( { t with sys; env; ring = Array.map (Fsapi.Share.get handles) t.ring },
+    Fsapi.Share.get handles )
 
 let pool_size t = t.pooled
 let live_files t = t.live

@@ -300,6 +300,13 @@ let retain_mapping t st ~off ~len =
   st.mmaps <- m :: st.mmaps;
   invalidate_mmap_index st
 
+(** Drop every mapping of [st], and the kernel forgets them: no later
+    copy-on-write or scrub fixes up a mapping nothing reads. *)
+let drop_mappings t st =
+  Kernelfs.Ext4.forget_maps (kfs t) st.mmaps;
+  st.mmaps <- [];
+  invalidate_mmap_index st
+
 (* ------------------------------------------------------------------ *)
 (* File-state lookup                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -830,10 +837,9 @@ let make_state t path kfd =
   Hashtbl.replace t.files_by_path path st;
   st
 
-let reset_after_truncate st size =
+let reset_after_truncate t st size =
   ignore (Kernelfs.Extent_tree.remove_range st.shadow ~logical:size ~len:max_int);
-  st.mmaps <- [];
-  invalidate_mmap_index st
+  drop_mappings t st
 
 let open_ t path (flags : Fsapi.Flags.t) =
   uspan t "u:open" @@ fun () ->
@@ -844,7 +850,7 @@ let open_ t path (flags : Fsapi.Flags.t) =
         (* attribute-cache hit: the open still passes through the kernel *)
         let kfd = Kernelfs.Syscall.open_ t.sys path flags in
         if flags.trunc && Fsapi.Flags.writable flags then begin
-          reset_after_truncate st 0;
+          reset_after_truncate t st 0;
           st.ksize <- 0;
           st.usize <- 0
         end
@@ -887,8 +893,7 @@ let drop_staged t st =
       Staging.release t.staging_pool h
   | None -> ());
   Kernelfs.Extent_tree.clear st.shadow;
-  st.mmaps <- [];
-  invalidate_mmap_index st
+  drop_mappings t st
 
 let cleanup_state t st =
   drop_staged t st;
@@ -940,7 +945,7 @@ let ftruncate t fd size =
   let st = od.st in
   with_file_lock t st @@ fun () ->
   if size < st.ksize then begin
-    reset_after_truncate st size;
+    reset_after_truncate t st size;
     Kernelfs.Syscall.ftruncate t.sys st.f_kfd size;
     st.ksize <- size;
     st.usize <- size
@@ -1188,7 +1193,7 @@ let mount ?(cfg = Config.default) ~sys ~env ~instance () =
 let clone t ~sys ~env ~mapping =
   let staging_pool, handle = Staging.clone t.staging_pool ~sys ~env ~mapping in
   let states =
-    Share.create (fun st ->
+    Fsapi.Share.create (fun st ->
         {
           st with
           shadow = Kernelfs.Extent_tree.copy st.shadow;
@@ -1199,10 +1204,14 @@ let clone t ~sys ~env ~mapping =
           f_lock = Lock.copy st.f_lock;
         })
   in
-  let fpos = Share.create (fun r -> ref !r) in
+  let fpos = Fsapi.Share.create (fun r -> ref !r) in
   let fds =
-    Share.table t.fds (fun od ->
-        { od with st = Share.get states od.st; fpos = Share.get fpos od.fpos })
+    Fsapi.Share.table t.fds (fun od ->
+        {
+          od with
+          st = Fsapi.Share.get states od.st;
+          fpos = Fsapi.Share.get fpos od.fpos;
+        })
   in
   let c =
     {
@@ -1211,8 +1220,9 @@ let clone t ~sys ~env ~mapping =
       env;
       staging_pool;
       oplog = Option.map (fun log -> Oplog.clone log ~sys ~env ~mapping) t.oplog;
-      files_by_ino = Share.table t.files_by_ino (Share.get states);
-      files_by_path = Share.rebuild t.files_by_path (Share.get states);
+      files_by_ino = Fsapi.Share.table t.files_by_ino (Fsapi.Share.get states);
+      files_by_path =
+        Fsapi.Share.rebuild t.files_by_path (Fsapi.Share.get states);
       fds;
       scratch = Bytes.empty;
     }

@@ -55,34 +55,22 @@ module Litmus = Litmus
 module Minimize = Minimize
 module Fs_config = Stacks.Fs_config
 
-(** The domain's last start, with its key: the mode, the three
-    toggles, the client count and the initial files, all a start
-    depends on. *)
+(** The domain's last start, with its key: the mode, the checks, the
+    client count and the initial files, all a start depends on. *)
 let last_start = Domain.DLS.new_key (fun () -> None)
 
 (** A start ({!Trial.start}) of [p] on the registry's crash-trial stack
-    of [mode] with [checks]' toggles (default all on): the domain's last
-    one while its key matches, so every crashcheck workload of a mode
-    shares one. *)
-let start ?checks mode (p : Trial.program) =
-  let c =
-    match checks with
-    | Some c ->
-        { c with Pmem.Env.verify_checksums = c.Pmem.Env.verify_checksums }
-    | None -> Pmem.Env.default_checks ()
-  in
-  let key =
-    ( mode,
-      (c.verify_checksums, c.honest_degraded_writes, c.fams_commit_record),
-      Trial.nclients p,
-      p.initial )
-  in
+    of [mode] with [checks] (default all on): the domain's last one
+    while its key matches, so every crashcheck workload of a mode shares
+    one. Every trial on it runs with its checks. *)
+let start ?(checks = Pmem.Env.default_checks) mode (p : Trial.program) =
+  let key = (mode, checks, Trial.nclients p, p.initial) in
   match Domain.DLS.get last_start with
   | Some (k, s) when k = key -> s
   | _ ->
       let spec = Fs_config.of_mode mode in
       let s =
-        Trial.start ~build:(fun () -> Fs_config.make_small ~checks:c spec) p
+        Trial.start ~build:(fun () -> Fs_config.make_small ~checks spec) p
       in
       Domain.DLS.set last_start (Some (key, s));
       s
@@ -95,13 +83,11 @@ let points mode p =
 
 (** One crash state of [p] on the registry's crash-trial stack of
     [mode], held to that mode's contract, on a clone of the domain's
-    {!start}. [checks] configures the environment's oracle/recovery
-    toggles (the injected-bug canaries); the default is all checks
-    on. *)
-let trial ?checks mode p =
-  Trial.run ?checks
+    {!start} with all checks on. *)
+let trial mode p =
+  Trial.run
     ~contract:(Check.contract_of (Fs_config.of_mode mode))
-    (start ?checks mode p) p
+    (start mode p) p
 
 (* ------------------------------------------------------------------ *)
 (* The kernel as the end-to-end benchmark recomposes it                 *)
@@ -138,8 +124,8 @@ module Runner = struct
     recovery : Splitfs.Recovery.report;
   }
 
-  let run_trial ?checks (w : Workload.t) ~point ~survivors =
-    let t = trial ?checks w.mode (Trial.of_workload w) ~point ~survivors in
+  let run_trial (w : Workload.t) ~point ~survivors =
+    let t = trial w.mode (Trial.of_workload w) ~point ~survivors in
     {
       crashed_at_op = t.Trial.crashed_at;
       violations = t.Trial.violations;
@@ -158,12 +144,12 @@ end
     clients as [p] names, held to that mode's contract
     ({!Trial.explore}: every state if they fit in [samples] trials, seeded
     draws otherwise, the first violation shrunk). [checks] sets the
-    trials' oracle/recovery toggles (the injected-bug canaries); the
-    profile pass runs with all checks on. *)
+    oracle/recovery toggles (the injected-bug canaries) of the start the
+    trials clone; the profile pass runs with all checks on. *)
 let check_program ?(samples = 200) ?(seed = 0x51ED) ?jobs ?checks mode
     (p : Trial.program) =
   let points = points mode p in
-  Trial.explore ~samples ~seed:(seed lxor 0x5EED5EED) ?jobs ?checks
+  Trial.explore ~samples ~seed:(seed lxor 0x5EED5EED) ?jobs
     ~contract:(Check.contract_of (Fs_config.of_mode mode))
     (start ?checks mode p) p points
 

@@ -375,9 +375,9 @@ let profile s c =
     miss mount-only sites like [oplog:init]). Feeds the coverage test: a
     site with zero total is one no workload reaches and the minimizer
     cannot vouch for. *)
-let site_coverage ?jobs () =
+let site_coverage () =
   let per_combo =
-    Par.map ?jobs
+    Par.map
       (fun _ c ->
         let _, _, after = Trial.profile (start c) c.c_pattern.p_program in
         after)
@@ -432,10 +432,7 @@ let run_corpus ?jobs combos =
     with the commit record deleted would be vouching for nothing. *)
 let catches_torn_msync () =
   let checks =
-    {
-      (Pmem.Env.default_checks ()) with
-      Pmem.Env.fams_commit_record = false;
-    }
+    { Pmem.Env.default_checks with Pmem.Env.fams_commit_record = false }
   in
   let c =
     {

@@ -301,12 +301,12 @@ let mounted ~scratch s clients p =
   { stack = clients.(0); clients; slots; step }
 
 (** A trial's stack: a clone of [s]'s clients ({!Fs_config.clone}, with
-    [checks] replacing the copied toggles) and [p]'s ops stepped on it.
-    [s] must have been set up with [p]'s initial files and clients. *)
-let mount ~scratch ?checks s p =
+    the checks [s] was built with) and [p]'s ops stepped on it. [s] must
+    have been set up with [p]'s initial files and clients. *)
+let mount ~scratch s p =
   if s.s_initial <> p.initial || Array.length s.s_clients <> nclients p then
     invalid_arg "Trial.mount: the start has other initial files or clients";
-  mounted ~scratch s (Fs_config.clone ?checks s.s_clients) p
+  mounted ~scratch s (Fs_config.clone s.s_clients) p
 
 (** Run the program once to completion, on a clone of [s], with the
     persist-order journal on. Returns every crash point and each
@@ -438,14 +438,14 @@ let run_on ~contract m (views, ostep) p ~point ~survivors =
     stack. [s] is used up (test hook). *)
 let consume ~scratch s p = mounted ~scratch s s.s_clients p
 
-(** One crash state end to end ({!run_on}) on a clone of [s] ({!mount},
-    [checks] replacing its toggles) against a clone of its oracle. The
-    trial owns its clone, so it releases the device once it has checked
-    ({!Pmem.Device.release}): the next trial on this domain writes into
-    the image chunks the clone owned, and [s]'s stay as they were. *)
-let run ?checks ~contract s p ~point ~survivors =
+(** One crash state end to end ({!run_on}) on a clone of [s] ({!mount})
+    against a clone of its oracle. The trial owns its clone, so it
+    releases the device once it has checked ({!Pmem.Device.release}): the
+    next trial on this domain writes into the image chunks the clone
+    owned, and [s]'s stay as they were. *)
+let run ~contract s p ~point ~survivors =
   let scratch = ref Bytes.empty in
-  let m = mount ~scratch ?checks s p in
+  let m = mount ~scratch s p in
   let t =
     run_on ~contract m (oracle ~scratch s.s_oracle p) p ~point ~survivors
   in
@@ -475,7 +475,7 @@ type report = {
   r_violations : violation list;  (** in trial order *)
 }
 
-(** [explore ?samples ?seed ?jobs ?checks ~contract s p points] runs
+(** [explore ?samples ?seed ?jobs ~contract s p points] runs
     crash states of [p] at [points] (from {!profile}) through {!run}, on
     clones of [s], made on the calling domain and read by every domain
     the trials run on: every state when they number at most [samples]
@@ -490,7 +490,7 @@ type report = {
     Trials fan over the {!Par} domain pool and come back in trial order,
     so the report, and which violation gets shrunk, is byte-identical at
     any job count (DESIGN.md §5j). *)
-let explore ?samples ?(seed = 0) ?jobs ?checks ~contract s p points =
+let explore ?samples ?(seed = 0) ?jobs ~contract s p points =
   let points = Array.of_list points in
   let counts =
     Array.map
@@ -510,7 +510,7 @@ let explore ?samples ?(seed = 0) ?jobs ?checks ~contract s p points =
       find 0 i
     else Explore.sample_point_indexed ~seed ~index:i points
   in
-  let trial (point, survivors) = run ?checks ~contract s p ~point ~survivors in
+  let trial (point, survivors) = run ~contract s p ~point ~survivors in
   let outcomes =
     Par.map ?jobs
       (fun _ i ->

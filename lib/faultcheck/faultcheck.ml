@@ -78,10 +78,10 @@ type legal = {
           first use, since a read-back equal to [head] needs none *)
 }
 
-(** {!legal} for [p], with [acks] in program order. *)
-let worlds (p : Trial.program) acks =
+(** {!legal} for [p], with [acks] in program order, each world a clone
+    of [o], the oracle of a start of [p]. *)
+let worlds o (p : Trial.program) acks =
   let scratch = ref Bytes.empty in
-  let o = Trial.oracle_start ~scratch p in
   let world extra =
     let views, step = Trial.oracle ~scratch o p in
     List.iteri
@@ -257,7 +257,7 @@ module Runner = struct
           | None -> false)
       | exception Fsapi.Errno.Error _ -> false
     in
-    let legal = worlds p acks in
+    let legal = worlds s.Trial.s_oracle p acks in
     let check_file i =
       match read_back i with
       | Error reason -> Some reason
@@ -366,22 +366,23 @@ let pp_stack_report ppf r =
 
 let durations = [ Faults.Transient 1; Faults.Transient 3; Faults.Sticky ]
 
-(** [check_stack spec] — enumerate fault points for one stack and run one
-    trial per point (plus one multi-fault trial for the shrinker). The
-    fault points come from a profiling pass: an armed-but-empty plane
-    counts the calls each injection site sees, and call indices are
-    sampled across that range; poison candidates are the device lines
-    backing the initial durable file content. *)
-let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs spec =
+(** One stack's campaign: its program, its two starts (normal and tiny
+    staging, {!Runner.start}) and its trials, each a fault set and
+    whether it runs on the tiny start: one trial per fault point, plus
+    one multi-fault trial for the shrinker. The fault points come from a
+    profiling pass: an armed-but-empty plane counts the calls each
+    injection site sees, and call indices are sampled across that range;
+    poison candidates are the device lines backing the initial durable
+    file content. *)
+let plan ~seed ~nops ~max_per_site spec =
   let mode = Option.value (Fs_config.mode spec) ~default:Splitfs.Config.Posix in
   (* scale 16 pushes writes across block boundaries so full-block relink
      (and therefore the swap_extents fault site) is part of the campaign *)
   let p = Trial.of_workload (W.generate ~mode ~seed ~scale:16 ~nops ()) in
   (* profiling pass: no faults, count site calls + collect poison lines *)
   let starts = [| Runner.start spec p; Runner.start ~tiny:true spec p |] in
-  let start tiny = starts.(Bool.to_int tiny) in
   let calls, poison_candidates =
-    let m = Trial.mount ~scratch:(ref Bytes.empty) (start false) p in
+    let m = Trial.mount ~scratch:(ref Bytes.empty) starts.(0) p in
     let plane = m.Trial.stack.env.Pmem.Env.faults in
     let kfs = Kernelfs.Syscall.kernel (Option.get m.Trial.stack.sys) in
     let poison =
@@ -455,10 +456,18 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs spec =
         ]
     | None -> []
   in
-  let trials =
-    List.map (fun p -> (p, false)) (site_points @ poison_points @ scrub_points @ combo)
-    @ List.map (fun p -> (p, true)) degraded_points
-  in
+  ( p,
+    starts,
+    List.map
+      (fun points -> (points, false))
+      (site_points @ poison_points @ scrub_points @ combo)
+    @ List.map (fun points -> (points, true)) degraded_points )
+
+(** [check_stack spec] runs the trials of [spec]'s {!plan} and shrinks
+    its first violation. *)
+let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs spec =
+  let p, starts, trials = plan ~seed ~nops ~max_per_site spec in
+  let start tiny = starts.(Bool.to_int tiny) in
   (* fan the trials over the domain pool (every trial clones its own
      env/stack and fault plane from one of the two starts, which every
      domain reads); merge tallies, summed counts and violations over the
@@ -529,13 +538,13 @@ let clean reports = List.for_all (fun r -> r.s_violations = []) reports
     [true] when the oracle caught the injected bug. The switch is
     per-env ([Env.checks]), so no other trial — concurrent or later —
     can observe it. *)
-let oracle_catches_dropped_writes ?(seed = 0xFA17) ?(nops = 24) () =
+let oracle_catches_dropped_writes () =
   let checks =
-    { (Pmem.Env.default_checks ()) with Pmem.Env.honest_degraded_writes = false }
+    { Pmem.Env.default_checks with Pmem.Env.honest_degraded_writes = false }
   in
   let p =
     Trial.of_workload
-      (W.generate ~mode:Splitfs.Config.Sync ~seed ~scale:16 ~nops ())
+      (W.generate ~mode:Splitfs.Config.Sync ~seed:0xFA17 ~scale:16 ~nops:24 ())
   in
   let t =
     Runner.run_trial

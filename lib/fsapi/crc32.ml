@@ -96,8 +96,6 @@ let update crc buf ~off ~len =
   done;
   !c lxor 0xFFFFFFFF
 
-let bytes ?(off = 0) ?len buf =
-  let len = match len with Some l -> l | None -> Bytes.length buf - off in
-  update 0 buf ~off ~len
+let bytes buf = update 0 buf ~off:0 ~len:(Bytes.length buf)
 
 let string s = bytes (Bytes.unsafe_of_string s)

@@ -42,32 +42,20 @@ let create () =
     table are looked up, or listed sorted, so each copy is a table sized
     to its bindings. *)
 let clone t =
-  (* [Hashtbl.to_seq] reads [h] without flagging it as [Hashtbl.iter]
-     does, so domains may clone one oracle at once *)
-  let table h f =
-    let c = Hashtbl.create (Hashtbl.length h) in
-    Seq.iter (fun (k, v) -> Hashtbl.replace c k (f v)) (Hashtbl.to_seq h);
-    c
-  in
-  let memo copy =
-    let pairs = ref [] in
-    fun x ->
-      match List.assq_opt x !pairs with
-      | Some y -> y
-      | None ->
-          let y = copy x in
-          pairs := (x, y) :: !pairs;
-          y
-  in
-  let file =
-    memo (fun f ->
+  let files =
+    Share.create (fun f ->
         { f with data = Bytes.copy f.data; stable_ow = Bytes.copy f.stable_ow })
   in
   let rec dir d =
-    table d (function File f -> File (file f) | Dir sub -> Dir (dir sub))
+    Share.rebuild d (function
+      | File f -> File (Share.get files f)
+      | Dir sub -> Dir (dir sub))
   in
-  let opened = memo (fun e -> { e with file = file e.file; pos = ref !(e.pos) }) in
-  { t with root = dir t.root; fds = table t.fds opened }
+  let opens =
+    Share.create (fun e ->
+        { e with file = Share.get files e.file; pos = ref !(e.pos) })
+  in
+  { t with root = dir t.root; fds = Share.rebuild t.fds (Share.get opens) }
 
 let rec lookup_dir dir = function
   | [] -> dir
@@ -310,7 +298,7 @@ let make_with ~name (t : t) : Fs.t =
     readdir;
   }
 
-let make ?(name = "reffs") () : Fs.t = make_with ~name (create ())
+let make () : Fs.t = make_with ~name:"reffs" (create ())
 
 (** {1 Crash oracle}
 
@@ -331,9 +319,6 @@ type oracle = {
       (** current content of the file at [path], if it exists *)
   dump_stable : string -> (Bytes.t * Bytes.t) option;
       (** [(stable, stable_with_overwrites)] views *)
-  mark_all_stable : unit -> unit;
-      (** snapshot every file's current content as its stable view (use
-          after setup/mount, which ends with everything durable) *)
 }
 
 (** The crash-oracle views of [t]'s files. *)
@@ -341,30 +326,16 @@ let views t =
   let file_at path =
     match find_node t path with Some (File f) -> Some f | _ -> None
   in
-  let rec each_file dir f =
-    Hashtbl.iter
-      (fun _ node ->
-        match node with File fl -> f fl | Dir d -> each_file d f)
-      dir
-  in
-  let oracle =
-    {
-      dump =
-        (fun path ->
-          Option.map (fun f -> Bytes.sub f.data 0 f.size) (file_at path));
-      dump_stable =
-        (fun path ->
-          Option.map
-            (fun f -> (Bytes.copy f.stable, Bytes.copy f.stable_ow))
-            (file_at path));
-      mark_all_stable =
-        (fun () ->
-          each_file t.root (fun f ->
-              f.stable <- Bytes.sub f.data 0 f.size;
-              f.stable_ow <- Bytes.copy f.stable));
-    }
-  in
-  oracle
+  {
+    dump =
+      (fun path ->
+        Option.map (fun f -> Bytes.sub f.data 0 f.size) (file_at path));
+    dump_stable =
+      (fun path ->
+        Option.map
+          (fun f -> (Bytes.copy f.stable, Bytes.copy f.stable_ow))
+          (file_at path));
+  }
 
 (** The POSIX view of [t], as the oracle. *)
 let oracle_fs t = make_with ~name:"reffs-oracle" t

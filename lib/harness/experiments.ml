@@ -190,12 +190,7 @@ let ycsb_series stack ~records ~operations =
   (* per-op application CPU: request handling, memtable walk, comparisons *)
   let think () = Pmem.Env.cpu stack.env 2500. in
   let cfg =
-    {
-      Workloads.Ycsb.default_config with
-      Workloads.Ycsb.records;
-      operations;
-      value_size = 1024;
-    }
+    { Workloads.Ycsb.records; operations; value_size = 1024 }
   in
   let lsm =
     Apps.Lsm.open_ stack.fs
@@ -393,7 +388,6 @@ let tpcc_run spec ~operations =
   let db = Apps.Waldb.open_ stack.fs "/tpcc.db" () in
   let cfg =
     {
-      Workloads.Tpcc.default_config with
       Workloads.Tpcc.transactions = operations / 4;
       customers_per_district = 30;
       items = 200;
@@ -1425,14 +1419,11 @@ let latency () =
 let scale_specs = scaling_specs
 let scale_counts = [ 16; 100; 1000; 10000 ]
 
-(** The serving-tier workload at [nactors]: total fleet work held roughly
-    constant as N grows, so a 10k-actor run stays tractable while each
-    actor still runs a full open/serve/close lifecycle. *)
-let scale_cfg nactors =
-  {
-    Workloads.Multitenant.default_cfg with
-    Workloads.Multitenant.ops_per_actor = max 6 (60_000 / nactors);
-  }
+(** The serving-tier workload's ops per actor at [nactors]: total fleet
+    work held roughly constant as N grows, so a 10k-actor run stays
+    tractable while each actor still runs a full open/serve/close
+    lifecycle. *)
+let scale_ops nactors = max 6 (60_000 / nactors)
 
 (** "Why is p999 slow": for each (stack x op) with a captured tail
     exemplar, decompose the single slowest op into the attribution
@@ -1504,8 +1495,8 @@ let scale ?(counts = scale_counts) ?jobs () =
            (* tail forensics at the serving-tier sizes only: the small
               warm-up cells have no interesting tail and capture would
               just add host-side noise to the grid *)
-           Multiclient.run_scale ~cfg:(scale_cfg n) ~forensics:(n >= 1000) spec
-             ~nactors:n)
+           Multiclient.run_scale ~ops_per_actor:(scale_ops n)
+             ~forensics:(n >= 1000) spec ~nactors:n)
          cells)
   in
   let ncounts = List.length counts in
@@ -1596,8 +1587,8 @@ let timeline_report ?spec ?(nactors = 1000) ?on_env () =
   let windows = 4 in
   let spec = match spec with Some s -> s | None -> List.hd scale_specs in
   let r =
-    Multiclient.run_scale ~cfg:(scale_cfg nactors) ?on_env ~timeline:true
-      ~forensics:true spec ~nactors
+    Multiclient.run_scale ~ops_per_actor:(scale_ops nactors) ?on_env
+      ~timeline:true ~forensics:true spec ~nactors
   in
   let tl =
     match r.Multiclient.sr_timeline with

@@ -20,14 +20,8 @@
     scaling experiment is after. *)
 
 let mb = 1024 * 1024
-
-type params = {
-  ops_per_client : int;
-  write_size : int;
-  fsync_every : int;
-}
-
-let default_params = { ops_per_client = 200; write_size = 4096; fsync_every = 10 }
+let write_size = 4096
+let fsync_every = 10
 
 type result = {
   spec : Fs_config.spec;
@@ -88,36 +82,36 @@ let build spec ~nclients =
 (** One client's closed loop: open a private file, append, fsync
     periodically, close. Step 0 opens, steps 1..ops append, the final step
     fsyncs and closes. *)
-let client_step (fs : Fsapi.Fs.t) ~path ~p =
+let client_step (fs : Fsapi.Fs.t) ~path ~ops_per_client =
   let fd = ref (-1) in
-  let buf = Bytes.make p.write_size 'w' in
+  let buf = Bytes.make write_size 'w' in
   fun (_ : Sched.client) i ->
     if i = 0 then begin
       fd := fs.Fsapi.Fs.open_ path Fsapi.Flags.create_rw;
       true
     end
-    else if i <= p.ops_per_client then begin
-      let at = (i - 1) * p.write_size in
-      let n = fs.Fsapi.Fs.pwrite !fd ~buf ~boff:0 ~len:p.write_size ~at in
-      assert (n = p.write_size);
-      if i mod p.fsync_every = 0 then fs.Fsapi.Fs.fsync !fd;
+    else if i <= ops_per_client then begin
+      let at = (i - 1) * write_size in
+      let n = fs.Fsapi.Fs.pwrite !fd ~buf ~boff:0 ~len:write_size ~at in
+      assert (n = write_size);
+      if i mod fsync_every = 0 then fs.Fsapi.Fs.fsync !fd;
       true
     end
-    else if i = p.ops_per_client + 1 then begin
+    else if i = ops_per_client + 1 then begin
       fs.Fsapi.Fs.fsync !fd;
       fs.Fsapi.Fs.close !fd;
       true
     end
     else false
 
-(** Run [nclients] concurrent clients of [spec] and report aggregate
-    throughput plus the contention breakdown. Fully deterministic.
+(** Run [nclients] concurrent clients of [spec], [ops_per_client] appends
+    each (default 200), and report aggregate throughput plus the
+    contention breakdown. Fully deterministic.
     [on_env] sees the environment after the stack is built and before any
     client runs (the CLI uses it to enable tracing); [instrument] wraps
     every client's [Fsapi.Fs.t] in {!Instrument.fs} so per-op latency
     histograms and [op:*] spans are collected. *)
-let run ?(params = default_params) ?(instrument = false) ?on_env spec ~nclients
-    =
+let run ?(ops_per_client = 200) ?(instrument = false) ?on_env spec ~nclients =
   let env, fss = build spec ~nclients in
   (match on_env with Some f -> f env | None -> ());
   let fss =
@@ -131,7 +125,7 @@ let run ?(params = default_params) ?(instrument = false) ?on_env spec ~nclients
     ignore
       (Sched.spawn s
          ~name:(Printf.sprintf "%s-c%d" (Fs_config.name spec) c)
-         ~step:(client_step fss.(c) ~path ~p:params))
+         ~step:(client_step fss.(c) ~path ~ops_per_client))
   done;
   Sched.run s;
   let makespan_ns = Sched.makespan s in
@@ -211,15 +205,16 @@ let build_scale spec ~nactors ~tenants ~shards env =
   in
   views spec ~n:tenants ~kernel ~cfg:(scale_cfg ~actors_per_tenant) env
 
-(** Run [nactors] multi-tenant serving actors of [spec] — the 10k-actor
+(** Run [nactors] multi-tenant serving actors of [spec], [ops_per_actor]
+    ops each ({!Workloads.Multitenant.step}) — the 10k-actor
     experiment — over [tenants_for nactors] tenants, one allocator group
     and journal stream per tenant up to 16, on a [scale_capacity nactors]
     device. Tenant roots are set up unmetered-by-histogram before the
     fleet spawns; every actor's file-system view is instrumented so p999
     and attainment of a 100 us SLO come from the same obs histograms the
     latency experiment uses. Fully deterministic in simulated time. *)
-let run_scale ?(cfg = Workloads.Multitenant.default_cfg) ?on_env
-    ?(timeline = false) ?(forensics = false) spec ~nactors =
+let run_scale ~ops_per_actor ?on_env ?(timeline = false) ?(forensics = false)
+    spec ~nactors =
   let slo_ns = 100_000. in
   let tenants = tenants_for nactors in
   let shards = min 16 tenants in
@@ -259,28 +254,28 @@ let run_scale ?(cfg = Workloads.Multitenant.default_cfg) ?on_env
   (* setup through the raw views: tenant roots and preallocated data files
      must not pollute the serving-path latency histograms *)
   Array.iteri
-    (fun k fs -> Workloads.Multitenant.setup_tenant fs ~cfg ~tenant:k)
+    (fun k fs -> Workloads.Multitenant.setup_tenant fs ~tenant:k)
     raw_fss;
   let fss =
     Array.map (Instrument.fs ~key:(Fs_config.name spec) ?forensics:fo env)
       raw_fss
   in
   let zipf =
-    Workloads.Zipf.create ~theta:cfg.Workloads.Multitenant.zipf_theta
-      cfg.Workloads.Multitenant.data_records
+    Workloads.Zipf.create ~theta:Workloads.Multitenant.zipf_theta
+      Workloads.Multitenant.data_records
   in
-  let think () = Pmem.Env.cpu env cfg.Workloads.Multitenant.think_ns in
+  let think () = Pmem.Env.cpu env Workloads.Multitenant.think_ns in
   let s = Sched.create env in
   for a = 0 to nactors - 1 do
     let tenant = a mod tenants in
     let st =
-      Workloads.Multitenant.make_actor ~fs:fss.(tenant) ~think ~zipf ~cfg
-        ~tenant ~idx:a
+      Workloads.Multitenant.make_actor ~fs:fss.(tenant) ~think ~zipf ~tenant
+        ~idx:a
     in
     ignore
       (Sched.spawn s
          ~name:(Printf.sprintf "t%d-a%d" tenant a)
-         ~step:(fun _ i -> Workloads.Multitenant.step cfg st i))
+         ~step:(fun _ i -> Workloads.Multitenant.step ~ops_per_actor st i))
   done;
   (* per-tenant throughput series: one source per tenant summing its
      actors' completed ops — a (stack x tenant) time series at <= 32

@@ -173,14 +173,16 @@ let clone t ~env =
   (* the inode and directory tables are looked up, and iterated only
      into sorted lists ([readdir], [scrub]) *)
   let inodes =
-    Share.rebuild t.inodes (fun i ->
+    Fsapi.Share.rebuild t.inodes (fun i ->
         {
           i with
           extents = Extent_tree.copy i.extents;
-          dir = Option.map (fun d -> Share.rebuild d Fun.id) i.dir;
+          dir = Option.map (fun d -> Fsapi.Share.rebuild d Fun.id) i.dir;
         })
   in
-  let maps = Share.create (fun m -> { m with pages = Array.copy m.pages }) in
+  let maps =
+    Fsapi.Share.create (fun m -> { m with pages = Array.copy m.pages })
+  in
   ( {
       env;
       alloc = Alloc.clone ~faults:env.Env.faults ~env t.alloc;
@@ -194,10 +196,10 @@ let clone t ~env =
           (fun l -> if l == unused_stripe then l else Pmem.Lock.copy l)
           t.ilocks;
       running_meta = Array.copy t.running_meta;
-      live_maps = List.map (Share.get maps) t.live_maps;
-      shared = Share.rebuild t.shared Fun.id;
+      live_maps = List.map (Fsapi.Share.get maps) t.live_maps;
+      shared = Fsapi.Share.rebuild t.shared Fun.id;
     },
-    Share.get maps )
+    Fsapi.Share.get maps )
 
 let block_addr t phys = t.data_start + (phys * block_size)
 let env t = t.env
@@ -918,7 +920,8 @@ let mmap_retained (t : t) inode ~off ~len =
 (** Forget the mappings [ms], which their owner dropped: no later
     copy-on-write or scrub fixes up their page arrays. *)
 let forget_maps t ms =
-  t.live_maps <- List.filter (fun m -> not (List.memq m ms)) t.live_maps
+  if ms <> [] then
+    t.live_maps <- List.filter (fun m -> not (List.memq m ms)) t.live_maps
 
 (** Mappings the kernel still tracks (test hook). *)
 let live_map_count t = List.length t.live_maps

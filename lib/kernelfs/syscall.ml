@@ -25,17 +25,21 @@ let make kfs = { kfs; fds = Hashtbl.create 64; next_fd = 3 }
 (** A copy of [t]'s fd table over [kfs], a clone of [t]'s kernel: each
     descriptor names [kfs]'s copy of its inode, and a descriptor shared
     by dup'ed fds stays shared. The table is only looked up, so the
-    copy is sized to its descriptors ({!Share.rebuild}). *)
+    copy is sized to its descriptors ({!Fsapi.Share.rebuild}). *)
 let clone t ~kfs =
   let desc =
-    Share.create (fun d ->
+    Fsapi.Share.create (fun d ->
         {
           d with
           inode = Ext4.inode_of kfs d.inode.Ext4.ino;
           pos = ref !(d.pos);
         })
   in
-  { kfs; fds = Share.rebuild t.fds (Share.get desc); next_fd = t.next_fd }
+  {
+    kfs;
+    fds = Fsapi.Share.rebuild t.fds (Fsapi.Share.get desc);
+    next_fd = t.next_fd;
+  }
 let kernel t = t.kfs
 
 (** The cost of one kernel crossing, charged by every system call here
@@ -259,9 +263,9 @@ let mmap t fd ~off ~len =
 
 (* ------------------------------------------------------------------ *)
 
-let as_fsapi ?(name = "ext4-dax") t : Fsapi.Fs.t =
+let as_fsapi t : Fsapi.Fs.t =
   {
-    Fsapi.Fs.fs_name = name;
+    Fsapi.Fs.fs_name = "ext4-dax";
     open_ = open_ t;
     close = close t;
     dup = dup t;

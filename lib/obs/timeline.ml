@@ -215,11 +215,11 @@ let metric_name s =
 (** OpenMetrics text exposition: one gauge metric per series (sampled
     cumulative values with virtual-time timestamps in seconds), ending
     with the spec's [# EOF] marker. Deterministic byte-for-byte. *)
-let openmetrics ?(prefix = "splitfs") t =
+let openmetrics t =
   let b = Buffer.create 4096 in
   List.iter
     (fun s ->
-      let m = metric_name (prefix ^ "_" ^ s.s_name) in
+      let m = metric_name ("splitfs_" ^ s.s_name) in
       Buffer.add_string b
         (Printf.sprintf "# HELP %s cumulative %s sampled at virtual-time boundaries\n"
            m s.s_name);

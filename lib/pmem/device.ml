@@ -366,18 +366,17 @@ exception Crashed
 (* ------------------------------------------------------------------ *)
 (* Fence-site registry (fence minimization support)                     *)
 (*                                                                      *)
-(* Every ordering instruction the file-system layers issue registers a   *)
-(* named site id at module initialisation and passes it to [fence]/      *)
-(* [flush]. The minimizer elides one site at a time — a faithful model   *)
-(* of deleting that sfence/clwb from the source: no ordering commit, no  *)
-(* simulated-time charge, no stats — and lets exhaustive crash-state     *)
-(* exploration either prove the site redundant or exhibit a              *)
-(* counterexample. Site *names* are source locations, so the registry is *)
-(* global but immutable after module initialisation (every               *)
-(* [register_fence_site] call is a top-level binding, executed before    *)
-(* any campaign domain spawns); all run state — hit counters and the     *)
-(* elision mask — is per-device, so concurrent domains can elide         *)
-(* different sites without observing each other.                         *)
+(* Every sfence the file-system layers issue registers a named site id   *)
+(* at module initialisation and passes it to [fence]. The minimizer      *)
+(* elides one site at a time — a faithful model of deleting that sfence  *)
+(* from the source: no ordering commit, no simulated-time charge, no     *)
+(* stats — and lets exhaustive crash-state exploration either prove the  *)
+(* site redundant or exhibit a counterexample. Site *names* are source   *)
+(* locations, so the registry is global but immutable after module       *)
+(* initialisation (every [register_fence_site] call is a top-level       *)
+(* binding, executed before any campaign domain spawns); all run state — *)
+(* hit counters and the elision mask — is per-device, so concurrent      *)
+(* domains can elide different sites without observing each other.       *)
 (* ------------------------------------------------------------------ *)
 
 let fence_site_names : string array ref = ref [||]
@@ -1012,14 +1011,10 @@ let site_hit site t =
 let site_elided site t = site >= 0 && site = t.elided_fence_site
 
 (** Flush (clwb) every dirty line intersecting [addr, addr+len): only set
-    bits in the range are visited, clean words are skipped wholesale.
-    [site]: registered call-site id; an elided site skips the whole flush
-    — writebacks, charges and stats — exactly as if the clwb loop were
-    deleted from the source. *)
-let flush ?(site = -1) t ~addr ~len =
+    bits in the range are visited, clean words are skipped wholesale. *)
+let flush t ~addr ~len =
   assert (check_range t addr len);
-  site_hit site t;
-  if (not t.halted || refuse t) && len > 0 && not (site_elided site t) then begin
+  if (not t.halted || refuse t) && len > 0 then begin
     j_flush t ~addr ~len;
     if t.dirty_count = 0 then
       t.stats.Stats.fast_path_hits <- t.stats.Stats.fast_path_hits + 1
@@ -1058,9 +1053,9 @@ let flush ?(site = -1) t ~addr ~len =
     end
   end
 
-(** [site]: registered call-site id; an elided site skips the whole fence
-    — no journal commit, no armed-crash trip, no time charge, no stats —
-    exactly as if the sfence were deleted from the source. *)
+(** [site]: registered fence-site id; an elided site skips the whole
+    fence — no journal commit, no armed-crash trip, no time charge, no
+    stats — exactly as if the sfence were deleted from the source. *)
 let fence ?(site = -1) t =
   site_hit site t;
   if (not t.halted || refuse t) && not (site_elided site t) then begin

@@ -72,24 +72,23 @@ val store : t -> addr:int -> Bytes.t -> off:int -> len:int -> unit
     fence orders it. Invalidates stale cached lines it covers. *)
 val store_nt : t -> addr:int -> Bytes.t -> off:int -> len:int -> unit
 
-(** Flush (clwb) every dirty line intersecting the range. [site] is a
-    registered fence-site id (see {!register_fence_site}); an elided site
-    skips the whole flush, as if the clwb loop were deleted. *)
-val flush : ?site:int -> t -> addr:int -> len:int -> unit
+(** Flush (clwb) every dirty line intersecting the range. *)
+val flush : t -> addr:int -> len:int -> unit
 
-(** Ordering fence (sfence). [site] as for {!flush}; an elided site skips
-    the fence entirely — no journal commit, no time charge. *)
+(** Ordering fence (sfence). [site] is a registered fence-site id (see
+    {!register_fence_site}); an elided site skips the fence entirely —
+    no journal commit, no time charge. *)
 val fence : ?site:int -> t -> unit
 
 (** {1 Fence-site registry (fence minimization)}
 
-    Ordering instructions in the file-system layers register a named call
-    site once (at module initialisation) and pass the id to [fence] and
-    [flush]. The name registry is global but immutable after module
-    initialisation — sites are source locations. All run state (hit
+    Fences in the file-system layers register a named call site once (at
+    module initialisation) and pass the id to [fence]. The name registry
+    is global but immutable after module initialisation — sites are
+    source locations. All run state (hit
     counters, the elision mask) is per-device, so campaign domains
     running concurrently never observe each other. Eliding a site models
-    deleting that sfence/clwb from the source; {!Crashcheck} exploration
+    deleting that sfence from the source; {!Crashcheck} exploration
     then proves the site redundant or exhibits a counterexample crash
     state. *)
 

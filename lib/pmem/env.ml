@@ -1,24 +1,26 @@
 (** An experiment environment: one PM device plus the clock, timing model and
     statistics shared by every layer of the stack. *)
 
-(** Per-environment verification knobs. These used to be process-global
-    [ref]s ([Oplog.verify_checksums], [Usplit.honest_degraded_writes]);
-    campaigns running concurrently on separate domains need to flip them
-    per stack, so they live on the env every layer already threads. *)
+(** Per-environment verification knobs, fixed when the environment is
+    created. These used to be process-global [ref]s
+    ([Oplog.verify_checksums], [Usplit.honest_degraded_writes]);
+    campaigns running concurrently on separate domains set them per
+    stack, so they live on the env every layer already threads, and a
+    {!clone} shares its original's. *)
 type checks = {
-  mutable verify_checksums : bool;
+  verify_checksums : bool;
       (** CRC-check op-log entries on decode; campaigns clear it to prove
           the oracle catches torn entries that slip past recovery *)
-  mutable honest_degraded_writes : bool;
+  honest_degraded_writes : bool;
       (** degraded (kernel-path) writes really write; campaigns clear it
           to prove the fault oracle catches acknowledge-but-drop bugs *)
-  mutable fams_commit_record : bool;
+  fams_commit_record : bool;
       (** fams msync appends its commit record before publishing;
           campaigns clear it to prove the crash oracle catches a torn
           msync (staged data published without the commit barrier) *)
 }
 
-let default_checks () =
+let default_checks =
   { verify_checksums = true; honest_degraded_writes = true;
     fams_commit_record = true }
 
@@ -71,10 +73,9 @@ let enable_timeline t =
   Obs.set_timeline t.obs tl;
   tl
 
-let create ?(capacity = 64 * 1024 * 1024) ?(timing = Timing.default) ?obs
-    ?checks () =
-  let obs = match obs with Some o -> o | None -> Obs.create () in
-  let checks = match checks with Some c -> c | None -> default_checks () in
+let create ?(capacity = 64 * 1024 * 1024) ?(timing = Timing.default)
+    ?(checks = default_checks) () =
+  let obs = Obs.create () in
   let clock = Simclock.create ~obs () in
   let stats = Stats.create () in
   let faults = Faults.create () in
@@ -87,21 +88,18 @@ let create ?(capacity = 64 * 1024 * 1024) ?(timing = Timing.default) ?obs
 
 (** A copy of a quiescent [t] (journal off, no crash armed): clock and
     actors, statistics, fault plane, device and observer each copied,
-    none shared with [t]; [checks] replaces the copied toggles. A
+    none shared with [t]; the immutable [checks] are [t]'s own. A
     timeline copies over only if every series reads one of the env-level
     sources {!enable_timeline} registers. *)
-let clone ?checks t =
+let clone t =
   let obs = Obs.clone t.obs in
   let clock = Simclock.clone t.clock ~obs in
   let stats = Stats.copy t.stats in
   let faults = Faults.clone t.faults in
   let dev = Device.clone t.dev ~faults ~clock ~stats in
-  let checks =
-    match checks with
-    | Some c -> c
-    | None -> { t.checks with verify_checksums = t.checks.verify_checksums }
+  let c =
+    { clock; timing = t.timing; stats; dev; obs; faults; checks = t.checks }
   in
-  let c = { clock; timing = t.timing; stats; dev; obs; faults; checks } in
   Option.iter
     (fun tl ->
       let sources = timeline_sources c in

@@ -1,21 +1,23 @@
 (** An experiment environment: one PM device plus the clock, timing model
     and statistics shared by every layer of the stack. *)
 
-(** Per-environment verification knobs (formerly process-global refs);
-    campaigns flip them per stack so concurrent domains can run different
-    configurations. *)
+(** Per-environment verification knobs (formerly process-global refs),
+    fixed when the environment is created: campaigns set them per stack
+    so concurrent domains can run different configurations, and a
+    {!clone} shares its original's. *)
 type checks = {
-  mutable verify_checksums : bool;
+  verify_checksums : bool;
       (** CRC-check op-log entries on decode (default true) *)
-  mutable honest_degraded_writes : bool;
+  honest_degraded_writes : bool;
       (** degraded kernel-path writes really write (default true) *)
-  mutable fams_commit_record : bool;
+  fams_commit_record : bool;
       (** fams msync appends its commit record before publishing (default
           true); campaigns clear it to prove the crash oracle catches a
           torn msync *)
 }
 
-val default_checks : unit -> checks
+(** Every check on. *)
+val default_checks : checks
 
 type t = {
   clock : Simclock.t;
@@ -29,20 +31,21 @@ type t = {
   checks : checks;
 }
 
-(** Fresh device (default 64 MB) with zeroed stats and clock; [checks]
-    default to all-on. [SPLITFS_TIMELINE=1] attaches a default timeline
-    (see {!enable_timeline}). *)
-val create :
-  ?capacity:int -> ?timing:Timing.t -> ?obs:Obs.t -> ?checks:checks -> unit -> t
+(** Fresh device (default 64 MB) with zeroed stats and clock and a
+    fresh observer; [checks] default to {!default_checks}.
+    [SPLITFS_TIMELINE=1] attaches a default timeline (see
+    {!enable_timeline}). *)
+val create : ?capacity:int -> ?timing:Timing.t -> ?checks:checks -> unit -> t
 
 (** A copy of a quiescent [t] (journal off, no crash armed), sharing
     nothing mutable with it: the clock and its actors, the statistics,
     the fault plane (injected faults included), the device
     ({!Device.clone}) and the observer (attribution, category stack,
     histograms, span ring and, when [t] has one, the timeline with its
-    samples, its series re-registered on the copy's counters). [checks]
-    replaces the toggles, which are copied otherwise. *)
-val clone : ?checks:checks -> t -> t
+    samples, its series re-registered on the copy's counters). The
+    immutable [checks] are [t]'s own: a clone runs as its original was
+    configured. *)
+val clone : t -> t
 
 (** Attach a virtual-time telemetry timeline ({!Obs.Timeline}) and
     register the env-level counter sources (attribution categories,

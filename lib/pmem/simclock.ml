@@ -94,11 +94,10 @@ let clone t ~obs =
 let actor t aid = List.find (fun a -> a.aid = aid) t.actors_rev
 
 (** [new_actor t ~name] registers a fresh actor whose clock starts at the
-    current actor's time ([?at] overrides), modelling a thread spawned
-    now: it cannot contend with work that finished before it existed. *)
-let new_actor ?at t ~name =
-  let at = match at with Some v -> v | None -> t.current.a_now in
-  let a = make_actor ~aid:t.nactors ~name ~at in
+    current actor's time, modelling a thread spawned now: it cannot
+    contend with work that finished before it existed. *)
+let new_actor t ~name =
+  let a = make_actor ~aid:t.nactors ~name ~at:t.current.a_now in
   t.actors_rev <- a :: t.actors_rev;
   t.nactors <- t.nactors + 1;
   a

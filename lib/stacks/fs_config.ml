@@ -128,7 +128,7 @@ let mkfs_baseline env = function
 (** The baseline file system [spec] (PMFS, NOVA or Strata) on [env]. *)
 let baseline env spec = baseline_fs (mkfs_baseline env spec)
 
-let build ~capacity ~journal_len ~timing ~checks ~cfg spec =
+let build ~capacity ~journal_len ~timing ?checks ~cfg spec =
   let env = Pmem.Env.create ~capacity ?timing ?checks () in
   let bare fs = { spec; env; fs; sys = None; usplit = None; base = None } in
   let kernel () =
@@ -147,11 +147,13 @@ let build ~capacity ~journal_len ~timing ~checks ~cfg spec =
       let b = mkfs_baseline env spec in
       { (bare (baseline_fs b)) with base = Some b }
 
-(** Build a stack at experiment size. [capacity] sizes the simulated PM
-    device; [splitfs_cfg] replaces the SplitFS configuration outright. *)
-let make ?(capacity = 256 * 1024 * 1024) ?timing ?splitfs_cfg spec =
+(** Build a stack at experiment size, on a 256 MiB device with an 8 MiB
+    jbd2 journal. [splitfs_cfg] replaces the SplitFS configuration
+    outright. *)
+let make ?timing ?splitfs_cfg spec =
   let cfg = splitfs_cfg_of splitfs_experiment_cfg spec in
-  build ~capacity ~journal_len:(8 * 1024 * 1024) ~timing ~checks:None spec
+  build ~capacity:(256 * 1024 * 1024) ~journal_len:(8 * 1024 * 1024) ~timing
+    spec
     ~cfg:(Option.map (fun c -> Option.value splitfs_cfg ~default:c) cfg)
 
 (** Build a stack at crash-trial size: an 8 MiB device, a 1 MiB jbd2
@@ -161,22 +163,22 @@ let make ?(capacity = 256 * 1024 * 1024) ?timing ?splitfs_cfg spec =
     oracle/recovery toggles (the injected-bug canaries). *)
 let make_small ?checks ?(tweak = Fun.id) spec =
   build ~capacity:(8 * 1024 * 1024) ~journal_len:(1024 * 1024) ~timing:None
-    ~checks spec
+    ?checks spec
     ~cfg:(Option.map tweak (splitfs_cfg_of crash_trial_cfg spec))
 
 (** Copies of quiescent [stacks], a stack and the further clients
     mounted on it (DESIGN.md §5d). The copies share a clone of the
-    stacks' environment ({!Pmem.Env.clone}, [checks] replacing its
-    toggles) and, on ext4 and SplitFS, a clone of their kernel; each
+    stacks' environment ({!Pmem.Env.clone}, which keeps its checks)
+    and, on ext4 and SplitFS, a clone of their kernel; each
     client's fd table and U-Split instance is copied over those, and a
     mapping the kernel and U-Split share stays shared. Every [fs] is
     rebuilt over the copies. Nothing mutable is shared with [stacks], so
     a copy runs while [stacks] stay as they were; a stack made by
     {!make_small} and then only set up is quiescent. Strata does not
     clone. *)
-let clone ?checks stacks =
+let clone stacks =
   let st0 = stacks.(0) in
-  let env = Pmem.Env.clone ?checks st0.env in
+  let env = Pmem.Env.clone st0.env in
   match (st0.sys, st0.base) with
   | Some sys0, _ ->
       let kfs, mapping =

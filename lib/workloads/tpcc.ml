@@ -8,24 +8,12 @@
     system is the transaction's read/write page footprint and its
     commit+fsync, which this preserves. *)
 
-type config = {
-  warehouses : int;
-  districts_per_wh : int;
-  customers_per_district : int;
-  items : int;
-  transactions : int;
-  seed : int;
-}
+(* One warehouse of ten districts, populated and run from seed 11. *)
+let warehouses = 1
+let districts_per_wh = 10
+let seed = 11
 
-let default_config =
-  {
-    warehouses = 1;
-    districts_per_wh = 10;
-    customers_per_district = 100;
-    items = 1000;
-    transactions = 1000;
-    seed = 11;
-  }
+type config = { customers_per_district : int; items : int; transactions : int }
 
 type result = {
   new_orders : int;
@@ -49,19 +37,19 @@ let row rng n = Rng.payload rng n
 
 (** Populate the standard tables. *)
 let load db cfg =
-  let rng = Rng.create cfg.seed in
+  let rng = Rng.create seed in
   Apps.Waldb.transaction db (fun () ->
       for i = 0 to cfg.items - 1 do
         Apps.Waldb.put db ~table:"item" (ikey i) (row rng 80)
       done);
-  for w = 0 to cfg.warehouses - 1 do
+  for w = 0 to warehouses - 1 do
     Apps.Waldb.transaction db (fun () ->
         Apps.Waldb.put db ~table:"warehouse" (wkey w) (row rng 90);
-        for d = 0 to cfg.districts_per_wh - 1 do
+        for d = 0 to districts_per_wh - 1 do
           Apps.Waldb.put db ~table:"district" (dkey w d) (row rng 95)
         done);
     Apps.Waldb.transaction db (fun () ->
-        for d = 0 to cfg.districts_per_wh - 1 do
+        for d = 0 to districts_per_wh - 1 do
           for c = 0 to cfg.customers_per_district - 1 do
             Apps.Waldb.put db ~table:"customer" (ckey w d c) (row rng 250)
           done
@@ -73,8 +61,8 @@ let load db cfg =
   done
 
 let new_order db cfg rng next_oid =
-  let w = Rng.int rng cfg.warehouses in
-  let d = Rng.int rng cfg.districts_per_wh in
+  let w = Rng.int rng warehouses in
+  let d = Rng.int rng districts_per_wh in
   let c = Rng.int rng cfg.customers_per_district in
   Apps.Waldb.transaction db (fun () ->
       ignore (Apps.Waldb.get db ~table:"warehouse" (wkey w));
@@ -98,8 +86,8 @@ let new_order db cfg rng next_oid =
       done)
 
 let payment db cfg rng =
-  let w = Rng.int rng cfg.warehouses in
-  let d = Rng.int rng cfg.districts_per_wh in
+  let w = Rng.int rng warehouses in
+  let d = Rng.int rng districts_per_wh in
   let c = Rng.int rng cfg.customers_per_district in
   Apps.Waldb.transaction db (fun () ->
       Apps.Waldb.put db ~table:"warehouse" (wkey w) (row rng 90);
@@ -111,17 +99,17 @@ let payment db cfg rng =
         (row rng 46))
 
 let order_status db cfg rng =
-  let w = Rng.int rng cfg.warehouses in
-  let d = Rng.int rng cfg.districts_per_wh in
+  let w = Rng.int rng warehouses in
+  let d = Rng.int rng districts_per_wh in
   let c = Rng.int rng cfg.customers_per_district in
   Apps.Waldb.transaction db (fun () ->
       ignore (Apps.Waldb.get db ~table:"customer" (ckey w d c));
       ignore (Apps.Waldb.scan db ~table:"orders" ~start:(okey w d 0) ~count:5))
 
-let delivery db cfg rng next_delivered =
-  let w = Rng.int rng cfg.warehouses in
+let delivery db rng next_delivered =
+  let w = Rng.int rng warehouses in
   Apps.Waldb.transaction db (fun () ->
-      for d = 0 to cfg.districts_per_wh - 1 do
+      for d = 0 to districts_per_wh - 1 do
         let pending =
           Apps.Waldb.scan db ~table:"new_order" ~start:(okey w d !next_delivered)
             ~count:1
@@ -134,15 +122,17 @@ let delivery db cfg rng next_delivered =
       done;
       incr next_delivered)
 
-let stock_level db cfg rng =
-  let w = Rng.int rng cfg.warehouses in
+let stock_level db rng =
+  let w = Rng.int rng warehouses in
   Apps.Waldb.transaction db (fun () ->
-      ignore (Apps.Waldb.get db ~table:"district" (dkey w (Rng.int rng cfg.districts_per_wh)));
+      ignore
+        (Apps.Waldb.get db ~table:"district"
+           (dkey w (Rng.int rng districts_per_wh)));
       ignore (Apps.Waldb.scan db ~table:"stock" ~start:(skey w 0) ~count:20))
 
 (** Run the standard transaction mix. *)
 let run ?(think = fun () -> ()) db cfg =
-  let rng = Rng.create (cfg.seed + 1) in
+  let rng = Rng.create (seed + 1) in
   let next_oid = ref 1 and next_delivered = ref 1 in
   let r =
     ref
@@ -171,11 +161,11 @@ let run ?(think = fun () -> ()) db cfg =
       r := { !r with order_statuses = !r.order_statuses + 1 }
     end
     else if die < 96 then begin
-      delivery db cfg rng next_delivered;
+      delivery db rng next_delivered;
       r := { !r with deliveries = !r.deliveries + 1 }
     end
     else begin
-      stock_level db cfg rng;
+      stock_level db rng;
       r := { !r with stock_levels = !r.stock_levels + 1 }
     end
   done;

@@ -23,21 +23,16 @@ let workload_name = function
 
 type op = Read of int | Update of int | Insert | Scan of int * int | Rmw of int
 
-type config = {
-  records : int;
-  operations : int;
-  value_size : int;
-  scan_max : int;
-  seed : int;
-}
+type config = { records : int; operations : int; value_size : int }
 
-let default_config =
-  { records = 10_000; operations = 10_000; value_size = 1024; scan_max = 100; seed = 7 }
+(* A scan reads 1 to [scan_max] records; every run draws from seed 7. *)
+let scan_max = 100
+let seed = 7
 
 let key_of i = Printf.sprintf "user%012d" i
 
 (** Generate the operation for one step of the given workload. *)
-let next_op workload cfg rng zipf ~inserted =
+let next_op workload rng zipf ~inserted =
   let zip () = Zipf.sample zipf rng in
   let latest () = max 0 (!inserted - 1 - Zipf.sample zipf rng) in
   match workload with
@@ -49,7 +44,7 @@ let next_op workload cfg rng zipf ~inserted =
       if Rng.float rng < 0.95 then Read (latest ())
       else Insert
   | E ->
-      if Rng.float rng < 0.95 then Scan (zip (), 1 + Rng.int rng cfg.scan_max)
+      if Rng.float rng < 0.95 then Scan (zip (), 1 + Rng.int rng scan_max)
       else Insert
   | F -> if Rng.float rng < 0.5 then Read (zip ()) else Rmw (zip ())
 
@@ -65,7 +60,7 @@ type result = {
     [cfg.records]; the others execute [cfg.operations] ops over an
     existing store. *)
 let run ?(think = fun () -> ()) (lsm : Apps.Lsm.t) workload cfg =
-  let rng = Rng.create cfg.seed in
+  let rng = Rng.create seed in
   let zipf = Zipf.create (max 1 cfg.records) in
   let inserted = ref cfg.records in
   let reads = ref 0 and writes = ref 0 and scans = ref 0 and not_found = ref 0 in
@@ -77,7 +72,7 @@ let run ?(think = fun () -> ()) (lsm : Apps.Lsm.t) workload cfg =
        the paper observes LevelDB spends 20-50% of its time outside POSIX
        calls (section 4) *)
     think ();
-    match next_op workload cfg rng zipf ~inserted with
+    match next_op workload rng zipf ~inserted with
     | Insert ->
         Apps.Lsm.put lsm (key_of !inserted) (value ());
         incr inserted;

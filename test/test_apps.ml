@@ -103,7 +103,7 @@ let test_wal_torn_tail_ignored () =
 (* --- lsm --- *)
 
 let small_lsm_cfg =
-  { Apps.Lsm.default_config with Apps.Lsm.memtable_budget = 2 * 1024; l0_limit = 3 }
+  { Apps.Lsm.memtable_budget = 2 * 1024; l0_limit = 3 }
 
 let test_lsm_basic () =
   with_stack (fun _env _sys fs ->

@@ -164,6 +164,30 @@ let test_start_untouched () =
     spared;
   Util.check_str "the start after trials on two domains" d0 (digest s)
 
+(* Faultcheck's two starts per stack (normal and tiny staging) serve
+   every trial of the stack's campaign, on two domains, each trial
+   judged against clones of the start's oracle. *)
+let test_faultcheck_starts_untouched () =
+  List.iter
+    (fun spec ->
+      let p, starts, trials =
+        Faultcheck.plan ~seed:0xFA17 ~nops:24 ~max_per_site:3 spec
+      in
+      let d0 = Array.map digest starts in
+      ignore
+        (Par.map ~jobs:2
+           (fun _ (points, tiny) ->
+             Faultcheck.Runner.run_trial starts.(Bool.to_int tiny) p ~points)
+           trials);
+      Array.iteri
+        (fun i s ->
+          Util.check_str
+            (Printf.sprintf "%s start %d after its %d faultcheck trials"
+               (Fs_config.name spec) i (List.length trials))
+            d0.(i) (digest s))
+        starts)
+    Faultcheck.all_stacks
+
 let suite =
   [
     tc "clone = build: every 8-op sync and strict state, sampled posix and fams"
@@ -173,4 +197,6 @@ let suite =
       test_lockstep_litmus;
     tc "a start stays untouched by 1,000 trials on two domains" `Quick
       test_start_untouched;
+    tc "faultcheck's starts stay untouched by their campaign" `Quick
+      test_faultcheck_starts_untouched;
   ]

@@ -305,7 +305,7 @@ let test_injected_bug_caught () =
   (* per-env toggle: the broken configuration is confined to the trials
      that opt into it — nothing to restore, no cross-trial leakage *)
   let checks =
-    { (Pmem.Env.default_checks ()) with Pmem.Env.verify_checksums = false }
+    { Pmem.Env.default_checks with Pmem.Env.verify_checksums = false }
   in
   let r =
     check_mode ~samples:200 ~seed:committed_seed ~nops:24 ~checks

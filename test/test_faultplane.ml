@@ -436,7 +436,12 @@ let test_judge_semantics () =
       claim = T.no_claim;
     }
   in
-  let legal = Faultcheck.worlds p [| Faultcheck.Failed; Faultcheck.Acked |] in
+  let legal =
+    Faultcheck.worlds
+      (T.oracle_start ~scratch:(ref Bytes.empty) p)
+      p
+      [| Faultcheck.Failed; Faultcheck.Acked |]
+  in
   let judge got = Faultcheck.judge legal ~quarantined:(fun _ -> false) 0 got in
   let initial = W.payload ~seed:1000 1000 in
   let with_range b ~at src =
@@ -477,7 +482,7 @@ let test_oracle_catches_injected_bug () =
      come up with the honest path on (leakage is impossible by
      construction, so this pins the default rather than a restore) *)
   Util.check_bool "default env is honest" true
-    (Pmem.Env.default_checks ()).Pmem.Env.honest_degraded_writes
+    Pmem.Env.default_checks.Pmem.Env.honest_degraded_writes
 
 let suite =
   [

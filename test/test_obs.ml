@@ -498,18 +498,14 @@ let test_timeline_widen_determinism () =
     results (makespan, interleaving fingerprint) to the same run with
     both off. *)
 let test_timeline_bit_identical () =
-  let cfg =
-    { Workloads.Multitenant.default_cfg with
-      Workloads.Multitenant.ops_per_actor = 40 }
-  in
   List.iter
     (fun spec ->
       let plain =
-        Harness.Multiclient.run_scale ~cfg spec ~nactors:32
+        Harness.Multiclient.run_scale ~ops_per_actor:40 spec ~nactors:32
       in
       let observed =
-        Harness.Multiclient.run_scale ~cfg ~timeline:true ~forensics:true spec
-          ~nactors:32
+        Harness.Multiclient.run_scale ~ops_per_actor:40 ~timeline:true
+          ~forensics:true spec ~nactors:32
       in
       Alcotest.(check (float 0.))
         (Printf.sprintf "%s: makespan identical with telemetry on"
@@ -628,12 +624,8 @@ let test_forensics_topk () =
 (** Through the real capture hook: exemplars carry the op's inner spans,
     with the op's own span last — without the trace ring being on. *)
 let test_forensics_span_capture () =
-  let cfg =
-    { Workloads.Multitenant.default_cfg with
-      Workloads.Multitenant.ops_per_actor = 20 }
-  in
   let r =
-    Harness.Multiclient.run_scale ~cfg ~forensics:true
+    Harness.Multiclient.run_scale ~ops_per_actor:20 ~forensics:true
       Harness.Fs_config.Splitfs_posix ~nactors:8
   in
   let fo = Option.get r.Harness.Multiclient.sr_forensics in
@@ -682,11 +674,7 @@ let test_openmetrics_export () =
 let test_chrome_counter_tracks () =
   let env_ref = ref None in
   let (_ : Harness.Multiclient.scale_result) =
-    Harness.Multiclient.run_scale
-      ~cfg:
-        { Workloads.Multitenant.default_cfg with
-          Workloads.Multitenant.ops_per_actor = 20 }
-      ~timeline:true
+    Harness.Multiclient.run_scale ~ops_per_actor:20 ~timeline:true
       ~on_env:(fun e ->
         env_ref := Some e;
         Obs.set_tracing e.Pmem.Env.obs true)

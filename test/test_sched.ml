@@ -215,12 +215,7 @@ let test_scaling_improves_with_clients () =
 let test_scale_run_deterministic () =
   let go () =
     let r =
-      Harness.Multiclient.run_scale
-        ~cfg:
-          {
-            Workloads.Multitenant.default_cfg with
-            Workloads.Multitenant.ops_per_actor = 12;
-          }
+      Harness.Multiclient.run_scale ~ops_per_actor:12
         Harness.Fs_config.Splitfs_posix ~nactors:64
     in
     ( r.Harness.Multiclient.sr_trace_hash,
@@ -273,7 +268,7 @@ let test_concurrent_crashcheck () =
    the program's path indices. *)
 let test_concurrent_canary () =
   let checks =
-    { (Pmem.Env.default_checks ()) with Pmem.Env.verify_checksums = false }
+    { Pmem.Env.default_checks with Pmem.Env.verify_checksums = false }
   in
   let r =
     Crashcheck.check_program ~samples:60 ~seed:0x51ED ~checks

@@ -292,6 +292,35 @@ let test_retained_mappings_bounded () =
     (Fsapi.Fs.pread_exact fs fd ~len:(pairs * len) ~at:0);
   fs.close fd
 
+(* A shrinking ftruncate and an O_TRUNC open drop the file's mappings in
+   U-Split; the kernel must forget them too, or its list grows by one
+   mapping per truncate cycle. *)
+let test_truncated_mappings_dropped () =
+  List.iter
+    (fun mode ->
+      let live_after cycles =
+        let _env, kfs, _sys, _u, fs = Util.make_splitfs ~mode () in
+        let buf = Bytes.of_string (Util.pattern ~seed:7 4096) in
+        let fd = ref (fs.open_ "/t" Fsapi.Flags.create_rw) in
+        for i = 1 to cycles do
+          for k = 0 to 15 do
+            ignore (fs.pwrite !fd ~buf ~boff:0 ~len:4096 ~at:(k * 4096))
+          done;
+          fs.fsync !fd;
+          if i mod 2 = 0 then fs.ftruncate !fd 0
+          else begin
+            fs.close !fd;
+            fd := fs.open_ "/t" (Fsapi.Flags.trunc Fsapi.Flags.create_rw)
+          end
+        done;
+        Util.check_int "truncated" 0 (fs.fstat !fd).Fsapi.Fs.st_size;
+        Kernelfs.Ext4.live_map_count kfs
+      in
+      Util.check_int
+        (Splitfs.Config.mode_to_string mode ^ ": live mappings")
+        (live_after 4) (live_after 32))
+    modes
+
 let test_rename_updates_cache =
   for_each_mode (fun mode _u fs ->
       let name = Splitfs.Config.mode_to_string mode in
@@ -557,6 +586,8 @@ let suite =
       test_reaped_mappings_dropped;
     tc "retained mappings stay one per block" `Quick
       test_retained_mappings_bounded;
+    tc "truncated files leave no kernel mappings" `Quick
+      test_truncated_mappings_dropped;
     tc "rename updates attribute cache" `Quick test_rename_updates_cache;
     tc "O_TRUNC resets state" `Quick test_open_trunc_resets;
     tc "dup shares offset" `Quick test_dup_shares_offset;

@@ -50,7 +50,7 @@ let test_ycsb_mixes () =
   let _env, _kfs, _sys, _u, fs = Util.make_splitfs ~capacity:(64 * 1024 * 1024) () in
   let lsm = Apps.Lsm.open_ fs "/mix" in
   let cfg =
-    { Workloads.Ycsb.default_config with Workloads.Ycsb.records = 200; operations = 1000; value_size = 64 }
+    { Workloads.Ycsb.records = 200; operations = 1000; value_size = 64 }
   in
   ignore (Workloads.Ycsb.run lsm Workloads.Ycsb.Load cfg);
   let check_mix w ~reads_pct ~tolerance =
@@ -77,7 +77,7 @@ let test_ycsb_no_missing_keys () =
   let _env, _kfs, _sys, _u, fs = Util.make_splitfs ~capacity:(64 * 1024 * 1024) () in
   let lsm = Apps.Lsm.open_ fs "/complete" in
   let cfg =
-    { Workloads.Ycsb.default_config with Workloads.Ycsb.records = 300; operations = 600; value_size = 64 }
+    { Workloads.Ycsb.records = 300; operations = 600; value_size = 64 }
   in
   ignore (Workloads.Ycsb.run lsm Workloads.Ycsb.Load cfg);
   let r = Workloads.Ycsb.run lsm Workloads.Ycsb.A cfg in
@@ -89,7 +89,6 @@ let test_tpcc_mix () =
   let db = Apps.Waldb.open_ fs "/t.db" () in
   let cfg =
     {
-      Workloads.Tpcc.default_config with
       Workloads.Tpcc.transactions = 400;
       customers_per_district = 20;
       items = 100;
