@@ -158,14 +158,13 @@ golden-traced:
 	done; \
 	exit $$status
 
-# Seed swarm: crashcheck at seeds 1..K, each with $(JOBS) worker
-# domains. A seed's report is printed only if it fails; exits non-zero
-# naming every failing seed. The pinned-seed golden run covers only what
-# seed 0x51ED reaches. Faultcheck joins the swarm once its
-# relink/ENOSPC violation class is fixed (ROADMAP item 1): 18 of its
-# first 32 seeds still report it. `make check` runs K=64. (~0.1 s per
-# seed at one job)
+# Seed swarm: crashcheck at seeds 1..K and faultcheck at 0xBEEF and
+# seeds 1..32, each with $(JOBS) worker domains. A seed's report is
+# printed only if it fails; exits non-zero naming every failing seed.
+# The pinned-seed golden runs cover only what seeds 0x51ED and 0xFA17
+# reach. `make check` runs K=64. (~0.1 s per seed at one job)
 K ?= 16
+FAULT_SEEDS = 0xBEEF $(shell seq 1 32)
 
 swarm:
 	dune build ./bin/splitfs_cli.exe
@@ -174,17 +173,25 @@ swarm:
 	  out=$$(./_build/default/bin/splitfs_cli.exe crashcheck --seed $$s \
 	    --jobs $(JOBS) 2>&1) || { echo "$$out"; failed="$$failed $$s"; }; \
 	done; \
+	ffailed=""; \
+	for s in $(FAULT_SEEDS); do \
+	  out=$$(./_build/default/bin/splitfs_cli.exe faultcheck --seed $$s \
+	    --jobs $(JOBS) 2>&1) || { echo "$$out"; ffailed="$$ffailed $$s"; }; \
+	done; \
 	if [ -n "$$failed" ]; then \
-	  echo "swarm: crashcheck failed at seed(s)$$failed"; exit 1; \
+	  echo "swarm: crashcheck failed at seed(s)$$failed"; \
 	fi; \
-	echo "swarm: crashcheck seeds 1..$(K) clean"
+	if [ -n "$$ffailed" ]; then \
+	  echo "swarm: faultcheck failed at seed(s)$$ffailed"; \
+	fi; \
+	if [ -n "$$failed$$ffailed" ]; then exit 1; fi; \
+	echo "swarm: crashcheck seeds 1..$(K), faultcheck 0xBEEF and 1..32 clean"
 
 # Seed reports: one file per seed in $(DIR), each holding the campaign's
 # report and, on its last line, its exit code, for crashcheck at seeds
 # 1..64 and faultcheck at 0xFA17, 0xBEEF and 1..32. A failing seed is
-# recorded, not fatal (18 of faultcheck's first 32 seeds still report
-# the relink/ENOSPC class, ROADMAP item 1), and a faultcheck seed that
-# runs past 60 s is cut and records timeout's exit code 124. Reports are
+# recorded, not fatal, and a faultcheck seed that runs past 60 s is cut
+# and records timeout's exit code 124. Reports are
 # identical at every job count, so "byte-identical to the parent" is one
 # `diff -r` of two directories, exit codes included: run the target at
 # both commits (the parent in its own checkout) with two DIRs.
@@ -203,7 +210,7 @@ seed-reports:
 	for s in $$(seq 1 64); do \
 	  run crashcheck-$$s.txt crashcheck --seed $$s; \
 	done; \
-	for s in 0xFA17 0xBEEF $$(seq 1 32); do \
+	for s in 0xFA17 $(FAULT_SEEDS); do \
 	  run faultcheck-$$s.txt faultcheck --seed $$s; \
 	done; \
 	echo "seed-reports: $$(ls $(DIR) | wc -l) reports in $(DIR)"
@@ -251,7 +258,8 @@ layout:
 # (every sync and strict crash state of the pinned seed), the
 # scaling/profile/latency tables and the paper tables diffed against
 # their golden reports, the same campaigns again under tracing and
-# telemetry (golden-traced), the crashcheck swarm over seeds 1..64, the
+# telemetry (golden-traced), the crashcheck swarm over seeds 1..64 and
+# the faultcheck swarm over 0xBEEF and seeds 1..32, the
 # serving-tier smoke, par-bench and the bench-diff gate. Campaigns run
 # with $(JOBS) worker domains. The par-bench table is also kept in
 # par-walltime.txt, with par-bench's exit status.

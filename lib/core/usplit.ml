@@ -266,18 +266,6 @@ let get_mapping t st ~off =
         Some m
       end
 
-(** Refresh the cached mappings of [st] after the kernel changed the
-    file's block layout underneath them: only their pages over [range] =
-    [(off, len)], the bytes whose blocks changed (a hole-filling or
-    copy-on-write kernel write, a relinked extent), or every page without
-    [range] (an open adopting another process's size). Mirrors how the
-    modified ioctl keeps existing mappings valid. *)
-let refresh_mappings ?range t st =
-  let inode = Kernelfs.Syscall.inode_of_fd t.sys st.f_kfd in
-  List.iter
-    (fun m -> Kernelfs.Ext4.remap_quietly ?range (kfs t) inode m)
-    st.mmaps
-
 (** Retain a mapping over a freshly relinked range without faults (§3.5).
     Every mapping of the file that the new one fully covers goes, and the
     kernel forgets it: the newest mapping serves each offset it covers
@@ -288,22 +276,24 @@ let retain_mapping t st ~off ~len =
   let rstart = off / block_size * block_size in
   let rlen = (off + len + block_size - 1) / block_size * block_size - rstart in
   let inode = Kernelfs.Syscall.inode_of_fd t.sys st.f_kfd in
-  let m = Kernelfs.Ext4.mmap_retained (kfs t) inode ~off:rstart ~len:rlen in
+  let m = Kernelfs.Ext4.mmap_retained inode ~off:rstart ~len:rlen in
   let covered (c : Kernelfs.Ext4.mapping) =
     c.m_off >= rstart && c.m_off + c.m_len <= rstart + rlen
   in
   if List.exists covered st.mmaps then begin
     let dropped, kept = List.partition covered st.mmaps in
-    Kernelfs.Ext4.forget_maps (kfs t) dropped;
+    Kernelfs.Ext4.forget_maps inode dropped;
     st.mmaps <- kept
   end;
   st.mmaps <- m :: st.mmaps;
   invalidate_mmap_index st
 
 (** Drop every mapping of [st], and the kernel forgets them: no later
-    copy-on-write or scrub fixes up a mapping nothing reads. *)
+    extent change re-points a mapping nothing reads. *)
 let drop_mappings t st =
-  Kernelfs.Ext4.forget_maps (kfs t) st.mmaps;
+  Kernelfs.Ext4.forget_maps
+    (Kernelfs.Syscall.inode_of_fd t.sys st.f_kfd)
+    st.mmaps;
   st.mmaps <- [];
   invalidate_mmap_index st
 
@@ -366,7 +356,6 @@ let write_inplace t st ~at buf ~boff ~len =
                 Kernelfs.Syscall.pwrite t.sys st.f_kfd ~buf ~boff:!src ~len:n
                   ~at:!pos
               in
-              refresh_mappings ~range:(!pos, n) t st;
               continue_at n
             end
             else begin
@@ -374,17 +363,15 @@ let write_inplace t st ~at buf ~boff ~len =
               continue_at n
             end
         | None ->
-            (* hole: kernel allocates and writes this block, then the
-               cached mappings learn about the fresh block *)
+            (* hole: the kernel allocates and writes this block, and
+               re-points the cached mappings at the fresh block *)
             let n =
               min !remaining (block_size - (!pos mod block_size))
             in
             let n = Kernelfs.Syscall.pwrite t.sys st.f_kfd ~buf ~boff:!src ~len:n ~at:!pos in
-            refresh_mappings ~range:(!pos, n) t st;
             continue_at n)
     | None ->
         let n = Kernelfs.Syscall.pwrite t.sys st.f_kfd ~buf ~boff:!src ~len:!remaining ~at:!pos in
-        refresh_mappings ~range:(!pos, n) t st;
         continue_at n
   done
 
@@ -416,7 +403,6 @@ let degraded_write t st ~at buf ~boff ~len =
     ignore (Kernelfs.Extent_tree.remove_range st.shadow ~logical:at ~len);
     st.ksize <- max st.ksize (at + len);
     st.usize <- max st.usize (at + len);
-    refresh_mappings ~range:(at, len) t st;
     fence ~site:site_degraded_write t
   end
 
@@ -488,27 +474,43 @@ let rec stage_write t st ~at buf ~boff ~len =
 (* Relink (user-space half)                                             *)
 (* ------------------------------------------------------------------ *)
 
-and relink_extent t st h (e : Kernelfs.Extent_tree.extent) ~dst_size =
+(** Move one shadow extent into [st]'s file in up to three steps: head
+    copy, block relink, tail copy. A step that lands bytes takes them out
+    of the shadow and under [st.ksize] at once, so a fault in a later step
+    neither hides them nor has a retry move them again (a second relink
+    of a block frees it as its replaced range), and a relink step whose
+    bytes end past the kernel size carries that size in its own
+    transaction. *)
+and relink_extent t st h (e : Kernelfs.Extent_tree.extent) =
   let stats = t.env.Env.stats in
+  let landed ~t_off ~len =
+    ignore (Kernelfs.Extent_tree.remove_range st.shadow ~logical:t_off ~len);
+    st.ksize <- max st.ksize (t_off + len)
+  in
   (* Boundary bytes are copied in user space: read staged bytes through the
      staging mapping, store them through the target's mapping (kernel
      pwrite only as a fallback for unmapped holes). *)
   let copy ~t_off ~s_off ~len =
-    if len > 0 then
-      Env.with_cat t.env Obs.Relink_copy @@ fun () ->
-      let buf = scratch_buf t len in
-      Staging.read t.staging_pool h ~off:s_off buf ~boff:0 ~len;
-      write_inplace t st ~at:t_off buf ~boff:0 ~len;
-      stats.Stats.relink_copied_bytes <- stats.Stats.relink_copied_bytes + len
+    if len > 0 then begin
+      Env.with_cat t.env Obs.Relink_copy (fun () ->
+          let buf = scratch_buf t len in
+          Staging.read t.staging_pool h ~off:s_off buf ~boff:0 ~len;
+          write_inplace t st ~at:t_off buf ~boff:0 ~len;
+          stats.Stats.relink_copied_bytes <-
+            stats.Stats.relink_copied_bytes + len);
+      landed ~t_off ~len
+    end
   in
   let t_off = e.Kernelfs.Extent_tree.logical in
   let s_off = e.Kernelfs.Extent_tree.physical in
   let len = e.Kernelfs.Extent_tree.len in
-  if (not t.cfg.Config.use_relink) || Staging.is_dram h then
+  if (not t.cfg.Config.use_relink) || Staging.is_dram h then begin
     (* Figure 3 ablation (staging without relink) and the §4 DRAM-staging
        design: fsync copies the staged data into the target file through
        the kernel *)
-    kernel_copy t st h ~t_off ~s_off ~len
+    kernel_copy t st h ~t_off ~s_off ~len;
+    landed ~t_off ~len
+  end
   else begin
     (* partial head block: the target's block already exists (it is the old
        end of file, or an overwritten block); copy just those bytes *)
@@ -532,6 +534,12 @@ and relink_extent t st h (e : Kernelfs.Extent_tree.extent) ~dst_size =
         Staging.zero t.staging_pool h ~off:slack_off ~len:slack
     end;
     if relink_blocks > 0 then begin
+      let moved = if tail_reaches_eof then rem else nfull * block_size in
+      let dst_size =
+        let inode = Kernelfs.Syscall.inode_of_fd t.sys st.f_kfd in
+        if t2 + moved > inode.Kernelfs.Ext4.size then Some (t2 + moved)
+        else None
+      in
       (* Transient relink EIO is retried with capped exponential backoff;
          a fault still firing after [max_relink_attempts] is sticky and
          degrades to copying the staged bytes through the kernel — the
@@ -555,10 +563,10 @@ and relink_extent t st h (e : Kernelfs.Extent_tree.extent) ~dst_size =
             attempt (n + 1)
         | exception Fsapi.Errno.Error (Fsapi.Errno.EIO, _) ->
             Faults.note_masked faults;
-            kernel_copy t st h ~t_off:t2 ~s_off:s2
-              ~len:(if tail_reaches_eof then rem else nfull * block_size)
+            kernel_copy t st h ~t_off:t2 ~s_off:s2 ~len:moved
       in
-      attempt 1
+      attempt 1;
+      landed ~t_off:t2 ~len:moved
     end;
     if (not tail_reaches_eof) && tail > 0 then
       copy
@@ -576,42 +584,20 @@ and relink_file t st =
   | None -> ()
   | Some h ->
       let extents = Kernelfs.Extent_tree.to_list st.shadow in
-      let last = List.length extents - 1 in
-      List.iteri
-        (fun i e ->
-          (* the size update rides inside the last relink transaction *)
-          let dst_size = if i = last then Some st.usize else None in
-          relink_extent t st h e ~dst_size;
-          (* this extent is now in the file: drop its shadow entry and
-             retain a mapping over it immediately, so a fault while a
-             LATER extent relinks never hides data that already moved —
-             the shadow must only ever cover bytes still in staging *)
-          ignore
-            (Kernelfs.Extent_tree.remove_range st.shadow
-               ~logical:e.Kernelfs.Extent_tree.logical
-               ~len:e.Kernelfs.Extent_tree.len);
-          retain_mapping t st ~off:e.Kernelfs.Extent_tree.logical
-            ~len:e.Kernelfs.Extent_tree.len)
+      List.iter
+        (fun (e : Kernelfs.Extent_tree.extent) ->
+          relink_extent t st h e;
+          (* this extent is now in the file: retain a mapping over it *)
+          retain_mapping t st ~off:e.logical ~len:e.len)
         extents;
-      (* if the last extent had no full blocks (boundary copies only), the
-         size still needs one metadata update *)
+      (* boundary copies carry no size: if the last extent was copied
+         only, the size still needs one metadata update *)
       let inode = Kernelfs.Syscall.inode_of_fd t.sys st.f_kfd in
-      if inode.Kernelfs.Ext4.size <> st.usize then begin
-        try Kernelfs.Syscall.set_size t.sys st.f_kfd st.usize
-        with Fsapi.Errno.Error (Fsapi.Errno.EIO, _) as exn ->
-          (* the in-DRAM inode size advanced before the journal commit
-             failed; adopt whatever the kernel now reports so reads keep
-             seeing every relinked byte, and surface the EIO honestly *)
-          st.ksize <- inode.Kernelfs.Ext4.size;
-          raise exn
-      end;
+      if inode.Kernelfs.Ext4.size <> st.usize then
+        Kernelfs.Syscall.set_size t.sys st.f_kfd st.usize;
       st.ksize <- st.usize;
       st.staging <- None;
       Staging.release t.staging_pool h;
-      List.iter
-        (fun (e : Kernelfs.Extent_tree.extent) ->
-          refresh_mappings ~range:(e.logical, e.len) t st)
-        extents;
       if logs_ops t && extents <> [] then begin
         (* the boundary copies must be durable before the Relinked entry:
            the entry cancels replay of this file's logged data ops, so if
@@ -681,8 +667,7 @@ let do_pwrite t od ~buf ~boff ~len ~at =
        let n = Kernelfs.Syscall.pwrite t.sys st.f_kfd ~buf ~boff ~len ~at in
        assert (n = len);
        st.ksize <- max st.ksize (at + len);
-       st.usize <- st.ksize;
-       refresh_mappings ~range:(at, len) t st
+       st.usize <- st.ksize
      end
      else if not t.cfg.Config.use_staging then begin
        (* Figure 3 ablation: split architecture without staging files —
@@ -698,8 +683,7 @@ let do_pwrite t od ~buf ~boff ~len ~at =
          in
          assert (n = len - overwrite_len);
          st.ksize <- max st.ksize (at + len);
-         st.usize <- max st.usize st.ksize;
-         refresh_mappings ~range:(at + overwrite_len, len - overwrite_len) t st
+         st.usize <- max st.usize st.ksize
        end;
        fence ~site:site_no_staging_write t
      end
@@ -837,8 +821,14 @@ let make_state t path kfd =
   Hashtbl.replace t.files_by_path path st;
   st
 
+(** Drop every staged byte at or past [size]. *)
+let trim_shadow st size =
+  ignore
+    (Kernelfs.Extent_tree.remove_range st.shadow ~logical:size
+       ~len:(max_int - size))
+
 let reset_after_truncate t st size =
-  ignore (Kernelfs.Extent_tree.remove_range st.shadow ~logical:size ~len:max_int);
+  trim_shadow st size;
   drop_mappings t st
 
 let open_ t path (flags : Fsapi.Flags.t) =
@@ -860,8 +850,7 @@ let open_ t path (flags : Fsapi.Flags.t) =
           let kstat = Kernelfs.Syscall.fstat t.sys kfd in
           if kstat.Fsapi.Fs.st_size <> st.ksize then begin
             st.ksize <- kstat.Fsapi.Fs.st_size;
-            st.usize <- kstat.Fsapi.Fs.st_size;
-            refresh_mappings t st
+            st.usize <- kstat.Fsapi.Fs.st_size
           end
         end;
         (st, kfd, false)
@@ -951,9 +940,7 @@ let ftruncate t fd size =
     st.usize <- size
   end
   else begin
-    if size <= st.usize then
-      ignore
-        (Kernelfs.Extent_tree.remove_range st.shadow ~logical:size ~len:max_int);
+    if size <= st.usize then trim_shadow st size;
     st.usize <- size;
     (* the new size is a metadata change and must be durable in the kernel
        (truncate is a metadata operation, routed to K-Split); the staged
@@ -1067,8 +1054,8 @@ let snapshot_file t src_path snap_path =
   @@ fun () ->
   Kernelfs.Syscall.ioctl_clone_extents t.sys ~src_fd:src_kfd ~dst_fd:dst_kfd;
   (* a cached state for the snapshot path (re-snapshot over an earlier
-     one) is stale in every dimension: drop its staged data and mappings,
-     re-learn the size from the kernel *)
+     one) holds staged data and a size from before the clone: drop its
+     staged data and mappings, re-learn the size from the kernel *)
   (match Hashtbl.find_opt t.files_by_path snap_path with
   | Some dst when not dst.unlinked ->
       drop_staged t dst;
@@ -1235,29 +1222,6 @@ let clone t ~sys ~env ~mapping =
     like staging replenishment). Returns the number of blocks migrated. *)
 let scrub t ~wear_limit =
   Env.in_background t.env (fun () -> Kernelfs.Ext4.scrub (kfs t) ~wear_limit)
-
-(** The cached mappings whose pages differ from a fresh derivation from
-    their file's extent tree, as (file path, mapping offset) (test
-    hook). *)
-let stale_mappings t =
-  Hashtbl.fold
-    (fun _ st acc ->
-      let inode = Kernelfs.Syscall.inode_of_fd t.sys st.f_kfd in
-      List.fold_left
-        (fun acc (m : Kernelfs.Ext4.mapping) ->
-          let first = m.m_off / block_size in
-          let fresh i =
-            match
-              Kernelfs.Extent_tree.find inode.Kernelfs.Ext4.extents (first + i)
-            with
-            | Some (phys, _) -> phys
-            | None -> -1
-          in
-          let stale = ref false in
-          Array.iteri (fun i p -> if p <> fresh i then stale := true) m.pages;
-          if !stale then (st.f_path, m.m_off) :: acc else acc)
-        acc st.mmaps)
-    t.files_by_ino []
 
 (** Approximate DRAM footprint of U-Split metadata, for the §5.10
     resource-consumption experiment. *)

@@ -64,12 +64,6 @@ val relink_all : t -> unit
     snapshots every regular file beneath it (the per-tenant case). *)
 val snapshot : t -> string -> string -> unit
 
-(** The cached mappings whose pages differ from a fresh derivation from
-    their file's extent tree, as (file path, mapping offset): empty
-    whenever every kernel change of a file's blocks refreshed the
-    mappings over it (test hook). *)
-val stale_mappings : t -> (string * int) list
-
 (** Approximate DRAM footprint of the instance's bookkeeping (fd table,
     attribute cache, collection of mmaps, shadow maps) — the §5.10
     resource-consumption measurement. *)

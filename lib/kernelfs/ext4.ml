@@ -9,7 +9,13 @@
 
     The [relink] ioctl implements the kernel half of the paper's relink
     primitive: it moves logical->physical mappings from one file to
-    another inside one journal transaction, without touching data. *)
+    another inside one journal transaction, without touching data.
+
+    The kernel owns mapping coherence: each inode holds the mappings
+    handed out over it, and every change to an inode's extents re-points
+    that inode's mappings over the blocks it changed ({!remap}), so no
+    user-space mapping of any client ever points at a block its file
+    let go. *)
 
 open Pmem
 
@@ -21,6 +27,13 @@ let site_fsync_fast = Device.register_fence_site "ext4:fsync-fast"
 let site_cow_unshare = Device.register_fence_site "ext4:cow-unshare"
 let blocks_per_huge = 512 (* 2 MB *)
 
+type mapping = {
+  m_off : int;  (** file offset of the first mapped byte (block aligned) *)
+  m_len : int;
+  pages : int array;  (** per 4K page: physical block, or -1 for a hole *)
+  m_huge : bool;
+}
+
 type inode = {
   ino : int;
   mutable kind : Fsapi.Fs.file_kind;
@@ -29,14 +42,10 @@ type inode = {
   mutable refcount : int;  (** open file descriptors *)
   extents : Extent_tree.t;
   dir : (string, int) Hashtbl.t option;  (** [Some _] for directories *)
-}
-
-type mapping = {
-  m_ino : int;
-  m_off : int;  (** file offset of the first mapped byte (block aligned) *)
-  m_len : int;
-  pages : int array;  (** per 4K page: physical block, or -1 for a hole *)
-  m_huge : bool;
+  mutable maps : mapping list;
+      (** the live mappings of this inode, every client's: each extent
+          change re-points them over the blocks it changed ({!remap}),
+          and they die with the inode *)
 }
 
 type t = {
@@ -63,11 +72,6 @@ type t = {
           committed, one cell per journal stream; jbd2 batches these into
           one transaction per stream that commits on fsync or, off the
           critical path, when it grows large *)
-  mutable live_maps : mapping list;
-      (** every mapping handed out by [mmap]/[mmap_retained]: the scrubber
-          re-derives their page arrays after migrating blocks, the way the
-          kernel would fix up page tables, so cached user-space mappings
-          never point at retired blocks *)
   shared : (int, int) Hashtbl.t;
       (** physical blocks referenced by more than one inode after a
           [clone_extents] snapshot: block -> number of co-owners beyond
@@ -117,6 +121,7 @@ let mkfs ?(journal_len = 8 * 1024 * 1024) ?(alloc_shards = 1)
       refcount = 0;
       extents = Extent_tree.create ();
       dir = Some (Hashtbl.create 64);
+      maps = [];
     }
   in
   let t =
@@ -132,7 +137,6 @@ let mkfs ?(journal_len = 8 * 1024 * 1024) ?(alloc_shards = 1)
       root;
       ilocks = Array.make initial_stripes unused_stripe;
       running_meta = Array.make (Journal.nstreams journal) 0;
-      live_maps = [];
       shared = Hashtbl.create 64;
     }
   in
@@ -166,22 +170,23 @@ let ilock t inode =
 let with_ilock t inode f = Env.with_lock t.env (ilock t inode) f
 
 (** A copy of [t] on [env] (a clone of [t]'s environment): every inode,
-    directory, extent map, lock, live mapping and share count copied.
+    directory, extent map, live mapping, lock and share count copied.
     Returns the copy and the function that maps one of [t]'s mappings to
     its copy, the same object for every holder. *)
 let clone t ~env =
+  let maps =
+    Fsapi.Share.create (fun m -> { m with pages = Array.copy m.pages })
+  in
   (* the inode and directory tables are looked up, and iterated only
-     into sorted lists ([readdir], [scrub]) *)
+     into sorted lists ([readdir], [scrub], [stale_mappings]) *)
   let inodes =
     Fsapi.Share.rebuild t.inodes (fun i ->
         {
           i with
           extents = Extent_tree.copy i.extents;
           dir = Option.map (fun d -> Fsapi.Share.rebuild d Fun.id) i.dir;
+          maps = List.map (Fsapi.Share.get maps) i.maps;
         })
-  in
-  let maps =
-    Fsapi.Share.create (fun m -> { m with pages = Array.copy m.pages })
   in
   ( {
       env;
@@ -196,7 +201,6 @@ let clone t ~env =
           (fun l -> if l == unused_stripe then l else Pmem.Lock.copy l)
           t.ilocks;
       running_meta = Array.copy t.running_meta;
-      live_maps = List.map (Fsapi.Share.get maps) t.live_maps;
       shared = Fsapi.Share.rebuild t.shared Fun.id;
     },
     Fsapi.Share.get maps )
@@ -206,6 +210,55 @@ let env t = t.env
 let allocator t = t.alloc
 let journal t = t.journal
 let root_inode t = t.root
+
+(* ------------------------------------------------------------------ *)
+(* Mapping coherence                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** Set pages [lo, hi) of a mapping whose page 0 is logical block
+    [first] from [inode]'s extent tree: each page's physical block, or -1
+    over a hole. *)
+let derive inode pages ~first ~lo ~hi =
+  let i = ref lo in
+  while !i < hi do
+    match Extent_tree.find inode.extents (first + !i) with
+    | Some (phys, run) ->
+        let n = min run (hi - !i) in
+        for k = 0 to n - 1 do
+          pages.(!i + k) <- phys + k
+        done;
+        i := !i + n
+    | None ->
+        let stop =
+          match Extent_tree.next_mapped inode.extents (first + !i) with
+          | Some b -> min hi (b - first)
+          | None -> hi
+        in
+        Array.fill pages !i (stop - !i) (-1);
+        i := stop
+  done
+
+(** Re-point every mapping of [inode] over logical blocks [blk, blk +
+    nblks) at the blocks its extent tree now holds there, the way the
+    kernel shoots down and refaults the PTEs of pages whose blocks
+    moved. Every change to an inode's extents calls it over the blocks
+    it changed. Charges nothing: the paper's modified ioctl keeps
+    existing mappings valid without faults (§3.5). *)
+let remap inode ~blk ~nblks =
+  let stop = if nblks > max_int - blk then max_int else blk + nblks in
+  List.iter
+    (fun m ->
+      let first = m.m_off / block_size in
+      let lo = max 0 (blk - first)
+      and hi = min (Array.length m.pages) (stop - first) in
+      if lo < hi then derive inode m.pages ~first ~lo ~hi)
+    inode.maps
+
+(** A new mapping's page array over [len] bytes of [inode] at [off]. *)
+let pages_of inode ~off ~len =
+  let pages = Array.make ((len + block_size - 1) / block_size) (-1) in
+  derive inode pages ~first:(off / block_size) ~lo:0 ~hi:(Array.length pages);
+  pages
 
 (* ------------------------------------------------------------------ *)
 (* Path resolution                                                      *)
@@ -281,15 +334,12 @@ let free_inode_blocks t inode =
     inode.extents;
   ignore (Extent_tree.remove_range inode.extents ~logical:0 ~len:max_int)
 
-(** Free an unlinked, closed regular file. Its mappings leave
-    [live_maps] with it: inode numbers are never reused, so no later
-    copy-on-write or scrub could match them again. *)
+(** Free an unlinked, closed regular file; its mappings go with it. *)
 let maybe_reap t inode =
   if inode.nlink = 0 && inode.refcount = 0 && inode.kind = Fsapi.Fs.Regular
   then begin
     free_inode_blocks t inode;
-    Hashtbl.remove t.inodes inode.ino;
-    t.live_maps <- List.filter (fun m -> m.m_ino <> inode.ino) t.live_maps
+    Hashtbl.remove t.inodes inode.ino
   end
 
 let incref inode = inode.refcount <- inode.refcount + 1
@@ -315,6 +365,7 @@ let make_inode t kind =
         (match kind with
         | Fsapi.Fs.Directory -> Some (Hashtbl.create 16)
         | Fsapi.Fs.Regular -> None);
+      maps = [];
     }
   in
   t.next_ino <- t.next_ino + 1;
@@ -466,16 +517,7 @@ let unshare_block t inode ~lblk ~phys =
     | Some n when n > 1 -> Hashtbl.replace t.shared phys (n - 1)
     | Some _ -> Hashtbl.remove t.shared phys
     | None -> ());
-    (* fix up live user-space mappings of the moved page, the way the
-       kernel would shoot down and refault the PTE *)
-    List.iter
-      (fun m ->
-        if m.m_ino = inode.ino then begin
-          let idx = lblk - (m.m_off / block_size) in
-          if idx >= 0 && idx < Array.length m.pages && m.pages.(idx) = phys
-          then m.pages.(idx) <- fresh
-        end)
-      t.live_maps;
+    remap inode ~blk:lblk ~nblks:1;
     fresh
   end
 
@@ -495,6 +537,7 @@ let get_or_alloc_block t inode lblk =
       let start, _n = Alloc.alloc_extent t.alloc ~goal ~len:1 in
       cpu t (timing t).Timing.ext4_extent_cpu;
       Extent_tree.insert inode.extents ~logical:lblk ~physical:start ~len:1;
+      remap inode ~blk:lblk ~nblks:1;
       (start, true)
 
 (** Pre-allocate [len] bytes starting at byte [off] (fallocate). Tries to
@@ -536,6 +579,7 @@ let fallocate t inode ~off ~len =
         in
         cpu t (timing t).Timing.ext4_extent_cpu;
         Extent_tree.insert inode.extents ~logical:!lblk ~physical:start ~len:n;
+        remap inode ~blk:!lblk ~nblks:n;
         allocated := !allocated + n;
         lblk := !lblk + n;
         remaining := !remaining - n
@@ -648,7 +692,8 @@ let truncate t inode size =
       List.iter
         (fun e ->
           free_blocks t ~start:e.Extent_tree.physical ~len:e.Extent_tree.len)
-        removed
+        removed;
+      remap inode ~blk:new_blocks ~nblks:(old_blocks - new_blocks)
     end;
     (* zero the now-unused tail of the last kept block so a later size
        extension reads zeros, not the truncated bytes *)
@@ -709,14 +754,17 @@ let fsync t inode =
     block range of [src] (a staging file) into [dst], de-allocating any
     blocks it replaces, and update [dst]'s size — all inside a single journal
     transaction, with no data movement or flushing (the paper's modified
-    [EXT4_IOC_MOVE_EXT]). Existing memory-mappings of the physical blocks
-    remain valid; U-Split re-points its collection of mmaps. *)
+    [EXT4_IOC_MOVE_EXT]). All or nothing: the transaction is admitted
+    before either extent tree changes, so a failed commit leaves both
+    files, [dst]'s size and the allocator as they were. Every mapping of
+    either file is re-pointed over the moved range and stays valid. *)
 let relink t ~src ~src_blk ~dst ~dst_blk ~nblks ~dst_size =
   if nblks <= 0 then Fsapi.Errno.(error EINVAL "relink");
   if Faults.check t.env.Env.faults Faults.Swap then
     Fsapi.Errno.(error EIO "k-split: relink (swap_extents) injected EIO");
   with_ilock t src @@ fun () ->
   with_ilock t dst @@ fun () ->
+  Journal.admit t.journal;
   let replaced = Extent_tree.remove_range dst.extents ~logical:dst_blk ~len:nblks in
   List.iter
     (fun e ->
@@ -729,13 +777,15 @@ let relink t ~src ~src_blk ~dst ~dst_blk ~nblks ~dst_size =
         ~logical:(e.Extent_tree.logical - src_blk + dst_blk)
         ~physical:e.Extent_tree.physical ~len:e.Extent_tree.len)
     moved;
+  remap dst ~blk:dst_blk ~nblks;
+  remap src ~blk:src_blk ~nblks;
   (match dst_size with
   | Some size -> dst.size <- size
   | None -> ());
   let touched = List.length replaced + List.length moved in
   cpu t ((timing t).Timing.ext4_extent_cpu *. float_of_int (2 + touched));
   (* both inodes' extent updates fit two journal blocks, one transaction *)
-  Journal.commit t.journal ~meta_blocks:2;
+  Journal.record t.journal ~meta_blocks:2;
   let stats = t.env.Env.stats in
   stats.Stats.relinks <- stats.Stats.relinks + 1
 
@@ -748,6 +798,7 @@ let dealloc_range t inode ~blk ~nblks =
     (fun e ->
       free_blocks t ~start:e.Extent_tree.physical ~len:e.Extent_tree.len)
     removed;
+  remap inode ~blk ~nblks;
   cpu t ((timing t).Timing.ext4_extent_cpu *. float_of_int (1 + List.length removed));
   Journal.commit t.journal ~meta_blocks:2
 
@@ -785,6 +836,7 @@ let clone_extents t ~src ~dst =
       done;
       incr cloned)
     src.extents;
+  remap dst ~blk:0 ~nblks:max_int;
   dst.size <- src.size;
   cpu t
     ((timing t).Timing.ext4_extent_cpu *. float_of_int (2 + !cloned));
@@ -805,9 +857,6 @@ let device_addr t inode ~off =
   | Some (phys, _) -> Some (block_addr t phys + (off mod block_size))
   | None -> None
 
-(* the scrubber patrol lives at the end of the file: after migrating an
-   inode's blocks it must re-derive live mappings via [remap_quietly] *)
-
 (* ------------------------------------------------------------------ *)
 (* DAX mmap                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -817,20 +866,8 @@ let device_addr t inode ~off =
     extent allows it. Returns the mapping used for direct loads/stores. *)
 let mmap t inode ~off ~len =
   if off mod block_size <> 0 || len <= 0 then Fsapi.Errno.(error EINVAL "mmap");
-  let npages = (len + block_size - 1) / block_size in
-  let pages = Array.make npages (-1) in
-  let first = off / block_size in
-  let covered = ref 0 in
-  while !covered < npages do
-    match Extent_tree.find inode.extents (first + !covered) with
-    | Some (phys, run) ->
-        let n = min run (npages - !covered) in
-        for i = 0 to n - 1 do
-          pages.(!covered + i) <- phys + i
-        done;
-        covered := !covered + n
-    | None -> incr covered
-  done;
+  let pages = pages_of inode ~off ~len in
+  let npages = Array.length pages and first = off / block_size in
   (* Huge mapping iff the whole range is one physically-contiguous,
      2 MB-aligned run of 2 MB multiples. *)
   let huge =
@@ -861,8 +898,8 @@ let mmap t inode ~off ~len =
     cpu t (float_of_int faults *. tm.Timing.page_fault)
   end;
   stats.Stats.mmap_setups <- stats.Stats.mmap_setups + 1;
-  let m = { m_ino = inode.ino; m_off = off; m_len = len; pages; m_huge = huge } in
-  t.live_maps <- m :: t.live_maps;
+  let m = { m_off = off; m_len = len; pages; m_huge = huge } in
+  inode.maps <- m :: inode.maps;
   m
 
 (** [translate m ~file_off] gives the device address backing [file_off] and
@@ -901,54 +938,43 @@ let translate t m ~max ~file_off =
 (** Build a mapping over an already-faulted range without charging traps or
     faults — used by U-Split to retain mappings across relink (the modified
     ioctl keeps existing mappings valid, §3.5). *)
-let mmap_retained (t : t) inode ~off ~len =
+let mmap_retained inode ~off ~len =
   if off mod block_size <> 0 || len <= 0 then
     Fsapi.Errno.(error EINVAL "mmap_retained");
-  let npages = (len + block_size - 1) / block_size in
-  let pages = Array.make npages (-1) in
-  let first = off / block_size in
-  for i = 0 to npages - 1 do
-    pages.(i) <-
-      (match Extent_tree.find inode.extents (first + i) with
-      | Some (phys, _) -> phys
-      | None -> -1)
-  done;
-  let m = { m_ino = inode.ino; m_off = off; m_len = len; pages; m_huge = false } in
-  t.live_maps <- m :: t.live_maps;
+  let m =
+    { m_off = off; m_len = len; pages = pages_of inode ~off ~len; m_huge = false }
+  in
+  inode.maps <- m :: inode.maps;
   m
 
-(** Forget the mappings [ms], which their owner dropped: no later
-    copy-on-write or scrub fixes up their page arrays. *)
-let forget_maps t ms =
+(** Forget the mappings [ms] of [inode], which their owner dropped: no
+    later extent change re-points them. *)
+let forget_maps inode ms =
   if ms <> [] then
-    t.live_maps <- List.filter (fun m -> not (List.memq m ms)) t.live_maps
+    inode.maps <- List.filter (fun m -> not (List.memq m ms)) inode.maps
 
-(** Mappings the kernel still tracks (test hook). *)
-let live_map_count t = List.length t.live_maps
+(** Mappings the kernel still tracks, over every inode (test hook). *)
+let live_map_count t =
+  Seq.fold_left
+    (fun n i -> n + List.length i.maps)
+    0
+    (Hashtbl.to_seq_values t.inodes)
 
-(** Re-derive the page array of an existing mapping after [relink]
-    re-pointed the file's extents, or only its pages over the byte range
-    [range] = [(off, len)] when the blocks changed there alone; charges
-    nothing (the paper's modified ioctl keeps mappings valid without
-    faults). *)
-let remap_quietly ?range t inode m =
-  let first = m.m_off / block_size in
-  let lo, hi =
-    match range with
-    | None -> (0, Array.length m.pages - 1)
-    | Some (off, len) ->
-        ( max 0 ((off / block_size) - first),
-          min
-            (Array.length m.pages - 1)
-            (((off + len - 1) / block_size) - first) )
-  in
-  for i = lo to hi do
-    m.pages.(i) <-
-      (match Extent_tree.find inode.extents (first + i) with
-      | Some (phys, _) -> phys
-      | None -> -1)
-  done;
-  ignore t
+(** The live mappings, of every inode and every client (staging files
+    and op logs included), whose pages differ from a fresh derivation
+    from their inode's extent tree, as (ino, mapping offset) in ino
+    order: empty while every extent change re-points the mappings over
+    the blocks it changed (test hook). *)
+let stale_mappings t =
+  Hashtbl.to_seq_values t.inodes
+  |> List.of_seq
+  |> List.sort (fun a b -> compare a.ino b.ino)
+  |> List.concat_map (fun i ->
+         List.filter_map
+           (fun m ->
+             if pages_of i ~off:m.m_off ~len:m.m_len = m.pages then None
+             else Some (i.ino, m.m_off))
+           i.maps)
 
 (* ------------------------------------------------------------------ *)
 (* Scrubber patrol (PR 5)                                               *)
@@ -959,7 +985,7 @@ let remap_quietly ?range t inode m =
     then retire the bad blocks so the allocator never hands them out
     again. Unreadable (poisoned) lines are zeroed at the destination and
     marked quarantined by the device — data loss is surfaced, never
-    silent. Live mappings of a migrated inode are re-derived, the way the
+    silent. Each migrated block's mappings are re-pointed, the way the
     kernel would fix up page tables. When the device has no spare blocks
     the bad data stays in place (reads keep faulting and their caller
     quarantines). Returns the number of blocks migrated. *)
@@ -982,7 +1008,6 @@ let scrub t ~wear_limit =
             then bad := (e.Extent_tree.logical + i, phys) :: !bad
           done)
         inode.extents;
-      let before = !migrated in
       List.iter
         (fun (lblk, phys) ->
           cpu_cat t Obs.Alloc (timing t).Timing.ext4_alloc_cpu;
@@ -996,6 +1021,7 @@ let scrub t ~wear_limit =
                 (Extent_tree.remove_range inode.extents ~logical:lblk ~len:1);
               Extent_tree.insert inode.extents ~logical:lblk ~physical:fresh
                 ~len:1;
+              remap inode ~blk:lblk ~nblks:1;
               cpu t (timing t).Timing.ext4_extent_cpu;
               (* a snapshot-shared bad block is only retired by its last
                  owner; earlier owners just drop their share and move on *)
@@ -1005,11 +1031,7 @@ let scrub t ~wear_limit =
               | None -> Alloc.retire t.alloc ~start:phys ~len:1);
               Faults.note_scrub_migration faults;
               incr migrated)
-        (List.rev !bad);
-      if !migrated > before then
-        List.iter
-          (fun m -> if m.m_ino = inode.ino then remap_quietly t inode m)
-          t.live_maps
+        (List.rev !bad)
     end
   in
   (* visit inodes in ino order: the patrol's charges must not depend on

@@ -102,34 +102,39 @@ let write_journal_block t s =
   stats.Pmem.Stats.journal_bytes <-
     stats.Pmem.Stats.journal_bytes + t.block_size
 
-(* Injected journal-EIO faults are retried here, inside the commit path,
-   so every caller (fsync, metadata ops, background commits) inherits the
-   same degradation: transient write failures back off with a capped
-   exponential simulated-ns delay and retry; a fault still firing after
-   this many attempts is sticky and surfaces as EIO. *)
+(* Injected journal-EIO faults are retried before a transaction is
+   written, so every caller (fsync, metadata ops, background commits)
+   inherits the same degradation: transient write failures back off with
+   a capped exponential simulated-ns delay and retry; a fault still firing
+   after this many attempts is sticky and surfaces as EIO. *)
 let max_commit_attempts = 6
 
-(** [commit t ~meta_blocks] charges one transaction that dirtied
+(** [admit t] runs a transaction's fault-and-retry loop and raises EIO
+    when the journal fault is sticky. A caller that must not mutate
+    anything a failed commit would leave behind ({!Ext4.relink}) admits
+    first, mutates, then {!record}s. *)
+let admit t =
+  let faults = t.env.Pmem.Env.faults in
+  let attempt = ref 1 in
+  while Faults.check faults Faults.Journal do
+    if !attempt >= max_commit_attempts then begin
+      Faults.note_errno faults;
+      Fsapi.Errno.(error EIO "jbd2: journal commit failed (sticky)")
+    end;
+    Pmem.Env.cpu_cat t.env Obs.Journal (Faults.backoff_ns ~attempt:!attempt);
+    Faults.new_epoch faults;
+    Faults.note_journal_retry faults;
+    incr attempt
+  done;
+  if !attempt > 1 then Faults.note_retried faults
+
+(** [record t ~meta_blocks] writes an admitted transaction that dirtied
     [meta_blocks] metadata blocks, on the current actor's stream. *)
-let commit t ~meta_blocks =
+let record t ~meta_blocks =
   if meta_blocks > 0 then
     Pmem.Env.with_span t.env ~cat:Obs.Journal ~name:"jbd2:commit" @@ fun () ->
     let s = stream_for t in
     Pmem.Env.with_lock t.env s.st_lock (fun () ->
-        let faults = t.env.Pmem.Env.faults in
-        let attempt = ref 1 in
-        while Faults.check faults Faults.Journal do
-          if !attempt >= max_commit_attempts then begin
-            Faults.note_errno faults;
-            Fsapi.Errno.(error EIO "jbd2: journal commit failed (sticky)")
-          end;
-          Pmem.Env.cpu_cat t.env Obs.Journal
-            (Faults.backoff_ns ~attempt:!attempt);
-          Faults.new_epoch faults;
-          Faults.note_journal_retry faults;
-          incr attempt
-        done;
-        if !attempt > 1 then Faults.note_retried faults;
         let dev = t.env.Pmem.Env.dev in
         (* descriptor block + journalled copies of the metadata blocks,
            then the commit record. One fence commits the whole
@@ -147,5 +152,11 @@ let commit t ~meta_blocks =
         t.commits <- t.commits + 1;
         let stats = t.env.Pmem.Env.stats in
         stats.Pmem.Stats.journal_commits <- stats.Pmem.Stats.journal_commits + 1)
+
+(** [commit t ~meta_blocks] admits and records one transaction that
+    dirtied [meta_blocks] metadata blocks; none is a no-op. *)
+let commit t ~meta_blocks =
+  if meta_blocks > 0 then admit t;
+  record t ~meta_blocks
 
 let commits t = t.commits

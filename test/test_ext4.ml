@@ -176,6 +176,35 @@ let test_relink_replaces_blocks () =
   fs.close sfd;
   fs.close tfd
 
+(* Relink is all or nothing: a commit that fails leaves both extent
+   trees, the destination's size and the allocator as they were, so a
+   retry never frees the blocks a first attempt delivered. *)
+let test_relink_failed_commit_changes_nothing () =
+  let env, kfs, sys = Util.make_kernel () in
+  let fs = Kernelfs.Syscall.as_fsapi sys in
+  Fsapi.Fs.write_file fs "/t" (String.make 8192 'o');
+  Fsapi.Fs.write_file fs "/s" (Util.pattern ~seed:9 16384);
+  let sfd = fs.open_ "/s" Fsapi.Flags.rdwr and tfd = fs.open_ "/t" Fsapi.Flags.rdwr in
+  let inode fd = Kernelfs.Syscall.inode_of_fd sys fd in
+  let extents fd =
+    Kernelfs.Extent_tree.to_list (inode fd).Kernelfs.Ext4.extents
+  in
+  let free () = Kernelfs.Alloc.free_blocks (Kernelfs.Ext4.allocator kfs) in
+  let s0 = extents sfd and t0 = extents tfd and free0 = free () in
+  Faults.inject env.Pmem.Env.faults
+    (Faults.rfault Faults.Journal ~from:0 Faults.Sticky);
+  (match
+     Kernelfs.Syscall.relink sys ~src_fd:sfd ~src_blk:0 ~dst_fd:tfd ~dst_blk:1
+       ~nblks:3 ~dst_size:(Some 16384)
+   with
+  | () -> Alcotest.fail "a sticky journal fault must surface"
+  | exception Fsapi.Errno.Error (Fsapi.Errno.EIO, _) -> ());
+  Util.check_bool "staging extents unchanged" true (extents sfd = s0);
+  Util.check_bool "target extents unchanged" true (extents tfd = t0);
+  Util.check_int "target size unchanged" 8192 (inode tfd).Kernelfs.Ext4.size;
+  Util.check_int "free blocks unchanged" free0 (free ());
+  Util.check_int "no relink counted" 0 env.Pmem.Env.stats.Pmem.Stats.relinks
+
 (* --- fallocate and mmap --- *)
 
 let test_fallocate_and_mmap () =
@@ -317,6 +346,8 @@ let suite =
     tc "dup shares offset" `Quick test_dup_shares_offset;
     tc "relink moves data without copy" `Quick test_relink_moves_data;
     tc "relink frees replaced blocks" `Quick test_relink_replaces_blocks;
+    tc "failed relink commit changes nothing" `Quick
+      test_relink_failed_commit_changes_nothing;
     tc "fallocate gives huge-page mmap" `Quick test_fallocate_and_mmap;
     tc "small mmap uses 4K faults" `Quick test_mmap_small_file_not_huge;
     QCheck_alcotest.to_alcotest prop_matches_reference;

@@ -420,6 +420,24 @@ let test_campaign_clean () =
   Util.check_bool "scrub migrations exercised" true (c.Faults.scrub_migrations > 0);
   Util.check_bool "media faults exercised" true (c.Faults.media > 0)
 
+(* The seeds that found the relink/ENOSPC class report no violation:
+   0xBEEF (only the last extent carried the size), 26 (on fams, a
+   boundary-copy-only extent carried none) and 3 and 10 (a relinked
+   block whose tail copy then failed was relinked again, which freed
+   it). *)
+let test_relink_enospc_seeds_clean () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (r : Faultcheck.stack_report) ->
+          Util.check_int
+            (Printf.sprintf "seed %#x, %s: no oracle violations" seed
+               r.Faultcheck.s_stack)
+            0
+            (List.length r.Faultcheck.s_violations))
+        (Faultcheck.run ~seed ()))
+    [ 0xBEEF; 26; 3; 10 ]
+
 (* The judge's semantics on a hand-built one-file program: a failed
    write over [100, 500) of a 1000-byte file, then an acknowledged write
    over [200, 300), inside it. The legal contents are the world with only
@@ -512,6 +530,8 @@ let suite =
     tc "zero faults: armed plane bit-identical" `Quick
       test_zero_faults_bit_identical;
     tc "faultcheck campaign clean at pinned seed" `Quick test_campaign_clean;
+    tc "faultcheck clean at the relink/ENOSPC seeds" `Quick
+      test_relink_enospc_seeds_clean;
     tc "faultcheck judge: worlds, not failed ranges" `Quick
       test_judge_semantics;
     tc "oracle catches injected degradation bug" `Quick

@@ -170,6 +170,27 @@ let test_ftruncate_drops_staged =
       fs.close fd;
       fs.unlink "/tr")
 
+(* An ftruncate that cuts into staged bytes without going below the
+   kernel size keeps only the staged bytes under the new size: the rest
+   never reaches the file, so growing it again reads zeros, through a
+   reopen too. *)
+let test_ftruncate_cuts_staged_bytes =
+  for_each_mode (fun mode _u fs ->
+      let name = Splitfs.Config.mode_to_string mode in
+      let fd = fs.open_ "/cut" Fsapi.Flags.create_rw in
+      Fsapi.Fs.write_string fs fd (String.make 100 'x');
+      fs.fsync fd;
+      Fsapi.Fs.write_string fs fd (String.make 8000 'y');
+      fs.ftruncate fd 200;
+      fs.fsync fd;
+      fs.ftruncate fd 9000;
+      fs.close fd;
+      let fd = fs.open_ "/cut" Fsapi.Flags.rdonly in
+      Util.check_str (name ^ ": zeros past the cut")
+        (String.make 100 'x' ^ String.make 100 'y' ^ String.make 8800 '\000')
+        (Fsapi.Fs.pread_exact fs fd ~len:9000 ~at:0);
+      fs.close fd)
+
 let test_ftruncate_grow_sparse =
   for_each_mode (fun mode _u fs ->
       let name = Splitfs.Config.mode_to_string mode in
@@ -320,6 +341,35 @@ let test_truncated_mappings_dropped () =
         (Splitfs.Config.mode_to_string mode ^ ": live mappings")
         (live_after 4) (live_after 32))
     modes
+
+(* Two clients on one kernel see one block map: when client A's staged
+   overwrite of block 0 is relinked, the kernel re-points client B's
+   cached mapping of the block it replaced, so B's next pread returns
+   A's bytes without reopening the file. *)
+let test_two_clients_one_block_map () =
+  List.iter
+    (fun mode ->
+      let name = Splitfs.Config.mode_to_string mode in
+      let env, _kfs, sys, _a, fs_a = Util.make_splitfs ~mode () in
+      let b =
+        Splitfs.Usplit.mount ~cfg:(Util.small_splitfs_cfg mode) ~sys ~env
+          ~instance:1 ()
+      in
+      let fs_b = Splitfs.Usplit.as_fsapi b in
+      let fd_a = fs_a.open_ "/f" Fsapi.Flags.create_rw in
+      Fsapi.Fs.write_string fs_a fd_a (String.make 8192 'a');
+      fs_a.fsync fd_a;
+      let fd_b = fs_b.open_ "/f" Fsapi.Flags.rdonly in
+      Util.check_str (name ^ ": B reads the old byte") "a"
+        (Fsapi.Fs.pread_exact fs_b fd_b ~len:1 ~at:0);
+      ignore
+        (fs_a.pwrite fd_a ~buf:(Bytes.make 4096 'b') ~boff:0 ~len:4096 ~at:0);
+      fs_a.fsync fd_a;
+      Util.check_str (name ^ ": B reads A's byte") "b"
+        (Fsapi.Fs.pread_exact fs_b fd_b ~len:1 ~at:0);
+      fs_a.close fd_a;
+      fs_b.close fd_b)
+    (modes @ [ Splitfs.Config.Fams ])
 
 let test_rename_updates_cache =
   for_each_mode (fun mode _u fs ->
@@ -482,7 +532,7 @@ let prop_mappings_exact mode =
           Splitfs.Config.mmap_size = 16 * 1024;
         }
       in
-      let _env, _kfs, _sys, u, fs = Util.make_splitfs ~mode ~cfg () in
+      let _env, kfs, _sys, u, fs = Util.make_splitfs ~mode ~cfg () in
       let paths = [| "/a"; "/b" |] in
       let fds = Array.map (fun p -> fs.open_ p Fsapi.Flags.create_rw) paths in
       let size f = (fs.fstat fds.(f)).Fsapi.Fs.st_size in
@@ -501,7 +551,7 @@ let prop_mappings_exact mode =
           | Checkpoint -> Splitfs.Usplit.relink_all u
           | Truncate (f, n) -> fs.ftruncate fds.(f) (n mod (size f + 8192))
           | Snapshot f -> Splitfs.Usplit.snapshot u paths.(f) "/snap");
-          Splitfs.Usplit.stale_mappings u = [])
+          Kernelfs.Ext4.stale_mappings kfs = [])
         ops)
 
 (* --- staging pool ------------------------------------------------------ *)
@@ -575,6 +625,8 @@ let suite =
       test_strict_overwrite_staged_then_relinked;
     tc "mixed appends and overwrites" `Quick test_mixed_append_overwrite;
     tc "ftruncate drops staged tail" `Quick test_ftruncate_drops_staged;
+    tc "ftruncate into staged bytes drops the rest" `Quick
+      test_ftruncate_cuts_staged_bytes;
     tc "ftruncate grows sparsely" `Quick test_ftruncate_grow_sparse;
     tc "staging exhaustion forces early relink" `Quick
       test_staging_exhaustion_midstream;
@@ -588,6 +640,7 @@ let suite =
       test_retained_mappings_bounded;
     tc "truncated files leave no kernel mappings" `Quick
       test_truncated_mappings_dropped;
+    tc "two clients see one block map" `Quick test_two_clients_one_block_map;
     tc "rename updates attribute cache" `Quick test_rename_updates_cache;
     tc "O_TRUNC resets state" `Quick test_open_trunc_resets;
     tc "dup shares offset" `Quick test_dup_shares_offset;
