@@ -159,12 +159,12 @@ golden-traced:
 	exit $$status
 
 # Seed swarm: crashcheck at seeds 1..K and faultcheck at 0xBEEF and
-# seeds 1..32, each with $(JOBS) worker domains. A seed's report is
+# seeds 1..96, each with $(JOBS) worker domains. A seed's report is
 # printed only if it fails; exits non-zero naming every failing seed.
 # The pinned-seed golden runs cover only what seeds 0x51ED and 0xFA17
 # reach. `make check` runs K=64. (~0.1 s per seed at one job)
 K ?= 16
-FAULT_SEEDS = 0xBEEF $(shell seq 1 32)
+FAULT_SEEDS = 0xBEEF $(shell seq 1 96)
 
 swarm:
 	dune build ./bin/splitfs_cli.exe
@@ -185,17 +185,17 @@ swarm:
 	  echo "swarm: faultcheck failed at seed(s)$$ffailed"; \
 	fi; \
 	if [ -n "$$failed$$ffailed" ]; then exit 1; fi; \
-	echo "swarm: crashcheck seeds 1..$(K), faultcheck 0xBEEF and 1..32 clean"
+	echo "swarm: crashcheck seeds 1..$(K), faultcheck 0xBEEF and 1..96 clean"
 
 # Seed reports: one file per seed in $(DIR), each holding the campaign's
 # report and, on its last line, its exit code, for crashcheck at seeds
-# 1..64 and faultcheck at 0xFA17, 0xBEEF and 1..32. A failing seed is
+# 1..64 and faultcheck at 0xFA17, 0xBEEF and 1..96. A failing seed is
 # recorded, not fatal, and a faultcheck seed that runs past 60 s is cut
 # and records timeout's exit code 124. Reports are
 # identical at every job count, so "byte-identical to the parent" is one
 # `diff -r` of two directories, exit codes included: run the target at
 # both commits (the parent in its own checkout) with two DIRs.
-# (~15 s at two jobs)
+# (~10 s at two jobs)
 DIR ?= seed-reports
 
 seed-reports:
@@ -259,7 +259,7 @@ layout:
 # scaling/profile/latency tables and the paper tables diffed against
 # their golden reports, the same campaigns again under tracing and
 # telemetry (golden-traced), the crashcheck swarm over seeds 1..64 and
-# the faultcheck swarm over 0xBEEF and seeds 1..32, the
+# the faultcheck swarm over 0xBEEF and seeds 1..96, the
 # serving-tier smoke, par-bench and the bench-diff gate. Campaigns run
 # with $(JOBS) worker domains. The par-bench table is also kept in
 # par-walltime.txt, with par-bench's exit status.

@@ -247,9 +247,10 @@ let find_cached_mapping st ~off =
     end
   end
 
-(** Find or establish the mapping covering file offset [off] (within the
-    kernel-visible part of the file). Newly created mappings cover the
-    surrounding [cfg.mmap_size] region and are cached until unlink. *)
+(** Find or establish the mapping covering file offset [off]; [None]
+    past the kernel-visible blocks, where no mapping covers it. Newly
+    created mappings cover the surrounding [cfg.mmap_size] region and
+    are cached until unlink. *)
 let get_mapping t st ~off =
   match find_cached_mapping st ~off with
   | Some m -> Some m
@@ -258,7 +259,7 @@ let get_mapping t st ~off =
       let rstart = off / region * region in
       let kblocks = (st.ksize + block_size - 1) / block_size in
       let rlen = min region ((kblocks * block_size) - rstart) in
-      if rlen <= 0 then None
+      if off >= kblocks * block_size then None
       else begin
         let m = Kernelfs.Syscall.mmap t.sys st.f_kfd ~off:rstart ~len:rlen in
         st.mmaps <- m :: st.mmaps;
@@ -380,11 +381,14 @@ let write_inplace t st ~at buf ~boff ~len =
     degrade to the plain kernel write path at its honest cost instead of
     surfacing ENOSPC for a write the file system could still serve. The
     epoch advance lets transient allocator faults heal before the
-    fallback's own allocations. [Env.checks.honest_degraded_writes] is
-    the injected-bug switch for the fault oracle's self-test: when
-    cleared, this path drops the data instead of routing it through the
-    kernel — faultcheck must flag the resulting corruption. *)
-let degraded_write t st ~at buf ~boff ~len =
+    fallback's own allocations. Staged bytes between the kernel size and
+    [at] are relinked first: the kernel write raises the size past them,
+    and every later write below the size goes in place.
+    [Env.checks.honest_degraded_writes] is the injected-bug switch for
+    the fault oracle's self-test: when cleared, this path drops the data
+    instead of routing it through the kernel — faultcheck must flag the
+    resulting corruption. *)
+let rec degraded_write t st ~at buf ~boff ~len =
   uspan t "u:degraded-write" @@ fun () ->
   (* fams cannot degrade to an in-place kernel write: published-before-
      commit data would break msync atomicity, so resource exhaustion
@@ -397,6 +401,9 @@ let degraded_write t st ~at buf ~boff ~len =
   Faults.new_epoch faults;
   Faults.note_degraded_write faults;
   if t.env.Env.checks.Env.honest_degraded_writes then begin
+    (match Kernelfs.Extent_tree.next_mapped st.shadow st.ksize with
+    | Some s when s < at -> relink_file t st
+    | _ -> ());
     let n = Kernelfs.Syscall.pwrite t.sys st.f_kfd ~buf ~boff ~len ~at in
     assert (n = len);
     (* the kernel copy supersedes any staged bytes in the range *)
@@ -406,7 +413,7 @@ let degraded_write t st ~at buf ~boff ~len =
     fence ~site:site_degraded_write t
   end
 
-let rec stage_write t st ~at buf ~boff ~len =
+and stage_write t st ~at buf ~boff ~len =
   let h =
     match ensure_staging t st with
     | h -> Some h

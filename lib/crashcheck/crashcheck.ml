@@ -84,10 +84,10 @@ let points mode p =
 (** One crash state of [p] on the registry's crash-trial stack of
     [mode], held to that mode's contract, on a clone of the domain's
     {!start} with all checks on. *)
-let trial mode p =
-  Trial.run
-    ~contract:(Check.contract_of (Fs_config.of_mode mode))
-    (start mode p) p
+let trial mode p ~point ~survivors =
+  let contract = Check.contract_of (Fs_config.of_mode mode) in
+  Trial.run (start mode p) p ~faults:[]
+    ~crash:(Some { Trial.contract; point; survivors })
 
 (* ------------------------------------------------------------------ *)
 (* The kernel as the end-to-end benchmark recomposes it                 *)
@@ -114,7 +114,9 @@ module Runner = struct
 
   (** Post-crash file content as the kernel serves it. *)
   let read_back sys i =
-    Trial.read_back (Kernelfs.Syscall.as_fsapi sys) (Trial.file_path i)
+    Trial.read_back
+      (Kernelfs.Ext4.env (Kernelfs.Syscall.kernel sys)).Pmem.Env.dev
+      (Kernelfs.Syscall.as_fsapi sys) (Trial.file_path i)
 
   type trial = {
     crashed_at_op : int option;

@@ -1,13 +1,12 @@
-(** The crash kernel every campaign runs (DESIGN.md §5d): one program
+(** The trial kernel every campaign runs (DESIGN.md §5d): one program
     type, one {!setup}, one {!apply}, one set-up per program ({!start})
     that every run clones ({!mount}), one crash-point {!profile} pass,
-    one lockstep crash trial ({!run}) and one explorer ({!explore}) from
-    crash points to a {!report} of {!violation}s. Crashcheck (one client
-    or two), the litmus corpus and its fence minimizer compile their
-    workloads to a {!program} and differ only in the stack they build,
-    the contract they hold it to and their sample budget; faultcheck
-    runs the same program on a clone under a fault plan instead of a
-    crash, and judges it against {!oracle} worlds. *)
+    one lockstep trial ({!run}), crashed or live under a fault plan, and
+    one explorer ({!explore}) from crash points to a {!report} of
+    {!violation}s. Crashcheck (one client or two), the litmus corpus,
+    its fence minimizer and faultcheck compile their workloads to a
+    {!program} and differ only in the stack they build, the contract
+    they hold it to, the faults they inject and their budget. *)
 
 module Fs_config = Stacks.Fs_config
 
@@ -308,11 +307,132 @@ let mount ~scratch s p =
     invalid_arg "Trial.mount: the start has other initial files or clients";
   mounted ~scratch s (Fs_config.clone s.s_clients) p
 
+(* ------------------------------------------------------------------ *)
+(* The one trial                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(** One fault of a trial's plan, injected before its first op. *)
+type fault =
+  | Resource of Faults.rfault
+  | Poison of int  (** poison the cache line at this device address *)
+  | Scrub_wear of int
+      (** a scrubber patrol with this wear limit before the middle op *)
+
+let pp_fault ppf = function
+  | Resource rf -> Faults.pp_rfault ppf rf
+  | Poison addr -> Fmt.pf ppf "poison @0x%x" addr
+  | Scrub_wear limit -> Fmt.pf ppf "scrub patrol (wear limit %d)" limit
+
+(** What became of one op of a trial. *)
+type ack =
+  | Acked
+  | Failed  (** raised EIO or ENOSPC: it may or may not have landed *)
+  | Broken  (** raised anything else: a violation of its own *)
+
+(** What a trial's steps left: each op's {!ack}, the op in flight when
+    the crash fired, the last EIO or ENOSPC, and each broken step's
+    reason, newest first. *)
+type steps = {
+  acks : ack array;
+  mutable crashed_at : int option;
+  mutable errno : (Fsapi.Errno.t * string) option;
+  mutable broken : string list;
+}
+
+(** The one guard: what it makes of [e], raised by step [k] of [g]'s
+    trial. An EIO or ENOSPC is an honest outcome, any other errno or
+    exception a violation, named only then. *)
+let guard g k e =
+  match e with
+  | Fsapi.Errno.Error (((Fsapi.Errno.EIO | ENOSPC) as err), ctx) ->
+      g.errno <- Some (err, ctx);
+      Failed
+  | e ->
+      let nops = Array.length g.acks in
+      let step =
+        if k < nops then Printf.sprintf "op %d" k
+        else Printf.sprintf "settle f%d" (k - nops)
+      in
+      g.broken <-
+        (match e with
+        | Fsapi.Errno.Error (err, ctx) ->
+            Fmt.str "%s: unexpected errno %a" step Fsapi.Errno.pp (err, ctx)
+        | e -> Fmt.str "%s: escaped exception %s" step (Printexc.to_string e))
+        :: g.broken;
+      Broken
+
+(** A crash trial's crash: the contract it is judged under, the point
+    whose fence it arms and the survivor vector. *)
+type crash = {
+  contract : Check.contract;
+  point : Explore.point;
+  survivors : Pmem.Device.survivor list;
+}
+
+(** [drive m ostep p ~faults ~crash] injects [faults] into [m], arms
+    [crash] if any, and steps [p]'s ops on [m], each under the one
+    {!guard}, while the oracle step [ostep] takes each acknowledged op
+    in lockstep. A crash ends the steps at the op in flight, which the
+    oracle has not taken; an armed fence past the trace crashes at its
+    end, and a crashed device is resumed, ready for recovery. *)
+let drive m ostep p ~faults ~crash =
+  let env = m.stack.env in
+  let dev = env.Pmem.Env.dev and plane = env.Pmem.Env.faults in
+  if faults <> [] then Faults.arm plane;
+  List.iter
+    (function
+      | Resource rf -> Faults.inject plane rf
+      | Poison addr -> Pmem.Device.poison_line dev ~addr
+      | Scrub_wear _ -> ())
+    faults;
+  Option.iter
+    (fun c ->
+      Pmem.Device.journal_begin dev;
+      Pmem.Device.arm_crash dev ~fence:c.point.Explore.fence
+        ~survivors:c.survivors)
+    crash;
+  let n = List.length p.ops in
+  let g =
+    { acks = Array.make n Acked; crashed_at = None; errno = None; broken = [] }
+  in
+  let scrub = function
+    | Scrub_wear wear_limit -> (
+        match m.stack.usplit with
+        | Some u -> ignore (Splitfs.Usplit.scrub u ~wear_limit)
+        | None ->
+            let kfs = Kernelfs.Syscall.kernel (Option.get m.stack.sys) in
+            ignore (Kernelfs.Ext4.scrub kfs ~wear_limit))
+    | Resource _ | Poison _ -> ()
+  in
+  let rec go k = function
+    | [] -> ()
+    | op :: rest -> (
+        if k = n / 2 then List.iter scrub faults;
+        match m.step op with
+        | () ->
+            ostep op;
+            go (k + 1) rest
+        | exception Pmem.Device.Crashed -> g.crashed_at <- Some k
+        | exception e ->
+            g.acks.(k) <- guard g k e;
+            go (k + 1) rest)
+  in
+  go 0 p.ops;
+  Option.iter
+    (fun c ->
+      if g.crashed_at = None then
+        Pmem.Device.crash_partial dev ~survivors:c.survivors;
+      Pmem.Device.resume dev;
+      Pmem.Device.journal_stop dev)
+    crash;
+  g
+
 (** Run the program once to completion, on a clone of [s], with the
     persist-order journal on. Returns every crash point and each
     registered fence site's hit count before and after the crash window;
     hit counters are per-device, so the stack's mount and setup traffic
-    is the baseline. *)
+    is the baseline. The ops run under the one guard, so a broken op is
+    left for the trials to report. *)
 let profile s p =
   let m = mount ~scratch:(ref Bytes.empty) s p in
   let dev = m.stack.env.Pmem.Env.dev in
@@ -322,86 +442,103 @@ let profile s p =
       (Pmem.Device.fence_sites ())
   in
   let before = hits () in
-  let points = Explore.points dev (fun () -> List.iter m.step p.ops) in
+  let points =
+    Explore.points dev (fun () ->
+        ignore (drive m ignore p ~faults:[] ~crash:None))
+  in
   (points, before, hits ())
 
-(* ------------------------------------------------------------------ *)
-(* The lockstep crash trial                                             *)
-(* ------------------------------------------------------------------ *)
-
-(** [replay dev ~point ~survivors ~real ~oracle ~snap ops] arms the
-    crash at [point] with [survivors], steps [real] and [oracle]
-    through [ops] in lockstep, and captures the oracle views [snap]
-    around the operation in flight when the crash fires. If the armed
-    fence lies past the trace, the crash lands at its end and the pre
-    and post views coincide. The device is crashed and resumed on
-    return, ready for recovery. Returns the index of the op in flight
-    ([None] at the end of the trace) and the pre and post views. *)
-let replay dev ~(point : Explore.point) ~survivors ~real ~oracle ~snap ops =
-  Pmem.Device.journal_begin dev;
-  Pmem.Device.arm_crash dev ~fence:point.Explore.fence ~survivors;
-  let rec go k = function
-    | [] ->
-        let views = snap () in
-        Pmem.Device.crash_partial dev ~survivors;
-        (None, views, views)
-    | op :: rest -> (
-        match real op with
-        | () ->
-            oracle op;
-            go (k + 1) rest
-        | exception Pmem.Device.Crashed ->
-            let pre = snap () in
-            oracle op;
-            (Some k, pre, snap ()))
+(** [fd]'s content as [fs] serves it, read whole. An EIO from a
+    poisoned line of [dev] quarantines the line and retries, 64 times at
+    most, as an application's MCE handler would. *)
+let read_fd dev (fs : Fsapi.Fs.t) fd =
+  let size = (fs.Fsapi.Fs.fstat fd).Fsapi.Fs.st_size in
+  let buf = Bytes.create size in
+  let rec go attempt =
+    match fs.Fsapi.Fs.pread fd ~buf ~boff:0 ~len:size ~at:0 with
+    | n -> Bytes.sub buf 0 n
+    | exception Fsapi.Errno.Error (Fsapi.Errno.EIO, _)
+      when attempt < 64 && Pmem.Device.last_poison dev >= 0 ->
+        Pmem.Device.quarantine dev ~addr:(Pmem.Device.last_poison dev) ~len:1;
+        go (attempt + 1)
   in
-  let r = go 0 ops in
-  Pmem.Device.resume dev;
-  Pmem.Device.journal_stop dev;
-  r
+  go 0
 
-(** Post-recovery content of [path] as [fs] serves it; [None] = the
-    path no longer exists. *)
-let read_back (fs : Fsapi.Fs.t) path =
-  match fs.Fsapi.Fs.stat path with
+(** Post-recovery content of [path] as [fs] serves it ({!read_fd});
+    [None] = the path no longer exists. *)
+let read_back dev (fs : Fsapi.Fs.t) path =
+  match fs.Fsapi.Fs.open_ path Fsapi.Flags.rdonly with
   | exception Fsapi.Errno.Error (Fsapi.Errno.ENOENT, _) -> None
-  | st ->
-      let size = st.Fsapi.Fs.st_size in
-      let fd = fs.Fsapi.Fs.open_ path Fsapi.Flags.rdonly in
+  | fd ->
       Fun.protect
         ~finally:(fun () -> fs.Fsapi.Fs.close fd)
-        (fun () ->
-          let buf = Bytes.create size in
-          let got =
-            if size = 0 then 0
-            else fs.Fsapi.Fs.pread fd ~buf ~boff:0 ~len:size ~at:0
-          in
-          Some (Bytes.sub buf 0 got))
+        (fun () -> Some (read_fd dev fs fd))
+
+(** Judge a live read-back [got] of one path with {!Check.check_size}
+    and {!Check.check_bytes} across its worlds: [head], its content with
+    every acknowledged op applied, and [failed], one world per failed op
+    with that op applied too, forced only when [got] is not [head]. That
+    is exact per byte, partial application included: a byte's final
+    value comes from its last writer among the acknowledged ops and
+    whichever failed ops landed, and that value is in that writer's
+    world. A zero on a line [quarantined] (by file offset) is media loss
+    surfaced honestly, the one fault relaxation: it enters as one more
+    world, of [got]'s size with those lines zeroed. *)
+let judge ~head ~failed ~quarantined got =
+  if Bytes.equal got head then None
+  else
+    let views = head :: Lazy.force failed in
+    let len = Bytes.length got in
+    let sizes = List.sort_uniq compare (List.map Bytes.length views) in
+    match Check.check_size got sizes with
+    | Some _ as v -> v
+    | None ->
+        let zeroed =
+          Bytes.copy (List.find (fun w -> Bytes.length w = len) views)
+        in
+        let any = ref false in
+        for line = 0 to (len - 1) / 64 do
+          if quarantined (line * 64) then begin
+            any := true;
+            Bytes.fill zeroed (line * 64) (min 64 (len - (line * 64))) '\000'
+          end
+        done;
+        Check.check_bytes got (if !any then zeroed :: views else views)
 
 type trial = {
   crashed_at : int option;
-      (** index of the op in flight, [None] = end of trace *)
+      (** index of the op in flight, [None] = end of trace or no crash *)
   violations : (int * string) list;
-      (** (index into [paths], reason) in path order; [-1] = the claim *)
+      (** (index into [paths], reason): broken steps in order, the claim,
+          then the paths in order; [-1] = not a path, the reason names
+          it *)
   recovered : Bytes.t option array;  (** per path; [None] = gone *)
   recovery : Splitfs.Recovery.report option array;
-      (** per client; [None] on a stack without U-Split *)
+      (** per client; [None] without U-Split or without a crash *)
+  errno : (Fsapi.Errno.t * string) option;  (** the guard's last *)
+  faults : Faults.counts;  (** the fault plane's, at the end *)
 }
 
-(** One crash state on [m], {!mount}ed for [p]: {!replay} against the
-    oracle [views] and [ostep] ({!oracle}), recovery of every U-Split
-    instance, read-back through the kernel below them (their DRAM state
-    died with the process), and {!Check.check_file} under [contract] per
-    path plus the program's claim. Injected faults are cleared before
-    recovery: they model a full device at run time, not a broken one at
-    recovery time. The caller owns [m] and releases it. *)
-let run_on ~contract m (views, ostep) p ~point ~survivors =
+(** The oracle's views of [p]'s paths before and after the op in flight
+    when [g]'s crash fired (equal at the end of the trace): the oracle
+    [(views, ostep)] takes the op in flight in between. *)
+let crash_views (g : steps) (views, ostep) p =
+  let snap () = Array.map (View.of_oracle views) p.paths in
+  let pre = snap () in
+  match g.crashed_at with
+  | None -> (pre, pre)
+  | Some k ->
+      ostep (List.nth p.ops k);
+      (pre, snap ())
+
+(** A crashed trial's end: clear the injected faults (they model a full
+    device at run time, not a broken one at recovery time), recover
+    every U-Split instance, read each path back through the kernel below
+    them (their DRAM state died with the process) and judge it with
+    {!Check.check_file} under the crash's contract, plus the claim. *)
+let crashed m p g oc c =
+  let pre, post = crash_views g oc p in
   let env = m.stack.env in
-  let crashed_at, pre, post =
-    replay env.Pmem.Env.dev ~point ~survivors ~real:m.step ~oracle:ostep
-      ~snap:(fun () -> Array.map (View.of_oracle views) p.paths)
-      p.ops
-  in
   Faults.reset env.Pmem.Env.faults;
   let recovery =
     Array.mapi
@@ -417,38 +554,123 @@ let run_on ~contract m (views, ostep) p ~point ~survivors =
     | Some _, Some sys -> Kernelfs.Syscall.as_fsapi sys
     | _ -> m.stack.fs
   in
-  let recovered = Array.map (read_back rfs) p.paths in
+  let recovered = Array.map (read_back env.Pmem.Env.dev rfs) p.paths in
   let claim =
-    p.claim contract (fun path ->
+    p.claim c.contract (fun path ->
         Option.bind (Array.find_index (String.equal path) p.paths) (fun i ->
             recovered.(i)))
   in
-  let violations = ref (Option.to_list (Option.map (fun r -> (-1, r)) claim)) in
+  let violations =
+    ref (Option.to_list (Option.map (fun r -> (-1, "claim: " ^ r)) claim))
+  in
   for i = Array.length p.paths - 1 downto 0 do
     match
-      Check.check_file contract ~pre:pre.(i) ~post:post.(i) recovered.(i)
+      Check.check_file c.contract ~pre:pre.(i) ~post:post.(i) recovered.(i)
     with
     | Some reason -> violations := (i, reason) :: !violations
     | None -> ()
   done;
-  { crashed_at; violations = !violations; recovered; recovery }
+  (!violations, recovered, recovery)
+
+(** A live trial's end: an fsync of each of client 0's files under the
+    guard, then path [i] read back through client 0's slot [i], the
+    descriptor the program holds (a reopen would close it, and U-Split's
+    close relinks), and {!judge}d. The lockstep oracle's [views] are the
+    head world; each failed op's world is a clone of [o]. *)
+let live ~scratch m o p (g : steps) views =
+  let st = m.stack and nops = Array.length g.acks and fds = m.slots.(0) in
+  Array.iteri
+    (fun i _ ->
+      try m.step (0, Op (Workload.Fsync { file = i }))
+      with e -> ignore (guard g (nops + i) e))
+    fds;
+  let contents (views : Fsapi.Ref_fs.oracle) =
+    Array.map
+      (fun path ->
+        Option.value (views.Fsapi.Ref_fs.dump path) ~default:Bytes.empty)
+      p.paths
+  in
+  let world k =
+    let views, step = oracle ~scratch o p in
+    List.iteri (fun j op -> if g.acks.(j) = Acked || j = k then step op) p.ops;
+    contents views
+  in
+  let head = contents views in
+  let failed =
+    lazy
+      (List.filter_map
+         (fun k -> if g.acks.(k) = Failed then Some (world k) else None)
+         (List.init nops Fun.id))
+  in
+  let dev = st.env.Pmem.Env.dev in
+  let quarantined path off =
+    Pmem.Device.quarantined_count dev > 0
+    &&
+    let kfs = Kernelfs.Syscall.kernel (Option.get st.sys) in
+    match Kernelfs.Ext4.namei kfs path with
+    | inode -> (
+        match Kernelfs.Ext4.device_addr kfs inode ~off with
+        | Some a -> Pmem.Device.is_quarantined dev ~addr:a
+        | None -> false)
+    | exception Fsapi.Errno.Error _ -> false
+  in
+  let recovered = Array.make (Array.length p.paths) None in
+  let violations = ref [] in
+  for i = Array.length fds - 1 downto 0 do
+    let judged =
+      match read_fd dev st.fs fds.(i) with
+      | got ->
+          recovered.(i) <- Some got;
+          judge ~head:head.(i)
+            ~failed:(lazy (List.map (fun w -> w.(i)) (Lazy.force failed)))
+            ~quarantined:(quarantined p.paths.(i))
+            got
+      | exception Fsapi.Errno.Error (e, ctx) ->
+          Some (Fmt.str "read-back: %a" Fsapi.Errno.pp (e, ctx))
+      | exception e ->
+          Some
+            (Fmt.str "read-back: escaped exception %s" (Printexc.to_string e))
+    in
+    Option.iter (fun r -> violations := (i, r) :: !violations) judged
+  done;
+  (!violations, recovered, Array.map (fun _ -> None) m.clients)
+
+(** One trial of [p] on [m], {!mount}ed for it, against a clone of
+    [o], the oracle of [m]'s start: {!drive}, then the {!crashed} end
+    when [crash] is given and the {!live} end otherwise. The caller owns
+    [m] and releases it. *)
+let run_on ~scratch m o p ~faults ~crash =
+  let ((views, ostep) as oc) = oracle ~scratch o p in
+  let g = drive m ostep p ~faults ~crash in
+  let violations, recovered, recovery =
+    match crash with
+    | Some c -> crashed m p g oc c
+    | None -> live ~scratch m o p g views
+  in
+  {
+    crashed_at = g.crashed_at;
+    violations = List.fold_left (fun vs r -> (-1, r) :: vs) violations g.broken;
+    recovered;
+    recovery;
+    errno = g.errno;
+    faults = Faults.counts m.stack.env.Pmem.Env.faults;
+  }
 
 (** The start's own clients, with [p]'s ops stepped on them as {!mount}
     steps them on a clone: what every clone must equal, a freshly built
     stack. [s] is used up (test hook). *)
 let consume ~scratch s p = mounted ~scratch s s.s_clients p
 
-(** One crash state end to end ({!run_on}) on a clone of [s] ({!mount})
-    against a clone of its oracle. The trial owns its clone, so it
-    releases the device once it has checked ({!Pmem.Device.release}): the
-    next trial on this domain writes into the image chunks the clone
-    owned, and [s]'s stay as they were. *)
-let run ~contract s p ~point ~survivors =
+(** One trial end to end ({!run_on}) on a clone of [s] ({!mount})
+    against a clone of its oracle: a crash state when [crash] is given,
+    a live run otherwise. The trial owns its clone, so it releases the
+    device once it has judged ({!Pmem.Device.release}): the next trial
+    on this domain writes into the image chunks the clone owned, and
+    [s]'s stay as they were. *)
+let run s p ~faults ~crash =
   let scratch = ref Bytes.empty in
   let m = mount ~scratch s p in
-  let t =
-    run_on ~contract m (oracle ~scratch s.s_oracle p) p ~point ~survivors
-  in
+  let t = run_on ~scratch m s.s_oracle p ~faults ~crash in
   Pmem.Device.release m.stack.env.Pmem.Env.dev;
   t
 
@@ -460,7 +682,9 @@ let run ~contract s p ~point ~survivors =
 type violation = {
   v_fence : int;  (** crash point (fence index) *)
   v_op : int option;  (** op in flight, [None] = end of trace *)
-  v_path : string option;  (** [None] = the program's claim *)
+  v_path : string option;
+      (** [None] = not a path: the claim or a broken op, which the
+          reason names *)
   v_reason : string;
   v_survivors : Pmem.Device.survivor list;
       (** the crash state's survivor vector; for a report's first
@@ -510,7 +734,9 @@ let explore ?samples ?(seed = 0) ?jobs ~contract s p points =
       find 0 i
     else Explore.sample_point_indexed ~seed ~index:i points
   in
-  let trial (point, survivors) = run ~contract s p ~point ~survivors in
+  let trial (point, survivors) =
+    run s p ~faults:[] ~crash:(Some { contract; point; survivors })
+  in
   let outcomes =
     Par.map ?jobs
       (fun _ i ->
@@ -557,12 +783,12 @@ let pp_survivor ppf (s : Pmem.Device.survivor) =
   else Fmt.pf ppf "line %d keep %d" s.s_line s.s_keep
 
 let pp_violation ppf v =
-  Fmt.pf ppf "@[<v2>fence %d%a, %s: %s@,survivors: @[%a@]@]" v.v_fence
+  Fmt.pf ppf "@[<v2>fence %d%a, %a%s@,survivors: @[%a@]@]" v.v_fence
     (fun ppf -> function
       | Some k -> Fmt.pf ppf " (op %d in flight)" k
       | None -> ())
     v.v_op
-    (Option.value v.v_path ~default:"claim")
-    v.v_reason
+    Fmt.(option (fun ppf path -> Fmt.pf ppf "%s: " path))
+    v.v_path v.v_reason
     Fmt.(list ~sep:semi pp_survivor)
     v.v_survivors

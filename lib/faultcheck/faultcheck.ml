@@ -1,36 +1,20 @@
-(** Faultcheck: deterministic fault-injection campaigns with a
-    differential fault oracle (PR 5, DESIGN.md §5g).
+(** Faultcheck: deterministic fault-injection campaigns (PR 5, DESIGN.md
+    §5g).
 
-    For every (stack × fault point) pair, a trial clones the stack's
-    start, whose initial file content is durable ({!Trial.start}),
-    injects exactly the faults
-    of the trial's fault set — resource faults into the {!Faults} plane,
-    media poison straight into the device — runs a seeded workload to
-    completion and reads every file back. Every fault must land in one
-    of the allowed outcomes:
-
-    - {b masked}: the operation succeeded with correct data (fallbacks,
-      scrubber migration, dirty-cache hits over poisoned lines);
-    - {b retried}: the operation succeeded after backoff-retry loops
-      (transient journal/relink faults);
-    - {b errno}: the operation failed with an honest [EIO]/[ENOSPC]
-      whose context names the originating layer.
-
-    Anything else — wrong bytes, wrong size, an unexpected errno, a raw
-    exception escaping the stack — is a violation. The oracle is the
-    crash campaigns' own: {!Trial.oracle} worlds of the same program,
-    one with every acknowledged op applied and one more per op that
-    failed with an allowed errno, with that op applied too (the fault
-    may have struck before, during or after it took effect). Each
-    read-back is judged by {!Check.check_size} and {!Check.check_bytes}
-    across the worlds; zeros on quarantined device lines (surfaced media
-    loss) are the one fault-specific relaxation. Violating fault sets
-    are shrunk greedily to a minimal violating subset before
-    reporting. *)
+    For every (stack × fault point) pair, a trial runs a seeded workload
+    on a clone of the stack's start under a fault plan and no crash
+    ({!Trial.run}), reads every file back and judges it against the
+    oracle worlds of what became of each op ({!Trial.judge}). Every
+    fault must land in one of the allowed outcomes: {b masked} (the op
+    succeeded with correct data: fallbacks, scrubber migration,
+    dirty-cache hits over poisoned lines), {b retried} (it succeeded
+    after backoff-retry loops) or {b errno} (an honest [EIO]/[ENOSPC]
+    whose context names the originating layer). Anything else is a
+    violation, and the first violating fault set is shrunk greedily to
+    a minimal violating subset before reporting. *)
 
 module W = Crashcheck.Workload
 module Trial = Crashcheck.Trial
-module Check = Crashcheck.Check
 module Fs_config = Stacks.Fs_config
 
 let all_stacks =
@@ -38,99 +22,7 @@ let all_stacks =
     [ Ext4_dax; Splitfs_posix; Splitfs_sync; Splitfs_strict; Splitfs_fams ]
 
 (* ------------------------------------------------------------------ *)
-(* Fault points                                                         *)
-(* ------------------------------------------------------------------ *)
-
-type fault_point =
-  | Resource of Faults.rfault
-  | Poison of int
-      (** poison the cache line at this device address once the initial
-          content is durable *)
-  | Scrub_wear of int
-      (** run a scrubber patrol with this wear limit halfway through the
-          workload *)
-
-let pp_fault_point ppf = function
-  | Resource rf -> Faults.pp_rfault ppf rf
-  | Poison addr -> Fmt.pf ppf "poison @0x%x" addr
-  | Scrub_wear limit -> Fmt.pf ppf "scrub patrol (wear limit %d)" limit
-
-(* ------------------------------------------------------------------ *)
-(* Legal contents: the crash kernel's oracle worlds                     *)
-(* ------------------------------------------------------------------ *)
-
-(** What became of one op of a trial. *)
-type ack =
-  | Acked
-  | Failed  (** raised an allowed errno: it may or may not have landed *)
-  | Broken  (** raised anything else: a violation of its own *)
-
-(** The legal final contents of [p]'s paths, given what became of each
-    of its ops: one {!Trial.oracle} world with every acknowledged op
-    applied, plus one per failed op with that op applied too. That is
-    exact per byte, partial application included: a byte's final value
-    comes from its last writer among the acknowledged ops and whichever
-    failed ops landed, and that value is in that writer's world. *)
-type legal = {
-  head : Bytes.t array;  (** per path, every acknowledged op applied *)
-  failed : Bytes.t array list Lazy.t;
-      (** per failed op, the same with that op applied too; built on
-          first use, since a read-back equal to [head] needs none *)
-}
-
-(** {!legal} for [p], with [acks] in program order, each world a clone
-    of [o], the oracle of a start of [p]. *)
-let worlds o (p : Trial.program) acks =
-  let scratch = ref Bytes.empty in
-  let world extra =
-    let views, step = Trial.oracle ~scratch o p in
-    List.iteri
-      (fun k op -> if acks.(k) = Acked || k = extra then step op)
-      p.ops;
-    Array.map
-      (fun path ->
-        Option.value (views.Fsapi.Ref_fs.dump path) ~default:Bytes.empty)
-      p.paths
-  in
-  let failed =
-    List.filter
-      (fun k -> acks.(k) = Failed)
-      (List.init (Array.length acks) Fun.id)
-  in
-  { head = world (-1); failed = lazy (List.map world failed) }
-
-(** Judge a read-back [got] of path [i] with {!Check.check_size} and
-    {!Check.check_bytes} across the worlds of [legal]. [quarantined
-    off] tells whether the device line behind file offset [off] was
-    quarantined: a zero there is media loss surfaced honestly, the one
-    fault-specific relaxation. It enters as one more view, a world of
-    [got]'s size with those lines zeroed, so it accepts a zero there
-    and nothing else; the lookup runs once per line. *)
-let judge legal ~quarantined i got =
-  if Bytes.equal got legal.head.(i) then None
-  else
-    let views =
-      List.map (fun w -> w.(i)) (legal.head :: Lazy.force legal.failed)
-    in
-    let len = Bytes.length got in
-    let sizes = List.sort_uniq compare (List.map Bytes.length views) in
-    match Check.check_size got sizes with
-    | Some _ as v -> v
-    | None ->
-        let zeroed =
-          Bytes.copy (List.find (fun w -> Bytes.length w = len) views)
-        in
-        let any = ref false in
-        for line = 0 to (len - 1) / 64 do
-          if quarantined (line * 64) then begin
-            any := true;
-            Bytes.fill zeroed (line * 64) (min 64 (len - (line * 64))) '\000'
-          end
-        done;
-        Check.check_bytes got (if !any then zeroed :: views else views)
-
-(* ------------------------------------------------------------------ *)
-(* Trial runner                                                         *)
+(* Starts and outcomes                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (** Shrinks the staging pool to one nearly-useless file so staging
@@ -139,154 +31,21 @@ let judge legal ~quarantined i got =
 let tiny_staging c =
   { c with Splitfs.Config.staging_files = 1; staging_size = 4096 }
 
-module Runner = struct
-  let allowed_errno = function
-    | Fsapi.Errno.EIO | Fsapi.Errno.ENOSPC -> true
-    | _ -> false
+(** The start every trial of [p] on [spec] clones: the program's files
+    set up on a crash-trial stack from the registry, its staging pool
+    shrunk when [tiny] is set. *)
+let start ?(tiny = false) ?checks spec p =
+  let tweak = if tiny then tiny_staging else Fun.id in
+  Trial.start ~build:(fun () -> Fs_config.make_small ?checks ~tweak spec) p
 
-  type outcome = Untriggered | Masked | Retried | Errno_surfaced
-
-  type trial = {
-    outcome : outcome;
-    violations : (int * string) list;  (** (file, reason); file -1 = global *)
-    errno : (Fsapi.Errno.t * string) option;  (** last allowed errno seen *)
-    tcounts : Faults.counts;  (** snapshot of the plane's counters *)
-  }
-
-  let snapshot_counts (c : Faults.counts) = { c with Faults.injected = c.injected }
-
-  (** The start every trial of [p] on [spec] clones: the program's files
-      set up on a crash-trial stack from the registry, its staging pool
-      shrunk when [tiny] is set. *)
-  let start ?(tiny = false) ?checks spec p =
-    let tweak = if tiny then tiny_staging else Fun.id in
-    Trial.start ~build:(fun () -> Fs_config.make_small ?checks ~tweak spec) p
-
-  (** One trial on a clone of [s], a {!start} of [p]: the faults
-      injected, the ops run to completion and every file read back
-      through the stack and {!judge}d against the {!worlds} of what
-      became of each op. The device is released once judged
-      ({!Pmem.Device.release}). *)
-  let run_trial s (p : Trial.program) ~(points : fault_point list) =
-    let m = Trial.mount ~scratch:(ref Bytes.empty) s p in
-    let st = m.Trial.stack and fds = m.Trial.slots.(0) in
-    let dev = st.env.Pmem.Env.dev in
-    let plane = st.env.Pmem.Env.faults in
-    let kfs = Kernelfs.Syscall.kernel (Option.get st.sys) in
-    (* the initial content is durable; now inject *)
-    Faults.arm plane;
-    let scrub_limit = ref None in
-    List.iter
-      (function
-        | Resource rf -> Faults.inject plane rf
-        | Poison addr -> Pmem.Device.poison_line dev ~addr
-        | Scrub_wear l -> scrub_limit := Some l)
-      points;
-    let errno = ref None in
-    let unexpected = ref [] in
-    (* the one error guard: an allowed errno is an honest outcome (the
-       trial's last errno); any other errno, or an escaped exception, is
-       a violation *)
-    let guard k what f =
-      match f () with
-      | () -> Acked
-      | exception Fsapi.Errno.Error (e, ctx) when allowed_errno e ->
-          errno := Some (e, ctx);
-          Failed
-      | exception Fsapi.Errno.Error (e, ctx) ->
-          unexpected :=
-            Fmt.str "op %d: unexpected errno %a" k Fsapi.Errno.pp (e, ctx)
-            :: !unexpected;
-          Broken
-      | exception e ->
-          unexpected :=
-            Fmt.str "%s: escaped exception %s" what (Printexc.to_string e)
-            :: !unexpected;
-          Broken
-    in
-    let run_scrub () =
-      match (!scrub_limit, st.usplit) with
-      | None, _ -> ()
-      | Some l, Some u -> ignore (Splitfs.Usplit.scrub u ~wear_limit:l)
-      | Some l, None -> ignore (Kernelfs.Ext4.scrub kfs ~wear_limit:l)
-    in
-    let nops = List.length p.Trial.ops in
-    let acks =
-      Array.of_list
-        (List.mapi
-           (fun k step ->
-             if k = nops / 2 then run_scrub ();
-             guard k (Printf.sprintf "op %d" k) (fun () -> m.Trial.step step))
-           p.Trial.ops)
-    in
-    (* settle: a final fsync per file, failures allowed like any op *)
-    Array.iteri
-      (fun i fd ->
-        ignore
-          (guard (nops + i) (Printf.sprintf "settle f%d" i) (fun () ->
-               st.fs.Fsapi.Fs.fsync fd)))
-      fds;
-    (* read-back; EIO from a poisoned line retires (quarantines) the line
-       and retries, like an application's MCE handler would *)
-    let read_back i =
-      let fd = fds.(i) in
-      let size = (st.fs.Fsapi.Fs.fstat fd).Fsapi.Fs.st_size in
-      let buf = Bytes.create size in
-      let rec go attempt =
-        match st.fs.Fsapi.Fs.pread fd ~buf ~boff:0 ~len:size ~at:0 with
-        | n -> Ok (Bytes.sub buf 0 n)
-        | exception Fsapi.Errno.Error (Fsapi.Errno.EIO, _)
-          when attempt < 64 && Pmem.Device.last_poison dev >= 0 ->
-            Pmem.Device.quarantine dev ~addr:(Pmem.Device.last_poison dev)
-              ~len:1;
-            go (attempt + 1)
-        | exception Fsapi.Errno.Error (e, ctx) ->
-            Error (Fmt.str "read-back: %a" Fsapi.Errno.pp (e, ctx))
-        | exception e ->
-            Error (Fmt.str "read-back: escaped exception %s" (Printexc.to_string e))
-      in
-      go 0
-    in
-    let quarantined path off =
-      Pmem.Device.quarantined_count dev > 0
-      &&
-      match Kernelfs.Ext4.namei kfs path with
-      | inode -> (
-          match Kernelfs.Ext4.device_addr kfs inode ~off with
-          | Some a -> Pmem.Device.is_quarantined dev ~addr:a
-          | None -> false)
-      | exception Fsapi.Errno.Error _ -> false
-    in
-    let legal = worlds s.Trial.s_oracle p acks in
-    let check_file i =
-      match read_back i with
-      | Error reason -> Some reason
-      | Ok got ->
-          judge legal ~quarantined:(quarantined p.Trial.paths.(i)) i got
-    in
-    let violations = ref [] in
-    for i = Array.length fds - 1 downto 0 do
-      match check_file i with
-      | Some r -> violations := (i, r) :: !violations
-      | None -> ()
-    done;
-    List.iter (fun r -> violations := (-1, r) :: !violations) !unexpected;
-    Pmem.Device.release dev;
-    let c = Faults.counts plane in
-    let outcome =
-      if c.Faults.injected = 0 && c.Faults.media = 0 && c.Faults.scrub_migrations = 0
-      then Untriggered
-      else if !errno <> None then Errno_surfaced
-      else if c.Faults.retried > 0 then Retried
-      else Masked
-    in
-    {
-      outcome;
-      violations = !violations;
-      errno = !errno;
-      tcounts = snapshot_counts c;
-    }
-end
+(** A trial's outcome, as its column in the tally: untriggered, masked,
+    retried or errno. *)
+let outcome (t : Trial.trial) =
+  let c = t.Trial.faults in
+  if Faults.(c.injected = 0 && c.media = 0 && c.scrub_migrations = 0) then 0
+  else if t.Trial.errno <> None then 3
+  else if c.Faults.retried > 0 then 2
+  else 1
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                            *)
@@ -302,7 +61,7 @@ let shrink s p ~points =
         Some (List.filter (fun q -> q != x) current)
       else None)
     ~violates:(fun ps ->
-      (Runner.run_trial s p ~points:ps).Runner.violations <> [])
+      (Trial.run s p ~faults:ps ~crash:None).Trial.violations <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Campaign driver                                                      *)
@@ -310,11 +69,11 @@ let shrink s p ~points =
 
 type violation = {
   v_stack : string;
-  v_points : fault_point list;
+  v_points : Trial.fault list;
   v_file : int;  (** -1 when not file-specific *)
   v_reason : string;
   v_errno : (Fsapi.Errno.t * string) option;
-  v_shrunk : fault_point list;
+  v_shrunk : Trial.fault list;
 }
 
 type stack_report = {
@@ -349,9 +108,9 @@ let pp_violation ppf v =
       | Some ec -> Fmt.pf ppf " (last errno %a)" Fsapi.Errno.pp ec
       | None -> ())
     v.v_errno
-    Fmt.(list ~sep:semi pp_fault_point)
+    Fmt.(list ~sep:semi Trial.pp_fault)
     v.v_points
-    Fmt.(list ~sep:semi pp_fault_point)
+    Fmt.(list ~sep:semi Trial.pp_fault)
     v.v_shrunk
 
 let pp_stack_report ppf r =
@@ -367,7 +126,7 @@ let pp_stack_report ppf r =
 let durations = [ Faults.Transient 1; Faults.Transient 3; Faults.Sticky ]
 
 (** One stack's campaign: its program, its two starts (normal and tiny
-    staging, {!Runner.start}) and its trials, each a fault set and
+    staging, {!start}) and its trials, each a fault set and
     whether it runs on the tiny start: one trial per fault point, plus
     one multi-fault trial for the shrinker. The fault points come from a
     profiling pass: an armed-but-empty plane counts the calls each
@@ -380,7 +139,7 @@ let plan ~seed ~nops ~max_per_site spec =
      (and therefore the swap_extents fault site) is part of the campaign *)
   let p = Trial.of_workload (W.generate ~mode ~seed ~scale:16 ~nops ()) in
   (* profiling pass: no faults, count site calls + collect poison lines *)
-  let starts = [| Runner.start spec p; Runner.start ~tiny:true spec p |] in
+  let starts = [| start spec p; start ~tiny:true spec p |] in
   let calls, poison_candidates =
     let m = Trial.mount ~scratch:(ref Bytes.empty) starts.(0) p in
     let plane = m.Trial.stack.env.Pmem.Env.faults in
@@ -402,7 +161,7 @@ let plan ~seed ~nops ~max_per_site spec =
       |> List.sort_uniq compare
     in
     Faults.arm plane;
-    List.iter m.Trial.step p.Trial.ops;
+    ignore (Trial.drive m ignore p ~faults:[] ~crash:None);
     ((fun site -> Faults.calls plane site), poison)
   in
   let site_points =
@@ -418,17 +177,19 @@ let plan ~seed ~nops ~max_per_site spec =
           List.concat_map
             (fun from ->
               List.map
-                (fun d -> [ Resource (Faults.rfault site ~from d) ])
+                (fun d -> [ Trial.Resource (Faults.rfault site ~from d) ])
                 durations)
             idxs)
       Faults.all_sites
   in
-  let poison_points = List.map (fun a -> [ Poison a ]) poison_candidates in
+  let poison_points =
+    List.map (fun a -> [ Trial.Poison a ]) poison_candidates
+  in
   let scrub_points =
-    [ [ Scrub_wear 1 ] ]
+    [ [ Trial.Scrub_wear 1 ] ]
     @
     match poison_candidates with
-    | a :: _ -> [ [ Poison a; Scrub_wear max_int ] ]
+    | a :: _ -> [ [ Trial.Poison a; Trial.Scrub_wear max_int ] ]
     | [] -> []
   in
   let combo =
@@ -437,11 +198,14 @@ let plan ~seed ~nops ~max_per_site spec =
       List.filter_map
         (fun site ->
           if calls site > 0 then
-            Some (Resource (Faults.rfault site ~from:0 (Faults.Transient 1)))
+            Some
+              (Trial.Resource (Faults.rfault site ~from:0 (Faults.Transient 1)))
           else None)
         Faults.all_sites
     in
-    let ps = match poison_candidates with a :: _ -> [ Poison a ] | [] -> [] in
+    let ps =
+      match poison_candidates with a :: _ -> [ Trial.Poison a ] | [] -> []
+    in
     match rs @ ps with [] -> [] | l -> [ l ]
   in
   let degraded_points =
@@ -449,7 +213,7 @@ let plan ~seed ~nops ~max_per_site spec =
     | Some _ ->
         [
           [
-            Resource
+            Trial.Resource
               (Faults.rfault ~origin:Faults.Staging_prealloc Faults.Alloc
                  ~from:0 Faults.Sticky);
           ];
@@ -475,20 +239,18 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs spec =
      the shrinking budget — is identical at any job count *)
   let results =
     Par.map ?jobs
-      (fun _ (points, tiny) -> Runner.run_trial (start tiny) p ~points)
+      (fun _ (points, tiny) ->
+        Trial.run (start tiny) p ~faults:points ~crash:None)
       trials
   in
   let totals = Faults.counts (Faults.create ()) in
   let tallies = [| 0; 0; 0; 0 |] in
   let violations = ref [] in
   List.iter2
-    (fun (points, tiny) (t : Runner.trial) ->
-      add_counts totals t.Runner.tcounts;
-      (match t.Runner.outcome with
-      | Runner.Untriggered -> tallies.(0) <- tallies.(0) + 1
-      | Runner.Masked -> tallies.(1) <- tallies.(1) + 1
-      | Runner.Retried -> tallies.(2) <- tallies.(2) + 1
-      | Runner.Errno_surfaced -> tallies.(3) <- tallies.(3) + 1);
+    (fun (points, tiny) (t : Trial.trial) ->
+      add_counts totals t.Trial.faults;
+      let o = outcome t in
+      tallies.(o) <- tallies.(o) + 1;
       List.iter
         (fun (file, reason) ->
           let shrunk =
@@ -501,11 +263,11 @@ let check_stack ?(seed = 0xFA17) ?(nops = 24) ?(max_per_site = 3) ?jobs spec =
               v_points = points;
               v_file = file;
               v_reason = reason;
-              v_errno = t.Runner.errno;
+              v_errno = t.Trial.errno;
               v_shrunk = shrunk;
             }
             :: !violations)
-        t.Runner.violations)
+        t.Trial.violations)
     trials results;
   {
     s_stack = Fs_config.name spec;
@@ -547,14 +309,14 @@ let oracle_catches_dropped_writes () =
       (W.generate ~mode:Splitfs.Config.Sync ~seed:0xFA17 ~scale:16 ~nops:24 ())
   in
   let t =
-    Runner.run_trial
-      (Runner.start ~tiny:true ~checks Fs_config.Splitfs_sync p)
-      p
-      ~points:
+    Trial.run
+      (start ~tiny:true ~checks Fs_config.Splitfs_sync p)
+      p ~crash:None
+      ~faults:
         [
-          Resource
+          Trial.Resource
             (Faults.rfault ~origin:Faults.Staging_prealloc Faults.Alloc ~from:0
                Faults.Sticky);
         ]
   in
-  t.Runner.violations <> []
+  t.Trial.violations <> []

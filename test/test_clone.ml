@@ -32,8 +32,8 @@ let lockstep ~name ~build ~contract p states =
     let scratch = ref Bytes.empty in
     let m = mount ~scratch in
     let t =
-      Trial.run_on ~contract m (Trial.oracle ~scratch s.s_oracle p) p ~point
-        ~survivors
+      Trial.run_on ~scratch m s.s_oracle p ~faults:[]
+        ~crash:(Some { Trial.contract; point; survivors })
     in
     let o = observe m.Trial.stack in
     Pmem.Device.release m.stack.env.Pmem.Env.dev;
@@ -145,7 +145,10 @@ let test_start_untouched () =
     for i = from to from + n - 1 do
       let point, survivors = states.(i mod Array.length states) in
       ignore
-        (Trial.run ~contract:(Check.contract_of spec) s p ~point ~survivors
+        (Trial.run s p ~faults:[]
+           ~crash:
+             (Some
+                { Trial.contract = Check.contract_of spec; point; survivors })
           : Trial.trial)
     done;
     Pmem.Device.spared dev
@@ -177,7 +180,7 @@ let test_faultcheck_starts_untouched () =
       ignore
         (Par.map ~jobs:2
            (fun _ (points, tiny) ->
-             Faultcheck.Runner.run_trial starts.(Bool.to_int tiny) p ~points)
+             Trial.run starts.(Bool.to_int tiny) p ~faults:points ~crash:None)
            trials);
       Array.iteri
         (fun i s ->

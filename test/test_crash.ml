@@ -220,13 +220,17 @@ let test_crash_inside_log_reset mode ~fence ~survivors ~rfence () =
   let dev = env.Pmem.Env.dev in
   let sys = Option.get m.T.stack.Harness.Fs_config.sys in
   let line l = { Pmem.Device.s_line = l; s_keep = 0; s_tear = 0 } in
-  let _, pre, post =
-    T.replay dev
-      ~point:{ Crashcheck.Explore.fence; pending = [||] }
-      ~survivors:(List.map line survivors) ~real:m.T.step ~oracle:ostep
-      ~snap:(fun () -> Array.map (Crashcheck.View.of_oracle views) p.T.paths)
-      p.T.ops
+  let g =
+    T.drive m ostep p ~faults:[]
+      ~crash:
+        (Some
+           {
+             T.contract = Crashcheck.Check.contract_of spec;
+             point = { Crashcheck.Explore.fence; pending = [||] };
+             survivors = List.map line survivors;
+           })
   in
+  let pre, post = T.crash_views g (views, ostep) p in
   Pmem.Device.journal_begin dev;
   Pmem.Device.arm_crash dev ~fence:rfence
     ~survivors:(List.map line [ 40960; 40961 ]);
@@ -244,7 +248,7 @@ let test_crash_inside_log_reset mode ~fence ~survivors ~rfence () =
         None
         (Crashcheck.Check.check_file
            (Crashcheck.Check.contract_of spec)
-           ~pre:pre.(i) ~post:post.(i) (T.read_back rfs path)))
+           ~pre:pre.(i) ~post:post.(i) (T.read_back dev rfs path)))
     p.T.paths
 
 let test_torn_tail_entry_skipped () =

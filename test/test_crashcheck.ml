@@ -324,6 +324,33 @@ let test_injected_bug_caught () =
         (List.map (Fmt.str "%a" Trial.pp_survivor) v.v_survivors)
 
 (* ------------------------------------------------------------------ *)
+(* A broken op is a violation, not an abort                             *)
+(* ------------------------------------------------------------------ *)
+
+(* An op that raises an errno other than EIO or ENOSPC, in the profile
+   pass and in every crash state, is reported as a violation that names
+   the op, and is not printed as the program's claim. *)
+let test_broken_op_is_a_violation () =
+  let p =
+    {
+      Trial.initial =
+        [ { Trial.client = 0; path = "/f0"; len = 100; seed = 7 } ];
+      paths = [| "/f0" |];
+      ops = [ (0, Trial.Unlink { path = "/missing" }) ];
+      claim = Trial.no_claim;
+    }
+  in
+  match (check_program Splitfs.Config.Strict p).Trial.r_violations with
+  | [] -> Alcotest.fail "the broken op went unreported"
+  | v :: _ ->
+      Alcotest.(check (option string)) "no path" None v.v_path;
+      Util.check_str "the op and its errno"
+        "op 0: unexpected errno ENOENT \"/missing\"" v.v_reason;
+      Util.check_str "printed"
+        "fence 0, op 0: unexpected errno ENOENT \"/missing\"\n  survivors: "
+        (Fmt.str "%a" Trial.pp_violation v)
+
+(* ------------------------------------------------------------------ *)
 (* The shared greedy shrinker, in faultcheck's drop-one form            *)
 (* ------------------------------------------------------------------ *)
 
@@ -437,6 +464,8 @@ let suite =
       test_recovery_allocation;
     tc "injected bug: unverified op-log checksums are caught" `Quick
       test_injected_bug_caught;
+    tc "a broken op is a violation that names it" `Quick
+      test_broken_op_is_a_violation;
     tc "greedy shrinker: visit order and budget" `Quick test_greedy_shrinker;
     tc "payload bytes follow the closed formula" `Quick test_payload_formula;
     tc "check_bytes over views of different lengths" `Quick

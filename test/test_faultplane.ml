@@ -454,13 +454,16 @@ let test_judge_semantics () =
       claim = T.no_claim;
     }
   in
-  let legal =
-    Faultcheck.worlds
-      (T.oracle_start ~scratch:(ref Bytes.empty) p)
-      p
-      [| Faultcheck.Failed; Faultcheck.Acked |]
+  let world ops =
+    let scratch = ref Bytes.empty in
+    let views, step = T.oracle ~scratch (T.oracle_start ~scratch p) p in
+    List.iter step ops;
+    Option.get (views.Fsapi.Ref_fs.dump "/f0")
   in
-  let judge got = Faultcheck.judge legal ~quarantined:(fun _ -> false) 0 got in
+  let judge got =
+    T.judge ~head:(world (List.tl p.ops)) ~failed:(lazy [ world p.ops ])
+      ~quarantined:(fun _ -> false) got
+  in
   let initial = W.payload ~seed:1000 1000 in
   let with_range b ~at src =
     let b = Bytes.copy b in

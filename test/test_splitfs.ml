@@ -248,6 +248,78 @@ let test_unstageable_write_degrades () =
       fs.close fd)
     Harness.Fs_config.[ Splitfs_posix; Splitfs_sync; Splitfs_strict ]
 
+(* A degraded write past staged appends lands them first. With one
+   4 KiB staging file and staging pre-allocation failing, 'a' is staged
+   past a 4,096-byte file, 'b' goes through the kernel past it, and 'c'
+   overwrites bytes 3117..4780 below the kernel size, in place. Byte
+   4500 is 'c's, before and after the fsync: staged 'a' bytes left under
+   the kernel size would serve reads and the relink instead. *)
+let test_degraded_write_lands_staged_bytes () =
+  let cfg =
+    {
+      (Util.small_splitfs_cfg Splitfs.Config.Posix) with
+      Splitfs.Config.staging_files = 1;
+      staging_size = 4096;
+    }
+  in
+  let env, _kfs, _sys, _u, fs = Util.make_splitfs ~cfg () in
+  let fd = fs.open_ "/f" Fsapi.Flags.create_rw in
+  let put c ~at len =
+    ignore (fs.pwrite fd ~buf:(Bytes.make len c) ~boff:0 ~len ~at)
+  in
+  put 'x' ~at:0 4096;
+  fs.fsync fd;
+  Faults.inject env.Pmem.Env.faults
+    (Faults.rfault ~origin:Faults.Staging_prealloc Faults.Alloc ~from:0
+       Faults.Sticky);
+  put 'a' ~at:4096 2144;
+  put 'b' ~at:6240 4496;
+  put 'c' ~at:3117 1664;
+  let expected =
+    String.concat ""
+      [
+        String.make 3117 'x'; String.make 1664 'c'; String.make 1459 'a';
+        String.make 4496 'b';
+      ]
+  in
+  let check when_ =
+    let got = Fsapi.Fs.pread_exact fs fd ~len:10736 ~at:0 in
+    Alcotest.(check char) ("byte 4500 " ^ when_) 'c' got.[4500];
+    Util.check_bool ("content " ^ when_) true (got = expected)
+  in
+  check "before fsync";
+  fs.fsync fd;
+  check "after fsync"
+
+(* A relink's boundary copy past the kernel-visible blocks maps nothing:
+   no mapping of the blocks below it can serve it, so the copy takes the
+   kernel write without an mmap. Each round appends 10,000 B to a strict
+   file, stages 10 B inside the append and fsyncs. *)
+let test_no_mapping_past_kernel_blocks () =
+  let env, _kfs, _sys, _u, fs =
+    Util.make_splitfs ~mode:Splitfs.Config.Strict ()
+  in
+  let fd = fs.open_ "/f" Fsapi.Flags.create_rw in
+  let content = Bytes.make (100 + (32 * 10_000)) 'x' in
+  let put ~at len =
+    Bytes.fill content at len (Char.chr (Char.code 'a' + (at mod 26)));
+    ignore (fs.pwrite fd ~buf:content ~boff:at ~len ~at)
+  in
+  put ~at:0 100;
+  fs.fsync fd;
+  let stats = env.Pmem.Env.stats in
+  let setups = stats.Pmem.Stats.mmap_setups in
+  for r = 0 to 31 do
+    let size = 100 + (r * 10_000) in
+    put ~at:size 10_000;
+    put ~at:(size + 5_000) 10;
+    fs.fsync fd
+  done;
+  Util.check_int "mmap setups" 0 (stats.Pmem.Stats.mmap_setups - setups);
+  Util.check_bool "content" true
+    (Fsapi.Fs.pread_exact fs fd ~len:(Bytes.length content) ~at:0
+    = Bytes.to_string content)
+
 let test_unlink_cleans_up =
   for_each_mode (fun mode _u fs ->
       let name = Splitfs.Config.mode_to_string mode in
@@ -632,6 +704,10 @@ let suite =
       test_staging_exhaustion_midstream;
     tc "unstageable write takes the kernel path" `Quick
       test_unstageable_write_degrades;
+    tc "a degraded write lands the staged bytes below it" `Quick
+      test_degraded_write_lands_staged_bytes;
+    tc "no mapping past the kernel-visible blocks" `Quick
+      test_no_mapping_past_kernel_blocks;
     tc "unlink cleans up" `Quick test_unlink_cleans_up;
     tc "unlink while open keeps data" `Quick test_unlink_while_open_keeps_data;
     tc "reaped files leave no kernel mappings" `Quick
